@@ -93,6 +93,31 @@ let codec_points ~domains code size =
   in
   [ encode; decode; update ]
 
+(* BCH decode from k + 2 fragments — the first k + 2 indices, so two
+   systematic columns are missing and go through the matrix sweep —
+   once clean and once with one fragment corrupted (every stripe
+   dirty): the check-gated fast path and the per-stripe key-equation
+   solver, tracked as separate rows. *)
+let bch_decode_points ~domains code size =
+  let value = value_of_size size in
+  let name = Erasure.Mds.name code in
+  let k = Erasure.Mds.k code in
+  let clean =
+    List.filteri
+      (fun i _ -> i < k + 2)
+      (Array.to_list (Erasure.Mds.encode code value))
+  in
+  let one_err =
+    List.mapi
+      (fun i f -> if i = 0 then Erasure.Fragment.corrupt f ~seed:1 else f)
+      clean
+  in
+  [ measure ~codec:name ~op:"decode_k+2_clean" ~size ~domains (fun () ->
+        Erasure.Mds.decode ~domains code clean);
+    measure ~codec:name ~op:"decode_k+2_1err" ~size ~domains (fun () ->
+        Erasure.Mds.decode ~domains code one_err)
+  ]
+
 let kernel_points size =
   let src = value_of_size size in
   let dst = Bytes.make size '\000' in
@@ -103,7 +128,7 @@ let kernel_points size =
   [ (* byte-at-a-time table sweeps: the pre-word-slicing kernels, kept
        as oracles — these rows are the "before" of the trajectory *)
     measure ~codec:"kernel-gf8" ~op:"muladd_buf" ~size ~domains:1 (fun () ->
-        Galois.Gf.muladd_buf table ~src ~dst ~off:0 ~len:size);
+        Galois.Gf.muladd_buf table ~src ~soff:0 ~dst ~doff:0 ~len:size);
     measure ~codec:"kernel-gf16" ~op:"muladd_buf" ~size ~domains:1 (fun () ->
         Galois.Gf16.muladd_buf tables16 ~src ~dst ~off:0 ~len:(size / 2));
     (* word-sliced sweeps: 64-bit loads over 16-bit chunk tables — what
@@ -157,7 +182,8 @@ let run () =
     List.concat_map
       (fun size ->
         kernel_points size
-        @ List.concat_map (fun c -> codec_points ~domains:1 c size) codecs)
+        @ List.concat_map (fun c -> codec_points ~domains:1 c size) codecs
+        @ bch_decode_points ~domains:1 (Erasure.Mds.rs_bch ~n ~k) size)
       sizes
   in
   (* Domain-parallel point: the largest size, vandermonde, sharded. *)

@@ -46,7 +46,7 @@ let kernel_tests =
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
          (Staged.stage (fun () ->
-              Galois.Gf.muladd_buf table ~src ~dst ~off:0 ~len)));
+              Galois.Gf.muladd_buf table ~src ~soff:0 ~dst ~doff:0 ~len)));
       (let n = Printf.sprintf "muladd-gf16-%s" name in
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n

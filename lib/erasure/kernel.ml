@@ -17,8 +17,6 @@ type table = Bytes.t
 type table16 = Gf16.mul_tables
 
 let mul_table = Gf.mul_table
-let mul_buf = Gf.mul_buf
-let muladd_buf = Gf.muladd_buf
 let row_tables coeffs = Array.map Gf.mul_table coeffs
 let row_tables16 coeffs = Array.map Gf16.mul_tables coeffs
 
@@ -235,22 +233,38 @@ let apply_row ~coeffs ~srcs ~dst ~off ~len =
   let soffs = Array.make terms 0 in
   apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff:0 ~off ~len
 
-let apply_row16 ~coeffs ~tables ~srcs ~dst ~off ~len =
+(* GF(2^8) view row application, byte-table flavour: the GF(2^8)
+   counterpart of [apply_row16_v] below, for one-shot coefficient sets
+   whose chunk tables would not amortize. *)
+let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
   let terms = Array.length coeffs in
-  if Array.length srcs <> terms || Array.length tables <> terms then
-    invalid_arg "Kernel.apply_row16: coefficient/table/source count mismatch";
+  if
+    Array.length srcs <> terms
+    || Array.length tables <> terms
+    || Array.length soffs <> terms
+  then invalid_arg "Kernel.apply_row8_v: coefficient/source count mismatch";
   let first = ref true in
   for j = 0 to terms - 1 do
     let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
+    if c <> Gf.zero then begin
+      let src = srcs.(j) and soff = soffs.(j) + off in
+      let doff = doff + off in
       if !first then
-        if c = Gf16.one then Bytes.blit srcs.(j) (2 * off) dst (2 * off) (2 * len)
-        else Gf16.mul_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len
-      else Gf16.muladd_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len;
+        if c = Gf.one then begin
+          if
+            soff < 0 || len < 0
+            || soff + len > Bytes.length src
+            || doff + len > Bytes.length dst
+          then invalid_arg "Kernel.apply_row8_v: range outside buffers";
+          Bytes.blit src soff dst doff len
+        end
+        else Gf.mul_buf tables.(j) ~src ~soff ~dst ~doff ~len
+      else if c = Gf.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
+      else Gf.muladd_buf tables.(j) ~src ~soff ~dst ~doff ~len;
       first := false
     end
   done;
-  if !first then Bytes.fill dst (2 * off) (2 * len) '\000'
+  if !first then Bytes.fill dst (doff + off) len '\000'
 
 (* GF(2^16) view row application, split-table flavour: byte offsets and
    lengths (even), arbitrary per-source and destination offsets. Used

@@ -5,10 +5,10 @@
     byte buffers. This module packages the three ingredients of the
     table-driven, row-major formulation they share:
 
-    - {b product-table sweeps} ({!mul_buf}/{!muladd_buf}, re-exported
-      from {!Galois.Gf}; the GF(2{^16}) versions live in
-      {!Galois.Gf16}): one 256-entry table per coefficient turns a
-      field multiply into a single byte-indexed load;
+    - {b row application} ({!apply_row} and its view, byte-table and
+      GF(2{^16}) variants) over the product-table sweeps of
+      {!Galois.Gf} and {!Galois.Gf16}: one table per coefficient turns
+      a field multiply into a table load;
     - {b stripe transposition} ({!split_cols}/{!merge_cols}) between the
       stripe-major framed value and the column-contiguous buffers the
       sweeps want;
@@ -26,13 +26,6 @@ type table16 = Galois.Gf16.mul_tables
 val mul_table : Galois.Gf.t -> table
 (** [mul_table c] is the cached table with [t.[x] = c * x]; O(1), safe
     from any domain. *)
-
-val mul_buf : table -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [dst.[i] <- c * src.[i]] over [off, off+len). *)
-
-val muladd_buf :
-  table -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [dst.[i] <- dst.[i] xor c * src.[i]] over [off, off+len). *)
 
 val row_tables : Galois.Gf.t array -> table array
 (** Tables for every coefficient of a matrix row. *)
@@ -132,17 +125,21 @@ val apply_row_v :
     row zero-fills. This is {!apply_row} generalized to views over
     shared backing buffers. *)
 
-val apply_row16 :
-  coeffs:Galois.Gf16.t array ->
-  tables:table16 array ->
+val apply_row8_v :
+  coeffs:Galois.Gf.t array ->
+  tables:table array ->
   srcs:Bytes.t array ->
+  soffs:int array ->
   dst:Bytes.t ->
+  doff:int ->
   off:int ->
   len:int ->
   unit
-(** GF(2{^16}) row application; [off]/[len] count 16-bit symbols and
-    [tables] must be [row_tables16 coeffs] (precomputed by the caller so
-    the sweep itself is domain-safe). *)
+(** View-aware GF(2{^8}) row application on {e byte} tables
+    ([tables] = [row_tables coeffs]), with the semantics of
+    {!apply_row_v}. For one-shot coefficient sets (decode submatrices
+    over small fragments) where building chunk tables would cost more
+    than the sweep. *)
 
 val apply_row16_v :
   coeffs:Galois.Gf16.t array ->

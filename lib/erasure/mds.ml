@@ -104,17 +104,8 @@ let update ?domains t ~fragments ~value ~pos patch =
   | Systematic c -> Rs_systematic.update ?domains c ~fragments ~value ~pos patch
   | Rs16 c -> Rs16.update ?domains c ~fragments ~value ~pos patch
   | Replication c -> Replication.update c ~fragments ~value ~pos patch
-  | Bch _ | Bch16 _ ->
-    (* The BCH-form codecs run a syndrome pipeline over whole fragments;
-       patching parity in place is not linear in the same sense, so fall
-       back to a full re-encode of the patched value. *)
-    if pos < 0 || pos + Bytes.length patch > Bytes.length value then
-      invalid_arg "Mds.update: patch outside value";
-    if Array.length fragments <> t.n then
-      invalid_arg "Mds.update: expected n fragments";
-    let new_value = Bytes.copy value in
-    Bytes.blit patch 0 new_value pos (Bytes.length patch);
-    (new_value, encode ?domains t new_value)
+  | Bch c -> Rs_bch.update ?domains c ~fragments ~value ~pos patch
+  | Bch16 c -> Rs_bch16.update ?domains c ~fragments ~value ~pos patch
 
 let fragment_size t ~value_len =
   match t.impl with

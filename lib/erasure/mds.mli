@@ -73,10 +73,9 @@ val update :
     [patch] written at [pos] together with fragments identical to
     [encode] of that patched value. [fragments] must be all [n]
     fragments of [value] (any order, distinct indices). The linear
-    codecs (Vandermonde, systematic, GF(2{^16}), replication) maintain
-    parity incrementally — work proportional to the patch, not the
-    value; the BCH-form codecs fall back to a full re-encode. Inputs are
-    never mutated.
+    codecs maintain parity incrementally — work proportional to the
+    patch, not the value. Every codec here is linear, the BCH-form ones
+    included. Inputs are never mutated.
     @raise Invalid_argument if the patch leaves the value's bounds or
     the fragment set is malformed. *)
 

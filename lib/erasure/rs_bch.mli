@@ -9,10 +9,13 @@
     polynomial is [g(x) = (x - alpha)(x - alpha^2)...(x - alpha^(n-k))]
     and a codeword is [c(x) = x^(n-k) M(x) + (x^(n-k) M(x) mod g)], so
     the message occupies coordinates [n-k .. n-1] (systematic part).
-    Decoding computes syndromes, forms the erasure locator, finds the
-    error locator with the Sugiyama (extended-Euclid) algorithm on the
-    modified syndrome polynomial, locates errors by Chien search and
-    recovers magnitudes with Forney's formula. *)
+    Decoding first solves the message from [k] present fragments by
+    matrix sweeps and checks every other present fragment against it.
+    Only stripes that fail the check go through errors-and-erasures
+    correction: syndromes, the erasure locator, the error locator by
+    the Sugiyama (extended-Euclid) algorithm on the modified syndrome
+    polynomial, Chien search for the error positions and Forney's
+    formula for their magnitudes. *)
 
 type t
 
@@ -36,13 +39,48 @@ exception Decode_failure of string
     number of roots in range, or correction does not yield a codeword. *)
 
 val decode : ?domains:int -> t -> Fragment.t list -> bytes
-(** [decode code frags] reconstructs the value; stripes are corrected
-    independently, so [?domains] shards them too. Fragments whose indices
+(** [decode code frags] reconstructs the value. Fragments whose indices
     are absent are treated as erasures; present fragments may be
     corrupted. Reconstruction is guaranteed whenever
     [2*corruptions + erasures <= n - k].
+
+    Decoding is check-gated. The message columns are solved from [k]
+    present fragments (present systematic fragments first, read in
+    place) by one matrix sweep per missing column, and each of the
+    remaining present fragments is re-encoded from them and XORed with
+    what was received. Stripes whose residuals are all zero are clean:
+    their decoded symbols are the swept columns. Only dirty stripes
+    run the per-stripe key-equation solver (syndromes, Sugiyama,
+    Chien search and Forney) of {!decode_reference}. With [p] present
+    fragments, [m] of the [k] systematic ones missing, and [L] bytes
+    per fragment, a value with no corrupted stripe costs about
+    [(m + p - k) * k] byte-table sweeps of [L] bytes; each dirty stripe
+    adds one scalar errors-and-erasures correction. [?domains] shards
+    the sweeps and the dirty stripes.
+
+    Output and exceptions are those of {!decode_reference} for every
+    input.
     @raise Insufficient_fragments when fewer than [k] distinct indices
     are present.
     @raise Decode_failure when the error pattern is detectably beyond the
     correction radius.
     @raise Invalid_argument on out-of-range indices or ragged sizes. *)
+
+val decode_reference : ?domains:int -> t -> Fragment.t list -> bytes
+(** The all-stripes decoder: every stripe goes through the scalar
+    errors-and-erasures correction. Retained as the differential-testing
+    oracle for {!decode}, with which it agrees on every input; not used
+    on any production path. Prefer {!decode}. *)
+
+val update :
+  ?domains:int ->
+  t ->
+  fragments:Fragment.t array ->
+  value:bytes ->
+  pos:int ->
+  bytes ->
+  bytes * Fragment.t array
+(** Patch-proportional parity maintenance: systematic encoding is
+    linear in the message, so this is {!Rs_update.update} over the
+    generator rows (parity rows, then unit rows for the message
+    coordinates). The result equals [encode] of the patched value. *)

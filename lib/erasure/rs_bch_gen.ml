@@ -6,6 +6,7 @@
 module Make (Sym : Symbol.S) = struct
   module F = Sym.F
   module Poly = Galois.Poly_gen.Make (F)
+  module Matrix = Galois.Matrix_gen.Make (F)
 
   type t = { n : int; k : int; parity_rows : F.t array array }
 
@@ -46,23 +47,21 @@ module Make (Sym : Symbol.S) = struct
   let k t = t.k
   let bps = Sym.bytes_per_symbol
 
-  (* dst[off, off+len) = sum_j coeffs.(j) * srcs.(j), offsets in
-     symbols; tables are precomputed by the caller (required for the
-     GF(2^16) instantiation, whose table cache must not be raced). *)
-  let apply_row ~coeffs ~tables ~srcs ~dst ~off ~len =
-    let first = ref true in
-    Array.iteri
-      (fun j c ->
-        if not (F.is_zero c) then begin
-          if !first then
-            if F.equal c F.one then
-              Bytes.blit srcs.(j) (bps * off) dst (bps * off) (bps * len)
-            else Sym.mul_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len
-          else Sym.muladd_buf tables.(j) ~src:srcs.(j) ~dst ~off ~len;
-          first := false
-        end)
-      coeffs;
-    if !first then Bytes.fill dst (bps * off) (bps * len) '\000'
+  (* Row [i] of the systematic generator: coordinate [i] of a codeword
+     is [generator_row t i] applied to the message columns — a parity
+     row for [i < n-k], the unit row of message column [i - (n-k)]
+     otherwise. *)
+  let generator_row t i =
+    let parity_len = t.n - t.k in
+    if i < parity_len then t.parity_rows.(i)
+    else
+      Array.init t.k (fun j -> if j = i - parity_len then F.one else F.zero)
+
+  let generator_rows t = Array.init t.n (generator_row t)
+
+  (* Every row's coefficient tables, fetched in the coordinating domain
+     before any sharding: the GF(2^16) table cache must not be raced. *)
+  let row_tables rows = Array.map (Array.map Sym.mul_table) rows
 
   let encode ?domains t value =
     let framed = Splitter.frame ~k:(bps * t.k) value in
@@ -75,11 +74,12 @@ module Make (Sym : Symbol.S) = struct
           if i < parity_len then Bytes.create (bps * stripes)
           else cols.(i - parity_len))
     in
-    let tables = Array.map (Array.map Sym.mul_table) t.parity_rows in
+    let tables = row_tables t.parity_rows in
+    let soffs = Array.make t.k 0 in
     Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
         for i = 0 to parity_len - 1 do
-          apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
-            ~dst:outputs.(i) ~off:lo ~len
+          Sym.apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
+            ~soffs ~dst:outputs.(i) ~doff:0 ~off:(bps * lo) ~len:(bps * len)
         done);
     Array.init t.n (fun i -> Fragment.make ~index:i ~data:outputs.(i))
 
@@ -149,9 +149,19 @@ module Make (Sym : Symbol.S) = struct
         raise (Decode_failure "correction did not produce a codeword")
     end
 
-  let decode ?domains t frags =
+  (* The received word: which coordinates are present, and each present
+     fragment's payload view (the first fragment seen per index wins). *)
+  type received = {
+    present : bool array;
+    bufs : bytes array;
+    offs : int array;
+    size : int;
+  }
+
+  let collect t frags =
     let present = Array.make t.n false in
-    let datas = Array.make t.n Bytes.empty in
+    let bufs = Array.make t.n Bytes.empty in
+    let offs = Array.make t.n 0 in
     let count = ref 0 in
     let size = ref (-1) in
     List.iter
@@ -161,10 +171,11 @@ module Make (Sym : Symbol.S) = struct
           invalid_arg (Printf.sprintf "Rs_bch.decode: index %d out of range" i);
         if not present.(i) then begin
           present.(i) <- true;
-          datas.(i) <- Fragment.data f;
+          bufs.(i) <- Fragment.buf f;
+          offs.(i) <- Fragment.off f;
           incr count;
-          if !size < 0 then size := Bytes.length datas.(i)
-          else if Bytes.length datas.(i) <> !size then
+          if !size < 0 then size := Fragment.size f
+          else if Fragment.size f <> !size then
             invalid_arg "Rs_bch.decode: fragment sizes differ"
         end)
       frags;
@@ -172,7 +183,12 @@ module Make (Sym : Symbol.S) = struct
       raise (Insufficient_fragments { needed = t.k; got = !count });
     if !size mod bps <> 0 then
       invalid_arg "Rs_bch.decode: fragment size not a whole symbol count";
-    let stripes = !size / bps in
+    { present; bufs; offs; size = !size }
+
+  (* Erasure locator prod_{i absent} (1 - alpha^i x) and its degree. At
+     least k fragments are present, so there are never more erasures
+     than parity symbols. *)
+  let erasure_locator t present =
     let num_erasures = ref 0 in
     let gamma = ref Poly.one in
     for i = 0 to t.n - 1 do
@@ -182,23 +198,195 @@ module Make (Sym : Symbol.S) = struct
         gamma := Poly.mul !gamma (Poly.of_list [ F.one; F.alpha_pow i ])
       end
     done;
-    if !num_erasures > t.n - t.k then
-      raise (Decode_failure "more erasures than parity symbols");
-    let gamma = !gamma and num_erasures = !num_erasures in
+    (!gamma, !num_erasures)
+
+  (* Load stripe [s] of the received word into [received], erasures 0. *)
+  let read_stripe t r s received =
+    for i = 0 to t.n - 1 do
+      received.(i) <-
+        (if r.present.(i) then Sym.get r.bufs.(i) (r.offs.(i) + (bps * s))
+         else F.zero)
+    done
+
+  let decode_reference ?domains t frags =
+    let r = collect t frags in
+    let stripes = r.size / bps in
+    let gamma, num_erasures = erasure_locator t r.present in
     let framed = Bytes.create (stripes * bps * t.k) in
     (* Stripes are corrected independently, so the stripe range shards
        across domains like the matrix codecs' sweeps; each chunk owns
        its scratch word. *)
     Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-        let received = Array.make t.n 0 in
+        let received = Array.make t.n F.zero in
         for s = lo to lo + len - 1 do
-          for i = 0 to t.n - 1 do
-            received.(i) <- (if present.(i) then Sym.get datas.(i) s else 0)
-          done;
+          read_stripe t r s received;
           correct_stripe t ~gamma ~num_erasures received;
           for j = 0 to t.k - 1 do
-            Sym.set framed ((s * t.k) + j) received.(t.n - t.k + j)
+            Sym.set framed (bps * ((s * t.k) + j)) received.(t.n - t.k + j)
           done
         done);
     Splitter.unframe framed
+
+  (* Set [dirty.[s]] for every stripe [s] in [lo, lo+len) whose symbol in
+     [res] is nonzero, skipping zero 8-byte words (8 is a whole number
+     of symbols, so words never straddle a stripe boundary). *)
+  let mark_dirty ~res ~dirty ~lo ~len =
+    let stop = bps * (lo + len) in
+    let b = ref (bps * lo) in
+    while !b < stop do
+      if !b + 8 <= stop && Int64.equal (Bytes.get_int64_ne res !b) 0L then
+        b := !b + 8
+      else begin
+        let word_end = min stop (!b + 8) in
+        for i = !b to word_end - 1 do
+          if Bytes.get res i <> '\000' then Bytes.set dirty (i / bps) '\001'
+        done;
+        b := word_end
+      end
+    done
+
+  (* Decode sweeps run over blocks of this many stripes, so that every
+     source's block stays cache-resident across all the rows that read
+     it. *)
+  let block_stripes = 4096
+
+  let iter_blocks ~lo ~len f =
+    let stop = lo + len in
+    let b = ref lo in
+    while !b < stop do
+      let len = min block_stripes (stop - !b) in
+      f ~lo:!b ~len;
+      b := !b + len
+    done
+
+  (* The rows of S^-1 for the [missing] message columns, where S
+     stacks the generator rows of the [basis] coordinates: the present
+     message coordinates, then [p = |missing|] parity coordinates Pb.
+     S is the identity on the present columns, so only the p x p block
+     A = P[Pb][missing] needs inverting; in characteristic 2,
+       m_missing = A^-1 c_Pb + A^-1 P[Pb][present] m_present,
+     which reads off S^-1's rows over the basis order. *)
+  let solve_rows t ~basis ~missing =
+    let parity_len = t.n - t.k in
+    let p = Array.length missing in
+    let known = t.k - p in
+    if p = 0 then [||]
+    else begin
+      let pb = Array.sub basis known p in
+      let a_inv =
+        Matrix.invert
+          (Matrix.create ~rows:p ~cols:p (fun q r ->
+               t.parity_rows.(pb.(q)).(missing.(r))))
+      in
+      Array.init p (fun r ->
+          Array.mapi
+            (fun b i ->
+              if b >= known then Matrix.get a_inv r (b - known)
+              else begin
+                let acc = ref F.zero in
+                for q = 0 to p - 1 do
+                  acc :=
+                    F.add !acc
+                      (F.mul (Matrix.get a_inv r q)
+                         t.parity_rows.(pb.(q)).(i - parity_len))
+                done;
+                !acc
+              end)
+            basis)
+    end
+
+  (* Check-gated decode. The message columns are solved from k present
+     coordinates by row sweeps; every other present coordinate is
+     re-encoded from those columns and compared with what was received.
+     A stripe whose residuals are all zero is consistent, and the unique
+     codeword agreeing with it on the present coordinates is what
+     erasure-only correction returns — so only the other ("dirty")
+     stripes go through the key-equation solver, exactly as in
+     [decode_reference]. *)
+  let decode ?domains t frags =
+    let r = collect t frags in
+    let size = r.size in
+    let stripes = size / bps in
+    let parity_len = t.n - t.k in
+    (* Basis: present message coordinates first — their columns are the
+       fragments themselves, read in place — then parity coordinates up
+       to k. The remaining present coordinates are the checks. *)
+    let present =
+      List.init t.k (fun j -> parity_len + j) @ List.init parity_len Fun.id
+      |> List.filter (fun i -> r.present.(i))
+      |> Array.of_list
+    in
+    let basis = Array.sub present 0 t.k in
+    let checks = Array.sub present t.k (Array.length present - t.k) in
+    let col_bufs = Array.init t.k (fun j -> r.bufs.(parity_len + j)) in
+    let col_offs = Array.init t.k (fun j -> r.offs.(parity_len + j)) in
+    let missing =
+      List.init t.k Fun.id
+      |> List.filter (fun j -> not r.present.(parity_len + j))
+      |> Array.of_list
+    in
+    let solve = solve_rows t ~basis ~missing in
+    let solve_tables = row_tables solve in
+    let basis_bufs = Array.map (fun i -> r.bufs.(i)) basis in
+    let basis_offs = Array.map (fun i -> r.offs.(i)) basis in
+    let solved = Bytes.create (Array.length missing * size) in
+    Array.iteri
+      (fun m j ->
+        col_bufs.(j) <- solved;
+        col_offs.(j) <- m * size)
+      missing;
+    let check_rows = Array.map (generator_row t) checks in
+    let check_tables = row_tables check_rows in
+    let res = Bytes.create (if Array.length checks = 0 then 0 else size) in
+    let dirty = Bytes.make stripes '\000' in
+    (* One pass over stripe blocks: solve the block's missing columns,
+       then re-encode every check coordinate from the block's columns
+       and mark the stripes where it differs from what was received. *)
+    Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
+        iter_blocks ~lo ~len (fun ~lo ~len ->
+            let off = bps * lo and bytes = bps * len in
+            Array.iteri
+              (fun m coeffs ->
+                Sym.apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
+                  ~soffs:basis_offs ~dst:solved ~doff:(m * size) ~off
+                  ~len:bytes)
+              solve;
+            Array.iteri
+              (fun c i ->
+                Sym.apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
+                  ~srcs:col_bufs ~soffs:col_offs ~dst:res ~doff:0 ~off
+                  ~len:bytes;
+                Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:(r.offs.(i) + off)
+                  ~dst:res ~doff:off ~len:bytes;
+                mark_dirty ~res ~dirty ~lo ~len)
+              checks));
+    if Bytes.contains dirty '\001' then begin
+      (* Dirty stripes rewrite their message symbols, so the columns
+         still read in place from the caller's fragments get private
+         copies first. *)
+      let owned = Bytes.create (t.k * size) in
+      for j = 0 to t.k - 1 do
+        Bytes.blit col_bufs.(j) col_offs.(j) owned (j * size) size;
+        col_bufs.(j) <- owned;
+        col_offs.(j) <- j * size
+      done;
+      let dirty_stripes =
+        List.init stripes Fun.id
+        |> List.filter (fun s -> Bytes.get dirty s = '\001')
+        |> Array.of_list
+      in
+      let gamma, num_erasures = erasure_locator t r.present in
+      Kernel.parallel_rows ?domains ~n:(Array.length dirty_stripes)
+        (fun ~lo ~len ->
+          let received = Array.make t.n F.zero in
+          for d = lo to lo + len - 1 do
+            let s = dirty_stripes.(d) in
+            read_stripe t r s received;
+            correct_stripe t ~gamma ~num_erasures received;
+            for j = 0 to t.k - 1 do
+              Sym.set owned ((j * size) + (bps * s)) received.(parity_len + j)
+            done
+          done)
+    end;
+    Splitter.extract ~k:t.k ~bps ~bufs:col_bufs ~offs:col_offs ~col_len:size
 end

@@ -3,9 +3,9 @@
     A symbol module fixes the field the code works over and how one code
     symbol is laid out in a byte buffer; the generic codecs
     ({!Rs_bch_gen}) are functors over this. Besides single-symbol get/set
-    it now also exposes the buffer-level product-table sweeps of the
-    codec kernel (see {!Kernel} and DESIGN.md "Codec kernel"), so the
-    functors can run row-major over whole fragments. *)
+    it exposes the codec kernel's view row application (see {!Kernel}
+    and DESIGN.md "Codec kernel"), so the functors can run row-major
+    over whole fragments. *)
 
 module type S = sig
   module F : Galois.Field.S
@@ -16,9 +16,10 @@ module type S = sig
   (** Longest supported code: [F.order - 1]. *)
 
   val get : bytes -> int -> F.t
-  (** [get buf i] reads symbol number [i]. *)
+  (** [get buf pos] reads the symbol whose first byte is [buf.[pos]]. *)
 
   val set : bytes -> int -> F.t -> unit
+  (** [set buf pos v] writes [v] as the symbol starting at byte [pos]. *)
 
   type mul_table
   (** Product table(s) for one fixed coefficient. *)
@@ -27,13 +28,22 @@ module type S = sig
   (** Build (or fetch from cache) the table for a coefficient. Call in
       the coordinating domain before sharding work across domains. *)
 
-  val mul_buf : mul_table -> src:bytes -> dst:bytes -> off:int -> len:int -> unit
-  (** [dst = c * src] over symbols [off, off+len) ([off]/[len] count
-      symbols, not bytes). *)
-
-  val muladd_buf :
-    mul_table -> src:bytes -> dst:bytes -> off:int -> len:int -> unit
-  (** [dst += c * src] over symbols [off, off+len). *)
+  val apply_row :
+    coeffs:F.t array ->
+    tables:mul_table array ->
+    srcs:bytes array ->
+    soffs:int array ->
+    dst:bytes ->
+    doff:int ->
+    off:int ->
+    len:int ->
+    unit
+  (** Row application over views:
+      [dst[doff+off, +len) = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off, +len)],
+      with [tables] the coefficients' {!mul_table}s and every offset and
+      [len] in bytes ([len] a whole number of symbols). Zero
+      coefficients are skipped and an all-zero row zero-fills; see
+      {!Kernel.apply_row8_v} / {!Kernel.apply_row16_v}. *)
 end
 
 (** One byte per symbol, GF(2{^8}): codes up to length 255. *)
@@ -42,14 +52,13 @@ module Byte : S with module F = Galois.Gf = struct
 
   let bytes_per_symbol = 1
   let max_n = 255
-  let get buf i = Char.code (Bytes.get buf i)
-  let set buf i v = Bytes.set buf i (Char.chr v)
+  let get buf pos = Char.code (Bytes.get buf pos)
+  let set buf pos v = Bytes.set buf pos (Char.chr v)
 
   type mul_table = Bytes.t
 
   let mul_table = F.mul_table
-  let mul_buf t ~src ~dst ~off ~len = F.mul_buf t ~src ~dst ~off ~len
-  let muladd_buf t ~src ~dst ~off ~len = F.muladd_buf t ~src ~dst ~off ~len
+  let apply_row = Kernel.apply_row8_v
 end
 
 (** Two bytes (big-endian) per symbol, GF(2{^16}): codes up to 65535. *)
@@ -58,12 +67,11 @@ module Wide : S with module F = Galois.Gf16 = struct
 
   let bytes_per_symbol = 2
   let max_n = 65535
-  let get buf i = Bytes.get_uint16_be buf (2 * i)
-  let set buf i v = Bytes.set_uint16_be buf (2 * i) v
+  let get = Bytes.get_uint16_be
+  let set = Bytes.set_uint16_be
 
   type mul_table = F.mul_tables
 
   let mul_table = F.mul_tables
-  let mul_buf t ~src ~dst ~off ~len = F.mul_buf t ~src ~dst ~off ~len
-  let muladd_buf t ~src ~dst ~off ~len = F.muladd_buf t ~src ~dst ~off ~len
+  let apply_row = Kernel.apply_row16_v
 end

@@ -97,46 +97,81 @@ let mul_table c =
     invalid_arg (Printf.sprintf "Gf.mul_table: %d out of range [0, 255]" c)
   else all_tables.(c)
 
-let check_buf_args ~fname table ~src ~dst ~off ~len =
+let check_buf_args ~fname table ~src ~soff ~dst ~doff ~len =
   if Bytes.length table <> order then
     invalid_arg (fname ^ ": table must have 256 entries");
-  if off < 0 || len < 0
-     || (len > 0
-        && (off + len > Bytes.length src || off + len > Bytes.length dst))
-  then
+  let outside buf off = off < 0 || (len > 0 && off + len > Bytes.length buf) in
+  if len < 0 || outside src soff || outside dst doff then
     invalid_arg
-      (Printf.sprintf "%s: range [%d, %d) outside buffers (src %d, dst %d)"
-         fname off (off + len) (Bytes.length src) (Bytes.length dst))
+      (Printf.sprintf "%s: ranges src [%d, %d) dst [%d, %d) outside buffers (src %d, dst %d)"
+         fname soff (soff + len) doff (doff + len) (Bytes.length src)
+         (Bytes.length dst))
 
-(* U1 audit: the [unsafe_get]/[unsafe_set] in the loops below are
-   justified by [check_buf_args]: every index is in [off, off+len),
-   inside both buffers, and every table index is a byte. The word
-   sweeps additionally go through [Wops], whose [debug_checks]
-   (soda-debug profile / SODA_DEBUG env) re-asserts each range. *)
+(* Byte-table sweeps, 8 bytes per memory operation: one 64-bit load of
+   src, eight lookups in the 256-entry table, one 64-bit load and store
+   of dst. Every byte lane maps independently, so the lane order
+   (target endianness) is irrelevant. They serve one-shot coefficients
+   — decode submatrices — whose 128 KiB chunk table (below) would cost
+   more to build than the sweep.
+
+   U1 audit: every unchecked access below is justified by
+   [check_buf_args]: every index is in [soff, soff+len) of src or
+   [doff, doff+len) of dst, and every table index is masked to a byte. *)
 [@@@lint.allow
   "U1: entry checks put every offset inside both buffers and every table \
-   index is a byte; Wops debug_checks re-asserts each range"]
+   index is masked to a byte"]
 
-let mul_buf table ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf.mul_buf" table ~src ~dst ~off ~len;
-  for i = off to off + len - 1 do
-    let x = Char.code (Bytes.unsafe_get src i) in
-    Bytes.unsafe_set dst i (Bytes.unsafe_get table x)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] lane t v = Char.code (Bytes.unsafe_get t (v land 0xff))
+
+(* The products of the four byte lanes of a 32-bit value. *)
+let[@inline] lanes32 t v =
+  lane t v
+  lor (lane t (v lsr 8) lsl 8)
+  lor (lane t (v lsr 16) lsl 16)
+  lor (lane t (v lsr 24) lsl 24)
+
+let mul_buf table ~src ~soff ~dst ~doff ~len =
+  check_buf_args ~fname:"Gf.mul_buf" table ~src ~soff ~dst ~doff ~len;
+  let i = ref 0 in
+  while len - !i >= 8 do
+    let j = !i in
+    let x = get64 src (soff + j) in
+    let lo = lanes32 table (Int64.to_int x land 0xffffffff) in
+    let hi = lanes32 table (Int64.to_int (Int64.shift_right_logical x 32)) in
+    set64 dst (doff + j)
+      (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32));
+    i := j + 8
+  done;
+  for j = !i to len - 1 do
+    Bytes.unsafe_set dst (doff + j)
+      (Char.unsafe_chr (lane table (Char.code (Bytes.unsafe_get src (soff + j)))))
   done
 
-let muladd_buf table ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf.muladd_buf" table ~src ~dst ~off ~len;
-  for i = off to off + len - 1 do
-    let x = Char.code (Bytes.unsafe_get src i) in
-    let p = Char.code (Bytes.unsafe_get table x) in
-    let d = Char.code (Bytes.unsafe_get dst i) in
-    Bytes.unsafe_set dst i (Char.unsafe_chr (p lxor d))
+let muladd_buf table ~src ~soff ~dst ~doff ~len =
+  check_buf_args ~fname:"Gf.muladd_buf" table ~src ~soff ~dst ~doff ~len;
+  let i = ref 0 in
+  while len - !i >= 8 do
+    let j = !i in
+    let x = get64 src (soff + j) in
+    let lo = lanes32 table (Int64.to_int x land 0xffffffff) in
+    let hi = lanes32 table (Int64.to_int (Int64.shift_right_logical x 32)) in
+    let p = Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32) in
+    set64 dst (doff + j) (Int64.logxor p (get64 dst (doff + j)));
+    i := j + 8
+  done;
+  for j = !i to len - 1 do
+    let p = lane table (Char.code (Bytes.unsafe_get src (soff + j))) in
+    let d = Char.code (Bytes.unsafe_get dst (doff + j)) in
+    Bytes.unsafe_set dst (doff + j) (Char.unsafe_chr (p lxor d))
   done
 
 (* ------------------------------------------------------------------ *)
 (* Word-sliced sweeps.
 
-   The byte loops above stay as the oracle implementations; the hot
+   The byte-table sweeps above serve one-shot coefficients; the hot
    paths use [Wops] chunk tables — 65536 16-bit entries per coefficient
    mapping a 16-bit slice of the source stream straight to the product
    stream, swept 8 bytes per load. A chunk table costs 128 KiB, so

@@ -90,29 +90,32 @@ val mul_table : t -> Bytes.t
     freely (but must not mutate it).
     @raise Invalid_argument outside [0, 255]. *)
 
-val mul_buf : Bytes.t -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [mul_buf table ~src ~dst ~off ~len] sets
-    [dst.[i] <- table.[src.[i]]] for [i] in [off, off+len): a whole-buffer
-    [dst := c * src] when [table = mul_table c]. [src] and [dst] may be
-    the same buffer.
-    @raise Invalid_argument if the range exceeds either buffer or the
-    table is not 256 bytes. *)
+val mul_buf :
+  Bytes.t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
+(** [mul_buf table ~src ~soff ~dst ~doff ~len] sets
+    [dst.[doff+i] <- table.[src.[soff+i]]] for [i] in [0, len): a
+    [dst := c * src] sweep over views when [table = mul_table c], 8
+    bytes per load. For one-shot coefficient sets, where building a
+    {!wtable} per coefficient would cost more than the sweep. [src] and
+    [dst] may be the same buffer only with [soff = doff].
+    @raise Invalid_argument if a range exceeds its buffer or the table
+    is not 256 bytes. *)
 
 val muladd_buf :
-  Bytes.t -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [muladd_buf table ~src ~dst ~off ~len] performs
-    [dst.[i] <- dst.[i] xor table.[src.[i]]] over the range: the fused
-    [dst += c * src] sweep at the heart of row-major encode/decode.
+  Bytes.t -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
+(** [muladd_buf table ~src ~soff ~dst ~doff ~len] performs
+    [dst.[doff+i] <- dst.[doff+i] xor table.[src.[soff+i]]]: the fused
+    [dst += c * src] byte-table sweep over views.
     @raise Invalid_argument as {!mul_buf}. *)
 
 (** {1 Word-sliced sweeps}
 
-    The byte-table sweeps above process one byte per table load; the
-    word-sliced sweeps below move 8 bytes per load through a 128 KiB
-    {!Wops} chunk table (see DESIGN.md, "Word-sliced kernels") and are
-    ~3x faster. They take separate source and destination offsets so
-    the codecs can sweep views into shared backing buffers. The byte
-    sweeps remain the differential-testing oracles. *)
+    The byte-table sweeps above do one table lookup per byte; the
+    word-sliced sweeps below do one lookup per 16-bit chunk through a
+    128 KiB {!Wops} chunk table (see DESIGN.md, "Word-sliced kernels")
+    and are faster once that table is built. They take separate source
+    and destination offsets so the codecs can sweep views into shared
+    backing buffers. *)
 
 type wtable
 (** Chunk table (plus byte-table tail) for one fixed coefficient. *)

@@ -674,6 +674,152 @@ let update_tests =
                  ~value:v ~pos:0 (Bytes.of_string "x"))))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Check-gated BCH decode against the all-stripes oracle: [decode] and
+   [decode_reference] must agree on every input — the same bytes, or
+   the same exception (Invalid_argument compared by constructor only:
+   the two frame parsers word their messages differently). *)
+
+module type BCH = sig
+  type t
+
+  exception Insufficient_fragments of { needed : int; got : int }
+  exception Decode_failure of string
+
+  val make : n:int -> k:int -> t
+  val encode : ?domains:int -> t -> bytes -> Fragment.t array
+  val decode : ?domains:int -> t -> Fragment.t list -> bytes
+  val decode_reference : ?domains:int -> t -> Fragment.t list -> bytes
+end
+
+type bch_case = {
+  wide : bool;  (** GF(2^16) instead of GF(2^8) *)
+  n : int;
+  k : int;
+  value : bytes;
+  order : int array;  (** permutation of the indices *)
+  erasures : int;  (** the first [erasures] of [order] are dropped *)
+  errors : int;  (** the next [errors] are corrupted *)
+  whole : bool;  (** corrupt whole fragments, else one stripe each *)
+  dups : int list;  (** positions (in the received list) to duplicate *)
+  pad : int;  (** payload offset of every fragment view *)
+  seed : int;
+}
+
+let bch_case_gen =
+  QCheck2.Gen.(
+    bool >>= fun wide ->
+    int_range 2 16 >>= fun n ->
+    int_range 1 n >>= fun k ->
+    let budget = n - k in
+    (* a third of the cases decode from exactly k fragments *)
+    frequency [ (1, pure budget); (2, int_range 0 budget) ] >>= fun erasures ->
+    let present = n - erasures in
+    (* up to two corruptions past the correction radius *)
+    int_range 0 (min present (((budget - erasures) / 2) + 2)) >>= fun errors ->
+    bool >>= fun whole ->
+    subset_gen ~n n >>= fun order ->
+    int_range 0 2 >>= fun ndups ->
+    list_repeat ndups (int_range 0 (present - 1)) >>= fun dups ->
+    int_range 0 3 >>= fun pad ->
+    int_range 0 1_000_000 >>= fun seed ->
+    bytes_gen >|= fun value ->
+    { wide; n; k; value; order; erasures; errors; whole; dups; pad; seed })
+
+(* Corrupt exactly one symbol: XOR a nonzero mask into one byte. *)
+let corrupt_one_stripe f ~seed =
+  let data = Bytes.copy (Fragment.data f) in
+  let pos = seed mod Bytes.length data in
+  let mask = 1 + (seed mod 255) in
+  Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor mask));
+  Fragment.make ~index:(Fragment.index f) ~data
+
+(* Re-home a fragment's payload at offset [pad] of a larger buffer. *)
+let at_offset ~pad f =
+  let size = Fragment.size f in
+  let buf = Bytes.make (pad + size + 2) '\xa5' in
+  Bytes.blit (Fragment.buf f) (Fragment.off f) buf pad size;
+  Fragment.view ~index:(Fragment.index f) ~buf ~off:pad ~len:size
+
+let received_word c frags =
+  let base =
+    List.init (c.n - c.erasures) (fun p ->
+        let i = c.order.(c.erasures + p) in
+        let f = frags.(i) in
+        if p >= c.errors then f
+        else if c.whole then Fragment.corrupt f ~seed:(c.seed + p)
+        else corrupt_one_stripe f ~seed:(c.seed + (7919 * p)))
+  in
+  (* duplicates: an extra copy of a received fragment, sometimes
+     garbled, sometimes put ahead of the original (first seen wins) *)
+  let with_dups =
+    List.fold_left
+      (fun acc p ->
+        let f = List.nth base p in
+        let dup = if p land 1 = 0 then f else Fragment.corrupt f ~seed:c.seed in
+        if c.seed land 1 = 0 then dup :: acc else acc @ [ dup ])
+      base c.dups
+  in
+  List.map (at_offset ~pad:c.pad) with_dups
+
+let bch_differential (module C : BCH) c =
+  let code = C.make ~n:c.n ~k:c.k in
+  let frags = C.encode code c.value in
+  let received = received_word c frags in
+  let snapshot = List.map Fragment.data received in
+  let outcome decode =
+    match decode code received with
+    | v -> Ok v
+    | exception C.Insufficient_fragments { needed; got } ->
+      Error (Printf.sprintf "Insufficient_fragments %d %d" needed got)
+    | exception C.Decode_failure msg -> Error ("Decode_failure " ^ msg)
+    | exception Invalid_argument _ -> Error "Invalid_argument"
+  in
+  let fast = outcome (fun code fs -> C.decode code fs) in
+  let reference = outcome (fun code fs -> C.decode_reference code fs) in
+  let same =
+    match (fast, reference) with
+    | Ok a, Ok b -> Bytes.equal a b
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  if not same then
+    QCheck2.Test.fail_reportf "decode %s, reference %s"
+      (match fast with Ok _ -> "returned" | Error e -> e)
+      (match reference with Ok _ -> "returned" | Error e -> e);
+  (* decode reads fragments in place and must not write through them *)
+  List.for_all2 Bytes.equal snapshot (List.map Fragment.data received)
+
+let bch_differential_tests =
+  [ qtest ~count:500 "decode = decode_reference (GF(2^8) and GF(2^16))"
+      bch_case_gen
+      (fun c ->
+        if c.wide then bch_differential (module Rs_bch16) c
+        else bch_differential (module Rs_bch) c);
+    Alcotest.test_case "clean, single-stripe and whole-fragment errors"
+      `Quick (fun () ->
+        let n = 12 and k = 8 in
+        let v = Bytes.init 5000 (fun i -> Char.chr ((i * 37) land 0xff)) in
+        let code = Rs_bch.make ~n ~k in
+        let frags = Array.to_list (Rs_bch.encode code v) in
+        (* k + 2 fragments, two systematic ones missing *)
+        let keep = List.filteri (fun i _ -> i < n - 2) frags in
+        let decoded fs = Bytes.equal v (Rs_bch.decode code fs) in
+        Alcotest.(check bool) "clean" true (decoded keep);
+        Alcotest.(check bool)
+          "one corrupted stripe" true
+          (decoded
+             (List.mapi
+                (fun i f -> if i = 5 then corrupt_one_stripe f ~seed:123 else f)
+                keep));
+        Alcotest.(check bool)
+          "one corrupted fragment" true
+          (decoded
+             (List.mapi
+                (fun i f -> if i = 1 then Fragment.corrupt f ~seed:9 else f)
+                keep)))
+  ]
+
 let () =
   Alcotest.run "erasure"
     [ ("splitter", splitter_tests);
@@ -684,6 +830,7 @@ let () =
       ("rs-systematic", sys_tests);
       ("rs16", rs16_tests);
       ("rs-bch16", bch16_tests);
+      ("bch-differential", bch_differential_tests);
       ("mds", mds_tests);
       ("update", update_tests)
     ]

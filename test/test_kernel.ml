@@ -298,25 +298,35 @@ let bch_tests =
 (* Buffer primitives against mul_slow, symbol by symbol. *)
 
 let buf_tests =
-  [ qtest ~count:100 "Gf.muladd_buf = mul_slow per byte"
+  [ qtest ~count:150 "Gf.muladd_buf = mul_slow per byte"
       QCheck2.Gen.(
-        triple (int_range 0 255) (bytes_gen 300) (int_range 0 40))
-      (fun (c, src, off) ->
-        let off = min off (Bytes.length src) in
-        let len = Bytes.length src - off in
-        let dst0 = Bytes.init (Bytes.length src) (fun i -> Char.chr ((i * 7) land 0xff)) in
+        quad (int_range 0 255) (bytes_gen 200) (int_range 0 17) (int_range 0 17))
+      (fun (c, src, soff, doff) ->
+        (* independent, deliberately unaligned offsets into src and dst *)
+        let table = Gf.mul_table c in
+        let soff = min soff (Bytes.length src) in
+        let len = max 0 (Bytes.length src - max soff doff) in
+        let dst0 =
+          Bytes.init (doff + len + 3) (fun i -> Char.chr ((i * 13) land 0xff))
+        in
         let dst = Bytes.copy dst0 in
-        Gf.muladd_buf (Gf.mul_table c) ~src ~dst ~off ~len;
+        Gf.muladd_buf table ~src ~soff ~dst ~doff ~len;
         let ok = ref true in
-        for i = 0 to Bytes.length src - 1 do
-          let expect =
-            if i >= off && i < off + len then
-              Char.code (Bytes.get dst0 i)
-              lxor Gf.mul_slow c (Char.code (Bytes.get src i))
-            else Char.code (Bytes.get dst0 i)
-          in
-          if Char.code (Bytes.get dst i) <> expect then ok := false
-        done;
+        let check expect_at =
+          for i = 0 to Bytes.length dst - 1 do
+            if Char.code (Bytes.get dst i) <> expect_at i then ok := false
+          done
+        in
+        let term i = Gf.mul_slow c (Char.code (Bytes.get src (soff + i - doff))) in
+        let inside i = i >= doff && i < doff + len in
+        check (fun i ->
+            let d = Char.code (Bytes.get dst0 i) in
+            if inside i then d lxor term i else d);
+        (* mul overwrites the range and leaves the rest alone *)
+        Gf.mul_buf table ~src ~soff ~dst ~doff ~len;
+        check (fun i ->
+            if inside i then term i
+            else Char.code (Bytes.get dst0 i));
         !ok);
     qtest ~count:100 "Gf16.mul_buf/muladd_buf = mul_slow per symbol"
       QCheck2.Gen.(
