@@ -2,7 +2,9 @@
 
     Built for the simulator's hot paths (MD deduplication, the servers'
     H sets): linear probing over flat arrays — no per-insert allocation,
-    no generic-hashing C call. Keys must be [>= 0] (packed tags, mids
+    no generic-hashing C call. Slots are the top bits of a Fibonacci
+    multiply, so keys differing only in their high bits (mids, packed
+    tags) do not cluster. Keys must be [>= 0] (packed tags, mids
     and coordinates are); individual removal is not supported — delete
     wholesale with [reset]. *)
 
@@ -24,6 +26,11 @@ module Set : sig
   (** Remove every key, retaining capacity. *)
 
   val iter : (int -> unit) -> t -> unit
+  (** In slot order, which is unrelated to key order. *)
+
+  val max_probe : t -> int
+  (** Diagnostic: the most slots any present key's lookup inspects
+      (1 when every key sits in its home slot, 0 when empty). *)
 end
 
 module Map : sig
@@ -45,4 +52,8 @@ module Map : sig
   val length : 'a t -> int
   val reset : 'a t -> unit
   val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
+  (** In slot order, which is unrelated to key order. *)
+
+  val max_probe : 'a t -> int
+  (** As {!Set.max_probe}. *)
 end

@@ -39,36 +39,39 @@ let backoff_schedule c ~retries =
   in
   go c.rto 0 []
 
-(* Keys pack (src, dst, seq) into one int: pids are < 2^20 (the engine
-   enforces this) and seqs < 2^19, so (((src << 20) | dst) << 19) | seq
-   fits the 63-bit native int with a bit to spare. *)
-
+(* Sequence numbers share the engine's event tag word (bits 44-62). *)
 let max_seq = 0x7FFFF
 
-let link_key ~src ~dst = (src lsl 20) lor dst
-let entry_key ~src ~dst ~seq = (link_key ~src ~dst lsl 19) lor seq
+(* All channel state for one directed link src -> dst, keyed by the data
+   direction on both sides: the sender's window of unacked sends and the
+   receiver's dedup for the data it gets.
 
-type entry = { payload : Obj.t; mutable tries : int; mutable rto : float }
+   Sender: every seq below [base] is acked or given up; the unacked ones
+   lie in [base, next_seq), held in a power-of-two ring indexed by
+   [seq land (capacity - 1)] that doubles when the window fills. A slot
+   is vacant when its [tries] is -1 — the state of every slot outside
+   the window.
 
-(* Cumulative-mode receiver state, one per directed link (keyed by the
-   data direction). [cum] is the highest seq below which everything has
-   arrived; [ooo] holds the arrivals above the gap. *)
-type rx = {
+   Receiver: every seq <= [cum] has arrived; arrivals above it sit in a
+   bitmap ring over (cum, cum + 8 * Bytes.length arrived], grown on
+   demand. In-order traffic never allocates one. Both structures are
+   bounded by the in-flight window, not by the length of the run. *)
+type link = {
+  mutable next_seq : int;
+  mutable base : int;
+  mutable payloads : Obj.t array;
+  mutable tries : int array;
+  mutable rtos : float array;
   mutable cum : int;  (* -1 until seq 0 arrives *)
-  ooo : (int, unit) Hashtbl.t;
-  mutable ack_pending : bool;  (* arrivals not yet covered by a sent ack *)
-  mutable timer_armed : bool  (* a quiet-window ack timer is scheduled *)
+  mutable arrived : Bytes.t;
+  mutable ack_pending : bool;  (* cumulative mode: arrivals not yet acked *)
+  mutable timer_armed : bool  (* cumulative mode: quiet-window timer set *)
 }
 
 type t = {
   config : config;
-  pending : (int, entry) Hashtbl.t;  (* sender: entry_key -> unacked send *)
-  seen : (int, unit) Hashtbl.t;  (* receiver: entry_key delivered already *)
-  next_seq : (int, int) Hashtbl.t;  (* link_key -> next sequence number *)
-  rx : (int, rx) Hashtbl.t;  (* cumulative receiver: link_key -> state *)
-  floor : (int, int) Hashtbl.t;
-      (* cumulative sender: link_key -> lowest seq a future ack could
-         still discharge; lets ack_up_to remove a range in O(new) *)
+  mutable rows : link option array array;  (* rows.(src).(dst) *)
+  mutable in_flight : int;
   mutable retransmissions : int;
   mutable duplicates_suppressed : int;
   mutable abandoned : int
@@ -77,11 +80,8 @@ type t = {
 let create config =
   validate config;
   { config;
-    pending = Hashtbl.create 256;
-    seen = Hashtbl.create 256;
-    next_seq = Hashtbl.create 64;
-    rx = Hashtbl.create 64;
-    floor = Hashtbl.create 64;
+    rows = [||];
+    in_flight = 0;
     retransmissions = 0;
     duplicates_suppressed = 0;
     abandoned = 0
@@ -89,87 +89,215 @@ let create config =
 
 let config t = t.config
 
-let alloc_seq t ~src ~dst =
-  let k = link_key ~src ~dst in
-  let seq = match Hashtbl.find_opt t.next_seq k with Some s -> s | None -> 0 in
-  if seq > max_seq then
-    invalid_arg
-      (Printf.sprintf "Channel.alloc_seq: link %d->%d exhausted %d sequence numbers"
-         src dst (max_seq + 1));
-  Hashtbl.replace t.next_seq k (seq + 1);
-  seq
+(* [a] extended to cover index [i], at least doubling. *)
+let extend a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let register t ~src ~dst ~seq payload =
-  Hashtbl.replace t.pending (entry_key ~src ~dst ~seq)
-    { payload; tries = 0; rto = t.config.rto };
-  t.config.rto
-
-let receive t ~src ~dst ~seq =
-  let k = entry_key ~src ~dst ~seq in
-  if Hashtbl.mem t.seen k then begin
-    t.duplicates_suppressed <- t.duplicates_suppressed + 1;
-    `Duplicate
-  end
-  else begin
-    Hashtbl.add t.seen k ();
-    `Fresh
-  end
-
-let ack t ~src ~dst ~seq = Hashtbl.remove t.pending (entry_key ~src ~dst ~seq)
-
-(* ------------------------------------------------------------------ *)
-(* Cumulative-ack mode *)
-
-let rx_state t ~src ~dst =
-  let k = link_key ~src ~dst in
-  match Hashtbl.find_opt t.rx k with
-  | Some r -> r
+let link t ~src ~dst =
+  if src >= Array.length t.rows then t.rows <- extend t.rows src [||];
+  let row = t.rows.(src) in
+  let row =
+    if dst < Array.length row then row
+    else begin
+      let row = extend row dst None in
+      t.rows.(src) <- row;
+      row
+    end
+  in
+  match row.(dst) with
+  | Some l -> l
   | None ->
-    let r =
-      { cum = -1;
-        ooo = Hashtbl.create 8;
+    let l =
+      { next_seq = 0;
+        base = 0;
+        payloads = [||];
+        tries = [||];
+        rtos = [||];
+        cum = -1;
+        arrived = Bytes.empty;
         ack_pending = false;
         timer_armed = false
       }
     in
-    Hashtbl.add t.rx k r;
-    r
+    row.(dst) <- Some l;
+    l
 
-let receive_cum t ~src ~dst ~seq =
-  let r = rx_state t ~src ~dst in
-  if seq <= r.cum || Hashtbl.mem r.ooo seq then begin
+(* ------------------------------------------------------------------ *)
+(* Sender window *)
+
+let vacant_payload = Obj.repr 0
+
+let slot l seq = seq land (Array.length l.tries - 1)
+
+let grow_window l =
+  let cap = max 8 (2 * Array.length l.tries) in
+  let payloads = Array.make cap vacant_payload
+  and tries = Array.make cap (-1)
+  and rtos = Array.make cap 0.0 in
+  for seq = l.base to l.next_seq - 1 do
+    let i = slot l seq and j = seq land (cap - 1) in
+    payloads.(j) <- l.payloads.(i);
+    tries.(j) <- l.tries.(i);
+    rtos.(j) <- l.rtos.(i)
+  done;
+  l.payloads <- payloads;
+  l.tries <- tries;
+  l.rtos <- rtos
+
+let pending l seq =
+  seq >= l.base && seq < l.next_seq && l.tries.(slot l seq) >= 0
+
+(* Discharge the pending send [seq] (acked or given up). *)
+let vacate t l seq =
+  let i = slot l seq in
+  l.payloads.(i) <- vacant_payload;
+  l.tries.(i) <- -1;
+  t.in_flight <- t.in_flight - 1
+
+let advance_base l =
+  while l.base < l.next_seq && l.tries.(slot l l.base) < 0 do
+    l.base <- l.base + 1
+  done
+
+let alloc_seq t ~src ~dst =
+  let l = link t ~src ~dst in
+  let seq = l.next_seq in
+  if seq > max_seq then
+    invalid_arg
+      (Printf.sprintf "Channel.alloc_seq: link %d->%d exhausted %d sequence numbers"
+         src dst (max_seq + 1));
+  if seq - l.base >= Array.length l.tries then grow_window l;
+  l.next_seq <- seq + 1;
+  seq
+
+let register t ~src ~dst ~seq payload =
+  let l = link t ~src ~dst in
+  if seq < l.base || seq >= l.next_seq || l.tries.(slot l seq) >= 0 then
+    invalid_arg "Channel.register: seq not freshly allocated on this link";
+  let i = slot l seq in
+  l.payloads.(i) <- payload;
+  l.tries.(i) <- 0;
+  l.rtos.(i) <- t.config.rto;
+  t.in_flight <- t.in_flight + 1;
+  t.config.rto
+
+let ack t ~src ~dst ~seq =
+  let l = link t ~src ~dst in
+  if pending l seq then begin
+    vacate t l seq;
+    advance_base l
+  end
+
+let ack_up_to t ~src ~dst ~upto =
+  let l = link t ~src ~dst in
+  let upto = min upto (l.next_seq - 1) in
+  if upto >= l.base then begin
+    for seq = l.base to upto do
+      if l.tries.(slot l seq) >= 0 then vacate t l seq
+    done;
+    l.base <- upto + 1;
+    advance_base l
+  end
+
+let on_timer t ~src ~dst ~seq =
+  let l = link t ~src ~dst in
+  if not (pending l seq) then `Done
+  else begin
+    let i = slot l seq in
+    if l.tries.(i) >= t.config.max_retries then begin
+      vacate t l seq;
+      advance_base l;
+      t.abandoned <- t.abandoned + 1;
+      `Give_up
+    end
+    else begin
+      l.tries.(i) <- l.tries.(i) + 1;
+      l.rtos.(i) <- next_rto t.config l.rtos.(i);
+      t.retransmissions <- t.retransmissions + 1;
+      `Retransmit (l.payloads.(i), l.rtos.(i))
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Receiver dedup, shared by both ack modes *)
+
+(* Bit [p] of a bitmap. *)
+let test_bit b p = Bytes.get_uint8 b (p lsr 3) land (1 lsl (p land 7)) <> 0
+
+let flip_bit b p =
+  Bytes.set_uint8 b (p lsr 3)
+    (Bytes.get_uint8 b (p lsr 3) lxor (1 lsl (p land 7)))
+
+let nbits b = 8 * Bytes.length b
+
+(* Out-of-order arrival of [seq] > cum recorded? *)
+let has_arrived l seq =
+  seq - l.cum <= nbits l.arrived
+  && test_bit l.arrived (seq land (nbits l.arrived - 1))
+
+let flip l seq = flip_bit l.arrived (seq land (nbits l.arrived - 1))
+
+(* Widen the bitmap to cover (cum, seq], re-placing the recorded
+   arrivals. *)
+let grow_arrived l seq =
+  let old = l.arrived in
+  let bits = ref (max 16 (2 * nbits old)) in
+  while !bits < seq - l.cum do
+    bits := 2 * !bits
+  done;
+  l.arrived <- Bytes.make (!bits / 8) '\000';
+  for s = l.cum + 1 to l.cum + nbits old do
+    if test_bit old (s land (nbits old - 1)) then flip l s
+  done
+
+(* [`Fresh] exactly once per seq. *)
+let dedup t l seq =
+  if seq <= l.cum || has_arrived l seq then begin
     t.duplicates_suppressed <- t.duplicates_suppressed + 1;
-    (* the retransmission means the sender missed our last ack: re-ack *)
-    r.ack_pending <- true;
     `Duplicate
   end
   else begin
-    if seq = r.cum + 1 then begin
-      r.cum <- seq;
-      while Hashtbl.mem r.ooo (r.cum + 1) do
-        Hashtbl.remove r.ooo (r.cum + 1);
-        r.cum <- r.cum + 1
+    if seq = l.cum + 1 then begin
+      l.cum <- seq;
+      while has_arrived l (l.cum + 1) do
+        flip l (l.cum + 1);
+        l.cum <- l.cum + 1
       done
     end
-    else Hashtbl.add r.ooo seq ();
-    r.ack_pending <- true;
+    else begin
+      if seq - l.cum > nbits l.arrived then grow_arrived l seq;
+      flip l seq
+    end;
     `Fresh
   end
 
+let receive t ~src ~dst ~seq = dedup t (link t ~src ~dst) seq
+
+(* ------------------------------------------------------------------ *)
+(* Cumulative-ack mode *)
+
+let receive_cum t ~src ~dst ~seq =
+  let l = link t ~src ~dst in
+  (* a duplicate means the sender missed our last ack: re-ack it too *)
+  l.ack_pending <- true;
+  dedup t l seq
+
 let arm_ack_timer t ~src ~dst =
-  let r = rx_state t ~src ~dst in
-  if r.timer_armed then false
+  let l = link t ~src ~dst in
+  if l.timer_armed then false
   else begin
-    r.timer_armed <- true;
+    l.timer_armed <- true;
     true
   end
 
 let take_ack t ~src ~dst =
-  let r = rx_state t ~src ~dst in
-  r.timer_armed <- false;
-  if r.ack_pending && r.cum >= 0 then begin
-    r.ack_pending <- false;
-    Some r.cum
+  let l = link t ~src ~dst in
+  l.timer_armed <- false;
+  if l.ack_pending && l.cum >= 0 then begin
+    l.ack_pending <- false;
+    Some l.cum
   end
   else
     (* nothing contiguous to report yet (only out-of-order arrivals, an
@@ -177,41 +305,15 @@ let take_ack t ~src ~dst =
     None
 
 let piggyback_ack t ~src ~dst =
-  match Hashtbl.find_opt t.rx (link_key ~src ~dst) with
-  | Some r when r.ack_pending && r.cum >= 0 ->
+  let l = link t ~src ~dst in
+  if l.ack_pending && l.cum >= 0 then begin
     (* the armed timer, if any, finds ack_pending = false and disarms *)
-    r.ack_pending <- false;
-    r.cum
-  | Some _ | None -> -1
-
-let ack_up_to t ~src ~dst ~upto =
-  let lk = link_key ~src ~dst in
-  let lo = match Hashtbl.find_opt t.floor lk with Some v -> v | None -> 0 in
-  if upto >= lo then begin
-    for seq = lo to upto do
-      Hashtbl.remove t.pending ((lk lsl 19) lor seq)
-    done;
-    Hashtbl.replace t.floor lk (upto + 1)
+    l.ack_pending <- false;
+    l.cum
   end
+  else -1
 
-let on_timer t ~src ~dst ~seq =
-  let k = entry_key ~src ~dst ~seq in
-  match Hashtbl.find_opt t.pending k with
-  | None -> `Done
-  | Some entry ->
-    if entry.tries >= t.config.max_retries then begin
-      Hashtbl.remove t.pending k;
-      t.abandoned <- t.abandoned + 1;
-      `Give_up
-    end
-    else begin
-      entry.tries <- entry.tries + 1;
-      entry.rto <- next_rto t.config entry.rto;
-      t.retransmissions <- t.retransmissions + 1;
-      `Retransmit (entry.payload, entry.rto)
-    end
-
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = t.in_flight
 let retransmissions t = t.retransmissions
 let duplicates_suppressed t = t.duplicates_suppressed
 let abandoned t = t.abandoned

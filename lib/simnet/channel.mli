@@ -15,8 +15,18 @@
     the retry budget).
 
     This module owns the pure state machine — sequence allocation,
-    pending-send table, receiver dedup, backoff arithmetic, counters —
-    while {!Engine} owns scheduling, fault-plane checks and randomness.
+    pending sends, receiver dedup, backoff arithmetic, counters — while
+    {!Engine} owns scheduling, fault-plane checks and randomness.
+
+    State lives in one record per directed link, found by pid (no
+    hashing). The sender keeps a power-of-two ring of unacked sends over
+    [\[base, next_seq)], doubling when full; acks and give-ups vacate
+    slots and advance [base]. The receiver keeps, in both ack modes, the
+    highest contiguous sequence number plus a bitmap ring of the
+    arrivals above it. Memory is therefore bounded by the in-flight
+    window, not by the number of messages in the run, and every
+    operation is O(1) amortised ([ack_up_to] is linear in the acks it
+    discharges).
     Payloads are stored as [Obj.t] because they live inside the engine's
     uniformly-typed queue; the engine is the only caller and casts them
     back under the same discipline it uses for queued events. *)
@@ -74,12 +84,16 @@ val alloc_seq : t -> src:int -> dst:int -> int
 
 val register : t -> src:int -> dst:int -> seq:int -> Obj.t -> float
 (** Record an unacked send and return the initial retransmission
-    timeout. *)
+    timeout. [seq] must come from {!alloc_seq} on the same link, with no
+    ack for the link processed in between (the engine registers right
+    after allocating).
+    @raise Invalid_argument if [seq] is not such a sequence number. *)
 
 val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
 (** Receiver side: [`Fresh] exactly once per (link, seq) — the caller
     must deliver to the protocol handler on [`Fresh] and suppress on
-    [`Duplicate] (acking in both cases). *)
+    [`Duplicate] (acking in both cases). Shares its dedup state with
+    {!receive_cum}; a channel uses one of the two. *)
 
 val ack : t -> src:int -> dst:int -> seq:int -> unit
 (** Sender side: the destination confirmed receipt; the pending entry is
@@ -100,10 +114,9 @@ val on_timer : t -> src:int -> dst:int -> seq:int ->
     ([src] = data sender) on both sides. *)
 
 val receive_cum : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
-(** Cumulative-mode receiver dedup: [`Fresh] exactly once per (link,
-    seq), tracked as highest-contiguous + out-of-order set instead of a
-    per-message table. Marks the link ack-pending (duplicates included —
-    a retransmission means the sender missed the last ack). *)
+(** {!receive}, and additionally marks the link ack-pending
+    (duplicates included — a retransmission means the sender missed the
+    last ack). *)
 
 val arm_ack_timer : t -> src:int -> dst:int -> bool
 (** [true] exactly when no quiet-window timer is currently armed for the
@@ -124,12 +137,13 @@ val piggyback_ack : t -> src:int -> dst:int -> int
 val ack_up_to : t -> src:int -> dst:int -> upto:int -> unit
 (** Sender side: discharge every pending send on the link with sequence
     [<= upto]. Idempotent and monotone — stale or duplicated cumulative
-    acks are no-ops. *)
+    acks are no-ops. An [upto] past the last allocated sequence number
+    (which no receiver can have seen) counts as that number. *)
 
 (** {1 Counters} *)
 
 val in_flight : t -> int
-(** Registered sends not yet acked or given up. *)
+(** Registered sends not yet acked or given up (a counter, O(1)). *)
 
 val retransmissions : t -> int
 val duplicates_suppressed : t -> int

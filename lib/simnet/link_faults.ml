@@ -1,7 +1,9 @@
 (* Directed links are keyed by a packed int: (src lsl 20) lor dst. The
    engine caps pids at 2^20 - 1 (they share the event queue's tag word),
    so the packing is collision-free. All tables are lookup-only on the
-   send path; iteration order never influences an execution, keeping
+   send path, and an empty table answers without hashing (every
+   workload runs with empty [drop] and [slow]; [cut] fills only during a
+   partition). Iteration order never influences an execution, keeping
    runs a pure function of the seed. *)
 
 type t = {
@@ -39,9 +41,11 @@ let set_drop t ~src ~dst p =
   Hashtbl.replace t.drop (key ~src ~dst) p
 
 let drop_p t ~src ~dst =
-  match Hashtbl.find_opt t.drop (key ~src ~dst) with
-  | Some p -> p
-  | None -> t.default_drop
+  if Hashtbl.length t.drop = 0 then t.default_drop
+  else
+    match Hashtbl.find_opt t.drop (key ~src ~dst) with
+    | Some p -> p
+    | None -> t.default_drop
 
 let lossy t ~src ~dst = drop_p t ~src ~dst > 0.0
 
@@ -64,7 +68,8 @@ let heal_links t links =
       | None -> ())
     links
 
-let partitioned t ~src ~dst = Hashtbl.mem t.cut (key ~src ~dst)
+let partitioned t ~src ~dst =
+  Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (key ~src ~dst)
 
 let spike_links t links ~factor =
   if not (factor > 0.0) then
@@ -96,6 +101,8 @@ let unspike_links t links ~factor =
     links
 
 let delay_factor t ~src ~dst =
-  match Hashtbl.find_opt t.slow (key ~src ~dst) with
-  | None -> 1.0
-  | Some fs -> List.fold_left ( *. ) 1.0 fs
+  if Hashtbl.length t.slow = 0 then 1.0
+  else
+    match Hashtbl.find_opt t.slow (key ~src ~dst) with
+    | None -> 1.0
+    | Some fs -> List.fold_left ( *. ) 1.0 fs

@@ -949,9 +949,13 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
     end;
     deliver_meta t ctx meta
   end
-  else if Hashtbl.mem t.pending_meta (mid :> int) then
+  else if
+    Option.is_some config.Config.plane.Config.meta_stagger
+    && Hashtbl.mem t.pending_meta (mid :> int)
+  then
     (* duplicate copy: a lower-coordinate server's forward covers a
-       superset of our pending one — cancel it *)
+       superset of our pending one — cancel it (only staggering ever
+       makes a forward pending) *)
     match Config.coordinate_of config ~pid:src with
     | c when c < t.coordinate -> Hashtbl.remove t.pending_meta (mid :> int)
     | _ -> ()

@@ -9,9 +9,10 @@ module History = Protocol.History
 module Cost = Protocol.Cost
 module Probe = Protocol.Probe
 module Atomicity = Protocol.Atomicity
+module Int_tbl = Protocol.Int_tbl
 
-let qtest ?(count = 300) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 300) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let tag_gen =
   QCheck2.Gen.(
@@ -415,6 +416,132 @@ let checker_tests =
         = Result.is_ok (Atomicity.check_tagged_quadratic records))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Int_tbl: model-based against Stdlib Set/Map, and probe lengths *)
+
+module Iset = Set.Make (Int)
+module Imap = Map.Make (Int)
+
+(* Key families the simulator actually uses, plus two stress shapes.
+   [key family i] is injective in [i >= 0]. *)
+let key family i =
+  match family with
+  | `Mid -> ((i / 18) lsl 20) lor (i mod 18)  (* (seq lsl 20) lor origin *)
+  | `Tag -> Tag.pack { Tag.z = i / 4; w = i mod 4 }
+  | `Consecutive -> 1_000 + i
+  | `High -> i lsl 40
+
+let family_gen = QCheck2.Gen.oneofl [ `Mid; `Tag; `Consecutive; `High ]
+
+let family_name = function
+  | `Mid -> "mid"
+  | `Tag -> "tag"
+  | `Consecutive -> "consecutive"
+  | `High -> "high-bits"
+
+(* An op is (kind, key index, value); indices repeat so adds and
+   replaces also hit present keys. *)
+let tbl_ops_gen =
+  QCheck2.Gen.(
+    triple family_gen (int_range 0 8)
+      (list_size (int_range 1 600)
+         (triple
+            (frequency
+               [ (6, return `Add); (3, return `Find); (1, return `Reset) ])
+            (int_range 0 400) small_nat)))
+
+let print_tbl_ops (family, cap, ops) =
+  Printf.sprintf "%s cap=%d %d ops" (family_name family) cap (List.length ops)
+
+let set_contents t =
+  let l = ref [] in
+  Int_tbl.Set.iter (fun k -> l := k :: !l) t;
+  List.sort compare !l
+
+let map_contents t =
+  List.sort compare (Int_tbl.Map.fold (fun k v acc -> (k, v) :: acc) t [])
+
+(* [n] keys of [family], fed to a default-sized table. *)
+let probe_of family n =
+  let t = Int_tbl.Set.create 16 in
+  for i = 0 to n - 1 do
+    ignore (Int_tbl.Set.add t (key family i) : bool)
+  done;
+  (Int_tbl.Set.length t, Int_tbl.Set.max_probe t)
+
+let int_tbl_tests =
+  [ qtest ~count:200 "Set agrees with Stdlib Set across growth"
+      ~print:print_tbl_ops tbl_ops_gen (fun (family, cap, ops) ->
+        let t = Int_tbl.Set.create cap in
+        let model = ref Iset.empty in
+        List.for_all
+          (fun (kind, i, _) ->
+            let k = key family i in
+            let ok =
+              match kind with
+              | `Add ->
+                let fresh = not (Iset.mem k !model) in
+                model := Iset.add k !model;
+                Int_tbl.Set.add t k = fresh
+              | `Find -> Int_tbl.Set.mem t k = Iset.mem k !model
+              | `Reset ->
+                Int_tbl.Set.reset t;
+                model := Iset.empty;
+                true
+            in
+            ok
+            && Int_tbl.Set.length t = Iset.cardinal !model
+            && Int_tbl.Set.mem t k = Iset.mem k !model)
+          ops
+        && set_contents t = Iset.elements !model);
+    qtest ~count:200 "Map agrees with Stdlib Map across growth"
+      ~print:print_tbl_ops tbl_ops_gen (fun (family, cap, ops) ->
+        let t = Int_tbl.Map.create ~dummy:(-1) cap in
+        let model = ref Imap.empty in
+        List.for_all
+          (fun (kind, i, v) ->
+            let k = key family i in
+            let ok =
+              match kind with
+              | `Add ->
+                model := Imap.add k v !model;
+                Int_tbl.Map.replace t k v;
+                true
+              | `Find ->
+                Int_tbl.Map.find_opt t k = Imap.find_opt k !model
+                && Int_tbl.Map.find t k ~default:(-2)
+                   = Option.value ~default:(-2) (Imap.find_opt k !model)
+              | `Reset ->
+                Int_tbl.Map.reset t;
+                model := Imap.empty;
+                true
+            in
+            ok && Int_tbl.Map.length t = Imap.cardinal !model)
+          ops
+        && map_contents t = Imap.bindings !model);
+    Alcotest.test_case "mids and packed tags do not cluster" `Quick (fun () ->
+        (* 8,192 mids from 18 origins and 8,192 tags from 4 writers: a
+           hash of the key's low bits sends each origin or writer to one
+           home slot, and linear probing then scans runs of thousands *)
+        List.iter
+          (fun family ->
+            let size, worst = probe_of family 8192 in
+            Alcotest.(check int) (family_name family ^ " size") 8192 size;
+            if worst > 32 then
+              Alcotest.failf "%s keys: longest probe %d > 32"
+                (family_name family) worst)
+          [ `Mid; `Tag ]);
+    Alcotest.test_case "max_probe of empty and singleton tables" `Quick
+      (fun () ->
+        let t = Int_tbl.Set.create 4 in
+        Alcotest.(check int) "empty" 0 (Int_tbl.Set.max_probe t);
+        ignore (Int_tbl.Set.add t 7 : bool);
+        Alcotest.(check int) "one key" 1 (Int_tbl.Set.max_probe t);
+        let m = Int_tbl.Map.create ~dummy:0 4 in
+        Int_tbl.Map.replace m 7 1;
+        Alcotest.(check int) "map one key" 1 (Int_tbl.Map.max_probe m))
+  ]
+
 let () =
   Alcotest.run "protocol"
     [ ("tag", tag_tests);
@@ -422,5 +549,6 @@ let () =
       ("history", history_tests);
       ("cost", cost_tests);
       ("probe", probe_tests);
-      ("atomicity", checker_tests)
+      ("atomicity", checker_tests);
+      ("int_tbl", int_tbl_tests)
     ]
