@@ -57,10 +57,12 @@ type point = {
   ns : float;
 }
 
-let measure ~codec ~op ~size ~domains f =
+(* [size] is the value size, part of the point's key; MB/s counts
+   [bytes], the bytes the operation processes (default [size]). *)
+let measure ~codec ~op ~size ?(bytes = size) ~domains f =
   let min_elapsed = if !smoke then 0.05 else 0.15 in
   let s = time_per_call ~min_elapsed ~min_iters:3 f in
-  { codec; op; size; domains; mbps = mb_per_s ~bytes:size s; ns = s *. 1e9 }
+  { codec; op; size; domains; mbps = mb_per_s ~bytes s; ns = s *. 1e9 }
 
 let codec_points ~domains code size =
   let value = value_of_size size in
@@ -83,21 +85,23 @@ let codec_points ~domains code size =
         Erasure.Mds.decode ~domains code survivors)
   in
   (* incremental parity maintenance: a 4 KiB patch in the middle of the
-     value; MB/s counts the patch bytes, the work the update does *)
+     value; the row is keyed by the value size, and MB/s counts the
+     patch bytes, the work the update does *)
   let patch_len = min 4096 (max 1 (size / 4)) in
   let patch = value_of_size patch_len in
   let pos = (size - patch_len) / 2 in
   let update =
-    measure ~codec:name ~op:"update" ~size:patch_len ~domains (fun () ->
+    measure ~codec:name ~op:"update" ~size ~bytes:patch_len ~domains (fun () ->
         Erasure.Mds.update ~domains code ~fragments ~value ~pos patch)
   in
   [ encode; decode; update ]
 
 (* BCH decode from k + 2 fragments — the first k + 2 indices, so two
    systematic columns are missing and go through the matrix sweep —
-   once clean and once with one fragment corrupted (every stripe
-   dirty): the check-gated fast path and the per-stripe key-equation
-   solver, tracked as separate rows. *)
+   clean, with one fragment corrupted whole (every stripe dirty: one
+   stripe solve locates the fragment, a second sweep erases it), and
+   with one corrupted symbol (one dirty stripe, one stripe solve),
+   tracked as separate rows. *)
 let bch_decode_points ~domains code size =
   let value = value_of_size size in
   let name = Erasure.Mds.name code in
@@ -112,10 +116,24 @@ let bch_decode_points ~domains code size =
       (fun i f -> if i = 0 then Erasure.Fragment.corrupt f ~seed:1 else f)
       clean
   in
+  let one_sym =
+    List.mapi
+      (fun i f ->
+        if i > 0 then f
+        else begin
+          let data = Bytes.copy (Erasure.Fragment.data f) in
+          let pos = Bytes.length data / 2 in
+          Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor 0x5a));
+          Erasure.Fragment.make ~index:i ~data
+        end)
+      clean
+  in
   [ measure ~codec:name ~op:"decode_k+2_clean" ~size ~domains (fun () ->
         Erasure.Mds.decode ~domains code clean);
     measure ~codec:name ~op:"decode_k+2_1err" ~size ~domains (fun () ->
-        Erasure.Mds.decode ~domains code one_err)
+        Erasure.Mds.decode ~domains code one_err);
+    measure ~codec:name ~op:"decode_k+2_1sym" ~size ~domains (fun () ->
+        Erasure.Mds.decode ~domains code one_sym)
   ]
 
 let kernel_points size =

@@ -11,11 +11,13 @@
     the message occupies coordinates [n-k .. n-1] (systematic part).
     Decoding first solves the message from [k] present fragments by
     matrix sweeps and checks every other present fragment against it.
-    Only stripes that fail the check go through errors-and-erasures
-    correction: syndromes, the erasure locator, the error locator by
-    the Sugiyama (extended-Euclid) algorithm on the modified syndrome
-    polynomial, Chien search for the error positions and Forney's
-    formula for their magnitudes. *)
+    Stripes that fail the check are decoded by locate-then-erase: one
+    of them goes through errors-and-erasures correction (syndromes, the
+    erasure locator, the error locator by the Sugiyama (extended-Euclid)
+    algorithm on the modified syndrome polynomial, Chien search for the
+    error positions and Forney's formula for their magnitudes), the
+    fragments it corrects are treated as erased for a second sweep, and
+    only stripes still failing that check are corrected one by one. *)
 
 type t
 
@@ -49,14 +51,25 @@ val decode : ?domains:int -> t -> Fragment.t list -> bytes
     place) by one matrix sweep per missing column, and each of the
     remaining present fragments is re-encoded from them and XORed with
     what was received. Stripes whose residuals are all zero are clean:
-    their decoded symbols are the swept columns. Only dirty stripes
-    run the per-stripe key-equation solver (syndromes, Sugiyama,
-    Chien search and Forney) of {!decode_reference}. With [p] present
-    fragments, [m] of the [k] systematic ones missing, and [L] bytes
-    per fragment, a value with no corrupted stripe costs about
-    [(m + p - k) * k] byte-table sweeps of [L] bytes; each dirty stripe
-    adds one scalar errors-and-erasures correction. [?domains] shards
-    the sweeps and the dirty stripes.
+    their decoded symbols are the swept columns. If some stripe is
+    dirty, the first one runs the per-stripe key-equation solver
+    (syndromes, Sugiyama, Chien search and Forney) of
+    {!decode_reference}; the present fragments it corrects are dropped
+    and the sweep runs again over the stripes from the first to the
+    last dirty one. Stripes consistent on the remaining fragments lie
+    within the correction radius and take the swept columns; only
+    those still dirty run the key-equation solver, in stripe order.
+
+    Cost, with [p] present fragments, [m] of the [k] systematic ones
+    missing, and [L] bytes per fragment: a value with no corrupted
+    stripe costs about [(m + p - k) * k] byte-table sweeps of [L]
+    bytes. One wholly corrupt fragment costs that, plus one scalar
+    errors-and-erasures stripe correction, plus a second sweep over
+    the dirty span (the whole value). One corrupted symbol costs one
+    stripe correction and a one-stripe sweep. Every stripe dirty
+    after the second sweep (scattered or over-radius errors) adds one
+    scalar correction. [?domains] shards the sweeps and the dirty
+    stripes.
 
     Output and exceptions are those of {!decode_reference} for every
     input.

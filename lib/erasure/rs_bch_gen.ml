@@ -295,60 +295,53 @@ module Make (Sym : Symbol.S) = struct
             basis)
     end
 
-  (* Check-gated decode. The message columns are solved from k present
-     coordinates by row sweeps; every other present coordinate is
-     re-encoded from those columns and compared with what was received.
-     A stripe whose residuals are all zero is consistent, and the unique
-     codeword agreeing with it on the present coordinates is what
-     erasure-only correction returns — so only the other ("dirty")
-     stripes go through the key-equation solver, exactly as in
-     [decode_reference]. *)
-  let decode ?domains t frags =
-    let r = collect t frags in
+  (* The message columns whose coordinates are not in [present]. *)
+  let missing_cols t present =
+    List.init t.k Fun.id
+    |> List.filter (fun j -> not present.(t.n - t.k + j))
+    |> Array.of_list
+
+  (* Check-gated sweep over stripes [lo, lo+len), taking the coordinates
+     set in [present] as the received ones. The message columns are
+     solved from k of them by row sweeps; every other one is re-encoded
+     from those columns and compared with what was received. Message
+     column [j] lives at [col_offs.(j)] of [col_bufs.(j)]: it must hold
+     the received symbols if coordinate [n-k+j] is in [present], and the
+     sweep writes the solved symbols there otherwise. Returns the dirty
+     mask: byte [s] is set for each stripe of the range whose residuals
+     are not all zero. *)
+  let sweep ?domains t r ~present ~col_bufs ~col_offs ~lo ~len =
     let size = r.size in
-    let stripes = size / bps in
     let parity_len = t.n - t.k in
-    (* Basis: present message coordinates first — their columns are the
-       fragments themselves, read in place — then parity coordinates up
-       to k. The remaining present coordinates are the checks. *)
-    let present =
+    (* Basis: present message coordinates first, then parity coordinates
+       up to k. The remaining present coordinates are the checks. *)
+    let order =
       List.init t.k (fun j -> parity_len + j) @ List.init parity_len Fun.id
-      |> List.filter (fun i -> r.present.(i))
+      |> List.filter (fun i -> present.(i))
       |> Array.of_list
     in
-    let basis = Array.sub present 0 t.k in
-    let checks = Array.sub present t.k (Array.length present - t.k) in
-    let col_bufs = Array.init t.k (fun j -> r.bufs.(parity_len + j)) in
-    let col_offs = Array.init t.k (fun j -> r.offs.(parity_len + j)) in
-    let missing =
-      List.init t.k Fun.id
-      |> List.filter (fun j -> not r.present.(parity_len + j))
-      |> Array.of_list
-    in
+    let basis = Array.sub order 0 t.k in
+    let checks = Array.sub order t.k (Array.length order - t.k) in
+    let missing = missing_cols t present in
     let solve = solve_rows t ~basis ~missing in
     let solve_tables = row_tables solve in
     let basis_bufs = Array.map (fun i -> r.bufs.(i)) basis in
     let basis_offs = Array.map (fun i -> r.offs.(i)) basis in
-    let solved = Bytes.create (Array.length missing * size) in
-    Array.iteri
-      (fun m j ->
-        col_bufs.(j) <- solved;
-        col_offs.(j) <- m * size)
-      missing;
     let check_rows = Array.map (generator_row t) checks in
     let check_tables = row_tables check_rows in
     let res = Bytes.create (if Array.length checks = 0 then 0 else size) in
-    let dirty = Bytes.make stripes '\000' in
+    let dirty = Bytes.make (size / bps) '\000' in
     (* One pass over stripe blocks: solve the block's missing columns,
        then re-encode every check coordinate from the block's columns
        and mark the stripes where it differs from what was received. *)
-    Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-        iter_blocks ~lo ~len (fun ~lo ~len ->
+    Kernel.parallel_rows ?domains ~n:len (fun ~lo:chunk ~len ->
+        iter_blocks ~lo:(lo + chunk) ~len (fun ~lo ~len ->
             let off = bps * lo and bytes = bps * len in
             Array.iteri
               (fun m coeffs ->
+                let j = missing.(m) in
                 Sym.apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
-                  ~soffs:basis_offs ~dst:solved ~doff:(m * size) ~off
+                  ~soffs:basis_offs ~dst:col_bufs.(j) ~doff:col_offs.(j) ~off
                   ~len:bytes)
               solve;
             Array.iteri
@@ -360,7 +353,49 @@ module Make (Sym : Symbol.S) = struct
                   ~dst:res ~doff:off ~len:bytes;
                 mark_dirty ~res ~dirty ~lo ~len)
               checks));
-    if Bytes.contains dirty '\001' then begin
+    dirty
+
+  (* Locate-then-erase decode.
+
+     1. Sweep every stripe over the present set P. A stripe whose
+        residuals are all zero is consistent, and the unique codeword
+        agreeing with it on P is what erasure-only correction returns:
+        its decoded symbols are the swept columns.
+     2. Correct the first dirty stripe with the key-equation solver and
+        let E be the present coordinates it changed. A corrupt fragment
+        is usually wrong in every stripe at the same coordinate, so E
+        locates it.
+     3. Sweep the stripes from the first to the last dirty one again
+        over P \ E (outside that span the step-1 columns stand).
+     4. A stripe consistent on P \ E differs from the received word
+        only inside E, and 2|E| + erasures <= n - k, so it lies within
+        the correction radius: [decode_reference] returns exactly the
+        swept codeword. Stripes still dirty go through the key-equation
+        solver on the received word, in stripe order, so scattered or
+        over-radius errors decode (or fail) exactly as there. *)
+  let decode ?domains t frags =
+    let r = collect t frags in
+    let size = r.size in
+    let stripes = size / bps in
+    let parity_len = t.n - t.k in
+    (* Step-1 columns: present message coordinates read in place from
+       the fragments, missing ones solved into one fresh buffer. *)
+    let col_bufs = Array.init t.k (fun j -> r.bufs.(parity_len + j)) in
+    let col_offs = Array.init t.k (fun j -> r.offs.(parity_len + j)) in
+    let missing = missing_cols t r.present in
+    let solved = Bytes.create (Array.length missing * size) in
+    Array.iteri
+      (fun m j ->
+        col_bufs.(j) <- solved;
+        col_offs.(j) <- m * size)
+      missing;
+    let dirty =
+      sweep ?domains t r ~present:r.present ~col_bufs ~col_offs ~lo:0
+        ~len:stripes
+    in
+    (match Bytes.index_opt dirty '\001' with
+    | None -> ()
+    | Some first ->
       (* Dirty stripes rewrite their message symbols, so the columns
          still read in place from the caller's fragments get private
          copies first. *)
@@ -370,12 +405,31 @@ module Make (Sym : Symbol.S) = struct
         col_bufs.(j) <- owned;
         col_offs.(j) <- j * size
       done;
+      let gamma, num_erasures = erasure_locator t r.present in
+      let received = Array.make t.n F.zero in
+      read_stripe t r first received;
+      let original = Array.copy received in
+      correct_stripe t ~gamma ~num_erasures received;
+      let located = ref 0 in
+      let kept =
+        Array.mapi
+          (fun i p ->
+            let changed = p && not (F.equal received.(i) original.(i)) in
+            if changed then incr located;
+            p && not changed)
+          r.present
+      in
+      let dirty =
+        if !located > 0 && (2 * !located) + num_erasures <= parity_len then
+          sweep ?domains t r ~present:kept ~col_bufs ~col_offs ~lo:first
+            ~len:(Bytes.rindex dirty '\001' - first + 1)
+        else dirty
+      in
       let dirty_stripes =
         List.init stripes Fun.id
         |> List.filter (fun s -> Bytes.get dirty s = '\001')
         |> Array.of_list
       in
-      let gamma, num_erasures = erasure_locator t r.present in
       Kernel.parallel_rows ?domains ~n:(Array.length dirty_stripes)
         (fun ~lo ~len ->
           let received = Array.make t.n F.zero in
@@ -386,7 +440,6 @@ module Make (Sym : Symbol.S) = struct
             for j = 0 to t.k - 1 do
               Sym.set owned ((j * size) + (bps * s)) received.(parity_len + j)
             done
-          done)
-    end;
+          done));
     Splitter.extract ~k:t.k ~bps ~bufs:col_bufs ~offs:col_offs ~col_len:size
 end

@@ -700,7 +700,9 @@ type bch_case = {
   order : int array;  (** permutation of the indices *)
   erasures : int;  (** the first [erasures] of [order] are dropped *)
   errors : int;  (** the next [errors] are corrupted *)
-  whole : bool;  (** corrupt whole fragments, else one stripe each *)
+  mode : [ `Stripe | `Whole | `Mixed ];
+      (** corrupt one stripe of each corrupted fragment, or each whole,
+          or the first whole and the others one stripe each *)
   dups : int list;  (** positions (in the received list) to duplicate *)
   pad : int;  (** payload offset of every fragment view *)
   seed : int;
@@ -717,22 +719,23 @@ let bch_case_gen =
     let present = n - erasures in
     (* up to two corruptions past the correction radius *)
     int_range 0 (min present (((budget - erasures) / 2) + 2)) >>= fun errors ->
-    bool >>= fun whole ->
+    oneofl [ `Stripe; `Whole; `Mixed ] >>= fun mode ->
     subset_gen ~n n >>= fun order ->
     int_range 0 2 >>= fun ndups ->
     list_repeat ndups (int_range 0 (present - 1)) >>= fun dups ->
     int_range 0 3 >>= fun pad ->
     int_range 0 1_000_000 >>= fun seed ->
     bytes_gen >|= fun value ->
-    { wide; n; k; value; order; erasures; errors; whole; dups; pad; seed })
+    { wide; n; k; value; order; erasures; errors; mode; dups; pad; seed })
 
-(* Corrupt exactly one symbol: XOR a nonzero mask into one byte. *)
-let corrupt_one_stripe f ~seed =
+(* Corrupt exactly one symbol: XOR the nonzero [mask] into byte [pos]. *)
+let corrupt_byte f ~pos ~mask =
   let data = Bytes.copy (Fragment.data f) in
-  let pos = seed mod Bytes.length data in
-  let mask = 1 + (seed mod 255) in
   Bytes.set data pos (Char.chr (Char.code (Bytes.get data pos) lxor mask));
   Fragment.make ~index:(Fragment.index f) ~data
+
+let corrupt_one_stripe f ~seed =
+  corrupt_byte f ~pos:(seed mod Fragment.size f) ~mask:(1 + (seed mod 255))
 
 (* Re-home a fragment's payload at offset [pad] of a larger buffer. *)
 let at_offset ~pad f =
@@ -747,8 +750,11 @@ let received_word c frags =
         let i = c.order.(c.erasures + p) in
         let f = frags.(i) in
         if p >= c.errors then f
-        else if c.whole then Fragment.corrupt f ~seed:(c.seed + p)
-        else corrupt_one_stripe f ~seed:(c.seed + (7919 * p)))
+        else
+          match c.mode with
+          | `Whole -> Fragment.corrupt f ~seed:(c.seed + p)
+          | `Mixed when p = 0 -> Fragment.corrupt f ~seed:(c.seed + p)
+          | `Stripe | `Mixed -> corrupt_one_stripe f ~seed:(c.seed + (7919 * p)))
   in
   (* duplicates: an extra copy of a received fragment, sometimes
      garbled, sometimes put ahead of the original (first seen wins) *)
@@ -762,33 +768,121 @@ let received_word c frags =
   in
   List.map (at_offset ~pad:c.pad) with_dups
 
-let bch_differential (module C : BCH) c =
-  let code = C.make ~n:c.n ~k:c.k in
-  let frags = C.encode code c.value in
-  let received = received_word c frags in
-  let snapshot = List.map Fragment.data received in
+(* The outcomes of [decode] and [decode_reference] on one received
+   word: the bytes, or the exception with its message. *)
+let bch_outcomes (type c) (module C : BCH with type t = c) ?domains (code : c)
+    received =
   let outcome decode =
-    match decode code received with
+    match decode () with
     | v -> Ok v
     | exception C.Insufficient_fragments { needed; got } ->
       Error (Printf.sprintf "Insufficient_fragments %d %d" needed got)
     | exception C.Decode_failure msg -> Error ("Decode_failure " ^ msg)
     | exception Invalid_argument _ -> Error "Invalid_argument"
   in
-  let fast = outcome (fun code fs -> C.decode code fs) in
-  let reference = outcome (fun code fs -> C.decode_reference code fs) in
-  let same =
-    match (fast, reference) with
-    | Ok a, Ok b -> Bytes.equal a b
-    | Error a, Error b -> String.equal a b
-    | _ -> false
-  in
-  if not same then
-    QCheck2.Test.fail_reportf "decode %s, reference %s"
-      (match fast with Ok _ -> "returned" | Error e -> e)
-      (match reference with Ok _ -> "returned" | Error e -> e);
+  ( outcome (fun () -> C.decode ?domains code received),
+    outcome (fun () -> C.decode_reference ?domains code received) )
+
+let same_outcome = function
+  | Ok a, Ok b -> Bytes.equal a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let describe = function Ok _ -> "returned" | Error e -> e
+
+let bch_differential (type c) (module C : BCH with type t = c) c =
+  let code = C.make ~n:c.n ~k:c.k in
+  let frags = C.encode code c.value in
+  let received = received_word c frags in
+  let snapshot = List.map Fragment.data received in
+  let fast, reference = bch_outcomes (module C) code received in
+  if not (same_outcome (fast, reference)) then
+    QCheck2.Test.fail_reportf "decode %s, reference %s" (describe fast)
+      (describe reference);
   (* decode reads fragments in place and must not write through them *)
   List.for_all2 Bytes.equal snapshot (List.map Fragment.data received)
+
+(* Deterministic rs-bch[12,6] words for every branch of [decode]: a
+   located fragment (the second sweep clears every stripe), a located
+   fragment plus strays (the per-stripe fallback runs), errors past the
+   radius (the first corrected stripe raises), and single symbols at
+   both ends of a multi-block value (the second sweep's span). *)
+let code_12_6 = Rs_bch.make ~n:12 ~k:6
+
+let bch_value len =
+  Bytes.init len (fun i -> Char.chr (((i * 131) + (i / 7)) land 0xff))
+
+(* All of [frags] but the [erased] indices, with [corrupt] applied:
+   [`Whole seed] garbles every symbol, [`At pos] one byte, [`Odd] the
+   symbol of every odd stripe. *)
+let bch_received frags ~erased ~corrupt =
+  Array.to_list frags
+  |> List.filter (fun f -> not (List.mem (Fragment.index f) erased))
+  |> List.map (fun f ->
+         match List.assoc_opt (Fragment.index f) corrupt with
+         | None -> f
+         | Some (`Whole seed) -> Fragment.corrupt f ~seed
+         | Some (`At pos) -> corrupt_byte f ~pos ~mask:0x3c
+         | Some `Odd ->
+           let data = Bytes.copy (Fragment.data f) in
+           for pos = 0 to (Bytes.length data / 2) - 1 do
+             let pos = (2 * pos) + 1 in
+             Bytes.set data pos
+               (Char.chr (Char.code (Bytes.get data pos) lxor 0xa7))
+           done;
+           Fragment.make ~index:(Fragment.index f) ~data)
+
+(* [decode] agrees with [decode_reference] and, within the radius,
+   returns [v]. *)
+let bch_agrees ?domains label v received =
+  let fast, reference = bch_outcomes (module Rs_bch) ?domains code_12_6 received in
+  Alcotest.(check string) label (describe reference) (describe fast);
+  Alcotest.(check bool) (label ^ ": same bytes") true
+    (same_outcome (fast, reference));
+  match reference with
+  | Ok r -> Alcotest.(check bool) (label ^ ": the value") true (Bytes.equal v r)
+  | Error _ -> ()
+
+let bch_12_6_cases () =
+  let n = 12 in
+  let v = bch_value 3000 in
+  let frags = Rs_bch.encode code_12_6 v in
+  let size = Fragment.size frags.(0) in
+  for i = 0 to n - 1 do
+    bch_agrees (Printf.sprintf "index %d whole" i) v
+      (bch_received frags ~erased:[] ~corrupt:[ (i, `Whole i) ]);
+    bch_agrees (Printf.sprintf "index %d whole, two erased" i) v
+      (bch_received frags
+         ~erased:[ (i + 1) mod n; (i + 5) mod n ]
+         ~corrupt:[ (i, `Whole i) ]);
+    bch_agrees (Printf.sprintf "index %d whole + stray stripe" i) v
+      (bch_received frags ~erased:[]
+         ~corrupt:[ (i, `Whole i); ((i + 3) mod n, `At (size / 2)) ]);
+    for j = i + 1 to n - 1 do
+      bch_agrees (Printf.sprintf "indices %d, %d whole" i j) v
+        (bch_received frags ~erased:[] ~corrupt:[ (i, `Whole i); (j, `Whole j) ])
+    done
+  done;
+  (* 2 * 3 errors + 1 erasure > n - k *)
+  let past = bch_received frags ~erased:[ 0 ]
+      ~corrupt:[ (3, `Whole 3); (7, `Whole 7); (10, `Whole 10) ]
+  in
+  bch_agrees "three whole, past the radius" v past;
+  (match bch_outcomes (module Rs_bch) code_12_6 past with
+  | _, Error e when String.starts_with ~prefix:"Decode_failure" e -> ()
+  | _, r -> Alcotest.failf "past the radius: reference %s" (describe r));
+  (* 10,923 stripes, three sweep blocks; the header and the value fill
+     the last stripe, so no corrupted symbol hides in the padding *)
+  let v = bch_value 65_534 in
+  let frags = Rs_bch.encode code_12_6 v in
+  let last = Fragment.size frags.(0) - 1 in
+  bch_agrees "first and last stripe, two fragments" v
+    (bch_received frags ~erased:[] ~corrupt:[ (7, `At 0); (10, `At last) ]);
+  bch_agrees "first and last stripe, one fragment" v
+    (bch_received frags ~erased:[ 2 ] ~corrupt:[ (9, `At 0) ]
+     |> List.map (fun f ->
+            if Fragment.index f = 9 then corrupt_byte f ~pos:last ~mask:0x81
+            else f))
 
 let bch_differential_tests =
   [ qtest ~count:500 "decode = decode_reference (GF(2^8) and GF(2^16))"
@@ -817,7 +911,20 @@ let bch_differential_tests =
           (decoded
              (List.mapi
                 (fun i f -> if i = 1 then Fragment.corrupt f ~seed:9 else f)
-                keep)))
+                keep)));
+    Alcotest.test_case "rs-bch[12,6]: located fragments, strays, past radius"
+      `Quick (fun () -> bch_12_6_cases ());
+    Alcotest.test_case "rs-bch[12,6]: 96 KiB over 3 domains" `Quick
+      (fun () ->
+        let v = bch_value 98_304 in
+        let frags = Rs_bch.encode code_12_6 v in
+        let size = Fragment.size frags.(0) in
+        bch_agrees ~domains:3 "whole fragment + stray stripe" v
+          (bch_received frags ~erased:[ 1 ]
+             ~corrupt:[ (8, `Whole 5); (10, `At (2 * size / 3)) ]);
+        (* ~8k stripes stay dirty, so the per-stripe fallback shards *)
+        bch_agrees ~domains:3 "whole fragment + every odd stripe" v
+          (bch_received frags ~erased:[] ~corrupt:[ (8, `Whole 5); (10, `Odd) ]))
   ]
 
 let () =

@@ -4,7 +4,8 @@
      bench_diff.exe BASELINE.json FRESH.json [--threshold 0.25]
 
    Both files are the flat JSON emitted by `bench/main.exe codec|sim`
-   (optionally with --smoke / --out). Points are matched by key:
+   (optionally with --smoke / --out). Points are matched by key, and a
+   key that occurs twice in either file is an error:
 
      codec points: (codec, op, size, domains)  -> mb_per_s
      sim points:   (probe)                     -> events_per_s
@@ -223,6 +224,15 @@ let parse_bench path =
     match !kind with Some k -> k | None -> fail "missing \"bench\" field"
   in
   let pts = List.rev_map (point_of_fields kind) !points in
+  (* a repeated key would be compared against whichever baseline point
+     the lookup finds first *)
+  let rec check_unique = function
+    | a :: (b :: _ as rest) ->
+      if String.equal a b then fail "duplicate key %s in %s" a path;
+      check_unique rest
+    | _ -> ()
+  in
+  check_unique (List.sort String.compare (List.map fst pts));
   { kind; points = pts }
 
 (* ------------------------------------------------------------------ *)
