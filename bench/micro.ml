@@ -30,10 +30,9 @@ let bytes_per_run : (string * int) list ref = ref []
 
 let note_bytes name bytes = bytes_per_run := (name, bytes) :: !bytes_per_run
 
-(* The raw kernel sweeps underlying every codec — the pre-existing
-   byte-at-a-time table loops next to the word-sliced chunk-table
-   sweeps that replaced them on the hot paths, at a small and a large
-   size. *)
+(* The raw kernel sweeps under the codec — the byte-table sweeps of
+   encode and decode next to the word-sliced chunk-table sweep of the
+   GF(2^8) parity update — at a small and a large size. *)
 let kernel_tests =
   let make_point name len =
     let src = value_of_size len in
@@ -41,7 +40,6 @@ let kernel_tests =
     let table = Galois.Gf.mul_table 0xb7 in
     let tables16 = Galois.Gf16.mul_tables 0x1b7 in
     let wt = Galois.Gf.wtable 0xb7 in
-    let wt16 = Galois.Gf16.wtable 0x1b7 in
     [ (let n = Printf.sprintf "muladd-gf8-%s" name in
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
@@ -57,11 +55,6 @@ let kernel_tests =
        Test.make ~name:n
          (Staged.stage (fun () ->
               Galois.Gf.muladd_buf_w wt ~src ~soff:0 ~dst ~doff:0 ~len)));
-      (let n = Printf.sprintf "muladd-gf16w-%s" name in
-       note_bytes ("micro/kernel/" ^ n) len;
-       Test.make ~name:n
-         (Staged.stage (fun () ->
-              Galois.Gf16.muladd_buf_w wt16 ~src ~soff:0 ~dst ~doff:0 ~len)));
       (let n = Printf.sprintf "xor-%s" name in
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
@@ -76,8 +69,6 @@ let kernel_tests =
    (see [bytes_per_run]), so rows are comparable across groups. *)
 let codec_tests_for ~n ~k =
   let group = Printf.sprintf "rs[%d,%d]" n k in
-  let vand = Erasure.Mds.rs_vandermonde ~n ~k in
-  let sys = Erasure.Mds.rs_systematic ~n ~k in
   let bch = Erasure.Mds.rs_bch ~n ~k in
   let user_bytes name len =
     note_bytes (Printf.sprintf "micro/%s/%s" group name) len
@@ -111,34 +102,14 @@ let codec_tests_for ~n ~k =
       (Staged.stage (fun () ->
            Erasure.Mds.update code ~fragments ~value ~pos patch))
   in
-  let sys_fastpath_decode =
-    (* all k systematic fragments present: the copy-only path *)
-    let value = value_of_size 65536 in
-    let fragments =
-      Array.to_list (Erasure.Mds.encode sys value)
-      |> List.filteri (fun i _ -> i < k)
-    in
-    user_bytes "decode-sys-64KiB-fastpath" 65536;
-    Test.make ~name:"decode-sys-64KiB-fastpath"
-      (Staged.stage (fun () -> Erasure.Mds.decode sys fragments))
-  in
   let drop = n - k in
   Test.make_grouped ~name:group
-    [ make_encode "encode-vand-64KiB" vand 65536;
-      make_encode "encode-sys-64KiB" sys 65536;
-      make_encode "encode-bch-64KiB" bch 65536;
-      make_decode
-        (Printf.sprintf "decode-vand-64KiB-%derasures" drop)
-        vand 65536 ~corrupt:0 ~drop;
-      make_decode
-        (Printf.sprintf "decode-sys-64KiB-%derasures" drop)
-        sys 65536 ~corrupt:0 ~drop;
-      sys_fastpath_decode;
+    [ make_encode "encode-bch-64KiB" bch 65536;
       make_decode
         (Printf.sprintf "decode-bch-64KiB-%derasures" drop)
         bch 65536 ~corrupt:0 ~drop;
       make_decode "decode-bch-64KiB-1error" bch 65536 ~corrupt:1 ~drop:0;
-      make_update "update-sys-64KiB-1KiB" sys 65536
+      make_update "update-bch-64KiB-1KiB" bch 65536
     ]
 
 let codec_tests = codec_tests_for ~n:12 ~k:8

@@ -13,29 +13,33 @@ module Mds = Erasure.Mds
 module Fragment = Erasure.Fragment
 
 let () =
-  (* First, the low-level picture: what silent corruption does to a
-     plain erasures-only decoder. *)
+  (* First, the low-level picture, with one [10, 5] code whose
+     fragments 8 and 9 come back corrupt. Decoding exactly k fragments
+     is a plain erasure decoder: nothing is left to check them against.
+     Decoding all n corrects them. *)
   print_endline "-- codec level --";
-  let value = Bytes.of_string "precious data that must not be mangled" in
-  let vand = Mds.rs_vandermonde ~n:10 ~k:5 in
-  let bch = Mds.rs_bch ~n:10 ~k:5 in
-  let corrupt_two frags =
-    List.mapi
-      (fun i f -> if i < 2 then Fragment.corrupt f ~seed:99 else f)
-      (Array.to_list frags)
+  let value =
+    Bytes.of_string
+      (String.concat " "
+         (List.init 25 (fun _ -> "precious data that must not be mangled")))
   in
-  (match Mds.decode vand (corrupt_two (Mds.encode vand value)) with
+  let code = Mds.rs_bch ~n:10 ~k:5 in
+  let received =
+    List.map
+      (fun f -> if Fragment.index f >= 8 then Fragment.corrupt f ~seed:99 else f)
+      (Array.to_list (Mds.encode code value))
+  in
+  let last_k = List.filteri (fun i _ -> i >= Mds.n code - Mds.k code) received in
+  (match Mds.decode code last_k with
   | naive ->
-    Printf.printf "erasures-only decoder on 2 corrupt fragments: %s\n"
+    Printf.printf "k fragments, 2 of them corrupt: %s\n"
       (if Bytes.equal naive value then "correct (lucky)"
        else "GARBAGE returned silently")
   | exception Invalid_argument _ ->
     (* corruption even mangled the length framing *)
-    print_endline
-      "erasures-only decoder on 2 corrupt fragments: GARBAGE (framing \
-       destroyed)");
-  let corrected = Mds.decode bch (corrupt_two (Mds.encode bch value)) in
-  Printf.printf "errors-and-erasures decoder on the same input:  %s\n\n"
+    print_endline "k fragments, 2 of them corrupt: GARBAGE (framing destroyed)");
+  let corrected = Mds.decode code received in
+  Printf.printf "all n fragments, the same 2 corrupt: %s\n\n"
     (if Bytes.equal corrected value then "corrected, value intact"
      else "failed");
 

@@ -394,7 +394,7 @@ let deploy ~engine ~params ?gc_depth ?(initial_value = Bytes.empty) ?value_len
   in
   let config =
     { params;
-      code = Mds.rs_vandermonde ~n ~k;
+      code = Mds.rs_bch ~n ~k;
       gc_depth;
       servers = server_pids;
       cost = Cost.create ~value_len;

@@ -16,18 +16,14 @@ module Gf16 = Galois.Gf16
 type table = Bytes.t
 type table16 = Gf16.mul_tables
 
-let mul_table = Gf.mul_table
-let row_tables coeffs = Array.map Gf.mul_table coeffs
 let row_tables16 coeffs = Array.map Gf16.mul_tables coeffs
 
 type wtable = Gf.wtable
-type wtable16 = Gf16.wtable
 
-(* Zero coefficients are skipped by the row loops, so their table slot
-   is never read; [wtable 0] keeps the arrays dense and is built (once,
+(* Zero coefficients are skipped by the sweeps, so their table slot is
+   never read; [wtable 0] keeps the arrays dense and is built (once,
    globally) only if a matrix actually contains a zero. *)
 let row_wtables coeffs = Array.map Gf.wtable coeffs
-let row_wtables16 coeffs = Array.map Gf16.wtable coeffs
 
 (* ------------------------------------------------------------------ *)
 (* Stripe-major <-> row-major transposition.
@@ -99,15 +95,14 @@ let merge_cols ~k ~bps cols =
   framed
 
 (* ------------------------------------------------------------------ *)
-(* View-aware transposition: the zero-copy encode path writes all n
-   fragment payloads into one backing buffer and the decode path reads
-   fragment payloads in place, so the transposes below take explicit
-   destination/source offsets. *)
+(* View-aware transposition: the update path transposes into a
+   caller-supplied buffer and the decode path reads fragment payloads
+   in place, so the transposes below take explicit destination/source
+   offsets. *)
 
 (* Transpose [framed] into [k] columns laid out contiguously in [dst]:
    column [j] occupies [doff + j*stripes*bps, doff + (j+1)*stripes*bps).
-   The systematic codecs point fragment views straight at these
-   columns. *)
+   The patch path of [Rs_update] sweeps its delta columns from here. *)
 let split_cols_into ~k ~bps framed ~dst ~doff =
   if k <= 0 || bps <= 0 then
     invalid_arg "Kernel.split_cols_into: bad dimensions";
@@ -185,57 +180,14 @@ let merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo ~len ~dst ~doff =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Row application: dst[off, off+len) = sum_j coeffs.(j) * srcs.(j).
+(* Row application over views:
+   dst[doff+off, +len) = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off, +len).
 
-   One word-sliced sweep per non-zero coefficient: the chunk-table
-   kernels move 8 bytes per load (see Wops), which beats the old fused
-   byte-table loops by ~3x even though each additional term re-reads
-   dst — the sweep is memory-shaped, not table-lookup-shaped. Unit
-   coefficients degrade to a blit (first term) or an 8-byte-wide xor.
-   Bounds are validated by the Gf sweeps themselves. *)
+   One table sweep per non-zero coefficient. Unit coefficients degrade
+   to a blit (first term) or an 8-byte-wide xor. Bounds are validated
+   by the field sweeps themselves. *)
 
-let apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length wtables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row_v: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if soff + len > Bytes.length src || doff + len > Bytes.length dst then
-        invalid_arg "Kernel.apply_row_v: range outside buffers";
-      (if !first then
-         if c = Gf.one then Bytes.blit src soff dst doff len
-         else Gf.mul_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len
-       else if c = Gf.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-       else Gf.muladd_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len);
-      first := false
-    end
-  done;
-  (* An all-zero row still must define the output range: dst buffers come
-     from Bytes.create, whose contents are unspecified. *)
-  if !first then Bytes.fill dst (doff + off) len '\000'
-
-(* Compatibility wrapper over the word sweeps: common offset, columns in
-   separate buffers. *)
-let apply_row ~coeffs ~srcs ~dst ~off ~len =
-  let terms = Array.length coeffs in
-  if Array.length srcs <> terms then
-    invalid_arg "Kernel.apply_row: coefficient/source count mismatch";
-  if off < 0 || len < 0 || off + len > Bytes.length dst then
-    invalid_arg "Kernel.apply_row: range outside dst";
-  let wtables = row_wtables coeffs in
-  let soffs = Array.make terms 0 in
-  apply_row_v ~coeffs ~wtables ~srcs ~soffs ~dst ~doff:0 ~off ~len
-
-(* GF(2^8) view row application, byte-table flavour: the GF(2^8)
-   counterpart of [apply_row16_v] below, for one-shot coefficient sets
-   whose chunk tables would not amortize. *)
+(* GF(2^8): 256-entry byte tables, 8 bytes per load. *)
 let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
   let terms = Array.length coeffs in
   if
@@ -264,12 +216,11 @@ let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
       first := false
     end
   done;
+  (* An all-zero row still must define the output range: dst buffers come
+     from Bytes.create, whose contents are unspecified. *)
   if !first then Bytes.fill dst (doff + off) len '\000'
 
-(* GF(2^16) view row application, split-table flavour: byte offsets and
-   lengths (even), arbitrary per-source and destination offsets. Used
-   where coefficients are one-shot (decode submatrices on small
-   fragments) so a chunk-table build would not amortize. *)
+(* GF(2^16): split tables, byte offsets and lengths (even). *)
 let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
   let terms = Array.length coeffs in
   if
@@ -295,39 +246,6 @@ let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
         else Gf16.mul_buf_v tables.(j) ~src ~soff ~dst ~doff ~len
       else if c = Gf16.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
       else Gf16.muladd_buf_v tables.(j) ~src ~soff ~dst ~doff ~len;
-      first := false
-    end
-  done;
-  if !first then Bytes.fill dst (doff + off) len '\000'
-
-(* Word-sliced flavour of the same: chunk tables, 8 bytes per load.
-   Used where coefficients are reused across many sweeps (generator
-   rows, big decodes). *)
-let apply_row16_w ~coeffs ~wtables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length wtables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row16_w: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if !first then
-        if c = Gf16.one then begin
-          if
-            soff < 0 || len < 0
-            || soff + len > Bytes.length src
-            || doff + len > Bytes.length dst
-          then invalid_arg "Kernel.apply_row16_w: range outside buffers";
-          Bytes.blit src soff dst doff len
-        end
-        else Gf16.mul_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len
-      else if c = Gf16.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-      else Gf16.muladd_buf_w wtables.(j) ~src ~soff ~dst ~doff ~len;
       first := false
     end
   done;

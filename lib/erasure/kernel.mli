@@ -1,14 +1,13 @@
 (** Buffer-level Reed-Solomon kernel.
 
-    The codecs in this library are all, on their hot path, the same
-    computation: a small matrix of field coefficients applied to long
-    byte buffers. This module packages the three ingredients of the
-    table-driven, row-major formulation they share:
+    The Reed-Solomon codec is, on its hot path, one computation: a
+    small matrix of field coefficients applied to long byte buffers.
+    This module packages the three ingredients of that table-driven,
+    row-major formulation:
 
-    - {b row application} ({!apply_row} and its view, byte-table and
-      GF(2{^16}) variants) over the product-table sweeps of
-      {!Galois.Gf} and {!Galois.Gf16}: one table per coefficient turns
-      a field multiply into a table load;
+    - {b row application} ({!apply_row8_v}, {!apply_row16_v}) over the
+      product-table sweeps of {!Galois.Gf} and {!Galois.Gf16}: one
+      table per coefficient turns a field multiply into a table load;
     - {b stripe transposition} ({!split_cols}/{!merge_cols}) between the
       stripe-major framed value and the column-contiguous buffers the
       sweeps want;
@@ -23,13 +22,6 @@ type table = Bytes.t
 type table16 = Galois.Gf16.mul_tables
 (** Split product tables for one GF(2{^16}) coefficient. *)
 
-val mul_table : Galois.Gf.t -> table
-(** [mul_table c] is the cached table with [t.[x] = c * x]; O(1), safe
-    from any domain. *)
-
-val row_tables : Galois.Gf.t array -> table array
-(** Tables for every coefficient of a matrix row. *)
-
 val row_tables16 : Galois.Gf16.t array -> table16 array
 (** GF(2{^16}) row tables. Builds (and caches) each coefficient's split
     tables; call in the coordinating domain before {!parallel_rows} —
@@ -39,25 +31,18 @@ type wtable = Galois.Gf.wtable
 (** Word-sweep (chunk) tables for one GF(2{^8}) coefficient; see
     {!Galois.Wops}. *)
 
-type wtable16 = Galois.Gf16.wtable
-(** Word-sweep tables for one GF(2{^16}) coefficient. *)
-
 val row_wtables : Galois.Gf.t array -> wtable array
 (** Chunk tables for every coefficient of a row (cached globally,
     mutex-guarded — build in the coordinating domain to keep
     construction out of the sharded region). Zero coefficients get a
-    table too (never read: the row loops skip them). *)
-
-val row_wtables16 : Galois.Gf16.t array -> wtable16 array
-(** GF(2{^16}) chunk tables for a row. Each first-time build costs one
-    field multiply per element — reserve for coefficient sets that are
-    reused (generator rows) or sweeps long enough to amortize. *)
+    table too (never read: the sweeps skip them). Used by the
+    patch-proportional update, whose generator rows recur. *)
 
 val split_cols : k:int -> bps:int -> Bytes.t -> Bytes.t array
 (** [split_cols ~k ~bps framed] transposes a stripe-major framed buffer
     (each stripe = [k] symbols of [bps] bytes) into [k] column-contiguous
-    buffers of one symbol per stripe. Column [j] is exactly systematic
-    fragment [j]'s payload.
+    buffers of one symbol per stripe. Column [j] is exactly the payload
+    of message fragment [n-k+j] of {!Rs_bch}.
     @raise Invalid_argument if the buffer is not a whole number of
     stripes. *)
 
@@ -70,7 +55,7 @@ val split_cols_into : k:int -> bps:int -> Bytes.t -> dst:Bytes.t -> doff:int -> 
 (** [split_cols_into ~k ~bps framed ~dst ~doff] is {!split_cols}
     transposing into a caller-supplied backing buffer: column [j]
     occupies [doff + j*stripes*bps, doff + (j+1)*stripes*bps) of [dst].
-    The zero-copy encode path points fragment views at these ranges.
+    The patch path of {!Rs_update} sweeps its delta columns from here.
     @raise Invalid_argument if the framed buffer is not a whole number
     of stripes or the columns exceed [dst]. *)
 
@@ -93,38 +78,6 @@ val merge_cols_sub :
     materializing the framed buffer.
     @raise Invalid_argument on ragged views or out-of-range spans. *)
 
-val apply_row :
-  coeffs:Galois.Gf.t array ->
-  srcs:Bytes.t array ->
-  dst:Bytes.t ->
-  off:int ->
-  len:int ->
-  unit
-(** [apply_row ~coeffs ~srcs ~dst ~off ~len] computes one output row over
-    the given stripe range: [dst = sum_j coeffs.(j) * srcs.(j)]. Zero
-    coefficients are skipped entirely, a leading unit coefficient is a
-    [Bytes.blit], and the range is zero-filled if every coefficient is
-    zero (so [dst] may be a fresh [Bytes.create]). *)
-
-val apply_row_v :
-  coeffs:Galois.Gf.t array ->
-  wtables:wtable array ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dst:Bytes.t ->
-  doff:int ->
-  off:int ->
-  len:int ->
-  unit
-(** View-aware word-sliced row application:
-    [dst.[doff+off+i] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off+i]]
-    for [i] in [0, len). [wtables] must be [row_wtables coeffs]
-    (prebuilt by the caller, keeping table construction out of
-    {!parallel_rows} shards). Zero coefficients are skipped, a leading
-    unit is a blit, a trailing unit an 8-byte-wide xor, and an all-zero
-    row zero-fills. This is {!apply_row} generalized to views over
-    shared backing buffers. *)
-
 val apply_row8_v :
   coeffs:Galois.Gf.t array ->
   tables:table array ->
@@ -135,11 +88,12 @@ val apply_row8_v :
   off:int ->
   len:int ->
   unit
-(** View-aware GF(2{^8}) row application on {e byte} tables
-    ([tables] = [row_tables coeffs]), with the semantics of
-    {!apply_row_v}. For one-shot coefficient sets (decode submatrices
-    over small fragments) where building chunk tables would cost more
-    than the sweep. *)
+(** View-aware GF(2{^8}) row application on byte tables ([tables] the
+    coefficients' {!Galois.Gf.mul_table}s):
+    [dst.[doff+off+i] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off+i]]
+    for [i] in [0, len). Zero coefficients are skipped, a leading unit
+    is a blit, a later unit an 8-byte-wide xor, and an all-zero row
+    zero-fills. *)
 
 val apply_row16_v :
   coeffs:Galois.Gf16.t array ->
@@ -151,24 +105,9 @@ val apply_row16_v :
   off:int ->
   len:int ->
   unit
-(** View-aware GF(2{^16}) row application on {e split} tables; all
-    offsets and [len] are in bytes ([len] even). For one-shot
-    coefficient sets (decode submatrices over small fragments) where
-    building chunk tables would cost more than the sweep. *)
-
-val apply_row16_w :
-  coeffs:Galois.Gf16.t array ->
-  wtables:wtable16 array ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dst:Bytes.t ->
-  doff:int ->
-  off:int ->
-  len:int ->
-  unit
-(** View-aware GF(2{^16}) row application on chunk tables (8 bytes per
-    load); offsets and [len] in bytes ([len] even). For reused
-    coefficient sets (generator rows) and long sweeps. *)
+(** View-aware GF(2{^16}) row application on split tables, with the
+    semantics of {!apply_row8_v}; all offsets and [len] are in bytes
+    ([len] even). *)
 
 val parallel_rows :
   ?domains:int -> ?min_chunk:int -> n:int -> (lo:int -> len:int -> unit) -> unit

@@ -1,8 +1,5 @@
 type impl =
-  | Vandermonde of Rs_vandermonde.t
-  | Systematic of Rs_systematic.t
   | Bch of Rs_bch.t
-  | Rs16 of Rs16.t
   | Bch16 of Rs_bch16.t
   | Replication of Replication.t
 
@@ -11,29 +8,12 @@ type t = { impl : impl; n : int; k : int; name : string }
 exception Insufficient_fragments of { needed : int; got : int }
 exception Decode_failure of string
 
-let rs_vandermonde ~n ~k =
-  { impl = Vandermonde (Rs_vandermonde.make ~n ~k);
-    n;
-    k;
-    name = Printf.sprintf "rs-vand[%d,%d]" n k
-  }
-
-let rs_systematic ~n ~k =
-  { impl = Systematic (Rs_systematic.make ~n ~k);
-    n;
-    k;
-    name = Printf.sprintf "rs-sys[%d,%d]" n k
-  }
-
 let rs_bch ~n ~k =
   { impl = Bch (Rs_bch.make ~n ~k);
     n;
     k;
     name = Printf.sprintf "rs-bch[%d,%d]" n k
   }
-
-let rs16 ~n ~k =
-  { impl = Rs16 (Rs16.make ~n ~k); n; k; name = Printf.sprintf "rs16[%d,%d]" n k }
 
 let rs_bch16 ~n ~k =
   { impl = Bch16 (Rs_bch16.make ~n ~k);
@@ -55,35 +35,17 @@ let name t = t.name
 
 let encode ?domains t value =
   match t.impl with
-  | Vandermonde c -> Rs_vandermonde.encode ?domains c value
-  | Systematic c -> Rs_systematic.encode ?domains c value
   | Bch c -> Rs_bch.encode ?domains c value
-  | Rs16 c -> Rs16.encode ?domains c value
   | Bch16 c -> Rs_bch16.encode ?domains c value
   | Replication c -> Replication.encode c value
 
 let decode ?domains t frags =
   match t.impl with
-  | Vandermonde c -> begin
-    try Rs_vandermonde.decode ?domains c frags with
-    | Rs_vandermonde.Insufficient_fragments { needed; got } ->
-      raise (Insufficient_fragments { needed; got })
-  end
-  | Systematic c -> begin
-    try Rs_systematic.decode ?domains c frags with
-    | Rs_systematic.Insufficient_fragments { needed; got } ->
-      raise (Insufficient_fragments { needed; got })
-  end
   | Bch c -> begin
     try Rs_bch.decode ?domains c frags with
     | Rs_bch.Insufficient_fragments { needed; got } ->
       raise (Insufficient_fragments { needed; got })
     | Rs_bch.Decode_failure msg -> raise (Decode_failure msg)
-  end
-  | Rs16 c -> begin
-    try Rs16.decode ?domains c frags with
-    | Rs16.Insufficient_fragments { needed; got } ->
-      raise (Insufficient_fragments { needed; got })
   end
   | Bch16 c -> begin
     try Rs_bch16.decode ?domains c frags with
@@ -99,19 +61,15 @@ let decode ?domains t frags =
 
 let update ?domains t ~fragments ~value ~pos patch =
   match t.impl with
-  | Vandermonde c ->
-    Rs_vandermonde.update ?domains c ~fragments ~value ~pos patch
-  | Systematic c -> Rs_systematic.update ?domains c ~fragments ~value ~pos patch
-  | Rs16 c -> Rs16.update ?domains c ~fragments ~value ~pos patch
   | Replication c -> Replication.update c ~fragments ~value ~pos patch
   | Bch c -> Rs_bch.update ?domains c ~fragments ~value ~pos patch
   | Bch16 c -> Rs_bch16.update ?domains c ~fragments ~value ~pos patch
 
 let fragment_size t ~value_len =
   match t.impl with
-  | Rs16 _ | Bch16 _ ->
+  | Bch16 _ ->
     (* 2-byte symbols: stripes = framed/(2k), fragment = 2 bytes/stripe *)
     2 * Splitter.fragment_size ~k:(2 * t.k) ~value_len
-  | Vandermonde _ | Systematic _ | Bch _ | Replication _ ->
+  | Bch _ | Replication _ ->
     Splitter.fragment_size ~k:t.k ~value_len
 let storage_overhead t = float_of_int t.n /. float_of_int t.k

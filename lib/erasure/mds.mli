@@ -4,8 +4,14 @@
     against this type so that the choice of codec is a configuration
     datum, not a compile-time commitment. An [(n, k)] code splits a value
     into [n] fragments of [1/k] the (framed) size; any [k] fragments
-    reconstruct the value; codecs built with {!rs_bch} additionally
-    tolerate silent fragment corruption during decode. *)
+    reconstruct the value.
+
+    Every protocol codes with the one Reed-Solomon family: the
+    systematic BCH-form codec of {!Rs_bch} over GF(2{^8}), or its
+    GF(2{^16}) form beyond 255 fragments. It is an MDS code, so given
+    exactly [k] fragments it is a plain erasure decoder (what SODA and
+    CAS need); given more, it also corrects silent fragment corruption
+    (what SODA{_err} needs). *)
 
 type t
 
@@ -17,26 +23,14 @@ exception Decode_failure of string
 (** Raised by {!decode} when corruption is detected beyond the codec's
     correction radius. *)
 
-val rs_vandermonde : n:int -> k:int -> t
-(** Evaluation-form Reed-Solomon; erasures only. *)
-
-val rs_systematic : n:int -> k:int -> t
-(** Systematic Vandermonde Reed-Solomon: the first [k] fragments carry
-    the (framed) value verbatim; erasures only, with copy-only fast
-    paths for encoding the data fragments and decoding from them. *)
-
 val rs_bch : n:int -> k:int -> t
 (** Systematic BCH-form Reed-Solomon with errors-and-erasures decoding:
     tolerates any [errors], [erasures] with
     [2*errors + erasures <= n - k]. *)
 
-val rs16 : n:int -> k:int -> t
-(** Evaluation-form Reed-Solomon over GF(2{^16}): code lengths up to
-    65535 for systems beyond 255 servers; erasures only. *)
-
 val rs_bch16 : n:int -> k:int -> t
-(** Errors-and-erasures Reed-Solomon over GF(2{^16}): SODA{_err} beyond
-    255 servers. *)
+(** {!rs_bch} over GF(2{^16}): code lengths up to 65535, for systems
+    beyond 255 servers. *)
 
 val replication : n:int -> t
 (** The [n, 1] repetition code. *)
@@ -58,6 +52,9 @@ val encode : ?domains:int -> t -> bytes -> Fragment.t array
 
 val decode : ?domains:int -> t -> Fragment.t list -> bytes
 (** Reconstruct the value from fragments. [?domains] as in {!encode}.
+    From exactly [k] distinct fragments the value is solved with
+    nothing left to check it against, so [Decode_failure] is raised
+    only when more than [k] are supplied.
     @raise Insufficient_fragments
     @raise Decode_failure *)
 
@@ -72,10 +69,10 @@ val update :
 (** [update t ~fragments ~value ~pos patch] returns the value with
     [patch] written at [pos] together with fragments identical to
     [encode] of that patched value. [fragments] must be all [n]
-    fragments of [value] (any order, distinct indices). The linear
-    codecs maintain parity incrementally — work proportional to the
-    patch, not the value. Every codec here is linear, the BCH-form ones
-    included. Inputs are never mutated.
+    fragments of [value] (any order, distinct indices). Every codec
+    here is linear, so parity is maintained incrementally — work
+    proportional to the patch, not the value. Inputs are never
+    mutated.
     @raise Invalid_argument if the patch leaves the value's bounds or
     the fragment set is malformed. *)
 

@@ -25,7 +25,7 @@ val update :
   bytes * Fragment.t array
 (** Patched-value re-encode (replication has no parity to maintain, so
     this is one copy-and-blit); same contract as
-    {!Rs_vandermonde.update}. *)
+    {!Rs_bch.update}. *)
 
 exception Insufficient_fragments
 

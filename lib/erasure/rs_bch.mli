@@ -1,9 +1,14 @@
 (** Systematic Reed-Solomon codes with errors-and-erasures decoding.
 
-    This is the codec SODA{_err} needs: with [k = n - f - 2e] it corrects
-    any pattern of up to [f] erasures (missing fragments) {e and} up to
-    [e] silent corruptions among the fragments that are present, per
-    stripe, as long as [2*errors + erasures <= n - k].
+    This is the one Reed-Solomon codec of the library ({!Rs_bch16} is
+    the same code over GF(2{^16})), behind every protocol's {!Mds.t}.
+    For SODA{_err}, with [k = n - f - 2e], it corrects any pattern of
+    up to [f] erasures (missing fragments) {e and} up to [e] silent
+    corruptions among the fragments that are present, per stripe, as
+    long as [2*errors + erasures <= n - k]. SODA and CAS need only an
+    MDS code with [k = n - f]: given exactly [k] fragments, decoding
+    is a plain erasure decoder (the message is solved from them, with
+    no check left over and so no [Decode_failure]).
 
     Construction is the classical BCH view of RS codes: the generator
     polynomial is [g(x) = (x - alpha)(x - alpha^2)...(x - alpha^(n-k))]

@@ -110,9 +110,9 @@ let check_buf_args ~fname table ~src ~soff ~dst ~doff ~len =
 (* Byte-table sweeps, 8 bytes per memory operation: one 64-bit load of
    src, eight lookups in the 256-entry table, one 64-bit load and store
    of dst. Every byte lane maps independently, so the lane order
-   (target endianness) is irrelevant. They serve one-shot coefficients
-   — decode submatrices — whose 128 KiB chunk table (below) would cost
-   more to build than the sweep.
+   (target endianness) is irrelevant. They are the codec's encode and
+   decode sweeps: a table here costs nothing to fetch, where a 128 KiB
+   chunk table (below) must be built per coefficient.
 
    U1 audit: every unchecked access below is justified by
    [check_buf_args]: every index is in [soff, soff+len) of src or
@@ -171,8 +171,8 @@ let muladd_buf table ~src ~soff ~dst ~doff ~len =
 (* ------------------------------------------------------------------ *)
 (* Word-sliced sweeps.
 
-   The byte-table sweeps above serve one-shot coefficients; the hot
-   paths use [Wops] chunk tables — 65536 16-bit entries per coefficient
+   The parity update sweeps recurring generator coefficients through
+   [Wops] chunk tables — 65536 16-bit entries per coefficient
    mapping a 16-bit slice of the source stream straight to the product
    stream, swept 8 bytes per load. A chunk table costs 128 KiB, so
    unlike [all_tables] they are built lazily per coefficient and cached
@@ -209,9 +209,8 @@ let wtable c =
     t
   end
 
-(* Word sweeps take separate src/dst offsets so the codecs can run over
-   views into shared backing buffers. Chunk tables work in 2-byte
-   steps; an odd trailing byte goes through the 256-entry byte table. *)
+(* Chunk tables work in 2-byte steps; an odd trailing byte goes through
+   the 256-entry byte table. *)
 
 let muladd_buf_w wt ~src ~soff ~dst ~doff ~len =
   if len < 0 then invalid_arg "Gf.muladd_buf_w: negative length";
@@ -226,13 +225,3 @@ let muladd_buf_w wt ~src ~soff ~dst ~doff ~len =
     Bytes.set dst (doff + even) (Char.chr (p lxor d))
   end
 
-let mul_buf_w wt ~src ~soff ~dst ~doff ~len =
-  if len < 0 then invalid_arg "Gf.mul_buf_w: negative length";
-  let even = len land lnot 1 in
-  Wops.mul_chunks wt.chunks ~src ~soff ~dst ~doff ~len:even;
-  if len land 1 = 1 then begin
-    if soff + len > Bytes.length src || doff + len > Bytes.length dst then
-      invalid_arg "Gf.mul_buf_w: range outside buffers";
-    let x = Char.code (Bytes.get src (soff + even)) in
-    Bytes.set dst (doff + even) (Bytes.get wt.byte x)
-  end

@@ -95,9 +95,8 @@ val mul_buf :
 (** [mul_buf table ~src ~soff ~dst ~doff ~len] sets
     [dst.[doff+i] <- table.[src.[soff+i]]] for [i] in [0, len): a
     [dst := c * src] sweep over views when [table = mul_table c], 8
-    bytes per load. For one-shot coefficient sets, where building a
-    {!wtable} per coefficient would cost more than the sweep. [src] and
-    [dst] may be the same buffer only with [soff = doff].
+    bytes per load. [src] and [dst] may be the same buffer only with
+    [soff = doff].
     @raise Invalid_argument if a range exceeds its buffer or the table
     is not 256 bytes. *)
 
@@ -113,9 +112,8 @@ val muladd_buf :
     The byte-table sweeps above do one table lookup per byte; the
     word-sliced sweeps below do one lookup per 16-bit chunk through a
     128 KiB {!Wops} chunk table (see DESIGN.md, "Word-sliced kernels")
-    and are faster once that table is built. They take separate source
-    and destination offsets so the codecs can sweep views into shared
-    backing buffers. *)
+    and are faster once that table is built — worth it for coefficients
+    that recur, such as the generator rows of a parity update. *)
 
 type wtable
 (** Chunk table (plus byte-table tail) for one fixed coefficient. *)
@@ -127,16 +125,10 @@ val wtable : t -> wtable
     out of the measured region).
     @raise Invalid_argument outside [0, 255]. *)
 
-val mul_buf_w :
-  wtable -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** [mul_buf_w t ~src ~soff ~dst ~doff ~len]:
-    [dst.[doff+i] <- c * src.[soff+i]] for [i] in [0, len). [src] and
-    [dst] may alias only with [soff = doff].
-    @raise Invalid_argument if either range exceeds its buffer. *)
-
 val muladd_buf_w :
   wtable -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
 (** [muladd_buf_w t ~src ~soff ~dst ~doff ~len]:
     [dst.[doff+i] <- dst.[doff+i] xor c * src.[soff+i]] — the fused
-    [dst += c * src] word sweep.
-    @raise Invalid_argument as {!mul_buf_w}. *)
+    [dst += c * src] word sweep. [src] and [dst] may alias only with
+    [soff = doff].
+    @raise Invalid_argument if either range exceeds its buffer. *)

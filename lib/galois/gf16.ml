@@ -173,57 +173,9 @@ let muladd_buf t ~src ~dst ~off ~len =
     Bytes.unsafe_set dst (i + 1) (Char.unsafe_chr ((p land 0xff) lxor dl))
   done
 
-(* ------------------------------------------------------------------ *)
-(* Word-sliced sweeps.
-
-   A full 65536-entry chunk table per coefficient (128 KiB) maps one
-   big-endian symbol — i.e. one 16-bit memory chunk — straight to its
-   product, so the shared [Wops] 64-bit loop handles two symbols per
-   load. Heavier to build than the split tables above (one [mul] per
-   field element), so cached separately and only on demand from the
-   codec hot paths; the split-table sweeps remain the oracles. *)
-
-type wtable = Wops.chunk_table
-
-let[@lint.allow "R1: all reads and writes happen under wtables_mutex"]
-    wtables : (t, wtable) Hashtbl.t =
-  Hashtbl.create 64
-
-let[@lint.allow "R1: the mutex guarding wtables is itself domain-safe"]
-    wtables_mutex = Mutex.create ()
-
-let wtable c =
-  if c < 0 || c > field_mask then
-    invalid_arg (Printf.sprintf "Gf16.wtable: %d out of range [0, 65535]" c)
-  else begin
-    Mutex.lock wtables_mutex;
-    let t =
-      match Hashtbl.find_opt wtables c with
-      | Some t -> t
-      | None ->
-        let t = Wops.make_chunk_table_symbolwise (fun x -> mul c x) in
-        Hashtbl.add wtables c t;
-        t
-    in
-    Mutex.unlock wtables_mutex;
-    t
-  end
-
-(* Byte offsets and lengths (unlike the symbol-counted oracles above):
-   the callers sweep views into shared backing buffers and already
-   track byte positions. [len] must be even. *)
-
-let mul_buf_w wt ~src ~soff ~dst ~doff ~len =
-  Wops.mul_chunks wt ~src ~soff ~dst ~doff ~len
-
-let muladd_buf_w wt ~src ~soff ~dst ~doff ~len =
-  Wops.muladd_chunks wt ~src ~soff ~dst ~doff ~len
-
-(* Split-table sweeps over views, for paths where a 128 KiB chunk table
-   per coefficient doesn't amortize (decode submatrices have arbitrary
-   coefficients, so small decodes would spend longer building tables
-   than sweeping). Same inner loop as the oracles above, with separate
-   src/dst byte offsets. *)
+(* Split-table sweeps over views: the inner loop of the symbol-counted
+   sweeps above with separate src/dst byte offsets, as the codec tracks
+   byte positions in views into shared buffers. *)
 
 let check_v_args ~fname ~src ~soff ~dst ~doff ~len =
   if

@@ -86,40 +86,10 @@ val muladd_buf :
     range, the fused sweep used by the row-major codec paths.
     @raise Invalid_argument as {!mul_buf}. *)
 
-(** {1 Word-sliced sweeps}
-
-    A full 65536-entry {!Wops} chunk table per coefficient maps one
-    big-endian symbol straight to its product, letting the shared
-    64-bit loop process two symbols per load (~3x the split-table
-    sweeps, which remain the oracles). Unlike the symbol-counted
-    oracles, offsets and lengths below are in {e bytes} ([len] must be
-    even), matching the byte positions the codec view paths track. *)
-
-type wtable = Wops.chunk_table
-(** Chunk table for one fixed coefficient. *)
-
-val wtable : t -> wtable
-(** [wtable c] builds (cached, mutex-guarded) the chunk table for [c].
-    Construction costs one field multiply per element — fetch tables
-    before the measured region and before sharding across domains.
-    @raise Invalid_argument outside [0, 65535]. *)
-
-val mul_buf_w :
-  wtable -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** [dst.[doff..] <- c * src.[soff..]] over [len] bytes.
-    @raise Invalid_argument on a bad range or odd [len]. *)
-
-val muladd_buf_w :
-  wtable -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** [dst.[doff..] += c * src.[soff..]] over [len] bytes.
-    @raise Invalid_argument as {!mul_buf_w}. *)
-
 val mul_buf_v :
   mul_tables -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** Split-table [dst <- c * src] over views ([len] bytes, even), for
-    sweeps too short to amortize a chunk-table build — decode
-    submatrices carry arbitrary coefficients, so small decodes stay on
-    split tables (512 multiplies to build vs 65536 per chunk table).
+(** Split-table [dst <- c * src] over views; offsets and [len] are in
+    bytes ([len] even).
     @raise Invalid_argument on a bad range or odd [len]. *)
 
 val muladd_buf_v :

@@ -54,12 +54,6 @@ val solve : t -> Gf.t array -> Gf.t array
 (** [solve a b] returns the [x] with [a x = b] for square [a].
     @raise Singular when [a] is not invertible. *)
 
-val vandermonde : rows:int -> cols:int -> t
-(** [vandermonde ~rows ~cols] has entry [alpha_pow (i * j)] at [(i, j)] —
-    row [i] evaluates a degree-[cols-1] polynomial at the point
-    [alpha{^i}]. Any [cols] rows with distinct evaluation points are
-    linearly independent provided [rows <= 255]. *)
-
 val rank : t -> int
 (** Rank by elimination on a scratch copy. *)
 

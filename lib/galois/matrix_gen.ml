@@ -137,9 +137,6 @@ module Make (F : Field.S) = struct
     eliminate a n width;
     Array.init n (fun i -> a.((i * width) + n))
 
-  let vandermonde ~rows ~cols =
-    create ~rows ~cols (fun i j -> F.alpha_pow (i * j))
-
   let rank m =
     let a = Array.copy m.data in
     let rank = ref 0 in

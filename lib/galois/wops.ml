@@ -1,4 +1,4 @@
-(* Word-sliced buffer sweeps shared by the GF(2^8) and GF(2^16) kernels.
+(* Word-sliced buffer sweeps behind the GF(2^8) chunk-table kernels.
 
    The per-byte product-table loops top out around 800 MB/s: every byte
    pays a load from src, a table load, a load from dst and a store. The
@@ -7,18 +7,15 @@
    16-bit chunk of the source stream directly to the corresponding
    16-bit chunk of the product stream — so one 64-bit load from src
    costs four table lookups, one 64-bit load from dst and one 64-bit
-   store. For GF(2^8) both bytes of a chunk are independent products;
-   for GF(2^16) a chunk is one big-endian symbol and the table is its
-   full product table. Either way the inner loop is identical, which is
-   why it lives here, field-agnostically.
+   store. Both bytes of a chunk are independent GF(2^8) products.
 
    The int64 chains below compile to straight register arithmetic even
    without flambda (the backend's local unboxing covers load/logxor/
    store chains), measured at ~2.3 GB/s muladd and ~9 GB/s xor against
    0.8 GB/s for the byte loops on the reference machine.
 
-   Endianness: chunk tables are built through [chunk_of_pair] /
-   [pair_of_chunk] below, i.e. through the same native-endian 16-bit
+   Endianness: chunk tables are built through [chunk_of_pair] below,
+   i.e. through the same native-endian 16-bit
    primitives the sweeps read with, so the scheme is self-consistent on
    both little- and big-endian targets.
 
@@ -67,9 +64,9 @@ let debug_checks =
   | Some _ -> true
 
 (* [chunk_of_pair b0 b1] is the 16-bit chunk value [get16] returns for
-   two consecutive memory bytes [b0, b1]; [pair_of_chunk] inverts it.
-   Computed once against the real primitives so table construction
-   matches the sweeps' byte order exactly. *)
+   two consecutive memory bytes [b0, b1]. Computed once against the
+   real primitives so table construction matches the sweeps' byte
+   order exactly. *)
 let little_endian =
   let probe = Bytes.create 2 in
   Bytes.set probe 0 '\x01';
@@ -88,19 +85,6 @@ let make_chunk_table_bytewise f =
     for b1 = 0 to 255 do
       set16 t (2 * chunk_of_pair b0 b1) (chunk_of_pair p0 (f b1))
     done
-  done;
-  t
-
-(* [make_chunk_table_symbolwise f] builds the table for a 16-bit-symbol
-   product map [f] over big-endian symbols: a chunk is one symbol, read
-   high byte first. Used by GF(2^16). *)
-let make_chunk_table_symbolwise f =
-  let t = Bytes.create chunk_table_bytes in
-  for x = 0 to 65535 do
-    let p = f x in
-    set16 t
-      (2 * chunk_of_pair (x lsr 8) (x land 0xff))
-      (chunk_of_pair (p lsr 8) (p land 0xff))
   done;
   t
 
@@ -138,9 +122,9 @@ let xor_into ~src ~soff ~dst ~doff ~len =
     incr i
   done
 
-(* The shared 64-bit product step: one word of src through four chunk
-   lookups. [muladd] xors into dst, [mul] overwrites. Unrolled x2 —
-   measured the knee of the curve; x4 gained nothing. *)
+(* The 64-bit product step: one word of src through four chunk lookups,
+   xored into dst. Unrolled x2 — measured the knee of the curve; x4
+   gained nothing. *)
 
 let muladd_chunks t ~src ~soff ~dst ~doff ~len =
   check_table ~fname:"Wops.muladd_chunks" t;
@@ -178,37 +162,3 @@ let muladd_chunks t ~src ~soff ~dst ~doff ~len =
     i := j + 2
   done
 
-let mul_chunks t ~src ~soff ~dst ~doff ~len =
-  check_table ~fname:"Wops.mul_chunks" t;
-  check_range ~fname:"Wops.mul_chunks" src ~off:soff ~len;
-  check_range ~fname:"Wops.mul_chunks" dst ~off:doff ~len;
-  if len land 1 <> 0 then invalid_arg "Wops.mul_chunks: odd length";
-  let i = ref 0 in
-  while len - !i >= 16 do
-    let j = !i in
-    if debug_checks then
-      assert (soff + j + 16 <= Bytes.length src && doff + j + 16 <= Bytes.length dst);
-    let x = get64 src (soff + j) in
-    let lo = Int64.to_int x land 0xffffffff in
-    let hi = Int64.to_int (Int64.shift_right_logical x 32) in
-    let plo = get16 t (2 * (lo land 0xffff)) lor (get16 t (2 * (lo lsr 16)) lsl 16) in
-    let phi = get16 t (2 * (hi land 0xffff)) lor (get16 t (2 * (hi lsr 16)) lsl 16) in
-    set64 dst (doff + j)
-      (Int64.logor (Int64.of_int plo) (Int64.shift_left (Int64.of_int phi) 32));
-    let j = j + 8 in
-    let x = get64 src (soff + j) in
-    let lo = Int64.to_int x land 0xffffffff in
-    let hi = Int64.to_int (Int64.shift_right_logical x 32) in
-    let plo = get16 t (2 * (lo land 0xffff)) lor (get16 t (2 * (lo lsr 16)) lsl 16) in
-    let phi = get16 t (2 * (hi land 0xffff)) lor (get16 t (2 * (hi lsr 16)) lsl 16) in
-    set64 dst (doff + j)
-      (Int64.logor (Int64.of_int plo) (Int64.shift_left (Int64.of_int phi) 32));
-    i := j + 8
-  done;
-  while !i < len do
-    let j = !i in
-    if debug_checks then
-      assert (soff + j + 2 <= Bytes.length src && doff + j + 2 <= Bytes.length dst);
-    set16 dst (doff + j) (get16 t (2 * get16 src (soff + j)));
-    i := j + 2
-  done

@@ -1,4 +1,4 @@
-(** Word-sliced buffer sweeps shared by the {!Gf} and {!Gf16} kernels.
+(** Word-sliced buffer sweeps behind the {!Gf} chunk-table kernels.
 
     A {e chunk table} represents multiplication by one fixed coefficient
     as a map from 16-bit chunks of the source byte stream to 16-bit
@@ -10,9 +10,9 @@
 
     Chunk tables are built through the same native-endian 16-bit
     primitives the sweeps read with, so the scheme is self-consistent
-    regardless of target byte order. {!Gf.wtable} and {!Gf16.wtable}
-    build and cache them per coefficient; this module only defines the
-    representation and the field-agnostic sweeps.
+    regardless of target byte order. {!Gf.wtable} builds and caches
+    them per coefficient; this module only defines the representation,
+    the product sweep and the plain xor sweep every codec path uses.
 
     All sweeps validate the full byte ranges at entry. Setting
     [SODA_DEBUG=1] in the environment additionally re-checks every
@@ -35,11 +35,6 @@ val make_chunk_table_bytewise : (int -> int) -> chunk_table
     map acting on each byte independently ([f] on [0, 255]) — the
     GF(2{^8}) case. *)
 
-val make_chunk_table_symbolwise : (int -> int) -> chunk_table
-(** [make_chunk_table_symbolwise f] builds the chunk table for a product
-    map acting on 16-bit big-endian symbols ([f] on [0, 65535]) — the
-    GF(2{^16}) case. *)
-
 val xor_into : src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
 (** [xor_into ~src ~soff ~dst ~doff ~len]:
     [dst.[doff+i] <- dst.[doff+i] xor src.[soff+i]] for [i] in
@@ -49,13 +44,8 @@ val xor_into : src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> 
 val muladd_chunks :
   chunk_table -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
 (** [muladd_chunks t ~src ~soff ~dst ~doff ~len]: [dst += c * src] over
-    [len] bytes (must be even — chunk granularity; the GF(2{^8}) caller
-    handles its possible odd tail byte, GF(2{^16}) data is always
-    even).
+    [len] bytes (must be even — chunk granularity; the caller handles a
+    possible odd tail byte).
     @raise Invalid_argument on a bad range, odd [len], or a table of the
     wrong size. *)
 
-val mul_chunks :
-  chunk_table -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** [mul_chunks t ~src ~soff ~dst ~doff ~len]: [dst <- c * src] over
-    [len] bytes (even, as {!muladd_chunks}). *)

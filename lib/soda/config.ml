@@ -128,7 +128,7 @@ let encode t value =
 
 let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
     ?(error_prone = []) ?(disperse_step = 0.001) ?(md_mode = `Chained) ?(gossip = true)
-    ?plane ?client_retry ?healing ?(systematic = false) () =
+    ?plane ?client_retry ?healing () =
   (* [?plane] wins over the legacy [?gossip] bool, which survives as
      shorthand for `Broadcast vs `Off (the ablation-gossip knob). *)
   let plane =
@@ -142,17 +142,10 @@ let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
     invalid_arg "Config.make: need exactly n server pids";
   let e = Params.e params in
   let k = Params.k_soda params in
-  (* codecs are chosen by fault model and scale: erasures-only
-     Vandermonde for plain SODA, errors-and-erasures BCH for SODAerr,
-     each with a GF(2^16) variant once n exceeds 255 fragments *)
-  let code =
-    match (e = 0, n <= 255) with
-    | true, true ->
-      if systematic then Mds.rs_systematic ~n ~k else Mds.rs_vandermonde ~n ~k
-    | true, false -> Mds.rs16 ~n ~k
-    | false, true -> Mds.rs_bch ~n ~k
-    | false, false -> Mds.rs_bch16 ~n ~k
-  in
+  (* one codec family for every fault model: with e = 0 the reader
+     decodes exactly k fragments, where BCH decoding is erasure-only;
+     GF(2^16) symbols once n exceeds 255 fragments *)
+  let code = if n <= 255 then Mds.rs_bch ~n ~k else Mds.rs_bch16 ~n ~k in
   let error_flags = Array.make n false in
   List.iter
     (fun c ->

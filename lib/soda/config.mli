@@ -113,7 +113,8 @@ type wire = {
 type t = {
   params : Params.t;
   code : Mds.t;
-      (** [rs-vand[n, n-f]] for SODA, [rs-bch[n, n-f-2e]] for SODA{_err}. *)
+      (** [rs-bch[n, n-f]] for SODA, [rs-bch[n, n-f-2e]] for SODA{_err}
+          ([rs-bch16] beyond 255 servers). *)
   decode_threshold : int;
       (** Coded elements a reader needs before decoding: [k] for SODA,
           [k + 2e] for SODA{_err}; also the server-side unregistration
@@ -213,15 +214,13 @@ val make :
   ?plane:plane ->
   ?client_retry:float ->
   ?healing:healing ->
-  ?systematic:bool ->
   unit ->
   t
-(** Builds the configuration, choosing the codec from [params] ([e = 0]:
-    Vandermonde RS with [k = n-f], or the systematic variant when
-    [systematic] is set — what a production deployment would pick, since
-    its first [k] fragments are raw data; [e > 0]: BCH RS with
-    [k = n-f-2e]; either switches to its GF(2¹⁶) form beyond 255
-    servers).
+(** Builds the configuration. The codec is the systematic BCH-form
+    Reed-Solomon code ({!Mds.rs_bch}, or {!Mds.rs_bch16} beyond 255
+    servers) with [k = Params.k_soda params] ([n-f] for SODA, [n-f-2e]
+    for SODA{_err}). With [e = 0] a reader decodes from exactly [k]
+    fragments, where the codec is a plain erasure decoder.
     [value_len] (default: length of [initial_value], or 1024 if that is
     empty) sets the cost normalization base.
     [gossip] (default true) is legacy shorthand for the plane's

@@ -33,8 +33,8 @@ let repair_server t ~coordinate ~at =
   op
 
 let deploy ~engine ~params ?initial_value ?value_len ?error_prone
-    ?disperse_step ?md_mode ?gossip ?plane ?healing ?systematic ~num_writers
-    ~num_readers () =
+    ?disperse_step ?md_mode ?gossip ?plane ?healing ~num_writers ~num_readers
+    () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Deployment.deploy: negative client count";
   let n = Params.n params in
@@ -54,7 +54,7 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
   let config =
     Config.make ~params ~servers:server_pids ?initial_value ?value_len
       ?error_prone ?disperse_step ?md_mode ?gossip ?plane ?client_retry
-      ?healing ?systematic ()
+      ?healing ()
   in
   let servers =
     Array.init n (fun coordinate -> Server.create config ~coordinate)
@@ -217,10 +217,10 @@ let initial_value t = t.config.Config.initial_value
    shim (equivalently, [Keyspace.create ~mode:`Single]). *)
 
 let create ~engine ~topology ~placement ?mode ?initial_value ?value_len
-    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ?systematic
-    ~num_writers ~num_readers () =
+    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ~num_writers
+    ~num_readers () =
   if not (Topology.equal topology (Placement.topology placement)) then
     invalid_arg "Deployment.create: placement was built over a different topology";
   Keyspace.create ~engine ~placement ?mode ?initial_value ?value_len
-    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ?systematic
-    ~num_writers ~num_readers ()
+    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ~num_writers
+    ~num_readers ()

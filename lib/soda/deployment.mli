@@ -27,7 +27,6 @@ val deploy :
   ?gossip:bool ->
   ?plane:Config.plane ->
   ?healing:Config.healing ->
-  ?systematic:bool ->
   num_writers:int ->
   num_readers:int ->
   unit ->
@@ -171,7 +170,6 @@ val create :
   ?md_mode:[ `Chained | `Direct ] ->
   ?gossip:bool ->
   ?plane:Config.plane ->
-  ?systematic:bool ->
   num_writers:int ->
   num_readers:int ->
   unit ->

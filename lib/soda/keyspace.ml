@@ -307,7 +307,7 @@ let client_handler lanes_handler client ctx ~src msg =
 
 let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
     ?error_prone ?disperse_step ?md_mode ?gossip ?plane:plane_tuning
-    ?systematic ~num_writers ~num_readers () =
+    ~num_writers ~num_readers () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Keyspace.create: negative client count";
   let topology = Placement.topology placement in
@@ -340,7 +340,7 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
     Config.make ~params
       ~servers:(Array.sub server_pids 0 (Params.n params))
       ?initial_value ?value_len ?error_prone ?disperse_step ?md_mode ?gossip
-      ?plane:plane_tuning ?client_retry ?systematic ()
+      ?plane:plane_tuning ?client_retry ()
   in
   (* encode the shared initial value once; every derived instance
      inherits the cache entry *)

@@ -46,7 +46,6 @@ val create :
   ?md_mode:[ `Chained | `Direct ] ->
   ?gossip:bool ->
   ?plane:Config.plane ->
-  ?systematic:bool ->
   num_writers:int ->
   num_readers:int ->
   unit ->

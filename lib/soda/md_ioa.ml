@@ -166,7 +166,7 @@ let deploy ~engine ~params ?(step = 0.5) () =
   let t =
     { engine;
       params;
-      code = Mds.rs_vandermonde ~n ~k:(Params.k_soda params);
+      code = Mds.rs_bch ~n ~k:(Params.k_soda params);
       step;
       sender_pid;
       server_pids;

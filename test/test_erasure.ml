@@ -1,12 +1,10 @@
-(* Tests for the erasure-coding layer: framing, the two Reed-Solomon
-   codecs, replication and the unified Mds interface. *)
+(* Tests for the erasure-coding layer: framing, the Reed-Solomon codec
+   over GF(2^8) and GF(2^16), replication and the unified Mds
+   interface. *)
 
 module Splitter = Erasure.Splitter
 module Fragment = Erasure.Fragment
-module Rs_vandermonde = Erasure.Rs_vandermonde
-module Rs_systematic = Erasure.Rs_systematic
 module Rs_bch = Erasure.Rs_bch
-module Rs16 = Erasure.Rs16
 module Rs_bch16 = Erasure.Rs_bch16
 module Mds = Erasure.Mds
 
@@ -58,113 +56,75 @@ let splitter_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Vandermonde codec *)
-
-let vand_tests =
-  [ qtest "decode from any k fragments"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
-      (fun (n, k, v, idx) ->
-        let code = Rs_vandermonde.make ~n ~k in
-        let frags = Rs_vandermonde.encode code v in
-        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
-        Bytes.equal v (Rs_vandermonde.decode code chosen));
-    qtest "extra fragments are harmless"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Rs_vandermonde.make ~n ~k in
-        let frags = Array.to_list (Rs_vandermonde.encode code v) in
-        Bytes.equal v (Rs_vandermonde.decode code frags));
-    qtest "duplicate indices do not count twice"
-      QCheck2.Gen.(
-        int_range 2 20 >>= fun n ->
-        int_range 2 n >>= fun k ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Rs_vandermonde.make ~n ~k in
-        let frags = Rs_vandermonde.encode code v in
-        (* k copies of fragment 0: only one distinct index *)
-        let dups = List.init k (fun _ -> frags.(0)) in
-        match Rs_vandermonde.decode code dups with
-        | _ -> false
-        | exception Rs_vandermonde.Insufficient_fragments { needed; got } ->
-          needed = k && got = 1);
-    qtest "fragment sizes match the formula"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Rs_vandermonde.make ~n ~k in
-        let frags = Rs_vandermonde.encode code v in
-        Array.for_all
-          (fun f ->
-            Fragment.size f
-            = Splitter.fragment_size ~k ~value_len:(Bytes.length v))
-          frags);
-    Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
-        let invalid f =
-          match f () with
-          | exception Invalid_argument _ -> true
-          | _ -> false
-        in
-        Alcotest.(check bool) "k > n" true
-          (invalid (fun () -> Rs_vandermonde.make ~n:4 ~k:5));
-        Alcotest.(check bool) "n > 255" true
-          (invalid (fun () -> Rs_vandermonde.make ~n:256 ~k:3));
-        Alcotest.(check bool) "k = 0" true
-          (invalid (fun () -> Rs_vandermonde.make ~n:4 ~k:0)))
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* BCH codec: errors and erasures *)
 
-(* Generate (n, k, value, erased set, error set) with
-   2*|errors| + |erasures| <= n - k, errors and erasures disjoint. *)
-let bch_scenario_gen =
+(* Generate (n, k, value, erased set, error set, received order) with
+   2*|errors| + |erasures| <= n - k, errors and erasures disjoint, and
+   the fragments received in a random order. A quarter of the cases
+   are erasure-only from exactly k fragments, the decode of plain SODA
+   and CAS. *)
+let bch_scenario_gen ~max_n =
   QCheck2.Gen.(
-    int_range 2 24 >>= fun n ->
+    int_range 2 max_n >>= fun n ->
     int_range 1 n >>= fun k ->
     let budget = n - k in
-    int_range 0 (budget / 2) >>= fun errors ->
-    int_range 0 (budget - (2 * errors)) >>= fun erasures ->
+    frequency
+      [ (1, pure (0, budget));
+        ( 3,
+          int_range 0 (budget / 2) >>= fun errors ->
+          int_range 0 (budget - (2 * errors)) >|= fun erasures ->
+          (errors, erasures) )
+      ]
+    >>= fun (errors, erasures) ->
     subset_gen ~n (errors + erasures) >>= fun positions ->
+    subset_gen ~n n >>= fun order ->
     bytes_gen >|= fun v ->
     let err = Array.sub positions 0 errors in
     let era = Array.sub positions errors erasures in
-    (n, k, v, era, err))
+    (n, k, v, era, err, order))
+
+(* The fragments of [frags] in [order], without the [erased] indices
+   and with the [errored] ones corrupted. *)
+let scenario_received frags ~erased ~errored ~order =
+  Array.to_list (Array.map (fun i -> frags.(i)) order)
+  |> List.filter (fun f -> not (Array.mem (Fragment.index f) erased))
+  |> List.map (fun f ->
+         if Array.mem (Fragment.index f) errored then
+           Fragment.corrupt f ~seed:42
+         else f)
 
 let bch_tests =
   [ qtest ~count:400 "corrects errors and erasures within the radius"
-      bch_scenario_gen
-      (fun (n, k, v, erased, errored) ->
+      (bch_scenario_gen ~max_n:30)
+      (fun (n, k, v, erased, errored, order) ->
         let code = Rs_bch.make ~n ~k in
         let frags = Rs_bch.encode code v in
-        let erased_set = Array.to_list erased in
-        let frags =
-          Array.to_list frags
-          |> List.filter (fun f ->
-                 not (List.mem (Fragment.index f) erased_set))
-          |> List.map (fun f ->
-                 if Array.exists (fun i -> i = Fragment.index f) errored then
-                   Fragment.corrupt f ~seed:42
-                 else f)
-        in
-        Bytes.equal v (Rs_bch.decode code frags));
+        Bytes.equal v
+          (Rs_bch.decode code
+             (scenario_received frags ~erased ~errored ~order)));
     qtest "systematic part carries the frame"
       QCheck2.Gen.(
         nk_gen >>= fun (n, k) ->
         bytes_gen >|= fun v -> (n, k, v))
       (fun (n, k, v) ->
-        (* decoding from exactly the systematic fragments works *)
+        (* message fragment n-k+j is column j of the framed value,
+           verbatim, and decoding from exactly those fragments works *)
         let code = Rs_bch.make ~n ~k in
         let frags = Rs_bch.encode code v in
+        let framed = Splitter.frame ~k v in
+        let stripes = Bytes.length framed / k in
+        let verbatim =
+          List.for_all
+            (fun j ->
+              Bytes.equal
+                (Fragment.data frags.(n - k + j))
+                (Bytes.init stripes (fun s -> Bytes.get framed ((s * k) + j))))
+            (List.init k Fun.id)
+        in
         let systematic =
           List.init k (fun j -> frags.(n - k + j))
         in
-        Bytes.equal v (Rs_bch.decode code systematic));
+        verbatim && Bytes.equal v (Rs_bch.decode code systematic));
     qtest ~count:100 "detects corruption beyond the radius or returns garbage \
                       never silently for >= distance/2 on parity-only codes"
       QCheck2.Gen.(
@@ -213,141 +173,42 @@ let bch_tests =
         Alcotest.(check bool) "decoded" true
           (Bytes.equal v (Rs_bch.decode code frags)));
     Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
-        let code = Rs_bch.make ~n:8 ~k:5 in
+        (* fewer than k distinct indices, duplicates counted once *)
         let v = Bytes.of_string "x" in
-        let frags = Rs_bch.encode code v in
-        Alcotest.check_raises "too few"
-          (Rs_bch.Insufficient_fragments { needed = 5; got = 2 })
-          (fun () ->
-            ignore (Rs_bch.decode code [ frags.(0); frags.(3) ])))
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Systematic codec *)
-
-let sys_tests =
-  [ qtest "decode from any k fragments"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
-      (fun (n, k, v, idx) ->
-        let code = Rs_systematic.make ~n ~k in
-        let frags = Rs_systematic.encode code v in
-        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
-        Bytes.equal v (Rs_systematic.decode code chosen));
-    qtest "systematic fragments are the framed value verbatim"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Rs_systematic.make ~n ~k in
-        let frags = Rs_systematic.encode code v in
-        let framed = Splitter.frame ~k v in
-        let stripes = Bytes.length framed / k in
-        let ok = ref true in
-        for j = 0 to k - 1 do
-          for s = 0 to stripes - 1 do
-            if
-              Bytes.get (Fragment.data frags.(j)) s
-              <> Bytes.get framed ((s * k) + j)
-            then ok := false
-          done
-        done;
-        !ok);
-    qtest "fast path and matrix path agree"
-      QCheck2.Gen.(
-        int_range 2 16 >>= fun n ->
-        int_range 1 (n - 1) >>= fun k ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Rs_systematic.make ~n ~k in
-        let frags = Rs_systematic.encode code v in
-        let systematic = List.init k (fun j -> frags.(j)) in
-        (* swap one systematic fragment for a parity one to force the
-           matrix path *)
-        let mixed = frags.(n - 1) :: List.tl systematic in
-        Bytes.equal
-          (Rs_systematic.decode code systematic)
-          (Rs_systematic.decode code mixed));
-    qtest "agrees with the plain Vandermonde codec on the decoded value"
-      QCheck2.Gen.(
-        nk_gen >>= fun (n, k) ->
-        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
-      (fun (n, k, v, idx) ->
-        (* fragments differ between the two codes, but both must decode
-           any k of their own fragments back to v *)
-        let sys = Rs_systematic.make ~n ~k in
-        let vand = Rs_vandermonde.make ~n ~k in
-        let pick frags = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
-        Bytes.equal
-          (Rs_systematic.decode sys (pick (Rs_systematic.encode sys v)))
-          (Rs_vandermonde.decode vand (pick (Rs_vandermonde.encode vand v))));
-    Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
-        let code = Rs_systematic.make ~n:6 ~k:4 in
-        let frags = Rs_systematic.encode code (Bytes.of_string "zz") in
-        Alcotest.check_raises "too few"
-          (Rs_systematic.Insufficient_fragments { needed = 4; got = 2 })
-          (fun () ->
-            ignore (Rs_systematic.decode code [ frags.(0); frags.(5) ])))
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* GF(2^16) codec: beyond 255 fragments *)
-
-let rs16_tests =
-  [ qtest ~count:100 "decode from any k fragments (moderate n)"
-      QCheck2.Gen.(
-        int_range 1 40 >>= fun n ->
-        int_range 1 n >>= fun k ->
-        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
-      (fun (n, k, v, idx) ->
-        let code = Rs16.make ~n ~k in
-        let frags = Rs16.encode code v in
-        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
-        Bytes.equal v (Rs16.decode code chosen));
-    qtest ~count:10 "round-trips with n in the hundreds"
-      QCheck2.Gen.(
-        int_range 256 600 >>= fun n ->
-        int_range 1 12 >>= fun k ->
-        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
-      (fun (n, k, v, idx) ->
-        (* beyond the GF(2^8) codecs' n <= 255 cap *)
-        let code = Rs16.make ~n ~k in
-        let frags = Rs16.encode code v in
-        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
-        Bytes.equal v (Rs16.decode code chosen));
-    Alcotest.test_case "n = 255 is rejected by gf256 codecs, fine here"
-      `Quick (fun () ->
-        Alcotest.(check bool) "vand rejects 300" true
-          (match Rs_vandermonde.make ~n:300 ~k:10 with
+        let code = Rs_bch.make ~n:8 ~k:5 and code16 = Rs_bch16.make ~n:8 ~k:5 in
+        let frags = Rs_bch.encode code v
+        and frags16 = Rs_bch16.encode code16 v in
+        List.iter
+          (fun (name, pick, got) ->
+            Alcotest.check_raises name
+              (Rs_bch.Insufficient_fragments { needed = 5; got })
+              (fun () -> ignore (Rs_bch.decode code (pick frags)));
+            Alcotest.check_raises (name ^ " (GF(2^16))")
+              (Rs_bch16.Insufficient_fragments { needed = 5; got })
+              (fun () -> ignore (Rs_bch16.decode code16 (pick frags16))))
+          [ ("too few", (fun fs -> [ fs.(0); fs.(3) ]), 2);
+            ("k copies of one", (fun fs -> List.init 5 (fun _ -> fs.(0))), 1);
+            ( "duplicates of two",
+              (fun fs -> [ fs.(3); fs.(0); fs.(3); fs.(0); fs.(3) ]),
+              2 )
+          ]);
+    Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
+        let invalid f =
+          match f () with
           | exception Invalid_argument _ -> true
-          | _ -> false);
-        let code = Rs16.make ~n:300 ~k:10 in
-        let v = Bytes.of_string "three hundred servers" in
-        let frags = Rs16.encode code v in
-        Alcotest.(check int) "300 fragments" 300 (Array.length frags);
-        let some = List.init 10 (fun i -> frags.(29 * i)) in
-        Alcotest.(check bool) "decodes" true
-          (Bytes.equal v (Rs16.decode code some)));
-    Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
-        let code = Rs16.make ~n:8 ~k:5 in
-        let frags = Rs16.encode code (Bytes.of_string "x") in
-        Alcotest.check_raises "too few"
-          (Rs16.Insufficient_fragments { needed = 5; got = 2 })
-          (fun () -> ignore (Rs16.decode code [ frags.(0); frags.(3) ])));
-    qtest "Mds.fragment_size matches actual fragments"
-      QCheck2.Gen.(
-        int_range 1 30 >>= fun n ->
-        int_range 1 n >>= fun k ->
-        bytes_gen >|= fun v -> (n, k, v))
-      (fun (n, k, v) ->
-        let code = Mds.rs16 ~n ~k in
-        let frags = Mds.encode code v in
-        Array.for_all
-          (fun f ->
-            Fragment.size f
-            = Mds.fragment_size code ~value_len:(Bytes.length v))
-          frags)
+          | _ -> false
+        in
+        List.iter
+          (fun (name, make, max_n) ->
+            Alcotest.(check bool) (name ^ ": k > n") true
+              (invalid (fun () -> make ~n:4 ~k:5));
+            Alcotest.(check bool) (name ^ ": k = 0") true
+              (invalid (fun () -> make ~n:4 ~k:0));
+            Alcotest.(check bool) (name ^ ": n > max_n") true
+              (invalid (fun () -> make ~n:(max_n + 1) ~k:3)))
+          [ ("rs-bch", (fun ~n ~k -> ignore (Rs_bch.make ~n ~k)), 255);
+            ("rs-bch16", (fun ~n ~k -> ignore (Rs_bch16.make ~n ~k)), 65535)
+          ])
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -355,29 +216,38 @@ let rs16_tests =
 
 let bch16_tests =
   [ qtest ~count:150 "corrects errors and erasures within the radius"
-      QCheck2.Gen.(
-        int_range 2 40 >>= fun n ->
-        int_range 1 n >>= fun k ->
-        let budget = n - k in
-        int_range 0 (budget / 2) >>= fun errors ->
-        int_range 0 (budget - (2 * errors)) >>= fun erasures ->
-        subset_gen ~n (errors + erasures) >>= fun positions ->
-        bytes_gen >|= fun v ->
-        (n, k, v, Array.sub positions errors erasures,
-         Array.sub positions 0 errors))
-      (fun (n, k, v, erased, errored) ->
+      (bch_scenario_gen ~max_n:40)
+      (fun (n, k, v, erased, errored, order) ->
         let code = Rs_bch16.make ~n ~k in
         let frags = Rs_bch16.encode code v in
-        let erased_set = Array.to_list erased in
-        let frags =
-          Array.to_list frags
-          |> List.filter (fun f -> not (List.mem (Fragment.index f) erased_set))
-          |> List.map (fun f ->
-                 if Array.exists (fun i -> i = Fragment.index f) errored then
-                   Fragment.corrupt f ~seed:42
-                 else f)
-        in
-        Bytes.equal v (Rs_bch16.decode code frags));
+        Bytes.equal v
+          (Rs_bch16.decode code
+             (scenario_received frags ~erased ~errored ~order)));
+    qtest ~count:10 "round-trips with n in the hundreds"
+      QCheck2.Gen.(
+        int_range 256 600 >>= fun n ->
+        int_range 1 12 >>= fun k ->
+        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
+      (fun (n, k, v, idx) ->
+        (* beyond the GF(2^8) codec's n <= 255 cap, from k random
+           fragments in random order *)
+        let code = Rs_bch16.make ~n ~k in
+        let frags = Rs_bch16.encode code v in
+        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
+        Bytes.equal v (Rs_bch16.decode code chosen));
+    Alcotest.test_case "n = 255 is rejected by gf256 codecs, fine here"
+      `Quick (fun () ->
+        Alcotest.(check bool) "rs-bch rejects 300" true
+          (match Rs_bch.make ~n:300 ~k:10 with
+          | exception Invalid_argument _ -> true
+          | _ -> false);
+        let code = Rs_bch16.make ~n:300 ~k:10 in
+        let v = Bytes.of_string "three hundred servers" in
+        let frags = Rs_bch16.encode code v in
+        Alcotest.(check int) "300 fragments" 300 (Array.length frags);
+        let some = List.init 10 (fun i -> frags.(29 * i)) in
+        Alcotest.(check bool) "decodes" true
+          (Bytes.equal v (Rs_bch16.decode code some)));
     Alcotest.test_case "errors + erasures beyond n = 255" `Quick (fun () ->
         let n = 300 and k = 280 in
         (* budget n - k = 20: tolerate 6 errors + 8 erasures *)
@@ -426,43 +296,60 @@ let mds_tests =
       QCheck2.Gen.(
         int_range 2 16 >>= fun n ->
         int_range 1 n >>= fun k ->
-        pair bytes_gen (int_range 0 3) >>= fun (v, which) ->
+        pair bytes_gen (int_range 0 2) >>= fun (v, which) ->
         subset_gen ~n k >|= fun idx -> (n, k, v, which, idx))
       (fun (n, k, v, which, idx) ->
         let code =
           match which with
-          | 0 -> Mds.rs_vandermonde ~n ~k
-          | 1 -> Mds.rs_bch ~n ~k
-          | 2 -> Mds.rs_systematic ~n ~k
+          | 0 -> Mds.rs_bch ~n ~k
+          | 1 -> Mds.rs_bch16 ~n ~k
           | _ -> Mds.replication ~n
         in
         let frags = Mds.encode code v in
         let subset =
-          if which = 3 then [ frags.(idx.(0)) ]
+          if which = 2 then [ frags.(idx.(0)) ]
           else Array.to_list (Array.map (fun i -> frags.(i)) idx)
         in
         Bytes.equal v (Mds.decode code subset));
     Alcotest.test_case "storage overhead" `Quick (fun () ->
         Alcotest.(check (float 1e-9))
           "rs" (10. /. 7.)
-          (Mds.storage_overhead (Mds.rs_vandermonde ~n:10 ~k:7));
+          (Mds.storage_overhead (Mds.rs_bch ~n:10 ~k:7));
         Alcotest.(check (float 1e-9))
           "replication" 5.
           (Mds.storage_overhead (Mds.replication ~n:5)));
     Alcotest.test_case "names" `Quick (fun () ->
-        Alcotest.(check string) "vand" "rs-vand[9,5]"
-          (Mds.name (Mds.rs_vandermonde ~n:9 ~k:5));
         Alcotest.(check string) "bch" "rs-bch[9,3]"
           (Mds.name (Mds.rs_bch ~n:9 ~k:3));
+        Alcotest.(check string) "bch16" "rs-bch16[9,5]"
+          (Mds.name (Mds.rs_bch16 ~n:9 ~k:5));
         Alcotest.(check string) "repl" "replication[4]"
           (Mds.name (Mds.replication ~n:4)));
     Alcotest.test_case "Mds.decode converts exceptions" `Quick (fun () ->
-        let code = Mds.rs_vandermonde ~n:6 ~k:4 in
+        let code = Mds.rs_bch ~n:6 ~k:4 in
         let v = Bytes.of_string "abc" in
         let frags = Mds.encode code v in
         Alcotest.check_raises "insufficient"
           (Mds.Insufficient_fragments { needed = 4; got = 1 })
           (fun () -> ignore (Mds.decode code [ frags.(0) ])));
+    qtest "Mds.fragment_size matches actual fragments"
+      QCheck2.Gen.(
+        int_range 1 30 >>= fun n ->
+        int_range 1 n >>= fun k ->
+        pair bytes_gen (int_range 0 2) >|= fun (v, which) -> (n, k, v, which))
+      (fun (n, k, v, which) ->
+        let code =
+          match which with
+          | 0 -> Mds.rs_bch ~n ~k
+          | 1 -> Mds.rs_bch16 ~n ~k
+          | _ -> Mds.replication ~n
+        in
+        let frags = Mds.encode code v in
+        Array.for_all
+          (fun f ->
+            Fragment.size f
+            = Mds.fragment_size code ~value_len:(Bytes.length v))
+          frags);
     qtest "corrupt changes every byte and keeps the index"
       QCheck2.Gen.(
         pair (string_size (int_range 1 100) >|= Bytes.of_string)
@@ -522,23 +409,40 @@ let index_validation_tests =
             true
             (raises_invalid (fun () -> decode [ bogus ]))
         in
-        check_oob "vandermonde" (fun frags ->
-            ignore
-              (Rs_vandermonde.decode (Rs_vandermonde.make ~n:6 ~k:3) frags));
-        check_oob "systematic" (fun frags ->
-            ignore (Rs_systematic.decode (Rs_systematic.make ~n:6 ~k:3) frags));
         check_oob "bch" (fun frags ->
             ignore (Rs_bch.decode (Rs_bch.make ~n:6 ~k:3) frags));
-        check_oob "rs16" (fun frags ->
-            ignore (Rs16.decode (Rs16.make ~n:6 ~k:3) frags));
         check_oob "bch16" (fun frags ->
             ignore (Rs_bch16.decode (Rs_bch16.make ~n:6 ~k:3) frags)));
+    Alcotest.test_case "decoders reject ragged fragment sizes" `Quick
+      (fun () ->
+        let ragged frags =
+          (* k fragments, the last one a byte short *)
+          List.init 3 (fun i ->
+              let f = frags.(i) in
+              if i < 2 then f
+              else
+                Fragment.make ~index:i
+                  ~data:(Bytes.sub (Fragment.data f) 0 (Fragment.size f - 1)))
+        in
+        let code = Rs_bch.make ~n:6 ~k:3 in
+        Alcotest.(check bool) "bch" true
+          (raises_invalid (fun () ->
+               Rs_bch.decode code (ragged (Rs_bch.encode code value))));
+        let code = Rs_bch16.make ~n:6 ~k:3 in
+        Alcotest.(check bool) "bch16" true
+          (raises_invalid (fun () ->
+               Rs_bch16.decode code (ragged (Rs_bch16.encode code value)))));
     Alcotest.test_case "in-range indices still decode" `Quick (fun () ->
-        let code = Rs_vandermonde.make ~n:6 ~k:3 in
-        let frags = Array.to_list (Rs_vandermonde.encode code value) in
+        let code = Rs_bch.make ~n:6 ~k:3 in
+        let frags = Array.to_list (Rs_bch.encode code value) in
         Alcotest.(check bool)
           "round-trip" true
-          (Bytes.equal value (Rs_vandermonde.decode code frags)))
+          (Bytes.equal value (Rs_bch.decode code frags));
+        let code = Rs_bch16.make ~n:6 ~k:3 in
+        let frags = Array.to_list (Rs_bch16.encode code value) in
+        Alcotest.(check bool)
+          "round-trip (GF(2^16))" true
+          (Bytes.equal value (Rs_bch16.decode code frags)))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -611,7 +515,7 @@ let update_tests =
       QCheck2.Gen.(
         int_range 2 12 >>= fun n ->
         int_range 1 n >>= fun k ->
-        int_range 0 5 >>= fun which ->
+        int_range 0 2 >>= fun which ->
         bytes_gen >>= fun v ->
         let len = Bytes.length v in
         int_range 0 len >>= fun pos ->
@@ -620,12 +524,9 @@ let update_tests =
       (fun (n, k, which, v, pos, patch) ->
         let code =
           match which with
-          | 0 -> Mds.rs_vandermonde ~n ~k
-          | 1 -> Mds.rs_systematic ~n ~k
-          | 2 -> Mds.rs16 ~n ~k
-          | 3 -> Mds.replication ~n
-          | 4 -> Mds.rs_bch ~n ~k
-          | _ -> Mds.rs_bch16 ~n ~k
+          | 0 -> Mds.rs_bch ~n ~k
+          | 1 -> Mds.rs_bch16 ~n ~k
+          | _ -> Mds.replication ~n
         in
         let frags = Mds.encode code v in
         (* shuffle the input order to exercise index-based placement *)
@@ -652,7 +553,7 @@ let update_tests =
         let raises_invalid f =
           match f () with exception Invalid_argument _ -> true | _ -> false
         in
-        let code = Mds.rs_systematic ~n:6 ~k:3 in
+        let code = Mds.rs_bch ~n:6 ~k:3 in
         let v = Bytes.of_string "patch bounds payload" in
         let frags = Mds.encode code v in
         Alcotest.(check bool)
@@ -932,10 +833,7 @@ let () =
     [ ("splitter", splitter_tests);
       ("splitter-edge", splitter_edge_tests);
       ("index-validation", index_validation_tests);
-      ("rs-vandermonde", vand_tests);
       ("rs-bch", bch_tests);
-      ("rs-systematic", sys_tests);
-      ("rs16", rs16_tests);
       ("rs-bch16", bch16_tests);
       ("bch-differential", bch_differential_tests);
       ("mds", mds_tests);

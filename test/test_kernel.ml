@@ -1,9 +1,10 @@
-(* Differential tests for the table-driven codec kernel: every codec's
-   row-major, table-driven encode/decode must agree byte-for-byte with
-   a straightforward stripe-major reference built on [Gf.mul_slow]
-   (the shift-and-add multiplier — independent of the log/exp AND the
-   product tables). The reference mirrors the pre-kernel
-   implementations of the four Reed-Solomon variants. *)
+(* Differential tests for the table-driven codec kernel: the
+   Reed-Solomon codec's row-major, table-driven encode/decode, over
+   GF(2^8) and GF(2^16), must agree byte-for-byte with a
+   straightforward stripe-major reference built on [mul_slow] (the
+   shift-and-add multiplier — independent of the log/exp AND the
+   product tables). The reference encoder is the seed implementation's
+   per-stripe polynomial division. *)
 
 module Gf = Galois.Gf
 module Gf16 = Galois.Gf16
@@ -31,106 +32,99 @@ module SlowGf16 : Galois.Field.S with type t = int = struct
   let div a b = Galois.Gf16.mul_slow a (Galois.Gf16.inv b)
 end
 
-module SlowMatrix = Galois.Matrix_gen.Make (SlowGf)
-module SlowMatrix16 = Galois.Matrix_gen.Make (SlowGf16)
-module SlowPoly = Galois.Poly_gen.Make (SlowGf)
 
 (* ------------------------------------------------------------------ *)
-(* Reference encoders/decoders: stripe-major triple loops, one symbol
-   at a time, exactly like the seed implementations. *)
+(* Reference encoder/decoder: stripe-major loops, one symbol at a time,
+   exactly like the seed implementation. *)
 
 let get8 buf i = Char.code (Bytes.get buf i)
 let set8 buf i v = Bytes.set buf i (Char.chr v)
 let get16 buf i = Bytes.get_uint16_be buf (2 * i)
 let set16 buf i v = Bytes.set_uint16_be buf (2 * i) v
 
-(* Apply an [n x k] matrix (given as rows) stripe by stripe. *)
-let ref_matrix_encode ~mul ~get ~set ~bps rows ~k framed =
-  let n = Array.length rows in
-  let stripes = Bytes.length framed / (k * bps) in
-  Array.init n (fun i ->
-      let out = Bytes.create (stripes * bps) in
-      let row = rows.(i) in
-      for s = 0 to stripes - 1 do
-        let acc = ref 0 in
-        for j = 0 to k - 1 do
-          acc := !acc lxor mul row.(j) (get framed ((s * k) + j))
-        done;
-        set out s !acc
-      done;
-      out)
+module type SLOW_SYMBOL = sig
+  module F : Galois.Field.S
 
-let ref_matrix_decode ~mul ~get ~set ~bps inv_rows ~k datas stripes =
-  let framed = Bytes.create (stripes * k * bps) in
-  for s = 0 to stripes - 1 do
-    for j = 0 to k - 1 do
-      let row = inv_rows.(j) in
-      let acc = ref 0 in
-      for l = 0 to k - 1 do
-        acc := !acc lxor mul row.(l) (get datas.(l) s)
-      done;
-      set framed ((s * k) + j) !acc
-    done
-  done;
-  framed
+  val bps : int
 
-let ref_encode_vand ~n ~k value =
-  let framed = Splitter.frame ~k value in
-  let g = SlowMatrix.vandermonde ~rows:n ~cols:k in
-  let rows = Array.init n (SlowMatrix.row g) in
-  ref_matrix_encode ~mul:Gf.mul_slow ~get:get8 ~set:set8 ~bps:1 rows ~k framed
+  (* symbol [i] of a buffer *)
+  val get : bytes -> int -> int
+  val set : bytes -> int -> int -> unit
+end
 
-let slow_sys_generator ~n ~k =
-  let v = SlowMatrix.vandermonde ~rows:n ~cols:k in
-  let top = SlowMatrix.select_rows v (Array.init k (fun i -> i)) in
-  SlowMatrix.mul v (SlowMatrix.invert top)
+module Slow_bch (S : SLOW_SYMBOL) = struct
+  module Poly = Galois.Poly_gen.Make (S.F)
+  module Matrix = Galois.Matrix_gen.Make (S.F)
 
-let ref_encode_sys ~n ~k value =
-  let framed = Splitter.frame ~k value in
-  let g = slow_sys_generator ~n ~k in
-  let rows = Array.init n (SlowMatrix.row g) in
-  ref_matrix_encode ~mul:Gf.mul_slow ~get:get8 ~set:set8 ~bps:1 rows ~k framed
-
-let ref_encode_rs16 ~n ~k value =
-  let framed = Splitter.frame ~k:(2 * k) value in
-  let g = SlowMatrix16.vandermonde ~rows:n ~cols:k in
-  let rows = Array.init n (SlowMatrix16.row g) in
-  ref_matrix_encode ~mul:Gf16.mul_slow ~get:get16 ~set:set16 ~bps:2 rows ~k
-    framed
-
-(* Systematic BCH-form encode: parity = x^(n-k) M(x) mod g, computed per
-   stripe with slow polynomial arithmetic (the seed's encode_stripe). *)
-let ref_encode_bch ~n ~k value =
-  let parity_len = n - k in
-  let g = ref SlowPoly.one in
-  for j = 1 to parity_len do
-    g := SlowPoly.mul !g (SlowPoly.of_list [ SlowGf.alpha_pow j; SlowGf.one ])
-  done;
-  let g = !g in
-  let framed = Splitter.frame ~k value in
-  let stripes = Bytes.length framed / k in
-  let outputs = Array.init n (fun _ -> Bytes.create stripes) in
-  for s = 0 to stripes - 1 do
-    let msg = Array.init k (fun j -> get8 framed ((s * k) + j)) in
-    let cw = Array.make n 0 in
-    if parity_len = 0 then Array.blit msg 0 cw 0 k
-    else begin
-      let shifted =
-        SlowPoly.of_coeffs
-          (Array.init n (fun i ->
-               if i < parity_len then 0 else msg.(i - parity_len)))
-      in
-      let parity = SlowPoly.rem shifted g in
+  (* The codeword of one message stripe: message symbol j at
+     coefficient x^(n-k+j), parity = x^(n-k) M(x) mod g. *)
+  let codeword ~n ~k msg =
+    let parity_len = n - k in
+    let g = ref Poly.one in
+    for j = 1 to parity_len do
+      g := Poly.mul !g (Poly.of_list [ S.F.alpha_pow j; S.F.one ])
+    done;
+    let cw = Array.make n S.F.zero in
+    Array.blit msg 0 cw parity_len k;
+    if parity_len > 0 then begin
+      let parity = Poly.rem (Poly.of_coeffs cw) !g in
       for i = 0 to parity_len - 1 do
-        cw.(i) <- SlowPoly.coeff parity i
-      done;
-      Array.blit msg 0 cw parity_len k
+        cw.(i) <- Poly.coeff parity i
+      done
     end;
-    for i = 0 to n - 1 do
-      set8 outputs.(i) s cw.(i)
-    done
-  done;
-  outputs
+    cw
+
+  let encode ~n ~k value =
+    let framed = Splitter.frame ~k:(S.bps * k) value in
+    let stripes = Bytes.length framed / (S.bps * k) in
+    let outputs = Array.init n (fun _ -> Bytes.create (S.bps * stripes)) in
+    for s = 0 to stripes - 1 do
+      let cw = codeword ~n ~k (Array.init k (fun j -> S.get framed ((s * k) + j))) in
+      Array.iteri (fun i out -> S.set out s cw.(i)) outputs
+    done;
+    outputs
+
+  (* Decode the fragments at [indices] by inverting the generator rows
+     they select; generator column [j] is the codeword of unit message
+     [j]. *)
+  let decode ~n ~k ~indices datas =
+    let columns =
+      Array.init k (fun j ->
+          codeword ~n ~k (Array.init k (fun l -> if l = j then S.F.one else S.F.zero)))
+    in
+    let inv =
+      Matrix.invert
+        (Matrix.create ~rows:k ~cols:k (fun r j -> columns.(j).(indices.(r))))
+    in
+    let stripes = Bytes.length datas.(0) / S.bps in
+    let framed = Bytes.create (stripes * k * S.bps) in
+    for s = 0 to stripes - 1 do
+      for j = 0 to k - 1 do
+        let acc = ref S.F.zero in
+        for r = 0 to k - 1 do
+          acc := S.F.add !acc (S.F.mul (Matrix.get inv j r) (S.get datas.(r) s))
+        done;
+        S.set framed ((s * k) + j) !acc
+      done
+    done;
+    Splitter.unframe framed
+end
+
+module Slow_bch8 = Slow_bch (struct
+  module F = SlowGf
+
+  let bps = 1
+  let get = get8
+  let set = set8
+end)
+
+module Slow_bch16 = Slow_bch (struct
+  module F = SlowGf16
+
+  let bps = 2
+  let get = get16
+  let set = set16
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -161,88 +155,43 @@ let pick frags indices =
 (* Encode differentials *)
 
 let encode_tests =
-  [ qtest "vandermonde encode = mul_slow reference" nkv_gen
-      (fun (n, k, v) ->
-        let code = Erasure.Rs_vandermonde.make ~n ~k in
-        fragments_equal (Erasure.Rs_vandermonde.encode code v)
-          (ref_encode_vand ~n ~k v));
-    qtest "systematic encode = mul_slow reference" nkv_gen
-      (fun (n, k, v) ->
-        let code = Erasure.Rs_systematic.make ~n ~k in
-        fragments_equal (Erasure.Rs_systematic.encode code v)
-          (ref_encode_sys ~n ~k v));
-    qtest "bch encode = slow-polynomial reference" nkv_gen
+  [ qtest "bch encode = slow-polynomial reference" nkv_gen
       (fun (n, k, v) ->
         let code = Erasure.Rs_bch.make ~n ~k in
-        fragments_equal (Erasure.Rs_bch.encode code v) (ref_encode_bch ~n ~k v));
-    qtest "rs16 encode = mul_slow reference" nkv_gen
+        fragments_equal (Erasure.Rs_bch.encode code v)
+          (Slow_bch8.encode ~n ~k v));
+    qtest "bch16 encode = slow-polynomial reference" nkv_gen
       (fun (n, k, v) ->
-        let code = Erasure.Rs16.make ~n ~k in
-        fragments_equal (Erasure.Rs16.encode code v) (ref_encode_rs16 ~n ~k v))
+        let code = Erasure.Rs_bch16.make ~n ~k in
+        fragments_equal (Erasure.Rs_bch16.encode code v)
+          (Slow_bch16.encode ~n ~k v))
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Decode differentials: a random k-subset of fragments, decoded both by
-   the kernel codec and by slow submatrix inversion. *)
+(* Decode differentials: a random k-subset of fragments in random order,
+   decoded both by the kernel codec and by slow submatrix inversion. *)
 
-let decode_vand_gen =
+let decode_gen =
   QCheck2.Gen.(
     nkv_gen >>= fun (n, k, v) ->
     subset_gen ~n k >|= fun indices -> (n, k, v, indices))
 
 let decode_tests =
-  [ qtest "vandermonde decode (k random fragments) = slow reference"
-      decode_vand_gen
+  [ qtest "bch decode (k random fragments) = slow reference" decode_gen
       (fun (n, k, v, indices) ->
-        let code = Erasure.Rs_vandermonde.make ~n ~k in
-        let frags = Erasure.Rs_vandermonde.encode code v in
-        let chosen = pick frags indices in
-        let decoded = Erasure.Rs_vandermonde.decode code chosen in
-        let g = SlowMatrix.vandermonde ~rows:n ~cols:k in
-        let inv = SlowMatrix.invert (SlowMatrix.select_rows g indices) in
-        let inv_rows = Array.init k (SlowMatrix.row inv) in
+        let code = Erasure.Rs_bch.make ~n ~k in
+        let chosen = pick (Erasure.Rs_bch.encode code v) indices in
+        let decoded = Erasure.Rs_bch.decode code chosen in
         let datas = Array.map Fragment.data (Array.of_list chosen) in
-        let stripes = Bytes.length datas.(0) in
-        let framed =
-          ref_matrix_decode ~mul:Gf.mul_slow ~get:get8 ~set:set8 ~bps:1
-            inv_rows ~k datas stripes
-        in
-        Bytes.equal decoded (Splitter.unframe framed)
+        Bytes.equal decoded (Slow_bch8.decode ~n ~k ~indices datas)
         && Bytes.equal decoded v);
-    qtest "systematic decode (k random fragments) = slow reference"
-      decode_vand_gen
+    qtest "bch16 decode (k random fragments) = slow reference" decode_gen
       (fun (n, k, v, indices) ->
-        let code = Erasure.Rs_systematic.make ~n ~k in
-        let frags = Erasure.Rs_systematic.encode code v in
-        let chosen = pick frags indices in
-        let decoded = Erasure.Rs_systematic.decode code chosen in
-        let g = slow_sys_generator ~n ~k in
-        let inv = SlowMatrix.invert (SlowMatrix.select_rows g indices) in
-        let inv_rows = Array.init k (SlowMatrix.row inv) in
+        let code = Erasure.Rs_bch16.make ~n ~k in
+        let chosen = pick (Erasure.Rs_bch16.encode code v) indices in
+        let decoded = Erasure.Rs_bch16.decode code chosen in
         let datas = Array.map Fragment.data (Array.of_list chosen) in
-        let stripes = Bytes.length datas.(0) in
-        let framed =
-          ref_matrix_decode ~mul:Gf.mul_slow ~get:get8 ~set:set8 ~bps:1
-            inv_rows ~k datas stripes
-        in
-        Bytes.equal decoded (Splitter.unframe framed)
-        && Bytes.equal decoded v);
-    qtest "rs16 decode (k random fragments) = slow reference" decode_vand_gen
-      (fun (n, k, v, indices) ->
-        let code = Erasure.Rs16.make ~n ~k in
-        let frags = Erasure.Rs16.encode code v in
-        let chosen = pick frags indices in
-        let decoded = Erasure.Rs16.decode code chosen in
-        let g = SlowMatrix16.vandermonde ~rows:n ~cols:k in
-        let inv = SlowMatrix16.invert (SlowMatrix16.select_rows g indices) in
-        let inv_rows = Array.init k (SlowMatrix16.row inv) in
-        let datas = Array.map Fragment.data (Array.of_list chosen) in
-        let stripes = Bytes.length datas.(0) / 2 in
-        let framed =
-          ref_matrix_decode ~mul:Gf16.mul_slow ~get:get16 ~set:set16 ~bps:2
-            inv_rows ~k datas stripes
-        in
-        Bytes.equal decoded (Splitter.unframe framed)
+        Bytes.equal decoded (Slow_bch16.decode ~n ~k ~indices datas)
         && Bytes.equal decoded v)
   ]
 
@@ -372,14 +321,6 @@ let buf_tests =
           in
           if Char.code (Bytes.get dst (doff + i)) <> expect then ok := false
         done;
-        (* mul overwrites *)
-        Gf.mul_buf_w wt ~src ~soff ~dst ~doff ~len;
-        for i = 0 to len - 1 do
-          if
-            Char.code (Bytes.get dst (doff + i))
-            <> Gf.mul_slow c (Char.code (Bytes.get src (soff + i)))
-          then ok := false
-        done;
         !ok);
     qtest ~count:100 "Gf muladd_buf_w aliased src == dst"
       QCheck2.Gen.(
@@ -413,36 +354,6 @@ let buf_tests =
             Char.code (Bytes.get dst (doff + i))
             <> Char.code (Bytes.get dst0 (doff + i))
                lxor Char.code (Bytes.get raw (soff + i))
-          then ok := false
-        done;
-        !ok);
-    qtest ~count:60 "Gf16 word sweeps = mul_slow per symbol"
-      QCheck2.Gen.(
-        triple (int_range 0 65535)
-          (string_size (int_range 0 160) >|= Bytes.of_string)
-          (int_range 0 5))
-      (fun (c, raw, symoff) ->
-        let wt = Gf16.wtable c in
-        let symbols = max 0 ((Bytes.length raw / 2) - symoff) in
-        let soff = 2 * symoff and len = 2 * symbols in
-        let dst0 =
-          Bytes.init (2 * symbols) (fun i -> Char.chr ((i * 23) land 0xff))
-        in
-        let dst = Bytes.copy dst0 in
-        Gf16.muladd_buf_w wt ~src:raw ~soff ~dst ~doff:0 ~len;
-        let ok = ref true in
-        for s = 0 to symbols - 1 do
-          let expect =
-            Bytes.get_uint16_be dst0 (2 * s)
-            lxor Gf16.mul_slow c (Bytes.get_uint16_be raw (soff + (2 * s)))
-          in
-          if Bytes.get_uint16_be dst (2 * s) <> expect then ok := false
-        done;
-        Gf16.mul_buf_w wt ~src:raw ~soff ~dst ~doff:0 ~len;
-        for s = 0 to symbols - 1 do
-          if
-            Bytes.get_uint16_be dst (2 * s)
-            <> Gf16.mul_slow c (Bytes.get_uint16_be raw (soff + (2 * s)))
           then ok := false
         done;
         !ok);
@@ -495,10 +406,8 @@ let parallel_tests =
             true
             (Bytes.equal (Erasure.Mds.decode ~domains:3 codec survivors) value)
         in
-        check (Erasure.Mds.rs_vandermonde ~n:6 ~k:4);
-        check (Erasure.Mds.rs_systematic ~n:6 ~k:4);
         check (Erasure.Mds.rs_bch ~n:6 ~k:4);
-        check (Erasure.Mds.rs16 ~n:6 ~k:4))
+        check (Erasure.Mds.rs_bch16 ~n:6 ~k:4))
   ]
 
 let () =

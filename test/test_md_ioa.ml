@@ -32,7 +32,7 @@ let ioa_tests =
         let deliveries = Md_ioa.deliveries d in
         Alcotest.(check int) "n deliveries" 7 (List.length deliveries);
         let expected =
-          Mds.encode (Mds.rs_vandermonde ~n:7 ~k:(Params.k_soda params)) value
+          Mds.encode (Mds.rs_bch ~n:7 ~k:(Params.k_soda params)) value
         in
         List.iter
           (fun { Md_ioa.server; tag = t; fragment } ->
@@ -90,7 +90,7 @@ let ioa_tests =
         Md_ioa.crash_sender d ~at:crash_at;
         Engine.run engine;
         let expected =
-          Mds.encode (Mds.rs_vandermonde ~n:7 ~k:(Params.k_soda params)) value
+          Mds.encode (Mds.rs_bch ~n:7 ~k:(Params.k_soda params)) value
         in
         List.for_all
           (fun { Md_ioa.server; tag = t; fragment } ->

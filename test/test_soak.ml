@@ -124,7 +124,7 @@ let large_n_tests =
             ()
         in
         let config = Soda.Deployment.config d in
-        Alcotest.(check string) "rs16 codec" "rs16[300,290]"
+        Alcotest.(check string) "GF(2^16) codec" "rs-bch16[300,290]"
           (Erasure.Mds.name config.Soda.Config.code);
         let value = Workload.value ~len:1024 ~seed:6 ~index:0 in
         let result = ref None in
