@@ -56,6 +56,89 @@ let splitter_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Erasure-only decoding: any k of the n fragments, the decode SODA and
+   CAS run. The group is named after the Vandermonde-matrix codec that
+   used to serve them; the parity-check matrix of the BCH-form code is
+   itself Vandermonde. *)
+
+let vand_tests =
+  [ qtest "decode from any k fragments"
+      QCheck2.Gen.(
+        nk_gen >>= fun (n, k) ->
+        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
+      (fun (n, k, v, idx) ->
+        let pick frags = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
+        let code = Rs_bch.make ~n ~k and code16 = Rs_bch16.make ~n ~k in
+        Bytes.equal v (Rs_bch.decode code (pick (Rs_bch.encode code v)))
+        && Bytes.equal v
+             (Rs_bch16.decode code16 (pick (Rs_bch16.encode code16 v))));
+    qtest "extra fragments are harmless"
+      QCheck2.Gen.(
+        nk_gen >>= fun (n, k) ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        let code = Rs_bch.make ~n ~k in
+        let frags = Array.to_list (Rs_bch.encode code v) in
+        Bytes.equal v (Rs_bch.decode code frags));
+    qtest "duplicate indices do not count twice"
+      QCheck2.Gen.(
+        int_range 2 20 >>= fun n ->
+        int_range 2 n >>= fun k ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        (* k copies of fragment 0, and (for k > 2) k fragments drawn
+           from just indices 0 and 1: one and two distinct indices *)
+        let one fs = List.init k (fun _ -> fs.(0))
+        and two fs = List.init k (fun i -> fs.(i mod 2)) in
+        let code = Rs_bch.make ~n ~k and code16 = Rs_bch16.make ~n ~k in
+        let frags = Rs_bch.encode code v
+        and frags16 = Rs_bch16.encode code16 v in
+        List.for_all
+          (fun (pick, distinct) ->
+            (match Rs_bch.decode code (pick frags) with
+            | _ -> false
+            | exception Rs_bch.Insufficient_fragments { needed; got } ->
+              needed = k && got = distinct)
+            &&
+            match Rs_bch16.decode code16 (pick frags16) with
+            | _ -> false
+            | exception Rs_bch16.Insufficient_fragments { needed; got } ->
+              needed = k && got = distinct)
+          (List.filter
+             (fun (_, distinct) -> distinct < k)
+             [ (one, 1); (two, 2) ]));
+    qtest "fragment sizes match the formula"
+      QCheck2.Gen.(
+        nk_gen >>= fun (n, k) ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        let code = Rs_bch.make ~n ~k in
+        let frags = Rs_bch.encode code v in
+        Array.for_all
+          (fun f ->
+            Fragment.size f
+            = Splitter.fragment_size ~k ~value_len:(Bytes.length v))
+          frags);
+    Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
+        let invalid f =
+          match f () with
+          | exception Invalid_argument _ -> true
+          | _ -> false
+        in
+        List.iter
+          (fun (name, make, max_n) ->
+            Alcotest.(check bool) (name ^ ": k > n") true
+              (invalid (fun () -> make ~n:4 ~k:5));
+            Alcotest.(check bool) (name ^ ": k = 0") true
+              (invalid (fun () -> make ~n:4 ~k:0));
+            Alcotest.(check bool) (name ^ ": n > max_n") true
+              (invalid (fun () -> make ~n:(max_n + 1) ~k:3)))
+          [ ("rs-bch", (fun ~n ~k -> ignore (Rs_bch.make ~n ~k)), 255);
+            ("rs-bch16", (fun ~n ~k -> ignore (Rs_bch16.make ~n ~k)), 65535)
+          ])
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* BCH codec: errors and erasures *)
 
 (* Generate (n, k, value, erased set, error set, received order) with
@@ -107,24 +190,13 @@ let bch_tests =
         nk_gen >>= fun (n, k) ->
         bytes_gen >|= fun v -> (n, k, v))
       (fun (n, k, v) ->
-        (* message fragment n-k+j is column j of the framed value,
-           verbatim, and decoding from exactly those fragments works *)
+        (* decoding from exactly the systematic fragments works *)
         let code = Rs_bch.make ~n ~k in
         let frags = Rs_bch.encode code v in
-        let framed = Splitter.frame ~k v in
-        let stripes = Bytes.length framed / k in
-        let verbatim =
-          List.for_all
-            (fun j ->
-              Bytes.equal
-                (Fragment.data frags.(n - k + j))
-                (Bytes.init stripes (fun s -> Bytes.get framed ((s * k) + j))))
-            (List.init k Fun.id)
-        in
         let systematic =
           List.init k (fun j -> frags.(n - k + j))
         in
-        verbatim && Bytes.equal v (Rs_bch.decode code systematic));
+        Bytes.equal v (Rs_bch.decode code systematic));
     qtest ~count:100 "detects corruption beyond the radius or returns garbage \
                       never silently for >= distance/2 on parity-only codes"
       QCheck2.Gen.(
@@ -173,56 +245,82 @@ let bch_tests =
         Alcotest.(check bool) "decoded" true
           (Bytes.equal v (Rs_bch.decode code frags)));
     Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
-        (* fewer than k distinct indices, duplicates counted once *)
+        let code = Rs_bch.make ~n:8 ~k:5 in
         let v = Bytes.of_string "x" in
-        let code = Rs_bch.make ~n:8 ~k:5 and code16 = Rs_bch16.make ~n:8 ~k:5 in
-        let frags = Rs_bch.encode code v
-        and frags16 = Rs_bch16.encode code16 v in
-        List.iter
-          (fun (name, pick, got) ->
-            Alcotest.check_raises name
-              (Rs_bch.Insufficient_fragments { needed = 5; got })
-              (fun () -> ignore (Rs_bch.decode code (pick frags)));
-            Alcotest.check_raises (name ^ " (GF(2^16))")
-              (Rs_bch16.Insufficient_fragments { needed = 5; got })
-              (fun () -> ignore (Rs_bch16.decode code16 (pick frags16))))
-          [ ("too few", (fun fs -> [ fs.(0); fs.(3) ]), 2);
-            ("k copies of one", (fun fs -> List.init 5 (fun _ -> fs.(0))), 1);
-            ( "duplicates of two",
-              (fun fs -> [ fs.(3); fs.(0); fs.(3); fs.(0); fs.(3) ]),
-              2 )
-          ]);
-    Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
-        let invalid f =
-          match f () with
-          | exception Invalid_argument _ -> true
-          | _ -> false
-        in
-        List.iter
-          (fun (name, make, max_n) ->
-            Alcotest.(check bool) (name ^ ": k > n") true
-              (invalid (fun () -> make ~n:4 ~k:5));
-            Alcotest.(check bool) (name ^ ": k = 0") true
-              (invalid (fun () -> make ~n:4 ~k:0));
-            Alcotest.(check bool) (name ^ ": n > max_n") true
-              (invalid (fun () -> make ~n:(max_n + 1) ~k:3)))
-          [ ("rs-bch", (fun ~n ~k -> ignore (Rs_bch.make ~n ~k)), 255);
-            ("rs-bch16", (fun ~n ~k -> ignore (Rs_bch16.make ~n ~k)), 65535)
-          ])
+        let frags = Rs_bch.encode code v in
+        Alcotest.check_raises "too few"
+          (Rs_bch.Insufficient_fragments { needed = 5; got = 2 })
+          (fun () ->
+            ignore (Rs_bch.decode code [ frags.(0); frags.(3) ])))
   ]
 
 (* ------------------------------------------------------------------ *)
-(* GF(2^16) errors-and-erasures codec *)
+(* Systematic layout: message fragment n-k+j is column j of the framed
+   value, read in place when present. *)
 
-let bch16_tests =
-  [ qtest ~count:150 "corrects errors and erasures within the radius"
-      (bch_scenario_gen ~max_n:40)
-      (fun (n, k, v, erased, errored, order) ->
+let sys_tests =
+  [ qtest "decode from any k fragments"
+      QCheck2.Gen.(
+        nk_gen >>= fun (n, k) ->
+        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
+      (fun (n, k, v, idx) ->
+        (* through Mds, the interface the protocols decode with *)
+        let code = Mds.rs_bch ~n ~k in
+        let frags = Mds.encode code v in
+        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
+        Bytes.equal v (Mds.decode code chosen));
+    qtest "systematic fragments are the framed value verbatim"
+      QCheck2.Gen.(
+        nk_gen >>= fun (n, k) ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        let code = Rs_bch.make ~n ~k in
+        let frags = Rs_bch.encode code v in
+        let framed = Splitter.frame ~k v in
+        let stripes = Bytes.length framed / k in
+        List.for_all
+          (fun j ->
+            Bytes.equal
+              (Fragment.data frags.(n - k + j))
+              (Bytes.init stripes (fun s -> Bytes.get framed ((s * k) + j))))
+          (List.init k Fun.id));
+    qtest "fast path and matrix path agree"
+      QCheck2.Gen.(
+        int_range 2 16 >>= fun n ->
+        int_range 1 (n - 1) >>= fun k ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        let code = Rs_bch.make ~n ~k in
+        let frags = Rs_bch.encode code v in
+        let systematic = List.init k (fun j -> frags.(n - k + j)) in
+        (* swap one message fragment for a parity one so one column
+           must be solved for instead of read in place *)
+        let mixed = frags.(0) :: List.tl systematic in
+        Bytes.equal
+          (Rs_bch.decode code systematic)
+          (Rs_bch.decode code mixed));
+    Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
+        let code = Rs_bch.make ~n:6 ~k:4 in
+        let frags = Rs_bch.encode code (Bytes.of_string "zz") in
+        Alcotest.check_raises "too few"
+          (Rs_bch.Insufficient_fragments { needed = 4; got = 2 })
+          (fun () -> ignore (Rs_bch.decode code [ frags.(0); frags.(5) ])))
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* GF(2^16) codec: beyond 255 fragments *)
+
+let rs16_tests =
+  [ qtest ~count:100 "decode from any k fragments (moderate n)"
+      QCheck2.Gen.(
+        int_range 1 40 >>= fun n ->
+        int_range 1 n >>= fun k ->
+        pair bytes_gen (subset_gen ~n k) >|= fun (v, idx) -> (n, k, v, idx))
+      (fun (n, k, v, idx) ->
         let code = Rs_bch16.make ~n ~k in
         let frags = Rs_bch16.encode code v in
-        Bytes.equal v
-          (Rs_bch16.decode code
-             (scenario_received frags ~erased ~errored ~order)));
+        let chosen = Array.to_list (Array.map (fun i -> frags.(i)) idx) in
+        Bytes.equal v (Rs_bch16.decode code chosen));
     qtest ~count:10 "round-trips with n in the hundreds"
       QCheck2.Gen.(
         int_range 256 600 >>= fun n ->
@@ -248,6 +346,39 @@ let bch16_tests =
         let some = List.init 10 (fun i -> frags.(29 * i)) in
         Alcotest.(check bool) "decodes" true
           (Bytes.equal v (Rs_bch16.decode code some)));
+    Alcotest.test_case "insufficient fragments raise" `Quick (fun () ->
+        let code = Rs_bch16.make ~n:8 ~k:5 in
+        let frags = Rs_bch16.encode code (Bytes.of_string "x") in
+        Alcotest.check_raises "too few"
+          (Rs_bch16.Insufficient_fragments { needed = 5; got = 2 })
+          (fun () -> ignore (Rs_bch16.decode code [ frags.(0); frags.(3) ])));
+    qtest "Mds.fragment_size matches actual fragments"
+      QCheck2.Gen.(
+        int_range 1 30 >>= fun n ->
+        int_range 1 n >>= fun k ->
+        bytes_gen >|= fun v -> (n, k, v))
+      (fun (n, k, v) ->
+        let code = Mds.rs_bch16 ~n ~k in
+        let frags = Mds.encode code v in
+        Array.for_all
+          (fun f ->
+            Fragment.size f
+            = Mds.fragment_size code ~value_len:(Bytes.length v))
+          frags)
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* GF(2^16) errors-and-erasures codec *)
+
+let bch16_tests =
+  [ qtest ~count:150 "corrects errors and erasures within the radius"
+      (bch_scenario_gen ~max_n:40)
+      (fun (n, k, v, erased, errored, order) ->
+        let code = Rs_bch16.make ~n ~k in
+        let frags = Rs_bch16.encode code v in
+        Bytes.equal v
+          (Rs_bch16.decode code
+             (scenario_received frags ~erased ~errored ~order)));
     Alcotest.test_case "errors + erasures beyond n = 255" `Quick (fun () ->
         let n = 300 and k = 280 in
         (* budget n - k = 20: tolerate 6 errors + 8 erasures *)
@@ -336,14 +467,10 @@ let mds_tests =
       QCheck2.Gen.(
         int_range 1 30 >>= fun n ->
         int_range 1 n >>= fun k ->
-        pair bytes_gen (int_range 0 2) >|= fun (v, which) -> (n, k, v, which))
-      (fun (n, k, v, which) ->
-        let code =
-          match which with
-          | 0 -> Mds.rs_bch ~n ~k
-          | 1 -> Mds.rs_bch16 ~n ~k
-          | _ -> Mds.replication ~n
-        in
+        pair bytes_gen bool >|= fun (v, rs) -> (n, k, v, rs))
+      (fun (n, k, v, rs) ->
+        (* rs_bch16 is checked in the rs16 group *)
+        let code = if rs then Mds.rs_bch ~n ~k else Mds.replication ~n in
         let frags = Mds.encode code v in
         Array.for_all
           (fun f ->
@@ -833,7 +960,10 @@ let () =
     [ ("splitter", splitter_tests);
       ("splitter-edge", splitter_edge_tests);
       ("index-validation", index_validation_tests);
+      ("rs-vandermonde", vand_tests);
       ("rs-bch", bch_tests);
+      ("rs-systematic", sys_tests);
+      ("rs16", rs16_tests);
       ("rs-bch16", bch16_tests);
       ("bch-differential", bch_differential_tests);
       ("mds", mds_tests);

@@ -1,10 +1,11 @@
 (* Differential tests for the table-driven codec kernel: the
    Reed-Solomon codec's row-major, table-driven encode/decode, over
-   GF(2^8) and GF(2^16), must agree byte-for-byte with a
-   straightforward stripe-major reference built on [mul_slow] (the
-   shift-and-add multiplier — independent of the log/exp AND the
-   product tables). The reference encoder is the seed implementation's
-   per-stripe polynomial division. *)
+   GF(2^8) and GF(2^16), must agree byte-for-byte with straightforward
+   stripe-major references built on [mul_slow] (the shift-and-add
+   multiplier — independent of the log/exp AND the product tables):
+   the seed implementation's per-stripe polynomial division, the
+   systematic generator matrix, and the Vandermonde parity-check
+   matrix. *)
 
 module Gf = Galois.Gf
 module Gf16 = Galois.Gf16
@@ -32,10 +33,11 @@ module SlowGf16 : Galois.Field.S with type t = int = struct
   let div a b = Galois.Gf16.mul_slow a (Galois.Gf16.inv b)
 end
 
-
 (* ------------------------------------------------------------------ *)
-(* Reference encoder/decoder: stripe-major loops, one symbol at a time,
-   exactly like the seed implementation. *)
+(* Reference encoders/decoders: stripe-major loops, one symbol at a
+   time. Three independent views of the one code: polynomial division
+   (the seed implementation), the generator matrix, and the Vandermonde
+   parity-check matrix. *)
 
 let get8 buf i = Char.code (Bytes.get buf i)
 let set8 buf i v = Bytes.set buf i (Char.chr v)
@@ -74,40 +76,136 @@ module Slow_bch (S : SLOW_SYMBOL) = struct
     end;
     cw
 
-  let encode ~n ~k value =
+  (* The message columns of [value]: column j holds symbol j of every
+     stripe. *)
+  let message_columns ~k value =
     let framed = Splitter.frame ~k:(S.bps * k) value in
     let stripes = Bytes.length framed / (S.bps * k) in
+    Array.init k (fun j ->
+        let col = Bytes.create (S.bps * stripes) in
+        for s = 0 to stripes - 1 do
+          S.set col s (S.get framed ((s * k) + j))
+        done;
+        col)
+
+  (* Inverse of [message_columns]. *)
+  let unframe_columns ~k cols =
+    let stripes = Bytes.length cols.(0) / S.bps in
+    let framed = Bytes.create (stripes * k * S.bps) in
+    for s = 0 to stripes - 1 do
+      for j = 0 to k - 1 do
+        S.set framed ((s * k) + j) (S.get cols.(j) s)
+      done
+    done;
+    Splitter.unframe framed
+
+  let encode ~n ~k value =
+    let cols = message_columns ~k value in
+    let stripes = Bytes.length cols.(0) / S.bps in
     let outputs = Array.init n (fun _ -> Bytes.create (S.bps * stripes)) in
     for s = 0 to stripes - 1 do
-      let cw = codeword ~n ~k (Array.init k (fun j -> S.get framed ((s * k) + j))) in
+      let cw = codeword ~n ~k (Array.init k (fun j -> S.get cols.(j) s)) in
       Array.iteri (fun i out -> S.set out s cw.(i)) outputs
     done;
     outputs
 
+  (* Generator column [j]: the codeword of unit message [j]. *)
+  let generator ~n ~k =
+    Array.init k (fun j ->
+        codeword ~n ~k
+          (Array.init k (fun l -> if l = j then S.F.one else S.F.zero)))
+
+  (* Encode as the generator matrix times each message stripe. *)
+  let encode_by_generator ~n ~k value =
+    let columns = generator ~n ~k in
+    let cols = message_columns ~k value in
+    let stripes = Bytes.length cols.(0) / S.bps in
+    Array.init n (fun i ->
+        let out = Bytes.create (S.bps * stripes) in
+        for s = 0 to stripes - 1 do
+          let acc = ref S.F.zero in
+          for j = 0 to k - 1 do
+            acc := S.F.add !acc (S.F.mul columns.(j).(i) (S.get cols.(j) s))
+          done;
+          S.set out s !acc
+        done;
+        out)
+
   (* Decode the fragments at [indices] by inverting the generator rows
-     they select; generator column [j] is the codeword of unit message
-     [j]. *)
+     they select. *)
   let decode ~n ~k ~indices datas =
-    let columns =
-      Array.init k (fun j ->
-          codeword ~n ~k (Array.init k (fun l -> if l = j then S.F.one else S.F.zero)))
-    in
+    let columns = generator ~n ~k in
     let inv =
       Matrix.invert
         (Matrix.create ~rows:k ~cols:k (fun r j -> columns.(j).(indices.(r))))
     in
     let stripes = Bytes.length datas.(0) / S.bps in
-    let framed = Bytes.create (stripes * k * S.bps) in
+    unframe_columns ~k
+      (Array.init k (fun j ->
+           let col = Bytes.create (S.bps * stripes) in
+           for s = 0 to stripes - 1 do
+             let acc = ref S.F.zero in
+             for r = 0 to k - 1 do
+               acc :=
+                 S.F.add !acc (S.F.mul (Matrix.get inv j r) (S.get datas.(r) s))
+             done;
+             S.set col s !acc
+           done;
+           col))
+
+  (* Every codeword c satisfies c(alpha^i) = 0 for i = 1 .. n-k, so the
+     parity-check matrix H has entry (i, j) = alpha^((i+1) j): a
+     Vandermonde matrix. Given the k fragments at [indices], the n-k
+     missing symbols of each stripe solve
+     H_missing c_missing = H_known c_known (characteristic 2), with
+     H_missing a square Vandermonde matrix on distinct points. Returns
+     all n fragments. *)
+  let complete_by_parity_check ~n ~k ~indices datas =
+    let h i j = S.F.alpha_pow ((i + 1) * j) in
+    let missing =
+      Array.of_list
+        (List.filter (fun j -> not (Array.mem j indices)) (List.init n Fun.id))
+    in
+    let inv =
+      lazy
+        (Matrix.invert
+           (Matrix.create ~rows:(n - k) ~cols:(n - k) (fun i r ->
+                h i missing.(r))))
+    in
+    let stripes = Bytes.length datas.(0) / S.bps in
+    let out = Array.make n Bytes.empty in
+    Array.iteri (fun r i -> out.(i) <- datas.(r)) indices;
+    Array.iter (fun i -> out.(i) <- Bytes.create (S.bps * stripes)) missing;
     for s = 0 to stripes - 1 do
-      for j = 0 to k - 1 do
-        let acc = ref S.F.zero in
-        for r = 0 to k - 1 do
-          acc := S.F.add !acc (S.F.mul (Matrix.get inv j r) (S.get datas.(r) s))
-        done;
-        S.set framed ((s * k) + j) !acc
-      done
+      let syndrome =
+        Array.init (n - k) (fun i ->
+            let acc = ref S.F.zero in
+            Array.iteri
+              (fun r j ->
+                acc := S.F.add !acc (S.F.mul (h i j) (S.get datas.(r) s)))
+              indices;
+            !acc)
+      in
+      Array.iteri
+        (fun r j ->
+          let acc = ref S.F.zero in
+          Array.iteri
+            (fun i x ->
+              acc := S.F.add !acc (S.F.mul (Matrix.get (Lazy.force inv) r i) x))
+            syndrome;
+          S.set out.(j) s !acc)
+        missing
     done;
-    Splitter.unframe framed
+    out
+
+  let encode_by_parity_check ~n ~k value =
+    complete_by_parity_check ~n ~k
+      ~indices:(Array.init k (fun j -> n - k + j))
+      (message_columns ~k value)
+
+  let decode_by_parity_check ~n ~k ~indices datas =
+    let cw = complete_by_parity_check ~n ~k ~indices datas in
+    unframe_columns ~k (Array.sub cw (n - k) k)
 end
 
 module Slow_bch8 = Slow_bch (struct
@@ -155,12 +253,22 @@ let pick frags indices =
 (* Encode differentials *)
 
 let encode_tests =
-  [ qtest "bch encode = slow-polynomial reference" nkv_gen
+  [ qtest "vandermonde encode = mul_slow reference" nkv_gen
+      (fun (n, k, v) ->
+        let code = Erasure.Rs_bch.make ~n ~k in
+        fragments_equal (Erasure.Rs_bch.encode code v)
+          (Slow_bch8.encode_by_parity_check ~n ~k v));
+    qtest "systematic encode = mul_slow reference" nkv_gen
+      (fun (n, k, v) ->
+        let code = Erasure.Rs_bch.make ~n ~k in
+        fragments_equal (Erasure.Rs_bch.encode code v)
+          (Slow_bch8.encode_by_generator ~n ~k v));
+    qtest "bch encode = slow-polynomial reference" nkv_gen
       (fun (n, k, v) ->
         let code = Erasure.Rs_bch.make ~n ~k in
         fragments_equal (Erasure.Rs_bch.encode code v)
           (Slow_bch8.encode ~n ~k v));
-    qtest "bch16 encode = slow-polynomial reference" nkv_gen
+    qtest "rs16 encode = mul_slow reference" nkv_gen
       (fun (n, k, v) ->
         let code = Erasure.Rs_bch16.make ~n ~k in
         fragments_equal (Erasure.Rs_bch16.encode code v)
@@ -169,7 +277,9 @@ let encode_tests =
 
 (* ------------------------------------------------------------------ *)
 (* Decode differentials: a random k-subset of fragments in random order,
-   decoded both by the kernel codec and by slow submatrix inversion. *)
+   decoded both by the kernel codec and by a slow reference: inverting
+   the generator rows the subset selects, or solving the parity checks
+   for the missing symbols. *)
 
 let decode_gen =
   QCheck2.Gen.(
@@ -177,7 +287,18 @@ let decode_gen =
     subset_gen ~n k >|= fun indices -> (n, k, v, indices))
 
 let decode_tests =
-  [ qtest "bch decode (k random fragments) = slow reference" decode_gen
+  [ qtest "vandermonde decode (k random fragments) = slow reference"
+      decode_gen
+      (fun (n, k, v, indices) ->
+        let code = Erasure.Rs_bch.make ~n ~k in
+        let chosen = pick (Erasure.Rs_bch.encode code v) indices in
+        let decoded = Erasure.Rs_bch.decode code chosen in
+        let datas = Array.map Fragment.data (Array.of_list chosen) in
+        Bytes.equal decoded
+          (Slow_bch8.decode_by_parity_check ~n ~k ~indices datas)
+        && Bytes.equal decoded v);
+    qtest "systematic decode (k random fragments) = slow reference"
+      decode_gen
       (fun (n, k, v, indices) ->
         let code = Erasure.Rs_bch.make ~n ~k in
         let chosen = pick (Erasure.Rs_bch.encode code v) indices in
@@ -185,7 +306,7 @@ let decode_tests =
         let datas = Array.map Fragment.data (Array.of_list chosen) in
         Bytes.equal decoded (Slow_bch8.decode ~n ~k ~indices datas)
         && Bytes.equal decoded v);
-    qtest "bch16 decode (k random fragments) = slow reference" decode_gen
+    qtest "rs16 decode (k random fragments) = slow reference" decode_gen
       (fun (n, k, v, indices) ->
         let code = Erasure.Rs_bch16.make ~n ~k in
         let chosen = pick (Erasure.Rs_bch16.encode code v) indices in
