@@ -52,25 +52,22 @@ type point = {
   codec : string;
   op : string;
   size : int;
-  domains : int;
   mbps : float;
   ns : float;
 }
 
-(* [size] is the value size, part of the point's key; MB/s counts
-   [bytes], the bytes the operation processes (default [size]). *)
-let measure ~codec ~op ~size ?(bytes = size) ~domains f =
+let measure ~codec ~op ~size f =
   let min_elapsed = if !smoke then 0.05 else 0.15 in
   let s = time_per_call ~min_elapsed ~min_iters:3 f in
-  { codec; op; size; domains; mbps = mb_per_s ~bytes s; ns = s *. 1e9 }
+  { codec; op; size; mbps = mb_per_s ~bytes:size s; ns = s *. 1e9 }
 
-let codec_points ~domains code size =
+let codec_points code size =
   let value = value_of_size size in
   let name = Erasure.Mds.name code in
   let k = Erasure.Mds.k code in
   let encode =
-    measure ~codec:name ~op:"encode" ~size ~domains (fun () ->
-        Erasure.Mds.encode ~domains code value)
+    measure ~codec:name ~op:"encode" ~size (fun () ->
+        Erasure.Mds.encode code value)
   in
   let fragments = Erasure.Mds.encode code value in
   (* decode from the last k fragments: the message columns of the
@@ -82,20 +79,10 @@ let codec_points ~domains code size =
       (Array.to_list fragments)
   in
   let decode =
-    measure ~codec:name ~op:"decode" ~size ~domains (fun () ->
-        Erasure.Mds.decode ~domains code survivors)
+    measure ~codec:name ~op:"decode" ~size (fun () ->
+        Erasure.Mds.decode code survivors)
   in
-  (* incremental parity maintenance: a 4 KiB patch in the middle of the
-     value; the row is keyed by the value size, and MB/s counts the
-     patch bytes, the work the update does *)
-  let patch_len = min 4096 (max 1 (size / 4)) in
-  let patch = value_of_size patch_len in
-  let pos = (size - patch_len) / 2 in
-  let update =
-    measure ~codec:name ~op:"update" ~size ~bytes:patch_len ~domains (fun () ->
-        Erasure.Mds.update ~domains code ~fragments ~value ~pos patch)
-  in
-  [ encode; decode; update ]
+  [ encode; decode ]
 
 (* BCH decode from k + 2 fragments — the first k + 2 indices, so two
    systematic columns are missing and go through the matrix sweep —
@@ -103,7 +90,7 @@ let codec_points ~domains code size =
    stripe solve locates the fragment, a second sweep erases it), and
    with one corrupted symbol (one dirty stripe, one stripe solve),
    tracked as separate rows. *)
-let bch_decode_points ~domains code size =
+let bch_decode_points code size =
   let value = value_of_size size in
   let name = Erasure.Mds.name code in
   let k = Erasure.Mds.k code in
@@ -129,12 +116,12 @@ let bch_decode_points ~domains code size =
         end)
       clean
   in
-  [ measure ~codec:name ~op:"decode_k+2_clean" ~size ~domains (fun () ->
-        Erasure.Mds.decode ~domains code clean);
-    measure ~codec:name ~op:"decode_k+2_1err" ~size ~domains (fun () ->
-        Erasure.Mds.decode ~domains code one_err);
-    measure ~codec:name ~op:"decode_k+2_1sym" ~size ~domains (fun () ->
-        Erasure.Mds.decode ~domains code one_sym)
+  [ measure ~codec:name ~op:"decode_k+2_clean" ~size (fun () ->
+        Erasure.Mds.decode code clean);
+    measure ~codec:name ~op:"decode_k+2_1err" ~size (fun () ->
+        Erasure.Mds.decode code one_err);
+    measure ~codec:name ~op:"decode_k+2_1sym" ~size (fun () ->
+        Erasure.Mds.decode code one_sym)
   ]
 
 let kernel_points size =
@@ -142,17 +129,12 @@ let kernel_points size =
   let dst = Bytes.make size '\000' in
   let table = Galois.Gf.mul_table 0xb7 in
   let tables16 = Galois.Gf16.mul_tables 0x1b7 in
-  let wt = Galois.Gf.wtable 0xb7 in
-  [ (* byte-table sweeps: what the codec's encode and decode run *)
-    measure ~codec:"kernel-gf8" ~op:"muladd_buf" ~size ~domains:1 (fun () ->
+  [ (* the table sweeps the codec's encode and decode run *)
+    measure ~codec:"kernel-gf8" ~op:"muladd_buf" ~size (fun () ->
         Galois.Gf.muladd_buf table ~src ~soff:0 ~dst ~doff:0 ~len:size);
-    measure ~codec:"kernel-gf16" ~op:"muladd_buf" ~size ~domains:1 (fun () ->
-        Galois.Gf16.muladd_buf tables16 ~src ~dst ~off:0 ~len:(size / 2));
-    (* word-sliced sweep: 64-bit loads over 16-bit chunk tables — what
-       the GF(2^8) parity update runs *)
-    measure ~codec:"kernel-gf8" ~op:"muladd_buf_w" ~size ~domains:1 (fun () ->
-        Galois.Gf.muladd_buf_w wt ~src ~soff:0 ~dst ~doff:0 ~len:size);
-    measure ~codec:"kernel" ~op:"xor_into" ~size ~domains:1 (fun () ->
+    measure ~codec:"kernel-gf16" ~op:"muladd_buf_v" ~size (fun () ->
+        Galois.Gf16.muladd_buf_v tables16 ~src ~soff:0 ~dst ~doff:0 ~len:size);
+    measure ~codec:"kernel" ~op:"xor_into" ~size (fun () ->
         Galois.Wops.xor_into ~src ~soff:0 ~dst ~doff:0 ~len:size)
   ]
 
@@ -166,8 +148,8 @@ let emit points =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"codec\":%S,\"op\":%S,\"size\":%d,\"domains\":%d,\"mb_per_s\":%.1f,\"ns_per_op\":%.0f}"
-           p.codec p.op p.size p.domains p.mbps p.ns))
+           "{\"codec\":%S,\"op\":%S,\"size\":%d,\"mb_per_s\":%.1f,\"ns_per_op\":%.0f}"
+           p.codec p.op p.size p.mbps p.ns))
     points;
   Buffer.add_string buf "]}";
   let json = Buffer.contents buf in
@@ -183,25 +165,14 @@ let emit points =
 let run () =
   (* the smoke size is part of the full run too, so a committed
      full-run baseline always shares keys with a --smoke run in CI
-     (tools/bench_diff matches points by codec/op/size/domains) *)
+     (tools/bench_diff matches points by codec/op/size) *)
   let sizes = if !smoke then [ 16384 ] else [ 16384; 65536; 1048576 ] in
   let n = 12 and k = 8 in
   let codecs = [ Erasure.Mds.rs_bch ~n ~k; Erasure.Mds.rs_bch16 ~n ~k ] in
-  let points =
-    List.concat_map
-      (fun size ->
-        kernel_points size
-        @ List.concat_map (fun c -> codec_points ~domains:1 c size) codecs
-        @ bch_decode_points ~domains:1 (Erasure.Mds.rs_bch ~n ~k) size)
-      sizes
-  in
-  (* Domain-parallel point: the largest size, rs-bch, sharded. *)
-  let parallel =
-    if !smoke then []
-    else
-      let size = 1048576 in
-      let domains = Harness.Parallel.recommended_domains () in
-      if domains < 2 then []
-      else codec_points ~domains (Erasure.Mds.rs_bch ~n ~k) size
-  in
-  emit (points @ parallel)
+  emit
+    (List.concat_map
+       (fun size ->
+         kernel_points size
+         @ List.concat_map (fun c -> codec_points c size) codecs
+         @ bch_decode_points (Erasure.Mds.rs_bch ~n ~k) size)
+       sizes)

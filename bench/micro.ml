@@ -30,16 +30,15 @@ let bytes_per_run : (string * int) list ref = ref []
 
 let note_bytes name bytes = bytes_per_run := (name, bytes) :: !bytes_per_run
 
-(* The raw kernel sweeps under the codec — the byte-table sweeps of
-   encode and decode next to the word-sliced chunk-table sweep of the
-   GF(2^8) parity update — at a small and a large size. *)
+(* The raw kernel sweeps under the codec's encode and decode — the
+   GF(2^8) byte-table and GF(2^16) split-table muladds and the xor of
+   unit coefficients — at a small and a large size. *)
 let kernel_tests =
   let make_point name len =
     let src = value_of_size len in
     let dst = Bytes.make len '\000' in
     let table = Galois.Gf.mul_table 0xb7 in
     let tables16 = Galois.Gf16.mul_tables 0x1b7 in
-    let wt = Galois.Gf.wtable 0xb7 in
     [ (let n = Printf.sprintf "muladd-gf8-%s" name in
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
@@ -49,12 +48,7 @@ let kernel_tests =
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
          (Staged.stage (fun () ->
-              Galois.Gf16.muladd_buf tables16 ~src ~dst ~off:0 ~len:(len / 2))));
-      (let n = Printf.sprintf "muladd-gf8w-%s" name in
-       note_bytes ("micro/kernel/" ^ n) len;
-       Test.make ~name:n
-         (Staged.stage (fun () ->
-              Galois.Gf.muladd_buf_w wt ~src ~soff:0 ~dst ~doff:0 ~len)));
+              Galois.Gf16.muladd_buf_v tables16 ~src ~soff:0 ~dst ~doff:0 ~len)));
       (let n = Printf.sprintf "xor-%s" name in
        note_bytes ("micro/kernel/" ^ n) len;
        Test.make ~name:n
@@ -90,26 +84,13 @@ let codec_tests_for ~n ~k =
     Test.make ~name
       (Staged.stage (fun () -> Erasure.Mds.decode code fragments))
   in
-  let make_update name code len =
-    (* incremental parity: a 1 KiB patch mid-value; the "user bytes" an
-       update transfers are the patch bytes *)
-    let value = value_of_size len in
-    let patch = value_of_size 1024 in
-    let pos = (len - 1024) / 2 in
-    let fragments = Erasure.Mds.encode code value in
-    user_bytes name 1024;
-    Test.make ~name
-      (Staged.stage (fun () ->
-           Erasure.Mds.update code ~fragments ~value ~pos patch))
-  in
   let drop = n - k in
   Test.make_grouped ~name:group
     [ make_encode "encode-bch-64KiB" bch 65536;
       make_decode
         (Printf.sprintf "decode-bch-64KiB-%derasures" drop)
         bch 65536 ~corrupt:0 ~drop;
-      make_decode "decode-bch-64KiB-1error" bch 65536 ~corrupt:1 ~drop:0;
-      make_update "update-bch-64KiB-1KiB" bch 65536
+      make_decode "decode-bch-64KiB-1error" bch 65536 ~corrupt:1 ~drop:0
     ]
 
 let codec_tests = codec_tests_for ~n:12 ~k:8

@@ -14,16 +14,6 @@ module Gf = Galois.Gf
 module Gf16 = Galois.Gf16
 
 type table = Bytes.t
-type table16 = Gf16.mul_tables
-
-let row_tables16 coeffs = Array.map Gf16.mul_tables coeffs
-
-type wtable = Gf.wtable
-
-(* Zero coefficients are skipped by the sweeps, so their table slot is
-   never read; [wtable 0] keeps the arrays dense and is built (once,
-   globally) only if a matrix actually contains a zero. *)
-let row_wtables coeffs = Array.map Gf.wtable coeffs
 
 (* ------------------------------------------------------------------ *)
 (* Stripe-major <-> row-major transposition.
@@ -95,45 +85,8 @@ let merge_cols ~k ~bps cols =
   framed
 
 (* ------------------------------------------------------------------ *)
-(* View-aware transposition: the update path transposes into a
-   caller-supplied buffer and the decode path reads fragment payloads
-   in place, so the transposes below take explicit destination/source
-   offsets. *)
-
-(* Transpose [framed] into [k] columns laid out contiguously in [dst]:
-   column [j] occupies [doff + j*stripes*bps, doff + (j+1)*stripes*bps).
-   The patch path of [Rs_update] sweeps its delta columns from here. *)
-let split_cols_into ~k ~bps framed ~dst ~doff =
-  if k <= 0 || bps <= 0 then
-    invalid_arg "Kernel.split_cols_into: bad dimensions";
-  let row_bytes = k * bps in
-  let len = Bytes.length framed in
-  if len mod row_bytes <> 0 then
-    invalid_arg "Kernel.split_cols_into: buffer not a whole number of stripes";
-  let stripes = len / row_bytes in
-  if doff < 0 || doff + len > Bytes.length dst then
-    invalid_arg "Kernel.split_cols_into: columns exceed destination";
-  let col_bytes = stripes * bps in
-  for j = 0 to k - 1 do
-    let base = doff + (j * col_bytes) in
-    match bps with
-    | 1 ->
-      for s = 0 to stripes - 1 do
-        Bytes.unsafe_set dst (base + s) (Bytes.unsafe_get framed ((s * k) + j))
-      done
-    | 2 ->
-      for s = 0 to stripes - 1 do
-        let src = 2 * ((s * k) + j) in
-        Bytes.unsafe_set dst (base + (2 * s)) (Bytes.unsafe_get framed src);
-        Bytes.unsafe_set dst
-          (base + (2 * s) + 1)
-          (Bytes.unsafe_get framed (src + 1))
-      done
-    | _ ->
-      for s = 0 to stripes - 1 do
-        Bytes.blit framed (bps * ((s * k) + j)) dst (base + (s * bps)) bps
-      done
-  done
+(* View-aware transposition: the decode path reads fragment payloads in
+   place, so the transpose below takes explicit source offsets. *)
 
 (* Interleave byte range [lo, lo + len) of the (virtual) stripe-major
    framed layout from k column views straight into [dst] at [doff]: the
@@ -250,36 +203,3 @@ let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
     end
   done;
   if !first then Bytes.fill dst (doff + off) len '\000'
-
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel striping. *)
-
-let default_min_chunk = 4096
-
-let parallel_rows ?(domains = 1) ?(min_chunk = default_min_chunk) ~n f =
-  if n < 0 then invalid_arg "Kernel.parallel_rows: negative range";
-  let min_chunk = max 1 min_chunk in
-  (* Never spawn a domain for less than [min_chunk] rows of work. *)
-  let domains = max 1 (min domains (n / min_chunk)) in
-  if n = 0 then ()
-  else if domains = 1 then f ~lo:0 ~len:n
-  else begin
-    let chunk = (n + domains - 1) / domains in
-    let failures = Array.make domains None in
-    (* E1: each domain's exception is captured in [failures] and
-       re-raised after the join below — nothing is swallowed. *)
-    let[@lint.allow
-         "E1: the catch-all transports the exception to the joining \
-          domain, where it is rethrown — nothing is swallowed"] worker d () =
-      let lo = d * chunk in
-      let len = min chunk (n - lo) in
-      if len > 0 then
-        try f ~lo ~len with e -> failures.(d) <- Some e
-    in
-    let spawned =
-      List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join spawned;
-    Array.iter (function Some e -> raise e | None -> ()) failures
-  end

@@ -33,22 +33,22 @@ let n t = t.n
 let k t = t.k
 let name t = t.name
 
-let encode ?domains t value =
+let encode t value =
   match t.impl with
-  | Bch c -> Rs_bch.encode ?domains c value
-  | Bch16 c -> Rs_bch16.encode ?domains c value
+  | Bch c -> Rs_bch.encode c value
+  | Bch16 c -> Rs_bch16.encode c value
   | Replication c -> Replication.encode c value
 
-let decode ?domains t frags =
+let decode t frags =
   match t.impl with
   | Bch c -> begin
-    try Rs_bch.decode ?domains c frags with
+    try Rs_bch.decode c frags with
     | Rs_bch.Insufficient_fragments { needed; got } ->
       raise (Insufficient_fragments { needed; got })
     | Rs_bch.Decode_failure msg -> raise (Decode_failure msg)
   end
   | Bch16 c -> begin
-    try Rs_bch16.decode ?domains c frags with
+    try Rs_bch16.decode c frags with
     | Rs_bch16.Insufficient_fragments { needed; got } ->
       raise (Insufficient_fragments { needed; got })
     | Rs_bch16.Decode_failure msg -> raise (Decode_failure msg)
@@ -58,12 +58,6 @@ let decode ?domains t frags =
     | Replication.Insufficient_fragments ->
       raise (Insufficient_fragments { needed = 1; got = 0 })
   end
-
-let update ?domains t ~fragments ~value ~pos patch =
-  match t.impl with
-  | Replication c -> Replication.update c ~fragments ~value ~pos patch
-  | Bch c -> Rs_bch.update ?domains c ~fragments ~value ~pos patch
-  | Bch16 c -> Rs_bch16.update ?domains c ~fragments ~value ~pos patch
 
 let fragment_size t ~value_len =
   match t.impl with

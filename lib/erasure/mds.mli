@@ -44,37 +44,16 @@ val k : t -> int
 val name : t -> string
 (** Short human-readable codec name, e.g. ["rs-bch[12,7]"]. *)
 
-val encode : ?domains:int -> t -> bytes -> Fragment.t array
-(** Encode a value into [n] fragments, indices [0 .. n-1]. [?domains]
-    (default 1: deterministic, single-domain) lets the Reed-Solomon
-    codecs shard the stripe range of large values across OCaml domains;
-    replication ignores it. The fragments are identical either way. *)
+val encode : t -> bytes -> Fragment.t array
+(** Encode a value into [n] fragments, indices [0 .. n-1]. *)
 
-val decode : ?domains:int -> t -> Fragment.t list -> bytes
-(** Reconstruct the value from fragments. [?domains] as in {!encode}.
-    From exactly [k] distinct fragments the value is solved with
-    nothing left to check it against, so [Decode_failure] is raised
-    only when more than [k] are supplied.
+val decode : t -> Fragment.t list -> bytes
+(** Reconstruct the value from fragments. From exactly [k] distinct
+    fragments the value is solved with nothing left to check it
+    against, so [Decode_failure] is raised only when more than [k] are
+    supplied.
     @raise Insufficient_fragments
     @raise Decode_failure *)
-
-val update :
-  ?domains:int ->
-  t ->
-  fragments:Fragment.t array ->
-  value:bytes ->
-  pos:int ->
-  bytes ->
-  bytes * Fragment.t array
-(** [update t ~fragments ~value ~pos patch] returns the value with
-    [patch] written at [pos] together with fragments identical to
-    [encode] of that patched value. [fragments] must be all [n]
-    fragments of [value] (any order, distinct indices). Every codec
-    here is linear, so parity is maintained incrementally — work
-    proportional to the patch, not the value. Inputs are never
-    mutated.
-    @raise Invalid_argument if the patch leaves the value's bounds or
-    the fragment set is malformed. *)
 
 val fragment_size : t -> value_len:int -> int
 (** Size in bytes of each fragment for a value of [value_len] bytes. *)

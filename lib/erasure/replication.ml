@@ -16,19 +16,6 @@ let encode t value =
   let framed = Splitter.frame ~k:1 value in
   Array.init t.n (fun i -> Fragment.make ~index:i ~data:framed)
 
-(* "Incremental" update degenerates to copy-and-blit: there is no parity
-   to maintain, and encode is already one framed copy shared by all n
-   fragments. *)
-let update t ~fragments ~value ~pos patch =
-  if pos < 0 || pos + Bytes.length patch > Bytes.length value then
-    invalid_arg "Replication.update: patch outside value";
-  if Array.length fragments <> t.n then
-    invalid_arg "Replication.update: expected n fragments";
-  let new_value = Bytes.copy value in
-  Bytes.blit patch 0 new_value pos (Bytes.length patch);
-  let framed = Splitter.frame ~k:1 new_value in
-  (new_value, Array.init t.n (fun i -> Fragment.make ~index:i ~data:framed))
-
 let decode t frags =
   match frags with
   | [] -> raise Insufficient_fragments

@@ -16,17 +16,6 @@ val encode : t -> bytes -> Fragment.t array
     value total, not [n]); treat fragment data as immutable, as every
     codec does — {!Fragment.corrupt} already copies. *)
 
-val update :
-  t ->
-  fragments:Fragment.t array ->
-  value:bytes ->
-  pos:int ->
-  bytes ->
-  bytes * Fragment.t array
-(** Patched-value re-encode (replication has no parity to maintain, so
-    this is one copy-and-blit); same contract as
-    {!Rs_bch.update}. *)
-
 exception Insufficient_fragments
 
 val decode : t -> Fragment.t list -> bytes

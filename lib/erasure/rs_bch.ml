@@ -2,7 +2,3 @@
    errors-and-erasures Reed-Solomon codec; see rs_bch.mli for
    documentation and Rs_bch_gen for the implementation. *)
 include Rs_bch_gen.Make (Symbol.Byte)
-
-let update ?domains t ~fragments ~value ~pos patch =
-  Rs_update.update ?domains ~n:(n t) ~k:(k t) ~rows:(generator_rows t)
-    ~fragments ~value ~pos patch

@@ -32,11 +32,9 @@ val make : n:int -> k:int -> t
 val n : t -> int
 val k : t -> int
 
-val encode : ?domains:int -> t -> bytes -> Fragment.t array
+val encode : t -> bytes -> Fragment.t array
 (** Encode into [n] fragments at indices [0 .. n-1]; fragment [n-k+j]
-    carries the systematic message byte [j] of every stripe. [?domains]
-    (default 1) shards the stripe range of large values across OCaml
-    domains. *)
+    carries the systematic message byte [j] of every stripe. *)
 
 exception Insufficient_fragments of { needed : int; got : int }
 
@@ -45,7 +43,7 @@ exception Decode_failure of string
     radius (e.g. too many corrupt fragments): the locator has the wrong
     number of roots in range, or correction does not yield a codeword. *)
 
-val decode : ?domains:int -> t -> Fragment.t list -> bytes
+val decode : t -> Fragment.t list -> bytes
 (** [decode code frags] reconstructs the value. Fragments whose indices
     are absent are treated as erasures; present fragments may be
     corrupted. Reconstruction is guaranteed whenever
@@ -73,8 +71,7 @@ val decode : ?domains:int -> t -> Fragment.t list -> bytes
     the dirty span (the whole value). One corrupted symbol costs one
     stripe correction and a one-stripe sweep. Every stripe dirty
     after the second sweep (scattered or over-radius errors) adds one
-    scalar correction. [?domains] shards the sweeps and the dirty
-    stripes.
+    scalar correction.
 
     Output and exceptions are those of {!decode_reference} for every
     input.
@@ -84,21 +81,8 @@ val decode : ?domains:int -> t -> Fragment.t list -> bytes
     correction radius.
     @raise Invalid_argument on out-of-range indices or ragged sizes. *)
 
-val decode_reference : ?domains:int -> t -> Fragment.t list -> bytes
+val decode_reference : t -> Fragment.t list -> bytes
 (** The all-stripes decoder: every stripe goes through the scalar
     errors-and-erasures correction. Retained as the differential-testing
     oracle for {!decode}, with which it agrees on every input; not used
     on any production path. Prefer {!decode}. *)
-
-val update :
-  ?domains:int ->
-  t ->
-  fragments:Fragment.t array ->
-  value:bytes ->
-  pos:int ->
-  bytes ->
-  bytes * Fragment.t array
-(** Patch-proportional parity maintenance: systematic encoding is
-    linear in the message, so this is {!Rs_update.update} over the
-    generator rows (parity rows, then unit rows for the message
-    coordinates). The result equals [encode] of the patched value. *)

@@ -2,7 +2,3 @@
    the SODAerr codec for systems beyond 255 servers. Same interface as
    {!Rs_bch} (see rs_bch.mli); code lengths up to 65535. *)
 include Rs_bch_gen.Make (Symbol.Wide)
-
-let update ?domains t ~fragments ~value ~pos patch =
-  Rs_update.update16 ?domains ~n:(n t) ~k:(k t) ~rows:(generator_rows t)
-    ~fragments ~value ~pos patch

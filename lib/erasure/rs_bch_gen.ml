@@ -57,13 +57,9 @@ module Make (Sym : Symbol.S) = struct
     else
       Array.init t.k (fun j -> if j = i - parity_len then F.one else F.zero)
 
-  let generator_rows t = Array.init t.n (generator_row t)
-
-  (* Every row's coefficient tables, fetched in the coordinating domain
-     before any sharding: the GF(2^16) table cache must not be raced. *)
   let row_tables rows = Array.map (Array.map Sym.mul_table) rows
 
-  let encode ?domains t value =
+  let encode t value =
     let framed = Splitter.frame ~k:(bps * t.k) value in
     let stripes = Bytes.length framed / (bps * t.k) in
     let parity_len = t.n - t.k in
@@ -76,11 +72,10 @@ module Make (Sym : Symbol.S) = struct
     in
     let tables = row_tables t.parity_rows in
     let soffs = Array.make t.k 0 in
-    Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-        for i = 0 to parity_len - 1 do
-          Sym.apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
-            ~soffs ~dst:outputs.(i) ~doff:0 ~off:(bps * lo) ~len:(bps * len)
-        done);
+    for i = 0 to parity_len - 1 do
+      Sym.apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
+        ~soffs ~dst:outputs.(i) ~doff:0 ~off:0 ~len:(bps * stripes)
+    done;
     Array.init t.n (fun i -> Fragment.make ~index:i ~data:outputs.(i))
 
   let syndromes t (received : int array) =
@@ -208,23 +203,19 @@ module Make (Sym : Symbol.S) = struct
          else F.zero)
     done
 
-  let decode_reference ?domains t frags =
+  let decode_reference t frags =
     let r = collect t frags in
     let stripes = r.size / bps in
     let gamma, num_erasures = erasure_locator t r.present in
     let framed = Bytes.create (stripes * bps * t.k) in
-    (* Stripes are corrected independently, so the stripe range shards
-       across domains like the matrix codecs' sweeps; each chunk owns
-       its scratch word. *)
-    Kernel.parallel_rows ?domains ~n:stripes (fun ~lo ~len ->
-        let received = Array.make t.n F.zero in
-        for s = lo to lo + len - 1 do
-          read_stripe t r s received;
-          correct_stripe t ~gamma ~num_erasures received;
-          for j = 0 to t.k - 1 do
-            Sym.set framed (bps * ((s * t.k) + j)) received.(t.n - t.k + j)
-          done
-        done);
+    let received = Array.make t.n F.zero in
+    for s = 0 to stripes - 1 do
+      read_stripe t r s received;
+      correct_stripe t ~gamma ~num_erasures received;
+      for j = 0 to t.k - 1 do
+        Sym.set framed (bps * ((s * t.k) + j)) received.(t.n - t.k + j)
+      done
+    done;
     Splitter.unframe framed
 
   (* Set [dirty.[s]] for every stripe [s] in [lo, lo+len) whose symbol in
@@ -310,7 +301,7 @@ module Make (Sym : Symbol.S) = struct
      sweep writes the solved symbols there otherwise. Returns the dirty
      mask: byte [s] is set for each stripe of the range whose residuals
      are not all zero. *)
-  let sweep ?domains t r ~present ~col_bufs ~col_offs ~lo ~len =
+  let sweep t r ~present ~col_bufs ~col_offs ~lo ~len =
     let size = r.size in
     let parity_len = t.n - t.k in
     (* Basis: present message coordinates first, then parity coordinates
@@ -334,25 +325,23 @@ module Make (Sym : Symbol.S) = struct
     (* One pass over stripe blocks: solve the block's missing columns,
        then re-encode every check coordinate from the block's columns
        and mark the stripes where it differs from what was received. *)
-    Kernel.parallel_rows ?domains ~n:len (fun ~lo:chunk ~len ->
-        iter_blocks ~lo:(lo + chunk) ~len (fun ~lo ~len ->
-            let off = bps * lo and bytes = bps * len in
-            Array.iteri
-              (fun m coeffs ->
-                let j = missing.(m) in
-                Sym.apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
-                  ~soffs:basis_offs ~dst:col_bufs.(j) ~doff:col_offs.(j) ~off
-                  ~len:bytes)
-              solve;
-            Array.iteri
-              (fun c i ->
-                Sym.apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
-                  ~srcs:col_bufs ~soffs:col_offs ~dst:res ~doff:0 ~off
-                  ~len:bytes;
-                Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:(r.offs.(i) + off)
-                  ~dst:res ~doff:off ~len:bytes;
-                mark_dirty ~res ~dirty ~lo ~len)
-              checks));
+    iter_blocks ~lo ~len (fun ~lo ~len ->
+        let off = bps * lo and bytes = bps * len in
+        Array.iteri
+          (fun m coeffs ->
+            let j = missing.(m) in
+            Sym.apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
+              ~soffs:basis_offs ~dst:col_bufs.(j) ~doff:col_offs.(j) ~off
+              ~len:bytes)
+          solve;
+        Array.iteri
+          (fun c i ->
+            Sym.apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
+              ~srcs:col_bufs ~soffs:col_offs ~dst:res ~doff:0 ~off ~len:bytes;
+            Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:(r.offs.(i) + off)
+              ~dst:res ~doff:off ~len:bytes;
+            mark_dirty ~res ~dirty ~lo ~len)
+          checks);
     dirty
 
   (* Locate-then-erase decode.
@@ -373,7 +362,7 @@ module Make (Sym : Symbol.S) = struct
         swept codeword. Stripes still dirty go through the key-equation
         solver on the received word, in stripe order, so scattered or
         over-radius errors decode (or fail) exactly as there. *)
-  let decode ?domains t frags =
+  let decode t frags =
     let r = collect t frags in
     let size = r.size in
     let stripes = size / bps in
@@ -390,8 +379,7 @@ module Make (Sym : Symbol.S) = struct
         col_offs.(j) <- m * size)
       missing;
     let dirty =
-      sweep ?domains t r ~present:r.present ~col_bufs ~col_offs ~lo:0
-        ~len:stripes
+      sweep t r ~present:r.present ~col_bufs ~col_offs ~lo:0 ~len:stripes
     in
     (match Bytes.index_opt dirty '\001' with
     | None -> ()
@@ -421,25 +409,18 @@ module Make (Sym : Symbol.S) = struct
       in
       let dirty =
         if !located > 0 && (2 * !located) + num_erasures <= parity_len then
-          sweep ?domains t r ~present:kept ~col_bufs ~col_offs ~lo:first
+          sweep t r ~present:kept ~col_bufs ~col_offs ~lo:first
             ~len:(Bytes.rindex dirty '\001' - first + 1)
         else dirty
       in
-      let dirty_stripes =
-        List.init stripes Fun.id
-        |> List.filter (fun s -> Bytes.get dirty s = '\001')
-        |> Array.of_list
-      in
-      Kernel.parallel_rows ?domains ~n:(Array.length dirty_stripes)
-        (fun ~lo ~len ->
-          let received = Array.make t.n F.zero in
-          for d = lo to lo + len - 1 do
-            let s = dirty_stripes.(d) in
-            read_stripe t r s received;
-            correct_stripe t ~gamma ~num_erasures received;
-            for j = 0 to t.k - 1 do
-              Sym.set owned ((j * size) + (bps * s)) received.(parity_len + j)
-            done
-          done));
+      for s = 0 to stripes - 1 do
+        if Bytes.get dirty s = '\001' then begin
+          read_stripe t r s received;
+          correct_stripe t ~gamma ~num_erasures received;
+          for j = 0 to t.k - 1 do
+            Sym.set owned ((j * size) + (bps * s)) received.(parity_len + j)
+          done
+        end
+      done);
     Splitter.extract ~k:t.k ~bps ~bufs:col_bufs ~offs:col_offs ~col_len:size
 end

@@ -25,8 +25,9 @@ module type S = sig
   (** Product table(s) for one fixed coefficient. *)
 
   val mul_table : F.t -> mul_table
-  (** Build (or fetch from cache) the table for a coefficient. Call in
-      the coordinating domain before sharding work across domains. *)
+  (** Build (or fetch from cache) the table for a coefficient. Safe to
+      call from any domain: the GF(2{^8}) tables are built at load and
+      the GF(2{^16}) cache is mutex-guarded. *)
 
   val apply_row :
     coeffs:F.t array ->

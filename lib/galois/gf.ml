@@ -111,8 +111,7 @@ let check_buf_args ~fname table ~src ~soff ~dst ~doff ~len =
    src, eight lookups in the 256-entry table, one 64-bit load and store
    of dst. Every byte lane maps independently, so the lane order
    (target endianness) is irrelevant. They are the codec's encode and
-   decode sweeps: a table here costs nothing to fetch, where a 128 KiB
-   chunk table (below) must be built per coefficient.
+   decode sweeps.
 
    U1 audit: every unchecked access below is justified by
    [check_buf_args]: every index is in [soff, soff+len) of src or
@@ -167,61 +166,3 @@ let muladd_buf table ~src ~soff ~dst ~doff ~len =
     let d = Char.code (Bytes.unsafe_get dst (doff + j)) in
     Bytes.unsafe_set dst (doff + j) (Char.unsafe_chr (p lxor d))
   done
-
-(* ------------------------------------------------------------------ *)
-(* Word-sliced sweeps.
-
-   The parity update sweeps recurring generator coefficients through
-   [Wops] chunk tables — 65536 16-bit entries per coefficient
-   mapping a 16-bit slice of the source stream straight to the product
-   stream, swept 8 bytes per load. A chunk table costs 128 KiB, so
-   unlike [all_tables] they are built lazily per coefficient and cached
-   under a mutex (construction is setup cost, never inner-loop). *)
-
-type wtable = { chunks : Wops.chunk_table; byte : Bytes.t }
-
-let[@lint.allow
-     "R1: all reads and writes happen under wtables_mutex"] wtables :
-    wtable option array =
-  Array.make order None
-
-let[@lint.allow "R1: the mutex guarding wtables is itself domain-safe"]
-    wtables_mutex = Mutex.create ()
-
-let wtable c =
-  if c < 0 || c > field_mask then
-    invalid_arg (Printf.sprintf "Gf.wtable: %d out of range [0, 255]" c)
-  else begin
-    Mutex.lock wtables_mutex;
-    let t =
-      match wtables.(c) with
-      | Some t -> t
-      | None ->
-        let byte = all_tables.(c) in
-        let chunks =
-          Wops.make_chunk_table_bytewise (fun x -> Char.code (Bytes.get byte x))
-        in
-        let t = { chunks; byte } in
-        wtables.(c) <- Some t;
-        t
-    in
-    Mutex.unlock wtables_mutex;
-    t
-  end
-
-(* Chunk tables work in 2-byte steps; an odd trailing byte goes through
-   the 256-entry byte table. *)
-
-let muladd_buf_w wt ~src ~soff ~dst ~doff ~len =
-  if len < 0 then invalid_arg "Gf.muladd_buf_w: negative length";
-  let even = len land lnot 1 in
-  Wops.muladd_chunks wt.chunks ~src ~soff ~dst ~doff ~len:even;
-  if len land 1 = 1 then begin
-    if soff + len > Bytes.length src || doff + len > Bytes.length dst then
-      invalid_arg "Gf.muladd_buf_w: range outside buffers";
-    let x = Char.code (Bytes.get src (soff + even)) in
-    let p = Char.code (Bytes.get wt.byte x) in
-    let d = Char.code (Bytes.get dst (doff + even)) in
-    Bytes.set dst (doff + even) (Char.chr (p lxor d))
-  end
-

@@ -106,29 +106,3 @@ val muladd_buf :
     [dst.[doff+i] <- dst.[doff+i] xor table.[src.[soff+i]]]: the fused
     [dst += c * src] byte-table sweep over views.
     @raise Invalid_argument as {!mul_buf}. *)
-
-(** {1 Word-sliced sweeps}
-
-    The byte-table sweeps above do one table lookup per byte; the
-    word-sliced sweeps below do one lookup per 16-bit chunk through a
-    128 KiB {!Wops} chunk table (see DESIGN.md, "Word-sliced kernels")
-    and are faster once that table is built — worth it for coefficients
-    that recur, such as the generator rows of a parity update. *)
-
-type wtable
-(** Chunk table (plus byte-table tail) for one fixed coefficient. *)
-
-val wtable : t -> wtable
-(** [wtable c] returns the word-sweep tables for [c], building and
-    caching them on first use (mutex-guarded: safe to race from several
-    domains, but fetch tables before sharding work to keep construction
-    out of the measured region).
-    @raise Invalid_argument outside [0, 255]. *)
-
-val muladd_buf_w :
-  wtable -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit
-(** [muladd_buf_w t ~src ~soff ~dst ~doff ~len]:
-    [dst.[doff+i] <- dst.[doff+i] xor c * src.[soff+i]] — the fused
-    [dst += c * src] word sweep. [src] and [dst] may alias only with
-    [soff = doff].
-    @raise Invalid_argument if either range exceeds its buffer. *)

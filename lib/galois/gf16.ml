@@ -124,58 +124,16 @@ let mul_tables c =
     t
   end
 
-(* [off] and [len] count 16-bit symbols; buffers hold big-endian symbols
-   as the codecs lay them out. *)
-let check_buf_args ~fname ~src ~dst ~off ~len =
-  if
-    off < 0 || len < 0
-    || (len > 0
-       && (2 * (off + len) > Bytes.length src
-          || 2 * (off + len) > Bytes.length dst))
-  then
-    invalid_arg
-      (Printf.sprintf
-         "%s: symbol range [%d, %d) outside buffers (src %d, dst %d bytes)"
-         fname off (off + len) (Bytes.length src) (Bytes.length dst))
-
-(* U1 audit: unsafe accesses below are covered by [check_buf_args];
-   table indices are single bytes into 256-entry arrays. The chunk-table
-   sweeps go through [Wops], whose [debug_checks] (soda-debug profile /
-   SODA_DEBUG env) re-asserts each range. *)
+(* U1 audit: unsafe accesses below are covered by [check_v_args];
+   table indices are single bytes into 256-entry arrays. *)
 [@@@lint.allow
   "U1: entry checks put every offset inside both buffers and table \
-   indices are single bytes into 256-entry arrays; Wops debug_checks \
-   re-asserts each range"]
+   indices are single bytes into 256-entry arrays"]
 
-let mul_buf t ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf16.mul_buf" ~src ~dst ~off ~len;
-  let { lo; hi } = t in
-  for s = off to off + len - 1 do
-    let i = 2 * s in
-    let xh = Char.code (Bytes.unsafe_get src i) in
-    let xl = Char.code (Bytes.unsafe_get src (i + 1)) in
-    let p = Array.unsafe_get hi xh lxor Array.unsafe_get lo xl in
-    Bytes.unsafe_set dst i (Char.unsafe_chr (p lsr 8));
-    Bytes.unsafe_set dst (i + 1) (Char.unsafe_chr (p land 0xff))
-  done
-
-let muladd_buf t ~src ~dst ~off ~len =
-  check_buf_args ~fname:"Gf16.muladd_buf" ~src ~dst ~off ~len;
-  let { lo; hi } = t in
-  for s = off to off + len - 1 do
-    let i = 2 * s in
-    let xh = Char.code (Bytes.unsafe_get src i) in
-    let xl = Char.code (Bytes.unsafe_get src (i + 1)) in
-    let p = Array.unsafe_get hi xh lxor Array.unsafe_get lo xl in
-    let dh = Char.code (Bytes.unsafe_get dst i) in
-    let dl = Char.code (Bytes.unsafe_get dst (i + 1)) in
-    Bytes.unsafe_set dst i (Char.unsafe_chr ((p lsr 8) lxor dh));
-    Bytes.unsafe_set dst (i + 1) (Char.unsafe_chr ((p land 0xff) lxor dl))
-  done
-
-(* Split-table sweeps over views: the inner loop of the symbol-counted
-   sweeps above with separate src/dst byte offsets, as the codec tracks
-   byte positions in views into shared buffers. *)
+(* Split-table sweeps over views, one symbol per step: offsets and
+   [len] are byte counts, as the codec tracks byte positions in views
+   into shared buffers. Symbols are big-endian, as the codec lays them
+   out. *)
 
 let check_v_args ~fname ~src ~soff ~dst ~doff ~len =
   if

@@ -70,21 +70,9 @@ type mul_tables
 
 val mul_tables : t -> mul_tables
 (** [mul_tables c] returns (building and caching on first use) the split
-    tables for [c]. First-time construction is not safe to race from
-    several domains: fetch the tables you need before sharding work.
+    tables for [c]. The cache is mutex-guarded, so first-time
+    construction may race from several domains.
     @raise Invalid_argument outside [0, 65535]. *)
-
-val mul_buf : mul_tables -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [mul_buf t ~src ~dst ~off ~len] sets symbols [off, off+len) of [dst]
-    to [c] times the corresponding symbols of [src]; symbols are 16-bit
-    big-endian, and [off]/[len] count symbols, not bytes.
-    @raise Invalid_argument if the symbol range exceeds either buffer. *)
-
-val muladd_buf :
-  mul_tables -> src:Bytes.t -> dst:Bytes.t -> off:int -> len:int -> unit
-(** [muladd_buf t ~src ~dst ~off ~len]: [dst += c * src] over the symbol
-    range, the fused sweep used by the row-major codec paths.
-    @raise Invalid_argument as {!mul_buf}. *)
 
 val mul_buf_v :
   mul_tables -> src:Bytes.t -> soff:int -> dst:Bytes.t -> doff:int -> len:int -> unit

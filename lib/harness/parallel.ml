@@ -1,17 +1,11 @@
-(* T2: the worker count only partitions the index space; [map] and
-   [iter_ranges] are order-preserving, so results are machine-
-   independent even though the parallelism degree is not. *)
+(* T2: the worker count only partitions the index space; [map] is
+   order-preserving, so results are machine-independent even though
+   the parallelism degree is not. *)
 let[@lint.allow
      "D2: domain count picks the worker pool size only; outputs are \
       order-preserving and machine-independent"] recommended_domains () =
   let n = Domain.recommended_domain_count () in
   max 1 (min 8 n)
-
-let iter_ranges ?domains ?min_chunk ~n f =
-  let domains =
-    match domains with Some d -> d | None -> recommended_domains ()
-  in
-  Erasure.Kernel.parallel_rows ~domains ?min_chunk ~n f
 
 type 'b outcome = Value of 'b | Raised of exn
 

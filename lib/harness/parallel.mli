@@ -10,15 +10,6 @@
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count], clamped to [1, 8]. *)
 
-val iter_ranges :
-  ?domains:int -> ?min_chunk:int -> n:int -> (lo:int -> len:int -> unit) -> unit
-(** [iter_ranges ~n f] covers [0, n) with disjoint [f ~lo ~len] calls
-    sharded over domains (default {!recommended_domains}) — the
-    index-range counterpart of {!map} for flat loops over buffers or
-    arrays. A thin front for {!Erasure.Kernel.parallel_rows}, which the
-    erasure codecs also use for stripe sharding: small ranges (under
-    [min_chunk] rows per domain, default 4096) run inline. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f inputs] applies [f] to every input, using up to [domains]
     (default {!recommended_domains}) additional domains. Results are in

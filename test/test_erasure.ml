@@ -631,78 +631,6 @@ let splitter_edge_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Incremental parity update: Mds.update must agree byte-for-byte with a
-   fresh encode of the patched value, for every codec — the linear
-   codecs patch only the affected stripes, so this differential pins
-   their delta arithmetic to the full re-encode oracle. *)
-
-let update_tests =
-  let frag_bytes f = Fragment.data f in
-  [ qtest "Mds.update = re-encode of the patched value"
-      QCheck2.Gen.(
-        int_range 2 12 >>= fun n ->
-        int_range 1 n >>= fun k ->
-        int_range 0 2 >>= fun which ->
-        bytes_gen >>= fun v ->
-        let len = Bytes.length v in
-        int_range 0 len >>= fun pos ->
-        string_size (int_range 0 (len - pos)) >|= fun p ->
-        (n, k, which, v, pos, Bytes.of_string p))
-      (fun (n, k, which, v, pos, patch) ->
-        let code =
-          match which with
-          | 0 -> Mds.rs_bch ~n ~k
-          | 1 -> Mds.rs_bch16 ~n ~k
-          | _ -> Mds.replication ~n
-        in
-        let frags = Mds.encode code v in
-        (* shuffle the input order to exercise index-based placement *)
-        let shuffled = Array.of_list (List.rev (Array.to_list frags)) in
-        let new_value, new_frags =
-          Mds.update code ~fragments:shuffled ~value:v ~pos patch
-        in
-        let expect_value = Bytes.copy v in
-        Bytes.blit patch 0 expect_value pos (Bytes.length patch);
-        let expect_frags = Mds.encode code expect_value in
-        let by_index fs =
-          let a = Array.make (Array.length fs) Bytes.empty in
-          Array.iter (fun f -> a.(Fragment.index f) <- frag_bytes f) fs;
-          a
-        in
-        Bytes.equal new_value expect_value
-        && Array.length new_frags = Array.length expect_frags
-        && Array.for_all2 Bytes.equal (by_index new_frags)
-             (by_index expect_frags)
-        (* inputs must not be mutated *)
-        && Array.for_all2 Bytes.equal (by_index frags)
-             (by_index (Mds.encode code v)));
-    Alcotest.test_case "update rejects out-of-bounds patches" `Quick (fun () ->
-        let raises_invalid f =
-          match f () with exception Invalid_argument _ -> true | _ -> false
-        in
-        let code = Mds.rs_bch ~n:6 ~k:3 in
-        let v = Bytes.of_string "patch bounds payload" in
-        let frags = Mds.encode code v in
-        Alcotest.(check bool)
-          "overhang" true
-          (raises_invalid (fun () ->
-               Mds.update code ~fragments:frags ~value:v
-                 ~pos:(Bytes.length v - 1)
-                 (Bytes.of_string "xy")));
-        Alcotest.(check bool)
-          "negative pos" true
-          (raises_invalid (fun () ->
-               Mds.update code ~fragments:frags ~value:v ~pos:(-1)
-                 (Bytes.of_string "x")));
-        Alcotest.(check bool)
-          "wrong fragment count" true
-          (raises_invalid (fun () ->
-               Mds.update code
-                 ~fragments:(Array.sub frags 0 3)
-                 ~value:v ~pos:0 (Bytes.of_string "x"))))
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* Check-gated BCH decode against the all-stripes oracle: [decode] and
    [decode_reference] must agree on every input — the same bytes, or
    the same exception (Invalid_argument compared by constructor only:
@@ -715,9 +643,9 @@ module type BCH = sig
   exception Decode_failure of string
 
   val make : n:int -> k:int -> t
-  val encode : ?domains:int -> t -> bytes -> Fragment.t array
-  val decode : ?domains:int -> t -> Fragment.t list -> bytes
-  val decode_reference : ?domains:int -> t -> Fragment.t list -> bytes
+  val encode : t -> bytes -> Fragment.t array
+  val decode : t -> Fragment.t list -> bytes
+  val decode_reference : t -> Fragment.t list -> bytes
 end
 
 type bch_case = {
@@ -798,8 +726,7 @@ let received_word c frags =
 
 (* The outcomes of [decode] and [decode_reference] on one received
    word: the bytes, or the exception with its message. *)
-let bch_outcomes (type c) (module C : BCH with type t = c) ?domains (code : c)
-    received =
+let bch_outcomes (type c) (module C : BCH with type t = c) (code : c) received =
   let outcome decode =
     match decode () with
     | v -> Ok v
@@ -808,8 +735,8 @@ let bch_outcomes (type c) (module C : BCH with type t = c) ?domains (code : c)
     | exception C.Decode_failure msg -> Error ("Decode_failure " ^ msg)
     | exception Invalid_argument _ -> Error "Invalid_argument"
   in
-  ( outcome (fun () -> C.decode ?domains code received),
-    outcome (fun () -> C.decode_reference ?domains code received) )
+  ( outcome (fun () -> C.decode code received),
+    outcome (fun () -> C.decode_reference code received) )
 
 let same_outcome = function
   | Ok a, Ok b -> Bytes.equal a b
@@ -862,14 +789,16 @@ let bch_received frags ~erased ~corrupt =
 
 (* [decode] agrees with [decode_reference] and, within the radius,
    returns [v]. *)
-let bch_agrees ?domains label v received =
-  let fast, reference = bch_outcomes (module Rs_bch) ?domains code_12_6 received in
+let check_agrees label v (fast, reference) =
   Alcotest.(check string) label (describe reference) (describe fast);
   Alcotest.(check bool) (label ^ ": same bytes") true
     (same_outcome (fast, reference));
   match reference with
   | Ok r -> Alcotest.(check bool) (label ^ ": the value") true (Bytes.equal v r)
   | Error _ -> ()
+
+let bch_agrees label v received =
+  check_agrees label v (bch_outcomes (module Rs_bch) code_12_6 received)
 
 let bch_12_6_cases () =
   let n = 12 in
@@ -944,15 +873,33 @@ let bch_differential_tests =
       `Quick (fun () -> bch_12_6_cases ());
     Alcotest.test_case "rs-bch[12,6]: 96 KiB over 3 domains" `Quick
       (fun () ->
+        (* the three decodes run at once, one per domain, on one shared
+           code value; each must still match its reference *)
         let v = bch_value 98_304 in
         let frags = Rs_bch.encode code_12_6 v in
         let size = Fragment.size frags.(0) in
-        bch_agrees ~domains:3 "whole fragment + stray stripe" v
-          (bch_received frags ~erased:[ 1 ]
-             ~corrupt:[ (8, `Whole 5); (10, `At (2 * size / 3)) ]);
-        (* ~8k stripes stay dirty, so the per-stripe fallback shards *)
-        bch_agrees ~domains:3 "whole fragment + every odd stripe" v
-          (bch_received frags ~erased:[] ~corrupt:[ (8, `Whole 5); (10, `Odd) ]))
+        let cases =
+          [ ( "whole fragment + stray stripe",
+              bch_received frags ~erased:[ 1 ]
+                ~corrupt:[ (8, `Whole 5); (10, `At (2 * size / 3)) ] );
+            (* ~8k stripes stay dirty, so the per-stripe fallback runs
+               over most of a multi-block value *)
+            ( "whole fragment + every odd stripe",
+              bch_received frags ~erased:[]
+                ~corrupt:[ (8, `Whole 5); (10, `Odd) ] );
+            ( "two erased + whole fragment",
+              bch_received frags ~erased:[ 0; 6 ] ~corrupt:[ (3, `Whole 3) ] )
+          ]
+        in
+        let outcomes =
+          Harness.Parallel.map ~domains:3
+            (fun (_, received) ->
+              bch_outcomes (module Rs_bch) code_12_6 received)
+            cases
+        in
+        List.iter2
+          (fun (label, _) outcome -> check_agrees label v outcome)
+          cases outcomes)
   ]
 
 let () =
@@ -966,6 +913,5 @@ let () =
       ("rs16", rs16_tests);
       ("rs-bch16", bch16_tests);
       ("bch-differential", bch_differential_tests);
-      ("mds", mds_tests);
-      ("update", update_tests)
+      ("mds", mds_tests)
     ]

@@ -192,7 +192,36 @@ let parallel_tests =
           (Harness.Parallel.map ~domains:4 run seeds = List.map run seeds));
     Alcotest.test_case "domains=1 degrades to List.map" `Quick (fun () ->
         Alcotest.(check (list int)) "same" [ 2; 3; 4 ]
-          (Harness.Parallel.map ~domains:1 succ [ 1; 2; 3 ]))
+          (Harness.Parallel.map ~domains:1 succ [ 1; 2; 3 ]));
+    Alcotest.test_case "rs-bch16 across domains = List.map" `Quick (fun () ->
+        (* Seed sweeps code values on several domains at once, and the
+           first use of each GF(2^16) coefficient fills the shared
+           split-table cache. The parallel run goes first, so its
+           domains race on a cold cache (decode without five message
+           fragments also builds tables for the solved rows). *)
+        let code = Erasure.Mds.rs_bch16 ~n:300 ~k:290 in
+        let value_of len =
+          Bytes.init len (fun i -> Char.chr (((i * 7) + len) land 0xff))
+        in
+        let run len =
+          let frags = Erasure.Mds.encode code (value_of len) in
+          let survivors =
+            Array.to_list frags
+            |> List.filter (fun f ->
+                   let i = Erasure.Fragment.index f in
+                   i < 290 || i >= 295)
+          in
+          ( Array.map Erasure.Fragment.data frags,
+            Erasure.Mds.decode code survivors )
+        in
+        let lens = List.init 8 (fun i -> 1 + (i * 613)) in
+        let parallel = Harness.Parallel.map ~domains:4 run lens in
+        Alcotest.(check bool) "same" true (parallel = List.map run lens);
+        List.iter2
+          (fun len (_, decoded) ->
+            Alcotest.(check bool) "decodes the value" true
+              (Bytes.equal decoded (value_of len)))
+          lens parallel)
   ]
 
 let closed_loop_tests =

@@ -400,63 +400,43 @@ let buf_tests =
         !ok);
     qtest ~count:100 "Gf16.mul_buf/muladd_buf = mul_slow per symbol"
       QCheck2.Gen.(
-        pair (int_range 0 65535) (string_size (int_range 0 150) >|= Bytes.of_string))
-      (fun (c, raw) ->
-        let symbols = Bytes.length raw / 2 in
-        let src = Bytes.sub raw 0 (2 * symbols) in
-        let dst = Bytes.make (2 * symbols) '\x00' in
+        quad (int_range 0 65535) (bytes_gen 200) (int_range 0 17)
+          (int_range 0 17))
+      (fun (c, src, soff, doff) ->
+        (* the view sweeps the codec runs, at independent, deliberately
+           unaligned byte offsets into src and dst over an even length *)
         let t = Gf16.mul_tables c in
-        Gf16.mul_buf t ~src ~dst ~off:0 ~len:symbols;
-        let ok = ref true in
-        for s = 0 to symbols - 1 do
-          if
-            Bytes.get_uint16_be dst (2 * s)
-            <> Gf16.mul_slow c (Bytes.get_uint16_be src (2 * s))
-          then ok := false
-        done;
-        (* muladd on top of mul doubles every term: must zero out *)
-        Gf16.muladd_buf t ~src ~dst ~off:0 ~len:symbols;
-        for s = 0 to symbols - 1 do
-          if Bytes.get_uint16_be dst (2 * s) <> 0 then ok := false
-        done;
-        !ok);
-    qtest ~count:150 "Gf word sweeps = mul_slow (unaligned off/len)"
-      QCheck2.Gen.(
-        quad (int_range 0 255) (bytes_gen 200) (int_range 0 17) (int_range 0 17))
-      (fun (c, raw, soff, doff) ->
-        (* independent, deliberately unaligned offsets into src and dst *)
-        let wt = Gf.wtable c in
-        let soff = min soff (Bytes.length raw) in
-        let len = max 0 (Bytes.length raw - max soff doff) in
-        let src = raw in
+        let soff = min soff (Bytes.length src) in
+        let len = (Bytes.length src - soff) land lnot 1 in
         let dst0 =
-          Bytes.init (doff + len) (fun i -> Char.chr ((i * 11) land 0xff))
+          Bytes.init (doff + len + 3) (fun i -> Char.chr ((i * 13) land 0xff))
         in
         let dst = Bytes.copy dst0 in
-        Gf.muladd_buf_w wt ~src ~soff ~dst ~doff ~len;
+        Gf16.muladd_buf_v t ~src ~soff ~dst ~doff ~len;
         let ok = ref true in
-        for i = 0 to len - 1 do
-          let expect =
-            Char.code (Bytes.get dst0 (doff + i))
-            lxor Gf.mul_slow c (Char.code (Bytes.get src (soff + i)))
+        let check expect_at =
+          for i = 0 to Bytes.length dst - 1 do
+            if Char.code (Bytes.get dst i) <> expect_at i then ok := false
+          done
+        in
+        (* byte [i] of dst is one half of the big-endian product of the
+           symbol at the same distance into src *)
+        let term i =
+          let b = i - doff in
+          let p =
+            Gf16.mul_slow c (Bytes.get_uint16_be src (soff + (b land lnot 1)))
           in
-          if Char.code (Bytes.get dst (doff + i)) <> expect then ok := false
-        done;
-        !ok);
-    qtest ~count:100 "Gf muladd_buf_w aliased src == dst"
-      QCheck2.Gen.(
-        triple (int_range 0 255) (bytes_gen 120) (int_range 0 9))
-      (fun (c, raw, off) ->
-        let off = min off (Bytes.length raw) in
-        let len = Bytes.length raw - off in
-        let buf = Bytes.copy raw in
-        Gf.muladd_buf_w (Gf.wtable c) ~src:buf ~soff:off ~dst:buf ~doff:off ~len;
-        let ok = ref true in
-        for i = off to off + len - 1 do
-          let x = Char.code (Bytes.get raw i) in
-          if Char.code (Bytes.get buf i) <> x lxor Gf.mul_slow c x then
-            ok := false
-        done;
+          if b land 1 = 0 then p lsr 8 else p land 0xff
+        in
+        let inside i = i >= doff && i < doff + len in
+        check (fun i ->
+            let d = Char.code (Bytes.get dst0 i) in
+            if inside i then d lxor term i else d);
+        (* mul overwrites the range and leaves the rest alone *)
+        Gf16.mul_buf_v t ~src ~soff ~dst ~doff ~len;
+        check (fun i ->
+            if inside i then term i
+            else Char.code (Bytes.get dst0 i));
         !ok);
     qtest ~count:100 "Wops.xor_into = bytewise xor (unaligned)"
       QCheck2.Gen.(
@@ -489,53 +469,10 @@ let buf_tests =
         Bytes.equal (Kernel.merge_cols ~k ~bps cols) framed)
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Domain-parallel paths must produce identical bytes. *)
-
-let parallel_tests =
-  [ QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:30 ~name:"parallel_rows covers [0, n) exactly"
-         QCheck2.Gen.(pair (int_range 0 200) (int_range 1 5))
-         (fun (n, domains) ->
-           let hits = Array.make (max n 1) 0 in
-           Kernel.parallel_rows ~domains ~min_chunk:1 ~n (fun ~lo ~len ->
-               for i = lo to lo + len - 1 do
-                 (* chunks are disjoint: no two domains touch the same i *)
-                 hits.(i) <- hits.(i) + 1
-               done);
-           n = 0 || Array.for_all (fun h -> h = 1) hits));
-    Alcotest.test_case "multi-domain encode/decode = single-domain" `Quick
-      (fun () ->
-        (* big enough that parallel_rows really shards: stripes >= 2 * 4096 *)
-        let value =
-          Bytes.init 70_000 (fun i -> Char.chr ((i * 31) land 0xff))
-        in
-        let check codec =
-          let seq = Erasure.Mds.encode codec value in
-          let par = Erasure.Mds.encode ~domains:3 codec value in
-          Alcotest.(check bool)
-            (Erasure.Mds.name codec ^ " encode identical")
-            true
-            (Array.for_all2 Fragment.equal seq par);
-          let survivors =
-            Array.to_list par
-            |> List.filteri (fun i _ ->
-                   i >= Erasure.Mds.n codec - Erasure.Mds.k codec)
-          in
-          Alcotest.(check bool)
-            (Erasure.Mds.name codec ^ " decode identical")
-            true
-            (Bytes.equal (Erasure.Mds.decode ~domains:3 codec survivors) value)
-        in
-        check (Erasure.Mds.rs_bch ~n:6 ~k:4);
-        check (Erasure.Mds.rs_bch16 ~n:6 ~k:4))
-  ]
-
 let () =
   Alcotest.run "kernel"
     [ ("encode-differential", encode_tests);
       ("decode-differential", decode_tests);
       ("bch-patterns", bch_tests);
-      ("buffer-primitives", buf_tests);
-      ("parallel", parallel_tests)
+      ("buffer-primitives", buf_tests)
     ]

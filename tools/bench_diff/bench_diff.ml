@@ -7,7 +7,7 @@
    (optionally with --smoke / --out). Points are matched by key, and a
    key that occurs twice in either file is an error:
 
-     codec points: (codec, op, size, domains)  -> mb_per_s
+     codec points: (codec, op, size)           -> mb_per_s
      sim points:   (probe)                     -> events_per_s
 
    CI machines are not the machine the baseline was recorded on, so
@@ -165,11 +165,10 @@ let num = function Num f -> f | _ -> fail "expected a numeric field"
 let point_of_fields kind fields =
   match kind with
   | "codec" ->
-    ( Printf.sprintf "%s/%s/%d/%d"
+    ( Printf.sprintf "%s/%s/%d"
         (str (get fields "codec"))
         (str (get fields "op"))
-        (int_of_float (num (get fields "size")))
-        (int_of_float (num (get fields "domains"))),
+        (int_of_float (num (get fields "size"))),
       num (get fields "mb_per_s") )
   | "sim" -> (str (get fields "probe"), num (get fields "events_per_s"))
   | "msgs" -> (str (get fields "algo"), num (get fields "msgs_per_op"))

@@ -46,11 +46,7 @@ let mutators =
   [ ("Bytes.set", Pos 0); ("Bytes.unsafe_set", Pos 0); ("Bytes.fill", Pos 0);
     ("Bytes.blit", Pos 2); ("Bytes.blit_string", Pos 2);
     ("BytesLabels.blit", Lab "dst");
-    ("Wops.xor_into", Lab "dst"); ("Wops.muladd_chunks", Lab "dst");
-    ("Wops.mul_chunks", Lab "dst");
-    ("Kernel.split_cols_into", Lab "dst");
-    ("Kernel.merge_cols_into", Lab "dst");
-    ("Kernel.merge_cols_sub", Lab "dst") ]
+    ("Wops.xor_into", Lab "dst"); ("Kernel.merge_cols_sub", Lab "dst") ]
 
 let find_builtin table name =
   List.find_map
