@@ -748,7 +748,7 @@ let ablation_md () =
 (* Ablation: READ-DISPERSE gossip vs none, with a crashed reader *)
 
 let ablation_gossip () =
-  let run gossip =
+  let run gossip_mode =
     let params = Params.make ~n:10 ~f:3 () in
     (* messages TO the reader (pid 11: 10 servers, then the writer) crawl,
        so the reader is registered everywhere long before any coded
@@ -763,7 +763,8 @@ let ablation_gossip () =
     let d =
       Soda.Deployment.deploy ~engine ~params
         ~initial_value:(Workload.value ~len:value_len ~seed:9 ~index:0)
-        ~value_len ~gossip ~num_writers:1 ~num_readers:1 ()
+        ~value_len ~plane:{ Soda.Config.default_plane with gossip_mode }
+        ~num_writers:1 ~num_readers:1 ()
     in
     (* read-get replies take 50, so registration happens around t=52;
        the first relay would reach the reader around t=103 *)
@@ -789,8 +790,8 @@ let ablation_gossip () =
     in
     (relays, still_registered)
   in
-  let with_gossip, reg_with = run true in
-  let without_gossip, reg_without = run false in
+  let with_gossip, reg_with = run `Broadcast in
+  let without_gossip, reg_without = run `Off in
   Report.table
     ~title:
       "Ablation: relays sent to a crashed reader across 12 subsequent writes \

@@ -29,8 +29,8 @@ let () =
     (Placement.domain_safe placement);
 
   let ks =
-    Soda.Deployment.create ~engine ~topology ~placement
-      ~plane:Soda.Config.batched_plane ~num_writers:2 ~num_readers:2 ()
+    Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
+      ~num_writers:2 ~num_readers:2 ()
   in
 
   (* 16 keys, each written once; note where key 0 lives *)
@@ -64,11 +64,17 @@ let () =
 
   Printf.printf "\n%d/%d reads completed after losing a whole rack\n"
     !completed keys;
-  (match Keyspace.check_atomicity ks with
-  | Ok () -> print_endline "every key's history is atomic"
-  | Error (key, _) -> Printf.printf "key %d violated atomicity — a bug!\n" key);
+  let atomic =
+    match Keyspace.check_atomicity ks with
+    | Ok () ->
+      print_endline "every key's history is atomic";
+      true
+    | Error (key, _) ->
+      Printf.printf "key %d violated atomicity — a bug!\n" key;
+      false
+  in
   Printf.printf "total messages: %d (%.1f per op)\n"
     (Engine.messages_sent engine)
     (float_of_int (Engine.messages_sent engine)
     /. float_of_int (2 * keys));
-  if !completed <> keys then exit 1
+  if !completed <> keys || not atomic then exit 1

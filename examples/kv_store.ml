@@ -53,20 +53,25 @@ let () =
     keys;
   Engine.run engine;
 
+  let failed = ref false in
   List.iter
     (fun key ->
       match Hashtbl.find_opt final key with
       | Some v -> Printf.printf "  %-15s -> %s\n" key v
-      | None -> Printf.printf "  %-15s -> READ DID NOT COMPLETE\n" key)
+      | None ->
+        failed := true;
+        Printf.printf "  %-15s -> READ DID NOT COMPLETE\n" key)
     keys;
 
   (match Soda.Store.check_atomicity store with
   | Ok () -> print_endline "\nevery key's history is atomic"
   | Error (key, v) ->
+    failed := true;
     Format.printf "\nATOMICITY VIOLATION on %s: %a@." key
       Protocol.Atomicity.pp_violation v);
   Printf.printf
     "per-key storage: n/(n-f) = %.2f value units — replication (ABD) would \
      use %d, a %.1fx saving on every key\n"
     (8.0 /. 5.0) 8
-    (8.0 /. (8.0 /. 5.0))
+    (8.0 /. (8.0 /. 5.0));
+  if !failed then exit 1

@@ -127,16 +127,8 @@ let encode t value =
     fragments
 
 let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
-    ?(error_prone = []) ?(disperse_step = 0.001) ?(md_mode = `Chained) ?(gossip = true)
-    ?plane ?client_retry ?healing () =
-  (* [?plane] wins over the legacy [?gossip] bool, which survives as
-     shorthand for `Broadcast vs `Off (the ablation-gossip knob). *)
-  let plane =
-    match plane with
-    | Some p -> p
-    | None ->
-      if gossip then default_plane else { default_plane with gossip_mode = `Off }
-  in
+    ?(error_prone = []) ?(disperse_step = 0.001) ?(md_mode = `Chained)
+    ?(plane = default_plane) ?client_retry ?healing () =
   let n = Params.n params in
   if Array.length servers <> n then
     invalid_arg "Config.make: need exactly n server pids";

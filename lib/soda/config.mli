@@ -1,6 +1,7 @@
-(** Static configuration of one SODA deployment.
+(** Static configuration of one SODA register: a {!Deployment}, or
+    one key's instance inside a {!Keyspace} (see {!derive}).
 
-    Shared read-only by every automaton of the deployment; also carries
+    Shared read-only by every automaton of the register; also carries
     the (mutable) instrumentation sinks. *)
 
 module Params = Protocol.Params
@@ -88,8 +89,6 @@ type heal_stats = {
   mutable scrub_repairs : int
       (** quarantined fragments restored from peer fragments. *)
 }
-
-val heal_stats_create : unit -> heal_stats
 
 (** Pluggable message plane. A {!Keyspace} re-routes a key instance's
     traffic through the shared plane — wrapping messages in key
@@ -210,7 +209,6 @@ val make :
   ?error_prone:int list ->
   ?disperse_step:float ->
   ?md_mode:[ `Chained | `Direct ] ->
-  ?gossip:bool ->
   ?plane:plane ->
   ?client_retry:float ->
   ?healing:healing ->
@@ -223,8 +221,7 @@ val make :
     fragments, where the codec is a plain erasure decoder.
     [value_len] (default: length of [initial_value], or 1024 if that is
     empty) sets the cost normalization base.
-    [gossip] (default true) is legacy shorthand for the plane's
-    [`Broadcast] vs [`Off]; an explicit [plane] wins over it.
+    [plane] defaults to {!default_plane}.
     @raise Invalid_argument if [servers] does not have [n] entries or an
     [error_prone] coordinate is out of range or they number more than
     [e]. *)

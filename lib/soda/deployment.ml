@@ -33,8 +33,7 @@ let repair_server t ~coordinate ~at =
   op
 
 let deploy ~engine ~params ?initial_value ?value_len ?error_prone
-    ?disperse_step ?md_mode ?gossip ?plane ?healing ~num_writers ~num_readers
-    () =
+    ?disperse_step ?md_mode ?plane ?healing ~num_writers ~num_readers () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Deployment.deploy: negative client count";
   let n = Params.n params in
@@ -53,8 +52,8 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
   in
   let config =
     Config.make ~params ~servers:server_pids ?initial_value ?value_len
-      ?error_prone ?disperse_step ?md_mode ?gossip ?plane ?client_retry
-      ?healing ()
+      ?error_prone ?disperse_step ?md_mode ?plane ?client_retry ?healing
+      ()
   in
   let servers =
     Array.init n (fun coordinate -> Server.create config ~coordinate)
@@ -210,17 +209,3 @@ let reader_pid t ~reader = t.reader_pids.(reader)
 let server t ~coordinate = t.servers.(coordinate)
 let initial_value t = t.config.Config.initial_value
 
-(* ------------------------------------------------------------------ *)
-(* The keyspace-first front door: a deployment is described by its
-   physical topology plus a placement over it, and yields a sharded
-   multi-object keyspace. [deploy] above remains the single-register
-   shim (equivalently, [Keyspace.create ~mode:`Single]). *)
-
-let create ~engine ~topology ~placement ?mode ?initial_value ?value_len
-    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ~num_writers
-    ~num_readers () =
-  if not (Topology.equal topology (Placement.topology placement)) then
-    invalid_arg "Deployment.create: placement was built over a different topology";
-  Keyspace.create ~engine ~placement ?mode ?initial_value ?value_len
-    ?error_prone ?disperse_step ?md_mode ?gossip ?plane ~num_writers
-    ~num_readers ()

@@ -7,7 +7,13 @@
     and exposes asynchronous [write]/[read] operations recorded in a
     {!Protocol.History}. Setting [e > 0] in the parameters selects
     SODA{_err}: the BCH codec with [k = n - f - 2e], the [k + 2e]
-    decode/unregistration threshold, and the [error_prone] fault model. *)
+    decode/unregistration threshold, and the [error_prone] fault model.
+
+    This is the single-register path: the paper's algorithm over bare,
+    un-keyed messages, with the optional self-healing plane. For many
+    objects on one server fleet use {!Keyspace.create}, which takes a
+    {!Placement} (and through it the {!Topology}); {!Store} names the
+    keys of one keyspace. *)
 
 module Params = Protocol.Params
 module History = Protocol.History
@@ -24,18 +30,14 @@ val deploy :
   ?error_prone:int list ->
   ?disperse_step:float ->
   ?md_mode:[ `Chained | `Direct ] ->
-  ?gossip:bool ->
   ?plane:Config.plane ->
   ?healing:Config.healing ->
   num_writers:int ->
   num_readers:int ->
   unit ->
   t
-(** Register all processes — the single-register path, kept as a thin
-    shim over the keyspace machinery (see {!create} for the
-    multi-object front door; a [`Single]-mode keyspace on the same
-    engine produces bit-identical traces). See {!Config.make} for the
-    optional arguments.
+(** Register all processes: [n] servers, then the writers, then the
+    readers. See {!Config.make} for the optional arguments.
 
     [healing] arms the self-healing plane: every server runs
     {!Server.start_healing} (heartbeat failure detector + anti-entropy
@@ -48,7 +50,10 @@ val deploy :
     hook checks the engine's crash state. With the default [None], no
     extra event is ever scheduled and traces are bit-identical to an
     unhealed deployment.
-    @raise Invalid_argument on non-positive client counts. *)
+
+    Either client count may be zero (a reader-only or writer-only
+    deployment is legal).
+    @raise Invalid_argument on a negative client count. *)
 
 val write :
   t -> writer:int -> at:float -> ?on_done:(unit -> unit) -> bytes -> unit
@@ -149,33 +154,3 @@ val server : t -> coordinate:int -> Server.t
 
 val initial_value : t -> bytes
 
-(** {1 Keyspace-first deployment}
-
-    The multi-object front door: describe the fleet with a
-    {!Topology}, the per-key geometry and spread with a {!Placement},
-    and get a sharded {!Keyspace} — per-key SODA instances behind a
-    shared server plane. {!deploy} above remains the single-register
-    path (it {e is} [Keyspace.create ~mode:`Single] up to the
-    handler-object identities, and its traces are bit-identical). *)
-
-val create :
-  engine:Messages.t Simnet.Engine.t ->
-  topology:Topology.t ->
-  placement:Placement.t ->
-  ?mode:[ `Sharded | `Single ] ->
-  ?initial_value:bytes ->
-  ?value_len:int ->
-  ?error_prone:int list ->
-  ?disperse_step:float ->
-  ?md_mode:[ `Chained | `Direct ] ->
-  ?gossip:bool ->
-  ?plane:Config.plane ->
-  num_writers:int ->
-  num_readers:int ->
-  unit ->
-  Keyspace.t
-(** See {!Keyspace.create} for the argument semantics. [placement]
-    must have been built over [topology] (checked with
-    {!Topology.equal}); passing both keeps call sites honest about
-    which fleet shape the placement assumes.
-    @raise Invalid_argument if they disagree. *)

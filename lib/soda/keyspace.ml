@@ -57,11 +57,7 @@ type t = {
   writer_clients : Writer.t client array;
   reader_clients : Reader.t client array;
   instances : (int, instance) Hashtbl.t;
-  mutable keys_rev : int list;  (* creation order, newest first *)
-  (* false: single-key compatibility shim — no key envelopes, handlers
-     wired straight to the instance, traces bit-identical to
-     [Deployment.deploy] *)
-  keyed : bool
+  mutable keys_rev : int list  (* creation order, newest first *)
 }
 
 let repair_op_base = 1_000_000
@@ -212,38 +208,24 @@ let instance t key =
   | Some inst -> inst
   | None ->
     if key < 0 then invalid_arg "Keyspace: negative key";
-    if (not t.keyed) && key <> 0 then
-      invalid_arg "Keyspace: the single-key shim serves only key 0";
-    let iphys =
-      if t.keyed then Placement.servers_of t.placement ~key
-      else Array.init (Array.length t.server_pids) (fun i -> i)
-    in
+    let iphys = Placement.servers_of t.placement ~key in
     let pids = Array.map (fun s -> t.server_pids.(s)) iphys in
     let iconfig = Config.derive t.template ~servers:pids in
-    (* keyed instances relay through the shared plane, which batches
+    (* instances relay through the shared plane, which batches
        client-bound frames across keys under the template's relay
        window — so the instance itself must not also hold them back
        (double-buffering would compound the delay, stretch registration
        windows and generate extra traffic, not less) *)
     let iconfig =
-      if t.keyed then
-        { iconfig with
-          Config.plane =
-            { iconfig.Config.plane with Config.relay_batch = None }
-        }
-      else iconfig
+      { iconfig with
+        Config.plane = { iconfig.Config.plane with Config.relay_batch = None }
+      }
     in
     let iservers =
       Array.init (Array.length pids) (fun c -> Server.create iconfig ~coordinate:c)
     in
     let inst = { key; iconfig; iservers; iphys; repair_seq = ref 0 } in
-    if t.keyed then Config.set_wire iconfig (wire t inst)
-    else
-      (* shim: handlers go straight to the per-key automata, exactly as
-         [Deployment.deploy] wires them *)
-      Array.iteri
-        (fun c pid -> Engine.set_handler t.engine pid (Server.handler iservers.(c)))
-        pids;
+    Config.set_wire iconfig (wire t inst);
     Array.iteri
       (fun c s -> Hashtbl.replace t.planes.(iphys.(c)).p_states key s)
       iservers;
@@ -259,7 +241,7 @@ let find_instance t key =
   | None -> invalid_arg (Printf.sprintf "Keyspace: unknown key %d" key)
 
 (* ------------------------------------------------------------------ *)
-(* Shared-plane handlers (keyed mode only) *)
+(* Shared-plane handlers *)
 
 let apply_kentries plane ctx kentries =
   List.iter
@@ -305,19 +287,13 @@ let client_handler lanes_handler client ctx ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
-    ?error_prone ?disperse_step ?md_mode ?gossip ?plane:plane_tuning
-    ~num_writers ~num_readers () =
+let create ~engine ~placement ?initial_value ?value_len ?error_prone
+    ?disperse_step ?md_mode ?plane:plane_tuning ~num_writers ~num_readers () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Keyspace.create: negative client count";
   let topology = Placement.topology placement in
   let params = Placement.params placement in
   let m = Topology.servers topology in
-  (match mode with
-  | `Single ->
-    if m <> Params.n params then
-      invalid_arg "Keyspace.create: the single-key shim needs exactly n servers"
-  | `Sharded -> ());
   let server_pids =
     Array.init m (fun i -> Engine.reserve engine ~name:(Printf.sprintf "server%d" i))
   in
@@ -339,7 +315,7 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
   let template =
     Config.make ~params
       ~servers:(Array.sub server_pids 0 (Params.n params))
-      ?initial_value ?value_len ?error_prone ?disperse_step ?md_mode ?gossip
+      ?initial_value ?value_len ?error_prone ?disperse_step ?md_mode
       ?plane:plane_tuning ?client_retry ()
   in
   (* encode the shared initial value once; every derived instance
@@ -368,42 +344,20 @@ let create ~engine ~placement ?(mode = `Sharded) ?initial_value ?value_len
       reader_clients =
         Array.map (fun pid -> { c_pid = pid; c_lanes = Hashtbl.create 8 }) reader_pids;
       instances = Hashtbl.create 64;
-      keys_rev = [];
-      keyed = (match mode with `Sharded -> true | `Single -> false)
+      keys_rev = []
     }
   in
-  (match mode with
-  | `Sharded ->
-    Array.iter
-      (fun plane ->
-        Engine.set_handler engine plane.p_pid (plane_handler t plane))
-      planes;
-    Array.iter
-      (fun client ->
-        Engine.set_handler engine client.c_pid
-          (client_handler Writer.handler client))
-      t.writer_clients;
-    Array.iter
-      (fun client ->
-        Engine.set_handler engine client.c_pid
-          (client_handler Reader.handler client))
-      t.reader_clients
-  | `Single ->
-    (* eager instance + one lane per client, wired directly: the same
-       construction [Deployment.deploy] performs *)
-    let inst = instance t 0 in
-    Array.iter
-      (fun client ->
-        let lane = Writer.create inst.iconfig in
-        Hashtbl.replace client.c_lanes 0 lane;
-        Engine.set_handler engine client.c_pid (Writer.handler lane))
-      t.writer_clients;
-    Array.iter
-      (fun client ->
-        let lane = Reader.create inst.iconfig in
-        Hashtbl.replace client.c_lanes 0 lane;
-        Engine.set_handler engine client.c_pid (Reader.handler lane))
-      t.reader_clients);
+  Array.iter
+    (fun plane -> Engine.set_handler engine plane.p_pid (plane_handler t plane))
+    planes;
+  Array.iter
+    (fun client ->
+      Engine.set_handler engine client.c_pid (client_handler Writer.handler client))
+    t.writer_clients;
+  Array.iter
+    (fun client ->
+      Engine.set_handler engine client.c_pid (client_handler Reader.handler client))
+    t.reader_clients;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -448,7 +402,6 @@ let placement t = t.placement
 let topology t = Placement.topology t.placement
 let params t = t.template.Config.params
 let initial_value t = t.template.Config.initial_value
-let num_servers t = Array.length t.server_pids
 let num_writers t = Array.length t.writer_clients
 let num_readers t = Array.length t.reader_clients
 let server_pid t ~server = t.server_pids.(server)
@@ -465,10 +418,7 @@ let placement_of t ~key =
   | Some inst -> Array.copy inst.iphys
   | None ->
     if key < 0 then invalid_arg "Keyspace: negative key";
-    if t.keyed then Placement.servers_of t.placement ~key
-    else if key = 0 then
-      Array.init (Array.length t.server_pids) (fun i -> i)
-    else invalid_arg "Keyspace: the single-key shim serves only key 0"
+    Placement.servers_of t.placement ~key
 
 let fold_instances t f acc =
   List.fold_left (fun acc key -> f acc (Hashtbl.find t.instances key)) acc (keys t)
@@ -621,8 +571,3 @@ let partition_domain t ~domain ~at =
 
 let heal_domain t ~domain ~at =
   heal_servers t ~servers:(domain_servers t ~domain) ~at
-
-let shutdown t ~at =
-  Array.iter (fun pid -> Engine.crash_at t.engine pid at) t.server_pids;
-  Array.iter (fun c -> Engine.crash_at t.engine c.c_pid at) t.writer_clients;
-  Array.iter (fun c -> Engine.crash_at t.engine c.c_pid at) t.reader_clients

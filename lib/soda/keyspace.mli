@@ -25,7 +25,11 @@
     Instances materialize lazily on first use. Placement is a pure
     function of the key, so a keyspace built on the same engine with
     the same arguments reproduces the same traffic — all the
-    determinism guarantees of {!Simnet.Engine} carry over. *)
+    determinism guarantees of {!Simnet.Engine} carry over.
+
+    This is one of the two ways to build a system: {!Deployment.deploy}
+    runs the paper's single register over bare messages, and {!create}
+    is the multi-key path ({!Store} names the keys of one keyspace). *)
 
 module Params = Protocol.Params
 module History = Protocol.History
@@ -38,13 +42,11 @@ type t
 val create :
   engine:Messages.t Simnet.Engine.t ->
   placement:Placement.t ->
-  ?mode:[ `Sharded | `Single ] ->
   ?initial_value:bytes ->
   ?value_len:int ->
   ?error_prone:int list ->
   ?disperse_step:float ->
   ?md_mode:[ `Chained | `Direct ] ->
-  ?gossip:bool ->
   ?plane:Config.plane ->
   num_writers:int ->
   num_readers:int ->
@@ -54,22 +56,15 @@ val create :
     first, in index order), then the writer and reader client
     processes. The optional arguments parameterize the shared
     configuration template exactly as in {!Config.make}; every key's
-    instance derives from it ({!Config.derive}).
-
-    [mode] (default [`Sharded]) selects the wire format. [`Sharded]
-    wraps all traffic in key envelopes and coalesces across keys.
-    [`Single] is the compatibility shim behind [Deployment.deploy]:
-    it requires the topology to have exactly [n] servers, serves only
-    key [0], wires handlers directly to that instance and sends bare
-    (un-keyed) messages — traces are bit-identical to a PR-9
-    deployment on the same engine.
+    instance derives from it ({!Config.derive}). All traffic is
+    wrapped in key envelopes and coalesces across keys; the
+    topology is the one the placement was built over.
 
     Clients are multi-lane: one protocol lane per (client, key) pair,
     so a client process may have operations in flight on many keys at
     once, but scheduling a second operation on the {e same} key of a
     busy lane is still a well-formedness violation.
-    @raise Invalid_argument on negative client counts, or in
-    [`Single] mode when the topology is not exactly [n] servers. *)
+    @raise Invalid_argument on negative client counts. *)
 
 (** {1 Operations} *)
 
@@ -86,8 +81,7 @@ val materialize : t -> key:int -> unit
 (** Force the key's instance into existence now (operations do this
     implicitly). Useful when fault injection or storage accounting
     must cover a key before its first operation.
-    @raise Invalid_argument on a negative key, or in [`Single] mode on
-    any key but [0]. *)
+    @raise Invalid_argument on a negative key. *)
 
 (** {1 Fault injection}
 
@@ -129,10 +123,6 @@ val repair_domain : t -> domain:int -> at:float -> unit
 val partition_domain : t -> domain:int -> at:float -> unit
 val heal_domain : t -> domain:int -> at:float -> unit
 
-val shutdown : t -> at:float -> unit
-(** Crash every process of the keyspace (servers and clients) at
-    [at] — the end-of-test quiesce. *)
-
 (** {1 Observation} *)
 
 val keys : t -> int list
@@ -143,7 +133,6 @@ val placement : t -> Placement.t
 val topology : t -> Topology.t
 val params : t -> Params.t
 val initial_value : t -> bytes
-val num_servers : t -> int
 val num_writers : t -> int
 val num_readers : t -> int
 val server_pid : t -> server:int -> int
@@ -162,8 +151,7 @@ val placement_of : t -> key:int -> int array
 (** The physical server index of each coordinate of the key's
     instance (a copy). Placement is a pure function of the key, so
     this answers without materializing the instance.
-    @raise Invalid_argument on a negative key, or in [`Single] mode on
-    any key but [0]. *)
+    @raise Invalid_argument on a negative key. *)
 
 val all_complete : t -> bool
 (** Every invoked operation on every key completed. *)

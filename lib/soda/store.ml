@@ -1,158 +1,64 @@
 module Params = Protocol.Params
 module History = Protocol.History
-module Cost = Protocol.Cost
 
-(* The multi-object composition now rides the keyspace: object number i
-   (in creation order) is logical key i of one shared-plane keyspace
-   over an n-server single-domain topology, so the named-object store
-   inherits cross-key message coalescing for free. The self-healing
-   plane is per-register state ([Config.healing] hooks), which the
-   keyspace's derived configurations do not carry — stores created with
-   [?healing] keep the original one-deployment-per-object composition. *)
-type backend =
-  | Keyed of { ks : Keyspace.t; names : string array }
-  | Legacy of { registers : (string * Deployment.t) list (* creation order *) }
+(* Object number i (in creation order) is logical key i of one
+   shared-plane keyspace over an n-server single-domain topology, so
+   the named-object store inherits cross-key message coalescing. *)
+type t = { ks : Keyspace.t; names : string array }
 
-type t = { backend : backend }
-
-let key_of names obj =
+let key_of t obj =
   let rec go i =
-    if i >= Array.length names then
+    if i >= Array.length t.names then
       invalid_arg (Printf.sprintf "Store: unknown object %S" obj)
-    else if String.equal names.(i) obj then i
+    else if String.equal t.names.(i) obj then i
     else go (i + 1)
   in
   go 0
 
-let create ~engine ~params ~objects ?value_len ?error_prone ?healing
-    ~num_writers ~num_readers () =
+let create ~engine ~params ~objects ?value_len ?error_prone ~num_writers
+    ~num_readers () =
   if List.is_empty objects then invalid_arg "Store.create: no objects";
   let sorted = List.sort_uniq String.compare objects in
   if List.length sorted <> List.length objects then
     invalid_arg "Store.create: duplicate object names";
-  match healing with
-  | Some _ ->
-    let registers =
-      List.map
-        (fun name ->
-          ( name,
-            Deployment.deploy ~engine ~params ?value_len ?error_prone ?healing
-              ~num_writers ~num_readers () ))
-        objects
-    in
-    { backend = Legacy { registers } }
-  | None ->
-    let n = Params.n params in
-    let topology = Topology.make ~servers:n ~domains:1 () in
-    let placement = Placement.create ~topology ~params () in
-    let ks =
-      Keyspace.create ~engine ~placement ?value_len ?error_prone ~num_writers
-        ~num_readers ()
-    in
-    let names = Array.of_list objects in
-    (* eager instances, in creation order: machine faults and storage
-       accounting must cover every object from time zero, not from its
-       first operation *)
-    Array.iteri (fun key _ -> Keyspace.materialize ks ~key) names;
-    { backend = Keyed { ks; names } }
+  let topology = Topology.make ~servers:(Params.n params) ~domains:1 () in
+  let placement = Placement.create ~topology ~params () in
+  let ks =
+    Keyspace.create ~engine ~placement ?value_len ?error_prone ~num_writers
+      ~num_readers ()
+  in
+  let names = Array.of_list objects in
+  (* eager instances, in creation order: machine faults and storage
+     accounting must cover every object from time zero, not from its
+     first operation *)
+  Array.iteri (fun key _ -> Keyspace.materialize ks ~key) names;
+  { ks; names }
 
-let objects t =
-  match t.backend with
-  | Keyed { names; _ } -> Array.to_list names
-  | Legacy { registers } -> List.map fst registers
-
-let find registers ~obj =
-  match List.assoc_opt obj registers with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Store: unknown object %S" obj)
+let objects t = Array.to_list t.names
 
 let write t ~obj ~writer ~at ?on_done value =
-  match t.backend with
-  | Keyed { ks; names } ->
-    Keyspace.write ks ~key:(key_of names obj) ~writer ~at ?on_done value
-  | Legacy { registers } ->
-    Deployment.write (find registers ~obj) ~writer ~at ?on_done value
+  Keyspace.write t.ks ~key:(key_of t obj) ~writer ~at ?on_done value
 
 let read t ~obj ~reader ~at ?on_done () =
-  match t.backend with
-  | Keyed { ks; names } ->
-    Keyspace.read ks ~key:(key_of names obj) ~reader ~at ?on_done ()
-  | Legacy { registers } ->
-    Deployment.read (find registers ~obj) ~reader ~at ?on_done ()
+  Keyspace.read t.ks ~key:(key_of t obj) ~reader ~at ?on_done ()
 
 let crash_server t ~coordinate ~at =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.crash_server ks ~server:coordinate ~at
-  | Legacy { registers } ->
-    List.iter
-      (fun (_, d) -> Deployment.crash_server d ~coordinate ~at)
-      registers
+  Keyspace.crash_server t.ks ~server:coordinate ~at
 
 let repair_server t ~coordinate ~at =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.repair_server ks ~server:coordinate ~at
-  | Legacy { registers } ->
-    List.iter
-      (fun (_, d) -> ignore (Deployment.repair_server d ~coordinate ~at : int))
-      registers
+  Keyspace.repair_server t.ks ~server:coordinate ~at
 
 let corrupt_server t ~coordinate ~at =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.corrupt_server ks ~server:coordinate ~at
-  | Legacy { registers } ->
-    List.iter
-      (fun (_, d) -> Deployment.corrupt_server d ~coordinate ~at)
-      registers
+  Keyspace.corrupt_server t.ks ~server:coordinate ~at
 
-let repairing t =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.repairing ks
-  | Legacy { registers } ->
-    List.exists (fun (_, d) -> Deployment.repairing d) registers
-
-let scrub_clean t =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.scrub_clean ks
-  | Legacy { registers } ->
-    List.for_all (fun (_, d) -> Deployment.scrub_clean d) registers
-
-let history t ~obj =
-  match t.backend with
-  | Keyed { ks; names } -> Keyspace.history ks ~key:(key_of names obj)
-  | Legacy { registers } -> Deployment.history (find registers ~obj)
-
-let total_storage t =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.total_storage ks
-  | Legacy { registers } ->
-    List.fold_left
-      (fun acc (_, d) -> acc +. Cost.max_total_storage (Deployment.cost d))
-      0. registers
+let repairing t = Keyspace.repairing t.ks
+let scrub_clean t = Keyspace.scrub_clean t.ks
+let history t ~obj = Keyspace.history t.ks ~key:(key_of t obj)
+let total_storage t = Keyspace.total_storage t.ks
 
 let check_atomicity t =
-  match t.backend with
-  | Keyed { ks; names } -> (
-    match Keyspace.check_atomicity ks with
-    | Ok () -> Ok ()
-    | Error (key, v) -> Error (names.(key), v))
-  | Legacy { registers } ->
-    let rec go = function
-      | [] -> Ok ()
-      | (name, d) :: rest -> (
-        match
-          Protocol.Atomicity.check_tagged
-            ~initial_value:(Deployment.initial_value d)
-            (History.records (Deployment.history d))
-        with
-        | Ok () -> go rest
-        | Error v -> Error (name, v))
-    in
-    go registers
+  match Keyspace.check_atomicity t.ks with
+  | Ok () -> Ok ()
+  | Error (key, v) -> Error (t.names.(key), v)
 
-let all_complete t =
-  match t.backend with
-  | Keyed { ks; _ } -> Keyspace.all_complete ks
-  | Legacy { registers } ->
-    List.for_all
-      (fun (_, d) -> History.all_complete (Deployment.history d))
-      registers
+let all_complete t = Keyspace.all_complete t.ks

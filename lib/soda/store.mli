@@ -20,14 +20,12 @@
     operations on distinct registers commute. {!check_atomicity} checks
     every object's history.
 
-    Since the keyspace redesign, the store is a thin naming layer over
-    {!Keyspace}: object number [i] (creation order) is logical key [i]
-    of a sharded keyspace on an [n]-server single-domain topology, so
-    objects share the fleet's message plane and their gossip and relays
-    coalesce across objects. The exception is [?healing]: the
-    self-healing plane is per-register state that keyspace instances do
-    not carry, so healed stores keep the original
-    one-deployment-per-object composition. *)
+    The store is a thin naming layer over {!Keyspace}: object number
+    [i] (creation order) is logical key [i] of a keyspace on an
+    [n]-server single-domain topology, so objects share the fleet's
+    message plane and their gossip and relays coalesce across objects.
+    Every object's instance exists from creation, so machine faults and
+    storage accounting cover it before its first operation. *)
 
 module Params = Protocol.Params
 module History = Protocol.History
@@ -40,15 +38,13 @@ val create :
   objects:string list ->
   ?value_len:int ->
   ?error_prone:int list ->
-  ?healing:Config.healing ->
   num_writers:int ->
   num_readers:int ->
   unit ->
   t
 (** One register per (distinct) name in [objects], all with the given
     parameters. Each object starts holding the empty value. Every
-    object's fragment stores are checksummed ({!Disk}); [healing] arms
-    the self-healing plane on each register (see {!Deployment.deploy}).
+    object's fragment stores are checksummed ({!Disk}).
     @raise Invalid_argument on an empty or duplicated object list. *)
 
 val objects : t -> string list
@@ -70,17 +66,15 @@ val repair_server : t -> coordinate:int -> at:float -> unit
 val corrupt_server : t -> coordinate:int -> at:float -> unit
 (** Bit-rot the coordinate's stored element for every object (a machine
     fault hits all registers on the machine); see
-    {!Deployment.corrupt_server}. *)
+    {!Keyspace.corrupt_server}. *)
 
 (** {1 Observation} *)
 
 val repairing : t -> bool
-(** [true] while any server of any object is mid-repair (machine-level:
-    see {!Deployment.repairing}). *)
+(** [true] while any server of any object is mid-repair. *)
 
 val scrub_clean : t -> bool
-(** [true] iff every register's every fragment store passes its checksum
-    (see {!Deployment.scrub_clean}). *)
+(** [true] iff every register's every fragment store passes its checksum. *)
 
 val history : t -> obj:string -> History.t
 

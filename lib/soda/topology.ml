@@ -60,17 +60,6 @@ let min_domain_size t =
   Array.iter (fun d -> counts.(d) <- counts.(d) + 1) t.assignment;
   Array.fold_left min max_int counts
 
-let equal a b =
-  a.num_domains = b.num_domains
-  && Array.length a.assignment = Array.length b.assignment
-  && begin
-       let same = ref true in
-       Array.iteri
-         (fun i d -> if b.assignment.(i) <> d then same := false)
-         a.assignment;
-       !same
-     end
-
 let pp ppf t =
   Format.fprintf ppf "%d servers / %d domains" (Array.length t.assignment)
     t.num_domains

@@ -1,11 +1,10 @@
 (** The physical shape of a server fleet: server count plus a failure
     domain (rack, zone) for each server.
 
-    Replaces the positional-optional soup that [Deployment.deploy] grew
-    over the PRs: a keyspace-first deployment is described by a
-    topology (this module), a {!Placement} (geometry preset + spread
-    policy over the topology) and the client counts — see
-    [Deployment.create]. The topology is purely descriptive; fault
+    A keyspace is described by a topology (this module), a
+    {!Placement} (geometry preset + spread policy over the topology)
+    and the client counts — see [Keyspace.create], which reads the
+    topology from the placement. The topology is purely descriptive; fault
     {e correlation} comes from the chaos harness partitioning or
     crashing a whole domain at once, and fault {e tolerance} from
     {!Placement} spreading each key's [n] fragments across domains. *)
@@ -37,7 +36,5 @@ val domain_members : t -> int -> int list
 val min_domain_size : t -> int
 (** Size of the smallest domain — the binding constraint on how many
     fragments per domain a placement may need (see [Placement.create]). *)
-
-val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

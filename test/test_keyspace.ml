@@ -1,11 +1,14 @@
 (* Tests for the sharded keyspace layer: placement invariants
-   (QCheck), bit-identity of the single-key shim against the classic
-   deployment, per-key atomicity of multi-key runs, and the message
-   economics of the shared plane vs independent deployments. *)
+   (QCheck), semantic equivalence of a 1-key keyspace and a
+   single-register deployment, per-key atomicity of multi-key runs, and
+   the message economics of the shared plane vs independent
+   deployments. *)
 
 module Engine = Simnet.Engine
 module Delay = Simnet.Delay
 module Params = Protocol.Params
+module History = Protocol.History
+module Atomicity = Protocol.Atomicity
 module Topology = Soda.Topology
 module Placement = Soda.Placement
 module Keyspace = Soda.Keyspace
@@ -122,94 +125,84 @@ let placement_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The single-key shim is bit-identical to Deployment.deploy *)
+(* The two construction paths agree on a single register *)
 
-let run_deploy ~seed ~rounds =
-  let params = Params.make ~n:6 ~f:2 () in
-  let engine =
-    Engine.create ~seed ~trace:true ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
-  in
-  let d =
-    Soda.Deployment.deploy ~engine ~params ~num_writers:1 ~num_readers:1 ()
-  in
+let round_value i = Harness.Workload.value ~len:96 ~seed:i ~index:i
+
+(* One sequential workload: round [i] reads at [100 i] and writes at
+   [100 i + 50], then a final read. Each operation finishes within six
+   message delays of at most 2.0 (Thm 5.7), so no two operations
+   overlap and every read must return the latest preceding write.
+   Returns a thunk giving the read values in completion order, to call
+   after the engine has run. *)
+let sequential_run ~rounds ~write ~read =
+  let reads = ref [] in
+  let record v = reads := Bytes.to_string v :: !reads in
   for i = 0 to rounds - 1 do
     let at = float_of_int i *. 100.0 in
-    Soda.Deployment.write d ~writer:0 ~at
-      (Harness.Workload.value ~len:128 ~seed ~index:i);
-    Soda.Deployment.read d ~reader:0 ~at:(at +. 50.0) ()
+    read ~at ~on_done:record;
+    write ~at:(at +. 50.0) (round_value i)
   done;
-  Engine.run engine;
-  engine
+  read ~at:(float_of_int rounds *. 100.0) ~on_done:record;
+  fun () -> List.rev !reads
 
-let run_shim ~seed ~rounds =
-  let params = Params.make ~n:6 ~f:2 () in
-  let engine =
-    Engine.create ~seed ~trace:true ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
-  in
-  let topology = Topology.make ~servers:6 ~domains:1 () in
-  let placement = Placement.create ~topology ~params () in
-  let ks =
-    Keyspace.create ~engine ~placement ~mode:`Single ~num_writers:1
-      ~num_readers:1 ()
-  in
-  for i = 0 to rounds - 1 do
-    let at = float_of_int i *. 100.0 in
-    Keyspace.write ks ~key:0 ~writer:0 ~at
-      (Harness.Workload.value ~len:128 ~seed ~index:i);
-    Keyspace.read ks ~key:0 ~reader:0 ~at:(at +. 50.0) ()
-  done;
-  Engine.run engine;
-  engine
+(* What a sequential run must read: the empty initial value, then each
+   round's write. *)
+let expected_reads ~rounds =
+  "" :: List.init rounds (fun i -> Bytes.to_string (round_value i))
 
-let shim_tests =
-  [ qtest ~count:25 "single-key shim traces are bit-identical to deploy"
-      QCheck2.Gen.(int_range 0 100_000)
-      (fun seed ->
-        let e1 = run_deploy ~seed ~rounds:3 in
-        let e2 = run_shim ~seed ~rounds:3 in
-        Engine.trace_events e1 = Engine.trace_events e2
-        && Engine.messages_sent e1 = Engine.messages_sent e2
-        && Engine.messages_data e1 = Engine.messages_data e2
-        && Engine.messages_meta e1 = Engine.messages_meta e2
-        && Engine.events_executed e1 = Engine.events_executed e2
-        && Engine.now e1 = Engine.now e2);
-    Alcotest.test_case "shim serves only key 0" `Quick (fun () ->
-        let params = Params.make ~n:5 ~f:1 () in
-        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
-        let topology = Topology.make ~servers:5 ~domains:1 () in
-        let placement = Placement.create ~topology ~params () in
-        let ks =
-          Keyspace.create ~engine ~placement ~mode:`Single ~num_writers:1
+let atomic history =
+  Result.is_ok
+    (Atomicity.check_tagged ~initial_value:Bytes.empty (History.records history))
+
+let equivalence_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* n = int_range 3 8 in
+    let* f = int_range 1 ((n - 1) / 2) in
+    let* rounds = int_range 1 4 in
+    return (seed, n, f, rounds))
+
+let single_register_tests =
+  [ qtest ~count:25
+      "deploy and a 1-key keyspace return the same reads, both atomic"
+      equivalence_gen
+      (fun (seed, n, f, rounds) ->
+        let params = Params.make ~n ~f () in
+        let engine () =
+          Engine.create ~seed ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+        in
+        let e1 = engine () in
+        let d =
+          Soda.Deployment.deploy ~engine:e1 ~params ~num_writers:1
             ~num_readers:1 ()
         in
-        Alcotest.(check bool) "key 1 rejected" true
-          (match Keyspace.write ks ~key:1 ~writer:0 ~at:0.0 Bytes.empty with
-          | exception Invalid_argument _ -> true
-          | _ -> false));
-    Alcotest.test_case "create validates topology against n" `Quick (fun () ->
-        let params = Params.make ~n:5 ~f:1 () in
-        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
-        let topology = Topology.make ~servers:8 ~domains:2 () in
-        let placement = Placement.create ~topology ~params () in
-        Alcotest.(check bool) "`Single over 8 servers rejected" true
-          (match
-             Keyspace.create ~engine ~placement ~mode:`Single ~num_writers:1
-               ~num_readers:1 ()
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false);
-        let engine2 = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
-        let topology2 = Topology.make ~servers:8 ~domains:2 () in
-        Alcotest.(check bool) "mismatched placement rejected" true
-          (match
-             Soda.Deployment.create ~engine:engine2
-               ~topology:(Topology.make ~servers:8 ~domains:4 ())
-               ~placement:
-                 (Placement.create ~topology:topology2 ~params ())
-               ~num_writers:1 ~num_readers:1 ()
-           with
-          | exception Invalid_argument _ -> true
-          | _ -> false))
+        let deploy_reads =
+          sequential_run ~rounds
+            ~write:(fun ~at v -> Soda.Deployment.write d ~writer:0 ~at v)
+            ~read:(fun ~at ~on_done ->
+              Soda.Deployment.read d ~reader:0 ~at ~on_done ())
+        in
+        Engine.run e1;
+        let e2 = engine () in
+        let topology = Topology.make ~servers:n ~domains:1 () in
+        let ks =
+          Keyspace.create ~engine:e2
+            ~placement:(Placement.create ~topology ~params ())
+            ~num_writers:1 ~num_readers:1 ()
+        in
+        let keyspace_reads =
+          sequential_run ~rounds
+            ~write:(fun ~at v -> Keyspace.write ks ~key:0 ~writer:0 ~at v)
+            ~read:(fun ~at ~on_done ->
+              Keyspace.read ks ~key:0 ~reader:0 ~at ~on_done ())
+        in
+        Engine.run e2;
+        let deploy_reads = deploy_reads () in
+        deploy_reads = keyspace_reads ()
+        && deploy_reads = expected_reads ~rounds
+        && atomic (Soda.Deployment.history d)
+        && atomic (Keyspace.history ks ~key:0))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -315,6 +308,6 @@ let sharded_tests =
 let () =
   Alcotest.run "keyspace"
     [ ("placement", placement_tests);
-      ("shim", shim_tests);
+      ("register", single_register_tests);
       ("sharded", sharded_tests)
     ]

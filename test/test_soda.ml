@@ -614,8 +614,9 @@ let ablation_tests =
         in
         let d =
           Soda.Deployment.deploy ~engine ~params
-            ~initial_value:(Bytes.make 64 'i') ~gossip:false ~num_writers:1
-            ~num_readers:1 ()
+            ~initial_value:(Bytes.make 64 'i')
+            ~plane:{ Soda.Config.default_plane with gossip_mode = `Off }
+            ~num_writers:1 ~num_readers:1 ()
         in
         Soda.Deployment.write d ~writer:0 ~at:0.0 (Bytes.make 64 'a');
         Soda.Deployment.read d ~reader:0 ~at:50.0 ();
