@@ -367,25 +367,6 @@ let crossover () =
 (* ------------------------------------------------------------------ *)
 (* Replication baselines: ABD vs LDR vs SODA *)
 
-let ldr_row ~f ~seed =
-  let params = Params.make ~n:((2 * f) + 1) ~f () in
-  let initial_value = Workload.value ~len:value_len ~seed ~index:0 in
-  let engine =
-    Simnet.Engine.create ~seed ~delay:(Simnet.Delay.constant 1.0) ()
-  in
-  let d =
-    Baselines.Ldr.deploy ~engine ~params ~initial_value ~value_len
-      ~num_writers:1 ~num_readers:1 ()
-  in
-  Baselines.Ldr.write d ~writer:0 ~at:0.0
-    (Workload.value ~len:value_len ~seed ~index:1);
-  Baselines.Ldr.read d ~reader:0 ~at:50.0 ();
-  Simnet.Engine.run engine;
-  let cost = Baselines.Ldr.cost d in
-  ( Cost.comm_of_op cost ~op:0,
-    Cost.comm_of_op cost ~op:1,
-    Cost.max_total_storage cost )
-
 let replication_baselines () =
   let rows =
     List.map
@@ -393,20 +374,15 @@ let replication_baselines () =
         let n = (2 * f) + 1 in
         let params = Params.make ~n ~f () in
         let w = Workload.sequential ~params ~value_len ~seed:3 ~rounds:2 () in
-        let abd = summarize Runner.Abd w in
-        let soda = summarize Runner.Soda w in
-        let ldr_w, ldr_r, ldr_s = ldr_row ~f ~seed:3 in
-        [ Report.i f;
-          Report.f2 abd.Metrics.write_cost.mean;
-          Report.f2 abd.Metrics.read_cost.mean;
-          Report.f2 abd.Metrics.storage_max;
-          Report.f2 ldr_w;
-          Report.f2 ldr_r;
-          Report.f2 ldr_s;
-          Report.f2 soda.Metrics.write_cost.mean;
-          Report.f2 soda.Metrics.read_cost.mean;
-          Report.f2 soda.Metrics.storage_max
-        ])
+        let costs algo =
+          let s = summarize algo w in
+          [ Report.f2 s.Metrics.write_cost.mean;
+            Report.f2 s.Metrics.read_cost.mean;
+            Report.f2 s.Metrics.storage_max
+          ]
+        in
+        Report.i f
+        :: List.concat_map costs [ Runner.Abd; Runner.Ldr; Runner.Soda ])
       [ 1; 2; 3; 4; 5 ]
   in
   Report.table
@@ -560,34 +536,11 @@ let overhead () =
     ( float_of_int r.Runner.messages_sent /. ops,
       Cost.total_comm r.Runner.cost /. ops )
   in
-  (* LDR is not hosted by Runner (separate directory/replica topology):
-     drive the same quiescent write/read alternation by hand *)
-  let ldr_row () =
-    let seed = 17 and rounds = 4 in
-    let engine =
-      Simnet.Engine.create ~seed ~delay:(Simnet.Delay.constant 1.0) ()
-    in
-    let initial_value = Workload.value ~len:value_len ~seed ~index:999_983 in
-    let d =
-      Baselines.Ldr.deploy ~engine ~params ~initial_value ~value_len
-        ~num_writers:1 ~num_readers:1 ()
-    in
-    for i = 0 to rounds - 1 do
-      Baselines.Ldr.write d ~writer:0
-        ~at:(float_of_int (200 * i))
-        (Workload.value ~len:value_len ~seed ~index:(i + 1));
-      Baselines.Ldr.read d ~reader:0 ~at:(float_of_int ((200 * i) + 100)) ()
-    done;
-    Simnet.Engine.run engine;
-    let ops = float_of_int (2 * rounds) in
-    ( float_of_int (Simnet.Engine.messages_sent engine) /. ops,
-      Cost.total_comm (Baselines.Ldr.cost d) /. ops )
-  in
   let measurements =
     [ ("abd", "ABD", runner_row Runner.Abd ());
       ("cas", "CAS", runner_row (Runner.Cas { gc_depth = None }) ());
       ("casgc(2)", "CASGC(2)", runner_row (Runner.Cas { gc_depth = Some 2 }) ());
-      ("ldr", "LDR", ldr_row ());
+      ("ldr", "LDR", runner_row Runner.Ldr ());
       ( "soda-unbatched",
         "SODA (broadcast)",
         runner_row Runner.Soda () );

@@ -69,237 +69,125 @@ end
 
 module Writer = struct
   type phase =
-    | Idle
-    | Query of {
-        op : int;
-        value : bytes;
-        replies : (int, unit) Hashtbl.t;
-        mutable best : Tag.t
-      }
-    | Store of { op : int; acks : (int, unit) Hashtbl.t }
+    | Query of { op : int; value : bytes; mutable best : Tag.t }
+    | Store of { op : int }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (unit -> unit) option
-  }
+  let start config c ctx ~op value =
+    Register.enter c (Query { op; value; best = Tag.initial });
+    Register.broadcast ctx config.servers (Messages.Query_tag { op })
 
-  let create config = { config; phase = Idle; on_done = None }
-
-  let invoke t ctx ~value ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Store _ -> invalid_arg "Abd.Writer.invoke: busy");
-    let op =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Write ~at:(Engine.now_ctx ctx)
-    in
-    History.set_value t.config.history ~op value;
-    t.on_done <- on_done;
-    t.phase <- Query { op; value; replies = Hashtbl.create 8; best = Tag.initial };
-    Array.iter
-      (fun s -> Engine.send ctx ~dst:s (Messages.Query_tag { op }))
-      t.config.servers;
-    op
-
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Query_tag_reply { op; tag }, Query q when q.op = op ->
-      Hashtbl.replace q.replies src ();
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Query_tag_reply { op; tag }, Some (Query q) when q.op = op ->
       if Tag.( > ) tag q.best then q.best <- tag;
-      if Hashtbl.length q.replies >= Params.majority t.config.params then begin
+      if Register.tally c src >= Params.majority config.params then begin
         let tw = Tag.next q.best ~w:(Engine.self ctx) in
-        History.set_tag t.config.history ~op tw;
-        t.phase <- Store { op; acks = Hashtbl.create 8 };
+        History.set_tag config.history ~op tw;
+        Register.enter c (Store { op });
         Array.iter
           (fun s ->
-            Cost.comm t.config.cost ~op ~bytes:(Bytes.length q.value);
+            Cost.comm config.cost ~op ~bytes:(Bytes.length q.value);
             Engine.send ctx ~dst:s
               (Messages.Store { op; tag = tw; value = q.value }))
-          t.config.servers
+          config.servers
       end
-    | Messages.Store_ack { op; tag = _ }, Store s when s.op = op ->
-      Hashtbl.replace s.acks src ();
-      if Hashtbl.length s.acks >= Params.majority t.config.params then begin
-        History.respond t.config.history ~op ~at:(Engine.now_ctx ctx);
-        t.phase <- Idle;
-        match t.on_done with
-        | Some callback ->
-          t.on_done <- None;
-          callback ()
-        | None -> ()
-      end
+    | Messages.Store_ack { op; tag = _ }, Some (Store s) when s.op = op ->
+      if Register.tally c src >= Params.majority config.params then
+        Register.respond c ctx ~op ()
     | ( ( Messages.Query_tag _ | Messages.Query_tag_reply _
         | Messages.Query_full _ | Messages.Query_full_reply _
         | Messages.Store _ | Messages.Store_ack _ ),
-        (Idle | Query _ | Store _) ) ->
+        (None | Some (Query _ | Store _)) ) ->
       ()
 end
 
 module Reader = struct
   type phase =
-    | Idle
     | Query of {
         rid : int;
-        replies : (int, unit) Hashtbl.t;
         mutable best : Tag.t;
         mutable best_value : bytes;
         mutable all_agree : bool
       }
-    | Write_back of { rid : int; value : bytes; acks : (int, unit) Hashtbl.t }
+    | Write_back of { rid : int; value : bytes }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (bytes -> unit) option
-  }
+  let start config c ctx ~op:rid =
+    Register.enter c
+      (Query
+         { rid;
+           best = Tag.initial;
+           best_value = config.initial_value;
+           all_agree = true
+         });
+    Register.broadcast ctx config.servers (Messages.Query_full { rid })
 
-  let create config = { config; phase = Idle; on_done = None }
-
-  let invoke t ctx ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Write_back _ -> invalid_arg "Abd.Reader.invoke: busy");
-    let rid =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Read ~at:(Engine.now_ctx ctx)
-    in
-    t.on_done <- on_done;
-    t.phase <-
-      Query
-        { rid;
-          replies = Hashtbl.create 8;
-          best = Tag.initial;
-          best_value = t.config.initial_value;
-          all_agree = true
-        };
-    Array.iter
-      (fun s -> Engine.send ctx ~dst:s (Messages.Query_full { rid }))
-      t.config.servers;
-    rid
-
-  let finish t ~rid value =
-    t.phase <- Idle;
-    match t.on_done with
-    | Some callback ->
-      t.on_done <- None;
-      callback value
-    | None -> ignore rid
-
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Query_full_reply { rid; tag; value }, Query q when q.rid = rid
-      ->
-      if Hashtbl.length q.replies > 0 && not (Tag.equal tag q.best) then
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Query_full_reply { rid; tag; value }, Some (Query q)
+      when q.rid = rid ->
+      if Register.count c > 0 && not (Tag.equal tag q.best) then
         q.all_agree <- false;
-      Hashtbl.replace q.replies src ();
       if Tag.( > ) tag q.best then begin
         q.best <- tag;
         q.best_value <- value
       end;
-      if Hashtbl.length q.replies >= Params.majority t.config.params then begin
-        History.set_tag t.config.history ~op:rid q.best;
-        History.set_value t.config.history ~op:rid q.best_value;
-        if q.all_agree then begin
+      if Register.tally c src >= Params.majority config.params then begin
+        History.set_tag config.history ~op:rid q.best;
+        History.set_value config.history ~op:rid q.best_value;
+        if q.all_agree then
           (* Every majority member already holds the winning pair: the
              write-back is unnecessary and skipping it keeps the
              quiescent read cost at n, as Table I accounts it. *)
-          History.respond t.config.history ~op:rid ~at:(Engine.now_ctx ctx);
-          finish t ~rid q.best_value
-        end
+          Register.respond c ctx ~op:rid q.best_value
         else begin
-          t.phase <-
-            Write_back { rid; value = q.best_value; acks = Hashtbl.create 8 };
+          Register.enter c (Write_back { rid; value = q.best_value });
           Array.iter
             (fun s ->
-              Cost.comm t.config.cost ~op:rid
+              Cost.comm config.cost ~op:rid
                 ~bytes:(Bytes.length q.best_value);
               Engine.send ctx ~dst:s
-                (Messages.Store { op = rid; tag = q.best; value = q.best_value }))
-            t.config.servers
+                (Messages.Store
+                   { op = rid; tag = q.best; value = q.best_value }))
+            config.servers
         end
       end
-    | Messages.Store_ack { op; tag = _ }, Write_back w when w.rid = op ->
-      Hashtbl.replace w.acks src ();
-      if Hashtbl.length w.acks >= Params.majority t.config.params then begin
-        History.respond t.config.history ~op ~at:(Engine.now_ctx ctx);
-        finish t ~rid:op w.value
-      end
+    | Messages.Store_ack { op; tag = _ }, Some (Write_back w) when w.rid = op ->
+      if Register.tally c src >= Params.majority config.params then
+        Register.respond c ctx ~op w.value
     | ( ( Messages.Query_tag _ | Messages.Query_tag_reply _
         | Messages.Query_full _ | Messages.Query_full_reply _
         | Messages.Store _ | Messages.Store_ack _ ),
-        (Idle | Query _ | Write_back _) ) ->
+        (None | Some (Query _ | Write_back _)) ) ->
       ()
 end
 
 (* ------------------------------------------------------------------ *)
 (* Deployment *)
 
-type t = {
-  engine : Messages.t Engine.t;
-  config : config;
-  writers : Writer.t array;
-  writer_pids : int array;
-  readers : Reader.t array;
-  reader_pids : int array
-}
+type t = (Messages.t, config, Writer.phase, Reader.phase) Register.t
 
 let deploy ~engine ~params ?(initial_value = Bytes.empty) ?value_len
     ~num_writers ~num_readers () =
-  let n = Params.n params in
-  let value_len =
-    match value_len with
-    | Some l -> l
-    | None ->
-      let l = Bytes.length initial_value in
-      if l > 0 then l else 1024
-  in
-  let server_pids =
-    Array.init n (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "abd-server%d" i))
-  in
+  let servers = Register.reserve engine ~name:"abd-server" (Params.n params) in
   let config =
     { params;
-      servers = server_pids;
-      cost = Cost.create ~value_len;
+      servers;
+      cost = Register.cost ~initial_value value_len;
       history = History.create ();
       initial_value
     }
   in
-  Array.iteri
-    (fun i pid ->
-      Engine.set_handler engine pid
-        (Server.handler (Server.create config ~coordinate:i)))
-    server_pids;
-  let writer_pids =
-    Array.init num_writers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "abd-writer%d" i))
-  in
-  let writers = Array.init num_writers (fun _ -> Writer.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Writer.handler writers.(i)))
-    writer_pids;
-  let reader_pids =
-    Array.init num_readers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "abd-reader%d" i))
-  in
-  let readers = Array.init num_readers (fun _ -> Reader.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Reader.handler readers.(i)))
-    reader_pids;
-  { engine; config; writers; writer_pids; readers; reader_pids }
+  Register.deploy ~engine ~name:"abd" ~config ~history:config.history ~servers
+    ~server:(fun coordinate ->
+      Server.handler (Server.create config ~coordinate))
+    ~num_writers ~writer:(Writer.handler config)
+    ~start_write:(Writer.start config) ~num_readers
+    ~reader:(Reader.handler config) ~start_read:(Reader.start config)
 
-let write t ~writer ~at ?on_done value =
-  Engine.inject t.engine ~at t.writer_pids.(writer) (fun ctx ->
-      ignore (Writer.invoke t.writers.(writer) ctx ~value ?on_done ()))
-
-let read t ~reader ~at ?on_done () =
-  Engine.inject t.engine ~at t.reader_pids.(reader) (fun ctx ->
-      ignore (Reader.invoke t.readers.(reader) ctx ?on_done ()))
-
-let crash_server t ~coordinate ~at =
-  Engine.crash_at t.engine t.config.servers.(coordinate) at
-
-let history t = t.config.history
-let cost t = t.config.cost
-let initial_value t = t.config.initial_value
+let write = Register.write
+let read = Register.read
+let crash_server = Register.crash_server
+let server_pid = Register.server_pid
+let history = Register.history
+let cost t = (Register.config t).cost
+let initial_value t = (Register.config t).initial_value

@@ -42,12 +42,4 @@ val deploy :
   unit ->
   t
 
-val write :
-  t -> writer:int -> at:float -> ?on_done:(unit -> unit) -> bytes -> unit
-
-val read : t -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
-
-val crash_server : t -> coordinate:int -> at:float -> unit
-val history : t -> History.t
-val cost : t -> Cost.t
-val initial_value : t -> bytes
+include Register.S with type t := t

@@ -176,84 +176,44 @@ end
 
 module Writer = struct
   type phase =
-    | Idle
-    | Query of {
-        op : int;
-        value : bytes;
-        replies : (int, unit) Hashtbl.t;
-        mutable best : Tag.t
-      }
-    | Pre of { op : int; tag : Tag.t; acks : (int, unit) Hashtbl.t }
-    | Fin of { op : int; tag : Tag.t; acks : (int, unit) Hashtbl.t }
+    | Query of { op : int; value : bytes; mutable best : Tag.t }
+    | Pre of { op : int; tag : Tag.t }
+    | Fin of { op : int; tag : Tag.t }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (unit -> unit) option
-  }
+  let start config c ctx ~op value =
+    Register.enter c (Query { op; value; best = Tag.initial });
+    Register.broadcast ctx config.servers (Messages.Query { op })
 
-  let create config = { config; phase = Idle; on_done = None }
-
-  let invoke t ctx ~value ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Pre _ | Fin _ -> invalid_arg "Cas.Writer.invoke: busy");
-    let op =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Write ~at:(Engine.now_ctx ctx)
-    in
-    History.set_value t.config.history ~op value;
-    t.on_done <- on_done;
-    t.phase <-
-      Query { op; value; replies = Hashtbl.create 8; best = Tag.initial };
-    Array.iter
-      (fun s -> Engine.send ctx ~dst:s (Messages.Query { op }))
-      t.config.servers;
-    op
-
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Query_reply { op; tag }, Query q when q.op = op ->
-      Hashtbl.replace q.replies src ();
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Query_reply { op; tag }, Some (Query q) when q.op = op ->
       if Tag.( > ) tag q.best then q.best <- tag;
-      if Hashtbl.length q.replies >= quorum t.config then begin
+      if Register.tally c src >= quorum config then begin
         let tw = Tag.next q.best ~w:(Engine.self ctx) in
-        History.set_tag t.config.history ~op tw;
-        let fragments = Mds.encode t.config.code q.value in
-        t.phase <- Pre { op; tag = tw; acks = Hashtbl.create 8 };
+        History.set_tag config.history ~op tw;
+        let fragments = Mds.encode config.code q.value in
+        Register.enter c (Pre { op; tag = tw });
         Array.iteri
           (fun i s ->
-            Cost.comm t.config.cost ~op
-              ~bytes:(Fragment.size fragments.(i));
+            Cost.comm config.cost ~op ~bytes:(Fragment.size fragments.(i));
             Engine.send ctx ~dst:s
               (Messages.Pre { op; tag = tw; fragment = fragments.(i) }))
-          t.config.servers
+          config.servers
       end
-    | Messages.Pre_ack { op; tag }, Pre p when p.op = op && Tag.equal tag p.tag
-      ->
-      Hashtbl.replace p.acks src ();
-      if Hashtbl.length p.acks >= quorum t.config then begin
-        t.phase <- Fin { op; tag = p.tag; acks = Hashtbl.create 8 };
-        Array.iter
-          (fun s -> Engine.send ctx ~dst:s (Messages.Fin { op; tag = p.tag }))
-          t.config.servers
+    | Messages.Pre_ack { op; tag }, Some (Pre p)
+      when p.op = op && Tag.equal tag p.tag ->
+      if Register.tally c src >= quorum config then begin
+        Register.enter c (Fin { op; tag = p.tag });
+        Register.broadcast ctx config.servers (Messages.Fin { op; tag = p.tag })
       end
-    | Messages.Fin_ack { op; tag }, Fin f when f.op = op && Tag.equal tag f.tag
-      ->
-      Hashtbl.replace f.acks src ();
-      if Hashtbl.length f.acks >= quorum t.config then begin
-        History.respond t.config.history ~op ~at:(Engine.now_ctx ctx);
-        t.phase <- Idle;
-        match t.on_done with
-        | Some callback ->
-          t.on_done <- None;
-          callback ()
-        | None -> ()
-      end
+    | Messages.Fin_ack { op; tag }, Some (Fin f)
+      when f.op = op && Tag.equal tag f.tag ->
+      if Register.tally c src >= quorum config then
+        Register.respond c ctx ~op ()
     | ( ( Messages.Query _ | Messages.Query_reply _ | Messages.Pre _
         | Messages.Pre_ack _ | Messages.Fin _ | Messages.Fin_ack _
         | Messages.Read_fin _ | Messages.Read_fin_reply _ ),
-        (Idle | Query _ | Pre _ | Fin _) ) ->
+        (None | Some (Query _ | Pre _ | Fin _)) ) ->
       ()
 end
 
@@ -262,117 +222,67 @@ end
 
 module Reader = struct
   type phase =
-    | Idle
-    | Query of { rid : int; replies : (int, unit) Hashtbl.t; mutable best : Tag.t }
+    | Query of { rid : int; mutable best : Tag.t }
     | Collect of {
         rid : int;
         tag : Tag.t;
-        replies : (int, unit) Hashtbl.t;
         fragments : (int, Fragment.t) Hashtbl.t
       }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (bytes -> unit) option
-  }
+  let start config c ctx ~op:rid =
+    Register.enter c (Query { rid; best = Tag.initial });
+    Register.broadcast ctx config.servers (Messages.Query { op = rid })
 
-  let create config = { config; phase = Idle; on_done = None }
-
-  let start_query t ctx ~rid =
-    t.phase <- Query { rid; replies = Hashtbl.create 8; best = Tag.initial };
-    Array.iter
-      (fun s -> Engine.send ctx ~dst:s (Messages.Query { op = rid }))
-      t.config.servers
-
-  let invoke t ctx ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Collect _ -> invalid_arg "Cas.Reader.invoke: busy");
-    let rid =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Read ~at:(Engine.now_ctx ctx)
-    in
-    t.on_done <- on_done;
-    start_query t ctx ~rid;
-    rid
-
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Query_reply { op; tag }, Query q when q.rid = op ->
-      Hashtbl.replace q.replies src ();
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Query_reply { op; tag }, Some (Query q) when q.rid = op ->
       if Tag.( > ) tag q.best then q.best <- tag;
-      if Hashtbl.length q.replies >= quorum t.config then begin
-        t.phase <-
-          Collect
-            { rid = q.rid;
-              tag = q.best;
-              replies = Hashtbl.create 8;
-              fragments = Hashtbl.create 8
-            };
-        Array.iter
-          (fun s ->
-            Engine.send ctx ~dst:s
-              (Messages.Read_fin { rid = q.rid; tag = q.best }))
-          t.config.servers
+      if Register.tally c src >= quorum config then begin
+        Register.enter c
+          (Collect { rid = q.rid; tag = q.best; fragments = Hashtbl.create 8 });
+        Register.broadcast ctx config.servers
+          (Messages.Read_fin { rid = q.rid; tag = q.best })
       end
-    | Messages.Read_fin_reply { rid; tag; fragment }, Collect c
-      when c.rid = rid && Tag.equal tag c.tag ->
-      Hashtbl.replace c.replies src ();
+    | Messages.Read_fin_reply { rid; tag; fragment }, Some (Collect g)
+      when g.rid = rid && Tag.equal tag g.tag ->
+      let replies = Register.tally c src in
       (match fragment with
-      | Some f -> Hashtbl.replace c.fragments (Fragment.index f) f
+      | Some f -> Hashtbl.replace g.fragments (Fragment.index f) f
       | None -> ());
-      let k = Mds.k t.config.code in
-      if
-        Hashtbl.length c.replies >= quorum t.config
-        && Hashtbl.length c.fragments >= k
-      then begin
+      let k = Mds.k config.code in
+      if replies >= quorum config && Hashtbl.length g.fragments >= k then begin
         let[@lint.allow
              "D3: materialized sorted by fragment index so the decoder \
               input order is schedule-independent"] frags =
-          Hashtbl.fold (fun i f acc -> (i, f) :: acc) c.fragments []
+          Hashtbl.fold (fun i f acc -> (i, f) :: acc) g.fragments []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
           |> List.map snd
         in
-        let value = Mds.decode t.config.code frags in
-        History.set_tag t.config.history ~op:rid c.tag;
-        History.set_value t.config.history ~op:rid value;
-        History.respond t.config.history ~op:rid ~at:(Engine.now_ctx ctx);
-        t.phase <- Idle;
-        match t.on_done with
-        | Some callback ->
-          t.on_done <- None;
-          callback value
-        | None -> ()
+        let value = Mds.decode config.code frags in
+        History.set_tag config.history ~op:rid g.tag;
+        History.set_value config.history ~op:rid value;
+        Register.respond c ctx ~op:rid value
       end
       else if
-        Hashtbl.length c.replies >= Params.n t.config.params
-        && Hashtbl.length c.fragments < k
+        replies >= Params.n config.params && Hashtbl.length g.fragments < k
       then begin
         (* Garbage collection outran this read (possible only beyond the
            δ concurrency bound): restart it, per the CASGC liveness
            escape hatch. *)
-        t.config.restarts <- t.config.restarts + 1;
-        start_query t ctx ~rid
+        config.restarts <- config.restarts + 1;
+        start config c ctx ~op:rid
       end
     | ( ( Messages.Query _ | Messages.Query_reply _ | Messages.Pre _
         | Messages.Pre_ack _ | Messages.Fin _ | Messages.Fin_ack _
         | Messages.Read_fin _ | Messages.Read_fin_reply _ ),
-        (Idle | Query _ | Collect _) ) ->
+        (None | Some (Query _ | Collect _)) ) ->
       ()
 end
 
 (* ------------------------------------------------------------------ *)
 (* Deployment *)
 
-type t = {
-  engine : Messages.t Engine.t;
-  config : config;
-  writers : Writer.t array;
-  writer_pids : int array;
-  readers : Reader.t array;
-  reader_pids : int array
-}
+type t = (Messages.t, config, Writer.phase, Reader.phase) Register.t
 
 let deploy ~engine ~params ?gc_depth ?(initial_value = Bytes.empty) ?value_len
     ~num_writers ~num_readers () =
@@ -380,66 +290,32 @@ let deploy ~engine ~params ?gc_depth ?(initial_value = Bytes.empty) ?value_len
   | Some d when d < 0 -> invalid_arg "Cas.deploy: negative gc_depth"
   | Some _ | None -> ());
   let n = Params.n params in
-  let k = Params.k_cas params in
-  let value_len =
-    match value_len with
-    | Some l -> l
-    | None ->
-      let l = Bytes.length initial_value in
-      if l > 0 then l else 1024
-  in
-  let server_pids =
-    Array.init n (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "cas-server%d" i))
-  in
+  let servers = Register.reserve engine ~name:"cas-server" n in
   let config =
     { params;
-      code = Mds.rs_bch ~n ~k;
+      code = Mds.rs_bch ~n ~k:(Params.k_cas params);
       gc_depth;
-      servers = server_pids;
-      cost = Cost.create ~value_len;
+      servers;
+      cost = Register.cost ~initial_value value_len;
       probe = Probe.create ();
       history = History.create ();
       initial_value;
       restarts = 0
     }
   in
-  Array.iteri
-    (fun i pid ->
-      Engine.set_handler engine pid
-        (Server.handler (Server.create config ~coordinate:i)))
-    server_pids;
-  let writer_pids =
-    Array.init num_writers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "cas-writer%d" i))
-  in
-  let writers = Array.init num_writers (fun _ -> Writer.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Writer.handler writers.(i)))
-    writer_pids;
-  let reader_pids =
-    Array.init num_readers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "cas-reader%d" i))
-  in
-  let readers = Array.init num_readers (fun _ -> Reader.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Reader.handler readers.(i)))
-    reader_pids;
-  { engine; config; writers; writer_pids; readers; reader_pids }
+  Register.deploy ~engine ~name:"cas" ~config ~history:config.history ~servers
+    ~server:(fun coordinate ->
+      Server.handler (Server.create config ~coordinate))
+    ~num_writers ~writer:(Writer.handler config)
+    ~start_write:(Writer.start config) ~num_readers
+    ~reader:(Reader.handler config) ~start_read:(Reader.start config)
 
-let write t ~writer ~at ?on_done value =
-  Engine.inject t.engine ~at t.writer_pids.(writer) (fun ctx ->
-      ignore (Writer.invoke t.writers.(writer) ctx ~value ?on_done ()))
-
-let read t ~reader ~at ?on_done () =
-  Engine.inject t.engine ~at t.reader_pids.(reader) (fun ctx ->
-      ignore (Reader.invoke t.readers.(reader) ctx ?on_done ()))
-
-let crash_server t ~coordinate ~at =
-  Engine.crash_at t.engine t.config.servers.(coordinate) at
-
-let history t = t.config.history
-let cost t = t.config.cost
-let probe t = t.config.probe
-let initial_value t = t.config.initial_value
-let read_restarts t = t.config.restarts
+let write = Register.write
+let read = Register.read
+let crash_server = Register.crash_server
+let server_pid = Register.server_pid
+let history = Register.history
+let cost t = (Register.config t).cost
+let probe t = (Register.config t).probe
+let initial_value t = (Register.config t).initial_value
+let read_restarts t = (Register.config t).restarts

@@ -56,16 +56,9 @@ val deploy :
 (** [gc_depth] is CASGC's δ; omit it for plain CAS (no garbage
     collection). *)
 
-val write :
-  t -> writer:int -> at:float -> ?on_done:(unit -> unit) -> bytes -> unit
+include Register.S with type t := t
 
-val read : t -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
-
-val crash_server : t -> coordinate:int -> at:float -> unit
-val history : t -> History.t
-val cost : t -> Cost.t
 val probe : t -> Probe.t
-val initial_value : t -> bytes
 
 val read_restarts : t -> int
 (** Number of times a reader had to restart because garbage collection

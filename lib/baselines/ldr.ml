@@ -110,93 +110,48 @@ end
 
 module Writer = struct
   type phase =
-    | Idle
-    | Query of {
-        op : int;
-        value : bytes;
-        replies : (int, unit) Hashtbl.t;
-        mutable best : Tag.t
-      }
-    | Store of {
-        op : int;
-        tag : Tag.t;
-        mutable ackers : int list;
-        acks : (int, unit) Hashtbl.t
-      }
-    | Update of { op : int; tag : Tag.t; acks : (int, unit) Hashtbl.t }
+    | Query of { op : int; value : bytes; mutable best : Tag.t }
+    | Store of { op : int; tag : Tag.t; mutable ackers : int list }
+    | Update of { op : int; tag : Tag.t }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (unit -> unit) option
-  }
+  let start config c ctx ~op value =
+    Register.enter c (Query { op; value; best = Tag.initial });
+    Register.broadcast ctx config.directories (Messages.Dir_query { op })
 
-  let create config = { config; phase = Idle; on_done = None }
-
-  let invoke t ctx ~value ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Store _ | Update _ -> invalid_arg "Ldr.Writer.invoke: busy");
-    let op =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Write ~at:(Engine.now_ctx ctx)
-    in
-    History.set_value t.config.history ~op value;
-    t.on_done <- on_done;
-    t.phase <-
-      Query { op; value; replies = Hashtbl.create 8; best = Tag.initial };
-    Array.iter
-      (fun d -> Engine.send ctx ~dst:d (Messages.Dir_query { op }))
-      t.config.directories;
-    op
-
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Dir_query_reply { op; tag; locations = _ }, Query q
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Dir_query_reply { op; tag; locations = _ }, Some (Query q)
       when q.op = op ->
-      Hashtbl.replace q.replies src ();
       if Tag.( > ) tag q.best then q.best <- tag;
-      if Hashtbl.length q.replies >= dir_majority t.config then begin
+      if Register.tally c src >= dir_majority config then begin
         let tw = Tag.next q.best ~w:(Engine.self ctx) in
-        History.set_tag t.config.history ~op tw;
-        t.phase <- Store { op; tag = tw; ackers = []; acks = Hashtbl.create 8 };
+        History.set_tag config.history ~op tw;
+        Register.enter c (Store { op; tag = tw; ackers = [] });
         Array.iter
           (fun r ->
-            Cost.comm t.config.cost ~op ~bytes:(Bytes.length q.value);
+            Cost.comm config.cost ~op ~bytes:(Bytes.length q.value);
             Engine.send ctx ~dst:r
               (Messages.Store { op; tag = tw; value = q.value }))
-          t.config.replicas
+          config.replicas
       end
-    | Messages.Store_ack { op; tag }, Store s
+    | Messages.Store_ack { op; tag }, Some (Store s)
       when s.op = op && Tag.equal tag s.tag ->
-      if not (Hashtbl.mem s.acks src) then begin
-        Hashtbl.replace s.acks src ();
+      if Register.vote c src then begin
         s.ackers <- src :: s.ackers;
-        if Hashtbl.length s.acks >= store_quorum t.config then begin
-          t.phase <- Update { op; tag = s.tag; acks = Hashtbl.create 8 };
-          Array.iter
-            (fun d ->
-              Engine.send ctx ~dst:d
-                (Messages.Dir_update { op; tag = s.tag; locations = s.ackers }))
-            t.config.directories
+        if Register.count c >= store_quorum config then begin
+          Register.enter c (Update { op; tag = s.tag });
+          Register.broadcast ctx config.directories
+            (Messages.Dir_update { op; tag = s.tag; locations = s.ackers })
         end
       end
-    | Messages.Dir_update_ack { op; tag }, Update u
+    | Messages.Dir_update_ack { op; tag }, Some (Update u)
       when u.op = op && Tag.equal tag u.tag ->
-      Hashtbl.replace u.acks src ();
-      if Hashtbl.length u.acks >= dir_majority t.config then begin
-        History.respond t.config.history ~op ~at:(Engine.now_ctx ctx);
-        t.phase <- Idle;
-        match t.on_done with
-        | Some callback ->
-          t.on_done <- None;
-          callback ()
-        | None -> ()
-      end
+      if Register.tally c src >= dir_majority config then
+        Register.respond c ctx ~op ()
     | ( ( Messages.Dir_query _ | Messages.Dir_query_reply _
         | Messages.Dir_update _ | Messages.Dir_update_ack _ | Messages.Store _
         | Messages.Store_ack _ | Messages.Fetch _ | Messages.Fetch_reply _ ),
-        (Idle | Query _ | Store _ | Update _) ) ->
+        (None | Some (Query _ | Store _ | Update _)) ) ->
       ()
 end
 
@@ -205,215 +160,125 @@ end
 
 module Reader = struct
   type phase =
-    | Idle
-    | Query of {
-        rid : int;
-        replies : (int, unit) Hashtbl.t;
-        mutable best : Tag.t;
-        mutable locations : int list
-      }
+    | Query of { rid : int; mutable best : Tag.t; mutable locations : int list }
     | Fetch of { rid : int; dir_tag : Tag.t; locations : int list }
     | Store_back of {
         rid : int;
         tag : Tag.t;
         value : bytes;
-        mutable ackers : int list;
-        acks : (int, unit) Hashtbl.t
+        mutable ackers : int list
       }
-    | Write_back of {
-        rid : int;
-        tag : Tag.t;
-        value : bytes;
-        acks : (int, unit) Hashtbl.t
-      }
+    | Write_back of { rid : int; tag : Tag.t; value : bytes }
 
-  type t = {
-    config : config;
-    mutable phase : phase;
-    mutable on_done : (bytes -> unit) option
-  }
-
-  let create config = { config; phase = Idle; on_done = None }
-
-  let invoke t ctx ?on_done () =
-    (match t.phase with
-    | Idle -> ()
-    | Query _ | Fetch _ | Store_back _ | Write_back _ ->
-      invalid_arg "Ldr.Reader.invoke: busy");
-    let rid =
-      History.invoke t.config.history ~client:(Engine.self ctx)
-        ~kind:History.Read ~at:(Engine.now_ctx ctx)
-    in
-    t.on_done <- on_done;
-    t.phase <-
-      Query
-        { rid;
-          replies = Hashtbl.create 8;
-          best = Tag.initial;
-          locations = Array.to_list t.config.replicas
-        };
-    Array.iter
-      (fun d -> Engine.send ctx ~dst:d (Messages.Dir_query { op = rid }))
-      t.config.directories;
-    rid
+  let start config c ctx ~op:rid =
+    let locations = Array.to_list config.replicas in
+    Register.enter c (Query { rid; best = Tag.initial; locations });
+    Register.broadcast ctx config.directories (Messages.Dir_query { op = rid })
 
   (* final phase: record (tag, locations) at a majority of directories
      so later readers cannot miss this read's tag *)
-  let start_dir_write_back t ctx ~rid ~tag ~value ~locations =
-    t.phase <- Write_back { rid; tag; value; acks = Hashtbl.create 8 };
-    Array.iter
-      (fun d ->
-        Engine.send ctx ~dst:d (Messages.Dir_update { op = rid; tag; locations }))
-      t.config.directories
+  let start_dir_write_back config c ctx ~rid ~tag ~value ~locations =
+    Register.enter c (Write_back { rid; tag; value });
+    Register.broadcast ctx config.directories
+      (Messages.Dir_update { op = rid; tag; locations })
 
-  let handler t ctx ~src msg =
-    match (msg, t.phase) with
-    | Messages.Dir_query_reply { op; tag; locations }, Query q when q.rid = op
-      ->
-      Hashtbl.replace q.replies src ();
+  let handler config c ctx ~src msg =
+    match (msg, Register.phase c) with
+    | Messages.Dir_query_reply { op; tag; locations }, Some (Query q)
+      when q.rid = op ->
       if Tag.( > ) tag q.best then begin
         q.best <- tag;
         q.locations <- locations
       end;
-      if Hashtbl.length q.replies >= dir_majority t.config then begin
-        t.phase <-
-          Fetch { rid = q.rid; dir_tag = q.best; locations = q.locations };
+      if Register.tally c src >= dir_majority config then begin
+        Register.enter c
+          (Fetch { rid = q.rid; dir_tag = q.best; locations = q.locations });
         (* at most f of the f+1 recorded locations can be crashed *)
         List.iter
           (fun r ->
-            Engine.send ctx ~dst:r (Messages.Fetch { rid = q.rid; tag = q.best }))
+            Engine.send ctx ~dst:r
+              (Messages.Fetch { rid = q.rid; tag = q.best }))
           q.locations
       end
-    | Messages.Fetch_reply { rid; tag; value }, Fetch f when f.rid = rid ->
+    | Messages.Fetch_reply { rid; tag; value }, Some (Fetch f) when f.rid = rid
+      ->
       (* replica tags are monotone, so tag >= f.dir_tag; first reply
          wins *)
-      History.set_tag t.config.history ~op:rid tag;
-      History.set_value t.config.history ~op:rid value;
+      History.set_tag config.history ~op:rid tag;
+      History.set_value config.history ~op:rid value;
       if Tag.equal tag f.dir_tag then
         (* the directory's locations are still valid for this tag *)
-        start_dir_write_back t ctx ~rid ~tag ~value ~locations:f.locations
+        start_dir_write_back config c ctx ~rid ~tag ~value
+          ~locations:f.locations
       else begin
         (* a newer value surfaced: install it at f+1 replicas first so
            the directory entry we leave behind has live locations *)
-        t.phase <-
-          Store_back { rid; tag; value; ackers = []; acks = Hashtbl.create 8 };
+        Register.enter c (Store_back { rid; tag; value; ackers = [] });
         Array.iter
           (fun r ->
-            Cost.comm t.config.cost ~op:rid ~bytes:(Bytes.length value);
+            Cost.comm config.cost ~op:rid ~bytes:(Bytes.length value);
             Engine.send ctx ~dst:r (Messages.Store { op = rid; tag; value }))
-          t.config.replicas
+          config.replicas
       end
-    | Messages.Store_ack { op; tag }, Store_back sb
+    | Messages.Store_ack { op; tag }, Some (Store_back sb)
       when sb.rid = op && Tag.equal tag sb.tag ->
-      if not (Hashtbl.mem sb.acks src) then begin
-        Hashtbl.replace sb.acks src ();
+      if Register.vote c src then begin
         sb.ackers <- src :: sb.ackers;
-        if Hashtbl.length sb.acks >= store_quorum t.config then
-          start_dir_write_back t ctx ~rid:sb.rid ~tag:sb.tag ~value:sb.value
-            ~locations:sb.ackers
+        if Register.count c >= store_quorum config then
+          start_dir_write_back config c ctx ~rid:sb.rid ~tag:sb.tag
+            ~value:sb.value ~locations:sb.ackers
       end
-    | Messages.Dir_update_ack { op; tag }, Write_back w
+    | Messages.Dir_update_ack { op; tag }, Some (Write_back w)
       when w.rid = op && Tag.equal tag w.tag ->
-      Hashtbl.replace w.acks src ();
-      if Hashtbl.length w.acks >= dir_majority t.config then begin
-        History.respond t.config.history ~op ~at:(Engine.now_ctx ctx);
-        t.phase <- Idle;
-        match t.on_done with
-        | Some callback ->
-          t.on_done <- None;
-          callback w.value
-        | None -> ()
-      end
+      if Register.tally c src >= dir_majority config then
+        Register.respond c ctx ~op w.value
     | ( ( Messages.Dir_query _ | Messages.Dir_query_reply _
         | Messages.Dir_update _ | Messages.Dir_update_ack _ | Messages.Store _
         | Messages.Store_ack _ | Messages.Fetch _ | Messages.Fetch_reply _ ),
-        (Idle | Query _ | Fetch _ | Store_back _ | Write_back _) ) ->
+        (None | Some (Query _ | Fetch _ | Store_back _ | Write_back _)) ) ->
       ()
 end
 
 (* ------------------------------------------------------------------ *)
 (* Deployment *)
 
-type t = {
-  engine : Messages.t Engine.t;
-  config : config;
-  writers : Writer.t array;
-  writer_pids : int array;
-  readers : Reader.t array;
-  reader_pids : int array
-}
+type t = (Messages.t, config, Writer.phase, Reader.phase) Register.t
 
 let deploy ~engine ~params ?(initial_value = Bytes.empty) ?value_len
     ~num_writers ~num_readers () =
   let f = Params.f params in
   let group = (2 * f) + 1 in
-  let value_len =
-    match value_len with
-    | Some l -> l
-    | None ->
-      let l = Bytes.length initial_value in
-      if l > 0 then l else 1024
-  in
-  let directories =
-    Array.init group (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "ldr-dir%d" i))
-  in
-  let replicas =
-    Array.init group (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "ldr-replica%d" i))
-  in
+  let directories = Register.reserve engine ~name:"ldr-dir" group in
+  let replicas = Register.reserve engine ~name:"ldr-replica" group in
   let config =
     { f;
       directories;
       replicas;
-      cost = Cost.create ~value_len;
+      cost = Register.cost ~initial_value value_len;
       history = History.create ();
       initial_value
     }
   in
-  Array.iter
-    (fun pid ->
-      Engine.set_handler engine pid (Directory.handler (Directory.create config)))
-    directories;
-  Array.iteri
-    (fun i pid ->
-      Engine.set_handler engine pid
-        (Replica.handler (Replica.create config ~index:i)))
-    replicas;
-  let writer_pids =
-    Array.init num_writers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "ldr-writer%d" i))
-  in
-  let writers = Array.init num_writers (fun _ -> Writer.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Writer.handler writers.(i)))
-    writer_pids;
-  let reader_pids =
-    Array.init num_readers (fun i ->
-        Engine.reserve engine ~name:(Printf.sprintf "ldr-reader%d" i))
-  in
-  let readers = Array.init num_readers (fun _ -> Reader.create config) in
-  Array.iteri
-    (fun i pid -> Engine.set_handler engine pid (Reader.handler readers.(i)))
-    reader_pids;
-  { engine; config; writers; writer_pids; readers; reader_pids }
+  Register.deploy ~engine ~name:"ldr" ~config ~history:config.history
+    ~servers:(Array.append directories replicas)
+    ~server:(fun i ->
+      if i < group then Directory.handler (Directory.create config)
+      else Replica.handler (Replica.create config ~index:(i - group)))
+    ~num_writers ~writer:(Writer.handler config)
+    ~start_write:(Writer.start config) ~num_readers
+    ~reader:(Reader.handler config) ~start_read:(Reader.start config)
 
-let write t ~writer ~at ?on_done value =
-  Engine.inject t.engine ~at t.writer_pids.(writer) (fun ctx ->
-      ignore (Writer.invoke t.writers.(writer) ctx ~value ?on_done ()))
+let write = Register.write
+let read = Register.read
+let crash_server = Register.crash_server
+let server_pid = Register.server_pid
 
-let read t ~reader ~at ?on_done () =
-  Engine.inject t.engine ~at t.reader_pids.(reader) (fun ctx ->
-      ignore (Reader.invoke t.readers.(reader) ctx ?on_done ()))
-
-let crash_directory t ~index ~at =
-  Engine.crash_at t.engine t.config.directories.(index) at
+let history = Register.history
+let cost t = (Register.config t).cost
+let initial_value t = (Register.config t).initial_value
+let directories t = Array.length (Register.config t).directories
+let replicas t = Array.length (Register.config t).replicas
+let crash_directory t ~index ~at = crash_server t ~coordinate:index ~at
 
 let crash_replica t ~index ~at =
-  Engine.crash_at t.engine t.config.replicas.(index) at
-
-let history t = t.config.history
-let cost t = t.config.cost
-let initial_value t = t.config.initial_value
-let directories t = Array.length t.config.directories
-let replicas t = Array.length t.config.replicas
+  crash_server t ~coordinate:(directories t + index) ~at

@@ -56,17 +56,13 @@ val deploy :
   t
 (** Registers [2f+1] directory processes, [2f+1] replica processes and
     the clients. Only [f] of {e each} group may crash (the two groups
-    fail independently); [Params.n] is ignored except through [f]. *)
+    fail independently); [Params.n] is ignored except through [f].
+    Server coordinates number the directories [0 .. 2f] and then the
+    replicas [2f+1 .. 4f+1], in pid order. *)
 
-val write :
-  t -> writer:int -> at:float -> ?on_done:(unit -> unit) -> bytes -> unit
-
-val read : t -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
+include Register.S with type t := t
 
 val crash_directory : t -> index:int -> at:float -> unit
 val crash_replica : t -> index:int -> at:float -> unit
-val history : t -> History.t
-val cost : t -> Cost.t
-val initial_value : t -> bytes
 val directories : t -> int
 val replicas : t -> int

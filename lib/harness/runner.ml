@@ -3,13 +3,14 @@ module History = Protocol.History
 module Cost = Protocol.Cost
 module Probe = Protocol.Probe
 
-type algorithm = Soda | Abd | Cas of { gc_depth : int option }
+type algorithm = Soda | Abd | Cas of { gc_depth : int option } | Ldr
 
 let algorithm_name = function
   | Soda -> "soda"
   | Abd -> "abd"
   | Cas { gc_depth = None } -> "cas"
   | Cas { gc_depth = Some d } -> Printf.sprintf "casgc(%d)" d
+  | Ldr -> "ldr"
 
 type result = {
   algorithm : string;
@@ -32,42 +33,27 @@ type result = {
   read_restarts : int
 }
 
-let initial_value_of (w : Workload.t) =
-  Workload.value ~len:w.Workload.value_len ~seed:w.Workload.seed ~index:999_983
-
-let run_soda ~max_events ~transport ?plane (w : Workload.t) =
-  let engine =
-    Engine.create ~seed:w.Workload.seed ~transport ~delay:w.Workload.delay
-      ~classify:(fun m -> Soda.Messages.data_bytes m > 0)
-      ()
-  in
-  let initial_value = initial_value_of w in
-  let d =
-    Soda.Deployment.deploy ~engine ~params:w.Workload.params ~initial_value
-      ~value_len:w.Workload.value_len ~error_prone:w.Workload.error_prone
-      ?plane ~num_writers:w.Workload.num_writers
-      ~num_readers:w.Workload.num_readers ()
-  in
+(* The one run path: the register [d], already deployed on [engine] by
+   the algorithm's adapter in [run], gets the workload's crashes and
+   operations and runs to quiescence. *)
+let execute (type d) (module R : Baselines.Register.S with type t = d)
+    ?probe ?(read_restarts = fun _ -> 0) ~name ~max_events engine
+    (w : Workload.t) (d : d) =
   List.iter
-    (fun (coordinate, at) -> Soda.Deployment.crash_server d ~coordinate ~at)
+    (fun (coordinate, at) -> R.crash_server d ~coordinate ~at)
     w.Workload.server_crashes;
   List.iter
     (function
-      | Workload.Write { writer; at; value } ->
-        Soda.Deployment.write d ~writer ~at value
-      | Workload.Read { reader; at } -> Soda.Deployment.read d ~reader ~at ())
+      | Workload.Write { writer; at; value } -> R.write d ~writer ~at value
+      | Workload.Read { reader; at } -> R.read d ~reader ~at ())
     w.Workload.ops;
   Engine.run ~max_events engine;
-  let crashed c =
-    Engine.is_crashed engine (Soda.Deployment.server_pid d ~coordinate:c)
-  in
-  { algorithm =
-      (if Protocol.Params.e w.Workload.params > 0 then "soda-err" else "soda");
+  { algorithm = name;
     workload = w;
-    history = Soda.Deployment.history d;
-    cost = Soda.Deployment.cost d;
-    probe = Some (Soda.Deployment.probe d);
-    initial_value;
+    history = R.history d;
+    cost = R.cost d;
+    probe;
+    initial_value = R.initial_value d;
     messages_sent = Engine.messages_sent engine;
     messages_delivered = Engine.messages_delivered engine;
     messages_dropped = Engine.messages_dropped engine;
@@ -78,100 +64,53 @@ let run_soda ~max_events ~transport ?plane (w : Workload.t) =
     retransmissions = Engine.retransmissions engine;
     events_executed = Engine.events_executed engine;
     final_time = Engine.now engine;
-    crashed;
-    read_restarts = 0
+    crashed =
+      (fun coordinate -> Engine.is_crashed engine (R.server_pid d ~coordinate));
+    read_restarts = read_restarts d
   }
 
-let run_abd ~max_events ~transport (w : Workload.t) =
-  let engine =
-    Engine.create ~seed:w.Workload.seed ~transport ~delay:w.Workload.delay
-      ~classify:(fun m -> Baselines.Abd.Messages.data_bytes m > 0)
+let run ?(max_events = 20_000_000) ?(transport = `Raw) ?plane algorithm
+    (w : Workload.t) =
+  let { Workload.params; value_len; num_writers; num_readers; seed; _ } = w in
+  let initial_value = Workload.value ~len:value_len ~seed ~index:999_983 in
+  let engine data_bytes =
+    Engine.create ~seed ~transport ~delay:w.Workload.delay
+      ~classify:(fun m -> data_bytes m > 0)
       ()
   in
-  let initial_value = initial_value_of w in
-  let d =
-    Baselines.Abd.deploy ~engine ~params:w.Workload.params ~initial_value
-      ~value_len:w.Workload.value_len ~num_writers:w.Workload.num_writers
-      ~num_readers:w.Workload.num_readers ()
-  in
-  List.iter
-    (fun (coordinate, at) -> Baselines.Abd.crash_server d ~coordinate ~at)
-    w.Workload.server_crashes;
-  List.iter
-    (function
-      | Workload.Write { writer; at; value } ->
-        Baselines.Abd.write d ~writer ~at value
-      | Workload.Read { reader; at } -> Baselines.Abd.read d ~reader ~at ())
-    w.Workload.ops;
-  Engine.run ~max_events engine;
-  { algorithm = "abd";
-    workload = w;
-    history = Baselines.Abd.history d;
-    cost = Baselines.Abd.cost d;
-    probe = None;
-    initial_value;
-    messages_sent = Engine.messages_sent engine;
-    messages_delivered = Engine.messages_delivered engine;
-    messages_dropped = Engine.messages_dropped engine;
-    messages_lost = Engine.messages_lost engine;
-    messages_data = Engine.messages_data engine;
-    messages_meta = Engine.messages_meta engine;
-    acks_sent = Engine.acks_sent engine;
-    retransmissions = Engine.retransmissions engine;
-    events_executed = Engine.events_executed engine;
-    final_time = Engine.now engine;
-    crashed = (fun c -> Engine.is_crashed engine c);
-    read_restarts = 0
-  }
-
-let run_cas ~max_events ~transport ~gc_depth (w : Workload.t) =
-  let engine =
-    Engine.create ~seed:w.Workload.seed ~transport ~delay:w.Workload.delay
-      ~classify:(fun m -> Baselines.Cas.Messages.data_bytes m > 0)
-      ()
-  in
-  let initial_value = initial_value_of w in
-  let d =
-    Baselines.Cas.deploy ~engine ~params:w.Workload.params ?gc_depth
-      ~initial_value ~value_len:w.Workload.value_len
-      ~num_writers:w.Workload.num_writers ~num_readers:w.Workload.num_readers
-      ()
-  in
-  List.iter
-    (fun (coordinate, at) -> Baselines.Cas.crash_server d ~coordinate ~at)
-    w.Workload.server_crashes;
-  List.iter
-    (function
-      | Workload.Write { writer; at; value } ->
-        Baselines.Cas.write d ~writer ~at value
-      | Workload.Read { reader; at } -> Baselines.Cas.read d ~reader ~at ())
-    w.Workload.ops;
-  Engine.run ~max_events engine;
-  { algorithm = algorithm_name (Cas { gc_depth });
-    workload = w;
-    history = Baselines.Cas.history d;
-    cost = Baselines.Cas.cost d;
-    probe = Some (Baselines.Cas.probe d);
-    initial_value;
-    messages_sent = Engine.messages_sent engine;
-    messages_delivered = Engine.messages_delivered engine;
-    messages_dropped = Engine.messages_dropped engine;
-    messages_lost = Engine.messages_lost engine;
-    messages_data = Engine.messages_data engine;
-    messages_meta = Engine.messages_meta engine;
-    acks_sent = Engine.acks_sent engine;
-    retransmissions = Engine.retransmissions engine;
-    events_executed = Engine.events_executed engine;
-    final_time = Engine.now engine;
-    crashed = (fun c -> Engine.is_crashed engine c);
-    read_restarts = Baselines.Cas.read_restarts d
-  }
-
-let run ?(max_events = 20_000_000) ?(transport = `Raw) ?plane algorithm workload =
+  let name = algorithm_name algorithm in
   match algorithm with
-  | Soda -> run_soda ~max_events ~transport ?plane workload
-  | Abd -> run_abd ~max_events ~transport workload
-  | Cas { gc_depth } -> run_cas ~max_events ~transport ~gc_depth workload
+  | Soda ->
+    let engine = engine Soda.Messages.data_bytes in
+    let d =
+      Soda.Deployment.deploy ~engine ~params ~initial_value ~value_len
+        ~error_prone:w.Workload.error_prone ?plane ~num_writers ~num_readers ()
+    in
+    execute
+      (module Soda.Deployment)
+      ~probe:(Soda.Deployment.probe d)
+      ~name:(if Protocol.Params.e params > 0 then "soda-err" else name)
+      ~max_events engine w d
+  | Abd ->
+    let engine = engine Baselines.Abd.Messages.data_bytes in
+    Baselines.Abd.deploy ~engine ~params ~initial_value ~value_len ~num_writers
+      ~num_readers ()
+    |> execute (module Baselines.Abd) ~name ~max_events engine w
+  | Cas { gc_depth } ->
+    let engine = engine Baselines.Cas.Messages.data_bytes in
+    let d =
+      Baselines.Cas.deploy ~engine ~params ?gc_depth ~initial_value ~value_len
+        ~num_writers ~num_readers ()
+    in
+    execute
+      (module Baselines.Cas)
+      ~probe:(Baselines.Cas.probe d) ~read_restarts:Baselines.Cas.read_restarts
+      ~name ~max_events engine w d
+  | Ldr ->
+    let engine = engine Baselines.Ldr.Messages.data_bytes in
+    Baselines.Ldr.deploy ~engine ~params ~initial_value ~value_len ~num_writers
+      ~num_readers ()
+    |> execute (module Baselines.Ldr) ~name ~max_events engine w
 
 let run_sweep ?max_events ?transport ?plane ?domains algorithm workloads =
   Parallel.map ?domains

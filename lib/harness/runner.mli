@@ -1,10 +1,10 @@
 (** Executing a workload against one of the algorithms.
 
-    Each run creates a fresh engine (seeded from the workload), deploys
-    the chosen algorithm, schedules the workload's operations and crash
-    events, runs the simulation to quiescence, and packages everything an
-    analysis needs. The same workload executed twice yields bitwise
-    identical results. *)
+    Every algorithm goes through one run path: a fresh engine (seeded
+    from the workload), the algorithm's register deployed on it, the
+    workload's crash events and operations scheduled, the simulation run
+    to quiescence, and everything an analysis needs packaged. The same
+    workload executed twice yields bitwise identical results. *)
 
 module History = Protocol.History
 module Cost = Protocol.Cost
@@ -15,6 +15,10 @@ type algorithm =
   | Abd
   | Cas of { gc_depth : int option }
       (** [None] = plain CAS; [Some delta] = CASGC(delta). *)
+  | Ldr
+      (** [2f+1] directories and [2f+1] replicas; the workload's [n] is
+          ignored except through [f]. Crash coordinates number the
+          directories first, then the replicas. *)
 
 val algorithm_name : algorithm -> string
 
@@ -45,7 +49,9 @@ type result = {
       (** Every event the engine dispatched: deliveries, drops, local
           actions (e.g. dispersal steps), injections, crash/restores. *)
   final_time : float;
-  crashed : int -> bool;  (** by server coordinate *)
+  crashed : int -> bool;
+      (** by server coordinate, mapped through the register's own
+          server pids *)
   read_restarts : int
       (** Reader restarts forced by garbage collection. Non-zero only
           for CASGC (the other algorithms never restart a read);

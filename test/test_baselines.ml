@@ -202,8 +202,8 @@ let cas_tests =
 (* ------------------------------------------------------------------ *)
 (* LDR *)
 
-(* a self-contained runner for LDR (it has its own two-role topology, so
-   it does not go through Harness.Runner) *)
+(* a self-contained runner for LDR that crashes directories and replicas
+   separately (Harness.Runner numbers them as one coordinate range) *)
 let run_ldr ~params ~seed ?(crash_dirs = []) ?(crash_replicas = [])
     ~ops () =
   let initial_value = Bytes.make 96 'i' in
@@ -304,6 +304,84 @@ let ldr_tests =
           (read_cost <= float_of_int (f + 1) +. 1e-9))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Every protocol over lossy links *)
+
+(* Deploy on the reliable channel with 20% loss on every link, drive
+   [w]'s schedule through the register surface every protocol shares,
+   and return the history, the initial value, the transmissions the
+   links lost and the sends the channel gave up on. *)
+let run_lossy (type d) (module R : Baselines.Register.S with type t = d)
+    (deploy : _ -> d) (w : Workload.t) =
+  let engine =
+    Engine.create ~seed:w.Workload.seed
+      ~transport:(`Reliable Simnet.Channel.default) ~delay:w.Workload.delay ()
+  in
+  Engine.set_loss engine 0.2;
+  let d = deploy engine in
+  List.iter
+    (function
+      | Workload.Write { writer; at; value } -> R.write d ~writer ~at value
+      | Workload.Read { reader; at } -> R.read d ~reader ~at ())
+    w.Workload.ops;
+  Engine.run engine;
+  ( R.history d,
+    R.initial_value d,
+    Engine.messages_lost engine,
+    Engine.sends_abandoned engine )
+
+let lossy_tests =
+  let params = Params.make ~n:5 ~f:2 () in
+  let initial_value = Bytes.make 96 'i' in
+  let protocols =
+    [ ( "ABD",
+        run_lossy (module Baselines.Abd) (fun engine ->
+            Baselines.Abd.deploy ~engine ~params ~initial_value ~num_writers:2
+              ~num_readers:2 ()) );
+      ( "CAS",
+        run_lossy (module Baselines.Cas) (fun engine ->
+            Baselines.Cas.deploy ~engine ~params ~initial_value ~num_writers:2
+              ~num_readers:2 ()) );
+      ( "CASGC(2)",
+        run_lossy (module Baselines.Cas) (fun engine ->
+            Baselines.Cas.deploy ~engine ~params ~gc_depth:2 ~initial_value
+              ~num_writers:2 ~num_readers:2 ()) );
+      ( "LDR",
+        run_lossy (module Baselines.Ldr) (fun engine ->
+            Baselines.Ldr.deploy ~engine ~params ~initial_value ~num_writers:2
+              ~num_readers:2 ()) );
+      ( "SODA",
+        run_lossy (module Soda.Deployment) (fun engine ->
+            Soda.Deployment.deploy ~engine ~params ~initial_value
+              ~num_writers:2 ~num_readers:2 ()) )
+    ]
+  in
+  [ Alcotest.test_case
+      "every protocol is live and atomic over 20% loss, nothing abandoned"
+      `Quick (fun () ->
+        List.iter
+          (fun (name, run) ->
+            for seed = 1 to 4 do
+              let w =
+                Workload.concurrent ~params ~value_len:96 ~seed ~num_writers:2
+                  ~num_readers:2 ~ops_per_client:3 ()
+              in
+              let history, initial_value, lost, abandoned = run w in
+              let what = Printf.sprintf "%s seed %d" name seed in
+              Alcotest.(check bool) (what ^ ": links lost messages") true
+                (lost > 0);
+              Alcotest.(check bool) (what ^ ": every op completed") true
+                (History.all_complete history);
+              Alcotest.(check int) (what ^ ": sends abandoned") 0 abandoned;
+              Alcotest.(check bool) (what ^ ": atomic") true
+                (Atomicity.check_tagged ~initial_value (History.records history)
+                = Ok ())
+            done)
+          protocols)
+  ]
+
 let () =
   Alcotest.run "baselines"
-    [ ("abd", abd_tests); ("cas", cas_tests); ("ldr", ldr_tests) ]
+    [ ("abd", abd_tests); ("cas", cas_tests); ("ldr", ldr_tests);
+      ("lossy", lossy_tests)
+    ]

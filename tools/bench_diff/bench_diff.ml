@@ -19,6 +19,16 @@
    regressing moves its own ratio against the median and fails the
    build.
 
+   The msgs and sharded benches are deterministic message counts per
+   operation (`overhead --out`, `sharded --out`):
+
+     msgs points:    (algo)                    -> msgs_per_op
+     sharded points: (case)                    -> msgs_per_op
+
+   No host moves a count, so they are not calibrated: a key fails when
+   its raw fresh / baseline ratio rises above 1 + threshold, even when
+   every key rises together.
+
    The parser below is a minimal scanner for the schema our own bench
    emitters produce — flat objects inside one "results" array, string
    and number fields only, no nesting, no escapes beyond what %S
@@ -175,10 +185,10 @@ let point_of_fields kind fields =
   | "sharded" -> (str (get fields "case"), num (get fields "msgs_per_op"))
   | k -> fail "unknown bench kind %S" k
 
-(* codec/sim measure throughput (higher is better); msgs/sharded
-   measure messages per operation (deterministic counts, lower is
-   better) *)
-let lower_is_better = function "msgs" | "sharded" -> true | _ -> false
+(* codec/sim measure throughput (higher is better) and move with the
+   host; msgs/sharded measure messages per operation, deterministic
+   counts (lower is better) that no host can move *)
+let is_count = function "msgs" | "sharded" -> true | _ -> false
 
 let parse_bench path =
   let sc = { s = read_file path; pos = 0 } in
@@ -274,25 +284,32 @@ let compare_benches ~baseline ~fresh =
     unmatched_base;
   if List.is_empty matched then
     fail "no keys in common between baseline and fresh run";
-  let m = median (List.map snd matched) in
-  Printf.printf
-    "bench_diff: %s, %d matched keys, machine-speed factor (median \
-     fresh/baseline) %.2fx, threshold %.0f%%\n"
-    fresh.kind (List.length matched) m (100.0 *. !threshold);
-  let failures =
-    List.filter_map
-      (fun (key, ratio) ->
-        let rel = ratio /. m in
-        let flagged =
-          if lower_is_better fresh.kind then rel > 1.0 +. !threshold
-          else rel < 1.0 -. !threshold
-        in
-        Printf.printf "  %-44s %6.2fx raw, %6.2fx vs median%s\n" key ratio rel
-          (if flagged then "  << REGRESSION" else "");
-        if flagged then Some key else None)
-      matched
-  in
-  failures
+  let counts = is_count fresh.kind in
+  (* Only throughput is divided by the machine-speed factor. A count has
+     no host to calibrate for, so a rise in every row at once is a
+     protocol change and must fail like a rise in one. *)
+  let m = if counts then 1.0 else median (List.map snd matched) in
+  if counts then
+    Printf.printf
+      "bench_diff: %s, %d matched keys, deterministic counts (raw \
+       fresh/baseline), threshold %.0f%%\n"
+      fresh.kind (List.length matched) (100.0 *. !threshold)
+  else
+    Printf.printf
+      "bench_diff: %s, %d matched keys, machine-speed factor (median \
+       fresh/baseline) %.2fx, threshold %.0f%%\n"
+      fresh.kind (List.length matched) m (100.0 *. !threshold);
+  List.filter_map
+    (fun (key, ratio) ->
+      let rel = ratio /. m in
+      let flagged =
+        if counts then rel > 1.0 +. !threshold else rel < 1.0 -. !threshold
+      in
+      Printf.printf "  %-44s %6.2fx raw%s%s\n" key ratio
+        (if counts then "" else Printf.sprintf ", %6.2fx vs median" rel)
+        (if flagged then "  << REGRESSION" else "");
+      if flagged then Some key else None)
+    matched
 
 let usage () =
   prerr_endline
