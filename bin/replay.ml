@@ -52,7 +52,7 @@ let () =
       outcome.events;
     (* payload view: protocol messages and acks rendered readably —
        coalesced gossip envelopes show entry counts and tag/rid ranges,
-       cumulative acks the sequence they discharge *)
+       acks the sequence number they acknowledge *)
     print_endline "-- deliveries --";
     List.iter print_endline outcome.message_log
   end;

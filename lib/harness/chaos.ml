@@ -34,8 +34,8 @@ let matrix =
         [ false; true ])
     [ 0.05; 0.2; 0.4 ]
   @ [ (* the batched message plane (coalesced gossip, relay batching,
-         staggered metadata) over cumulative acks must survive the same
-         adversary as the broadcast plane *)
+         staggered metadata) must survive the same adversary as the
+         broadcast plane *)
       { name = "batched20+part";
         loss = 0.2;
         partitions = true;
@@ -119,12 +119,6 @@ let ok o =
 let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
     ?(channel = Simnet.Channel.default) scenario ~seed =
   let params = Params.make ~n ~f () in
-  (* a batched cell exercises the coalesced plane over cumulative acks;
-     quiet window 0.5 < rto so acks always beat the retransmission timer *)
-  let channel =
-    if scenario.batched then { channel with Simnet.Channel.ack = `Cumulative 0.5 }
-    else channel
-  in
   let plane = if scenario.batched then Some Soda.Config.batched_plane else None in
   let engine =
     Engine.create ~seed ~trace ~transport:(`Reliable channel)
@@ -133,7 +127,7 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
   in
   if scenario.loss > 0.0 then Engine.set_loss engine scenario.loss;
   (* payload-level log for replay: rendered through Soda.Messages.pp so
-     coalesced envelopes and cumulative acks stay human-diffable *)
+     coalesced envelopes stay human-diffable *)
   let msg_log = ref [] in
   if trace then begin
     let name pid = Engine.name_of engine pid in
@@ -145,11 +139,10 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
                 Soda.Messages.pp msg
               :: !msg_log);
         Engine.tap_ack =
-          (fun ~time ~src ~dst ~cumulative ~seq ->
+          (fun ~time ~src ~dst ~cumulative:_ ~seq ->
             (* acks travel against the data direction *)
             msg_log :=
-              Printf.sprintf "%8.2f  %s -> %s  %s%d" time (name dst) (name src)
-                (if cumulative then "ACK cum<=" else "ack ")
+              Printf.sprintf "%8.2f  %s -> %s  ack %d" time (name dst) (name src)
                 seq
               :: !msg_log)
       }
@@ -368,11 +361,8 @@ let run_domain ?(keys = 12) ?(horizon = 600.0) ?(value_len = 64) ~fault ~seed
       ~policy:Soda.Placement.Consistent_hash ()
   in
   assert (Soda.Placement.domain_safe placement);
-  let channel =
-    { Simnet.Channel.default with Simnet.Channel.ack = `Cumulative 0.5 }
-  in
   let engine =
-    Engine.create ~seed ~transport:(`Reliable channel)
+    Engine.create ~seed ~transport:(`Reliable Simnet.Channel.default)
       ~classify:(fun m -> Soda.Messages.data_bytes m > 0)
       ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
   in

@@ -22,9 +22,8 @@ type scenario = {
   partitions : bool;
   crashes : bool;
   batched : bool;
-      (** run SODA on {!Soda.Config.batched_plane} over cumulative acks
-          ([`Cumulative 0.5]) instead of the broadcast plane with
-          per-message acks *)
+      (** run SODA on {!Soda.Config.batched_plane} instead of the
+          broadcast plane, over the same per-message-ack channel *)
   healing : bool;
       (** deploy with {!Soda.Config.default_healing}: heartbeat failure
           detector, checksum scrubber and autonomous crash-repair *)
@@ -90,7 +89,7 @@ type outcome = {
       (** payload-level delivery/ack log ([[]] unless traced):
           protocol messages rendered through [Soda.Messages.pp] — so
           coalesced gossip envelopes show entry counts and tag/rid
-          ranges — and cumulative acks their acknowledged sequence *)
+          ranges — and acks the sequence number they acknowledge *)
   name_of : int -> string
 }
 
@@ -108,8 +107,7 @@ val run :
 (** Execute one cell at one seed. Defaults: [n = 5], [f = 1],
     [horizon = 600], [value_len = 64], [channel = Channel.default];
     2 writers and 2 readers in closed loop. A [batched] scenario
-    overrides the channel's ack mode to [`Cumulative 0.5] and deploys
-    SODA on {!Soda.Config.batched_plane}. A [healing] scenario runs the
+    deploys SODA on {!Soda.Config.batched_plane}. A [healing] scenario runs the
     engine to a fixed quiescence horizon ([horizon + 600]) instead of
     draining the queue — the heartbeat and scrub tick chains never
     stop; unhealed cells keep the drain-the-queue termination and
@@ -122,8 +120,8 @@ val run :
     in 3 failure domains, each key a ["4+2"] instance placed by
     consistent hashing (per-domain cap [2 = f], so the placement is
     {!Soda.Placement.domain_safe}), closed-loop clients cycling over
-    the keys, 5% loss over the cumulative-ack reliable transport on
-    the batched plane. Domain 1 fails in its entirety mid-run and is
+    the keys, 5% loss over the default reliable transport
+    ({!Simnet.Channel.default}) on the batched plane. Domain 1 fails in its entirety mid-run and is
     healed/repaired late; every key must stay atomic and every
     operation must complete. *)
 

@@ -42,7 +42,8 @@ type result = {
           [Messages.data_bytes] > 0). *)
   messages_meta : int;  (** Logical protocol sends carrying metadata only. *)
   acks_sent : int;
-      (** Standalone ack transmissions; 0 on the raw transport. *)
+      (** Ack transmissions, one per data arrival at a live
+          destination; 0 on the raw transport. *)
   retransmissions : int;
       (** Reliable-transport retransmissions; 0 on the raw transport. *)
   events_executed : int;

@@ -3,8 +3,7 @@ type config = {
   backoff : float;
   max_rto : float;
   jitter : float;
-  max_retries : int;
-  ack : [ `Immediate | `Cumulative of float ]
+  max_retries : int
 }
 
 let default =
@@ -12,8 +11,7 @@ let default =
     backoff = 1.6;
     max_rto = 60.0;
     jitter = 0.1;
-    max_retries = 50;
-    ack = `Immediate
+    max_retries = 50
   }
 
 let validate c =
@@ -21,15 +19,7 @@ let validate c =
   if not (c.backoff >= 1.0) then invalid_arg "Channel: backoff must be >= 1";
   if not (c.max_rto >= c.rto) then invalid_arg "Channel: max_rto < rto";
   if not (c.jitter >= 0.0) then invalid_arg "Channel: negative jitter";
-  if c.max_retries < 0 then invalid_arg "Channel: negative max_retries";
-  match c.ack with
-  | `Immediate -> ()
-  | `Cumulative quiet ->
-    if not (quiet >= 0.0) then invalid_arg "Channel: negative ack quiet window";
-    if not (quiet < c.rto) then
-      invalid_arg
-        "Channel: ack quiet window must be < rto (acks must beat the \
-         retransmission timer)"
+  if c.max_retries < 0 then invalid_arg "Channel: negative max_retries"
 
 let next_rto c rto = Float.min (rto *. c.backoff) c.max_rto
 
@@ -63,9 +53,7 @@ type link = {
   mutable tries : int array;
   mutable rtos : float array;
   mutable cum : int;  (* -1 until seq 0 arrives *)
-  mutable arrived : Bytes.t;
-  mutable ack_pending : bool;  (* cumulative mode: arrivals not yet acked *)
-  mutable timer_armed : bool  (* cumulative mode: quiet-window timer set *)
+  mutable arrived : Bytes.t
 }
 
 type t = {
@@ -116,9 +104,7 @@ let link t ~src ~dst =
         tries = [||];
         rtos = [||];
         cum = -1;
-        arrived = Bytes.empty;
-        ack_pending = false;
-        timer_armed = false
+        arrived = Bytes.empty
       }
     in
     row.(dst) <- Some l;
@@ -190,17 +176,6 @@ let ack t ~src ~dst ~seq =
     advance_base l
   end
 
-let ack_up_to t ~src ~dst ~upto =
-  let l = link t ~src ~dst in
-  let upto = min upto (l.next_seq - 1) in
-  if upto >= l.base then begin
-    for seq = l.base to upto do
-      if l.tries.(slot l seq) >= 0 then vacate t l seq
-    done;
-    l.base <- upto + 1;
-    advance_base l
-  end
-
 let on_timer t ~src ~dst ~seq =
   let l = link t ~src ~dst in
   if not (pending l seq) then `Done
@@ -221,7 +196,7 @@ let on_timer t ~src ~dst ~seq =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Receiver dedup, shared by both ack modes *)
+(* Receiver dedup *)
 
 (* Bit [p] of a bitmap. *)
 let test_bit b p = Bytes.get_uint8 b (p lsr 3) land (1 lsl (p land 7)) <> 0
@@ -253,7 +228,8 @@ let grow_arrived l seq =
   done
 
 (* [`Fresh] exactly once per seq. *)
-let dedup t l seq =
+let receive t ~src ~dst ~seq =
+  let l = link t ~src ~dst in
   if seq <= l.cum || has_arrived l seq then begin
     t.duplicates_suppressed <- t.duplicates_suppressed + 1;
     `Duplicate
@@ -272,46 +248,6 @@ let dedup t l seq =
     end;
     `Fresh
   end
-
-let receive t ~src ~dst ~seq = dedup t (link t ~src ~dst) seq
-
-(* ------------------------------------------------------------------ *)
-(* Cumulative-ack mode *)
-
-let receive_cum t ~src ~dst ~seq =
-  let l = link t ~src ~dst in
-  (* a duplicate means the sender missed our last ack: re-ack it too *)
-  l.ack_pending <- true;
-  dedup t l seq
-
-let arm_ack_timer t ~src ~dst =
-  let l = link t ~src ~dst in
-  if l.timer_armed then false
-  else begin
-    l.timer_armed <- true;
-    true
-  end
-
-let take_ack t ~src ~dst =
-  let l = link t ~src ~dst in
-  l.timer_armed <- false;
-  if l.ack_pending && l.cum >= 0 then begin
-    l.ack_pending <- false;
-    Some l.cum
-  end
-  else
-    (* nothing contiguous to report yet (only out-of-order arrivals, an
-       unencodable state): stay quiet, the next arrival re-arms *)
-    None
-
-let piggyback_ack t ~src ~dst =
-  let l = link t ~src ~dst in
-  if l.ack_pending && l.cum >= 0 then begin
-    (* the armed timer, if any, finds ack_pending = false and disarms *)
-    l.ack_pending <- false;
-    l.cum
-  end
-  else -1
 
 let in_flight t = t.in_flight
 let retransmissions t = t.retransmissions

@@ -7,12 +7,19 @@
     each logical send is assigned a per-link sequence number, transmitted,
     and retransmitted with exponential backoff (plus seeded jitter) until
     the destination's ack arrives or the retry cap is hit; the receiver
-    side acknowledges every arrival and suppresses redelivery of
-    sequence numbers it has already handed to the protocol. Protocols run
-    unmodified — they keep calling [Engine.send] and receiving through
-    their installed handlers — and regain exactly-once delivery over any
-    loss schedule with drop probability < 1 and finite partitions (within
-    the retry budget).
+    side acknowledges every arrival with its own ack and suppresses
+    redelivery of sequence numbers it has already handed to the
+    protocol. Protocols run unmodified — they keep calling [Engine.send]
+    and receiving through their installed handlers — and regain
+    exactly-once delivery over any loss schedule with drop probability
+    < 1 and finite partitions (within the retry budget).
+
+    Acks are per message, never cumulative. An ack naming only the
+    highest contiguous sequence cannot discharge the sends above a lost
+    packet, so every later send's timer fires after one loss: measured on
+    the soak-lossy workload (n = 10, 20% loss), cumulative acks cost
+    4× the retransmissions and half the throughput of per-message acks
+    (EXPERIMENTS.md, "One ack mode").
 
     This module owns the pure state machine — sequence allocation,
     pending sends, receiver dedup, backoff arithmetic, counters — while
@@ -21,12 +28,10 @@
     State lives in one record per directed link, found by pid (no
     hashing). The sender keeps a power-of-two ring of unacked sends over
     [\[base, next_seq)], doubling when full; acks and give-ups vacate
-    slots and advance [base]. The receiver keeps, in both ack modes, the
-    highest contiguous sequence number plus a bitmap ring of the
-    arrivals above it. Memory is therefore bounded by the in-flight
-    window, not by the number of messages in the run, and every
-    operation is O(1) amortised ([ack_up_to] is linear in the acks it
-    discharges).
+    slots and advance [base]. The receiver keeps the highest contiguous
+    sequence number plus a bitmap ring of the arrivals above it. Memory
+    is therefore bounded by the in-flight window, not by the number of
+    messages in the run, and every operation is O(1) amortised.
     Payloads are stored as [Obj.t] because they live inside the engine's
     uniformly-typed queue; the engine is the only caller and casts them
     back under the same discipline it uses for queued events. *)
@@ -44,22 +49,12 @@ type config = {
           A give-up breaks the reliable abstraction and is counted in
           {!abandoned}; size the cap so that the backoff schedule outlives
           the longest fault window the harness injects. *)
-  ack : [ `Immediate | `Cumulative of float ]
-      (** [`Immediate] (default): every data arrival is acknowledged with
-          its own ack message. [`Cumulative quiet]: per directed link the
-          receiver tracks the highest contiguous sequence number; acks are
-          piggybacked on reverse data traffic, and a standalone ack is
-          sent only if [quiet] time units pass with arrivals still
-          unacknowledged. One cumulative ack discharges every pending
-          send up to its sequence number. [quiet] must satisfy
-          [0 <= quiet < rto] — an ack that cannot beat the retransmission
-          timer defeats the aggregation. *)
 }
 
 val default : config
 (** [{ rto = 5.0; backoff = 1.6; max_rto = 60.0; jitter = 0.1;
-      max_retries = 50; ack = `Immediate }] — sized for the repo's delay
-    models (transit <= 2–10 time units) and nemesis partition windows. *)
+      max_retries = 50 }] — sized for the repo's delay models
+    (transit <= 2–10 time units) and nemesis partition windows. *)
 
 val validate : config -> unit
 (** @raise Invalid_argument on any field outside its documented range. *)
@@ -92,8 +87,8 @@ val register : t -> src:int -> dst:int -> seq:int -> Obj.t -> float
 val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
 (** Receiver side: [`Fresh] exactly once per (link, seq) — the caller
     must deliver to the protocol handler on [`Fresh] and suppress on
-    [`Duplicate] (acking in both cases). Shares its dedup state with
-    {!receive_cum}; a channel uses one of the two. *)
+    [`Duplicate] (acking in both cases: a duplicate means the sender
+    missed the last ack). *)
 
 val ack : t -> src:int -> dst:int -> seq:int -> unit
 (** Sender side: the destination confirmed receipt; the pending entry is
@@ -106,39 +101,6 @@ val on_timer : t -> src:int -> dst:int -> seq:int ->
     retry cap is exhausted; the entry is dropped and counted. Otherwise
     the payload to retransmit and the {e next} timeout (backed off,
     jitter-free — the engine adds its seeded jitter). *)
-
-(** {1 Cumulative-ack mode}
-
-    Used by the engine when [config.ack = `Cumulative quiet]. Receiver
-    state lives per directed link, keyed by the {e data} direction
-    ([src] = data sender) on both sides. *)
-
-val receive_cum : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
-(** {!receive}, and additionally marks the link ack-pending
-    (duplicates included — a retransmission means the sender missed the
-    last ack). *)
-
-val arm_ack_timer : t -> src:int -> dst:int -> bool
-(** [true] exactly when no quiet-window timer is currently armed for the
-    link — the caller must then schedule one and report its expiry via
-    {!take_ack}. *)
-
-val take_ack : t -> src:int -> dst:int -> int option
-(** Quiet-window timer expired. [Some cum]: send a standalone cumulative
-    ack for sequence [cum] (the pending flag is consumed). [None]:
-    everything was already covered by piggybacked acks (or nothing
-    contiguous has arrived); the timer is disarmed either way. *)
-
-val piggyback_ack : t -> src:int -> dst:int -> int
-(** Highest contiguous sequence to piggyback on a reverse-direction
-    transmission, consuming the pending flag; [-1] when the link owes no
-    ack. Call at every physical transmission towards [src]. *)
-
-val ack_up_to : t -> src:int -> dst:int -> upto:int -> unit
-(** Sender side: discharge every pending send on the link with sequence
-    [<= upto]. Idempotent and monotone — stale or duplicated cumulative
-    acks are no-ops. An [upto] past the last allocated sequence number
-    (which no receiver can have seen) counts as that number. *)
 
 (** {1 Counters} *)
 

@@ -19,12 +19,10 @@ type pid = int
    The payload is an [Obj.t] whose real type is determined by the kind:
 
      k_deliver / k_data -> 'msg
-     k_data_cum -> cum_box (mutable piggybacked cumulative ack + 'msg)
      k_local    -> unit -> unit
      k_injected -> 'msg context -> unit
      k_control  -> unit -> unit (fault-plane transitions)
-     k_crash / k_restore / k_ack / k_rexmit / k_ack_timer
-                -> unit (a dummy immediate)
+     k_crash / k_restore / k_ack / k_rexmit -> unit (a dummy immediate)
 
    The packing caps pids at 2^20 - 1 ([reserve] enforces it) and
    reliable-channel sequence numbers at 2^19 - 1 per directed link
@@ -41,8 +39,6 @@ let k_control = 5
 let k_data = 6
 let k_ack = 7
 let k_rexmit = 8
-let k_data_cum = 9
-let k_ack_timer = 10
 
 let max_pid = 0xFFFFF
 
@@ -59,12 +55,6 @@ let dk_constant = 0
 let dk_uniform = 1
 let dk_exponential = 2
 let dk_dynamic = 3
-
-(* Cumulative-ack mode ships data packets in a mutable box so the
-   piggybacked cumulative ack can be refreshed at every physical
-   transmission (first copy, duplicate, retransmission) without
-   re-registering the pending entry. *)
-type cum_box = { mutable bx_cum : int; bx_msg : Obj.t }
 
 (* Observation-only tap for payload-aware trace tooling (bin/replay):
    called at protocol deliveries and ack transmissions. Installing one
@@ -105,10 +95,6 @@ and 'msg t = {
      classified once at creation so the send hot path pays a single
      immediate comparison *)
   channel : Channel.t option;
-  (* cumulative-ack quiet window when the channel config asks for
-     `Cumulative, or -1.0 for immediate acks / raw transport; a float
-     comparison keeps the mode test off the allocation paths *)
-  ack_quiet : float;
   (* protocol-supplied data/metadata discriminator; when absent the
      data/meta counters stay at zero *)
   classify : ('msg -> bool) option;
@@ -171,11 +157,6 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
     | `Raw -> None
     | `Reliable config -> Some (Channel.create config)
   in
-  let ack_quiet =
-    match transport with
-    | `Reliable { Channel.ack = `Cumulative quiet; _ } -> quiet
-    | `Reliable _ | `Raw -> -1.0
-  in
   { processes = [||];
     nprocs = 0;
     queue = Event_queue.create ();
@@ -188,7 +169,6 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
     duplication;
     faults = Link_faults.create ();
     channel;
-    ack_quiet;
     classify;
     weigh;
     clock = [| 0.0 |];
@@ -361,9 +341,8 @@ let send_raw_faulty t ~src ~dst msg =
 
 (* One physical transmission of a reliable-channel data packet (first
    copy, duplicate, or retransmission): subject to the fault plane like
-   any raw send, and traced as an ordinary [Sent]. [kind] is [k_data]
-   (immediate acks) or [k_data_cum] (payload is a {!cum_box}). *)
-let transmit_data t ~kind ~src ~dst ~seq payload =
+   any raw send, and traced as an ordinary [Sent]. *)
+let transmit_data t ~src ~dst ~seq payload =
   t.sent <- t.sent + 1;
   if t.trace_enabled then record t (Sent { time = t.clock.(0); src; dst });
   if Link_faults.armed t.faults && faults_lose t ~src ~dst then begin
@@ -376,7 +355,8 @@ let transmit_data t ~kind ~src ~dst ~seq payload =
       *. Link_faults.delay_factor t.faults ~src ~dst
     in
     (Event_queue.inbox t.queue).(0) <- t.clock.(0) +. transit;
-    Event_queue.push_inbox t.queue ~tag:(pack_seq ~kind ~a:src ~b:dst ~seq)
+    Event_queue.push_inbox t.queue
+      ~tag:(pack_seq ~kind:k_data ~a:src ~b:dst ~seq)
       payload
   end
 
@@ -387,8 +367,7 @@ let transmit_ack t ~src ~dst ~seq =
   t.acks_sent <- t.acks_sent + 1;
   (match t.tap with
   | Some tap ->
-    tap.tap_ack ~time:t.clock.(0) ~src ~dst
-      ~cumulative:(t.ack_quiet >= 0.0) ~seq
+    tap.tap_ack ~time:t.clock.(0) ~src ~dst ~cumulative:false ~seq
   | None -> ());
   if t.trace_enabled then
     record t (Sent { time = t.clock.(0); src = dst; dst = src });
@@ -422,32 +401,16 @@ let schedule_rexmit t ch ~src ~dst ~seq ~rto =
 
 let send_reliable t ch ~src ~dst msg =
   let seq = Channel.alloc_seq ch ~src ~dst in
-  if t.ack_quiet >= 0.0 then begin
-    (* cumulative mode: box the message so every physical copy of this
-       packet carries the freshest ack for the reverse link *)
-    let box = { bx_cum = -1; bx_msg = Obj.repr msg } in
-    let payload = Obj.repr box in
-    let rto = Channel.register ch ~src ~dst ~seq payload in
-    box.bx_cum <- Channel.piggyback_ack ch ~src:dst ~dst:src;
-    transmit_data t ~kind:k_data_cum ~src ~dst ~seq payload;
-    if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
-      t.duplicated <- t.duplicated + 1;
-      transmit_data t ~kind:k_data_cum ~src ~dst ~seq payload
-    end;
-    schedule_rexmit t ch ~src ~dst ~seq ~rto
-  end
-  else begin
-    let payload = Obj.repr msg in
-    let rto = Channel.register ch ~src ~dst ~seq payload in
-    transmit_data t ~kind:k_data ~src ~dst ~seq payload;
-    (* at-least-once physical channels: the first copy may be duplicated;
-       the receiver-side dedup absorbs it like any retransmission *)
-    if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
-      t.duplicated <- t.duplicated + 1;
-      transmit_data t ~kind:k_data ~src ~dst ~seq payload
-    end;
-    schedule_rexmit t ch ~src ~dst ~seq ~rto
-  end
+  let payload = Obj.repr msg in
+  let rto = Channel.register ch ~src ~dst ~seq payload in
+  transmit_data t ~src ~dst ~seq payload;
+  (* at-least-once physical channels: the first copy may be duplicated;
+     the receiver-side dedup absorbs it like any retransmission *)
+  if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
+    t.duplicated <- t.duplicated + 1;
+    transmit_data t ~src ~dst ~seq payload
+  end;
+  schedule_rexmit t ch ~src ~dst ~seq ~rto
 
 let classify_send t msg =
   (match t.classify with
@@ -644,55 +607,7 @@ let dispatch t tag payload =
     (* discharge the pending entry even if the sender is crashed: the
        channel state lives in the network interface, not in the
        process's volatile memory *)
-    if t.ack_quiet >= 0.0 then
-      (* cumulative ack: seq is the highest contiguous arrival *)
-      Channel.ack_up_to (channel_exn t) ~src ~dst ~upto:seq
-    else Channel.ack (channel_exn t) ~src ~dst ~seq
-  end
-  else if kind = k_data_cum then begin
-    (* a cumulative-mode data packet arrived at dst *)
-    let src = tag_a tag and dst = tag_b tag and seq = tag_seq tag in
-    let ch = channel_exn t in
-    let box = (Obj.obj payload : cum_box) in
-    (* the piggybacked ack discharges the reverse link's pending sends
-       even when dst is crashed — like k_ack, it is NIC-level state *)
-    if box.bx_cum >= 0 then
-      Channel.ack_up_to ch ~src:dst ~dst:src ~upto:box.bx_cum;
-    let slot = t.processes.(dst) in
-    match slot.handler with
-    | Some handler when not slot.crashed ->
-      if t.trace_enabled then
-        record t (Delivered { time = t.clock.(0); src; dst });
-      let verdict = Channel.receive_cum ch ~src ~dst ~seq in
-      (* receive_cum marked the link ack-pending; make sure a quiet-window
-         timer is ticking so the ack eventually leaves even if no reverse
-         traffic picks it up *)
-      if Channel.arm_ack_timer ch ~src ~dst then
-        Event_queue.push_tagged t.queue
-          ~time:(t.clock.(0) +. t.ack_quiet)
-          ~tag:(pack ~kind:k_ack_timer ~a:src ~b:dst)
-          obj_unit;
-      (match verdict with
-      | `Duplicate -> ()
-      | `Fresh ->
-        t.delivered <- t.delivered + 1;
-        (match t.tap with
-        | Some tap ->
-          tap.tap_deliver ~time:t.clock.(0) ~src ~dst (Obj.obj box.bx_msg : _)
-        | None -> ());
-        handler (ctx_of slot) ~src (Obj.obj box.bx_msg : _))
-    | Some _ | None ->
-      (* no receive, no ack state: the sender's retransmissions keep
-         probing through the crash window *)
-      t.dropped <- t.dropped + 1;
-      if t.trace_enabled then record t (Dropped { time = t.clock.(0); src; dst })
-  end
-  else if kind = k_ack_timer then begin
-    (* quiet-window expiry for the directed data link src -> dst *)
-    let src = tag_a tag and dst = tag_b tag in
-    match Channel.take_ack (channel_exn t) ~src ~dst with
-    | Some cum -> transmit_ack t ~src ~dst ~seq:cum
-    | None -> ()
+    Channel.ack (channel_exn t) ~src ~dst ~seq
   end
   else begin
     (* k_rexmit: retransmission timer *)
@@ -701,12 +616,7 @@ let dispatch t tag payload =
     match Channel.on_timer ch ~src ~dst ~seq with
     | `Done | `Give_up -> ()
     | `Retransmit (payload, rto) ->
-      if t.ack_quiet >= 0.0 then begin
-        let box = (Obj.obj payload : cum_box) in
-        box.bx_cum <- Channel.piggyback_ack ch ~src:dst ~dst:src;
-        transmit_data t ~kind:k_data_cum ~src ~dst ~seq payload
-      end
-      else transmit_data t ~kind:k_data ~src ~dst ~seq payload;
+      transmit_data t ~src ~dst ~seq payload;
       schedule_rexmit t ch ~src ~dst ~seq ~rto
   end
 

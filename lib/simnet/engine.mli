@@ -56,9 +56,8 @@ val create :
     (under [`Reliable] the duplicate carries the same sequence number and
     is absorbed by the channel's own dedup). [transport] (default
     [`Raw]) selects the channel substrate: [`Reliable config] mounts the
-    ack/retransmit layer of {!Channel} under every process; a config with
-    [ack = `Cumulative quiet] switches the whole engine to cumulative
-    per-link acks (see {!Channel}). [classify] (optional) is a
+    ack/retransmit layer of {!Channel} under every process, which acks
+    every data arrival with its own ack message. [classify] (optional) is a
     data-vs-metadata discriminator ([true] = data-bearing) applied to
     every protocol-level send and reported through {!messages_data} /
     {!messages_meta}; without it both counters stay 0. [weigh]
@@ -87,12 +86,13 @@ val name_of : 'msg t -> pid -> string
 (** Observation-only tap: [tap_deliver] fires at every protocol-level
     delivery (just before the handler), [tap_ack] at every ack
     transmission ([src]/[dst] name the {e data} direction; the ack
-    physically travels [dst] to [src]; [cumulative] is true when the
-    channel runs cumulative acks, and [seq] is then the highest
-    contiguous sequence acknowledged). A tap draws no randomness and
-    schedules nothing, so installing one cannot perturb the execution —
-    payload-aware trace tooling (bin/replay) uses it to render messages
-    the engine's own event log keeps opaque. *)
+    physically travels [dst] to [src]; [seq] is the one sequence number
+    it acknowledges). [cumulative] is always [false]: acks are per
+    message, and the label stays only because existing taps bind it.
+    A tap draws no randomness and schedules nothing, so installing one
+    cannot perturb the execution — payload-aware trace tooling
+    (bin/replay) uses it to render messages the engine's own event log
+    keeps opaque. *)
 type 'msg tap = {
   tap_deliver : time:float -> src:pid -> dst:pid -> 'msg -> unit;
   tap_ack :
@@ -271,11 +271,10 @@ val payload_units : 'msg t -> int
     batching plane. *)
 
 val acks_sent : 'msg t -> int
-(** Ack transmissions on the reliable transport: every per-message ack
-    under [`Immediate], standalone quiet-window acks under
-    [`Cumulative] (piggybacked cumulative acks ride data packets and are
-    not counted here). Subset of {!messages_sent}. 0 on the raw
-    transport. *)
+(** Ack transmissions on the reliable transport: one per data arrival
+    at a live destination, fresh or duplicate, so it equals
+    {!messages_delivered} + {!duplicates_suppressed}. Subset of
+    {!messages_sent}. 0 on the raw transport. *)
 
 (** {2 Reliable-transport counters (0 on the raw transport)} *)
 

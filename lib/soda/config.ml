@@ -6,21 +6,20 @@ module Mds = Erasure.Mds
 
 type plane = {
   gossip_mode : [ `Broadcast | `Coalesced | `Off ];
-  gossip_staleness : float;
   relay_batch : float option;
   meta_stagger : float option
 }
 
+let gossip_staleness = 25.0
+
 let default_plane =
   { gossip_mode = `Broadcast;
-    gossip_staleness = 25.0;
     relay_batch = None;
     meta_stagger = None
   }
 
 let batched_plane =
   { gossip_mode = `Coalesced;
-    gossip_staleness = 25.0;
     relay_batch = Some 0.25;
     meta_stagger = Some 4.0
   }

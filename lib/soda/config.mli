@@ -22,10 +22,6 @@ type plane = {
           per-destination outbox and ride on the next server-to-server
           message (or a bounded-staleness flush). [`Off]: the
           ablation-gossip mode — no announcements at all. *)
-  gossip_staleness : float;
-      (** Coalesced mode: upper bound on how long a queued gossip entry
-          may wait for a piggyback before a standalone {!Messages.Gossip}
-          flush is forced (unregistration liveness). *)
   relay_batch : float option;
       (** [Some w]: buffer relays to each registered reader for up to
           [w] time units and ship them as one {!Messages.Relay_batch}.
@@ -40,12 +36,19 @@ type plane = {
           (default): forward immediately, as in the paper. *)
 }
 
+val gossip_staleness : float
+(** 25.0 time units, shared by every plane. In [`Coalesced] gossip
+    mode, the longest a queued gossip entry waits for a piggyback before
+    a standalone {!Messages.Gossip} (in a {!Keyspace}, a
+    [Keyed_gossip]) flush is forced, so unregistration of crashed
+    readers cannot stall behind a quiet link. *)
+
 val default_plane : plane
-(** [`Broadcast], staleness 25.0, no relay batching, no stagger — wire
-    behaviour bit-identical to the pre-plane code. *)
+(** [`Broadcast], no relay batching, no stagger — wire behaviour
+    bit-identical to the pre-plane code. *)
 
 val batched_plane : plane
-(** [`Coalesced], staleness 25.0, relay window 0.25, stagger 4.0 (the
+(** [`Coalesced], relay window 0.25, stagger 4.0 (the
     worst-case forward-arrival lag under the uniform(0.2, 2.0) delay
     model is 3.8). The configuration the overhead bench and the
     batched chaos cell run. *)

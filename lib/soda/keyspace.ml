@@ -144,7 +144,7 @@ let is_client_relay = function
 
 let wire t inst =
   let key = inst.key in
-  let staleness = t.template.Config.plane.Config.gossip_staleness in
+  let staleness = Config.gossip_staleness in
   let relay_window = t.template.Config.plane.Config.relay_batch in
   let wire_send ctx ~dst msg =
     let src = Engine.self ctx in

@@ -213,8 +213,9 @@ let take_outbox t j =
     List.rev (List.filter (entry_live t) pending)
 
 (* Bounded-staleness flush: whatever could not hitch a ride on regular
-   traffic within [gossip_staleness] goes out as a standalone Gossip, so
-   unregistration of crashed readers cannot stall behind a quiet link. *)
+   traffic within the staleness bound goes out as a standalone Gossip,
+   so unregistration of crashed readers cannot stall behind a quiet
+   link. *)
 let flush_gossip t ctx j =
   t.outbox_armed.(j) <- false;
   match take_outbox t j with
@@ -225,13 +226,12 @@ let flush_gossip t ctx j =
 
 let gossip_enqueue t ctx (entry : Messages.gossip_entry) =
   let n = Params.n t.config.Config.params in
-  let staleness = t.config.Config.plane.Config.gossip_staleness in
   for j = 0 to n - 1 do
     if j <> t.coordinate then begin
       t.outbox.(j) <- entry :: t.outbox.(j);
       if not t.outbox_armed.(j) then begin
         t.outbox_armed.(j) <- true;
-        Engine.schedule_local ctx ~delay:staleness (fun () ->
+        Engine.schedule_local ctx ~delay:Config.gossip_staleness (fun () ->
             flush_gossip t ctx j)
       end
     end

@@ -70,6 +70,12 @@ let exactly_once ~messages delivered =
   done;
   !ok && Hashtbl.length delivered = messages
 
+(* Every data arrival at a live destination, fresh or duplicate, sends
+   exactly one ack of its own. *)
+let one_ack_per_arrival engine =
+  Engine.acks_sent engine
+  = Engine.messages_delivered engine + Engine.duplicates_suppressed engine
+
 let delivery_tests =
   [ qtest ~count:40 "exactly-once over arbitrary loss (p <= 0.6)"
       QCheck2.Gen.(
@@ -81,7 +87,8 @@ let delivery_tests =
         let delivered, engine = run_lossy ~seed ~loss ~procs ~messages () in
         exactly_once ~messages delivered
         && Engine.sends_abandoned engine = 0
-        && Engine.channel_in_flight engine = 0);
+        && Engine.channel_in_flight engine = 0
+        && one_ack_per_arrival engine);
     qtest ~count:30 "exactly-once through a finite partition"
       QCheck2.Gen.(
         int_range 0 100_000 >>= fun seed ->
@@ -108,7 +115,8 @@ let delivery_tests =
           run_lossy ~seed ~loss ~procs:5 ~messages ~duplication ()
         in
         exactly_once ~messages delivered
-        && Engine.sends_abandoned engine = 0);
+        && Engine.sends_abandoned engine = 0
+        && one_ack_per_arrival engine);
     qtest ~count:30 "lossy runs retransmit but deliver no extras"
       QCheck2.Gen.(int_range 0 100_000)
       (fun seed ->
@@ -231,9 +239,7 @@ let sm_tests =
 (* model-based: the per-link window against a table-based reference *)
 
 (* The reference keeps the channel's semantics in the most direct form:
-   a map of pending sends and a set of delivered (link, seq) keys for
-   immediate mode; highest-contiguous plus an out-of-order set, and a
-   per-link ack floor, for cumulative mode. *)
+   a map of pending sends and a set of delivered (link, seq) keys. *)
 module Model = struct
   module K3 = Map.Make (struct
     type t = int * int * int
@@ -253,24 +259,13 @@ module Model = struct
     let compare = compare
   end)
 
-  module Ints = Set.Make (Int)
-
   type entry = { payload : Obj.t; tries : int; rto : float }
-
-  type rx = {
-    cum : int;
-    ooo : Ints.t;
-    ack_pending : bool;
-    timer_armed : bool
-  }
 
   type t = {
     config : Channel.config;
     mutable pending : entry K3.t;
     mutable seen : Seen.t;
     mutable next_seq : int K2.t;
-    mutable rx : rx K2.t;
-    mutable floor : int K2.t;
     mutable retransmissions : int;
     mutable duplicates : int;
     mutable abandoned : int
@@ -281,8 +276,6 @@ module Model = struct
       pending = K3.empty;
       seen = Seen.empty;
       next_seq = K2.empty;
-      rx = K2.empty;
-      floor = K2.empty;
       retransmissions = 0;
       duplicates = 0;
       abandoned = 0
@@ -328,121 +321,40 @@ module Model = struct
       t.retransmissions <- t.retransmissions + 1;
       `Retransmit (e.payload, rto)
 
-  let rx t link =
-    get t.rx link
-      ~default:
-        { cum = -1; ooo = Ints.empty; ack_pending = false; timer_armed = false }
-
-  let receive_cum t link seq =
-    let r = rx t link in
-    if seq <= r.cum || Ints.mem seq r.ooo then begin
-      t.duplicates <- t.duplicates + 1;
-      t.rx <- K2.add link { r with ack_pending = true } t.rx;
-      `Duplicate
-    end
-    else begin
-      let r =
-        if seq = r.cum + 1 then begin
-          let cum = ref seq and ooo = ref r.ooo in
-          while Ints.mem (!cum + 1) !ooo do
-            ooo := Ints.remove (!cum + 1) !ooo;
-            incr cum
-          done;
-          { r with cum = !cum; ooo = !ooo }
-        end
-        else { r with ooo = Ints.add seq r.ooo }
-      in
-      t.rx <- K2.add link { r with ack_pending = true } t.rx;
-      `Fresh
-    end
-
-  let arm_ack_timer t link =
-    let r = rx t link in
-    t.rx <- K2.add link { r with timer_armed = true } t.rx;
-    not r.timer_armed
-
-  let take_ack t link =
-    let r = rx t link in
-    if r.ack_pending && r.cum >= 0 then begin
-      t.rx <-
-        K2.add link { r with timer_armed = false; ack_pending = false } t.rx;
-      Some r.cum
-    end
-    else begin
-      t.rx <- K2.add link { r with timer_armed = false } t.rx;
-      None
-    end
-
-  let piggyback_ack t link =
-    let r = rx t link in
-    if r.ack_pending && r.cum >= 0 then begin
-      t.rx <- K2.add link { r with ack_pending = false } t.rx;
-      r.cum
-    end
-    else -1
-
-  let ack_up_to t ((src, dst) as link) upto =
-    let lo = get t.floor link ~default:0 in
-    if upto >= lo then begin
-      for seq = lo to upto do
-        t.pending <- K3.remove (src, dst, seq) t.pending
-      done;
-      t.floor <- K2.add link (upto + 1) t.floor
-    end
-
   let in_flight t = K3.cardinal t.pending
 end
 
 (* Links 0-2 carry sends; link 3 only ever receives, so its receiver
-   state lives on a link with no sender state. Links 0 and 1 are each
-   other's reverse, as piggybacked acks need. *)
+   state lives on a link with no sender state. *)
 let links = [| (0, 1); (1, 0); (2, 7); (7, 3) |]
 
 (* Raw draws; [run_ops] maps them into each op's reachable range at
    execution time (acks never name a seq the sender has not allocated
-   beyond a small margin; a cumulative ack never exceeds the last
-   allocated seq, as a receiver cannot have seen more). *)
+   beyond a small margin). *)
 type op =
   | Send of int
   | Receive of int * int
   | Ack of int * int
-  | Ack_up_to of int * int
   | Timer of int * int
-  | Arm of int
-  | Take of int
-  | Piggyback of int
 
-let op_gen ~cumulative =
+let op_gen =
   let open QCheck2.Gen in
   let link = int_range 0 3 and sender = int_range 0 2 in
   let r = int_range 0 1000 in
   (* mostly near the front, sometimes far past a 16-seq window *)
   let arrival = frequency [ (4, int_range 0 40); (1, int_range 0 300) ] in
-  let common =
+  frequency
     [ (4, map (fun l -> Send l) sender);
       (5, map2 (fun l s -> Receive (l, s)) link arrival);
-      (3, map2 (fun l s -> Timer (l, s)) sender r)
+      (3, map2 (fun l s -> Timer (l, s)) sender r);
+      (3, map2 (fun l s -> Ack (l, s)) sender r)
     ]
-  in
-  frequency
-    (if cumulative then
-       common
-       @ [ (2, map2 (fun l u -> Ack_up_to (l, u)) sender r);
-           (1, map (fun l -> Arm l) link);
-           (1, map (fun l -> Take l) link);
-           (1, map (fun l -> Piggyback l) link)
-         ]
-     else common @ [ (3, map2 (fun l s -> Ack (l, s)) sender r) ])
 
 let show_op = function
   | Send l -> Printf.sprintf "send %d" l
   | Receive (l, s) -> Printf.sprintf "recv %d %d" l s
   | Ack (l, s) -> Printf.sprintf "ack %d %d" l s
-  | Ack_up_to (l, u) -> Printf.sprintf "ack_up_to %d %d" l u
   | Timer (l, s) -> Printf.sprintf "timer %d %d" l s
-  | Arm l -> Printf.sprintf "arm %d" l
-  | Take l -> Printf.sprintf "take %d" l
-  | Piggyback l -> Printf.sprintf "piggyback %d" l
 
 let same_timer a b =
   match (a, b) with
@@ -452,15 +364,14 @@ let same_timer a b =
 
 (* Run [ops] on both, comparing every result and every counter after
    every step. *)
-let run_ops ~cumulative ~max_retries ops =
-  let ack = if cumulative then `Cumulative 0.5 else `Immediate in
-  let config = { Channel.default with max_retries; ack } in
+let run_ops ~max_retries ops =
+  let config = { Channel.default with max_retries } in
   let t = Channel.create config and m = Model.create config in
   let next l = Model.get m.Model.next_seq links.(l) ~default:0 in
   let step op =
-    let link = links.(match op with
-      | Send l | Receive (l, _) | Ack (l, _) | Ack_up_to (l, _) | Timer (l, _)
-      | Arm l | Take l | Piggyback l -> l)
+    let link =
+      links.(match op with
+             | Send l | Receive (l, _) | Ack (l, _) | Timer (l, _) -> l)
     in
     let src, dst = link in
     let agree =
@@ -474,29 +385,17 @@ let run_ops ~cumulative ~max_retries ops =
              (Channel.register t ~src ~dst ~seq payload)
              (Model.register m link seq' payload)
       | Receive (_, seq) ->
-        if cumulative then
-          Channel.receive_cum t ~src ~dst ~seq = Model.receive_cum m link seq
-        else Channel.receive t ~src ~dst ~seq = Model.receive m link seq
+        Channel.receive t ~src ~dst ~seq = Model.receive m link seq
       | Ack (l, r) ->
         let seq = r mod (next l + 3) in
         Channel.ack t ~src ~dst ~seq;
         Model.ack m link seq;
-        true
-      | Ack_up_to (l, r) ->
-        let upto = (r mod (next l + 1)) - 1 in
-        Channel.ack_up_to t ~src ~dst ~upto;
-        Model.ack_up_to m link upto;
         true
       | Timer (l, r) ->
         let seq = r mod (next l + 2) in
         same_timer
           (Channel.on_timer t ~src ~dst ~seq)
           (Model.on_timer m link seq)
-      | Arm _ ->
-        Channel.arm_ack_timer t ~src ~dst = Model.arm_ack_timer m link
-      | Take _ -> Channel.take_ack t ~src ~dst = Model.take_ack m link
-      | Piggyback _ ->
-        Channel.piggyback_ack t ~src ~dst = Model.piggyback_ack m link
     in
     agree
     && Channel.in_flight t = Model.in_flight m
@@ -506,18 +405,13 @@ let run_ops ~cumulative ~max_retries ops =
   in
   List.for_all step ops
 
-let model_test ~cumulative name =
-  qtest ~count:300 name
-    ~print:(fun (r, ops) ->
-      Printf.sprintf "max_retries=%d [%s]" r
-        (String.concat "; " (List.map show_op ops)))
-    QCheck2.Gen.(
-      pair (int_range 0 3) (list_size (int_range 1 400) (op_gen ~cumulative)))
-    (fun (max_retries, ops) -> run_ops ~cumulative ~max_retries ops)
-
 let model_tests =
-  [ model_test ~cumulative:false "immediate mode matches the table model";
-    model_test ~cumulative:true "cumulative mode matches the table model"
+  [ qtest ~count:300 "immediate mode matches the table model"
+      ~print:(fun (r, ops) ->
+        Printf.sprintf "max_retries=%d [%s]" r
+          (String.concat "; " (List.map show_op ops)))
+      QCheck2.Gen.(pair (int_range 0 3) (list_size (int_range 1 400) op_gen))
+      (fun (max_retries, ops) -> run_ops ~max_retries ops)
   ]
 
 let () =
