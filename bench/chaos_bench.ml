@@ -1,5 +1,5 @@
-(* The chaos matrix as a benchmark / CI gate, reported as JSON (one
-   object on stdout). Invoked as
+(* The chaos matrix as a benchmark / CI gate, reported as JSON
+   (Bench.emit, one key per scenario/seed). Invoked as
 
      dune exec bench/main.exe -- chaos            # full: 3 seeds/cell
      dune exec bench/main.exe -- chaos --smoke    # CI: 1 seed/cell
@@ -12,8 +12,6 @@
 
 module Chaos = Harness.Chaos
 
-let smoke = ref false
-
 (* nearest-rank percentile on a sorted copy; 0.0 for an empty list *)
 let percentile p durations =
   match List.sort Float.compare durations with
@@ -23,48 +21,57 @@ let percentile p durations =
     let rank = int_of_float (Float.ceil (p *. float_of_int n)) - 1 in
     List.nth sorted (max 0 (min (n - 1) rank))
 
-let heal_json (o : Chaos.outcome) =
-  if not o.scenario.Chaos.healing then ""
+let heal_rows key (o : Chaos.outcome) =
+  if not o.scenario.Chaos.healing then []
   else
     let hs = o.heal_stats in
-    Printf.sprintf
-      ",\"scrub_clean\":%b,\"all_live\":%b,\"heartbeats\":%d,\"suspicions\":%d,\"scrub_sweeps\":%d,\"scrub_hits\":%d,\"auto_repairs\":%d,\"scrub_repairs\":%d,\"mttd_p50\":%.1f,\"mttr_p50\":%.1f,\"mttr_p95\":%.1f,\"mttr_max\":%.1f"
-      o.Chaos.scrub_clean o.Chaos.all_live hs.Soda.Config.heartbeats_sent
-      hs.Soda.Config.suspicions hs.Soda.Config.scrub_sweeps
-      hs.Soda.Config.scrub_hits hs.Soda.Config.auto_repairs
-      hs.Soda.Config.scrub_repairs
-      (percentile 0.5 o.Chaos.heal_mttd)
-      (percentile 0.5 o.Chaos.heal_mttr)
-      (percentile 0.95 o.Chaos.heal_mttr)
-      (percentile 1.0 o.Chaos.heal_mttr)
+    [ Bench.flag key "scrub_clean" o.Chaos.scrub_clean;
+      Bench.flag key "all_live" o.Chaos.all_live;
+      Bench.count key "heartbeats" "msgs" hs.Soda.Config.heartbeats_sent;
+      Bench.count key "suspicions" "count" hs.Soda.Config.suspicions;
+      Bench.count key "scrub_sweeps" "count" hs.Soda.Config.scrub_sweeps;
+      Bench.count key "scrub_hits" "count" hs.Soda.Config.scrub_hits;
+      Bench.count key "auto_repairs" "count" hs.Soda.Config.auto_repairs;
+      Bench.count key "scrub_repairs" "count" hs.Soda.Config.scrub_repairs;
+      Bench.row key "mttd_p50" "time" (percentile 0.5 o.Chaos.heal_mttd);
+      Bench.row key "mttr_p50" "time" (percentile 0.5 o.Chaos.heal_mttr);
+      Bench.row key "mttr_p95" "time" (percentile 0.95 o.Chaos.heal_mttr);
+      Bench.row key "mttr_max" "time" (percentile 1.0 o.Chaos.heal_mttr)
+    ]
 
-let emit outcomes =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"bench\":\"chaos\",";
-  Buffer.add_string buf (Printf.sprintf "\"smoke\":%b,\"results\":[" !smoke);
-  List.iteri
-    (fun i (o : Chaos.outcome) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"scenario\":%S,\"seed\":%d,\"ok\":%b,\"ops\":%d,\"sent\":%d,\"delivered\":%d,\"dropped\":%d,\"lost\":%d,\"retransmissions\":%d,\"duplicates_suppressed\":%d,\"abandoned\":%d,\"data\":%d,\"meta\":%d,\"acks\":%d,\"crashes\":%d,\"partitions\":%d,\"bitrots\":%d%s,\"final_time\":%.1f}"
-           o.scenario.Chaos.name o.seed (Chaos.ok o) o.ops o.sent o.delivered
-           o.dropped o.lost o.retransmissions o.duplicates_suppressed
-           o.abandoned o.data o.meta o.acks o.crash_events o.partition_events
-           o.bitrot_events (heal_json o) o.final_time))
-    outcomes;
-  Buffer.add_string buf "]}";
-  print_endline (Buffer.contents buf)
+(* every counter is informational: the gate is [Chaos.ok] below *)
+let rows (o : Chaos.outcome) =
+  let key = Printf.sprintf "%s/%d" o.scenario.Chaos.name o.seed in
+  let msgs metric n = Bench.count key metric "msgs" n in
+  let events metric n = Bench.count key metric "events" n in
+  [ Bench.flag key "ok" (Chaos.ok o);
+    Bench.count key "ops" "ops" o.ops;
+    msgs "sent" o.sent;
+    msgs "delivered" o.delivered;
+    msgs "dropped" o.dropped;
+    msgs "lost" o.lost;
+    msgs "retransmissions" o.retransmissions;
+    msgs "duplicates_suppressed" o.duplicates_suppressed;
+    msgs "abandoned" o.abandoned;
+    msgs "data" o.data;
+    msgs "meta" o.meta;
+    msgs "acks" o.acks;
+    events "crashes" o.crash_events;
+    events "partitions" o.partition_events;
+    events "bitrots" o.bitrot_events
+  ]
+  @ heal_rows key o
+  @ [ Bench.row key "final_time" "time" o.final_time ]
 
-let run () =
-  let seeds = if !smoke then [ 1 ] else [ 1; 2; 3 ] in
+let run (opts : Bench.opts) =
+  let seeds = if opts.smoke then [ 1 ] else [ 1; 2; 3 ] in
   let outcomes =
     List.concat_map
       (fun scenario ->
         List.map (fun seed -> Chaos.run ~trace:true scenario ~seed) seeds)
       Chaos.matrix
   in
-  emit outcomes;
+  Bench.emit opts ~bench:"chaos" (List.concat_map rows outcomes);
   let failures = List.filter (fun o -> not (Chaos.ok o)) outcomes in
   List.iter
     (fun (o : Chaos.outcome) ->

@@ -514,8 +514,8 @@ let latency_dist () =
 (* Metadata overhead: what the paper's cost model does not count *)
 
 (* [--out FILE]: also write the per-algorithm message counts as JSON
-   (stable schema, see BENCH_msgs.json at the repo root for the
-   committed baseline gated by tools/bench_diff).
+   (Bench.emit; BENCH_msgs.json at the repo root is the committed
+   baseline gated by tools/bench_diff).
 
    The self-healing plane must not shift these numbers: every run here
    deploys with [healing = None] (the Runner default), under which no
@@ -525,9 +525,7 @@ let latency_dist () =
    traffic is metadata by construction — Heartbeat and Suspect_vote
    carry no coded data ([Messages.data_bytes] = 0), so it lands in
    [messages_meta]/[acks_sent], never [messages_data]. *)
-let overhead_out : string option ref = ref None
-
-let overhead () =
+let overhead opts =
   let params = Params.make ~n:10 ~f:4 () in
   let runner_row ?plane algo () =
     let w = Workload.sequential ~params ~value_len ~seed:17 ~rounds:4 () in
@@ -565,25 +563,13 @@ let overhead () =
     ~header:
       [ "algorithm"; "messages/op"; "data units/op"; "msgs per data unit" ]
     rows;
-  match !overhead_out with
-  | None -> ()
-  | Some path ->
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"bench\":\"msgs\",\"results\":[";
-    List.iteri
-      (fun i (algo, _, (msgs, units)) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"algo\":%S,\"msgs_per_op\":%.2f,\"data_units_per_op\":%.2f,\"msgs_per_data_unit\":%.2f}"
-             algo msgs units
-             (msgs /. Float.max 1e-9 units)))
-      measurements;
-    Buffer.add_string buf "]}";
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf);
-    output_char oc '\n';
-    close_out oc
+  Bench.emit ~echo:false opts ~bench:"msgs"
+    (List.concat_map
+       (fun (algo, _, (msgs, units)) ->
+         [ Bench.row ~better:Lower algo "msgs_per_op" "msgs/op" msgs;
+           Bench.row algo "data_units_per_op" "units/op" units
+         ])
+       measurements)
 
 (* ------------------------------------------------------------------ *)
 (* Throughput under closed-loop load (simulation-level figure) *)

@@ -30,35 +30,6 @@ let bytes_per_run : (string * int) list ref = ref []
 
 let note_bytes name bytes = bytes_per_run := (name, bytes) :: !bytes_per_run
 
-(* The raw kernel sweeps under the codec's encode and decode — the
-   GF(2^8) byte-table and GF(2^16) split-table muladds and the xor of
-   unit coefficients — at a small and a large size. *)
-let kernel_tests =
-  let make_point name len =
-    let src = value_of_size len in
-    let dst = Bytes.make len '\000' in
-    let table = Galois.Gf.mul_table 0xb7 in
-    let tables16 = Galois.Gf16.mul_tables 0x1b7 in
-    [ (let n = Printf.sprintf "muladd-gf8-%s" name in
-       note_bytes ("micro/kernel/" ^ n) len;
-       Test.make ~name:n
-         (Staged.stage (fun () ->
-              Galois.Gf.muladd_buf table ~src ~soff:0 ~dst ~doff:0 ~len)));
-      (let n = Printf.sprintf "muladd-gf16-%s" name in
-       note_bytes ("micro/kernel/" ^ n) len;
-       Test.make ~name:n
-         (Staged.stage (fun () ->
-              Galois.Gf16.muladd_buf_v tables16 ~src ~soff:0 ~dst ~doff:0 ~len)));
-      (let n = Printf.sprintf "xor-%s" name in
-       note_bytes ("micro/kernel/" ^ n) len;
-       Test.make ~name:n
-         (Staged.stage (fun () ->
-              Galois.Wops.xor_into ~src ~soff:0 ~dst ~doff:0 ~len)))
-    ]
-  in
-  Test.make_grouped ~name:"kernel"
-    (make_point "64KiB" 65536 @ make_point "1MiB" 1048576)
-
 (* One codec benchmark group per [n,k] preset; MB/s counts user bytes
    (see [bytes_per_run]), so rows are comparable across groups. *)
 let codec_tests_for ~n ~k =
@@ -182,7 +153,6 @@ let simulation_tests =
 let all_tests =
   Test.make_grouped ~name:"micro"
     [ gf_tests;
-      kernel_tests;
       codec_tests;
       codec_tests_alt;
       event_queue_tests;

@@ -1,5 +1,5 @@
 (* Sharded-keyspace throughput and message economics, reported as JSON
-   (one object on stdout). Invoked as
+   (Bench.emit). Invoked as
 
      dune exec bench/main.exe -- sharded            # full: 10_000 keys
      dune exec bench/main.exe -- sharded --smoke    # CI: 500 keys
@@ -24,9 +24,6 @@ module Workload = Harness.Workload
 module Runner = Harness.Runner
 module Metrics = Harness.Metrics
 
-let smoke = ref false
-let out : string option ref = ref None
-
 type case = {
   name : string;
   run : Workload.sharded -> Runner.sharded_result
@@ -42,44 +39,29 @@ let cases ~placement ~params =
     }
   ]
 
-let emit ~keys ~topology results =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"bench\":\"sharded\",\"smoke\":%b,\"keys\":%d,"
-       !smoke keys);
-  Buffer.add_string buf
-    (Printf.sprintf "\"servers\":%d,\"domains\":%d,\"results\":["
-       (Soda.Topology.servers topology)
-       (Soda.Topology.num_domains topology));
-  List.iteri
-    (fun i (name, (r : Runner.sharded_result)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"case\":%S,\"ok\":%b,\"ops\":%d,\"msgs\":%d,\"data\":%d,\"meta\":%d,\"payload_units\":%d,\"msgs_per_op\":%.2f,\"units_per_msg\":%.3f,\"ops_per_sim_ktime\":%.2f,\"events\":%d,\"final_time\":%.1f}"
-           name
-           (r.Runner.s_complete && r.Runner.s_atomic)
-           r.Runner.s_ops r.Runner.s_messages_sent r.Runner.s_messages_data
-           r.Runner.s_messages_meta r.Runner.s_payload_units
-           (Metrics.sharded_msgs_per_op r)
-           (Metrics.sharded_units_per_msg r)
-           (1000.0 *. float_of_int r.Runner.s_ops
-           /. Float.max 1e-9 r.Runner.s_final_time)
-           r.Runner.s_events r.Runner.s_final_time))
-    results;
-  Buffer.add_string buf "]}";
-  let json = Buffer.contents buf in
-  print_endline json;
-  match !out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc
+(* msgs_per_op is the one gated column: a per-operation count, so the
+   smoke run matches the full baseline. The totals scale with [keys]. *)
+let rows (name, (r : Runner.sharded_result)) =
+  let count = Bench.count name in
+  [ Bench.flag name "ok" (r.Runner.s_complete && r.Runner.s_atomic);
+    count "ops" "ops" r.Runner.s_ops;
+    count "msgs" "msgs" r.Runner.s_messages_sent;
+    count "data" "msgs" r.Runner.s_messages_data;
+    count "meta" "msgs" r.Runner.s_messages_meta;
+    count "payload_units" "units" r.Runner.s_payload_units;
+    Bench.row ~better:Lower name "msgs_per_op" "msgs/op"
+      (Metrics.sharded_msgs_per_op r);
+    Bench.row name "units_per_msg" "units/msg"
+      (Metrics.sharded_units_per_msg r);
+    Bench.row name "ops_per_sim_ktime" "ops/ktime"
+      (1000.0 *. float_of_int r.Runner.s_ops
+      /. Float.max 1e-9 r.Runner.s_final_time);
+    count "events" "events" r.Runner.s_events;
+    Bench.row name "final_time" "time" r.Runner.s_final_time
+  ]
 
-let run () =
-  let keys = if !smoke then 500 else 10_000 in
+let run (opts : Bench.opts) =
+  let keys = if opts.smoke then 500 else 10_000 in
   let params = Soda.Placement.preset_params `P4_2 in
   let topology = Soda.Topology.make ~servers:12 ~domains:3 () in
   let placement =
@@ -96,7 +78,13 @@ let run () =
       (fun c -> (c.name, c.run wl))
       (cases ~placement ~params)
   in
-  emit ~keys ~topology results;
+  Bench.emit opts ~bench:"sharded"
+    (Bench.count "workload" "keys" "keys" keys
+     :: Bench.count "workload" "servers" "servers"
+          (Soda.Topology.servers topology)
+     :: Bench.count "workload" "domains" "domains"
+          (Soda.Topology.num_domains topology)
+     :: List.concat_map rows results);
   let failures =
     List.filter
       (fun (_, (r : Runner.sharded_result)) ->

@@ -1,11 +1,11 @@
-(* End-to-end simulator & checker throughput, reported as JSON (one
-   object on stdout) so successive runs can be archived as a
-   trajectory. Invoked as
+(* End-to-end simulator & checker throughput, reported as JSON
+   (Bench.emit) so successive runs can be archived as a trajectory.
+   Invoked as
 
      dune exec bench/main.exe -- sim            # full
-     dune exec bench/main.exe -- sim --smoke    # tiny CI quota
+     dune exec bench/main.exe -- sim --smoke    # tiny quota, not gated
 
-   Three probes:
+   Four probes:
 
    - "mesh": a raw engine workload (no protocol) — P processes bounce
      messages across random links until a hop budget is exhausted.
@@ -19,53 +19,44 @@
      concurrent clients and staggered crashes) — events/sec and ops/sec
      as an experiment actually sees them.
    - "checker": Atomicity.check_tagged on a synthetic m-operation
-     history — wall milliseconds for the full Lemma 2.1 check.
+     history — records per second through the full Lemma 2.1 check.
 
-   Every point also reports the engine's message accounting (sent /
-   dropped / lost / retransmissions) so lossy runs can be told apart
-   from crash-lossy ones at a glance. *)
+   Every simulated probe also reports the engine's message accounting
+   (sent / dropped / lost / retransmissions) so lossy runs can be told
+   apart from crash-lossy ones at a glance. *)
 
 module Engine = Simnet.Engine
 module Delay = Simnet.Delay
 
-let smoke = ref false
-
-(* [--out FILE]: also write the JSON object to FILE (stable schema, see
-   BENCH_sim.json at the repo root for the committed baseline). *)
-let out : string option ref = ref None
-
-type point = {
-  probe : string;
-  size : int;  (* events for sims, ops for the checker *)
-  seconds : float;
-  events_per_s : float;
-  ops_per_s : float;
-  sent : int;
-  dropped : int;  (* messages to crashed processes *)
-  lost : int;  (* messages eaten by the link fault plane *)
-  retransmissions : int;
-}
-
-let no_traffic = (0, 0, 0, 0)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-(* Repeat [f] (fresh state each call) until [min_elapsed] seconds have
-   been measured and return the per-call average of (seconds, count). *)
+(* Per-call seconds of [f] (fresh state each call), averaged over one
+   [min_elapsed] window. *)
 let measure ~min_elapsed f =
-  ignore (f ());
-  (* warm-up *)
-  let iters = ref 0 and elapsed = ref 0.0 and count = ref 0 in
-  while !iters < 2 || !elapsed < min_elapsed do
-    let s, c = time f in
-    elapsed := !elapsed +. s;
-    count := !count + c;
-    incr iters
-  done;
-  (!elapsed /. float_of_int !iters, !count / !iters)
+  Bench.time_per_call ~trials:1 ~min_elapsed ~min_iters:2 f
+
+(* The rows of one probe: [size] events (history records for the
+   checker) in [seconds] per call. Only events_per_s is gated. *)
+let probe_rows ~probe ~size ~seconds ?ops ?traffic () =
+  let traffic =
+    match traffic with
+    | None -> []
+    | Some (sent, dropped, lost, retransmissions) ->
+      [ Bench.count probe "sent" "msgs" sent;
+        (* messages to crashed processes *)
+        Bench.count probe "dropped" "msgs" dropped;
+        (* messages eaten by the link fault plane *)
+        Bench.count probe "lost" "msgs" lost;
+        Bench.count probe "retransmissions" "msgs" retransmissions
+      ]
+  in
+  [ Bench.count probe "size" "events" size;
+    Bench.row ~better:Higher probe "events_per_s" "events/s"
+      (float_of_int size /. seconds)
+  ]
+  @ (match ops with
+    | None -> []
+    | Some ops ->
+      [ Bench.row probe "ops_per_s" "ops/s" (float_of_int ops /. seconds) ])
+  @ traffic
 
 (* ------------------------------------------------------------------ *)
 (* mesh: raw engine throughput *)
@@ -98,28 +89,17 @@ let mesh_events ?(transport = `Raw) ~procs ~messages ~hops () =
       Engine.messages_lost engine,
       Engine.retransmissions engine ) )
 
-let mesh_point ?(transport = `Raw) ~probe () =
+let mesh_point (opts : Bench.opts) ?(transport = `Raw) ~probe () =
   let procs = 64 in
-  let messages, hops = if !smoke then (100, 50) else (1_000, 500) in
-  let min_elapsed = if !smoke then 0.05 else 1.0 in
-  let traffic = ref no_traffic in
-  let seconds, delivered =
+  let messages, hops = if opts.smoke then (100, 50) else (1_000, 500) in
+  let min_elapsed = if opts.smoke then 0.05 else 1.0 in
+  let run = ref (0, (0, 0, 0, 0)) in
+  let seconds =
     measure ~min_elapsed (fun () ->
-        let d, t = mesh_events ~transport ~procs ~messages ~hops () in
-        traffic := t;
-        d)
+        run := mesh_events ~transport ~procs ~messages ~hops ())
   in
-  let sent, dropped, lost, retransmissions = !traffic in
-  { probe;
-    size = delivered;
-    seconds;
-    events_per_s = float_of_int delivered /. seconds;
-    ops_per_s = 0.0;
-    sent;
-    dropped;
-    lost;
-    retransmissions
-  }
+  let size, traffic = !run in
+  probe_rows ~probe ~size ~seconds ~traffic ()
 
 (* ------------------------------------------------------------------ *)
 (* soda-soak: the default soak workload end to end *)
@@ -143,29 +123,15 @@ let soak_run ~ops_per_client () =
       r.Harness.Runner.messages_lost,
       0 ) )
 
-let soak_point () =
-  let ops_per_client = if !smoke then 2 else 8 in
-  let min_elapsed = if !smoke then 0.05 else 1.0 in
-  let ops = ref 0 in
-  let traffic = ref no_traffic in
-  let seconds, delivered =
-    measure ~min_elapsed (fun () ->
-        let d, o, t = soak_run ~ops_per_client () in
-        ops := o;
-        traffic := t;
-        d)
+let soak_point (opts : Bench.opts) =
+  let ops_per_client = if opts.smoke then 2 else 8 in
+  let min_elapsed = if opts.smoke then 0.05 else 1.0 in
+  let run = ref (0, 0, (0, 0, 0, 0)) in
+  let seconds =
+    measure ~min_elapsed (fun () -> run := soak_run ~ops_per_client ())
   in
-  let sent, dropped, lost, retransmissions = !traffic in
-  { probe = "soda-soak";
-    size = delivered;
-    seconds;
-    events_per_s = float_of_int delivered /. seconds;
-    ops_per_s = float_of_int !ops /. seconds;
-    sent;
-    dropped;
-    lost;
-    retransmissions
-  }
+  let size, ops, traffic = !run in
+  probe_rows ~probe:"soda-soak" ~size ~seconds ~ops ~traffic ()
 
 (* ------------------------------------------------------------------ *)
 (* checker: Atomicity.check_tagged on a large synthetic history *)
@@ -203,59 +169,25 @@ let synthetic_history m =
         | None -> mk Protocol.History.Read Protocol.Tag.initial ""
         | Some (tag, value) -> mk Protocol.History.Read tag value)
 
-let checker_point () =
-  let m = if !smoke then 2_000 else 10_000 in
+let checker_point (opts : Bench.opts) =
+  let m = if opts.smoke then 2_000 else 10_000 in
   let records = synthetic_history m in
-  let min_elapsed = if !smoke then 0.05 else 0.5 in
-  let seconds, _ =
+  let min_elapsed = if opts.smoke then 0.05 else 0.5 in
+  let seconds =
     measure ~min_elapsed (fun () ->
         match Protocol.Atomicity.check_tagged records with
-        | Ok () -> m
+        | Ok () -> ()
         | Error _ -> failwith "sim bench: synthetic history rejected")
   in
-  let sent, dropped, lost, retransmissions = no_traffic in
-  { probe = "checker";
-    size = m;
-    seconds;
-    events_per_s = float_of_int m /. seconds;
-    ops_per_s = 0.0;
-    sent;
-    dropped;
-    lost;
-    retransmissions
-  }
+  probe_rows ~probe:"checker" ~size:m ~seconds ()
 
 (* ------------------------------------------------------------------ *)
 
-let emit points =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"bench\":\"sim\",";
-  Buffer.add_string buf (Printf.sprintf "\"smoke\":%b,\"results\":[" !smoke);
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"probe\":%S,\"size\":%d,\"seconds\":%.4f,\"events_per_s\":%.0f,\"ops_per_s\":%.1f,\"sent\":%d,\"dropped\":%d,\"lost\":%d,\"retransmissions\":%d}"
-           p.probe p.size p.seconds p.events_per_s p.ops_per_s p.sent p.dropped
-           p.lost p.retransmissions))
-    points;
-  Buffer.add_string buf "]}";
-  let json = Buffer.contents buf in
-  print_endline json;
-  match !out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc
-
-let run () =
-  emit
-    [ mesh_point ~probe:"mesh" ();
-      mesh_point ~transport:(`Reliable Simnet.Channel.default)
-        ~probe:"mesh-reliable" ();
-      soak_point ();
-      checker_point ()
-    ]
+let run opts =
+  Bench.emit opts ~bench:"sim"
+    (mesh_point opts ~probe:"mesh" ()
+    @ mesh_point opts
+        ~transport:(`Reliable Simnet.Channel.default)
+        ~probe:"mesh-reliable" ()
+    @ soak_point opts
+    @ checker_point opts)

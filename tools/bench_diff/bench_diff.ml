@@ -1,40 +1,42 @@
 (* bench_diff: compare a fresh bench run against a committed baseline
    and fail on regressions.
 
-     bench_diff.exe BASELINE.json FRESH.json [--threshold 0.25]
+     bench_diff.exe BASELINE.json FRESH.json
 
-   Both files are the flat JSON emitted by `bench/main.exe codec|sim`
-   (optionally with --smoke / --out). Points are matched by key, and a
-   key that occurs twice in either file is an error:
+   Both files are what `bench/main.exe EXPERIMENT --out FILE` writes
+   (bench/bench.ml): a "bench" kind and a "results" array of rows
 
-     codec points: (codec, op, size)           -> mb_per_s
-     sim points:   (probe)                     -> events_per_s
+     {"key": K, "metric": M, "value": V, "unit": U, "better": B}
 
-   CI machines are not the machine the baseline was recorded on, so
-   absolute throughput is meaningless. Instead we self-calibrate: for
-   every matched key compute ratio = fresh / baseline, take the median
-   ratio as the machine-speed factor, and flag keys whose
-   ratio / median falls below 1 - threshold. A uniform slowdown (slow
-   runner) moves the median, not the flags; a single kernel or probe
-   regressing moves its own ratio against the median and fails the
-   build.
+   The two kinds must agree. Rows are matched by (key, metric), and a
+   pair that occurs twice in either file is an error. Only rows whose
+   "better" is "higher" or "lower" are compared; "none" marks an
+   informational column (totals that scale with a smoke run's size,
+   chaos counters). Nothing here knows which experiment wrote a file.
 
-   The msgs and sharded benches are deterministic message counts per
-   operation (`overhead --out`, `sharded --out`):
+   A row whose unit is a wall-clock rate (ends in "/s") moves with the
+   host. CI machines are not the machine the baseline was recorded on,
+   so absolute throughput is meaningless; instead we self-calibrate:
+   ratio = fresh / baseline for every matched rate row, the median
+   ratio is the machine-speed factor, and a row fails when its ratio /
+   median is worse than [threshold] in its "better" direction. A
+   uniform slowdown (slow runner) moves the median, not the flags; a
+   single kernel or probe regressing moves its own ratio against the
+   median and fails the build.
 
-     msgs points:    (algo)                    -> msgs_per_op
-     sharded points: (case)                    -> msgs_per_op
+   Any other unit is a deterministic count (msgs/op): no host moves it,
+   so its raw ratio is held to [threshold], and a rise in every row at
+   once fails like a rise in one.
 
-   No host moves a count, so they are not calibrated: a key fails when
-   its raw fresh / baseline ratio rises above 1 + threshold, even when
-   every key rises together.
+   Exit codes: 0 no regression, 1 regression, 2 bad usage or bad files.
 
-   The parser below is a minimal scanner for the schema our own bench
-   emitters produce — flat objects inside one "results" array, string
-   and number fields only, no nesting, no escapes beyond what %S
-   writes. It is not a general JSON parser and does not try to be. *)
+   The parser below is a minimal scanner for that schema — flat objects
+   inside one "results" array, string, number and boolean fields only,
+   no nesting, no escapes beyond what %S writes. It is not a general
+   JSON parser and does not try to be. *)
 
-let threshold = ref 0.25
+(* the largest tolerated move in a row's "better" direction: 25% *)
+let threshold = 0.25
 
 (* ------------------------------------------------------------------ *)
 (* scanning *)
@@ -118,224 +120,204 @@ let scan_number sc =
   | Some f -> f
   | None -> fail "bad number %S at offset %d" lit start
 
-type value = Str of string | Num of float | Bool of bool
+type value =
+  | Str of string
+  | Num of float
+  | Bool of bool
+  | Arr of value list
+  | Obj of (string * value) list
 
-let scan_scalar sc =
+let literal sc word =
+  let n = String.length word in
+  let hit =
+    sc.pos + n <= String.length sc.s
+    && String.equal (String.sub sc.s sc.pos n) word
+  in
+  if hit then sc.pos <- sc.pos + n;
+  hit
+
+(* [opening] item, item, ... [closing] *)
+let scan_seq sc opening closing item =
+  expect sc opening;
+  skip_ws sc;
+  if peek_is sc closing then begin
+    sc.pos <- sc.pos + 1;
+    []
+  end
+  else
+    let rec go acc =
+      let acc = item () :: acc in
+      skip_ws sc;
+      match peek sc with
+      | Some ',' ->
+        sc.pos <- sc.pos + 1;
+        go acc
+      | Some c when Char.equal c closing ->
+        sc.pos <- sc.pos + 1;
+        List.rev acc
+      | _ -> fail "expected ',' or %C at offset %d" closing sc.pos
+    in
+    go []
+
+let rec scan_value sc =
   skip_ws sc;
   match peek sc with
   | Some '"' -> Str (scan_string sc)
-  | Some 't' when sc.pos + 4 <= String.length sc.s
-                  && String.sub sc.s sc.pos 4 = "true" ->
-    sc.pos <- sc.pos + 4;
-    Bool true
-  | Some 'f' when sc.pos + 5 <= String.length sc.s
-                  && String.sub sc.s sc.pos 5 = "false" ->
-    sc.pos <- sc.pos + 5;
-    Bool false
+  | Some '[' -> Arr (scan_seq sc '[' ']' (fun () -> scan_value sc))
+  | Some '{' ->
+    Obj
+      (scan_seq sc '{' '}' (fun () ->
+           let key = scan_string sc in
+           expect sc ':';
+           (key, scan_value sc)))
+  | _ when literal sc "true" -> Bool true
+  | _ when literal sc "false" -> Bool false
   | _ -> Num (scan_number sc)
 
-(* a flat object: { "key": scalar, ... } *)
-let scan_object sc =
-  expect sc '{';
-  let fields = ref [] in
-  skip_ws sc;
-  (if peek_is sc '}' then sc.pos <- sc.pos + 1
-   else
-     let rec go () =
-       skip_ws sc;
-       let key = scan_string sc in
-       expect sc ':';
-       let v = scan_scalar sc in
-       fields := (key, v) :: !fields;
-       skip_ws sc;
-       match peek sc with
-       | Some ',' ->
-         sc.pos <- sc.pos + 1;
-         go ()
-       | Some '}' -> sc.pos <- sc.pos + 1
-       | _ -> fail "expected ',' or '}' at offset %d" sc.pos
-     in
-     go ());
-  List.rev !fields
 
 (* ------------------------------------------------------------------ *)
 (* bench files *)
 
-type bench = { kind : string; points : (string * float) list }
+type row = {
+  key : string;
+  metric : string;
+  value : float;
+  unit : string;
+  better : string;
+}
+
+type bench = { kind : string; rows : row list }
 
 let get fields key =
   match List.assoc_opt key fields with
   | Some v -> v
-  | None -> fail "point is missing field %S" key
+  | None -> fail "missing field %S" key
 
-let str = function Str s -> s | _ -> fail "expected a string field"
-let num = function Num f -> f | _ -> fail "expected a numeric field"
+let str fields key =
+  match get fields key with
+  | Str s -> s
+  | _ -> fail "field %S is not a string" key
 
-(* key + metric for one results[] entry, depending on bench kind *)
-let point_of_fields kind fields =
-  match kind with
-  | "codec" ->
-    ( Printf.sprintf "%s/%s/%d"
-        (str (get fields "codec"))
-        (str (get fields "op"))
-        (int_of_float (num (get fields "size"))),
-      num (get fields "mb_per_s") )
-  | "sim" -> (str (get fields "probe"), num (get fields "events_per_s"))
-  | "msgs" -> (str (get fields "algo"), num (get fields "msgs_per_op"))
-  | "sharded" -> (str (get fields "case"), num (get fields "msgs_per_op"))
-  | k -> fail "unknown bench kind %S" k
+let row_of_fields fields =
+  let better = str fields "better" in
+  if not (List.exists (String.equal better) [ "higher"; "lower"; "none" ])
+  then
+    fail "\"better\" is %S, not \"higher\", \"lower\" or \"none\"" better;
+  { key = str fields "key";
+    metric = str fields "metric";
+    value =
+      (match get fields "value" with
+      | Num f -> f
+      | _ -> fail "field \"value\" is not a number");
+    unit = str fields "unit";
+    better
+  }
 
-(* codec/sim measure throughput (higher is better) and move with the
-   host; msgs/sharded measure messages per operation, deterministic
-   counts (lower is better) that no host can move *)
-let is_count = function "msgs" | "sharded" -> true | _ -> false
+let name r = r.key ^ " " ^ r.metric
+let same a b = String.equal a.key b.key && String.equal a.metric b.metric
+let gated r = not (String.equal r.better "none")
+let is_rate r = String.ends_with ~suffix:"/s" r.unit
 
 let parse_bench path =
-  let sc = { s = read_file path; pos = 0 } in
-  expect sc '{';
-  let kind = ref None in
-  let points = ref [] in
-  let rec go () =
-    skip_ws sc;
-    let key = scan_string sc in
-    expect sc ':';
-    (match key with
-    | "bench" -> kind := Some (str (scan_scalar sc))
-    | "results" -> begin
-      expect sc '[';
-      skip_ws sc;
-      if peek_is sc ']' then sc.pos <- sc.pos + 1
-      else
-        let rec items () =
-          let fields = scan_object sc in
-          points := fields :: !points;
-          skip_ws sc;
-          match peek sc with
-          | Some ',' ->
-            sc.pos <- sc.pos + 1;
-            items ()
-          | Some ']' -> sc.pos <- sc.pos + 1
-          | _ -> fail "expected ',' or ']' at offset %d" sc.pos
-        in
-        items ()
-    end
-    | _ -> ignore (scan_scalar sc));
-    skip_ws sc;
-    match peek sc with
-    | Some ',' ->
-      sc.pos <- sc.pos + 1;
-      go ()
-    | Some '}' -> sc.pos <- sc.pos + 1
-    | _ -> fail "expected ',' or '}' at offset %d" sc.pos
+  let fields =
+    match scan_value { s = read_file path; pos = 0 } with
+    | Obj fields -> fields
+    | _ -> fail "%s is not a JSON object" path
   in
-  go ();
-  let kind =
-    match !kind with Some k -> k | None -> fail "missing \"bench\" field"
+  let rows =
+    match get fields "results" with
+    | Arr items ->
+      List.map
+        (function
+          | Obj row -> row_of_fields row
+          | _ -> fail "a \"results\" entry is not an object")
+        items
+    | _ -> fail "\"results\" is not an array"
   in
-  let pts = List.rev_map (point_of_fields kind) !points in
-  (* a repeated key would be compared against whichever baseline point
+  (* a repeated pair would be compared against whichever baseline row
      the lookup finds first *)
   let rec check_unique = function
     | a :: (b :: _ as rest) ->
-      if String.equal a b then fail "duplicate key %s in %s" a path;
+      if String.equal a b then fail "duplicate row %s in %s" a path;
       check_unique rest
     | _ -> ()
   in
-  check_unique (List.sort String.compare (List.map fst pts));
-  { kind; points = pts }
+  check_unique (List.sort String.compare (List.map name rows));
+  { kind = str fields "bench"; rows }
 
 (* ------------------------------------------------------------------ *)
 (* comparison *)
 
 let median xs =
   let a = Array.of_list xs in
-  Array.sort compare a;
+  Array.sort Float.compare a;
   let n = Array.length a in
   if n = 0 then 1.0
   else if n mod 2 = 1 then a.(n / 2)
   else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 let compare_benches ~baseline ~fresh =
-  if baseline.kind <> fresh.kind then
+  if not (String.equal baseline.kind fresh.kind) then
     fail "bench kinds differ: baseline is %S, fresh is %S" baseline.kind
       fresh.kind;
+  let base_rows = List.filter gated baseline.rows in
+  let fresh_rows = List.filter gated fresh.rows in
   let matched, unmatched_fresh =
     List.partition_map
-      (fun (key, fv) ->
-        match List.assoc_opt key baseline.points with
-        | Some bv when bv > 0.0 -> Left (key, fv /. bv)
-        | Some _ | None -> Right key)
-      fresh.points
-  in
-  let unmatched_base =
-    List.filter_map
-      (fun (key, _) ->
-        if List.exists (fun (k, _) -> String.equal k key) fresh.points then
-          None
-        else Some key)
-      baseline.points
+      (fun f ->
+        match List.find_opt (same f) base_rows with
+        | Some b when b.value > 0.0 ->
+          if not (String.equal b.unit f.unit && String.equal b.better f.better)
+          then
+            fail "%s: unit or direction changed from the baseline" (name f);
+          Left (b, f.value /. b.value)
+        | Some _ | None -> Right f)
+      fresh_rows
   in
   List.iter
-    (Printf.eprintf "bench_diff: warning: no baseline for %s, skipped\n%!")
+    (fun f ->
+      Printf.eprintf "bench_diff: warning: no baseline for %s, skipped\n%!"
+        (name f))
     unmatched_fresh;
   List.iter
-    (Printf.eprintf
-       "bench_diff: warning: baseline key %s absent from fresh run\n%!")
-    unmatched_base;
+    (fun b ->
+      if not (List.exists (same b) fresh_rows) then
+        Printf.eprintf
+          "bench_diff: warning: baseline row %s absent from fresh run\n%!"
+          (name b))
+    base_rows;
   if List.is_empty matched then
-    fail "no keys in common between baseline and fresh run";
-  let counts = is_count fresh.kind in
-  (* Only throughput is divided by the machine-speed factor. A count has
-     no host to calibrate for, so a rise in every row at once is a
-     protocol change and must fail like a rise in one. *)
-  let m = if counts then 1.0 else median (List.map snd matched) in
-  if counts then
+    fail "no gated rows in common between baseline and fresh run";
+  (* Only rates are divided by the machine-speed factor. A count has no
+     host to calibrate for, so a rise in every row at once is a protocol
+     change and must fail like a rise in one. *)
+  let rates =
+    List.filter_map (fun (b, r) -> if is_rate b then Some r else None) matched
+  in
+  let m = median rates in
+  Printf.printf "bench_diff: %s, %d matched rows, threshold %.0f%%\n"
+    fresh.kind (List.length matched) (100.0 *. threshold);
+  if not (List.is_empty rates) then
     Printf.printf
-      "bench_diff: %s, %d matched keys, deterministic counts (raw \
-       fresh/baseline), threshold %.0f%%\n"
-      fresh.kind (List.length matched) (100.0 *. !threshold)
-  else
-    Printf.printf
-      "bench_diff: %s, %d matched keys, machine-speed factor (median \
-       fresh/baseline) %.2fx, threshold %.0f%%\n"
-      fresh.kind (List.length matched) m (100.0 *. !threshold);
+      "  %d wall-clock rates: machine-speed factor (median fresh/baseline) \
+       %.2fx\n"
+      (List.length rates) m;
   List.filter_map
-    (fun (key, ratio) ->
-      let rel = ratio /. m in
+    (fun (b, ratio) ->
+      let rel = if is_rate b then ratio /. m else ratio in
       let flagged =
-        if counts then rel > 1.0 +. !threshold else rel < 1.0 -. !threshold
+        if String.equal b.better "higher" then rel < 1.0 -. threshold
+        else rel > 1.0 +. threshold
       in
-      Printf.printf "  %-44s %6.2fx raw%s%s\n" key ratio
-        (if counts then "" else Printf.sprintf ", %6.2fx vs median" rel)
+      Printf.printf "  %-44s %-14s %6.2fx raw%s%s\n" b.key b.metric ratio
+        (if is_rate b then Printf.sprintf ", %6.2fx vs median" rel else "")
         (if flagged then "  << REGRESSION" else "");
-      if flagged then Some key else None)
+      if flagged then Some (name b) else None)
     matched
 
-let usage () =
-  prerr_endline
-    "usage: bench_diff.exe BASELINE.json FRESH.json [--threshold FRAC]";
-  exit 2
-
 let () =
-  let rec parse_args files = function
-    | [] -> List.rev files
-    | "--threshold" :: v :: rest -> begin
-      match float_of_string_opt v with
-      | Some f when f > 0.0 && f < 1.0 ->
-        threshold := f;
-        parse_args files rest
-      | _ ->
-        prerr_endline "bench_diff: --threshold wants a fraction in (0, 1)";
-        usage ()
-    end
-    | "--help" :: _ | "-h" :: _ -> usage ()
-    | f :: rest -> parse_args (f :: files) rest
-  in
-  let args =
-    match Array.to_list Sys.argv with _ :: rest -> rest | [] -> []
-  in
-  match parse_args [] args with
-  | [ base_path; fresh_path ] -> begin
+  match Array.to_list Sys.argv with
+  | [ _; base_path; fresh_path ] -> begin
     try
       let baseline = parse_bench base_path in
       let fresh = parse_bench fresh_path in
@@ -343,12 +325,13 @@ let () =
       | [] -> print_endline "bench_diff: OK"
       | failures ->
         Printf.eprintf "bench_diff: %d regression(s) beyond %.0f%%:\n"
-          (List.length failures)
-          (100.0 *. !threshold);
+          (List.length failures) (100.0 *. threshold);
         List.iter (Printf.eprintf "  %s\n") failures;
         exit 1
     with Parse_error e ->
       Printf.eprintf "bench_diff: %s\n" e;
       exit 2
   end
-  | _ -> usage ()
+  | _ ->
+    prerr_endline "usage: bench_diff.exe BASELINE.json FRESH.json";
+    exit 2
