@@ -23,7 +23,10 @@
 
    Every simulated probe also reports the engine's message accounting
    (sent / dropped / lost / retransmissions) so lossy runs can be told
-   apart from crash-lossy ones at a glance. *)
+   apart from crash-lossy ones at a glance, and the steps the engine
+   executed ("events", gated lower-is-better: a deterministic count,
+   so a change that adds steps per delivery fails however fast the
+   host). *)
 
 module Engine = Simnet.Engine
 module Delay = Simnet.Delay
@@ -34,13 +37,15 @@ let measure ~min_elapsed f =
   Bench.time_per_call ~trials:1 ~min_elapsed ~min_iters:2 f
 
 (* The rows of one probe: [size] events (history records for the
-   checker) in [seconds] per call. Only events_per_s is gated. *)
+   checker) in [seconds] per call. Gated: events_per_s, and the engine
+   steps of a simulated probe. *)
 let probe_rows ~probe ~size ~seconds ?ops ?traffic () =
   let traffic =
     match traffic with
     | None -> []
-    | Some (sent, dropped, lost, retransmissions) ->
-      [ Bench.count probe "sent" "msgs" sent;
+    | Some (events, sent, dropped, lost, retransmissions) ->
+      [ Bench.row ~better:Lower probe "events" "events" (float_of_int events);
+        Bench.count probe "sent" "msgs" sent;
         (* messages to crashed processes *)
         Bench.count probe "dropped" "msgs" dropped;
         (* messages eaten by the link fault plane *)
@@ -84,7 +89,8 @@ let mesh_events ?(transport = `Raw) ~procs ~messages ~hops () =
   done;
   Engine.run engine;
   ( Engine.messages_delivered engine,
-    ( Engine.messages_sent engine,
+    ( Engine.events_executed engine,
+      Engine.messages_sent engine,
       Engine.messages_dropped engine,
       Engine.messages_lost engine,
       Engine.retransmissions engine ) )
@@ -93,7 +99,7 @@ let mesh_point (opts : Bench.opts) ?(transport = `Raw) ~probe () =
   let procs = 64 in
   let messages, hops = if opts.smoke then (100, 50) else (1_000, 500) in
   let min_elapsed = if opts.smoke then 0.05 else 1.0 in
-  let run = ref (0, (0, 0, 0, 0)) in
+  let run = ref (0, (0, 0, 0, 0, 0)) in
   let seconds =
     measure ~min_elapsed (fun () ->
         run := mesh_events ~transport ~procs ~messages ~hops ())
@@ -118,7 +124,8 @@ let soak_run ~ops_per_client () =
   in
   ( r.Harness.Runner.messages_delivered,
     Harness.Workload.total_ops w,
-    ( r.Harness.Runner.messages_sent,
+    ( r.Harness.Runner.events_executed,
+      r.Harness.Runner.messages_sent,
       r.Harness.Runner.messages_dropped,
       r.Harness.Runner.messages_lost,
       0 ) )
@@ -126,7 +133,7 @@ let soak_run ~ops_per_client () =
 let soak_point (opts : Bench.opts) =
   let ops_per_client = if opts.smoke then 2 else 8 in
   let min_elapsed = if opts.smoke then 0.05 else 1.0 in
-  let run = ref (0, 0, (0, 0, 0, 0)) in
+  let run = ref (0, 0, (0, 0, 0, 0, 0)) in
   let seconds =
     measure ~min_elapsed (fun () -> run := soak_run ~ops_per_client ())
   in

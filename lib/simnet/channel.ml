@@ -29,6 +29,18 @@ let backoff_schedule c ~retries =
   in
   go c.rto 0 []
 
+(* [timeouts.(i)] is the timeout after [i] retransmissions: the backoff
+   schedule up to [max_retries], cut where it stops changing (at
+   [max_rto], or at once when [backoff = 1]); lookups clamp to the last
+   entry. *)
+let timeout_table c =
+  let rec entries rto i =
+    let next = next_rto c rto in
+    if i >= c.max_retries || Float.equal next rto then i + 1
+    else entries next (i + 1)
+  in
+  Array.of_list (backoff_schedule c ~retries:(entries c.rto 0))
+
 (* Sequence numbers share the engine's event tag word (bits 44-62). *)
 let max_seq = 0x7FFFF
 
@@ -40,7 +52,8 @@ let max_seq = 0x7FFFF
    lie in [base, next_seq), held in a power-of-two ring indexed by
    [seq land (capacity - 1)] that doubles when the window fills. A slot
    is vacant when its [tries] is -1 — the state of every slot outside
-   the window.
+   the window. A pending slot also holds its current timer's deadline
+   and whether the engine has armed (pushed) that timer yet.
 
    Receiver: every seq <= [cum] has arrived; arrivals above it sit in a
    bitmap ring over (cum, cum + 8 * Bytes.length arrived], grown on
@@ -51,13 +64,15 @@ type link = {
   mutable base : int;
   mutable payloads : Obj.t array;
   mutable tries : int array;
-  mutable rtos : float array;
+  mutable deadlines : float array;
+  mutable armed : Bytes.t;  (* '\001' once the current timer is pushed *)
   mutable cum : int;  (* -1 until seq 0 arrives *)
   mutable arrived : Bytes.t
 }
 
 type t = {
   config : config;
+  timeouts : float array;  (* timeout_table config *)
   mutable rows : link option array array;  (* rows.(src).(dst) *)
   mutable in_flight : int;
   mutable retransmissions : int;
@@ -68,6 +83,7 @@ type t = {
 let create config =
   validate config;
   { config;
+    timeouts = timeout_table config;
     rows = [||];
     in_flight = 0;
     retransmissions = 0;
@@ -102,7 +118,8 @@ let link t ~src ~dst =
         base = 0;
         payloads = [||];
         tries = [||];
-        rtos = [||];
+        deadlines = [||];
+        armed = Bytes.empty;
         cum = -1;
         arrived = Bytes.empty
       }
@@ -121,16 +138,19 @@ let grow_window l =
   let cap = max 8 (2 * Array.length l.tries) in
   let payloads = Array.make cap vacant_payload
   and tries = Array.make cap (-1)
-  and rtos = Array.make cap 0.0 in
+  and deadlines = Array.make cap 0.0
+  and armed = Bytes.make cap '\000' in
   for seq = l.base to l.next_seq - 1 do
     let i = slot l seq and j = seq land (cap - 1) in
     payloads.(j) <- l.payloads.(i);
     tries.(j) <- l.tries.(i);
-    rtos.(j) <- l.rtos.(i)
+    deadlines.(j) <- l.deadlines.(i);
+    Bytes.set armed j (Bytes.get l.armed i)
   done;
   l.payloads <- payloads;
   l.tries <- tries;
-  l.rtos <- rtos
+  l.deadlines <- deadlines;
+  l.armed <- armed
 
 let pending l seq =
   seq >= l.base && seq < l.next_seq && l.tries.(slot l seq) >= 0
@@ -165,9 +185,34 @@ let register t ~src ~dst ~seq payload =
   let i = slot l seq in
   l.payloads.(i) <- payload;
   l.tries.(i) <- 0;
-  l.rtos.(i) <- t.config.rto;
+  l.deadlines.(i) <- Float.infinity;
+  Bytes.set l.armed i '\000';
   t.in_flight <- t.in_flight + 1;
-  t.config.rto
+  t.timeouts.(0)
+
+let set_deadline t ~src ~dst ~seq ~armed deadline =
+  let l = link t ~src ~dst in
+  if not (pending l seq) then
+    invalid_arg "Channel.set_deadline: seq not pending";
+  let i = slot l seq in
+  l.deadlines.(i) <- deadline;
+  Bytes.set l.armed i (if armed then '\001' else '\000')
+
+let arm t ~src ~dst ~seq ~at =
+  let l = link t ~src ~dst in
+  if not (pending l seq) then false
+  else begin
+    let i = slot l seq in
+    if Bytes.get l.armed i <> '\000' || at < l.deadlines.(i) then false
+    else begin
+      Bytes.set l.armed i '\001';
+      true
+    end
+  end
+
+let deadline t ~src ~dst ~seq =
+  let l = link t ~src ~dst in
+  if pending l seq then l.deadlines.(slot l seq) else Float.infinity
 
 let ack t ~src ~dst ~seq =
   let l = link t ~src ~dst in
@@ -188,10 +233,11 @@ let on_timer t ~src ~dst ~seq =
       `Give_up
     end
     else begin
-      l.tries.(i) <- l.tries.(i) + 1;
-      l.rtos.(i) <- next_rto t.config l.rtos.(i);
+      let tries = l.tries.(i) + 1 in
+      l.tries.(i) <- tries;
       t.retransmissions <- t.retransmissions + 1;
-      `Retransmit (l.payloads.(i), l.rtos.(i))
+      let last = Array.length t.timeouts - 1 in
+      `Retransmit (l.payloads.(i), t.timeouts.(min tries last))
     end
   end
 

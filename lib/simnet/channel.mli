@@ -22,8 +22,19 @@
     (EXPERIMENTS.md, "One ack mode").
 
     This module owns the pure state machine — sequence allocation,
-    pending sends, receiver dedup, backoff arithmetic, counters — while
-    {!Engine} owns scheduling, fault-plane checks and randomness.
+    pending sends, receiver dedup, backoff arithmetic, timer deadlines,
+    counters — while {!Engine} owns scheduling, fault-plane checks and
+    randomness.
+
+    Retransmission timers are lazy. The engine draws every
+    transmission's loss and delay when it sends it, so it records each
+    pending send's timer deadline here ({!set_deadline}) and pushes the
+    timer into its queue only when {!arm} reports that the timer can
+    fire: a copy or its ack was lost, a copy reached a crashed or
+    handler-less destination, or a copy or its ack lands at or after the
+    deadline. A send none of that happens to is acked strictly before
+    its deadline, so its timer never exists; an eager timer would have
+    popped as a no-op after the ack.
 
     State lives in one record per directed link, found by pid (no
     hashing). The sender keeps a power-of-two ring of unacked sends over
@@ -81,8 +92,32 @@ val register : t -> src:int -> dst:int -> seq:int -> Obj.t -> float
 (** Record an unacked send and return the initial retransmission
     timeout. [seq] must come from {!alloc_seq} on the same link, with no
     ack for the link processed in between (the engine registers right
-    after allocating).
+    after allocating). No timer exists yet: its deadline is unset until
+    {!set_deadline}.
     @raise Invalid_argument if [seq] is not such a sequence number. *)
+
+val set_deadline :
+  t -> src:int -> dst:int -> seq:int -> armed:bool -> float -> unit
+(** [set_deadline t ~src ~dst ~seq ~armed d]: the pending send's current
+    transmission times out at [d] (the timeout plus the engine's jitter,
+    from now). [armed]: the caller queues the timer at [d] right away,
+    because a copy of this transmission is already known to be lost or
+    to land at or after [d]; otherwise nothing is queued until {!arm}
+    says so.
+    @raise Invalid_argument if [seq] is not pending. *)
+
+val arm : t -> src:int -> dst:int -> seq:int -> at:float -> bool
+(** [arm t ~src ~dst ~seq ~at]: an event settles the send no earlier
+    than [at] ([infinity] when a copy or ack was lost or dropped). If
+    the send is pending, its timer unarmed and [at] is at or after its
+    {!deadline}, marks the timer armed and returns [true]: the caller
+    must then queue it at {!deadline}. Otherwise [false]: the send is
+    discharged, its timer already queued, or the ack can still beat
+    the deadline. *)
+
+val deadline : t -> src:int -> dst:int -> seq:int -> float
+(** The pending send's current timer deadline; [infinity] when the send
+    is not pending. *)
 
 val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
 (** Receiver side: [`Fresh] exactly once per (link, seq) — the caller
@@ -92,15 +127,21 @@ val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
 
 val ack : t -> src:int -> dst:int -> seq:int -> unit
 (** Sender side: the destination confirmed receipt; the pending entry is
-    discharged and later retransmission timers become no-ops. Idempotent
-    (acks themselves ride the lossy network and may be duplicated). *)
+    discharged. A timer armed for it still pops, as a no-op
+    ([`Done] from {!on_timer}); an unarmed one is never queued.
+    Idempotent (acks themselves ride the lossy network and may be
+    duplicated). *)
 
 val on_timer : t -> src:int -> dst:int -> seq:int ->
   [ `Done | `Give_up | `Retransmit of Obj.t * float ]
-(** Retransmission timer fired. [`Done]: already acked. [`Give_up]: the
-    retry cap is exhausted; the entry is dropped and counted. Otherwise
-    the payload to retransmit and the {e next} timeout (backed off,
-    jitter-free — the engine adds its seeded jitter). *)
+(** An armed retransmission timer fired (only armed timers are ever
+    queued, at their {!deadline}). [`Done]: acked since it was armed.
+    [`Give_up]: the retry cap is exhausted; the entry is dropped and
+    counted. Otherwise the payload to retransmit and the {e next}
+    timeout: element [tries] of {!backoff_schedule}, read from a table
+    built once from the config (jitter-free — the engine adds its
+    seeded jitter, then calls {!set_deadline} for the new, unarmed
+    timer). *)
 
 (** {1 Counters} *)
 

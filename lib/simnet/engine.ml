@@ -106,6 +106,9 @@ and 'msg t = {
      updates store unboxed (a [mutable float] field of this mixed
      record would box on every store) *)
   clock : float array;
+  (* when the last reliable data copy transmitted lands, [infinity] if
+     it was lost; one slot for the same unboxed-store reason as [clock] *)
+  copy_at : float array;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -172,6 +175,7 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
     classify;
     weigh;
     clock = [| 0.0 |];
+    copy_at = [| 0.0 |];
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -339,14 +343,40 @@ let send_raw_faulty t ~src ~dst msg =
       (Obj.repr msg)
   end
 
+(* Retransmission timers are lazy. Every transmission's loss and delay
+   are drawn when it is sent, so a send's timer deadline waits in its
+   channel slot and the timer is pushed only once an event shows it can
+   fire: a copy lost, landing at or after the deadline, or dropped at a
+   dead destination, or its ack lost or landing at or after the
+   deadline. Until then the ack is due strictly before the deadline,
+   and a pushed timer would pop as a no-op after it. *)
+let push_rexmit t ~src ~dst ~seq deadline =
+  (Event_queue.inbox t.queue).(0) <- deadline;
+  Event_queue.push_inbox t.queue
+    ~tag:(pack_seq ~kind:k_rexmit ~a:src ~b:dst ~seq)
+    obj_unit
+
+(* An event at [at] ([infinity]: never) is the earliest the ack can
+   discharge pending send [seq]; push its timer if that is too late. *)
+let arm_rexmit t ch ~src ~dst ~seq ~at =
+  if Channel.arm ch ~src ~dst ~seq ~at then begin
+    let deadline = Channel.deadline ch ~src ~dst ~seq in
+    (* a pending, unarmed send is acked before its deadline, so no
+       event at or after the deadline can find it unarmed *)
+    assert (deadline > t.clock.(0));
+    push_rexmit t ~src ~dst ~seq deadline
+  end
+
 (* One physical transmission of a reliable-channel data packet (first
    copy, duplicate, or retransmission): subject to the fault plane like
-   any raw send, and traced as an ordinary [Sent]. *)
+   any raw send, and traced as an ordinary [Sent]. Leaves its landing
+   time in [copy_at] for [schedule_rexmit]. *)
 let transmit_data t ~src ~dst ~seq payload =
   t.sent <- t.sent + 1;
   if t.trace_enabled then record t (Sent { time = t.clock.(0); src; dst });
   if Link_faults.armed t.faults && faults_lose t ~src ~dst then begin
     t.lost <- t.lost + 1;
+    t.copy_at.(0) <- Float.infinity;
     if t.trace_enabled then record t (Lost { time = t.clock.(0); src; dst })
   end
   else begin
@@ -354,7 +384,8 @@ let transmit_data t ~src ~dst ~seq payload =
       Delay.draw t.delay t.net_rng ~src ~dst
       *. Link_faults.delay_factor t.faults ~src ~dst
     in
-    (Event_queue.inbox t.queue).(0) <- t.clock.(0) +. transit;
+    t.copy_at.(0) <- t.clock.(0) +. transit;
+    (Event_queue.inbox t.queue).(0) <- t.copy_at.(0);
     Event_queue.push_inbox t.queue
       ~tag:(pack_seq ~kind:k_data ~a:src ~b:dst ~seq)
       payload
@@ -362,7 +393,7 @@ let transmit_data t ~src ~dst ~seq payload =
 
 (* Acks travel dst -> src but their tag keeps the data direction so the
    sender side can find its pending entry without unpacking a payload. *)
-let transmit_ack t ~src ~dst ~seq =
+let transmit_ack t ch ~src ~dst ~seq =
   t.sent <- t.sent + 1;
   t.acks_sent <- t.acks_sent + 1;
   (match t.tap with
@@ -374,19 +405,25 @@ let transmit_ack t ~src ~dst ~seq =
   if Link_faults.armed t.faults && faults_lose t ~src:dst ~dst:src then begin
     t.lost <- t.lost + 1;
     if t.trace_enabled then
-      record t (Lost { time = t.clock.(0); src = dst; dst = src })
+      record t (Lost { time = t.clock.(0); src = dst; dst = src });
+    arm_rexmit t ch ~src ~dst ~seq ~at:Float.infinity
   end
   else begin
     let transit =
       Delay.draw t.delay t.net_rng ~src:dst ~dst:src
       *. Link_faults.delay_factor t.faults ~src:dst ~dst:src
     in
-    (Event_queue.inbox t.queue).(0) <- t.clock.(0) +. transit;
+    let at = t.clock.(0) +. transit in
+    (Event_queue.inbox t.queue).(0) <- at;
     Event_queue.push_inbox t.queue
       ~tag:(pack_seq ~kind:k_ack ~a:src ~b:dst ~seq)
-      obj_unit
+      obj_unit;
+    arm_rexmit t ch ~src ~dst ~seq ~at
   end
 
+(* Set the timer of the transmission just made, whose copies' latest
+   landing time is in [copy_at]. The jitter is drawn where timers used
+   to be pushed unconditionally, so the rng stream is unchanged. *)
 let schedule_rexmit t ch ~src ~dst ~seq ~rto =
   let cfg = Channel.config ch in
   let jitter =
@@ -394,10 +431,10 @@ let schedule_rexmit t ch ~src ~dst ~seq ~rto =
       rto *. cfg.Channel.jitter *. Rng.float t.net_rng 1.0
     else 0.0
   in
-  Event_queue.push_tagged t.queue
-    ~time:(t.clock.(0) +. rto +. jitter)
-    ~tag:(pack_seq ~kind:k_rexmit ~a:src ~b:dst ~seq)
-    obj_unit
+  let deadline = t.clock.(0) +. rto +. jitter in
+  let armed = t.copy_at.(0) >= deadline in
+  Channel.set_deadline ch ~src ~dst ~seq ~armed deadline;
+  if armed then push_rexmit t ~src ~dst ~seq deadline
 
 let send_reliable t ch ~src ~dst msg =
   let seq = Channel.alloc_seq ch ~src ~dst in
@@ -408,7 +445,9 @@ let send_reliable t ch ~src ~dst msg =
      the receiver-side dedup absorbs it like any retransmission *)
   if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
     t.duplicated <- t.duplicated + 1;
-    transmit_data t ~src ~dst ~seq payload
+    let first = t.copy_at.(0) in
+    transmit_data t ~src ~dst ~seq payload;
+    if first > t.copy_at.(0) then t.copy_at.(0) <- first
   end;
   schedule_rexmit t ch ~src ~dst ~seq ~rto
 
@@ -577,7 +616,7 @@ let dispatch t tag payload =
       let ch = channel_exn t in
       (* ack before running the handler so the ack's delay draw is not
          interleaved with the handler's own sends *)
-      transmit_ack t ~src ~dst ~seq;
+      transmit_ack t ch ~src ~dst ~seq;
       (match Channel.receive ch ~src ~dst ~seq with
       | `Duplicate -> ()
       | `Fresh ->
@@ -592,7 +631,9 @@ let dispatch t tag payload =
          in flight to a crashed-then-restored process is eventually
          delivered — the channel rides out the crash window *)
       t.dropped <- t.dropped + 1;
-      if t.trace_enabled then record t (Dropped { time = t.clock.(0); src; dst })
+      if t.trace_enabled then
+        record t (Dropped { time = t.clock.(0); src; dst });
+      arm_rexmit t (channel_exn t) ~src ~dst ~seq ~at:Float.infinity
   end
   else if kind = k_ack then begin
     (* tag holds the data direction: the ack physically arrives at src *)
@@ -610,7 +651,7 @@ let dispatch t tag payload =
     Channel.ack (channel_exn t) ~src ~dst ~seq
   end
   else begin
-    (* k_rexmit: retransmission timer *)
+    (* k_rexmit: an armed retransmission timer *)
     let src = tag_a tag and dst = tag_b tag and seq = tag_seq tag in
     let ch = channel_exn t in
     match Channel.on_timer ch ~src ~dst ~seq with

@@ -224,6 +224,10 @@ val step : 'msg t -> bool
 (** Process a single event; [false] when the queue is empty. *)
 
 val pending_events : 'msg t -> int
+(** Events queued and not yet dispatched. On the reliable transport a
+    pending send has a queued retransmission timer only once it is
+    armed (a copy or ack lost, dropped or late; see {!Channel}); a send
+    whose ack is on time never has one. *)
 
 (** {1 Statistics and traces} *)
 
@@ -253,7 +257,10 @@ val messages_duplicated : 'msg t -> int
 val events_executed : 'msg t -> int
 (** Total events dispatched over the engine's lifetime — deliveries,
     drops, local actions, injections, crash/restore transitions,
-    fault-plane control events and retransmission timers. *)
+    fault-plane control events and retransmission timers. Only armed
+    timers are dispatched (see {!pending_events}), so on the reliable
+    transport a delivery whose copy and ack are both on time costs two
+    events, the data and the ack. *)
 
 val messages_data : 'msg t -> int
 (** Protocol-level sends the [classify] discriminator judged

@@ -23,13 +23,13 @@ let patient = { Channel.default with max_retries = 200 }
 type msg = Ping of int
 
 (* [procs] processes; message [i] goes from process [i mod procs] to a
-   pseudo-random destination. Returns the per-id delivery counts and
-   the engine for counter assertions. *)
+   pseudo-random destination, injected at time [i mod 17]. Returns the
+   per-id delivery counts and the engine for counter assertions. *)
 let run_lossy ~seed ~loss ~procs ~messages ?(duplication = 0.0)
-    ?partition_window () =
+    ?(delay = Delay.uniform ~lo:0.2 ~hi:2.0) ?partition_window ?crash_window
+    () =
   let engine =
-    Engine.create ~seed ~duplication ~transport:(`Reliable patient)
-      ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+    Engine.create ~seed ~duplication ~transport:(`Reliable patient) ~delay ()
   in
   if loss > 0.0 then Engine.set_loss engine loss;
   let pids =
@@ -54,6 +54,14 @@ let run_lossy ~seed ~loss ~procs ~messages ?(duplication = 0.0)
     in
     Engine.partition_at engine ~links ~at:from_;
     Engine.heal_at engine ~links ~at:until_);
+  (match crash_window with
+  | None -> ()
+  | Some (from_, until_) ->
+    (* process 0 crashes and comes back; a crashed process runs no
+       injected send, so the window should open after the last one
+       (time 16) *)
+    Engine.crash_at engine pids.(0) from_;
+    Engine.restore_at engine pids.(0) until_);
   for id = 0 to messages - 1 do
     let src = pids.(id mod procs) in
     Engine.inject engine ~at:(float_of_int (id mod 17)) src (fun ctx ->
@@ -116,6 +124,7 @@ let delivery_tests =
         in
         exactly_once ~messages delivered
         && Engine.sends_abandoned engine = 0
+        && Engine.channel_in_flight engine = 0
         && one_ack_per_arrival engine);
     qtest ~count:30 "lossy runs retransmit but deliver no extras"
       QCheck2.Gen.(int_range 0 100_000)
@@ -127,6 +136,83 @@ let delivery_tests =
         exactly_once ~messages delivered
         && Engine.messages_lost engine > 0
         && Engine.retransmissions engine >= Engine.messages_lost engine / 2)
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* lazy retransmission timers: each path that arms one *)
+
+(* Exactly-once, nothing abandoned, nothing left pending. *)
+let drained ~messages (delivered, engine) =
+  exactly_once ~messages delivered
+  && Engine.sends_abandoned engine = 0
+  && Engine.channel_in_flight engine = 0
+
+let timer_tests =
+  [ qtest ~count:20 "loss-free run queues no timer"
+      QCheck2.Gen.(
+        int_range 0 100_000 >>= fun seed ->
+        int_range 2 8 >>= fun procs ->
+        int_range 5 60 >|= fun messages -> (seed, procs, messages))
+      (fun (seed, procs, messages) ->
+        (* round trip <= 4 < rto = 5: every ack beats its deadline, so
+           each delivery is two steps (data, ack) and no timer exists *)
+        let ((_, engine) as run) =
+          run_lossy ~seed ~loss:0.0 ~procs ~messages ()
+        in
+        drained ~messages run
+        && Engine.retransmissions engine = 0
+        && Engine.events_executed engine
+           = messages + (2 * Engine.messages_delivered engine));
+    qtest ~count:20 "late copies and acks arm the timer"
+      QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 8))
+      (fun (seed, procs) ->
+        (* no loss, but round trips of 4-16 against deadlines of 5-5.5:
+           timers armed by late landings fire and retransmit *)
+        let messages = 40 in
+        let ((_, engine) as run) =
+          run_lossy ~seed ~loss:0.0 ~procs ~messages
+            ~delay:(Delay.uniform ~lo:2.0 ~hi:8.0) ()
+        in
+        drained ~messages run && Engine.retransmissions engine > 0);
+    qtest ~count:10 "a late ack arms the timer"
+      QCheck2.Gen.(int_range 0 100_000)
+      (fun seed ->
+        (* with 4 processes, odd ids cross between processes 1 and 3
+           and even ids are self-sends; links up the pid order take 1,
+           down it 10, self-links 1. A 1 -> 3 copy lands on time but its
+           ack lands at 11, past the 5-5.5 deadline; a 3 -> 1 copy lands
+           late. Either way the timer fires exactly once and the first
+           ack beats the second deadline (13-14.3). *)
+        let delay =
+          Delay.per_link (fun ~src ~dst ->
+              Delay.constant (if src <= dst then 1.0 else 10.0))
+        in
+        let messages = 40 in
+        let ((_, engine) as run) =
+          run_lossy ~seed ~loss:0.0 ~procs:4 ~messages ~delay ()
+        in
+        drained ~messages run
+        && Engine.retransmissions engine = messages / 2);
+    qtest ~count:30 "a crashed destination arms the timer"
+      QCheck2.Gen.(
+        int_range 0 100_000 >>= fun seed ->
+        float_range 17.0 20.0 >>= fun from_ ->
+        float_range 5.0 80.0 >|= fun width -> (seed, from_, width))
+      (fun (seed, from_, width) ->
+        (* with 4 processes, process 0 sends only to itself (ids
+           divisible by 4). Its last sends, injected at 15 and 16, land
+           at 17-24 and are acked at 19-32, so the window drops some of
+           them; a dropped copy arms its timer, and retransmissions
+           after the restore deliver it *)
+        let messages = 40 in
+        let ((_, engine) as run) =
+          run_lossy ~seed ~loss:0.0 ~procs:4 ~messages
+            ~delay:(Delay.uniform ~lo:2.0 ~hi:8.0)
+            ~crash_window:(from_, from_ +. width) ()
+        in
+        drained ~messages run
+        && Engine.messages_dropped engine > 0
+        && not (Engine.is_crashed engine 0))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -206,13 +292,13 @@ let sm_tests =
         Alcotest.(check bool) "timer is a no-op" true
           (Channel.on_timer t ~src:1 ~dst:2 ~seq = `Done));
     Alcotest.test_case "on_timer backs off then gives up" `Quick (fun () ->
-        let c = { Channel.default with max_retries = 3 } in
+        (* 8 retries run past the point where the default schedule
+           reaches max_rto (its 7th timeout) *)
+        let c = { Channel.default with max_retries = 8 } in
         let t = Channel.create c in
         let seq = Channel.alloc_seq t ~src:1 ~dst:2 in
-        let (_ : float) =
-          Channel.register t ~src:1 ~dst:2 ~seq (Obj.repr "x")
-        in
-        let rtos = ref [] in
+        let first = Channel.register t ~src:1 ~dst:2 ~seq (Obj.repr "x") in
+        let rtos = ref [ first ] in
         let rec drive () =
           match Channel.on_timer t ~src:1 ~dst:2 ~seq with
           | `Retransmit (_, rto) ->
@@ -222,10 +308,34 @@ let sm_tests =
           | `Done -> Alcotest.fail "unexpected `Done"
         in
         drive ();
-        Alcotest.(check int) "retries" 3 (List.length !rtos);
-        Alcotest.(check bool) "monotone" true (monotone (List.rev !rtos));
+        Alcotest.(check int) "retries" 8 (List.length !rtos - 1);
+        Alcotest.(check (list (float 0.0))) "timeouts are the backoff schedule"
+          (Channel.backoff_schedule c ~retries:9)
+          (List.rev !rtos);
         Alcotest.(check int) "abandoned" 1 (Channel.abandoned t);
         Alcotest.(check int) "in flight" 0 (Channel.in_flight t));
+    Alcotest.test_case "arm reports each deadline once" `Quick (fun () ->
+        let t = Channel.create Channel.default in
+        let seq = Channel.alloc_seq t ~src:1 ~dst:2 in
+        let (_ : float) =
+          Channel.register t ~src:1 ~dst:2 ~seq (Obj.repr "x")
+        in
+        let arm at = Channel.arm t ~src:1 ~dst:2 ~seq ~at in
+        Channel.set_deadline t ~src:1 ~dst:2 ~seq ~armed:false 10.0;
+        Alcotest.(check bool) "ack in time" false (arm 9.5);
+        Alcotest.(check bool) "at the deadline" true (arm 10.0);
+        Alcotest.(check bool) "already armed" false (arm Float.infinity);
+        (match Channel.on_timer t ~src:1 ~dst:2 ~seq with
+        | `Retransmit _ -> ()
+        | `Done | `Give_up -> Alcotest.fail "expected a retransmission");
+        Channel.set_deadline t ~src:1 ~dst:2 ~seq ~armed:false 20.0;
+        Alcotest.(check (float 0.0)) "new deadline" 20.0
+          (Channel.deadline t ~src:1 ~dst:2 ~seq);
+        Alcotest.(check bool) "lost copy" true (arm Float.infinity);
+        Channel.ack t ~src:1 ~dst:2 ~seq;
+        Alcotest.(check bool) "acked" false (arm Float.infinity);
+        Alcotest.(check bool) "no deadline once acked" true
+          (Channel.deadline t ~src:1 ~dst:2 ~seq = Float.infinity));
     Alcotest.test_case "sequence numbers are per directed link" `Quick
       (fun () ->
         let t = Channel.create Channel.default in
@@ -417,6 +527,7 @@ let model_tests =
 let () =
   Alcotest.run "channel"
     [ ("delivery", delivery_tests);
+      ("timers", timer_tests);
       ("backoff", backoff_tests);
       ("state-machine", sm_tests);
       ("model", model_tests)
