@@ -18,7 +18,11 @@
    headline the committed BENCH_sharded.json gates is keyspace-batched
    beating independent on msgs/op while packing more logical payload
    units into each frame (units_per_msg > 1). Any case that loses
-   liveness or per-key atomicity makes the experiment exit nonzero. *)
+   liveness or per-key atomicity makes the experiment exit nonzero.
+
+   keyspace-batched also reports live_words_per_key, the memory one
+   materialised key costs before any operation touches it; the baseline
+   gates it so per-key state cannot quietly grow back. *)
 
 module Workload = Harness.Workload
 module Runner = Harness.Runner
@@ -60,6 +64,33 @@ let rows (name, (r : Runner.sharded_result)) =
     Bench.row name "final_time" "time" r.Runner.s_final_time
   ]
 
+(* Live heap words per key: the growth of the heap's live words across
+   materialising every key of a fresh batched-plane keyspace, with a
+   full major collection on each side. It counts what the keyspace keeps
+   (instances, server automata, their tables, plane entries) and nothing
+   a run allocates. Allocation is deterministic, so the figure is a count
+   compared raw, and per key, so the smoke run matches the full
+   baseline. *)
+let live_words_per_key ~placement ~keys =
+  let engine =
+    Simnet.Engine.create ~seed:1 ~delay:(Simnet.Delay.constant 1.0) ()
+  in
+  let ks =
+    Soda.Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
+      ~value_len:64 ~num_writers:4 ~num_readers:4 ()
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for key = 0 to keys - 1 do
+    Soda.Keyspace.materialize ks ~key
+  done;
+  let after = live () in
+  ignore (Sys.opaque_identity ks : Soda.Keyspace.t);
+  float_of_int (after - before) /. float_of_int keys
+
 let run (opts : Bench.opts) =
   let keys = if opts.smoke then 500 else 10_000 in
   let params = Soda.Placement.preset_params `P4_2 in
@@ -73,6 +104,10 @@ let run (opts : Bench.opts) =
     Workload.sharded_mixed ~keys ~value_len:64 ~seed:1 ~num_writers:4
       ~num_readers:4 ~round_gap:10.0 ()
   in
+  let footprint =
+    Bench.row ~better:Lower "keyspace-batched" "live_words_per_key" "words/key"
+      (live_words_per_key ~placement ~keys)
+  in
   let results =
     List.map
       (fun c -> (c.name, c.run wl))
@@ -84,7 +119,11 @@ let run (opts : Bench.opts) =
           (Soda.Topology.servers topology)
      :: Bench.count "workload" "domains" "domains"
           (Soda.Topology.num_domains topology)
-     :: List.concat_map rows results);
+     :: List.concat_map
+          (fun ((name, _) as result) ->
+            rows result
+            @ if name = "keyspace-batched" then [ footprint ] else [])
+          results);
   let failures =
     List.filter
       (fun (_, (r : Runner.sharded_result)) ->

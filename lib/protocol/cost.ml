@@ -7,11 +7,14 @@ type t = {
   mutable max_storage_bytes : int
 }
 
+(* A keyspace creates one accountant per key, and most keys charge a
+   handful of ops on n servers: both tables start at Hashtbl's minimum
+   and grow only where a key is busy. *)
 let create ~value_len =
   if value_len <= 0 then invalid_arg "Cost.create: value_len must be positive";
   { value_len;
-    comm_by_op = Hashtbl.create 64;
-    storage_by_server = Hashtbl.create 64;
+    comm_by_op = Hashtbl.create 1;
+    storage_by_server = Hashtbl.create 1;
     total_comm_bytes = 0;
     current_storage_bytes = 0;
     max_storage_bytes = 0

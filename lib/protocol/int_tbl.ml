@@ -17,10 +17,19 @@
    probe mask from the key array's length, so it is no larger than a
    masked table's.
 
-   No removal of individual keys (that would need tombstones); callers
-   that delete do so wholesale with [reset]. Capacities are powers of
-   two, load factor <= 1/2. The empty slot is keyed by -1, so keys must
-   be >= 0 — which packed tags, mids and coordinates are. *)
+   Tables are pay-per-use: an empty table holds the shared empty array
+   [[||]] (no slots, no allocation) and takes its first 4 slots on the
+   first insert; [remove] or [reset] emptying it hands the slots back.
+   A keyspace materialises tens of thousands of server automata whose
+   tables mostly stay empty, so the empty state must cost one record.
+
+   Removal is Knuth's Algorithm R (backward-shift deletion): the keys
+   after the hole in its cluster move back when their home slot allows,
+   so no tombstone slots ever exist and probe lengths stay those of a
+   table that never held the removed key. Capacities are powers of two
+   (at least 4 once non-empty), load factor <= 1/2. The empty slot is
+   keyed by -1, so keys must be >= 0 — which packed tags, mids, rids
+   and coordinates are. *)
 
 [@@@lint.allow
   "U1: the probe loops index keys/vals with h land mask, where mask = \
@@ -29,15 +38,28 @@
 
 let[@inline] slot_of key shift = (key * 0x1fd3eca2d2b1ba6d) lsr shift
 
-(* The smallest power of two >= 16 holding [capacity] keys at load
-   <= 1/2, and its shift. *)
-let sizing capacity =
-  let cap = ref 16 and bits = ref 4 in
-  while !cap < 2 * capacity do
-    cap := !cap * 2;
+let min_slots = 4
+
+(* The slot count for [capacity] keys at load <= 1/2: 0 for a lazy
+   table, else the smallest power of two >= [min_slots] that fits. *)
+let slots_for capacity =
+  if capacity <= 0 then 0
+  else begin
+    let slots = ref min_slots in
+    while !slots < 2 * capacity do
+      slots := !slots * 2
+    done;
+    !slots
+  end
+
+(* [Sys.int_size - log2 slots]; an empty table is never probed, so its
+   shift is arbitrary. *)
+let shift_of slots =
+  let bits = ref 0 in
+  while 1 lsl !bits < slots do
     incr bits
   done;
-  (!cap, Sys.int_size - !bits)
+  Sys.int_size - !bits
 
 (* The slot holding [key], or [lnot] the free slot where it would go. *)
 let rec probe keys mask i key =
@@ -46,8 +68,31 @@ let rec probe keys mask i key =
   else if k = -1 then lnot i
   else probe keys mask ((i + 1) land mask) key
 
+(* An empty table answers "absent" without probing; inserts size the
+   table first, so they never see the [-1] of an empty one. *)
 let[@inline] find_slot keys shift key =
-  probe keys (Array.length keys - 1) (slot_of key shift) key
+  let slots = Array.length keys in
+  if slots = 0 then -1
+  else probe keys (slots - 1) (slot_of key shift) key
+
+(* Close the hole left at slot [i] (Knuth's Algorithm R): walk the rest
+   of the cluster and move back every key whose home slot does not lie
+   cyclically in (hole, j] — that key's probe passed the hole, so it may
+   sit there. [move dst src] copies a slot; the slot finally left empty
+   is returned. The load bound guarantees an empty slot ends the walk. *)
+let backward_shift keys shift i move =
+  let mask = Array.length keys - 1 in
+  let rec walk hole j =
+    let j = (j + 1) land mask in
+    let k = Array.unsafe_get keys j in
+    if k = -1 then hole
+    else if (j - slot_of k shift) land mask >= (j - hole) land mask then begin
+      move hole j;
+      walk j j
+    end
+    else walk hole j
+  in
+  walk i i
 
 (* Longest probe sequence over the present keys: the number of slots a
    lookup of the worst-placed key inspects. *)
@@ -65,8 +110,8 @@ module Set = struct
   type t = { mutable keys : int array; mutable size : int; mutable shift : int }
 
   let create capacity =
-    let cap, shift = sizing capacity in
-    { keys = Array.make cap (-1); size = 0; shift }
+    let slots = slots_for capacity in
+    { keys = Array.make slots (-1); size = 0; shift = shift_of slots }
 
   let length t = t.size
 
@@ -74,27 +119,42 @@ module Set = struct
 
   let mem t key = find_slot t key >= 0
 
-  let grow t =
+  let resize t slots =
     let old = t.keys in
-    t.keys <- Array.make (2 * Array.length old) (-1);
-    t.shift <- t.shift - 1;
+    t.keys <- Array.make slots (-1);
+    t.shift <- shift_of slots;
     Array.iter (fun k -> if k >= 0 then t.keys.(lnot (find_slot t k)) <- k) old
 
   (* [add t key] inserts and reports whether the key was new. *)
   let add t key =
     if key < 0 then invalid_arg "Int_tbl.Set.add: negative key";
+    if Array.length t.keys = 0 then resize t min_slots;
     let i = find_slot t key in
     if i >= 0 then false
     else begin
       t.keys.(lnot i) <- key;
       t.size <- t.size + 1;
-      if 2 * t.size > Array.length t.keys then grow t;
+      if 2 * t.size > Array.length t.keys then
+        resize t (2 * Array.length t.keys);
       true
     end
 
   let reset t =
-    Array.fill t.keys 0 (Array.length t.keys) (-1);
+    t.keys <- [||];
     t.size <- 0
+
+  let remove t key =
+    let i = find_slot t key in
+    if i >= 0 then
+      if t.size = 1 then reset t
+      else begin
+        let keys = t.keys in
+        let hole =
+          backward_shift keys t.shift i (fun dst src -> keys.(dst) <- keys.(src))
+        in
+        keys.(hole) <- -1;
+        t.size <- t.size - 1
+      end
 
   let iter f t = Array.iter (fun k -> if k >= 0 then f k) t.keys
   let max_probe t = max_probe_of t.keys t.shift
@@ -102,7 +162,9 @@ end
 
 (* Same scheme with a parallel value array. The dummy passed at
    [create] pads unused value slots (the generic interface has no other
-   way to initialise them); it is never returned for a present key. *)
+   way to initialise them); it is never returned for a present key, and
+   a removed key's value slot is overwritten with it so the table does
+   not keep the value alive. *)
 module Map = struct
   type 'a t = {
     mutable keys : int array;
@@ -113,17 +175,19 @@ module Map = struct
   }
 
   let create ~dummy capacity =
-    let cap, shift = sizing capacity in
-    { keys = Array.make cap (-1);
-      vals = Array.make cap dummy;
+    let slots = slots_for capacity in
+    { keys = Array.make slots (-1);
+      vals = Array.make slots dummy;
       dummy;
       size = 0;
-      shift
+      shift = shift_of slots
     }
 
   let length t = t.size
 
   let find_slot t key = find_slot t.keys t.shift key
+
+  let mem t key = find_slot t key >= 0
 
   let find_opt t key =
     let i = find_slot t key in
@@ -133,12 +197,11 @@ module Map = struct
     let i = find_slot t key in
     if i >= 0 then Array.unsafe_get t.vals i else default
 
-  let grow t =
+  let resize t slots =
     let okeys = t.keys and ovals = t.vals in
-    let cap = 2 * Array.length okeys in
-    t.keys <- Array.make cap (-1);
-    t.vals <- Array.make cap t.dummy;
-    t.shift <- t.shift - 1;
+    t.keys <- Array.make slots (-1);
+    t.vals <- Array.make slots t.dummy;
+    t.shift <- shift_of slots;
     Array.iteri
       (fun j k ->
         if k >= 0 then begin
@@ -150,6 +213,7 @@ module Map = struct
 
   let replace t key v =
     if key < 0 then invalid_arg "Int_tbl.Map.replace: negative key";
+    if Array.length t.keys = 0 then resize t min_slots;
     let i = find_slot t key in
     if i >= 0 then t.vals.(i) <- v
     else begin
@@ -157,13 +221,30 @@ module Map = struct
       t.keys.(i) <- key;
       t.vals.(i) <- v;
       t.size <- t.size + 1;
-      if 2 * t.size > Array.length t.keys then grow t
+      if 2 * t.size > Array.length t.keys then
+        resize t (2 * Array.length t.keys)
     end
 
   let reset t =
-    Array.fill t.keys 0 (Array.length t.keys) (-1);
-    Array.fill t.vals 0 (Array.length t.vals) t.dummy;
+    t.keys <- [||];
+    t.vals <- [||];
     t.size <- 0
+
+  let remove t key =
+    let i = find_slot t key in
+    if i >= 0 then
+      if t.size = 1 then reset t
+      else begin
+        let keys = t.keys and vals = t.vals in
+        let hole =
+          backward_shift keys t.shift i (fun dst src ->
+              keys.(dst) <- keys.(src);
+              vals.(dst) <- vals.(src))
+        in
+        keys.(hole) <- -1;
+        vals.(hole) <- t.dummy;
+        t.size <- t.size - 1
+      end
 
   let fold f t acc =
     let acc = ref acc in

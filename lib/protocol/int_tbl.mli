@@ -4,16 +4,21 @@
     H sets): linear probing over flat arrays — no per-insert allocation,
     no generic-hashing C call. Slots are the top bits of a Fibonacci
     multiply, so keys differing only in their high bits (mids, packed
-    tags) do not cluster. Keys must be [>= 0] (packed tags, mids
-    and coordinates are); individual removal is not supported — delete
-    wholesale with [reset]. *)
+    tags) do not cluster. Keys must be [>= 0] (packed tags, mids, rids
+    and coordinates are).
+
+    Sizing is lazy: a table created at capacity 0 holds no slots at all
+    (one small record) and takes its first 4 on the first insert; it
+    hands them back whenever {!Set.remove} or {!Set.reset} empties it.
+    Removal is backward-shift deletion, so it leaves no tombstones and
+    lookups never slow down after deletes. *)
 
 module Set : sig
   type t
 
   val create : int -> t
   (** [create capacity] sizes the table for [capacity] keys without
-      growing. *)
+      growing; [create 0] allocates no slots until the first {!add}. *)
 
   val add : t -> int -> bool
   (** Insert; [true] iff the key was not already present.
@@ -22,8 +27,12 @@ module Set : sig
   val mem : t -> int -> bool
   val length : t -> int
 
+  val remove : t -> int -> unit
+  (** Delete the key if present; removing the last key releases the
+      slots. *)
+
   val reset : t -> unit
-  (** Remove every key, retaining capacity. *)
+  (** Remove every key and release the slots, as at [create 0]. *)
 
   val iter : (int -> unit) -> t -> unit
   (** In slot order, which is unrelated to key order. *)
@@ -43,6 +52,7 @@ module Map : sig
   val replace : 'a t -> int -> 'a -> unit
   (** Insert or overwrite. @raise Invalid_argument on a negative key. *)
 
+  val mem : 'a t -> int -> bool
   val find_opt : 'a t -> int -> 'a option
 
   val find : 'a t -> int -> default:'a -> 'a
@@ -50,7 +60,14 @@ module Map : sig
       when absent — unlike {!find_opt}, allocation-free. *)
 
   val length : 'a t -> int
+
+  val remove : 'a t -> int -> unit
+  (** As {!Set.remove}; the value slot reverts to [dummy], so the table
+      no longer keeps the removed value alive. *)
+
   val reset : 'a t -> unit
+  (** As {!Set.reset}. *)
+
   val fold : (int -> 'a -> 'b -> 'b) -> 'a t -> 'b -> 'b
   (** In slot order, which is unrelated to key order. *)
 

@@ -89,7 +89,7 @@ let take_outbox plane ~dst =
     | [] -> []
     | pending ->
       box.entries <- [];
-      List.rev_map snd (List.filter (entry_live plane) pending) |> List.rev)
+      List.rev_map snd (List.filter (entry_live plane) pending))
 
 (* Bounded-staleness flush of one destination's cross-key outbox. The
    pooled box holds entries of many ages, so the timer only forces a

@@ -64,24 +64,31 @@ type t = {
   config : Config.t;
   coordinate : int;
   disk : Disk.t;
-  registered : (int, registration) Hashtbl.t; (* rid -> Rc entry *)
-  h : (int, Int_tbl.Set.t Int_tbl.Map.t) Hashtbl.t;
+  (* Every per-read and per-message table below starts at capacity 0
+     and so costs one record until used (see "Per-key state budget" in
+     DESIGN.md): a keyspace holds one automaton per key and coordinate,
+     and most of them never see a read. *)
+  registered : registration Int_tbl.Map.t; (* rid -> Rc entry *)
+  h : Int_tbl.Set.t Int_tbl.Map.t Int_tbl.Map.t;
       (* The paper's H — the set of (tag, coordinate) dispersals seen per
          read — stored as rid -> Tag.pack tag -> coordinate set, so the
          unregistration test (how many distinct coordinates dispersed
-         this tag?) is a table length instead of a fold over the set. *)
+         this tag?) is a table length instead of a fold over the set.
+         Rows live only while the read may still register here: a
+         completed read's row is dropped and never rebuilt. *)
   md_delivered : Int_tbl.Set.t;
   completed : Int_tbl.Set.t;
-      (* rids whose READ-COMPLETE was delivered locally. (H's tombstone
-         rows can't serve here: a relay of the initial value writes the
-         same (rid, t0, self) triple.) Used to prune dead gossip. *)
+      (* rids whose READ-COMPLETE was delivered locally: the read's
+         tombstone. One bit per finished read stops a late READ-VALUE
+         retry from re-registering it, lets READ-DISPERSE skip its H row
+         and prunes its queued gossip. *)
   seq : int ref;
   outbox : Messages.gossip_entry list array;
       (* Coalesced plane: pending READ-DISPERSE entries per destination
          coordinate, newest first; own slot unused. *)
   outbox_armed : bool array; (* a staleness flush is scheduled for slot i *)
-  relay_buf : (int, relay_buffer) Hashtbl.t; (* rid -> open batch window *)
-  pending_meta : (int, unit) Hashtbl.t;
+  relay_buf : relay_buffer Int_tbl.Map.t; (* rid -> open batch window *)
+  pending_meta : Int_tbl.Set.t;
       (* mids whose MD-META forward is sitting out a stagger delay *)
   mutable repair : repair_state option;
   mutable heal : heal_state option;
@@ -90,6 +97,27 @@ type t = {
          [start, stop) — outside it local disk reads are clean. [None]
          keeps the static always-on model. *)
 }
+
+(* Value-slot padding for the tables above, one instance shared by
+   every server (a per-server dummy would cost more than the empty
+   tables it pads). [Int_tbl] only stores a dummy, never returns it for
+   a present key, so no handler can reach one to mutate it. *)
+let[@lint.allow
+     "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
+    no_coords =
+  Int_tbl.Set.create 0
+
+let[@lint.allow
+     "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
+    no_tags =
+  Int_tbl.Map.create ~dummy:no_coords 0
+
+let no_registration = { reader = -1; tr = Tag.initial }
+
+let[@lint.allow
+     "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
+    no_relays =
+  { reader = -1; items = [] }
 
 let create config ~coordinate =
   let fragments = Config.encode config config.Config.initial_value in
@@ -100,15 +128,15 @@ let create config ~coordinate =
   { config;
     coordinate;
     disk = Disk.create ~tag:Tag.initial ~fragment;
-    registered = Hashtbl.create 8;
-    h = Hashtbl.create 8;
-    md_delivered = Int_tbl.Set.create 64;
-    completed = Int_tbl.Set.create 16;
+    registered = Int_tbl.Map.create ~dummy:no_registration 0;
+    h = Int_tbl.Map.create ~dummy:no_tags 0;
+    md_delivered = Int_tbl.Set.create 0;
+    completed = Int_tbl.Set.create 0;
     seq = ref 0;
     outbox = Array.make n [];
     outbox_armed = Array.make n false;
-    relay_buf = Hashtbl.create 4;
-    pending_meta = Hashtbl.create 4;
+    relay_buf = Int_tbl.Map.create ~dummy:no_relays 0;
+    pending_meta = Int_tbl.Set.create 0;
     repair = None;
     heal = None;
     err_window = None
@@ -122,16 +150,12 @@ let disk_ok t = (not (Disk.quarantined t.disk)) && Disk.verify t.disk
 let corrupt_disk t ~seed = Disk.rot t.disk ~seed
 let set_error_window t w = t.err_window <- w
 
-let[@lint.allow
-     "D3: the fold's arbitrary order is erased by the sort before the \
-      list can reach a caller"] registered_reads t =
+let registered_reads t =
   List.sort Int.compare
-    (Hashtbl.fold (fun rid _ acc -> rid :: acc) t.registered [])
+    (Int_tbl.Map.fold (fun rid _ acc -> rid :: acc) t.registered [])
 
-let[@lint.allow
-     "D3: commutative integer sum — iteration order cannot change the \
-      result"] history_entries t =
-  Hashtbl.fold
+let history_entries t =
+  Int_tbl.Map.fold
     (fun _ tags acc ->
       Int_tbl.Map.fold
         (fun _ coords acc -> acc + Int_tbl.Set.length coords)
@@ -140,22 +164,19 @@ let[@lint.allow
 
 (* Registered reads in ascending rid order. Relays (and the READ-DISPERSE
    gossip they trigger) are message sends, so their emission order is part
-   of the trace: iterating the registration table directly would make
-   traces — and under the reliable transport, retransmission schedules —
-   depend on Hashtbl's nondeterministic iteration order (D3). *)
-let[@lint.allow
-     "D3: materialized and sorted by rid before any send can observe the \
-      order"] registered_sorted t =
+   of the trace, and it stays rid order: the table's slot order depends on
+   its insert/remove history and capacity, which are no protocol fact. *)
+let registered_sorted t =
   List.sort
     (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun rid reg acc -> (rid, reg) :: acc) t.registered [])
+    (Int_tbl.Map.fold (fun rid reg acc -> (rid, reg) :: acc) t.registered [])
 
 let h_tags t rid =
-  match Hashtbl.find_opt t.h rid with
+  match Int_tbl.Map.find_opt t.h rid with
   | Some tags -> tags
   | None ->
-    let tags = Int_tbl.Map.create ~dummy:(Int_tbl.Set.create 1) 8 in
-    Hashtbl.add t.h rid tags;
+    let tags = Int_tbl.Map.create ~dummy:no_coords 0 in
+    Int_tbl.Map.replace t.h rid tags;
     tags
 
 let h_add t rid ~tag ~coordinate =
@@ -165,14 +186,14 @@ let h_add t rid ~tag ~coordinate =
     match Int_tbl.Map.find_opt tags key with
     | Some coords -> coords
     | None ->
-      let coords = Int_tbl.Set.create 4 in
+      let coords = Int_tbl.Set.create 0 in
       Int_tbl.Map.replace tags key coords;
       coords
   in
   ignore (Int_tbl.Set.add coords coordinate : bool)
 
 let h_mem t rid ~tag ~coordinate =
-  match Hashtbl.find_opt t.h rid with
+  match Int_tbl.Map.find_opt t.h rid with
   | None -> false
   | Some tags -> (
     match Int_tbl.Map.find_opt tags (Tag.pack tag) with
@@ -180,7 +201,7 @@ let h_mem t rid ~tag ~coordinate =
     | Some coords -> Int_tbl.Set.mem coords coordinate)
 
 let h_count_tag t rid tag =
-  match Hashtbl.find_opt t.h rid with
+  match Int_tbl.Map.find_opt t.h rid with
   | None -> 0
   | Some tags -> (
     match Int_tbl.Map.find_opt tags (Tag.pack tag) with
@@ -188,8 +209,8 @@ let h_count_tag t rid tag =
     | Some coords -> Int_tbl.Set.length coords)
 
 let unregister t ctx rid =
-  Hashtbl.remove t.registered rid;
-  Hashtbl.remove t.h rid;
+  Int_tbl.Map.remove t.registered rid;
+  Int_tbl.Map.remove t.h rid;
   Probe.emit t.config.Config.probe
     (Probe.Unregistered
        { rid; server = t.coordinate; time = Engine.now_ctx ctx })
@@ -268,10 +289,10 @@ let send_to_pid t ctx ~dst msg =
    gossiped), so they must reach the reader even if the read was
    unregistered meanwhile. *)
 let flush_relays t ctx rid =
-  match Hashtbl.find_opt t.relay_buf rid with
+  match Int_tbl.Map.find_opt t.relay_buf rid with
   | None -> ()
   | Some buf -> (
-    Hashtbl.remove t.relay_buf rid;
+    Int_tbl.Map.remove t.relay_buf rid;
     match buf.items with
     | [] -> ()
     | [ (tag, fragment) ] ->
@@ -293,10 +314,10 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
   | None ->
     Config.send t.config ctx ~dst:reg.reader (Messages.Relay { rid; tag; fragment })
   | Some window -> (
-    match Hashtbl.find_opt t.relay_buf rid with
+    match Int_tbl.Map.find_opt t.relay_buf rid with
     | Some buf -> buf.items <- (tag, fragment) :: buf.items
     | None ->
-      Hashtbl.replace t.relay_buf rid
+      Int_tbl.Map.replace t.relay_buf rid
         { reader = reg.reader; items = [ (tag, fragment) ] };
       Engine.schedule_local ctx ~delay:window (fun () ->
           flush_relays t ctx rid)));
@@ -751,14 +772,14 @@ let begin_repair t ctx ~op =
   Disk.store t.disk ~tag:Tag.initial ~fragment;
   Cost.storage_set t.config.Config.cost ~server:t.coordinate
     ~bytes:(Fragment.size fragment);
-  Hashtbl.reset t.registered;
-  Hashtbl.reset t.h;
+  Int_tbl.Map.reset t.registered;
+  Int_tbl.Map.reset t.h;
   Int_tbl.Set.reset t.md_delivered;
   Int_tbl.Set.reset t.completed;
   Array.fill t.outbox 0 (Array.length t.outbox) [];
   Array.fill t.outbox_armed 0 (Array.length t.outbox_armed) false;
-  Hashtbl.reset t.relay_buf;
-  Hashtbl.reset t.pending_meta;
+  Int_tbl.Map.reset t.relay_buf;
+  Int_tbl.Set.reset t.pending_meta;
   t.repair <-
     Some
       { op;
@@ -835,14 +856,20 @@ let md_value_deliver t ctx ~op ~tag:tw ~fragment =
 
 (* Fig. 5, "On md-meta-deliver(READ-VALUE, (r, tr))". *)
 let on_read_value t ctx ~rid ~reader ~tr =
-  (* The tombstone left by a READ-COMPLETE that raced ahead is kept (not
-     consumed): clients over the reliable transport re-broadcast
-     READ-VALUE until the read returns, and a spent tombstone would let
-     a late retry re-register a finished read as a ghost. *)
-  let already_complete = h_mem t rid ~tag:Tag.initial ~coordinate:t.coordinate in
-  if not already_complete then begin
+  (* Skip the registration when the read's READ-COMPLETE already arrived
+     (its tombstone in [completed] is kept, not consumed: clients over
+     the reliable transport re-broadcast READ-VALUE until the read
+     returns, and a spent tombstone would let a late retry re-register a
+     finished read as a ghost), and when this server already relayed the
+     initial value to it while registered — a retry then must not
+     replace the registration and relay again. *)
+  let already_served =
+    Int_tbl.Set.mem t.completed rid
+    || h_mem t rid ~tag:Tag.initial ~coordinate:t.coordinate
+  in
+  if not already_served then begin
     let reg = { reader; tr } in
-    Hashtbl.replace t.registered rid reg;
+    Int_tbl.Map.replace t.registered rid reg;
     Probe.emit t.config.Config.probe
       (Probe.Registered
          { rid; server = t.coordinate; time = Engine.now_ctx ctx });
@@ -862,21 +889,30 @@ let on_read_value t ctx ~rid ~reader ~tr =
 
 (* Fig. 5, "On md-meta-deliver(READ-COMPLETE, (r, tr))". *)
 let on_read_complete t ctx ~rid =
-  if Hashtbl.mem t.registered rid then unregister t ctx rid;
-  (* leave a tombstone either way — whether completion raced ahead of
+  if Int_tbl.Map.mem t.registered rid then unregister t ctx rid
+  else Int_tbl.Map.remove t.h rid;
+  (* Leave a tombstone either way — whether completion raced ahead of
      the registration or a READ-VALUE retry is still in flight, a copy
-     arriving after this point must not (re-)register the read *)
-  h_add t rid ~tag:Tag.initial ~coordinate:t.coordinate;
+     arriving after this point must not (re-)register the read. The bit
+     in [completed] is the whole tombstone; the read's H row goes, and
+     [on_read_disperse] never rebuilds it. Nothing would read it: H is
+     consulted only for registered reads (the unregistration count, the
+     relay filters of repair and scrub) and by [on_read_value], which
+     tests [completed] first. A completed rid can never register again,
+     and [begin_repair] wipes [h] and [completed] together. *)
   ignore (Int_tbl.Set.add t.completed rid : bool)
 
 (* Fig. 5, "On md-meta-deliver(READ-DISPERSE, (t, s', r))"; the
    unregistration threshold is k for SODA and k + 2e for SODAerr
-   (Fig. 6). *)
+   (Fig. 6). Announcements for a completed read are dropped (see
+   [on_read_complete]). *)
 let on_read_disperse t ctx ~tag ~server_index ~rid =
-  h_add t rid ~tag ~coordinate:server_index;
-  if Hashtbl.mem t.registered rid then
-    if h_count_tag t rid tag >= t.config.Config.decode_threshold then
-      unregister t ctx rid
+  if not (Int_tbl.Set.mem t.completed rid) then begin
+    h_add t rid ~tag ~coordinate:server_index;
+    if Int_tbl.Map.mem t.registered rid then
+      if h_count_tag t rid tag >= t.config.Config.decode_threshold then
+        unregister t ctx rid
+  end
 
 let deliver_meta t ctx = function
   | Messages.Read_value { rid; reader; tr } -> on_read_value t ctx ~rid ~reader ~tr
@@ -939,11 +975,11 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
       | None -> forward ()
       | Some _ when t.coordinate = 0 -> forward ()
       | Some sigma ->
-        Hashtbl.replace t.pending_meta (mid :> int) ();
+        ignore (Int_tbl.Set.add t.pending_meta (mid :> int) : bool);
         Engine.schedule_local ctx
           ~delay:(float_of_int t.coordinate *. sigma) (fun () ->
-            if Hashtbl.mem t.pending_meta (mid :> int) then begin
-              Hashtbl.remove t.pending_meta (mid :> int);
+            if Int_tbl.Set.mem t.pending_meta (mid :> int) then begin
+              Int_tbl.Set.remove t.pending_meta (mid :> int);
               forward ()
             end)
     end;
@@ -951,13 +987,13 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
   end
   else if
     Option.is_some config.Config.plane.Config.meta_stagger
-    && Hashtbl.mem t.pending_meta (mid :> int)
+    && Int_tbl.Set.mem t.pending_meta (mid :> int)
   then
     (* duplicate copy: a lower-coordinate server's forward covers a
        superset of our pending one — cancel it (only staggering ever
        makes a forward pending) *)
     match Config.coordinate_of config ~pid:src with
-    | c when c < t.coordinate -> Hashtbl.remove t.pending_meta (mid :> int)
+    | c when c < t.coordinate -> Int_tbl.Set.remove t.pending_meta (mid :> int)
     | _ -> ()
     | exception Not_found -> ()
 

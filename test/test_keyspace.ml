@@ -255,6 +255,77 @@ let sharded_tests =
               (Bytes.to_string v)
           | None -> Alcotest.fail (Printf.sprintf "key %d: read incomplete" key)
         done);
+    Alcotest.test_case "cross-key gossip leaves in enqueue order" `Quick
+      (fun () ->
+        (* Every entry a server queues is one of its own relays, and the
+           relay's probe event carries the time it was queued; a frame
+           drained in enqueue order lists entries by nondecreasing relay
+           time. *)
+        let params = Placement.preset_params `P4_2 in
+        let topology = Topology.make ~servers:12 ~domains:3 () in
+        let placement =
+          Placement.create ~topology ~params
+            ~policy:Placement.Consistent_hash ()
+        in
+        let wl =
+          Harness.Workload.sharded_mixed ~keys:60 ~value_len:64 ~seed:11
+            ~num_writers:4 ~num_readers:4 ~round_gap:10.0 ()
+        in
+        let engine =
+          Engine.create ~seed:wl.Harness.Workload.sh_seed
+            ~delay:wl.Harness.Workload.sh_delay ()
+        in
+        let ks =
+          Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
+            ~value_len:wl.Harness.Workload.sh_value_len ~num_writers:4
+            ~num_readers:4 ()
+        in
+        List.iter
+          (function
+            | Harness.Workload.KWrite { key; writer; at; index } ->
+              Keyspace.write ks ~key ~writer ~at
+                (Harness.Workload.value ~len:64 ~seed:11 ~index)
+            | Harness.Workload.KRead { key; reader; at } ->
+              Keyspace.read ks ~key ~reader ~at ())
+          wl.Harness.Workload.sh_kops;
+        let envelopes = ref [] in
+        Engine.set_tap engine
+          { Engine.tap_deliver =
+              (fun ~time:_ ~src:_ ~dst:_ msg ->
+                match msg with
+                | Soda.Messages.Keyed_envelope { kentries; _ } ->
+                  envelopes := kentries :: !envelopes
+                | _ -> ());
+            tap_ack = (fun ~time:_ ~src:_ ~dst:_ ~cumulative:_ ~seq:_ -> ())
+          };
+        Engine.run engine;
+        Alcotest.(check bool) "complete" true (Keyspace.all_complete ks);
+        let relay_time (ke : Soda.Messages.keyed_entry) =
+          let { Soda.Messages.tag; server_index; rid } =
+            ke.Soda.Messages.ke_entry
+          in
+          List.find_map
+            (function
+              | Protocol.Probe.Relayed r
+                when r.rid = rid && r.server = server_index
+                     && Protocol.Tag.equal r.tag tag ->
+                Some r.time
+              | _ -> None)
+            (Protocol.Probe.events
+               (Keyspace.probe ks ~key:ke.Soda.Messages.ke_key))
+          |> Option.get
+        in
+        let spread = ref 0 in
+        List.iter
+          (fun kentries ->
+            let times = List.map relay_time kentries in
+            Alcotest.(check (list (float 0.0)))
+              "entries by relay time" (List.sort Float.compare times) times;
+            if List.length (List.sort_uniq Float.compare times) > 1 then
+              incr spread)
+          !envelopes;
+        (* the check bites only on frames mixing relay times *)
+        if !spread = 0 then Alcotest.fail "no envelope mixed relay times");
     Alcotest.test_case
       "shared plane beats independent deployments on msgs/op" `Quick
       (fun () ->

@@ -392,6 +392,94 @@ let server_tests =
           (Soda.Server.registered_reads (server rig 2)))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Tombstones: a completed read leaves one bit per server, not an H row *)
+
+(* A write then a read through the real clients, run to quiescence;
+   returns the read's id. *)
+let completed_read rig =
+  Soda.Deployment.write rig.deployment ~writer:0 ~at:0.0 (Bytes.make 40 'w');
+  Soda.Deployment.read rig.deployment ~reader:0 ~at:50.0 ();
+  Engine.run rig.engine;
+  match
+    List.find_opt
+      (fun (r : Protocol.History.record) ->
+        r.Protocol.History.kind = Protocol.History.Read)
+      (Protocol.History.records (Soda.Deployment.history rig.deployment))
+  with
+  | Some r ->
+    Alcotest.(check bool) "read completed" true
+      (Protocol.History.all_complete (Soda.Deployment.history rig.deployment));
+    r.Protocol.History.op
+  | None -> Alcotest.fail "no read in the history"
+
+let check_no_history rig what =
+  List.iter
+    (fun c ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: server %d holds no H entries" what c)
+        0
+        (Soda.Server.history_entries (server rig c)))
+    (List.init 5 Fun.id)
+
+let tombstone_tests =
+  [ Alcotest.test_case "a completed read leaves no H entries at any server"
+      `Quick (fun () ->
+        let rig = make_rig () in
+        ignore (completed_read rig : int);
+        check_no_history rig "after the read");
+    Alcotest.test_case
+      "late READ-VALUE after completion neither registers nor relays" `Quick
+      (fun () ->
+        let rig = make_rig () in
+        let rid = completed_read rig in
+        let probe = Soda.Deployment.probe rig.deployment in
+        let relays = Protocol.Probe.relays_of probe ~rid in
+        (* a client retry that lost the race with its own READ-COMPLETE,
+           sent to a member of D so it reaches every server *)
+        send_at rig ~at:500.0 ~dst:(server_pid rig 0)
+          (read_value ~rid ~reader:rig.driver ~tr:Tag.initial);
+        Engine.run rig.engine;
+        List.iter
+          (fun c ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "server %d has no registration" c)
+              []
+              (Soda.Server.registered_reads (server rig c)))
+          (List.init 5 Fun.id);
+        Alcotest.(check int) "no relay reached the retrying reader" 0
+          (List.length
+             (received rig (fun (_, m) ->
+                  match m with
+                  | Soda.Messages.Relay _ | Soda.Messages.Relay_batch _ -> true
+                  | _ -> false)));
+        Alcotest.(check int) "no server relayed again" relays
+          (Protocol.Probe.relays_of probe ~rid);
+        check_no_history rig "after the retry");
+    Alcotest.test_case "late READ-DISPERSE after completion adds no H entry"
+      `Quick (fun () ->
+        let rig = make_rig () in
+        let rid = completed_read rig in
+        let stored = Soda.Server.stored_tag (server rig 0) in
+        List.iteri
+          (fun i server_index ->
+            send_at rig ~at:(500.0 +. float_of_int i) ~dst:(server_pid rig 0)
+              (read_disperse ~origin:rig.driver ~seq:(40 + i) ~tag:stored
+                 ~server_index ~rid))
+          [ 0; 1; 2 ];
+        (* and the same announcement as coalesced gossip *)
+        send_at rig ~at:510.0 ~dst:(server_pid rig 3)
+          (Soda.Messages.Gossip
+             { entries =
+                 [ { Soda.Messages.tag = stored; server_index = 4; rid } ]
+             });
+        Engine.run rig.engine;
+        check_no_history rig "after late announcements")
+  ]
+
 let () =
   Alcotest.run "md-and-server"
-    [ ("md-value", md_value_tests); ("server-fig5", server_tests) ]
+    [ ("md-value", md_value_tests);
+      ("server-fig5", server_tests);
+      ("tombstone", tombstone_tests)
+    ]

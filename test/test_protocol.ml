@@ -439,15 +439,24 @@ let family_name = function
   | `Consecutive -> "consecutive"
   | `High -> "high-bits"
 
-(* An op is (kind, key index, value); indices repeat so adds and
-   replaces also hit present keys. *)
+(* An op is (kind, key index, value); indices repeat so adds, replaces
+   and removes also hit present keys. Capacity 0 (a lazy table) is drawn
+   a third of the time. Removes are frequent enough that tables shrink
+   back to empty and regrow, and with [`High] keys (whose home slots
+   collide in small tables) they delete inside clusters that wrap
+   around the end of the slot array. *)
 let tbl_ops_gen =
   QCheck2.Gen.(
-    triple family_gen (int_range 0 8)
+    triple family_gen
+      (frequency [ (1, return 0); (2, int_range 1 8) ])
       (list_size (int_range 1 600)
          (triple
             (frequency
-               [ (6, return `Add); (3, return `Find); (1, return `Reset) ])
+               [ (6, return `Add);
+                 (3, return `Find);
+                 (4, return `Remove);
+                 (1, return `Reset)
+               ])
             (int_range 0 400) small_nat)))
 
 let print_tbl_ops (family, cap, ops) =
@@ -484,6 +493,10 @@ let int_tbl_tests =
                 model := Iset.add k !model;
                 Int_tbl.Set.add t k = fresh
               | `Find -> Int_tbl.Set.mem t k = Iset.mem k !model
+              | `Remove ->
+                Int_tbl.Set.remove t k;
+                model := Iset.remove k !model;
+                true
               | `Reset ->
                 Int_tbl.Set.reset t;
                 model := Iset.empty;
@@ -491,7 +504,9 @@ let int_tbl_tests =
             in
             ok
             && Int_tbl.Set.length t = Iset.cardinal !model
-            && Int_tbl.Set.mem t k = Iset.mem k !model)
+            && Int_tbl.Set.mem t k = Iset.mem k !model
+            && set_contents t = Iset.elements !model
+            && Iset.for_all (Int_tbl.Set.mem t) !model)
           ops
         && set_contents t = Iset.elements !model);
     qtest ~count:200 "Map agrees with Stdlib Map across growth"
@@ -511,12 +526,22 @@ let int_tbl_tests =
                 Int_tbl.Map.find_opt t k = Imap.find_opt k !model
                 && Int_tbl.Map.find t k ~default:(-2)
                    = Option.value ~default:(-2) (Imap.find_opt k !model)
+              | `Remove ->
+                Int_tbl.Map.remove t k;
+                model := Imap.remove k !model;
+                true
               | `Reset ->
                 Int_tbl.Map.reset t;
                 model := Imap.empty;
                 true
             in
-            ok && Int_tbl.Map.length t = Imap.cardinal !model)
+            ok
+            && Int_tbl.Map.length t = Imap.cardinal !model
+            && Int_tbl.Map.mem t k = Imap.mem k !model
+            && map_contents t = Imap.bindings !model
+            && Imap.for_all
+                 (fun k v -> Int_tbl.Map.find_opt t k = Some v)
+                 !model)
           ops
         && map_contents t = Imap.bindings !model);
     Alcotest.test_case "mids and packed tags do not cluster" `Quick (fun () ->
@@ -531,6 +556,51 @@ let int_tbl_tests =
               Alcotest.failf "%s keys: longest probe %d > 32"
                 (family_name family) worst)
           [ `Mid; `Tag ]);
+    Alcotest.test_case "remove down to empty, then add again" `Quick
+      (fun () ->
+        (* both lazy and presized tables, over every key family: the
+           table must come back empty (no slots left to probe) and then
+           regrow from nothing *)
+        List.iter
+          (fun (family, cap) ->
+            let name = Printf.sprintf "%s cap=%d" (family_name family) cap in
+            let s = Int_tbl.Set.create cap in
+            let m = Int_tbl.Map.create ~dummy:(-1) cap in
+            for round = 1 to 3 do
+              for i = 0 to 99 do
+                ignore (Int_tbl.Set.add s (key family i) : bool);
+                Int_tbl.Map.replace m (key family i) (round * i)
+              done;
+              (* remove in an order unrelated to insertion *)
+              for j = 0 to 99 do
+                let i = (j * 37) mod 100 in
+                Int_tbl.Set.remove s (key family i);
+                Int_tbl.Map.remove m (key family i);
+                Alcotest.(check int) (name ^ " set size") (99 - j)
+                  (Int_tbl.Set.length s);
+                Alcotest.(check int) (name ^ " map size") (99 - j)
+                  (Int_tbl.Map.length m);
+                Alcotest.(check bool) (name ^ " gone") false
+                  (Int_tbl.Set.mem s (key family i)
+                  || Int_tbl.Map.mem m (key family i))
+              done;
+              Alcotest.(check (list int))
+                (name ^ " set empty") [] (set_contents s);
+              Alcotest.(check (list (pair int int))) (name ^ " map empty") []
+                (map_contents m);
+              Alcotest.(check int)
+                (name ^ " no probe") 0 (Int_tbl.Set.max_probe s);
+              Int_tbl.Set.remove s (key family 0);
+              Int_tbl.Map.remove m (key family 0)
+            done;
+            Alcotest.(check bool) (name ^ " add after empty") true
+              (Int_tbl.Set.add s (key family 5));
+            Int_tbl.Map.replace m (key family 5) 55;
+            Alcotest.(check (list int)) (name ^ " regrown set") [ key family 5 ]
+              (set_contents s);
+            Alcotest.(check (option int)) (name ^ " regrown map") (Some 55)
+              (Int_tbl.Map.find_opt m (key family 5)))
+          [ (`Mid, 0); (`Tag, 0); (`Consecutive, 16); (`High, 0); (`High, 64) ]);
     Alcotest.test_case "max_probe of empty and singleton tables" `Quick
       (fun () ->
         let t = Int_tbl.Set.create 4 in
