@@ -28,8 +28,9 @@
    so no tombstone slots ever exist and probe lengths stay those of a
    table that never held the removed key. Capacities are powers of two
    (at least 4 once non-empty), load factor <= 1/2. The empty slot is
-   keyed by -1, so keys must be >= 0 — which packed tags, mids, rids
-   and coordinates are. *)
+   keyed by -1, so stored keys must be >= 0 — which packed tags, mids,
+   rids, coordinates and keyspace keys are; lookups and removals of a
+   negative key answer "absent". *)
 
 [@@@lint.allow
   "U1: the probe loops index keys/vals with h land mask, where mask = \
@@ -68,11 +69,13 @@ let rec probe keys mask i key =
   else if k = -1 then lnot i
   else probe keys mask ((i + 1) land mask) key
 
-(* An empty table answers "absent" without probing; inserts size the
-   table first, so they never see the [-1] of an empty one. *)
+(* An empty table, or a negative key, answers "absent" without probing:
+   a negative key would otherwise match the [-1] of an empty slot.
+   Inserts reject negative keys and size the table first, so they never
+   see this [-1]. *)
 let[@inline] find_slot keys shift key =
   let slots = Array.length keys in
-  if slots = 0 then -1
+  if slots = 0 || key < 0 then -1
   else probe keys (slots - 1) (slot_of key shift) key
 
 (* Close the hole left at slot [i] (Knuth's Algorithm R): walk the rest

@@ -4,8 +4,9 @@
     H sets): linear probing over flat arrays — no per-insert allocation,
     no generic-hashing C call. Slots are the top bits of a Fibonacci
     multiply, so keys differing only in their high bits (mids, packed
-    tags) do not cluster. Keys must be [>= 0] (packed tags, mids, rids
-    and coordinates are).
+    tags) do not cluster. Stored keys must be [>= 0] (packed tags, mids,
+    rids, coordinates and keyspace keys are); [mem], [find], [find_opt]
+    and [remove] treat every negative key as absent.
 
     Sizing is lazy: a table created at capacity 0 holds no slots at all
     (one small record) and takes its first 4 on the first insert; it

@@ -198,9 +198,14 @@ let derive t ~servers =
 
 let default_client_retry_interval = 80.0
 
-let coordinate_of t ~pid =
-  let found = ref (-1) in
-  Array.iteri (fun i p -> if p = pid then found := i) t.servers;
-  if !found < 0 then raise Not_found else !found
+(* A top-level scan, stopping at the first match: this runs on every
+   staggered MD-META duplicate and every repair or scrub reply, so it
+   allocates no closure. *)
+let rec index_of servers pid i =
+  if i >= Array.length servers then raise Not_found
+  else if servers.(i) = pid then i
+  else index_of servers pid (i + 1)
+
+let coordinate_of t ~pid = index_of t.servers pid 0
 
 let d_size t = Params.f t.params + 1

@@ -5,6 +5,8 @@ module Cost = Protocol.Cost
 module Probe = Protocol.Probe
 module Atomicity = Protocol.Atomicity
 
+module Int_tbl = Protocol.Int_tbl
+
 (* One logical key's [n,k] SODA instance: a derived configuration, the
    per-coordinate server automata, and the physical placement. *)
 type instance = {
@@ -30,22 +32,29 @@ type outbox = {
 (* Buffered client-bound relays for one destination pid. *)
 type relay_box = { mutable items : (int * Messages.t) list; mutable rarmed : bool }
 
-(* The shared-plane state of one physical server process. *)
+(* The shared-plane state of one physical server process. Its boxes are
+   indexed by destination pid and cover every pid the keyspace reserved
+   (slot [d] of [p_outbox] is used when [d] is a server, of [p_relay]
+   when [d] is a reader). A plane keeps no key index of its own: its
+   automaton for a key is [inst.iservers.(c)], where [c] is [p_server]'s
+   position in [inst.iphys]. *)
 type plane = {
   p_pid : int;
-  (* key -> this server's automaton for that key's instance *)
-  p_states : (int, Server.t) Hashtbl.t;
-  (* dst pid -> pending cross-key gossip *)
-  p_outbox : (int, outbox) Hashtbl.t;
-  (* dst client pid -> buffered relays across keys *)
-  p_relay : (int, relay_box) Hashtbl.t
+  p_server : int;  (* physical server index *)
+  p_outbox : outbox array;  (* dst pid -> pending cross-key gossip *)
+  p_relay : relay_box array  (* dst client pid -> buffered relays *)
 }
 
 (* A client process: one pid, one protocol lane per key it has touched.
    Lanes are independent SODA clients, so one process can have
    operations in flight on many keys at once — well-formedness is per
-   (client, key). *)
-type 'lane client = { c_pid : int; c_lanes : (int, 'lane) Hashtbl.t }
+   (client, key). [c_none] pads the lane table and is what a lookup of
+   an unopened lane returns. *)
+type 'lane client = {
+  c_pid : int;
+  c_lanes : 'lane Int_tbl.Map.t;  (* key -> lane *)
+  c_none : 'lane
+}
 
 type t = {
   engine : Messages.t Engine.t;
@@ -53,43 +62,61 @@ type t = {
   template : Config.t;
   server_pids : int array;
   planes : plane array;
-  plane_of_pid : (int, plane) Hashtbl.t;
+  (* pid -> its plane; [None] for client pids and pids reserved before
+     [create]; pids reserved after [create] fall past the end *)
+  plane_of_pid : plane option array;
   writer_clients : Writer.t client array;
   reader_clients : Reader.t client array;
-  instances : (int, instance) Hashtbl.t;
+  (* the one key index: key -> instance *)
+  instances : instance Int_tbl.Map.t;
+  (* what [lookup] returns for a key not materialized: key -1, no
+     servers, so every plane sees it as hosted nowhere *)
+  no_instance : instance;
   mutable keys_rev : int list  (* creation order, newest first *)
 }
 
 let repair_op_base = 1_000_000
 
+let plane_at t pid =
+  if pid < Array.length t.plane_of_pid then t.plane_of_pid.(pid) else None
+
+let lookup t key = Int_tbl.Map.find t.instances key ~default:t.no_instance
+let materialized inst = inst.key >= 0
+
+let rec coordinate_from iphys server c =
+  if c >= Array.length iphys then -1
+  else if iphys.(c) = server then c
+  else coordinate_from iphys server (c + 1)
+
+(* [inst]'s coordinate on physical server [server], or -1 when none of
+   its coordinates sits there. *)
+let coordinate_on inst ~server = coordinate_from inst.iphys server 0
+
 (* ------------------------------------------------------------------ *)
 (* Shared-plane outboxes *)
 
-let outbox_for plane ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | Some box -> box
-  | None ->
-    let box = { entries = []; armed = false } in
-    Hashtbl.replace plane.p_outbox dst box;
-    box
+(* An entry whose read already completed at the enqueuing instance's
+   local server is dead. *)
+let entry_live t plane (ke : Messages.keyed_entry) =
+  let inst = lookup t ke.Messages.ke_key in
+  let c = coordinate_on inst ~server:plane.p_server in
+  c < 0 || Server.gossip_live inst.iservers.(c) ke.Messages.ke_entry
 
-let entry_live plane ((_, ke) : float * Messages.keyed_entry) =
-  match Hashtbl.find_opt plane.p_states ke.Messages.ke_key with
-  | Some state -> Server.gossip_live state ke.Messages.ke_entry
-  | None -> true
+(* Unwrap the live entries of a newest-first outbox, oldest first. *)
+let rec live_in_order t plane acc = function
+  | [] -> acc
+  | (_, ke) :: older ->
+    live_in_order t plane (if entry_live t plane ke then ke :: acc else acc) older
 
-(* Drain [dst]'s cross-key outbox, dropping entries whose read has
-   already completed at the enqueuing instance's local server, in
-   enqueue order. *)
-let take_outbox plane ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | None -> []
-  | Some box ->
-    (match box.entries with
-    | [] -> []
-    | pending ->
-      box.entries <- [];
-      List.rev_map snd (List.filter (entry_live plane) pending))
+(* Drain [dst]'s cross-key outbox, dropping dead entries, in enqueue
+   order. *)
+let take_outbox t plane ~dst =
+  let box = plane.p_outbox.(dst) in
+  match box.entries with
+  | [] -> []
+  | pending ->
+    box.entries <- [];
+    live_in_order t plane [] pending
 
 (* Bounded-staleness flush of one destination's cross-key outbox. The
    pooled box holds entries of many ages, so the timer only forces a
@@ -98,42 +125,38 @@ let take_outbox plane ~dst =
    piggybacks) for free, but never cause frames of their own earlier
    than a per-key outbox would have. Most entries die (their read
    completes) before aging out, exactly as in a single-register plane. *)
-let rec flush_outbox ~staleness plane ctx ~dst =
-  match Hashtbl.find_opt plane.p_outbox dst with
-  | None -> ()
-  | Some box -> (
-    box.armed <- false;
-    let live = List.filter (entry_live plane) box.entries in
-    box.entries <- live;
-    match List.rev live with
-    | [] -> ()
-    | (oldest, _) :: _ as in_order ->
-      let now = Engine.now_ctx ctx in
-      if now -. oldest +. 1e-9 >= staleness then begin
-        box.entries <- [];
-        Engine.send ctx ~dst
-          (Messages.Keyed_gossip { kentries = List.map snd in_order })
-      end
-      else begin
-        box.armed <- true;
-        Engine.schedule_local ctx
-          ~delay:(oldest +. staleness -. now)
-          (fun () -> flush_outbox ~staleness plane ctx ~dst)
-      end)
+let rec flush_outbox t ~staleness plane ctx ~dst =
+  let box = plane.p_outbox.(dst) in
+  box.armed <- false;
+  let live = List.filter (fun (_, ke) -> entry_live t plane ke) box.entries in
+  box.entries <- live;
+  match List.rev live with
+  | [] -> ()
+  | (oldest, _) :: _ as in_order ->
+    let now = Engine.now_ctx ctx in
+    if now -. oldest +. 1e-9 >= staleness then begin
+      box.entries <- [];
+      Engine.send ctx ~dst
+        (Messages.Keyed_gossip { kentries = List.map snd in_order })
+    end
+    else begin
+      box.armed <- true;
+      Engine.schedule_local ctx
+        ~delay:(oldest +. staleness -. now)
+        (fun () -> flush_outbox t ~staleness plane ctx ~dst)
+    end
 
 let flush_relays plane ctx ~dst =
-  match Hashtbl.find_opt plane.p_relay dst with
-  | None -> ()
-  | Some box -> (
-    box.rarmed <- false;
-    match List.rev box.items with
-    | [] -> ()
-    | [ (key, msg) ] ->
-      box.items <- [];
-      Engine.send ctx ~dst (Messages.Keyed { key; msg })
-    | kitems ->
-      box.items <- [];
-      Engine.send ctx ~dst (Messages.Keyed_batch { kitems }))
+  let box = plane.p_relay.(dst) in
+  box.rarmed <- false;
+  match List.rev box.items with
+  | [] -> ()
+  | [ (key, msg) ] ->
+    box.items <- [];
+    Engine.send ctx ~dst (Messages.Keyed { key; msg })
+  | kitems ->
+    box.items <- [];
+    Engine.send ctx ~dst (Messages.Keyed_batch { kitems })
 
 let is_client_relay = function
   | Messages.Relay _ | Messages.Relay_batch _ -> true
@@ -147,25 +170,22 @@ let wire t inst =
   let staleness = Config.gossip_staleness in
   let relay_window = t.template.Config.plane.Config.relay_batch in
   let wire_send ctx ~dst msg =
-    let src = Engine.self ctx in
-    match Hashtbl.find_opt t.plane_of_pid src with
-    | Some plane when Hashtbl.mem t.plane_of_pid dst -> (
+    match plane_at t (Engine.self ctx) with
+    | Some plane when Option.is_some (plane_at t dst) -> (
       (* server -> server: piggyback whatever cross-key gossip is
          pending for the destination *)
-      match take_outbox plane ~dst with
+      match take_outbox t plane ~dst with
       | [] -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
       | kentries ->
         Engine.send ctx ~dst (Messages.Keyed_envelope { kentries; key; msg }))
-    | Some plane when is_client_relay msg && Option.is_some relay_window ->
-      (* server -> reader data: hold for the cross-key relay window *)
-      let box =
-        match Hashtbl.find_opt plane.p_relay dst with
-        | Some box -> box
-        | None ->
-          let box = { items = []; rarmed = false } in
-          Hashtbl.replace plane.p_relay dst box;
-          box
-      in
+    | Some plane
+      when is_client_relay msg
+           && Option.is_some relay_window
+           && dst < Array.length plane.p_relay ->
+      (* server -> reader data: hold for the cross-key relay window (a
+         pid reserved after [create] is no reader of this keyspace and
+         gets its relay at once) *)
+      let box = plane.p_relay.(dst) in
       box.items <- (key, msg) :: box.items;
       if not box.rarmed then begin
         box.rarmed <- true;
@@ -179,23 +199,26 @@ let wire t inst =
   in
   let wire_gossip ctx (entry : Messages.gossip_entry) =
     let src = Engine.self ctx in
-    match Hashtbl.find_opt t.plane_of_pid src with
+    match plane_at t src with
     | None -> false  (* not a shared-plane process: keep the per-key outbox *)
     | Some plane ->
-      let ke = { Messages.ke_key = key; ke_entry = entry } in
-      let now = Engine.now_ctx ctx in
-      Array.iter
-        (fun dst ->
-          if dst <> src then begin
-            let box = outbox_for plane ~dst in
-            box.entries <- (now, ke) :: box.entries;
-            if not box.armed then begin
-              box.armed <- true;
-              Engine.schedule_local ctx ~delay:staleness (fun () ->
-                  flush_outbox ~staleness plane ctx ~dst)
-            end
-          end)
-        inst.iconfig.Config.servers;
+      (* one (enqueue time, entry) pair, shared by every peer's outbox *)
+      let item =
+        (Engine.now_ctx ctx, { Messages.ke_key = key; ke_entry = entry })
+      in
+      let servers = inst.iconfig.Config.servers in
+      for i = 0 to Array.length servers - 1 do
+        let dst = servers.(i) in
+        if dst <> src then begin
+          let box = plane.p_outbox.(dst) in
+          box.entries <- item :: box.entries;
+          if not box.armed then begin
+            box.armed <- true;
+            Engine.schedule_local ctx ~delay:staleness (fun () ->
+                flush_outbox t ~staleness plane ctx ~dst)
+          end
+        end
+      done;
       true
   in
   { Config.wire_send; wire_gossip = Some wire_gossip }
@@ -204,10 +227,10 @@ let wire t inst =
 (* Instances *)
 
 let instance t key =
-  match Hashtbl.find_opt t.instances key with
-  | Some inst -> inst
-  | None ->
-    if key < 0 then invalid_arg "Keyspace: negative key";
+  if key < 0 then invalid_arg "Keyspace: negative key";
+  let found = lookup t key in
+  if materialized found then found
+  else begin
     let iphys = Placement.servers_of t.placement ~key in
     let pids = Array.map (fun s -> t.server_pids.(s)) iphys in
     let iconfig = Config.derive t.template ~servers:pids in
@@ -226,62 +249,69 @@ let instance t key =
     in
     let inst = { key; iconfig; iservers; iphys; repair_seq = ref 0 } in
     Config.set_wire iconfig (wire t inst);
-    Array.iteri
-      (fun c s -> Hashtbl.replace t.planes.(iphys.(c)).p_states key s)
-      iservers;
-    Hashtbl.replace t.instances key inst;
+    Int_tbl.Map.replace t.instances key inst;
     t.keys_rev <- key :: t.keys_rev;
     inst
+  end
 
 let materialize t ~key = ignore (instance t key : instance)
 
 let find_instance t key =
-  match Hashtbl.find_opt t.instances key with
-  | Some inst -> inst
-  | None -> invalid_arg (Printf.sprintf "Keyspace: unknown key %d" key)
+  if key < 0 then invalid_arg "Keyspace: negative key";
+  let inst = lookup t key in
+  if not (materialized inst) then
+    invalid_arg (Printf.sprintf "Keyspace: unknown key %d" key);
+  inst
 
 (* ------------------------------------------------------------------ *)
 (* Shared-plane handlers *)
 
-let apply_kentries plane ctx kentries =
-  List.iter
-    (fun (ke : Messages.keyed_entry) ->
-      match Hashtbl.find_opt plane.p_states ke.Messages.ke_key with
-      | Some state -> Server.apply_gossip_entry state ctx ke.Messages.ke_entry
-      | None -> ())
-    kentries
+(* Gossip for a key this keyspace has not materialized finds no
+   automaton here and is dropped. *)
+let rec apply_kentries t plane ctx = function
+  | [] -> ()
+  | (ke : Messages.keyed_entry) :: rest ->
+    let inst = lookup t ke.Messages.ke_key in
+    let c = coordinate_on inst ~server:plane.p_server in
+    if c >= 0 then
+      Server.apply_gossip_entry inst.iservers.(c) ctx ke.Messages.ke_entry;
+    apply_kentries t plane ctx rest
 
 let deliver_to_server t plane ctx ~src ~key msg =
-  let state =
-    match Hashtbl.find_opt plane.p_states key with
-    | Some state -> state
-    | None ->
-      (* first frame for a key this keyspace has not materialized yet
-         (a client computed the placement independently) *)
-      ignore (instance t key : instance);
-      Hashtbl.find plane.p_states key
-  in
-  Server.handler state ctx ~src msg
+  let inst = lookup t key in
+  (* the first frame for a key this keyspace has not materialized yet
+     (a client computed the placement independently) materializes it *)
+  let inst = if materialized inst then inst else instance t key in
+  let c = coordinate_on inst ~server:plane.p_server in
+  if c < 0 then
+    invalid_arg "Keyspace: frame for a key this server does not host";
+  Server.handler inst.iservers.(c) ctx ~src msg
 
 let plane_handler t plane ctx ~src msg =
   match msg with
   | Messages.Keyed { key; msg } -> deliver_to_server t plane ctx ~src ~key msg
   | Messages.Keyed_envelope { kentries; key; msg } ->
-    apply_kentries plane ctx kentries;
+    apply_kentries t plane ctx kentries;
     deliver_to_server t plane ctx ~src ~key msg
-  | Messages.Keyed_gossip { kentries } -> apply_kentries plane ctx kentries
+  | Messages.Keyed_gossip { kentries } -> apply_kentries t plane ctx kentries
   | _ -> ()  (* un-keyed traffic never reaches a shared-plane server *)
 
+let route lanes_handler client ctx ~src key m =
+  let lane = Int_tbl.Map.find client.c_lanes key ~default:client.c_none in
+  (* a reply for a lane this client never opened is stale *)
+  if lane != client.c_none then lanes_handler lane ctx ~src m
+
+let rec route_all lanes_handler client ctx ~src = function
+  | [] -> ()
+  | (key, m) :: rest ->
+    route lanes_handler client ctx ~src key m;
+    route_all lanes_handler client ctx ~src rest
+
 let client_handler lanes_handler client ctx ~src msg =
-  let route key m =
-    match Hashtbl.find_opt client.c_lanes key with
-    | Some lane -> lanes_handler lane ctx ~src m
-    | None -> ()  (* reply for a lane this client never opened: stale *)
-  in
   match msg with
-  | Messages.Keyed { key; msg } -> route key msg
+  | Messages.Keyed { key; msg } -> route lanes_handler client ctx ~src key msg
   | Messages.Keyed_batch { kitems } ->
-    List.iter (fun (key, m) -> route key m) kitems
+    route_all lanes_handler client ctx ~src kitems
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -322,16 +352,34 @@ let create ~engine ~placement ?initial_value ?value_len ?error_prone
      inherits the cache entry *)
   ignore (Config.encode template template.Config.initial_value
           : Erasure.Fragment.t array);
+  (* every pid-indexed array spans the largest pid reserved above *)
+  let span =
+    1
+    + List.fold_left (Array.fold_left max) 0
+        [ server_pids; writer_pids; reader_pids ]
+  in
   let planes =
     Array.init m (fun i ->
         { p_pid = server_pids.(i);
-          p_states = Hashtbl.create 16;
-          p_outbox = Hashtbl.create 8;
-          p_relay = Hashtbl.create 8
+          p_server = i;
+          p_outbox = Array.init span (fun _ -> { entries = []; armed = false });
+          p_relay = Array.init span (fun _ -> { items = []; rarmed = false })
         })
   in
-  let plane_of_pid = Hashtbl.create (2 * m) in
-  Array.iter (fun p -> Hashtbl.replace plane_of_pid p.p_pid p) planes;
+  let plane_of_pid = Array.make span None in
+  Array.iter (fun p -> plane_of_pid.(p.p_pid) <- Some p) planes;
+  let client make pid =
+    let none = make template in
+    { c_pid = pid; c_lanes = Int_tbl.Map.create ~dummy:none 0; c_none = none }
+  in
+  let no_instance =
+    { key = -1;
+      iconfig = template;
+      iservers = [||];
+      iphys = [||];
+      repair_seq = ref 0
+    }
+  in
   let t =
     { engine;
       placement;
@@ -339,11 +387,10 @@ let create ~engine ~placement ?initial_value ?value_len ?error_prone
       server_pids;
       planes;
       plane_of_pid;
-      writer_clients =
-        Array.map (fun pid -> { c_pid = pid; c_lanes = Hashtbl.create 8 }) writer_pids;
-      reader_clients =
-        Array.map (fun pid -> { c_pid = pid; c_lanes = Hashtbl.create 8 }) reader_pids;
-      instances = Hashtbl.create 64;
+      writer_clients = Array.map (client Writer.create) writer_pids;
+      reader_clients = Array.map (client Reader.create) reader_pids;
+      instances = Int_tbl.Map.create ~dummy:no_instance 64;
+      no_instance;
       keys_rev = []
     }
   in
@@ -363,33 +410,25 @@ let create ~engine ~placement ?initial_value ?value_len ?error_prone
 (* ------------------------------------------------------------------ *)
 (* Operations *)
 
-let writer_lane t client key =
-  match Hashtbl.find_opt client.c_lanes key with
-  | Some lane -> lane
-  | None ->
-    let inst = instance t key in
-    let lane = Writer.create inst.iconfig in
-    Hashtbl.replace client.c_lanes key lane;
+(* [client]'s lane for [key], opened by [make] on first use. *)
+let lane t client key ~make =
+  let found = Int_tbl.Map.find client.c_lanes key ~default:client.c_none in
+  if found != client.c_none then found
+  else begin
+    let lane = make (instance t key).iconfig in
+    Int_tbl.Map.replace client.c_lanes key lane;
     lane
-
-let reader_lane t client key =
-  match Hashtbl.find_opt client.c_lanes key with
-  | Some lane -> lane
-  | None ->
-    let inst = instance t key in
-    let lane = Reader.create inst.iconfig in
-    Hashtbl.replace client.c_lanes key lane;
-    lane
+  end
 
 let write t ~key ~writer ~at ?on_done value =
   let client = t.writer_clients.(writer) in
-  let lane = writer_lane t client key in
+  let lane = lane t client key ~make:Writer.create in
   Engine.inject t.engine ~at client.c_pid (fun ctx ->
       ignore (Writer.invoke lane ctx ~value ?on_done () : int))
 
 let read t ~key ~reader ~at ?on_done () =
   let client = t.reader_clients.(reader) in
-  let lane = reader_lane t client key in
+  let lane = lane t client key ~make:Reader.create in
   Engine.inject t.engine ~at client.c_pid (fun ctx ->
       ignore (Reader.invoke lane ctx ?on_done () : int))
 
@@ -414,14 +453,13 @@ let probe t ~key = (find_instance t key).iconfig.Config.probe
 (* placement is a pure function of the key, so answer without
    materializing the instance *)
 let placement_of t ~key =
-  match Hashtbl.find_opt t.instances key with
-  | Some inst -> Array.copy inst.iphys
-  | None ->
-    if key < 0 then invalid_arg "Keyspace: negative key";
-    Placement.servers_of t.placement ~key
+  if key < 0 then invalid_arg "Keyspace: negative key";
+  let inst = lookup t key in
+  if materialized inst then Array.copy inst.iphys
+  else Placement.servers_of t.placement ~key
 
 let fold_instances t f acc =
-  List.fold_left (fun acc key -> f acc (Hashtbl.find t.instances key)) acc (keys t)
+  List.fold_left (fun acc key -> f acc (lookup t key)) acc (keys t)
 
 let all_complete t =
   fold_instances t
@@ -432,7 +470,7 @@ let check_atomicity t =
   let rec go = function
     | [] -> Ok ()
     | key :: rest -> (
-      let inst = Hashtbl.find t.instances key in
+      let inst = lookup t key in
       match
         Atomicity.check_tagged
           ~initial_value:inst.iconfig.Config.initial_value
@@ -474,18 +512,16 @@ let crash_server t ~server ~at =
   Engine.crash_at t.engine t.server_pids.(server) at
 
 (* Keys hosted by one physical server, ascending — the deterministic
-   order repairs and corruptions sweep in. *)
-let[@lint.allow
-     "D3: the fold's arbitrary order is erased by the sort before the \
-      list can reach a caller"] hosted_keys t ~server =
-  let keys = Hashtbl.fold (fun key _ acc -> key :: acc) t.planes.(server).p_states [] in
+   order repairs and corruptions sweep in. A cold path (repair and
+   corruption only), so it scans the whole key index. *)
+let hosted_keys t ~server =
+  let keys =
+    Int_tbl.Map.fold
+      (fun key inst acc ->
+        if coordinate_on inst ~server >= 0 then key :: acc else acc)
+      t.instances []
+  in
   List.sort Int.compare keys
-
-let coordinate_on inst ~server =
-  let found = ref (-1) in
-  Array.iteri (fun c s -> if s = server then found := c) inst.iphys;
-  assert (!found >= 0);
-  !found
 
 let repair_server t ~server ~at =
   check_server t server ~where:"repair_server";
@@ -497,11 +533,19 @@ let repair_server t ~server ~at =
       (* the crash lost every armed flush timer with its closures;
          pending outbox/relay state is volatile and starts empty *)
       let plane = t.planes.(server) in
-      Hashtbl.reset plane.p_outbox;
-      Hashtbl.reset plane.p_relay;
+      Array.iter
+        (fun box ->
+          box.entries <- [];
+          box.armed <- false)
+        plane.p_outbox;
+      Array.iter
+        (fun box ->
+          box.items <- [];
+          box.rarmed <- false)
+        plane.p_relay;
       List.iter
         (fun key ->
-          let inst = Hashtbl.find t.instances key in
+          let inst = lookup t key in
           let c = coordinate_on inst ~server in
           let op = repair_op_base + !(inst.repair_seq) in
           incr inst.repair_seq;
@@ -514,7 +558,7 @@ let corrupt_server t ~server ~at =
   Engine.inject t.engine ~at pid (fun ctx ->
       List.iter
         (fun key ->
-          let inst = Hashtbl.find t.instances key in
+          let inst = lookup t key in
           let c = coordinate_on inst ~server in
           (* seeded from the schedule and the key so the injected
              garbage is replayable and differs across instances *)

@@ -40,7 +40,7 @@ let busy t = match t.phase with Idle -> false | Get _ | Collect _ -> true
    one relay source lost forever and a long-lived read can permanently
    fall below the decode threshold. All re-sends are idempotent at the
    receivers: replies are folded through sets and max-tag updates, and
-   duplicate registrations are [Hashtbl.replace]. *)
+   duplicate registrations are [Int_tbl.Map.replace]. *)
 let rec schedule_retry t ctx ~rid =
   match t.config.Config.client_retry with
   | None -> ()

@@ -83,10 +83,14 @@ type t = {
          retry from re-registering it, lets READ-DISPERSE skip its H row
          and prunes its queued gossip. *)
   seq : int ref;
-  outbox : Messages.gossip_entry list array;
+  mutable outbox : Messages.gossip_entry list array;
       (* Coalesced plane: pending READ-DISPERSE entries per destination
-         coordinate, newest first; own slot unused. *)
-  outbox_armed : bool array; (* a staleness flush is scheduled for slot i *)
+         coordinate, newest first; own slot unused. [[||]] until the
+         first [gossip_enqueue]: under a keyspace the wire claims every
+         entry, so the per-instance outbox is never allocated. *)
+  mutable outbox_armed : bool array;
+      (* a staleness flush is scheduled for slot i; allocated with
+         [outbox] *)
   relay_buf : relay_buffer Int_tbl.Map.t; (* rid -> open batch window *)
   pending_meta : Int_tbl.Set.t;
       (* mids whose MD-META forward is sitting out a stagger delay *)
@@ -124,7 +128,6 @@ let create config ~coordinate =
   let fragment = fragments.(coordinate) in
   Cost.storage_set config.Config.cost ~server:coordinate
     ~bytes:(Fragment.size fragment);
-  let n = Params.n config.Config.params in
   { config;
     coordinate;
     disk = Disk.create ~tag:Tag.initial ~fragment;
@@ -133,8 +136,8 @@ let create config ~coordinate =
     md_delivered = Int_tbl.Set.create 0;
     completed = Int_tbl.Set.create 0;
     seq = ref 0;
-    outbox = Array.make n [];
-    outbox_armed = Array.make n false;
+    outbox = [||];
+    outbox_armed = [||];
     relay_buf = Int_tbl.Map.create ~dummy:no_relays 0;
     pending_meta = Int_tbl.Set.create 0;
     repair = None;
@@ -225,13 +228,15 @@ let entry_live t (e : Messages.gossip_entry) =
   not (Int_tbl.Set.mem t.completed e.Messages.rid)
 
 (* Drain destination [j]'s outbox, dropping entries for completed reads,
-   in enqueue order. *)
+   in enqueue order. An outbox never fed is empty. *)
 let take_outbox t j =
-  match t.outbox.(j) with
-  | [] -> []
-  | pending ->
-    t.outbox.(j) <- [];
-    List.rev (List.filter (entry_live t) pending)
+  if Array.length t.outbox = 0 then []
+  else
+    match t.outbox.(j) with
+    | [] -> []
+    | pending ->
+      t.outbox.(j) <- [];
+      List.rev (List.filter (entry_live t) pending)
 
 (* Bounded-staleness flush: whatever could not hitch a ride on regular
    traffic within the staleness bound goes out as a standalone Gossip,
@@ -247,6 +252,10 @@ let flush_gossip t ctx j =
 
 let gossip_enqueue t ctx (entry : Messages.gossip_entry) =
   let n = Params.n t.config.Config.params in
+  if Array.length t.outbox = 0 then begin
+    t.outbox <- Array.make n [];
+    t.outbox_armed <- Array.make n false
+  end;
   for j = 0 to n - 1 do
     if j <> t.coordinate then begin
       t.outbox.(j) <- entry :: t.outbox.(j);

@@ -208,6 +208,44 @@ let single_register_tests =
 (* ------------------------------------------------------------------ *)
 (* Multi-key runs *)
 
+(* [wl] on a fresh engine and a batched-plane keyspace over [placement],
+   its operations injected, not yet run. [before] and [after] engine
+   processes are reserved around [Keyspace.create], so the keyspace's
+   pids need not start at 0 nor end the pid range. *)
+let batched_keyspace ?(before = 0) ?(after = 0) ~placement
+    (wl : Harness.Workload.sharded) =
+  let engine =
+    Engine.create ~seed:wl.Harness.Workload.sh_seed
+      ~delay:wl.Harness.Workload.sh_delay ()
+  in
+  let reserve tag i =
+    ignore (Engine.reserve engine ~name:(Printf.sprintf "%s%d" tag i) : int)
+  in
+  for i = 1 to before do reserve "before" i done;
+  let ks =
+    Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
+      ~value_len:wl.Harness.Workload.sh_value_len
+      ~num_writers:wl.Harness.Workload.sh_num_writers
+      ~num_readers:wl.Harness.Workload.sh_num_readers ()
+  in
+  for i = 1 to after do reserve "after" i done;
+  List.iter
+    (function
+      | Harness.Workload.KWrite { key; writer; at; index } ->
+        Keyspace.write ks ~key ~writer ~at
+          (Harness.Workload.value ~len:wl.Harness.Workload.sh_value_len
+             ~seed:wl.Harness.Workload.sh_seed ~index)
+      | Harness.Workload.KRead { key; reader; at } ->
+        Keyspace.read ks ~key ~reader ~at ())
+    wl.Harness.Workload.sh_kops;
+  (engine, ks)
+
+let p4_2_placement ?policy ~servers ~domains () =
+  Placement.create
+    ~topology:(Topology.make ~servers ~domains ())
+    ~params:(Placement.preset_params `P4_2)
+    ?policy ()
+
 let sharded_tests =
   [ qtest ~count:20 "sharded runs are live and atomic per key"
       QCheck2.Gen.(int_range 0 100_000)
@@ -261,33 +299,15 @@ let sharded_tests =
            relay's probe event carries the time it was queued; a frame
            drained in enqueue order lists entries by nondecreasing relay
            time. *)
-        let params = Placement.preset_params `P4_2 in
-        let topology = Topology.make ~servers:12 ~domains:3 () in
         let placement =
-          Placement.create ~topology ~params
-            ~policy:Placement.Consistent_hash ()
+          p4_2_placement ~policy:Placement.Consistent_hash ~servers:12
+            ~domains:3 ()
         in
         let wl =
           Harness.Workload.sharded_mixed ~keys:60 ~value_len:64 ~seed:11
             ~num_writers:4 ~num_readers:4 ~round_gap:10.0 ()
         in
-        let engine =
-          Engine.create ~seed:wl.Harness.Workload.sh_seed
-            ~delay:wl.Harness.Workload.sh_delay ()
-        in
-        let ks =
-          Keyspace.create ~engine ~placement ~plane:Soda.Config.batched_plane
-            ~value_len:wl.Harness.Workload.sh_value_len ~num_writers:4
-            ~num_readers:4 ()
-        in
-        List.iter
-          (function
-            | Harness.Workload.KWrite { key; writer; at; index } ->
-              Keyspace.write ks ~key ~writer ~at
-                (Harness.Workload.value ~len:64 ~seed:11 ~index)
-            | Harness.Workload.KRead { key; reader; at } ->
-              Keyspace.read ks ~key ~reader ~at ())
-          wl.Harness.Workload.sh_kops;
+        let engine, ks = batched_keyspace ~placement wl in
         let envelopes = ref [] in
         Engine.set_tap engine
           { Engine.tap_deliver =
@@ -326,6 +346,95 @@ let sharded_tests =
           !envelopes;
         (* the check bites only on frames mixing relay times *)
         if !spread = 0 then Alcotest.fail "no envelope mixed relay times");
+    Alcotest.test_case "pids need not start at 0" `Quick (fun () ->
+        (* the plane's pid-indexed boxes must cover pids reserved before
+           the keyspace and tolerate pids reserved after it; the extra
+           processes take no part, so the run sends exactly what the
+           same workload sends on a keyspace owning pids 0.. *)
+        let placement =
+          p4_2_placement ~policy:Placement.Consistent_hash ~servers:12
+            ~domains:3 ()
+        in
+        let wl =
+          Harness.Workload.sharded_mixed ~keys:40 ~value_len:64 ~seed:3
+            ~num_writers:3 ~num_readers:3 ~round_gap:10.0 ()
+        in
+        let sent ?before ?after () =
+          let engine, ks = batched_keyspace ?before ?after ~placement wl in
+          Engine.run engine;
+          Alcotest.(check bool) "every key live" true (Keyspace.all_complete ks);
+          Alcotest.(check bool) "every key atomic" true
+            (Result.is_ok (Keyspace.check_atomicity ks));
+          Alcotest.(check int) "keys" 40 (List.length (Keyspace.keys ks));
+          Engine.messages_sent engine
+        in
+        let plain = sent () in
+        Alcotest.(check int) "messages_sent" plain (sent ~before:3 ~after:1 ()));
+    Alcotest.test_case "negative keys are rejected" `Quick (fun () ->
+        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
+        let ks =
+          Keyspace.create ~engine
+            ~placement:(p4_2_placement ~servers:9 ~domains:3 ())
+            ~num_writers:1 ~num_readers:1 ()
+        in
+        Keyspace.materialize ks ~key:0;
+        let rejects name f =
+          Alcotest.(check bool) name true
+            (match f () with
+            | exception Invalid_argument _ -> true
+            | () -> false)
+        in
+        List.iter
+          (fun key ->
+            rejects "write" (fun () ->
+                Keyspace.write ks ~key ~writer:0 ~at:0.0 (Bytes.of_string "v"));
+            rejects "read" (fun () -> Keyspace.read ks ~key ~reader:0 ~at:0.0 ());
+            rejects "materialize" (fun () -> Keyspace.materialize ks ~key);
+            rejects "config" (fun () -> ignore (Keyspace.config ks ~key));
+            rejects "history" (fun () -> ignore (Keyspace.history ks ~key));
+            rejects "placement_of" (fun () ->
+                ignore (Keyspace.placement_of ks ~key)))
+          [ -1; -2; min_int ];
+        Alcotest.(check (list int)) "keys" [ 0 ] (Keyspace.keys ks));
+    Alcotest.test_case "corrupt_server touches exactly its hosted keys" `Quick
+      (fun () ->
+        let placement =
+          p4_2_placement ~policy:Placement.Consistent_hash ~servers:12
+            ~domains:3 ()
+        in
+        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
+        let ks =
+          Keyspace.create ~engine ~placement ~num_writers:1 ~num_readers:1 ()
+        in
+        let keys = 50 and server = 5 in
+        for key = 0 to keys - 1 do
+          Keyspace.materialize ks ~key
+        done;
+        Keyspace.corrupt_server ks ~server ~at:1.0;
+        Engine.run engine;
+        let hit = ref 0 in
+        for key = 0 to keys - 1 do
+          let coords = Placement.servers_of placement ~key in
+          let expected =
+            List.filter
+              (fun c -> coords.(c) = server)
+              (List.init (Array.length coords) Fun.id)
+          in
+          let injected =
+            List.filter_map
+              (function
+                | Protocol.Probe.Rot_injected { server = c; _ } -> Some c
+                | _ -> None)
+              (Protocol.Probe.events (Keyspace.probe ks ~key))
+          in
+          if expected <> [] then incr hit;
+          Alcotest.(check (list int))
+            (Printf.sprintf "key %d corrupted coordinates" key)
+            expected injected
+        done;
+        (* the check bites only if the server hosts some keys, not all *)
+        Alcotest.(check bool) "server hosts some keys" true
+          (!hit > 0 && !hit < keys));
     Alcotest.test_case
       "shared plane beats independent deployments on msgs/op" `Quick
       (fun () ->

@@ -455,9 +455,18 @@ let tbl_ops_gen =
                [ (6, return `Add);
                  (3, return `Find);
                  (4, return `Remove);
+                 (1, return `Find_neg);
+                 (1, return `Remove_neg);
                  (1, return `Reset)
                ])
             (int_range 0 400) small_nat)))
+
+(* The key an op touches: a family key, or for the [_neg] ops a negative
+   one — half the time -1, the empty-slot marker itself. *)
+let op_key family kind i =
+  match kind with
+  | `Find_neg | `Remove_neg -> if i mod 2 = 0 then -1 else -1 - i
+  | `Add | `Find | `Remove | `Reset -> key family i
 
 let print_tbl_ops (family, cap, ops) =
   Printf.sprintf "%s cap=%d %d ops" (family_name family) cap (List.length ops)
@@ -485,15 +494,15 @@ let int_tbl_tests =
         let model = ref Iset.empty in
         List.for_all
           (fun (kind, i, _) ->
-            let k = key family i in
+            let k = op_key family kind i in
             let ok =
               match kind with
               | `Add ->
                 let fresh = not (Iset.mem k !model) in
                 model := Iset.add k !model;
                 Int_tbl.Set.add t k = fresh
-              | `Find -> Int_tbl.Set.mem t k = Iset.mem k !model
-              | `Remove ->
+              | `Find | `Find_neg -> Int_tbl.Set.mem t k = Iset.mem k !model
+              | `Remove | `Remove_neg ->
                 Int_tbl.Set.remove t k;
                 model := Iset.remove k !model;
                 true
@@ -515,18 +524,18 @@ let int_tbl_tests =
         let model = ref Imap.empty in
         List.for_all
           (fun (kind, i, v) ->
-            let k = key family i in
+            let k = op_key family kind i in
             let ok =
               match kind with
               | `Add ->
                 model := Imap.add k v !model;
                 Int_tbl.Map.replace t k v;
                 true
-              | `Find ->
+              | `Find | `Find_neg ->
                 Int_tbl.Map.find_opt t k = Imap.find_opt k !model
                 && Int_tbl.Map.find t k ~default:(-2)
                    = Option.value ~default:(-2) (Imap.find_opt k !model)
-              | `Remove ->
+              | `Remove | `Remove_neg ->
                 Int_tbl.Map.remove t k;
                 model := Imap.remove k !model;
                 true
@@ -544,6 +553,29 @@ let int_tbl_tests =
                  !model)
           ops
         && map_contents t = Imap.bindings !model);
+    Alcotest.test_case "negative keys are absent" `Quick (fun () ->
+        (* -1 marks an empty slot: a lookup must not mistake it for a
+           stored key, nor a removal empty the table through it *)
+        let s = Int_tbl.Set.create 0 in
+        ignore (Int_tbl.Set.add s 5 : bool);
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) "Set.mem" false (Int_tbl.Set.mem s k);
+            Int_tbl.Set.remove s k;
+            Alcotest.(check (list int)) "Set.remove keeps 5" [ 5 ] (set_contents s))
+          [ -1; -2; min_int ];
+        let m = Int_tbl.Map.create ~dummy:(-7) 0 in
+        Int_tbl.Map.replace m 5 50;
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) "Map.mem" false (Int_tbl.Map.mem m k);
+            Alcotest.(check (option int)) "Map.find_opt" None
+              (Int_tbl.Map.find_opt m k);
+            Alcotest.(check int) "Map.find" 0 (Int_tbl.Map.find m k ~default:0);
+            Int_tbl.Map.remove m k;
+            Alcotest.(check (list (pair int int))) "Map.remove keeps 5"
+              [ (5, 50) ] (map_contents m))
+          [ -1; -2; min_int ]);
     Alcotest.test_case "mids and packed tags do not cluster" `Quick (fun () ->
         (* 8,192 mids from 18 origins and 8,192 tags from 4 writers: a
            hash of the key's low bits sends each origin or writer to one
