@@ -11,6 +11,7 @@
    and prints the replay command that reproduces it. *)
 
 module Chaos = Harness.Chaos
+module Metrics = Harness.Metrics
 
 (* nearest-rank percentile on a sorted copy; 0.0 for an empty list *)
 let percentile p durations =
@@ -24,15 +25,15 @@ let percentile p durations =
 let heal_rows key (o : Chaos.outcome) =
   if not o.scenario.Chaos.healing then []
   else
-    let hs = o.heal_stats in
+    let hs = o.heal_stats and hc = Metrics.heal_counts o.probe in
     [ Bench.flag key "scrub_clean" o.Chaos.scrub_clean;
       Bench.flag key "all_live" o.Chaos.all_live;
       Bench.count key "heartbeats" "msgs" hs.Soda.Config.heartbeats_sent;
-      Bench.count key "suspicions" "count" hs.Soda.Config.suspicions;
+      Bench.count key "suspicions" "count" hc.Metrics.suspicions;
       Bench.count key "scrub_sweeps" "count" hs.Soda.Config.scrub_sweeps;
-      Bench.count key "scrub_hits" "count" hs.Soda.Config.scrub_hits;
-      Bench.count key "auto_repairs" "count" hs.Soda.Config.auto_repairs;
-      Bench.count key "scrub_repairs" "count" hs.Soda.Config.scrub_repairs;
+      Bench.count key "scrub_hits" "count" hc.Metrics.scrub_hits;
+      Bench.count key "auto_repairs" "count" hc.Metrics.auto_repairs;
+      Bench.count key "scrub_repairs" "count" hc.Metrics.scrub_repairs;
       Bench.row key "mttd_p50" "time" (percentile 0.5 o.Chaos.heal_mttd);
       Bench.row key "mttr_p50" "time" (percentile 0.5 o.Chaos.heal_mttr);
       Bench.row key "mttr_p95" "time" (percentile 0.95 o.Chaos.heal_mttr);

@@ -687,7 +687,7 @@ let ablation_md () =
 (* Ablation: READ-DISPERSE gossip vs none, with a crashed reader *)
 
 let ablation_gossip () =
-  let run gossip_mode =
+  let run plane =
     let params = Params.make ~n:10 ~f:3 () in
     (* messages TO the reader (pid 11: 10 servers, then the writer) crawl,
        so the reader is registered everywhere long before any coded
@@ -702,7 +702,7 @@ let ablation_gossip () =
     let d =
       Soda.Deployment.deploy ~engine ~params
         ~initial_value:(Workload.value ~len:value_len ~seed:9 ~index:0)
-        ~value_len ~plane:{ Soda.Config.default_plane with gossip_mode }
+        ~value_len ~plane
         ~num_writers:1 ~num_readers:1 ()
     in
     (* read-get replies take 50, so registration happens around t=52;
@@ -729,8 +729,8 @@ let ablation_gossip () =
     in
     (relays, still_registered)
   in
-  let with_gossip, reg_with = run `Broadcast in
-  let without_gossip, reg_without = run `Off in
+  let with_gossip, reg_with = run Soda.Config.default_plane in
+  let without_gossip, reg_without = run Soda.Config.gossip_off_plane in
   Report.table
     ~title:
       "Ablation: relays sent to a crashed reader across 12 subsequent writes \

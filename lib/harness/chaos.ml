@@ -86,6 +86,7 @@ type outcome = {
   complete : bool;
   atomic : (unit, string) result;
   trace_ok : (unit, string) result;
+  heal_ok : (unit, string) result;
   ops : int;
   sent : int;
   delivered : int;
@@ -103,6 +104,7 @@ type outcome = {
   scrub_clean : bool;
   all_live : bool;
   heal_stats : Soda.Config.heal_stats;
+  probe : Protocol.Probe.t;
   heal_mttd : float list;
   heal_mttr : float list;
   final_time : float;
@@ -113,7 +115,7 @@ type outcome = {
 
 let ok o =
   o.complete && Result.is_ok o.atomic && Result.is_ok o.trace_ok
-  && o.abandoned = 0 && o.scrub_clean
+  && Result.is_ok o.heal_ok && o.abandoned = 0 && o.scrub_clean
   && ((not o.scenario.healing) || o.all_live)
 
 let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
@@ -232,24 +234,26 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
     | Error v -> Error (Format.asprintf "%a" Atomicity.pp_violation v)
   in
   let events = Engine.trace_events engine in
-  let episodes = Metrics.heal_episodes (Soda.Deployment.probe d) in
+  let probe = Soda.Deployment.probe d in
+  let episodes = Metrics.heal_episodes probe in
   let trace_ok =
     if not trace then Ok ()
     else
-      let faults = Engine.faults engine in
       match
-        Simnet.Trace_check.check
-          ~lossy:(fun ~src ~dst -> Simnet.Link_faults.lossy faults ~src ~dst)
-          events
+        Simnet.Trace_check.check ~lossy:(scenario.loss > 0.0) events
       with
       | Ok () -> Ok ()
       | Error v -> Error (Format.asprintf "%a" Simnet.Trace_check.pp_violation v)
+  in
+  let heal_ok =
+    if scenario.healing then Protocol.Probe.heal_causality probe else Ok ()
   in
   { scenario;
     seed;
     complete = History.all_complete history;
     atomic;
     trace_ok;
+    heal_ok;
     ops = List.length records;
     sent = Engine.messages_sent engine;
     delivered = Engine.messages_delivered engine;
@@ -267,6 +271,7 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
     scrub_clean = Soda.Deployment.scrub_clean d;
     all_live = Soda.Deployment.all_live d;
     heal_stats = (Soda.Deployment.config d).Soda.Config.heal_stats;
+    probe;
     heal_mttd = Metrics.heal_mttd episodes;
     heal_mttr = Metrics.heal_mttr episodes;
     final_time = Engine.now engine;
@@ -292,14 +297,16 @@ let pp_outcome ppf o =
     o.duplicates_suppressed o.abandoned o.data o.meta o.acks o.crash_events
     o.partition_events o.bitrot_events o.final_time;
   if o.scenario.healing then begin
-    let hs = o.heal_stats in
+    let hs = o.heal_stats and hc = Metrics.heal_counts o.probe in
     Format.fprintf ppf
       "@,heal: clean=%b live=%b heartbeats=%d suspicions=%d sweeps=%d \
        hits=%d auto_repairs=%d scrub_repairs=%d"
       o.scrub_clean o.all_live hs.Soda.Config.heartbeats_sent
-      hs.Soda.Config.suspicions hs.Soda.Config.scrub_sweeps
-      hs.Soda.Config.scrub_hits hs.Soda.Config.auto_repairs
-      hs.Soda.Config.scrub_repairs;
+      hc.Metrics.suspicions hs.Soda.Config.scrub_sweeps hc.Metrics.scrub_hits
+      hc.Metrics.auto_repairs hc.Metrics.scrub_repairs;
+    (match o.heal_ok with
+    | Ok () -> ()
+    | Error e -> Format.fprintf ppf "@,heal axioms: %s" e);
     let pp_durations label = function
       | [] -> ()
       | ds ->

@@ -56,6 +56,10 @@ type outcome = {
   trace_ok : (unit, string) result;
       (** lossy-model trace axioms ({!Simnet.Trace_check.check});
           trivially [Ok] when the run was not traced *)
+  heal_ok : (unit, string) result;
+      (** the healing plane's causality axioms over the probe stream
+          ({!Protocol.Probe.heal_causality}), checked on every
+          [healing] run, traced or not; trivially [Ok] otherwise *)
   ops : int;
   sent : int;
   delivered : int;
@@ -77,8 +81,10 @@ type outcome = {
       (** no server process crashed at quiescence — the convergence
           predicate of the ["crash-noheal"] cell *)
   heal_stats : Soda.Config.heal_stats;
-      (** heartbeat/suspicion/scrub/repair counters (all zero without
-          healing) *)
+      (** heartbeat and scrub-sweep counters (zero without healing) *)
+  probe : Protocol.Probe.t;
+      (** the deployment's probe stream: suspicions, rot detections,
+          auto-repairs and heals ({!Metrics.heal_counts}) *)
   heal_mttd : float list;
       (** per detected fault episode: injection-to-detection time *)
   heal_mttr : float list;
@@ -102,9 +108,9 @@ type outcome = {
 }
 
 val ok : outcome -> bool
-(** Liveness, atomicity, trace axioms, no abandoned sends, all
-    corruption healed at quiescence ([scrub_clean]) and — in healing
-    cells — every server back up ([all_live]). *)
+(** Liveness, atomicity, trace axioms, healing axioms, no abandoned
+    sends, all corruption healed at quiescence ([scrub_clean]) and — in
+    healing cells — every server back up ([all_live]). *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One-line verdict + counters (no event log). *)

@@ -69,15 +69,39 @@ let summarize (r : Runner.result) =
     read_restarts = r.Runner.read_restarts
   }
 
+(* {2 Self-healing counts} *)
+
+type heal_counts = {
+  suspicions : int;
+  scrub_hits : int;
+  auto_repairs : int;
+  scrub_repairs : int
+}
+
+let heal_counts probe =
+  List.fold_left
+    (fun c e ->
+      match e with
+      | Probe.Suspected _ -> { c with suspicions = c.suspicions + 1 }
+      | Probe.Rot_detected _ -> { c with scrub_hits = c.scrub_hits + 1 }
+      | Probe.Auto_repair _ -> { c with auto_repairs = c.auto_repairs + 1 }
+      | Probe.Scrub_repaired _ -> { c with scrub_repairs = c.scrub_repairs + 1 }
+      | Probe.Registered _ | Probe.Unregistered _ | Probe.Relayed _
+      | Probe.Stored _ | Probe.Gc _ | Probe.Repair_started _
+      | Probe.Repaired _ | Probe.Crash_injected _ | Probe.Rot_injected _ ->
+        c)
+    { suspicions = 0; scrub_hits = 0; auto_repairs = 0; scrub_repairs = 0 }
+    (Probe.events probe)
+
 (* {2 Self-healing episodes}
 
-   A fault's lifecycle is reconstructed from the probe stream, which is
-   chronological by construction (probes are appended as the simulation
-   executes). Crash episodes run Crash_injected -> first Suspected ->
-   Repaired; rot episodes run Rot_injected -> first Rot_detected ->
-   first restoration, which is either a targeted scrub repair
-   (Scrub_repaired) or an overwriting write (Stored recomputes the
-   checksum, healing the rot as a side effect). *)
+   A fault's lifecycle is reconstructed from the probe stream in time
+   order ([Probe.chronological]: a crash may be scheduled ahead, and its
+   [Crash_injected] emitted then). Crash episodes run Crash_injected ->
+   first Suspected -> Repaired; rot episodes run Rot_injected -> first
+   Rot_detected -> first restoration, which is either a targeted scrub
+   repair (Scrub_repaired) or an overwriting write (Stored recomputes
+   the checksum, healing the rot as a side effect). *)
 
 type heal_episode = {
   server : int;
@@ -123,7 +147,7 @@ let heal_episodes probe =
       | Probe.Registered _ | Probe.Unregistered _ | Probe.Relayed _
       | Probe.Gc _ | Probe.Repair_started _ | Probe.Auto_repair _ ->
         ())
-    (Probe.events probe);
+    (Probe.chronological probe);
   let[@lint.allow
        "D3: the fold's arbitrary order is erased by the total sort on \
         (injected_at, server, fault) before the list reaches a caller"]

@@ -60,6 +60,25 @@ val concurrent_writes : Runner.result -> rid:int -> slack:float -> int option
 
 val pp_summary : Format.formatter -> summary -> unit
 
+(** {1 Self-healing counts} *)
+
+type heal_counts = {
+  suspicions : int;  (** [Suspected] probes: suspicion votes cast *)
+  scrub_hits : int;
+      (** [Rot_detected] probes: checksum mismatches found by a scrub
+          sweep or the read path *)
+  auto_repairs : int;
+      (** [Auto_repair] probes: detector-triggered crash-repairs
+          launched *)
+  scrub_repairs : int
+      (** [Scrub_repaired] probes: quarantined fragments restored from
+          peer fragments *)
+}
+
+val heal_counts : Protocol.Probe.t -> heal_counts
+(** The healing plane's events, counted from a deployment's probe
+    stream. *)
+
 (** {1 Self-healing episodes (MTTD / MTTR)} *)
 
 type heal_episode = {
@@ -78,7 +97,9 @@ type heal_episode = {
 
 val heal_episodes : Protocol.Probe.t -> heal_episode list
 (** Reconstruct every fault's detect/heal lifecycle from a deployment's
-    probe stream, in injection order. Requires the healing-armed probes
+    probe stream ({!Protocol.Probe.chronological}, so a crash scheduled
+    ahead opens its episode at its own time), in injection order.
+    Requires the healing-armed probes
     ([Crash_injected] is only emitted when {!Soda.Config.healing} is
     armed); on an unhealed run the list contains only rot episodes. *)
 

@@ -72,3 +72,76 @@ let registrations_balanced t ~crashed =
   Hashtbl.fold
     (fun (_, server) () acc -> acc && crashed server)
     open_regs true
+
+let time_of = function
+  | Registered { time; _ }
+  | Unregistered { time; _ }
+  | Relayed { time; _ }
+  | Stored { time; _ }
+  | Gc { time; _ }
+  | Repair_started { time; _ }
+  | Repaired { time; _ }
+  | Crash_injected { time; _ }
+  | Rot_injected { time; _ }
+  | Suspected { time; _ }
+  | Auto_repair { time; _ }
+  | Rot_detected { time; _ }
+  | Scrub_repaired { time; _ } ->
+    time
+
+(* Every probe but [Crash_injected] is stamped with its emission time,
+   and [Crash_injected] with the crash's, which a caller may schedule
+   ahead: the stable sort puts it where the crash happens. *)
+let chronological t =
+  List.stable_sort
+    (fun a b -> Float.compare (time_of a) (time_of b))
+    (events t)
+
+let heal_causality t =
+  (* a server is crashed from its [Crash_injected] to its next
+     [Repair_started]; the flag records whether some detector has
+     suspected it since the crash *)
+  let crashed : (int, bool ref) Hashtbl.t = Hashtbl.create 8 in
+  let exception Bad of string in
+  let live index server what =
+    if Hashtbl.mem crashed server then
+      raise
+        (Bad (Printf.sprintf "probe #%d: crashed server %d %s" index server what))
+  in
+  try
+    List.iteri
+      (fun index e ->
+        match e with
+        | Crash_injected { server; _ } ->
+          if not (Hashtbl.mem crashed server) then
+            Hashtbl.add crashed server (ref false)
+        | Repair_started { server; _ } -> Hashtbl.remove crashed server
+        | Suspected { target; by; _ } -> (
+          live index by "voiced a suspicion";
+          match Hashtbl.find_opt crashed target with
+          | Some suspected -> suspected := true
+          | None -> ())
+        | Rot_detected { server; _ } -> live index server "detected rot"
+        | Scrub_repaired { server; _ } | Repaired { server; _ } ->
+          live index server "reported a heal"
+        | Auto_repair { server; _ } -> (
+          match Hashtbl.find_opt crashed server with
+          | None ->
+            raise
+              (Bad
+                 (Printf.sprintf "probe #%d: auto-repair of live server %d"
+                    index server))
+          | Some { contents = false } ->
+            raise
+              (Bad
+                 (Printf.sprintf
+                    "probe #%d: auto-repair of server %d without a suspicion \
+                     since its crash"
+                    index server))
+          | Some { contents = true } -> ())
+        | Registered _ | Unregistered _ | Relayed _ | Stored _ | Gc _
+        | Rot_injected _ ->
+          ())
+      (chronological t);
+    Ok ()
+  with Bad what -> Error what

@@ -54,6 +54,11 @@ val emit : t -> event -> unit
 val events : t -> event list
 (** In emission order. *)
 
+val chronological : t -> event list
+(** In time order: {!events} stably sorted by their [time]. The two
+    orders differ only where a [Crash_injected] was emitted ahead of the
+    crash it schedules. *)
+
 val registration_window :
   ?is_crashed:(int -> bool) -> t -> rid:int -> (float * float) option
 (** [(T1, T2)]: first registration and last unregistration of read [rid];
@@ -68,3 +73,18 @@ val relays_of : t -> rid:int -> int
 val registrations_balanced : t -> crashed:(int -> bool) -> bool
 (** Theorem 5.5 check: every registration at a server that did not crash
     is eventually matched by an unregistration at that server. *)
+
+val heal_causality : t -> (unit, string) result
+(** The healing plane's causality axioms over the {!chronological}
+    stream, where a server counts as crashed from its [Crash_injected]
+    to its next [Repair_started]:
+    - an [Auto_repair] targets a crashed server that some detector
+      [Suspected] since it crashed (the detector, not the nemesis,
+      pulled the trigger);
+    - a [Suspected] comes from a live server;
+    - a [Rot_detected] comes from a live server;
+    - a heal ([Scrub_repaired], or the [Repaired] that ends a crash
+      repair) comes from a live server.
+    [Error] names the first offending probe (0-based, in time order).
+    Meaningful only
+    on a healing deployment, the one kind that emits [Crash_injected]. *)

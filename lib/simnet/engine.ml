@@ -113,7 +113,6 @@ and 'msg t = {
   mutable delivered : int;
   mutable dropped : int;
   mutable lost : int;
-  mutable duplicated : int;
   mutable executed : int;
   mutable data_sent : int;
   mutable meta_sent : int;
@@ -136,10 +135,6 @@ and event =
   | Restored of { time : float; pid : pid }
   | PartitionStart of { time : float; links : (pid * pid) list }
   | PartitionHeal of { time : float; links : (pid * pid) list }
-  | Suspect of { time : float; by : pid; target : pid }
-  | ScrubHit of { time : float; pid : pid }
-  | AutoRepairStart of { time : float; pid : pid }
-  | Healed of { time : float; pid : pid }
 
 exception Event_limit_exceeded of int
 
@@ -180,7 +175,6 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
     delivered = 0;
     dropped = 0;
     lost = 0;
-    duplicated = 0;
     executed = 0;
     data_sent = 0;
     meta_sent = 0;
@@ -247,35 +241,10 @@ let now_ctx ctx = ctx.engine.clock.(0)
 let rng t = t.root_rng
 let rng_ctx ctx = ctx.engine.root_rng
 
-(* Healing-plane trace marks. Pure observations: they only append to the
-   trace (when tracing is on), never schedule or perturb events, so a
-   protocol layer may call them freely without affecting determinism. *)
-let mark_suspect ctx ~target =
-  let t = ctx.engine in
-  record t (Suspect { time = t.clock.(0); by = ctx.ctx_self; target })
-
-let mark_scrub_hit ctx =
-  let t = ctx.engine in
-  record t (ScrubHit { time = t.clock.(0); pid = ctx.ctx_self })
-
-let mark_healed ctx =
-  let t = ctx.engine in
-  record t (Healed { time = t.clock.(0); pid = ctx.ctx_self })
-
-let mark_auto_repair t pid =
-  record t (AutoRepairStart { time = t.clock.(0); pid })
-
 (* ------------------------------------------------------------------ *)
 (* Fault plane *)
 
-let faults t = t.faults
-
 let set_loss t p = Link_faults.set_default_drop t.faults p
-
-let set_link_loss t ~src ~dst p =
-  check_pid t src ~where:"Engine.set_link_loss";
-  check_pid t dst ~where:"Engine.set_link_loss";
-  Link_faults.set_drop t.faults ~src ~dst p
 
 let check_links t links ~where =
   List.iter
@@ -301,23 +270,13 @@ let heal_at t ~links ~at =
       Link_faults.heal_links t.faults links;
       record t (PartitionHeal { time = t.clock.(0); links }))
 
-let delay_spike t ~links ~factor ~from_ ~until_ =
-  check_links t links ~where:"Engine.delay_spike";
-  if not (factor > 0.0) then
-    invalid_arg "Engine.delay_spike: non-positive factor";
-  if until_ < from_ then invalid_arg "Engine.delay_spike: until_ < from_";
-  push_control t ~at:from_ (fun () ->
-      Link_faults.spike_links t.faults links ~factor);
-  push_control t ~at:until_ (fun () ->
-      Link_faults.unspike_links t.faults links ~factor)
-
 (* Loss verdict for one physical transmission entering link src->dst.
    Only meaningful when the plane is armed; the caller guards, so the
-   unarmed hot path never touches the hashtables (or the rng). *)
+   unarmed hot path never touches the hashtable (or the rng). *)
 let faults_lose t ~src ~dst =
   Link_faults.partitioned t.faults ~src ~dst
   ||
-  let p = Link_faults.drop_p t.faults ~src ~dst in
+  let p = Link_faults.drop_p t.faults in
   p > 0.0 && Rng.float t.net_rng 1.0 < p
 
 (* ------------------------------------------------------------------ *)
@@ -333,10 +292,7 @@ let send_raw_faulty t ~src ~dst msg =
     if t.trace_enabled then record t (Lost { time = t.clock.(0); src; dst })
   end
   else begin
-    let transit =
-      Delay.draw t.delay t.net_rng ~src ~dst
-      *. Link_faults.delay_factor t.faults ~src ~dst
-    in
+    let transit = Delay.draw t.delay t.net_rng ~src ~dst in
     (Event_queue.inbox t.queue).(0) <- t.clock.(0) +. transit;
     Event_queue.push_inbox t.queue
       ~tag:(pack ~kind:k_deliver ~a:src ~b:dst)
@@ -380,10 +336,7 @@ let transmit_data t ~src ~dst ~seq payload =
     if t.trace_enabled then record t (Lost { time = t.clock.(0); src; dst })
   end
   else begin
-    let transit =
-      Delay.draw t.delay t.net_rng ~src ~dst
-      *. Link_faults.delay_factor t.faults ~src ~dst
-    in
+    let transit = Delay.draw t.delay t.net_rng ~src ~dst in
     t.copy_at.(0) <- t.clock.(0) +. transit;
     (Event_queue.inbox t.queue).(0) <- t.copy_at.(0);
     Event_queue.push_inbox t.queue
@@ -409,10 +362,7 @@ let transmit_ack t ch ~src ~dst ~seq =
     arm_rexmit t ch ~src ~dst ~seq ~at:Float.infinity
   end
   else begin
-    let transit =
-      Delay.draw t.delay t.net_rng ~src:dst ~dst:src
-      *. Link_faults.delay_factor t.faults ~src:dst ~dst:src
-    in
+    let transit = Delay.draw t.delay t.net_rng ~src:dst ~dst:src in
     let at = t.clock.(0) +. transit in
     (Event_queue.inbox t.queue).(0) <- at;
     Event_queue.push_inbox t.queue
@@ -444,7 +394,6 @@ let send_reliable t ch ~src ~dst msg =
   (* at-least-once physical channels: the first copy may be duplicated;
      the receiver-side dedup absorbs it like any retransmission *)
   if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
-    t.duplicated <- t.duplicated + 1;
     let first = t.copy_at.(0) in
     transmit_data t ~src ~dst ~seq payload;
     if first > t.copy_at.(0) then t.copy_at.(0) <- first
@@ -511,7 +460,6 @@ let send ctx ~dst msg =
       if t.duplication > 0.0 && Rng.float t.net_rng 1.0 < t.duplication then begin
         let transit' = Delay.draw t.delay t.net_rng ~src ~dst in
         t.sent <- t.sent + 1;
-        t.duplicated <- t.duplicated + 1;
         if t.trace_enabled then
           record t (Sent { time = t.clock.(0); src; dst });
         (Event_queue.inbox t.queue).(0) <- t.clock.(0) +. transit';
@@ -762,7 +710,6 @@ let messages_sent t = t.sent
 let messages_delivered t = t.delivered
 let messages_dropped t = t.dropped
 let messages_lost t = t.lost
-let messages_duplicated t = t.duplicated
 let events_executed t = t.executed
 let messages_data t = t.data_sent
 let messages_meta t = t.meta_sent
@@ -815,12 +762,3 @@ let pp_event ~name ppf = function
   | PartitionHeal { time; links } ->
     Format.fprintf ppf "%.3f  PARTITION heal (%d links) %a" time
       (List.length links) (pp_links ~name) links
-  | Suspect { time; by; target } ->
-    Format.fprintf ppf "%.3f  %s  SUSPECTS %s" time (name by) (name target)
-  | ScrubHit { time; pid } ->
-    Format.fprintf ppf "%.3f  %s  SCRUB-HIT (checksum mismatch)" time
-      (name pid)
-  | AutoRepairStart { time; pid } ->
-    Format.fprintf ppf "%.3f  %s  AUTO-REPAIR start" time (name pid)
-  | Healed { time; pid } ->
-    Format.fprintf ppf "%.3f  %s  HEALED" time (name pid)

@@ -8,10 +8,10 @@
     (Section II).
 
     Channels are reliable by default (the paper's axiom). An adversarial
-    {e fault plane} ({!Link_faults}) can break that: per-directed-link
-    drop probabilities, partitions (link sets blackholed over an
-    interval), and delay spikes, all scheduled at absolute simulated
-    times and applied to each physical transmission at its send instant.
+    {e fault plane} ({!Link_faults}) can break that: a drop probability
+    on every link, and partitions (link sets blackholed over an interval
+    scheduled at absolute simulated times), applied to each physical
+    transmission at its send instant.
     Mounting the reliable-channel substrate
     ([~transport:(`Reliable config)], see {!Channel}) restores
     exactly-once delivery on top of a lossy plane via acks,
@@ -107,26 +107,6 @@ val self : 'msg context -> pid
 val now_ctx : 'msg context -> float
 val rng_ctx : 'msg context -> Rng.t
 
-(** {2 Healing-plane trace marks}
-
-    Pure observations for the self-healing plane: each appends one
-    {!event} to the trace when tracing is on and does nothing otherwise —
-    no event is scheduled, no RNG drawn, so calling them never perturbs
-    the simulation. *)
-
-val mark_suspect : 'msg context -> target:pid -> unit
-(** Record that the calling server's detector suspects [target]. *)
-
-val mark_scrub_hit : 'msg context -> unit
-(** Record a checksum mismatch found on the calling server. *)
-
-val mark_healed : 'msg context -> unit
-(** Record that the calling server completed an autonomous recovery. *)
-
-val mark_auto_repair : 'msg t -> pid -> unit
-(** Record that the deployment is launching a detector-triggered repair
-    of [pid] (called outside any handler, hence on the engine). *)
-
 val send : 'msg context -> dst:pid -> 'msg -> unit
 (** Place a message in the channel to [dst]. Raw transport: it is
     delivered after a model-drawn delay iff the link does not lose it
@@ -174,17 +154,13 @@ val is_crashed : 'msg t -> pid -> bool
     a pure function of the seed. A never-configured fault plane costs
     the send hot path one boolean load. *)
 
-val faults : 'msg t -> Link_faults.t
-(** The engine's fault plane, for direct configuration and for building
-    the [lossy] predicate of {!Trace_check.check}. *)
-
 val set_loss : 'msg t -> float -> unit
-(** Drop probability applied immediately to every link (overridable per
-    link with {!set_link_loss}). Each physical transmission — including
-    reliable-transport retransmissions and acks — is lost independently
-    with this probability. @raise Invalid_argument outside [0, 1]. *)
-
-val set_link_loss : 'msg t -> src:pid -> dst:pid -> float -> unit
+(** Drop probability applied immediately to every link. Each physical
+    transmission — including reliable-transport retransmissions and
+    acks — is lost independently with this probability. A trace of an
+    engine with a positive loss is checked with
+    [Trace_check.check ~lossy:true].
+    @raise Invalid_argument outside [0, 1]. *)
 
 val partition_at : 'msg t -> links:(pid * pid) list -> at:float -> unit
 (** Blackhole the directed [links] from simulated time [at] until a
@@ -197,13 +173,6 @@ val heal_at : 'msg t -> links:(pid * pid) list -> at:float -> unit
 (** Undo one partition layer on [links] at time [at]; emits
     [PartitionHeal]. Messages lost while the partition was up are gone
     (raw) or retransmitted (reliable transport). *)
-
-val delay_spike : 'msg t ->
-  links:(pid * pid) list -> factor:float -> from_:float -> until_:float -> unit
-(** Multiply transit delays on [links] by [factor] during
-    [[from_, until_]]. Overlapping spikes compound.
-    @raise Invalid_argument on a non-positive factor or an inverted
-    interval. *)
 
 (** {1 Execution} *)
 
@@ -249,10 +218,6 @@ val messages_dropped : 'msg t -> int
 val messages_lost : 'msg t -> int
 (** Physical transmissions eaten by the fault plane (drop probability or
     an active partition). *)
-
-val messages_duplicated : 'msg t -> int
-(** Extra copies injected by the [duplication] channel model (each is
-    also counted in {!messages_sent}). *)
 
 val events_executed : 'msg t -> int
 (** Total events dispatched over the engine's lifetime — deliveries,
@@ -317,19 +282,6 @@ type event =
   | Restored of { time : float; pid : pid }
   | PartitionStart of { time : float; links : (pid * pid) list }
   | PartitionHeal of { time : float; links : (pid * pid) list }
-  | Suspect of { time : float; by : pid; target : pid }
-      (** [by]'s failure detector declared [target] silent past the
-          suspicion timeout (see {!mark_suspect}). *)
-  | ScrubHit of { time : float; pid : pid }
-      (** [pid]'s scrubber (or read path) found a checksum mismatch in
-          its local fragment store. *)
-  | AutoRepairStart of { time : float; pid : pid }
-      (** The deployment launched a detector-triggered crash-repair of
-          [pid] (as opposed to a nemesis-scheduled one). *)
-  | Healed of { time : float; pid : pid }
-      (** [pid] finished an autonomous recovery: a detector-triggered
-          crash-repair completed, or a quarantined fragment was restored
-          from peers. *)
 
 val trace_events : 'msg t -> event list
 (** Chronological event log; empty unless [trace] was set. *)

@@ -1,16 +1,15 @@
 (** Per-link adversarial fault plane.
 
     The paper's system model (Section II) assumes reliable point-to-point
-    channels; real networks lose messages, partition, and slow down. This
-    module holds the adversarial state the engine consults on every send:
-    per-directed-link drop probability, blackholed links (partitions), and
-    multiplicative delay spikes. The state is mutated only from inside the
-    simulation (the engine schedules control events that call
-    {!cut_links} / {!heal_links} at their activation times), so fault
-    windows are seed-deterministic and totally ordered with every other
-    event.
+    channels; real networks lose messages and partition. This module
+    holds the adversarial state the engine consults on every send: one
+    drop probability shared by every link, and blackholed directed links
+    (partitions). Partitions are mutated only from inside the simulation
+    (the engine schedules control events that call {!cut_links} /
+    {!heal_links} at their activation times), so fault windows are
+    seed-deterministic and totally ordered with every other event.
 
-    A fresh fault plane is {e trivial}: no link ever drops, slows or
+    A fresh fault plane is {e trivial}: no link ever drops or
     blackholes, and the engine skips the plane entirely on its send hot
     path (one boolean load). Any configuration call arms it for the rest
     of the simulation, even if every fault is later healed. *)
@@ -24,23 +23,13 @@ val armed : t -> bool
 (** Whether any fault was ever configured. While [false], sends behave
     bit-identically to an engine without a fault plane. *)
 
-(** {1 Static loss configuration} *)
-
 val set_default_drop : t -> float -> unit
-(** Drop probability applied to every link without a per-link override.
+(** Drop probability applied to every link.
     @raise Invalid_argument outside [0, 1]. *)
 
-val set_drop : t -> src:int -> dst:int -> float -> unit
-(** Per-directed-link override of the default drop probability.
-    @raise Invalid_argument outside [0, 1]. *)
+val drop_p : t -> float
 
-val drop_p : t -> src:int -> dst:int -> float
-
-val lossy : t -> src:int -> dst:int -> bool
-(** [drop_p t ~src ~dst > 0] — the predicate {!Trace_check.check} needs
-    to justify a [Lost] trace event. *)
-
-(** {1 Interval faults (driven by engine control events)} *)
+(** {1 Partitions (driven by engine control events)} *)
 
 val cut_links : t -> (int * int) list -> unit
 (** Blackhole each [(src, dst)] link: every message entering it while cut
@@ -52,16 +41,3 @@ val heal_links : t -> (int * int) list -> unit
     is ignored (a harness may heal a partition that was never armed). *)
 
 val partitioned : t -> src:int -> dst:int -> bool
-
-val spike_links : t -> (int * int) list -> factor:float -> unit
-(** Multiply transit delays on each link by [factor] (> 0) until the
-    matching {!unspike_links}. Overlapping spikes compound
-    multiplicatively.
-    @raise Invalid_argument on a non-positive factor. *)
-
-val unspike_links : t -> (int * int) list -> factor:float -> unit
-(** Remove one active spike of exactly [factor] per link; ignored if no
-    such spike is active. *)
-
-val delay_factor : t -> src:int -> dst:int -> float
-(** Product of the active spike factors on the link; [1.0] when none. *)

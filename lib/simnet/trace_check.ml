@@ -10,16 +10,10 @@ let time_of = function
   | Engine.Crashed { time; _ }
   | Engine.Restored { time; _ }
   | Engine.PartitionStart { time; _ }
-  | Engine.PartitionHeal { time; _ }
-  | Engine.Suspect { time; _ }
-  | Engine.ScrubHit { time; _ }
-  | Engine.AutoRepairStart { time; _ }
-  | Engine.Healed { time; _ } ->
+  | Engine.PartitionHeal { time; _ } ->
     time
 
-let no_loss ~src:_ ~dst:_ = false
-
-let check ?(lossy = no_loss) events =
+let check ?(lossy = false) events =
   let exception Bad of violation in
   (* outstanding sends per (src, dst) channel *)
   let in_flight : (int * int, int ref) Hashtbl.t = Hashtbl.create 64 in
@@ -28,18 +22,6 @@ let check ?(lossy = no_loss) events =
      per canonical link-set an up/down bit for the alternation axiom *)
   let cut : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
   let active_sets : ((int * int) list, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* healing axioms: suspicions voiced per target since its last
-     crash/restore — an autonomous repair launch must be preceded by at
-     least one (the detector, not the nemesis, is the trigger) *)
-  let suspects : (int, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let suspects_of pid =
-    match Hashtbl.find_opt suspects pid with
-    | Some r -> r
-    | None ->
-      let r = ref 0 in
-      Hashtbl.add suspects pid r;
-      r
-  in
   let canon links = List.sort_uniq compare links in
   let last_time = ref neg_infinity in
   let fail what index = raise (Bad { what; index }) in
@@ -80,14 +62,14 @@ let check ?(lossy = no_loss) events =
         | Engine.Lost { src; dst; _ } ->
           consume ~index ~src ~dst;
           (* the lossy-model axiom: a loss needs an active cause on its
-             link — a partition covering it, or a configured nonzero
-             drop probability *)
+             link — a partition covering it, or a nonzero drop
+             probability *)
           let partitioned =
             match Hashtbl.find_opt cut (src, dst) with
             | Some r -> !r > 0
             | None -> false
           in
-          if not (partitioned || lossy ~src ~dst) then
+          if not (partitioned || lossy) then
             fail
               (Printf.sprintf
                  "message on %d->%d lost without an active link fault" src dst)
@@ -95,35 +77,11 @@ let check ?(lossy = no_loss) events =
         | Engine.Crashed { pid; _ } ->
           if Hashtbl.mem crashed pid then
             fail (Printf.sprintf "process %d crashed twice" pid) index;
-          Hashtbl.add crashed pid ();
-          suspects_of pid := 0
+          Hashtbl.add crashed pid ()
         | Engine.Restored { pid; _ } ->
           if not (Hashtbl.mem crashed pid) then
             fail (Printf.sprintf "live process %d restored" pid) index;
-          Hashtbl.remove crashed pid;
-          suspects_of pid := 0
-        | Engine.Suspect { by; target; _ } ->
-          if Hashtbl.mem crashed by then
-            fail (Printf.sprintf "crashed process %d voiced a suspicion" by)
-              index;
-          incr (suspects_of target)
-        | Engine.ScrubHit { pid; _ } ->
-          if Hashtbl.mem crashed pid then
-            fail (Printf.sprintf "crashed process %d ran a scrub" pid) index
-        | Engine.AutoRepairStart { pid; _ } ->
-          if not (Hashtbl.mem crashed pid) then
-            fail
-              (Printf.sprintf "auto-repair of live process %d launched" pid)
-              index;
-          if !(suspects_of pid) = 0 then
-            fail
-              (Printf.sprintf
-                 "auto-repair of %d launched without a prior suspicion" pid)
-              index
-        | Engine.Healed { pid; _ } ->
-          if Hashtbl.mem crashed pid then
-            fail (Printf.sprintf "crashed process %d reported healed" pid)
-              index
+          Hashtbl.remove crashed pid
         | Engine.PartitionStart { links; _ } ->
           let key = canon links in
           if Hashtbl.mem active_sets key then
@@ -157,14 +115,7 @@ let delivered_ratio events =
       | Engine.Sent _ -> incr sent
       | Engine.Delivered _ -> incr delivered
       | Engine.Dropped _ | Engine.Lost _ | Engine.Crashed _
-      | Engine.Restored _ | Engine.PartitionStart _ | Engine.PartitionHeal _
-      | Engine.Suspect _ | Engine.ScrubHit _ | Engine.AutoRepairStart _
-      | Engine.Healed _ ->
+      | Engine.Restored _ | Engine.PartitionStart _ | Engine.PartitionHeal _ ->
         ())
     events;
   if !sent = 0 then 1.0 else float_of_int !delivered /. float_of_int !sent
-
-let lost_count events =
-  List.fold_left
-    (fun acc -> function Engine.Lost _ -> acc + 1 | _ -> acc)
-    0 events

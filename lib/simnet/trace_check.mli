@@ -13,9 +13,7 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val check :
-  ?lossy:(src:int -> dst:int -> bool) ->
-  Engine.event list -> (unit, violation) result
+val check : ?lossy:bool -> Engine.event list -> (unit, violation) result
 (** Verifies, over the whole trace:
     - timestamps are non-decreasing;
     - every delivery, drop or loss is matched to an earlier unconsumed
@@ -26,22 +24,14 @@ val check :
     - a process crashes (resp. is restored) only when alive (resp.
       crashed);
     - a [Lost] event has an active cause: either a partition covering
-      its link at that point of the trace, or [lossy ~src ~dst] (the
-      caller's knowledge of configured drop probabilities — build it
-      from {!Link_faults.lossy}; defaults to "no link is lossy", which
-      is exactly the old reliable-model check on fault-free traces);
+      its link at that point of the trace, or [lossy] (the caller knows
+      the run had a nonzero drop probability, {!Engine.set_loss});
+      defaults to [false], which is exactly the reliable-model check on
+      fault-free traces;
     - partitions strictly alternate start/heal per canonical link-set,
-      and a heal never underflows a link's active-partition count;
-    - healing-plane marks are causally sane: suspicions and scrub hits
-      come from live processes, a [Healed] is reported by a live process,
-      and an [AutoRepairStart] targets a process that is currently
-      crashed {e and} was suspected at least once since it crashed (the
-      detector, not the nemesis, pulled the trigger). *)
+      and a heal never underflows a link's active-partition count. *)
 
 val delivered_ratio : Engine.event list -> float
 (** Fraction of sends that were eventually delivered (1.0 in crash-free
     executions once quiescent; lower under crashes or an armed fault
     plane). *)
-
-val lost_count : Engine.event list -> int
-(** Number of [Lost] events in the trace. *)

@@ -4,25 +4,12 @@ module Probe = Protocol.Probe
 module History = Protocol.History
 module Mds = Erasure.Mds
 
-type plane = {
-  gossip_mode : [ `Broadcast | `Coalesced | `Off ];
-  relay_batch : float option;
-  meta_stagger : float option
-}
+type plane = Paper | Batched | Gossip_off
 
 let gossip_staleness = 25.0
-
-let default_plane =
-  { gossip_mode = `Broadcast;
-    relay_batch = None;
-    meta_stagger = None
-  }
-
-let batched_plane =
-  { gossip_mode = `Coalesced;
-    relay_batch = Some 0.25;
-    meta_stagger = Some 4.0
-  }
+let default_plane = Paper
+let batched_plane = Batched
+let gossip_off_plane = Gossip_off
 
 type healing = {
   heartbeat_period : float;
@@ -33,23 +20,9 @@ type healing = {
 let default_healing =
   { heartbeat_period = 10.0; suspicion_timeout = 35.0; scrub_period = 50.0 }
 
-type heal_stats = {
-  mutable heartbeats_sent : int;
-  mutable suspicions : int;
-  mutable scrub_sweeps : int;
-  mutable scrub_hits : int;
-  mutable auto_repairs : int;
-  mutable scrub_repairs : int
-}
+type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
 
-let heal_stats_create () =
-  { heartbeats_sent = 0;
-    suspicions = 0;
-    scrub_sweeps = 0;
-    scrub_hits = 0;
-    auto_repairs = 0;
-    scrub_repairs = 0
-  }
+let heal_stats_create () = { heartbeats_sent = 0; scrub_sweeps = 0 }
 
 (* Pluggable message plane: a keyspace re-routes an instance's sends
    through the shared plane (key envelopes, cross-key batching) by
@@ -108,6 +81,25 @@ let set_wire t wire =
   match t.wire with
   | Some _ -> invalid_arg "Config.set_wire: wire already installed"
   | None -> t.wire <- Some wire
+
+let gossip_mode t =
+  match t.plane with
+  | Paper -> `Broadcast
+  | Batched -> `Coalesced
+  | Gossip_off -> `Off
+
+(* An instance with a wire installed is a keyspace instance: the shared
+   plane batches its client-bound frames across keys under the
+   template's window, so the instance itself must not also hold them
+   back (double-buffering would compound the delay, stretch
+   registration windows and generate extra traffic, not less). *)
+let relay_window t =
+  match (t.plane, t.wire) with
+  | Batched, None -> Some 0.25
+  | Batched, Some _ | (Paper | Gossip_off), _ -> None
+
+let meta_stagger t =
+  match t.plane with Batched -> Some 4.0 | Paper | Gossip_off -> None
 
 let encode t value =
   match t.encode_cache with

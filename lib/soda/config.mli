@@ -10,48 +10,44 @@ module Probe = Protocol.Probe
 module History = Protocol.History
 module Mds = Erasure.Mds
 
-(** Message-plane tuning: how READ-DISPERSE gossip, relays and MD-META
-    forwards are put on the wire. Purely an optimization layer — every
-    mode delivers the same protocol events, so safety (atomicity) is
-    untouched; see "Batched message plane" in DESIGN.md. *)
-type plane = {
-  gossip_mode : [ `Broadcast | `Coalesced | `Off ];
-      (** [`Broadcast] (the paper, and the default): every relay
-          triggers a standalone READ-DISPERSE MD-META round — O(n²)
-          messages per read. [`Coalesced]: entries accumulate in a
-          per-destination outbox and ride on the next server-to-server
-          message (or a bounded-staleness flush). [`Off]: the
-          ablation-gossip mode — no announcements at all. *)
-  relay_batch : float option;
-      (** [Some w]: buffer relays to each registered reader for up to
-          [w] time units and ship them as one {!Messages.Relay_batch}.
-          [None] (default): one [Relay] per coded element. *)
-  meta_stagger : float option
-      (** [Some sigma]: server at coordinate [i > 0] delays its MD-META
-          forwards by [i * sigma] and cancels them when a copy of the
-          same [mid] arrives from a lower coordinate (whose forward set
-          is a superset of its own). Cuts the MD-META forward storm from
-          O(f·n) to O(n) on the failure-free path, at the price of a
-          wider crash-vulnerability window — see DESIGN.md. [None]
-          (default): forward immediately, as in the paper. *)
-}
-
-val gossip_staleness : float
-(** 25.0 time units, shared by every plane. In [`Coalesced] gossip
-    mode, the longest a queued gossip entry waits for a piggyback before
-    a standalone {!Messages.Gossip} (in a {!Keyspace}, a
-    [Keyed_gossip]) flush is forced, so unregistration of crashed
-    readers cannot stall behind a quiet link. *)
+(** Message plane: how READ-DISPERSE gossip, relays and MD-META
+    forwards are put on the wire. One of three presets. Purely an
+    optimization layer — every preset but {!gossip_off_plane} delivers
+    the same protocol events, so safety (atomicity) is untouched; see
+    "Batched message plane" in DESIGN.md. *)
+type plane
 
 val default_plane : plane
-(** [`Broadcast], no relay batching, no stagger — wire behaviour
-    bit-identical to the pre-plane code. *)
+(** The paper's plane: every relay triggers a standalone READ-DISPERSE
+    MD-META round (O(n²) messages per read), one [Relay] per coded
+    element, MD-META forwarded at once. *)
 
 val batched_plane : plane
-(** [`Coalesced], relay window 0.25, stagger 4.0 (the
-    worst-case forward-arrival lag under the uniform(0.2, 2.0) delay
-    model is 3.8). The configuration the overhead bench and the
-    batched chaos cell run. *)
+(** Coalesced gossip: READ-DISPERSE entries accumulate in a
+    per-destination outbox and ride on the next server-to-server
+    message (or a {!gossip_staleness} flush). Relays to each reader are
+    buffered for 0.25 time units and shipped as one
+    {!Messages.Relay_batch}. MD-META forwards are staggered by 4.0 per
+    coordinate (the worst-case forward-arrival lag under the
+    uniform(0.2, 2.0) delay model is 3.8): coordinate [i > 0] delays
+    its forwards by [4.0 * i] and cancels them when a copy of the same
+    [mid] arrives from a lower coordinate, cutting the forward storm
+    from O(f·n) to O(n) on the failure-free path at the price of a
+    wider crash-vulnerability window (DESIGN.md). The configuration the
+    overhead bench, the sharded keyspace and the batched chaos cell
+    run. *)
+
+val gossip_off_plane : plane
+(** The ablation-gossip plane: the paper's plane with no READ-DISPERSE
+    announcements at all, mirroring ORCAS-B, so only READ-COMPLETE
+    unregisters a read and a crashed reader is relayed to forever. *)
+
+val gossip_staleness : float
+(** 25.0 time units. Under {!batched_plane}, the longest a queued gossip
+    entry waits for a piggyback before a standalone {!Messages.Gossip}
+    (in a {!Keyspace}, a [Keyed_gossip]) flush is forced, so
+    unregistration of crashed readers cannot stall behind a quiet
+    link. *)
 
 (** Self-healing plane cadences, all in sim time (see "Self-healing
     plane" in DESIGN.md). Opt-in: with [healing = None] (the default)
@@ -79,19 +75,12 @@ val default_healing : healing
     under the uniform(0.2, 2.0) delay model with retransmission, three
     consecutive lost heartbeats are needed for a false suspicion. *)
 
-(** Mutable counters for the healing plane, aggregated per deployment
-    (all servers bump the same record). Always allocated; all-zero when
-    [healing = None]. *)
-type heal_stats = {
-  mutable heartbeats_sent : int;
-  mutable suspicions : int;  (** suspicion episodes (votes cast). *)
-  mutable scrub_sweeps : int;
-  mutable scrub_hits : int;  (** sweeps that found a checksum mismatch. *)
-  mutable auto_repairs : int;
-      (** detector-triggered crash-repairs actually launched. *)
-  mutable scrub_repairs : int
-      (** quarantined fragments restored from peer fragments. *)
-}
+(** Mutable counters for the healing plane's periodic work, aggregated
+    per deployment (all servers bump the same record). Always allocated;
+    all-zero when [healing = None]. Suspicions, rot detections,
+    auto-repairs and scrub repairs are probe events
+    ({!Protocol.Probe}), counted from the probe stream. *)
+type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
 
 (** Pluggable message plane. A {!Keyspace} re-routes a key instance's
     traffic through the shared plane — wrapping messages in key
@@ -140,13 +129,8 @@ type t = {
           complete, losing uniformity (and, combined with f server
           crashes, read liveness). Used by the [ablation-md] benchmark. *)
   plane : plane;
-      (** How gossip/relays/forwards hit the wire. [gossip_mode =
-          `Broadcast] is the paper's algorithm: servers announce every
-          relay with READ-DISPERSE and unregister readers at the
-          k-element threshold. [`Off] — an ablation mirroring ORCAS-B's
-          behaviour — sends no announcements, so only READ-COMPLETE
-          unregisters and a crashed reader is relayed to forever. Used
-          by the [ablation-gossip] benchmark. *)
+      (** How gossip/relays/forwards hit the wire; read it through
+          {!gossip_mode}, {!relay_window} and {!meta_stagger}. *)
   client_retry : float option;
       (** When [Some interval], clients re-issue the pending phase of a
           stalled operation every [interval] time units: a writer/reader
@@ -196,6 +180,20 @@ val gossip_hook :
 val set_wire : t -> wire -> unit
 (** Install the message-plane override (once, after {!derive}).
     @raise Invalid_argument if a wire is already installed. *)
+
+val gossip_mode : t -> [ `Broadcast | `Coalesced | `Off ]
+(** How a relay is announced: a standalone READ-DISPERSE round
+    ({!default_plane}), an outbox entry ({!batched_plane}), or not at
+    all ({!gossip_off_plane}). *)
+
+val relay_window : t -> float option
+(** [Some w]: buffer relays to each registered reader for up to [w]
+    time units ({!batched_plane}). [None] on the other planes, and on an
+    instance with a wire installed: a {!Keyspace} batches relays on its
+    shared plane instead, under its template's window. *)
+
+val meta_stagger : t -> float option
+(** [Some sigma] under {!batched_plane}: see there. *)
 
 val encode : t -> bytes -> Erasure.Fragment.t array
 (** [Mds.encode t.code value] behind a one-entry physical-equality

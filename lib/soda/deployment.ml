@@ -21,7 +21,14 @@ type t = {
 
 let repair_op_base = 1_000_000
 
+(* Checked before anything is scheduled or emitted, so a bad coordinate
+   leaves the engine and the probe stream untouched. *)
+let check_coordinate t coordinate ~where =
+  if coordinate < 0 || coordinate >= Array.length t.servers then
+    invalid_arg (Printf.sprintf "Deployment.%s: coordinate out of range" where)
+
 let repair_server t ~coordinate ~at =
+  check_coordinate t coordinate ~where:"repair_server";
   let pid = t.config.Config.servers.(coordinate) in
   let op = repair_op_base + !(t.repair_seq) in
   incr t.repair_seq;
@@ -102,9 +109,6 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
             let now = Engine.now engine in
             if now > launch_at.(coordinate) then begin
               launch_at.(coordinate) <- now;
-              let stats = config.Config.heal_stats in
-              stats.Config.auto_repairs <- stats.Config.auto_repairs + 1;
-              Engine.mark_auto_repair engine server_pids.(coordinate);
               Probe.emit config.Config.probe
                 (Probe.Auto_repair { server = coordinate; time = now });
               ignore (repair_server t ~coordinate ~at:now : int)
@@ -127,6 +131,7 @@ let read t ~reader ~at ?on_done () =
       ignore (Reader.invoke t.readers.(reader) ctx ?on_done ()))
 
 let crash_server t ~coordinate ~at =
+  check_coordinate t coordinate ~where:"crash_server";
   (* the episode-start probe is emitted synchronously (never via an
      injected action) and only when healing is armed, so unhealed
      deployments keep both their event schedule and their probe stream
@@ -139,6 +144,7 @@ let crash_server t ~coordinate ~at =
   Engine.crash_at t.engine t.config.Config.servers.(coordinate) at
 
 let corrupt_server t ~coordinate ~at =
+  check_coordinate t coordinate ~where:"corrupt_server";
   let pid = t.config.Config.servers.(coordinate) in
   (* seeded from the schedule so the injected garbage is replayable;
      the probe is emitted inside the action (a rot on a crashed server
@@ -150,6 +156,7 @@ let corrupt_server t ~coordinate ~at =
       Server.corrupt_disk t.servers.(coordinate) ~seed)
 
 let set_error_window t ~coordinate window =
+  check_coordinate t coordinate ~where:"set_error_window";
   Server.set_error_window t.servers.(coordinate) window
 
 let scrub_clean t = Array.for_all Server.disk_ok t.servers
@@ -163,12 +170,11 @@ let all_live t =
    the deployment, both directions, in a deterministic order (so
    partition and heal name the same link-set and traces satisfy the
    alternation axiom). *)
-let isolation_links t ~coordinates =
+let isolation_links t ~coordinates ~where =
   let isolated = Array.make (Array.length t.config.Config.servers) false in
   List.iter
     (fun c ->
-      if c < 0 || c >= Array.length isolated then
-        invalid_arg "Deployment: partition coordinate out of range";
+      check_coordinate t c ~where;
       isolated.(c) <- true)
     coordinates;
   let inside =
@@ -186,10 +192,14 @@ let isolation_links t ~coordinates =
     inside
 
 let partition_servers t ~coordinates ~at =
-  Engine.partition_at t.engine ~links:(isolation_links t ~coordinates) ~at
+  Engine.partition_at t.engine
+    ~links:(isolation_links t ~coordinates ~where:"partition_servers")
+    ~at
 
 let heal_servers t ~coordinates ~at =
-  Engine.heal_at t.engine ~links:(isolation_links t ~coordinates) ~at
+  Engine.heal_at t.engine
+    ~links:(isolation_links t ~coordinates ~where:"heal_servers")
+    ~at
 
 let crash_writer t ~writer ~at = Engine.crash_at t.engine t.writer_pids.(writer) at
 let crash_reader t ~reader ~at = Engine.crash_at t.engine t.reader_pids.(reader) at
@@ -203,9 +213,17 @@ let cost t = t.config.Config.cost
 let probe t = t.config.Config.probe
 let config t = t.config
 let params t = t.config.Config.params
-let server_pid t ~coordinate = t.config.Config.servers.(coordinate)
+
+let server_pid t ~coordinate =
+  check_coordinate t coordinate ~where:"server_pid";
+  t.config.Config.servers.(coordinate)
+
 let writer_pid t ~writer = t.writer_pids.(writer)
 let reader_pid t ~reader = t.reader_pids.(reader)
-let server t ~coordinate = t.servers.(coordinate)
+
+let server t ~coordinate =
+  check_coordinate t coordinate ~where:"server";
+  t.servers.(coordinate)
+
 let initial_value t = t.config.Config.initial_value
 

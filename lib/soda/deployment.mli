@@ -65,9 +65,17 @@ val write :
 
 val read : t -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
 
-(** {1 Fault injection} *)
+(** {1 Fault injection}
+
+    Every entry point that takes a server [coordinate] checks it first
+    and raises [Invalid_argument] when it is outside [0, n), before
+    anything is scheduled or a probe emitted. *)
 
 val crash_server : t -> coordinate:int -> at:float -> unit
+(** Schedule a crash of the server at time [at]. On a healing
+    deployment it emits the [Crash_injected] probe that opens the crash
+    episode. *)
+
 val crash_writer : t -> writer:int -> at:float -> unit
 val crash_reader : t -> reader:int -> at:float -> unit
 

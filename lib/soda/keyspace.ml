@@ -168,7 +168,7 @@ let is_client_relay = function
 let wire t inst =
   let key = inst.key in
   let staleness = Config.gossip_staleness in
-  let relay_window = t.template.Config.plane.Config.relay_batch in
+  let relay_window = Config.relay_window t.template in
   let wire_send ctx ~dst msg =
     match plane_at t (Engine.self ctx) with
     | Some plane when Option.is_some (plane_at t dst) -> (
@@ -234,16 +234,6 @@ let instance t key =
     let iphys = Placement.servers_of t.placement ~key in
     let pids = Array.map (fun s -> t.server_pids.(s)) iphys in
     let iconfig = Config.derive t.template ~servers:pids in
-    (* instances relay through the shared plane, which batches
-       client-bound frames across keys under the template's relay
-       window — so the instance itself must not also hold them back
-       (double-buffering would compound the delay, stretch registration
-       windows and generate extra traffic, not less) *)
-    let iconfig =
-      { iconfig with
-        Config.plane = { iconfig.Config.plane with Config.relay_batch = None }
-      }
-    in
     let iservers =
       Array.init (Array.length pids) (fun c -> Server.create iconfig ~coordinate:c)
     in

@@ -37,7 +37,7 @@ type meta =
 
 type gossip_entry = { tag : Tag.t; server_index : int; rid : int }
 (** One deferred READ-DISPERSE announcement. Under the coalesced plane
-    ({!Config.plane}) servers accumulate these in a per-destination
+    ({!Config.batched_plane}) servers accumulate these in a per-destination
     outbox instead of broadcasting each as a standalone MD-META round,
     and ship them either piggybacked on the next server-to-server
     message ([Envelope]) or in a standalone [Gossip] once the

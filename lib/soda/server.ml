@@ -26,7 +26,7 @@ type repair_state = {
          lose them forever — they are answered in [finish_repair]. *)
 }
 
-(* Relays to one reader buffered during a [relay_batch] window, shipped
+(* Relays to one reader buffered during a [Config.relay_window], shipped
    as a single Relay_batch frame when the window closes. *)
 type relay_buffer = {
   reader : int;
@@ -273,7 +273,7 @@ let gossip_enqueue t ctx (entry : Messages.gossip_entry) =
    is never fed, and this is exactly [Engine.send]. *)
 let send_to_coordinate t ctx ~coordinate:j msg =
   let msg =
-    match t.config.Config.plane.Config.gossip_mode with
+    match Config.gossip_mode t.config with
     | `Broadcast | `Off -> msg
     | `Coalesced -> (
       match take_outbox t j with
@@ -285,14 +285,14 @@ let send_to_coordinate t ctx ~coordinate:j msg =
 (* Same, for destinations addressed by pid (repair replies): a pid that
    is not a server coordinate gets a plain send. *)
 let send_to_pid t ctx ~dst msg =
-  match t.config.Config.plane.Config.gossip_mode with
+  match Config.gossip_mode t.config with
   | `Broadcast | `Off -> Config.send t.config ctx ~dst msg
   | `Coalesced -> (
     match Config.coordinate_of t.config ~pid:dst with
     | j -> send_to_coordinate t ctx ~coordinate:j msg
     | exception Not_found -> Config.send t.config ctx ~dst msg)
 
-(* Close the [relay_batch] window for [rid]: everything buffered since
+(* Close the [Config.relay_window] for [rid]: everything buffered since
    it opened leaves as one framed message. Registration state is not
    consulted — the buffered elements were already counted in H (and
    gossiped), so they must reach the reader even if the read was
@@ -319,7 +319,7 @@ let flush_relays t ctx rid =
    outbox, but H, the cost ledger and the probe stream see the relay at
    decision time either way. *)
 let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
-  (match t.config.Config.plane.Config.relay_batch with
+  (match Config.relay_window t.config with
   | None ->
     Config.send t.config ctx ~dst:reg.reader (Messages.Relay { rid; tag; fragment })
   | Some window -> (
@@ -335,7 +335,7 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
     (Probe.Relayed
        { rid; server = t.coordinate; tag; time = Engine.now_ctx ctx });
   h_add t rid ~tag ~coordinate:t.coordinate;
-  match t.config.Config.plane.Config.gossip_mode with
+  match Config.gossip_mode t.config with
   | `Broadcast ->
     Md.meta_send ctx t.config ~seq:t.seq
       (Messages.Read_disperse { tag; server_index = t.coordinate; rid })
@@ -353,12 +353,6 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
    Instrumentation only — launching the recovery is the caller's job,
    so the scrub path and the read path share one entry point. *)
 let detect_corruption t ctx =
-  (match t.config.Config.healing with
-  | None -> ()
-  | Some _ ->
-    t.config.Config.heal_stats.Config.scrub_hits <-
-      t.config.Config.heal_stats.Config.scrub_hits + 1);
-  Engine.mark_scrub_hit ctx;
   Probe.emit t.config.Config.probe
     (Probe.Rot_detected { server = t.coordinate; time = Engine.now_ctx ctx })
 
@@ -491,12 +485,9 @@ let maybe_finish_scrub t ctx =
               Disk.store t.disk ~tag ~fragment;
               Cost.storage_set t.config.Config.cost ~server:t.coordinate
                 ~bytes:(Fragment.size fragment);
-              let stats = t.config.Config.heal_stats in
-              stats.Config.scrub_repairs <- stats.Config.scrub_repairs + 1;
               Probe.emit t.config.Config.probe
                 (Probe.Scrub_repaired
                    { server = t.coordinate; tag; time = Engine.now_ctx ctx });
-              Engine.mark_healed ctx;
               (* registered readers whose local relay was withheld while
                  the store was quarantined get it now; H filters the ones
                  already served before the rot *)
@@ -570,9 +561,6 @@ let on_heartbeat t ctx ~coordinate:c =
 
 let suspect t ctx hs ~target =
   hs.suspected.(target) <- true;
-  let stats = t.config.Config.heal_stats in
-  stats.Config.suspicions <- stats.Config.suspicions + 1;
-  Engine.mark_suspect ctx ~target:t.config.Config.servers.(target);
   Probe.emit t.config.Config.probe
     (Probe.Suspected
        { target; by = t.coordinate; time = Engine.now_ctx ctx });
@@ -692,10 +680,6 @@ let finish_repair t ctx =
            tag = Disk.tag t.disk;
            time = Engine.now_ctx ctx
          });
-    (* gated on healing so unhealed deployments trace bit-identically *)
-    (match t.config.Config.healing with
-    | Some _ -> Engine.mark_healed ctx
-    | None -> ());
     (* Reads that registered while the repair was in flight had their
        local relay withheld (the stored element was untrusted, see
        [on_read_value]); send it now, or a reader counting on this
@@ -980,7 +964,7 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
           send_to_coordinate t ctx ~coordinate:j msg
         done
       in
-      match config.Config.plane.Config.meta_stagger with
+      match Config.meta_stagger config with
       | None -> forward ()
       | Some _ when t.coordinate = 0 -> forward ()
       | Some sigma ->
@@ -995,7 +979,7 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
     deliver_meta t ctx meta
   end
   else if
-    Option.is_some config.Config.plane.Config.meta_stagger
+    Option.is_some (Config.meta_stagger config)
     && Int_tbl.Set.mem t.pending_meta (mid :> int)
   then
     (* duplicate copy: a lower-coordinate server's forward covers a

@@ -92,6 +92,8 @@ let deploy_healed ~seed =
 let heal_stats d =
   (Soda.Deployment.config d).Soda.Config.heal_stats
 
+let heal_counts d = Metrics.heal_counts (Soda.Deployment.probe d)
+
 let plane_tests =
   [ Alcotest.test_case
       "scrub detects rot and restores the byte-identical fragment" `Quick
@@ -112,11 +114,11 @@ let plane_tests =
           (Fragment.equal before (Soda.Server.stored_fragment victim));
         Alcotest.(check bool) "tag not regressed" true
           (Tag.equal tag_before (Soda.Server.stored_tag victim));
-        let hs = heal_stats d in
+        let hc = heal_counts d in
         Alcotest.(check bool) "scrub hit counted" true
-          (hs.Soda.Config.scrub_hits >= 1);
+          (hc.Metrics.scrub_hits >= 1);
         Alcotest.(check bool) "scrub repair counted" true
-          (hs.Soda.Config.scrub_repairs >= 1);
+          (hc.Metrics.scrub_repairs >= 1);
         (* the probe stream tells the whole story *)
         let events = Probe.events (Soda.Deployment.probe d) in
         let has p = List.exists p events in
@@ -137,11 +139,11 @@ let plane_tests =
         Engine.run engine ~until:600.0;
         Alcotest.(check bool) "all servers live again" true
           (Soda.Deployment.all_live d);
-        let hs = heal_stats d in
+        let hc = heal_counts d in
         Alcotest.(check bool) "suspicion raised" true
-          (hs.Soda.Config.suspicions >= 1);
+          (hc.Metrics.suspicions >= 1);
         Alcotest.(check bool) "exactly one autonomous repair" true
-          (hs.Soda.Config.auto_repairs = 1);
+          (hc.Metrics.auto_repairs = 1);
         (* the victim holds the written tag again after the repair *)
         let healthy = Soda.Deployment.server d ~coordinate:0 in
         let victim = Soda.Deployment.server d ~coordinate:1 in
@@ -171,15 +173,54 @@ let plane_tests =
         Soda.Deployment.partition_servers d ~coordinates:[ 3 ] ~at:50.0;
         Soda.Deployment.heal_servers d ~coordinates:[ 3 ] ~at:200.0;
         Engine.run engine ~until:500.0;
-        let hs = heal_stats d in
+        let hc = heal_counts d in
         (* the survivors do suspect the silent server... *)
         Alcotest.(check bool) "suspicion raised" true
-          (hs.Soda.Config.suspicions >= 1);
+          (hc.Metrics.suspicions >= 1);
         (* ...but the auto-repair hook sees it is not crashed and holds
            fire: no wipe, no repair round *)
         Alcotest.(check int) "no autonomous repair" 0
-          hs.Soda.Config.auto_repairs;
-        Alcotest.(check bool) "all live" true (Soda.Deployment.all_live d))
+          hc.Metrics.auto_repairs;
+        Alcotest.(check bool) "all live" true (Soda.Deployment.all_live d));
+    Alcotest.test_case
+      "a bad coordinate raises and leaves the probe stream unchanged" `Quick
+      (fun () ->
+        let engine, d = deploy_healed ~seed:24 in
+        Soda.Deployment.crash_server d ~coordinate:1 ~at:50.0;
+        let probes = Probe.events (Soda.Deployment.probe d) in
+        let pending = Engine.pending_events engine in
+        let raises where f =
+          List.iter
+            (fun coordinate ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s %d" where coordinate)
+                (Invalid_argument
+                   (Printf.sprintf "Deployment.%s: coordinate out of range"
+                      where))
+                (fun () -> f coordinate))
+            [ -1; 5 ]
+        in
+        raises "crash_server" (fun coordinate ->
+            Soda.Deployment.crash_server d ~coordinate ~at:60.0);
+        raises "repair_server" (fun coordinate ->
+            ignore (Soda.Deployment.repair_server d ~coordinate ~at:60.0 : int));
+        raises "corrupt_server" (fun coordinate ->
+            Soda.Deployment.corrupt_server d ~coordinate ~at:60.0);
+        raises "set_error_window" (fun coordinate ->
+            Soda.Deployment.set_error_window d ~coordinate None);
+        raises "partition_servers" (fun coordinate ->
+            Soda.Deployment.partition_servers d ~coordinates:[ 0; coordinate ]
+              ~at:60.0);
+        raises "heal_servers" (fun coordinate ->
+            Soda.Deployment.heal_servers d ~coordinates:[ coordinate ] ~at:60.0);
+        raises "server_pid" (fun coordinate ->
+            ignore (Soda.Deployment.server_pid d ~coordinate : int));
+        raises "server" (fun coordinate ->
+            ignore (Soda.Deployment.server d ~coordinate : Soda.Server.t));
+        Alcotest.(check int) "no probe emitted" (List.length probes)
+          (List.length (Probe.events (Soda.Deployment.probe d)));
+        Alcotest.(check int) "nothing scheduled" pending
+          (Engine.pending_events engine))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -221,7 +262,8 @@ let overhead_tests =
         let hs_off = heal_stats d_off in
         Alcotest.(check int) "no heartbeats" 0 hs_off.Soda.Config.heartbeats_sent;
         Alcotest.(check int) "no sweeps" 0 hs_off.Soda.Config.scrub_sweeps;
-        Alcotest.(check int) "no suspicions" 0 hs_off.Soda.Config.suspicions)
+        Alcotest.(check int) "no suspicions" 0
+          (heal_counts d_off).Metrics.suspicions)
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -258,6 +300,24 @@ let episode_tests =
           (Metrics.heal_mttd eps);
         Alcotest.(check (list (float 1e-9))) "healed in 12" [ 12.0 ]
           (Metrics.heal_mttr eps));
+    Alcotest.test_case "crashes scheduled ahead open their own episodes"
+      `Quick (fun () ->
+        (* both crashes of server 1 were scheduled at t=0, so both
+           Crash_injected probes precede the first detection *)
+        let probe = Probe.create () in
+        List.iter (Probe.emit probe)
+          [ Probe.Crash_injected { server = 1; time = 50.0 };
+            Probe.Crash_injected { server = 1; time = 300.0 };
+            Probe.Suspected { target = 1; by = 0; time = 80.0 };
+            Probe.Repaired { server = 1; tag = Tag.initial; time = 83.0 };
+            Probe.Suspected { target = 1; by = 2; time = 335.0 };
+            Probe.Repaired { server = 1; tag = Tag.initial; time = 340.0 }
+          ];
+        let eps = Metrics.heal_episodes probe in
+        Alcotest.(check (list (float 1e-9))) "mttd" [ 30.0; 35.0 ]
+          (Metrics.heal_mttd eps);
+        Alcotest.(check (list (float 1e-9))) "mttr" [ 33.0; 40.0 ]
+          (Metrics.heal_mttr eps));
     Alcotest.test_case "an unhealed fault stays an open episode" `Quick
       (fun () ->
         let probe = Probe.create () in
@@ -273,10 +333,120 @@ let episode_tests =
           (Metrics.heal_mttr eps))
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Probe.heal_causality: the healing plane's causality axioms *)
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let stream events =
+  let probe = Probe.create () in
+  List.iter (Probe.emit probe) events;
+  probe
+
+let causality_tests =
+  [ Alcotest.test_case "a well-formed healing stream is accepted" `Quick
+      (fun () ->
+        let probe =
+          stream
+            [ Probe.Crash_injected { server = 1; time = 10.0 };
+              Probe.Suspected { target = 1; by = 0; time = 45.0 };
+              Probe.Suspected { target = 1; by = 3; time = 46.0 };
+              Probe.Auto_repair { server = 1; time = 46.0 };
+              Probe.Repair_started { server = 1; time = 46.0 };
+              Probe.Suspected { target = 2; by = 1; time = 60.0 };
+              Probe.Repaired { server = 1; tag = Tag.initial; time = 80.0 };
+              Probe.Rot_injected { server = 3; time = 100.0 };
+              Probe.Rot_detected { server = 3; time = 150.0 };
+              Probe.Scrub_repaired { server = 3; tag = Tag.initial; time = 170.0 }
+            ]
+        in
+        Alcotest.(check (result unit string)) "accepted" (Ok ())
+          (Probe.heal_causality probe));
+    Alcotest.test_case "each forged axiom violation is rejected" `Quick
+      (fun () ->
+        let rejects what ~because events =
+          match Probe.heal_causality (stream events) with
+          | Ok () -> Alcotest.failf "%s: accepted" what
+          | Error e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names the axiom" what e)
+              true (contains ~sub:because e)
+        in
+        rejects "auto-repair of a live server" ~because:"of live server"
+          [ Probe.Suspected { target = 1; by = 0; time = 45.0 };
+            Probe.Auto_repair { server = 1; time = 46.0 }
+          ];
+        rejects "auto-repair with only a pre-crash suspicion"
+          ~because:"without a suspicion"
+          [ Probe.Suspected { target = 1; by = 0; time = 2.0 };
+            Probe.Crash_injected { server = 1; time = 5.0 };
+            Probe.Auto_repair { server = 1; time = 46.0 }
+          ];
+        rejects "auto-repair on a suspicion of the previous crash"
+          ~because:"without a suspicion"
+          [ Probe.Crash_injected { server = 1; time = 5.0 };
+            Probe.Suspected { target = 1; by = 0; time = 40.0 };
+            Probe.Auto_repair { server = 1; time = 41.0 };
+            Probe.Repair_started { server = 1; time = 41.0 };
+            Probe.Crash_injected { server = 1; time = 100.0 };
+            Probe.Auto_repair { server = 1; time = 140.0 }
+          ];
+        rejects "suspicion voiced by a crashed server"
+          ~because:"voiced a suspicion"
+          [ Probe.Crash_injected { server = 0; time = 5.0 };
+            Probe.Suspected { target = 1; by = 0; time = 45.0 }
+          ];
+        rejects "rot detected on a crashed server" ~because:"detected rot"
+          [ Probe.Crash_injected { server = 2; time = 5.0 };
+            Probe.Rot_detected { server = 2; time = 30.0 }
+          ];
+        rejects "scrub repair by a crashed server" ~because:"reported a heal"
+          [ Probe.Rot_injected { server = 3; time = 1.0 };
+            Probe.Crash_injected { server = 3; time = 5.0 };
+            Probe.Scrub_repaired { server = 3; tag = Tag.initial; time = 30.0 }
+          ];
+        rejects "repair completed by a crashed server"
+          ~because:"reported a heal"
+          [ Probe.Crash_injected { server = 4; time = 5.0 };
+            Probe.Repaired { server = 4; tag = Tag.initial; time = 30.0 }
+          ]);
+    Alcotest.test_case "a crash scheduled ahead counts from its own time"
+      `Quick (fun () ->
+        (* the Crash_injected probe is emitted at t=0 and stamped 300:
+           the rot the victim detects and heals before then is a live
+           server's *)
+        let engine, d = deploy_healed ~seed:25 in
+        Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.of_string "ahead");
+        Soda.Deployment.crash_server d ~coordinate:2 ~at:300.0;
+        Soda.Deployment.corrupt_server d ~coordinate:2 ~at:100.0;
+        Engine.run engine ~until:600.0;
+        let hc = heal_counts d in
+        Alcotest.(check bool) "rot detected and scrub-repaired first" true
+          (hc.Metrics.scrub_hits >= 1 && hc.Metrics.scrub_repairs >= 1);
+        Alcotest.(check int) "crash repaired by the detector" 1
+          hc.Metrics.auto_repairs;
+        Alcotest.(check (result unit string)) "causal" (Ok ())
+          (Probe.heal_causality (Soda.Deployment.probe d)));
+    Alcotest.test_case "a real crash-noheal run satisfies the axioms" `Quick
+      (fun () ->
+        let scenario = Option.get (Harness.Chaos.find "crash-noheal") in
+        let o = Harness.Chaos.run scenario ~seed:1 in
+        Alcotest.(check (result unit string)) "causal" (Ok ()) o.heal_ok;
+        Alcotest.(check bool) "auto-repairs exercised the axiom" true
+          ((Metrics.heal_counts o.probe).Metrics.auto_repairs > 0);
+        Alcotest.(check bool) "cell ok" true (Harness.Chaos.ok o))
+  ]
+
 let () =
   Alcotest.run "healing"
     [ ("disk", disk_tests);
       ("plane", plane_tests);
       ("overhead", overhead_tests);
-      ("episodes", episode_tests)
+      ("episodes", episode_tests);
+      ("causal", causality_tests)
     ]

@@ -565,7 +565,17 @@ let trace_tests =
         bad "double crash"
           [ Engine.Crashed { time = 0.0; pid = 3 };
             Engine.Crashed { time = 1.0; pid = 3 }
-          ]);
+          ];
+        (* a loss needs a cause: no partition covers the link and the
+           run had no loss rate *)
+        let lost =
+          [ Engine.Sent { time = 0.0; src = 0; dst = 1 };
+            Engine.Lost { time = 0.0; src = 0; dst = 1 }
+          ]
+        in
+        bad "loss with no partition and zero loss rate" lost;
+        Alcotest.(check bool) "the same loss under a loss rate" true
+          (Simnet.Trace_check.check ~lossy:true lost = Ok ()));
     Alcotest.test_case "crash-restore-deliver is accepted" `Quick (fun () ->
         let events =
           [ Engine.Crashed { time = 0.0; pid = 1 };

@@ -615,7 +615,7 @@ let ablation_tests =
         let d =
           Soda.Deployment.deploy ~engine ~params
             ~initial_value:(Bytes.make 64 'i')
-            ~plane:{ Soda.Config.default_plane with gossip_mode = `Off }
+            ~plane:Soda.Config.gossip_off_plane
             ~num_writers:1 ~num_readers:1 ()
         in
         Soda.Deployment.write d ~writer:0 ~at:0.0 (Bytes.make 64 'a');
