@@ -214,6 +214,26 @@ let deadline t ~src ~dst ~seq =
   let l = link t ~src ~dst in
   if pending l seq then l.deadlines.(slot l seq) else Float.infinity
 
+(* An ack landing at [at] beats the timer when it lands strictly before
+   the deadline, or at it while the timer is unqueued: a timer pushed
+   from then on would pop after the ack. A queued timer pops first at a
+   tie. *)
+let settle t ~src ~dst ~seq ~at =
+  let l = link t ~src ~dst in
+  if not (pending l seq) then true
+  else begin
+    let i = slot l seq in
+    let deadline = l.deadlines.(i) in
+    let early =
+      if Bytes.get l.armed i = '\000' then at <= deadline else at < deadline
+    in
+    if early then begin
+      vacate t l seq;
+      advance_base l
+    end;
+    early
+  end
+
 let ack t ~src ~dst ~seq =
   let l = link t ~src ~dst in
   if pending l seq then begin

@@ -36,6 +36,18 @@
     its deadline, so its timer never exists; an eager timer would have
     popped as a no-op after the ack.
 
+    Acks settle when they are sent. An ack's landing time is drawn at
+    its transmission, so {!settle} decides then whether it beats the
+    timer: an ack landing strictly before the deadline, or exactly at it
+    while no timer is queued, discharges the send at once and is never
+    an event, and neither is an ack for a send already discharged. Only
+    a late ack — landing after the deadline, or exactly at a deadline
+    whose timer is already queued (the timer pops first and
+    retransmits) — is queued, and its landing discharges the send
+    ({!ack}). Event order and every retransmission decision are those
+    of an engine that queues every ack; a loss-free delivery is one
+    event.
+
     State lives in one record per directed link, found by pid (no
     hashing). The sender keeps a power-of-two ring of unacked sends over
     [\[base, next_seq)], doubling when full; acks and give-ups vacate
@@ -125,10 +137,18 @@ val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
     [`Duplicate] (acking in both cases: a duplicate means the sender
     missed the last ack). *)
 
+val settle : t -> src:int -> dst:int -> seq:int -> at:float -> bool
+(** [settle t ~src ~dst ~seq ~at]: an ack for [seq] was just transmitted
+    and lands at [at]. [true] when the send needs no ack event: it is
+    already discharged, or the ack lands strictly before its {!deadline}
+    or, with the timer unarmed, exactly at it — the send is then
+    discharged now. [false]: the ack is late; the caller queues it at
+    [at] (its landing calls {!ack}) and {!arm}s the timer. A timer
+    already armed for a settled send still pops, as a no-op ([`Done]
+    from {!on_timer}). *)
+
 val ack : t -> src:int -> dst:int -> seq:int -> unit
-(** Sender side: the destination confirmed receipt; the pending entry is
-    discharged. A timer armed for it still pops, as a no-op
-    ([`Done] from {!on_timer}); an unarmed one is never queued.
+(** Sender side: a late ack landed; the pending entry is discharged.
     Idempotent (acks themselves ride the lossy network and may be
     duplicated). *)
 

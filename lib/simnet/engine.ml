@@ -344,8 +344,13 @@ let transmit_data t ~src ~dst ~seq payload =
       payload
   end
 
-(* Acks travel dst -> src but their tag keeps the data direction so the
-   sender side can find its pending entry without unpacking a payload. *)
+(* Acks travel dst -> src. An ack is accounted when it is transmitted:
+   [Sent], then [Lost], or [Dropped] (counted) when the data's sender is
+   crashed at that moment, else [Delivered]. Its landing time is drawn
+   here too, so [Channel.settle] discharges the send at once when the
+   ack beats the timer; only a late ack is queued, with the data
+   direction in its tag so its landing finds the pending entry without
+   unpacking a payload. *)
 let transmit_ack t ch ~src ~dst ~seq =
   t.sent <- t.sent + 1;
   t.acks_sent <- t.acks_sent + 1;
@@ -362,13 +367,25 @@ let transmit_ack t ch ~src ~dst ~seq =
     arm_rexmit t ch ~src ~dst ~seq ~at:Float.infinity
   end
   else begin
+    (* the send is discharged even if its sender is crashed: the channel
+       state lives in the network interface, not in the process's
+       volatile memory *)
+    if t.processes.(src).crashed then begin
+      t.dropped <- t.dropped + 1;
+      if t.trace_enabled then
+        record t (Dropped { time = t.clock.(0); src = dst; dst = src })
+    end
+    else if t.trace_enabled then
+      record t (Delivered { time = t.clock.(0); src = dst; dst = src });
     let transit = Delay.draw t.delay t.net_rng ~src:dst ~dst:src in
     let at = t.clock.(0) +. transit in
-    (Event_queue.inbox t.queue).(0) <- at;
-    Event_queue.push_inbox t.queue
-      ~tag:(pack_seq ~kind:k_ack ~a:src ~b:dst ~seq)
-      obj_unit;
-    arm_rexmit t ch ~src ~dst ~seq ~at
+    if not (Channel.settle ch ~src ~dst ~seq ~at) then begin
+      (Event_queue.inbox t.queue).(0) <- at;
+      Event_queue.push_inbox t.queue
+        ~tag:(pack_seq ~kind:k_ack ~a:src ~b:dst ~seq)
+        obj_unit;
+      arm_rexmit t ch ~src ~dst ~seq ~at
+    end
   end
 
 (* Set the timer of the transmission just made, whose copies' latest
@@ -583,21 +600,11 @@ let dispatch t tag payload =
         record t (Dropped { time = t.clock.(0); src; dst });
       arm_rexmit t (channel_exn t) ~src ~dst ~seq ~at:Float.infinity
   end
-  else if kind = k_ack then begin
-    (* tag holds the data direction: the ack physically arrives at src *)
-    let src = tag_a tag and dst = tag_b tag and seq = tag_seq tag in
-    if t.processes.(src).crashed then begin
-      t.dropped <- t.dropped + 1;
-      if t.trace_enabled then
-        record t (Dropped { time = t.clock.(0); src = dst; dst = src })
-    end
-    else if t.trace_enabled then
-      record t (Delivered { time = t.clock.(0); src = dst; dst = src });
-    (* discharge the pending entry even if the sender is crashed: the
-       channel state lives in the network interface, not in the
-       process's volatile memory *)
-    Channel.ack (channel_exn t) ~src ~dst ~seq
-  end
+  else if kind = k_ack then
+    (* a late ack landed (accounted at its transmission); the tag holds
+       the data direction *)
+    Channel.ack (channel_exn t) ~src:(tag_a tag) ~dst:(tag_b tag)
+      ~seq:(tag_seq tag)
   else begin
     (* k_rexmit: an armed retransmission timer *)
     let src = tag_a tag and dst = tag_b tag and seq = tag_seq tag in

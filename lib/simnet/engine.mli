@@ -196,7 +196,7 @@ val pending_events : 'msg t -> int
 (** Events queued and not yet dispatched. On the reliable transport a
     pending send has a queued retransmission timer only once it is
     armed (a copy or ack lost, dropped or late; see {!Channel}); a send
-    whose ack is on time never has one. *)
+    whose ack is on time never has one, and its ack is no event. *)
 
 (** {1 Statistics and traces} *)
 
@@ -213,7 +213,9 @@ val messages_dropped : 'msg t -> int
 (** Messages that reached a crashed (or handler-less) destination.
     Distinct from {!messages_lost}: a drop happens at delivery time
     because of the {e endpoint}'s state, a loss at send time because of
-    the {e link}'s. *)
+    the {e link}'s. A reliable-transport ack is accounted when it is
+    sent: it counts as dropped when the data's sender is crashed at
+    that moment (the send is discharged all the same). *)
 
 val messages_lost : 'msg t -> int
 (** Physical transmissions eaten by the fault plane (drop probability or
@@ -222,10 +224,10 @@ val messages_lost : 'msg t -> int
 val events_executed : 'msg t -> int
 (** Total events dispatched over the engine's lifetime — deliveries,
     drops, local actions, injections, crash/restore transitions,
-    fault-plane control events and retransmission timers. Only armed
-    timers are dispatched (see {!pending_events}), so on the reliable
-    transport a delivery whose copy and ack are both on time costs two
-    events, the data and the ack. *)
+    fault-plane control events, retransmission timers and late acks.
+    Only armed timers and late acks are dispatched (see
+    {!pending_events}), so on the reliable transport a delivery whose
+    copy and ack are both on time costs one event, the data. *)
 
 val messages_data : 'msg t -> int
 (** Protocol-level sends the [classify] discriminator judged
@@ -274,7 +276,9 @@ type event =
   | Delivered of { time : float; src : pid; dst : pid }
       (** Physical arrival at a live destination. On the reliable
           transport this includes duplicate data packets (suppressed
-          before the handler) and acks. *)
+          before the handler) and acks; an ack's [Delivered] (or
+          [Dropped], at a crashed sender) is recorded right after its
+          [Sent], at transmission time. *)
   | Dropped of { time : float; src : pid; dst : pid }
   | Lost of { time : float; src : pid; dst : pid }
       (** The fault plane ate a transmission on this link. *)

@@ -27,6 +27,14 @@ let check_coordinate t coordinate ~where =
   if coordinate < 0 || coordinate >= Array.length t.servers then
     invalid_arg (Printf.sprintf "Deployment.%s: coordinate out of range" where)
 
+let check_writer t writer ~where =
+  if writer < 0 || writer >= Array.length t.writers then
+    invalid_arg (Printf.sprintf "Deployment.%s: writer out of range" where)
+
+let check_reader t reader ~where =
+  if reader < 0 || reader >= Array.length t.readers then
+    invalid_arg (Printf.sprintf "Deployment.%s: reader out of range" where)
+
 let repair_server t ~coordinate ~at =
   check_coordinate t coordinate ~where:"repair_server";
   let pid = t.config.Config.servers.(coordinate) in
@@ -123,10 +131,12 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
   t
 
 let write t ~writer ~at ?on_done value =
+  check_writer t writer ~where:"write";
   Engine.inject t.engine ~at t.writer_pids.(writer) (fun ctx ->
       ignore (Writer.invoke t.writers.(writer) ctx ~value ?on_done ()))
 
 let read t ~reader ~at ?on_done () =
+  check_reader t reader ~where:"read";
   Engine.inject t.engine ~at t.reader_pids.(reader) (fun ctx ->
       ignore (Reader.invoke t.readers.(reader) ctx ?on_done ()))
 
@@ -201,8 +211,14 @@ let heal_servers t ~coordinates ~at =
     ~links:(isolation_links t ~coordinates ~where:"heal_servers")
     ~at
 
-let crash_writer t ~writer ~at = Engine.crash_at t.engine t.writer_pids.(writer) at
-let crash_reader t ~reader ~at = Engine.crash_at t.engine t.reader_pids.(reader) at
+let crash_writer t ~writer ~at =
+  check_writer t writer ~where:"crash_writer";
+  Engine.crash_at t.engine t.writer_pids.(writer) at
+
+let crash_reader t ~reader ~at =
+  check_reader t reader ~where:"crash_reader";
+  Engine.crash_at t.engine t.reader_pids.(reader) at
+
 let engine t = t.engine
 
 let repairing t =
@@ -218,8 +234,13 @@ let server_pid t ~coordinate =
   check_coordinate t coordinate ~where:"server_pid";
   t.config.Config.servers.(coordinate)
 
-let writer_pid t ~writer = t.writer_pids.(writer)
-let reader_pid t ~reader = t.reader_pids.(reader)
+let writer_pid t ~writer =
+  check_writer t writer ~where:"writer_pid";
+  t.writer_pids.(writer)
+
+let reader_pid t ~reader =
+  check_reader t reader ~where:"reader_pid";
+  t.reader_pids.(reader)
 
 let server t ~coordinate =
   check_coordinate t coordinate ~where:"server";

@@ -61,7 +61,12 @@ val write :
     simulated time [at]. The operation appears in {!history} when the
     invocation executes. Clients are single-lane: scheduling a second
     operation on a client whose previous one is still in flight is a
-    well-formedness violation and raises (inside the engine run). *)
+    well-formedness violation and raises (inside the engine run).
+
+    Every entry point that takes a [writer] or [reader] number checks it
+    first and raises [Invalid_argument "Deployment.<name>: writer out of
+    range"] (or [reader]) when it is outside [0, num_writers) (or
+    [0, num_readers)), before anything is scheduled. *)
 
 val read : t -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
 

@@ -155,14 +155,15 @@ let timer_tests =
         int_range 5 60 >|= fun messages -> (seed, procs, messages))
       (fun (seed, procs, messages) ->
         (* round trip <= 4 < rto = 5: every ack beats its deadline, so
-           each delivery is two steps (data, ack) and no timer exists *)
+           it settles when sent, no timer exists and each delivery is
+           one step: events = deliveries + injections *)
         let ((_, engine) as run) =
           run_lossy ~seed ~loss:0.0 ~procs ~messages ()
         in
         drained ~messages run
         && Engine.retransmissions engine = 0
         && Engine.events_executed engine
-           = messages + (2 * Engine.messages_delivered engine));
+           = messages + Engine.messages_delivered engine);
     qtest ~count:20 "late copies and acks arm the timer"
       QCheck2.Gen.(pair (int_range 0 100_000) (int_range 2 8))
       (fun (seed, procs) ->
@@ -213,6 +214,174 @@ let timer_tests =
         drained ~messages run
         && Engine.messages_dropped engine > 0
         && not (Engine.is_crashed engine 0))
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* acks settle when sent: each path of the rule *)
+
+(* Jitter-free timers: the first deadline of a send made at 0 is exactly
+   rto = 5, the second 8 after the first retransmission. *)
+let exact = { Channel.default with jitter = 0.0 }
+
+(* Processes 0 and 1 (pids 0 and 1); data on 0 -> 1 takes [data], acks
+   on 1 -> 0 take [ack] (constants: no delay draw touches the rng).
+   Process 0 sends one message at time 0; [setup] schedules faults
+   before the run. Traced. *)
+let one_send ?(seed = 0) ?(loss = 0.0) ?(duplication = 0.0)
+    ?(setup = fun _ -> ()) ~data ~ack () =
+  let delay =
+    Delay.per_link (fun ~src ~dst:_ ->
+        Delay.constant (if src = 0 then data else ack))
+  in
+  let engine =
+    Engine.create ~seed ~trace:true ~duplication ~transport:(`Reliable exact)
+      ~delay ()
+  in
+  if loss > 0.0 then Engine.set_loss engine loss;
+  let a = Engine.reserve engine ~name:"a" in
+  let b = Engine.reserve engine ~name:"b" in
+  List.iter
+    (fun pid -> Engine.set_handler engine pid (fun _ ~src:_ (Ping _) -> ()))
+    [ a; b ];
+  setup engine;
+  Engine.inject engine ~at:0.0 a (fun ctx -> Engine.send ctx ~dst:b (Ping 0));
+  engine
+
+let trace_ok ?lossy engine =
+  Simnet.Trace_check.check ?lossy (Engine.trace_events engine) = Ok ()
+
+(* The trace records of acks (1 -> 0), as (time, kind). *)
+let ack_records engine =
+  List.filter_map
+    (function
+      | Engine.Sent { time; src = 1; dst = 0 } -> Some (time, "sent")
+      | Engine.Delivered { time; src = 1; dst = 0 } -> Some (time, "delivered")
+      | Engine.Dropped { time; src = 1; dst = 0 } -> Some (time, "dropped")
+      | Engine.Lost { time; src = 1; dst = 0 } -> Some (time, "lost")
+      | _ -> None)
+    (Engine.trace_events engine)
+
+(* Seeds 0-299 at which [one_send ~loss:0.5 ~duplication:0.9] loses
+   exactly one of two first copies (so the timer is queued at the send)
+   and the survivor's ack gets through, each with the engine stepped
+   past that ack's transmission at time 1. *)
+let twin_lost ~ack =
+  List.filter_map
+    (fun seed ->
+      let engine =
+        one_send ~seed ~loss:0.5 ~duplication:0.9 ~data:1.0 ~ack ()
+      in
+      ignore (Engine.step engine : bool);
+      if Engine.messages_sent engine <> 2 || Engine.messages_lost engine <> 1
+      then None
+      else begin
+        ignore (Engine.step engine : bool);
+        if Engine.acks_sent engine = 1 && Engine.messages_lost engine = 1
+        then Some engine
+        else None
+      end)
+    (List.init 300 Fun.id)
+
+let check_int = Alcotest.(check int)
+
+let settle_tests =
+  [ Alcotest.test_case "an ack at an unqueued deadline settles" `Quick
+      (fun () ->
+        (* the ack lands at 1 + 4 = 5, the deadline, with no timer
+           queued: it settles when sent, and no timer is ever pushed *)
+        let engine = one_send ~data:1.0 ~ack:4.0 () in
+        Engine.run engine;
+        check_int "retransmissions" 0 (Engine.retransmissions engine);
+        check_int "steps: injection, data" 2 (Engine.events_executed engine);
+        check_int "in flight" 0 (Engine.channel_in_flight engine);
+        Alcotest.(check bool) "trace" true (trace_ok engine));
+    Alcotest.test_case "an ack at a queued deadline still retransmits" `Quick
+      (fun () ->
+        (* one twin lost queues the timer at 5; the survivor lands at 1
+           and its ack at 5, tied with the timer, which pops first and
+           retransmits once; the ack's landing then discharges the send *)
+        let runs = twin_lost ~ack:4.0 in
+        Alcotest.(check bool) "the scenario occurs" true (runs <> []);
+        List.iter
+          (fun engine ->
+            check_int "still pending after the ack is sent" 1
+              (Engine.channel_in_flight engine);
+            check_int "timer and ack queued" 2 (Engine.pending_events engine);
+            Engine.run engine;
+            check_int "retransmissions" 1 (Engine.retransmissions engine);
+            check_int "in flight" 0 (Engine.channel_in_flight engine);
+            Alcotest.(check bool) "trace" true (trace_ok ~lossy:true engine))
+          runs);
+    Alcotest.test_case "an early ack settles an armed send" `Quick (fun () ->
+        (* one twin lost queues the timer at 5; the survivor's ack lands
+           at 2 and discharges the send when it is sent; the timer pops
+           as a no-op *)
+        let runs = twin_lost ~ack:1.0 in
+        Alcotest.(check bool) "the scenario occurs" true (runs <> []);
+        List.iter
+          (fun engine ->
+            check_int "discharged when the ack is sent" 0
+              (Engine.channel_in_flight engine);
+            check_int "only the timer queued" 1 (Engine.pending_events engine);
+            Engine.run engine;
+            check_int "retransmissions" 0 (Engine.retransmissions engine);
+            check_int "steps: injection, data, timer" 3
+              (Engine.events_executed engine);
+            Alcotest.(check bool) "trace" true (trace_ok ~lossy:true engine))
+          runs);
+    Alcotest.test_case "a late ack stops the next retransmission" `Quick
+      (fun () ->
+        (* the ack sent at 1 lands at 6, past the deadline 5: it is
+           queued and arms the timer, which retransmits into a partition
+           (lost, so the next timer is queued at 13). The late ack's
+           landing at 6 discharges the send; the timer at 13 is a no-op *)
+        let engine =
+          one_send ~data:1.0 ~ack:5.0
+            ~setup:(fun engine ->
+              Engine.partition_at engine ~links:[ (0, 1) ] ~at:4.0;
+              Engine.heal_at engine ~links:[ (0, 1) ] ~at:7.0)
+            ()
+        in
+        Engine.run engine;
+        check_int "retransmissions" 1 (Engine.retransmissions engine);
+        check_int "lost" 1 (Engine.messages_lost engine);
+        check_int "steps" 7 (Engine.events_executed engine);
+        check_int "in flight" 0 (Engine.channel_in_flight engine);
+        Alcotest.(check bool) "trace" true (trace_ok engine));
+    Alcotest.test_case "acks to a crashed sender are dropped when sent" `Quick
+      (fun () ->
+        let run ~ack ~crash =
+          let engine =
+            one_send ~data:1.0 ~ack
+              ~setup:(fun engine -> Engine.crash_at engine 0 crash)
+              ()
+          in
+          Engine.run engine;
+          Alcotest.(check bool) "trace" true (trace_ok engine);
+          check_int "in flight" 0 (Engine.channel_in_flight engine);
+          engine
+        in
+        (* crashed before the ack is sent at 1: dropped, at 1 *)
+        let engine = run ~ack:1.0 ~crash:0.5 in
+        check_int "dropped" 1 (Engine.messages_dropped engine);
+        Alcotest.(check (list (pair (float 0.0) string)))
+          "records" [ (1.0, "sent"); (1.0, "dropped") ] (ack_records engine);
+        (* crashed after it is sent, before it lands at 2: delivered *)
+        let engine = run ~ack:1.0 ~crash:1.5 in
+        check_int "not dropped" 0 (Engine.messages_dropped engine);
+        Alcotest.(check (list (pair (float 0.0) string)))
+          "records" [ (1.0, "sent"); (1.0, "delivered") ] (ack_records engine);
+        (* late acks: the one sent at 1 lands at 6, after the timer's
+           retransmission at 5, whose duplicate is acked at 6 again;
+           each ack is dropped once, when it is sent *)
+        let engine = run ~ack:5.0 ~crash:0.5 in
+        check_int "retransmissions" 1 (Engine.retransmissions engine);
+        check_int "acks" 2 (Engine.acks_sent engine);
+        check_int "dropped" 2 (Engine.messages_dropped engine);
+        Alcotest.(check (list (pair (float 0.0) string)))
+          "records"
+          [ (1.0, "sent"); (1.0, "dropped"); (6.0, "sent"); (6.0, "dropped") ]
+          (ack_records engine))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -336,6 +505,31 @@ let sm_tests =
         Alcotest.(check bool) "acked" false (arm Float.infinity);
         Alcotest.(check bool) "no deadline once acked" true
           (Channel.deadline t ~src:1 ~dst:2 ~seq = Float.infinity));
+    Alcotest.test_case "settle discharges the acks that beat the timer"
+      `Quick (fun () ->
+        let t = Channel.create Channel.default in
+        let send ~armed =
+          let seq = Channel.alloc_seq t ~src:1 ~dst:2 in
+          let (_ : float) =
+            Channel.register t ~src:1 ~dst:2 ~seq (Obj.repr "x")
+          in
+          Channel.set_deadline t ~src:1 ~dst:2 ~seq ~armed 10.0;
+          seq
+        in
+        let settle seq at = Channel.settle t ~src:1 ~dst:2 ~seq ~at in
+        let unqueued = send ~armed:false and queued = send ~armed:true in
+        let late = send ~armed:false in
+        Alcotest.(check bool) "tie, no timer queued" true
+          (settle unqueued 10.0);
+        Alcotest.(check bool) "tie, timer queued" false (settle queued 10.0);
+        Alcotest.(check bool) "after the deadline" false (settle late 10.5);
+        Alcotest.(check int) "two still pending" 2 (Channel.in_flight t);
+        Alcotest.(check bool) "before a queued deadline" true
+          (settle queued 9.5);
+        Alcotest.(check bool) "already discharged" true (settle unqueued 20.0);
+        Alcotest.(check int) "one still pending" 1 (Channel.in_flight t);
+        Channel.ack t ~src:1 ~dst:2 ~seq:late;
+        Alcotest.(check int) "none pending" 0 (Channel.in_flight t));
     Alcotest.test_case "sequence numbers are per directed link" `Quick
       (fun () ->
         let t = Channel.create Channel.default in
@@ -528,6 +722,7 @@ let () =
   Alcotest.run "channel"
     [ ("delivery", delivery_tests);
       ("timers", timer_tests);
+      ("settle", settle_tests);
       ("backoff", backoff_tests);
       ("state-machine", sm_tests);
       ("model", model_tests)

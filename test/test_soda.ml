@@ -544,7 +544,44 @@ let hygiene_tests =
             (fun t ->
               Alcotest.(check bool) "same tag" true (Tag.equal t t0))
             rest;
-          Alcotest.(check int) "z = number of writes" 4 t0.Tag.z)
+          Alcotest.(check int) "z = number of writes" 4 t0.Tag.z);
+    Alcotest.test_case "a bad client index raises and schedules nothing"
+      `Quick (fun () ->
+        let params = Params.make ~n:5 ~f:2 () in
+        let engine = Engine.create ~seed:29 ~delay:(Delay.constant 1.0) () in
+        let d =
+          Soda.Deployment.deploy ~engine ~params ~num_writers:2 ~num_readers:3
+            ()
+        in
+        Soda.Deployment.write d ~writer:1 ~at:5.0 (Bytes.make 8 'w');
+        let pending = Engine.pending_events engine in
+        let raises ~client ~bad where f =
+          List.iter
+            (fun i ->
+              Alcotest.check_raises
+                (Printf.sprintf "%s %d" where i)
+                (Invalid_argument
+                   (Printf.sprintf "Deployment.%s: %s out of range" where
+                      client))
+                (fun () -> f i))
+            [ -1; bad ]
+        in
+        let writer = raises ~client:"writer" ~bad:2
+        and reader = raises ~client:"reader" ~bad:3 in
+        writer "write" (fun writer ->
+            Soda.Deployment.write d ~writer ~at:10.0 (Bytes.make 8 'x'));
+        reader "read" (fun reader ->
+            Soda.Deployment.read d ~reader ~at:10.0 ());
+        writer "crash_writer" (fun writer ->
+            Soda.Deployment.crash_writer d ~writer ~at:10.0);
+        reader "crash_reader" (fun reader ->
+            Soda.Deployment.crash_reader d ~reader ~at:10.0);
+        writer "writer_pid" (fun writer ->
+            ignore (Soda.Deployment.writer_pid d ~writer : int));
+        reader "reader_pid" (fun reader ->
+            ignore (Soda.Deployment.reader_pid d ~reader : int));
+        Alcotest.(check int) "nothing scheduled" pending
+          (Engine.pending_events engine))
   ]
 
 let ablation_tests =
