@@ -4,10 +4,9 @@
      dune exec bench/main.exe -- codec            # full (64 KiB + 1 MiB)
      dune exec bench/main.exe -- codec --smoke    # tiny CI quota
 
-   Unlike the Bechamel microbenchmarks (bench/micro.ml) this measures
-   wall-clock MB/s of whole encode/decode calls, including framing,
-   transposition and fragment allocation — the number a deployment
-   actually sees per value. *)
+   It measures wall-clock MB/s of whole encode/decode calls, including
+   framing, transposition and fragment allocation — the number a
+   deployment actually sees per value. *)
 
 let value_of_size len =
   Bytes.init len (fun i -> Char.chr ((i * 31) land 0xff))

@@ -44,7 +44,6 @@ let experiments =
     table "ablation-md" Experiments.ablation_md "chained vs direct dispersal";
     table "ablation-gossip" Experiments.ablation_gossip
       "READ-DISPERSE gossip vs none";
-    table "micro" Micro.run "Bechamel microbenchmarks";
     json "codec" Codec_bench.run "codec kernel throughput, JSON (see --smoke)";
     json "sim" Sim_bench.run
       "simulator & checker events/sec, JSON (see --smoke)";

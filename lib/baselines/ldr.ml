@@ -276,9 +276,3 @@ let server_pid = Register.server_pid
 let history = Register.history
 let cost t = (Register.config t).cost
 let initial_value t = (Register.config t).initial_value
-let directories t = Array.length (Register.config t).directories
-let replicas t = Array.length (Register.config t).replicas
-let crash_directory t ~index ~at = crash_server t ~coordinate:index ~at
-
-let crash_replica t ~index ~at =
-  crash_server t ~coordinate:(directories t + index) ~at

@@ -61,8 +61,3 @@ val deploy :
     replicas [2f+1 .. 4f+1], in pid order. *)
 
 include Register.S with type t := t
-
-val crash_directory : t -> index:int -> at:float -> unit
-val crash_replica : t -> index:int -> at:float -> unit
-val directories : t -> int
-val replicas : t -> int

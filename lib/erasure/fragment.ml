@@ -12,33 +12,15 @@ let make ~index ~data =
   if index < 0 then invalid_arg "Fragment.make: negative index";
   { index; buf = data; off = 0; len = Bytes.length data }
 
-let view ~index ~buf ~off ~len =
-  if index < 0 then invalid_arg "Fragment.view: negative index";
-  if off < 0 || len < 0 || off + len > Bytes.length buf then
-    invalid_arg
-      (Printf.sprintf "Fragment.view: range [%d, %d) outside %d-byte buffer"
-         off (off + len) (Bytes.length buf));
-  { index; buf; off; len }
-
 let index f = f.index
 let buf f = f.buf
 let off f = f.off
 let size f = f.len
 
-(* Whole-buffer views return the backing buffer itself — replication
-   relies on this to share one framed buffer across all n fragments. *)
+(* Whole-buffer views return the backing buffer itself. *)
 let data f =
   if f.off = 0 && f.len = Bytes.length f.buf then f.buf
   else Bytes.sub f.buf f.off f.len
-
-let equal a b =
-  a.index = b.index && a.len = b.len
-  &&
-  let rec eq i =
-    i >= a.len
-    || Bytes.get a.buf (a.off + i) = Bytes.get b.buf (b.off + i) && eq (i + 1)
-  in
-  eq 0
 
 let corrupt f ~seed =
   (* splitmix64-style mixing; mask forced non-zero so that every byte is

@@ -20,13 +20,6 @@ val make : index:int -> data:bytes -> t
     (the buffer is used as-is, not copied).
     @raise Invalid_argument on a negative index. *)
 
-val view : index:int -> buf:bytes -> off:int -> len:int -> t
-(** [view ~index ~buf ~off ~len] is a fragment whose payload is bytes
-    [off, off+len) of [buf], shared with the caller — the zero-copy
-    constructor used by the codecs.
-    @raise Invalid_argument on a negative index or a range outside
-    [buf]. *)
-
 val index : t -> int
 
 val buf : t -> bytes
@@ -41,12 +34,8 @@ val size : t -> int
 
 val data : t -> bytes
 (** The payload as a standalone buffer. Returns the backing buffer
-    itself when the view covers all of it (replication's fragments
-    share one framed buffer this way); otherwise allocates a copy —
+    itself when the view covers all of it; otherwise allocates a copy —
     avoid on hot paths, read through {!buf}/{!off} instead. *)
-
-val equal : t -> t -> bool
-(** Same index and identical payload bytes (view-position agnostic). *)
 
 val corrupt : t -> seed:int -> t
 (** [corrupt f ~seed] returns a fragment at the same index whose payload

@@ -26,6 +26,7 @@ val split_cols : k:int -> bps:int -> Bytes.t -> Bytes.t array
     stripes. *)
 
 val merge_cols : k:int -> bps:int -> Bytes.t array -> Bytes.t
+[@@lint.allow "X1: test oracle — the split_cols round-trip checks through it"]
 (** Inverse of {!split_cols}: interleave [k] equal-length column buffers
     back into one stripe-major buffer.
     @raise Invalid_argument on ragged or miscounted columns. *)

@@ -1,7 +1,6 @@
 type impl =
   | Bch of Rs_bch.t
   | Bch16 of Rs_bch16.t
-  | Replication of Replication.t
 
 type t = { impl : impl; n : int; k : int; name : string }
 
@@ -22,13 +21,6 @@ let rs_bch16 ~n ~k =
     name = Printf.sprintf "rs-bch16[%d,%d]" n k
   }
 
-let replication ~n =
-  { impl = Replication (Replication.make ~n);
-    n;
-    k = 1;
-    name = Printf.sprintf "replication[%d]" n
-  }
-
 let n t = t.n
 let k t = t.k
 let name t = t.name
@@ -37,7 +29,6 @@ let encode t value =
   match t.impl with
   | Bch c -> Rs_bch.encode c value
   | Bch16 c -> Rs_bch16.encode c value
-  | Replication c -> Replication.encode c value
 
 let decode t frags =
   match t.impl with
@@ -53,17 +44,10 @@ let decode t frags =
       raise (Insufficient_fragments { needed; got })
     | Rs_bch16.Decode_failure msg -> raise (Decode_failure msg)
   end
-  | Replication c -> begin
-    try Replication.decode c frags with
-    | Replication.Insufficient_fragments ->
-      raise (Insufficient_fragments { needed = 1; got = 0 })
-  end
 
 let fragment_size t ~value_len =
   match t.impl with
   | Bch16 _ ->
     (* 2-byte symbols: stripes = framed/(2k), fragment = 2 bytes/stripe *)
     2 * Splitter.fragment_size ~k:(2 * t.k) ~value_len
-  | Bch _ | Replication _ ->
-    Splitter.fragment_size ~k:t.k ~value_len
-let storage_overhead t = float_of_int t.n /. float_of_int t.k
+  | Bch _ -> Splitter.fragment_size ~k:t.k ~value_len

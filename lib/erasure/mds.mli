@@ -32,9 +32,6 @@ val rs_bch16 : n:int -> k:int -> t
 (** {!rs_bch} over GF(2{^16}): code lengths up to 65535, for systems
     beyond 255 servers. *)
 
-val replication : n:int -> t
-(** The [n, 1] repetition code. *)
-
 val n : t -> int
 (** Number of fragments produced. *)
 
@@ -56,8 +53,6 @@ val decode : t -> Fragment.t list -> bytes
     @raise Decode_failure *)
 
 val fragment_size : t -> value_len:int -> int
+[@@lint.allow "X1: test oracle — the per-fragment bytes storage-cost \
+               checks compare measured stores against"]
 (** Size in bytes of each fragment for a value of [value_len] bytes. *)
-
-val storage_overhead : t -> float
-(** Total storage across all [n] fragments relative to the value size:
-    [n / k]. This is the paper's normalized "total storage cost". *)

@@ -29,9 +29,6 @@ type t
 val make : n:int -> k:int -> t
 (** @raise Invalid_argument unless [1 <= k <= n <= 255]. *)
 
-val n : t -> int
-val k : t -> int
-
 val encode : t -> bytes -> Fragment.t array
 (** Encode into [n] fragments at indices [0 .. n-1]; fragment [n-k+j]
     carries the systematic message byte [j] of every stripe. *)
@@ -82,6 +79,8 @@ val decode : t -> Fragment.t list -> bytes
     @raise Invalid_argument on out-of-range indices or ragged sizes. *)
 
 val decode_reference : t -> Fragment.t list -> bytes
+[@@lint.allow "X1: test oracle — the check-gated decode is differentially \
+               tested against it"]
 (** The all-stripes decoder: every stripe goes through the scalar
     errors-and-erasures correction. Retained as the differential-testing
     oracle for {!decode}, with which it agrees on every input; not used

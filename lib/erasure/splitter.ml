@@ -37,9 +37,7 @@ let extract ~k ~bps ~bufs ~offs ~col_len =
     ~dst:out ~doff:0;
   out
 
-let stripe_count ~k ~value_len =
-  if k <= 0 then invalid_arg "Splitter.stripe_count: k must be positive";
-  if value_len < 0 then invalid_arg "Splitter.stripe_count: negative length";
+let fragment_size ~k ~value_len =
+  if k <= 0 then invalid_arg "Splitter.fragment_size: k must be positive";
+  if value_len < 0 then invalid_arg "Splitter.fragment_size: negative length";
   (header_len + value_len + k - 1) / k
-
-let fragment_size = stripe_count

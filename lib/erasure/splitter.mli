@@ -7,9 +7,6 @@
     becomes one symbol of every fragment, so that fragment [i] holds
     symbol [i] of every stripe. *)
 
-val header_len : int
-(** Length of the frame header (4 bytes). *)
-
 val frame : k:int -> bytes -> bytes
 (** [frame ~k v] prepends the length header and zero-pads to a multiple
     of [k]. The result is non-empty even for an empty [v].
@@ -35,9 +32,6 @@ val extract :
     [unframe (merge_cols cols)] without materializing the framed buffer.
     @raise Invalid_argument on a malformed frame or ragged views. *)
 
-val stripe_count : k:int -> value_len:int -> int
+val fragment_size : k:int -> value_len:int -> int
 (** Number of stripes (= fragment length in bytes) used to encode a value
     of [value_len] bytes with message dimension [k]. *)
-
-val fragment_size : k:int -> value_len:int -> int
-(** Size in bytes of each fragment; equal to [stripe_count]. *)

@@ -7,7 +7,6 @@
 module type S = sig
   type t = int
 
-  val order : int
   val zero : t
   val one : t
   val add : t -> t -> t

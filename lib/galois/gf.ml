@@ -7,11 +7,6 @@ let zero = 0
 let one = 1
 let alpha = 0x02
 
-let of_int i =
-  if i < 0 || i > field_mask then
-    invalid_arg (Printf.sprintf "Gf.of_int: %d out of range [0, 255]" i)
-  else i
-
 (* Reference multiplication by shift-and-add modulo the primitive
    polynomial; also used to build the tables below. *)
 let mul_slow a b =
@@ -48,10 +43,6 @@ let add a b = a lxor b
 let sub = add
 let is_zero a = a = 0
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-
-let log a =
-  if a = 0 then invalid_arg "Gf.log: log of zero" else log_table.(a)
 
 let mul a b =
   if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
@@ -69,13 +60,7 @@ let alpha_pow e =
   (* ((e mod 255) + 255) mod 255 keeps the exponent non-negative. *)
   exp_table.(((e mod 255) + 255) mod 255)
 
-let pow a e =
-  if a = 0 then
-    if e = 0 then 1 else if e > 0 then 0 else raise Division_by_zero
-  else alpha_pow (log_table.(a) * e)
-
 let pp ppf a = Format.fprintf ppf "0x%02x" a
-let to_string a = Format.asprintf "%a" pp a
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-level kernels.

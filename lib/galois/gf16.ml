@@ -8,11 +8,6 @@ let zero = 0
 let one = 1
 let alpha = 0x02
 
-let of_int i =
-  if i < 0 || i > field_mask then
-    invalid_arg (Printf.sprintf "Gf16.of_int: %d out of range [0, 65535]" i)
-  else i
-
 let mul_slow a b =
   let rec loop a b acc =
     if b = 0 then acc
@@ -47,10 +42,6 @@ let add a b = a lxor b
 let sub = add
 let is_zero a = a = 0
 let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-
-let log a =
-  if a = 0 then invalid_arg "Gf16.log: log of zero" else log_table.(a)
 
 let mul a b =
   if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
@@ -65,11 +56,6 @@ let div a b =
   else exp_table.(log_table.(a) + group_order - log_table.(b))
 
 let alpha_pow e = exp_table.(((e mod group_order) + group_order) mod group_order)
-
-let pow a e =
-  if a = 0 then
-    if e = 0 then 1 else if e > 0 then 0 else raise Division_by_zero
-  else alpha_pow (log_table.(a) * e)
 
 let pp ppf a = Format.fprintf ppf "0x%04x" a
 

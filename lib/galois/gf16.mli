@@ -14,17 +14,8 @@
 type t = int
 (** A field element, in the range [0, 65535]. *)
 
-val order : int
-(** 65536. *)
-
 val zero : t
 val one : t
-
-val alpha : t
-(** A fixed primitive element (0x02). *)
-
-val of_int : int -> t
-(** @raise Invalid_argument outside [0, 65535]. *)
 
 val add : t -> t -> t
 (** XOR; addition and subtraction coincide. *)
@@ -38,23 +29,16 @@ val div : t -> t -> t
 val inv : t -> t
 (** @raise Division_by_zero on [inv 0]. *)
 
-val pow : t -> int -> t
-(** General exponentiation; [pow 0 0 = 1].
-    @raise Division_by_zero if the base is 0 and the exponent negative. *)
-
 val alpha_pow : int -> t
-(** [alpha{^e}] for any integer [e]. *)
-
-val log : t -> int
-(** Discrete logarithm base [alpha], in [0, 65534].
-    @raise Invalid_argument on [log 0]. *)
+(** [alpha{^e}] for any integer [e], [alpha = 0x02] being the fixed
+    primitive element. *)
 
 val is_zero : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val mul_slow : t -> t -> t
+[@@lint.allow "X1: test oracle — the table-driven mul is checked against it"]
 (** Reference shift-and-add multiplication, for validating {!mul}. *)
 
 (** {1 Buffer-level kernels}

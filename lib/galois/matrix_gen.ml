@@ -1,7 +1,7 @@
-(* Dense matrices over an arbitrary field of the {!Field.S} shape.
-   [Matrix] instantiates this functor at GF(2^8); GF(2^16) callers (the
-   large-n Reed-Solomon codec) instantiate it at {!Gf16}. The
-   implementation is documented in matrix.mli. *)
+(* Dense row-major matrices over an arbitrary field of the {!Field.S}
+   shape, instantiated by the Reed-Solomon codec ({!Erasure.Rs_bch_gen})
+   at its symbol field. [invert] and [solve] are Gauss-Jordan and raise
+   [Singular]; out-of-range dimensions raise [Invalid_argument]. *)
 
 module Make (F : Field.S) = struct
   type t = { rows : int; cols : int; data : F.t array }

@@ -1,6 +1,7 @@
-(* Polynomials over an arbitrary field of the {!Field.S} shape; [Poly]
-   instantiates this at GF(2^8), [Poly16] at GF(2^16). Documented in
-   poly.mli. *)
+(* Polynomials over an arbitrary field of the {!Field.S} shape,
+   instantiated by the Reed-Solomon codec ({!Erasure.Rs_bch_gen}) at its
+   symbol field. Coefficients are stored lowest degree first; [div_mod]
+   raises [Division_by_zero] on the zero divisor. *)
 
 module Make (F : Field.S) = struct
   type t = F.t array

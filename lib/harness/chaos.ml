@@ -317,119 +317,3 @@ let pp_outcome ppf o =
     pp_durations "mttr" o.heal_mttr
   end;
   Format.fprintf ppf "@]"
-
-(* ------------------------------------------------------------------ *)
-(* Failure-domain cells: a keyspace spread across failure domains loses
-   a whole domain at once. With a [Placement.domain_safe] placement the
-   per-key damage stays within each instance's f budget, so per-key
-   atomicity and (after the heal/repair) liveness must both survive —
-   the correlated-failure scenario the topology/placement layer exists
-   for. *)
-
-type domain_outcome = {
-  d_name : string;
-  d_seed : int;
-  d_keys : int;
-  d_ops : int;
-  d_complete : bool;
-  d_atomic : (unit, string) result;
-  d_abandoned : int;
-  d_sent : int;
-  d_final_time : float
-}
-
-let domain_matrix = [ "domain-part"; "domain-crash" ]
-
-let domain_ok o =
-  o.d_complete && Result.is_ok o.d_atomic && o.d_abandoned = 0
-
-let pp_domain_outcome ppf o =
-  Format.fprintf ppf
-    "%s seed=%d: %s keys=%d ops=%d complete=%b atomic=%s abandoned=%d \
-     sent=%d final_time=%.1f"
-    o.d_name o.d_seed
-    (if domain_ok o then "OK" else "FAIL")
-    o.d_keys o.d_ops o.d_complete
-    (match o.d_atomic with Ok () -> "ok" | Error e -> e)
-    o.d_abandoned o.d_sent o.d_final_time
-
-let run_domain ?(keys = 12) ?(horizon = 600.0) ?(value_len = 64) ~fault ~seed
-    () =
-  let name =
-    match fault with `Partition -> "domain-part" | `Crash -> "domain-crash"
-  in
-  (* 12 servers in 3 failure domains, each key a 4+2 instance spread by
-     consistent hashing: per-domain cap 2 = f, so losing any whole
-     domain stays inside every key's crash budget *)
-  let topology = Soda.Topology.make ~servers:12 ~domains:3 () in
-  let placement =
-    Soda.Placement.create ~topology
-      ~params:(Soda.Placement.preset_params `P4_2)
-      ~policy:Soda.Placement.Consistent_hash ()
-  in
-  assert (Soda.Placement.domain_safe placement);
-  let engine =
-    Engine.create ~seed ~transport:(`Reliable Simnet.Channel.default)
-      ~classify:(fun m -> Soda.Messages.data_bytes m > 0)
-      ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
-  in
-  Engine.set_loss engine 0.05;
-  let ks =
-    Soda.Keyspace.create ~engine ~placement ~value_len
-      ~plane:Soda.Config.batched_plane ~num_writers:2 ~num_readers:2 ()
-  in
-  (* the whole of domain 1 fails mid-run and comes back late *)
-  (match fault with
-  | `Partition ->
-    Soda.Keyspace.partition_domain ks ~domain:1 ~at:150.0;
-    Soda.Keyspace.heal_domain ks ~domain:1 ~at:380.0
-  | `Crash ->
-    Soda.Keyspace.crash_domain ks ~domain:1 ~at:150.0;
-    Soda.Keyspace.repair_domain ks ~domain:1 ~at:380.0);
-  (* closed-loop clients cycling over the keyspace: each completion
-     schedules the next operation on the next key, so every key sees
-     traffic before, during and after the domain outage *)
-  let value_index = ref 0 in
-  let rec write_loop w key () =
-    if Engine.now engine < horizon then begin
-      let index = !value_index in
-      incr value_index;
-      Soda.Keyspace.write ks ~key ~writer:w
-        ~at:(Engine.now engine +. 30.0)
-        ~on_done:(write_loop w ((key + 1) mod keys))
-        (Workload.value ~len:value_len ~seed ~index)
-    end
-  in
-  let rec read_loop r key () =
-    if Engine.now engine < horizon then
-      Soda.Keyspace.read ks ~key ~reader:r
-        ~at:(Engine.now engine +. 30.0)
-        ~on_done:(fun _ -> read_loop r ((key + 1) mod keys) ())
-        ()
-  in
-  write_loop 0 0 ();
-  write_loop 1 (keys / 2) ();
-  read_loop 0 0 ();
-  read_loop 1 (keys / 2) ();
-  Engine.run engine;
-  let atomic =
-    match Soda.Keyspace.check_atomicity ks with
-    | Ok () -> Ok ()
-    | Error (key, v) ->
-      Error
-        (Format.asprintf "key %d: %a" key Atomicity.pp_violation v)
-  in
-  { d_name = name;
-    d_seed = seed;
-    d_keys = List.length (Soda.Keyspace.keys ks);
-    d_ops =
-      List.fold_left
-        (fun acc key ->
-          acc + List.length (History.records (Soda.Keyspace.history ks ~key)))
-        0 (Soda.Keyspace.keys ks);
-    d_complete = Soda.Keyspace.all_complete ks;
-    d_atomic = atomic;
-    d_abandoned = Engine.sends_abandoned engine;
-    d_sent = Engine.messages_sent engine;
-    d_final_time = Engine.now engine
-  }

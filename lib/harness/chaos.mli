@@ -127,43 +127,3 @@ val run :
     stop; unhealed cells keep the drain-the-queue termination and
     their bit-identical traces. Deterministic: equal arguments give
     bit-identical outcomes. *)
-
-(** {1 Failure-domain cells (keyspace chaos)}
-
-    Whole-domain faults against a sharded {!Soda.Keyspace}: 12 servers
-    in 3 failure domains, each key a ["4+2"] instance placed by
-    consistent hashing (per-domain cap [2 = f], so the placement is
-    {!Soda.Placement.domain_safe}), closed-loop clients cycling over
-    the keys, 5% loss over the default reliable transport
-    ({!Simnet.Channel.default}) on the batched plane. Domain 1 fails in its entirety mid-run and is
-    healed/repaired late; every key must stay atomic and every
-    operation must complete. *)
-
-type domain_outcome = {
-  d_name : string;
-  d_seed : int;
-  d_keys : int;
-  d_ops : int;  (** recorded operations summed over keys *)
-  d_complete : bool;
-  d_atomic : (unit, string) result;  (** first offending key, if any *)
-  d_abandoned : int;
-  d_sent : int;
-  d_final_time : float
-}
-
-val domain_matrix : string list
-(** [["domain-part"; "domain-crash"]]. *)
-
-val domain_ok : domain_outcome -> bool
-(** Liveness, per-key atomicity, and no abandoned sends. *)
-
-val pp_domain_outcome : Format.formatter -> domain_outcome -> unit
-
-val run_domain :
-  ?keys:int -> ?horizon:float -> ?value_len:int ->
-  fault:[ `Partition | `Crash ] -> seed:int -> unit -> domain_outcome
-(** Execute one whole-domain cell ([`Partition] blackholes domain 1
-    from t=150 to t=380; [`Crash] crashes it at t=150 and runs the
-    repair protocol on every hosted instance at t=380). Defaults:
-    [keys = 12], [horizon = 600], [value_len = 64]. Deterministic in
-    all arguments. *)

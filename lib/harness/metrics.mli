@@ -37,17 +37,17 @@ type summary = {
 
 val summarize : Runner.result -> summary
 
-val delta_w : Runner.result -> rid:int -> int option
-(** Number of writes initiated during read [rid]'s registration window
-    [T1, T2] (Section V of the paper); [None] when the run has no probes
-    or the read was never registered. Reads whose window never closed at
-    a non-crashed server count every write from T1 on. *)
-
 val reads_with_delta_w : Runner.result -> (int * int * float) list
-(** For every completed read: (rid, δ{_w}, data cost in value units).
-    Empty for runs without probes. *)
+(** For every completed read: (rid, δ{_w}, data cost in value units),
+    δ{_w} being the number of writes initiated during the read's
+    registration window [T1, T2] (Section V of the paper); reads never
+    registered are skipped. Reads whose window never closed at a
+    non-crashed server count every write from T1 on. Empty for runs
+    without probes. *)
 
 val concurrent_writes : Runner.result -> rid:int -> slack:float -> int option
+[@@lint.allow "X1: test oracle — the sound concurrency count Thm 5.6's read \
+               cost bound is checked against"]
 (** Writes that could have delivered a coded element inside read [rid]'s
     registration window [T1, T2]: invoked no later than [T2] and either
     incomplete or responding within [slack] before [T1] (a completed

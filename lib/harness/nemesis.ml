@@ -109,21 +109,6 @@ let generate_bitrot ~params ~seed ~horizon ?mean_uptime
       [ BitRot { coordinate; at = start } ])
     ()
 
-let apply t deployment =
-  List.iter
-    (function
-      | Crash { coordinate; at } ->
-        Soda.Deployment.crash_server deployment ~coordinate ~at
-      | Repair { coordinate; at } ->
-        ignore (Soda.Deployment.repair_server deployment ~coordinate ~at)
-      | Partition { coordinates; at } ->
-        Soda.Deployment.partition_servers deployment ~coordinates ~at
-      | Heal { coordinates; at } ->
-        Soda.Deployment.heal_servers deployment ~coordinates ~at
-      | BitRot { coordinate; at } ->
-        Soda.Deployment.corrupt_server deployment ~coordinate ~at)
-    t
-
 (* Applying a schedule at its literal timestamps can silently exceed the
    fault budget: the schedule's Repair event only restores the process,
    while the protocol-level repair (the state transfer rebuilding the
@@ -205,29 +190,3 @@ let partition_count t =
 
 let bitrot_count t =
   List.length (List.filter (function BitRot _ -> true | _ -> false) t)
-
-let pp_coords ppf coordinates =
-  List.iteri
-    (fun i c ->
-      if i > 0 then Format.fprintf ppf ",";
-      Format.fprintf ppf "%d" c)
-    coordinates
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun e ->
-      match e with
-      | Crash { coordinate; at } ->
-        Format.fprintf ppf "%.1f crash server %d@," at coordinate
-      | Repair { coordinate; at } ->
-        Format.fprintf ppf "%.1f repair server %d@," at coordinate
-      | Partition { coordinates; at } ->
-        Format.fprintf ppf "%.1f partition servers {%a}@," at pp_coords
-          coordinates
-      | Heal { coordinates; at } ->
-        Format.fprintf ppf "%.1f heal servers {%a}@," at pp_coords coordinates
-      | BitRot { coordinate; at } ->
-        Format.fprintf ppf "%.1f bit-rot server %d@," at coordinate)
-    t;
-  Format.fprintf ppf "@]"

@@ -77,11 +77,6 @@ val generate_bitrot :
     (default 120.0) sizes the assumed detect-and-heal window (a scrub
     period plus targeted-repair slack at the default cadence). *)
 
-val apply : t -> Soda.Deployment.t -> unit
-(** Schedule every event on a deployment at its literal timestamp.
-    Sufficient when nothing delays protocol-level repairs (no message
-    loss, light load); under heavier chaos prefer {!apply_gated}. *)
-
 val apply_gated : ?poll:float -> t -> Soda.Deployment.t -> unit
 (** Drive the schedule with the repair gate: every event fires at its
     scheduled time shifted by the accumulated gating delay, and a
@@ -106,6 +101,8 @@ val drive_gated :
   apply:(at:float -> event -> unit) ->
   t ->
   unit
+[@@lint.allow "X1: test driver — the machine-level Store chaos test gates \
+               its crashes through it; apply_gated is its deployment form"]
 (** The gated driver behind {!apply_gated}, with the target abstracted:
     [repairing] is the gate predicate and [apply] materialises one event
     at the (shifted) time it fires. Use it to drive schedules into other
@@ -113,6 +110,8 @@ val drive_gated :
     [repairing := Soda.Store.repairing]. *)
 
 val max_simultaneous_down : t -> int
+[@@lint.allow "X1: test oracle — the generators' fault budget is checked \
+               against it"]
 (** For tests: the largest number of servers simultaneously crashed or
     isolated at any instant. [BitRot] events are ignored — a rotted
     server keeps answering (tags are intact, newer writes overwrite the
@@ -122,4 +121,3 @@ val max_simultaneous_down : t -> int
 val crash_count : t -> int
 val partition_count : t -> int
 val bitrot_count : t -> int
-val pp : Format.formatter -> t -> unit

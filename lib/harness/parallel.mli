@@ -7,12 +7,10 @@
     preserves input order in the output, so a parallel sweep is a drop-in
     replacement for [List.map]. *)
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count], clamped to [1, 8]. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f inputs] applies [f] to every input, using up to [domains]
-    (default {!recommended_domains}) additional domains. Results are in
+    (default [Domain.recommended_domain_count], clamped to [1, 8])
+    additional domains. Results are in
     input order. If any application raises, the first exception (in
     input order) is re-raised after all domains have finished — no work
     is silently lost. With [domains <= 1] this is [List.map]. *)

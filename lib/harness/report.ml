@@ -87,20 +87,6 @@ let table ?(out = default_out) ~title ~header rows =
   List.iter (fun row -> Format.fprintf out "%s@." (render_row row)) rows;
   Format.pp_print_flush out ()
 
-let kv ?(out = default_out) ~title pairs =
-  Format.fprintf out "@.== %s ==@." (normalize_title title);
-  let width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 pairs
-  in
-  List.iter
-    (fun (key, value) -> Format.fprintf out "%s  %s@." (pad key width) value)
-    pairs;
-  Format.pp_print_flush out ()
-
 let f2 x = Printf.sprintf "%.2f" x
-let f1 x = Printf.sprintf "%.1f" x
 let i = string_of_int
 
-let ratio ~measured ~bound =
-  if bound = 0. then Printf.sprintf "%.2f/0" measured
-  else Printf.sprintf "%.2f/%.2f (%.0f%%)" measured bound (100. *. measured /. bound)

@@ -11,13 +11,7 @@ val set_csv_dir : string option -> unit
 (** When set, every subsequent {!table} call also writes a CSV file into
     the directory (created if missing). Used by [bench/main.exe --csv]. *)
 
-val kv : ?out:Format.formatter -> title:string -> (string * string) list -> unit
-(** A two-column key/value block. *)
-
 val f2 : float -> string
 (** Fixed two-decimal rendering ("1.53"). *)
 
-val f1 : float -> string
 val i : int -> string
-val ratio : measured:float -> bound:float -> string
-(** "measured/bound (xx%)" — for comparing against paper formulas. *)

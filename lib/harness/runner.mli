@@ -20,8 +20,6 @@ type algorithm =
           ignored except through [f]. Crash coordinates number the
           directories first, then the replicas. *)
 
-val algorithm_name : algorithm -> string
-
 type result = {
   algorithm : string;
   workload : Workload.t;
@@ -124,7 +122,7 @@ val run_sweep :
   ?domains:int -> algorithm -> Workload.t list -> result list
 (** [run_sweep algorithm workloads] runs each workload independently,
     fanned out across OCaml 5 domains with {!Parallel.map} ([domains]
-    defaults to {!Parallel.recommended_domains}). Each run owns a fresh
+    defaults as there). Each run owns a fresh
     engine and is a pure function of its workload, so the result list is
     in input order and identical to [List.map (run algorithm) workloads]
     — only wall-clock time changes.

@@ -203,7 +203,3 @@ let with_crashes t crashes = { t with server_crashes = t.server_crashes @ crashe
 let with_errors t coords = { t with error_prone = t.error_prone @ coords }
 let total_ops t = List.length t.ops
 
-let writes t =
-  List.length (List.filter (function Write _ -> true | Read _ -> false) t.ops)
-
-let reads t = total_ops t - writes t

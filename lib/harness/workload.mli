@@ -93,5 +93,3 @@ val with_errors : t -> int list -> t
 (** Flags server coordinates as error-prone (SODA{_err} runs only). *)
 
 val total_ops : t -> int
-val writes : t -> int
-val reads : t -> int

@@ -40,12 +40,16 @@ val check_tagged :
 
 val check_tagged_quadratic :
   ?initial_value:bytes -> History.record list -> (unit, violation) result
+[@@lint.allow "X1: test oracle — check_tagged's P1 sweep is differentially \
+               tested against this pairwise scan"]
 (** As {!check_tagged}, but deciding P1 with the original O(m{^2})
     pairwise scan. The two must agree on the verdict for every history
     (the reported culprit pair may differ); the differential tests
     enforce this. Prefer {!check_tagged}. *)
 
 val linearizable_by_value : initial_value:bytes -> History.record list -> bool
+[@@lint.allow "X1: test oracle — the exhaustive search the tag-based \
+               checker is validated against"]
 (** Exhaustive linearizability check over completed operations.
     @raise Invalid_argument on histories of more than 62 completed
     operations (the search is memoized on a bitmask). *)

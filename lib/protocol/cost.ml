@@ -53,10 +53,5 @@ let storage_of_server t ~server =
   | Some b -> b
   | None -> 0
 
-let storage_add t ~server ~bytes =
-  let next = storage_of_server t ~server + bytes in
-  if next < 0 then invalid_arg "Cost.storage_add: negative total";
-  storage_set t ~server ~bytes:next
-
 let current_total_storage t = units t t.current_storage_bytes
 let max_total_storage t = units t t.max_storage_bytes

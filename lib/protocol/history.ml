@@ -47,8 +47,6 @@ let respond t ~op ~at =
   r.responded_at <- Some at
 
 let records t = List.rev t.rev_records
-let completed t = List.filter (fun r -> Option.is_some r.responded_at) (records t)
-let incomplete t = List.filter (fun r -> Option.is_none r.responded_at) (records t)
 let size t = t.count
 
 let all_complete t =

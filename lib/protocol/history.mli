@@ -38,14 +38,9 @@ val respond : t -> op:int -> at:float -> unit
     @raise Invalid_argument if already complete or time precedes the
     invocation. *)
 
-val find : t -> op:int -> record
-(** @raise Invalid_argument on an unknown id. *)
-
 val records : t -> record list
 (** All records in invocation order. *)
 
-val completed : t -> record list
-val incomplete : t -> record list
 val size : t -> int
 
 val all_complete : t -> bool
@@ -53,4 +48,3 @@ val all_complete : t -> bool
     criterion for executions whose clients are all non-faulty. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_record : Format.formatter -> record -> unit

@@ -186,7 +186,6 @@ module Map = struct
       shift = shift_of slots
     }
 
-  let length t = t.size
 
   let find_slot t key = find_slot t.keys t.shift key
 

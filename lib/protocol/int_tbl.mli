@@ -36,9 +36,12 @@ module Set : sig
   (** Remove every key and release the slots, as at [create 0]. *)
 
   val iter : (int -> unit) -> t -> unit
+  [@@lint.allow "X1: state probe — the model-agreement tests enumerate \
+                 the keys through it"]
   (** In slot order, which is unrelated to key order. *)
 
   val max_probe : t -> int
+  [@@lint.allow "X1: state probe — tests bound the probe lengths"]
   (** Diagnostic: the most slots any present key's lookup inspects
       (1 when every key sits in its home slot, 0 when empty). *)
 end
@@ -60,8 +63,6 @@ module Map : sig
   (** [find t key ~default] is the value bound to [key], or [default]
       when absent — unlike {!find_opt}, allocation-free. *)
 
-  val length : 'a t -> int
-
   val remove : 'a t -> int -> unit
   (** As {!Set.remove}; the value slot reverts to [dummy], so the table
       no longer keeps the removed value alive. *)
@@ -73,5 +74,6 @@ module Map : sig
   (** In slot order, which is unrelated to key order. *)
 
   val max_probe : 'a t -> int
+  [@@lint.allow "X1: state probe — tests bound the probe lengths"]
   (** As {!Set.max_probe}. *)
 end

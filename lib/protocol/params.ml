@@ -20,4 +20,3 @@ let k_cas t = t.n - (2 * t.f)
 let majority t = (t.n / 2) + 1
 let cas_quorum t = (t.n + k_cas t + 1) / 2
 let fmax ~n = (n - 1) / 2
-let pp ppf t = Format.fprintf ppf "n=%d f=%d e=%d" t.n t.f t.e

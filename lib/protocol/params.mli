@@ -32,4 +32,3 @@ val cas_quorum : t -> int
 val fmax : n:int -> int
 (** The largest tolerable [f] for an [n]-server system: [(n-1)/2]. *)
 
-val pp : Format.formatter -> t -> unit

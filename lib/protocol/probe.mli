@@ -71,6 +71,7 @@ val relays_of : t -> rid:int -> int
 (** Number of coded-element relays sent to the reader of [rid]. *)
 
 val registrations_balanced : t -> crashed:(int -> bool) -> bool
+[@@lint.allow "X1: test oracle — Theorem 5.5's check over a run's probes"]
 (** Theorem 5.5 check: every registration at a server that did not crash
     is eventually matched by an unregistration at that server. *)
 

@@ -13,7 +13,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
 let ( > ) a b = compare a b > 0
 let ( >= ) a b = compare a b >= 0
 let max a b = if a >= b then a else b
@@ -32,7 +31,5 @@ let pack t =
   then invalid_arg "Tag.pack: tag out of packing range";
   (t.z lsl 21) lor (t.w + 1)
 
-let unpack key =
-  { z = key lsr 21; w = (key land 0x1FFFFF) - 1 }
 let pp ppf t = Format.fprintf ppf "(%d,%d)" t.z t.w
 let to_string t = Format.asprintf "%a" pp t

@@ -22,7 +22,6 @@ val next : t -> w:int -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
@@ -33,9 +32,6 @@ val pack : t -> int
     {!compare}; an O(1) key for int-keyed tables on hot paths. Valid for
     [z] up to 2{^41} - 1 and writer ids up to 2{^20} - 1 (the simulator's
     pid cap). @raise Invalid_argument outside that range. *)
-
-val unpack : int -> t
-(** Inverse of {!pack}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

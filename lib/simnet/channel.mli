@@ -79,10 +79,9 @@ val default : config
       max_retries = 50 }] — sized for the repo's delay models
     (transit <= 2–10 time units) and nemesis partition windows. *)
 
-val validate : config -> unit
-(** @raise Invalid_argument on any field outside its documented range. *)
-
 val backoff_schedule : config -> retries:int -> float list
+[@@lint.allow "X1: test oracle — the retransmission timeouts on_timer \
+               returns are checked against it"]
 (** The jitter-free timeout sequence: element [i] is the delay between
     transmission [i] and [i+1]. Monotone non-decreasing, capped at
     [max_rto] (regression-tested). *)
@@ -90,6 +89,8 @@ val backoff_schedule : config -> retries:int -> float list
 type t
 
 val create : config -> t
+(** @raise Invalid_argument on any field outside its documented range. *)
+
 val config : t -> config
 
 val max_seq : int

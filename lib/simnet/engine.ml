@@ -238,7 +238,6 @@ let name_of t pid =
 let self ctx = ctx.ctx_self
 let now t = t.clock.(0)
 let now_ctx ctx = ctx.engine.clock.(0)
-let rng t = t.root_rng
 let rng_ctx ctx = ctx.engine.root_rng
 
 (* ------------------------------------------------------------------ *)

@@ -124,10 +124,6 @@ val schedule_local : 'msg context -> delay:float -> (unit -> unit) -> unit
 
 val now : 'msg t -> float
 
-val rng : 'msg t -> Rng.t
-(** The engine's root generator; harnesses may draw from it between
-    runs. *)
-
 val inject : 'msg t -> at:float -> pid -> ('msg context -> unit) -> unit
 (** Schedule an action on a process at an absolute time (e.g. a client
     invoking an operation). Discarded if the process crashed. Accepts
@@ -260,6 +256,8 @@ val sends_abandoned : 'msg t -> int
     reliable abstraction; a chaos harness should assert this stays 0. *)
 
 val channel_in_flight : 'msg t -> int
+[@@lint.allow "X1: state probe — channel tests assert nothing is left in \
+               flight"]
 (** Registered sends not yet acked or abandoned (e.g. messages destined
     to a process that stayed crashed). *)
 

@@ -86,15 +86,6 @@ let create () =
 let size h = h.size
 let is_empty h = h.size = 0
 
-let clear h =
-  (* return every handle to the free stack; payloads are retained until
-     their slot is reused, as on pop *)
-  h.size <- 0;
-  h.free_top <- Array.length h.free;
-  for i = 0 to h.free_top - 1 do
-    h.free.(i) <- i
-  done
-
 let ensure_capacity h payload =
   if h.size >= Array.length h.times then begin
     let old_cap = Array.length h.times in
@@ -161,7 +152,6 @@ let push_tagged h ~time ~tag payload =
   h.inbox.(0) <- time;
   push_inbox h ~tag payload
 
-let push h ~time payload = push_tagged h ~time ~tag:0 payload
 
 let next_time h = if h.size = 0 then raise Empty else h.times.(0)
 let next_tag h = if h.size = 0 then raise Empty else h.tags.(0)
@@ -226,16 +216,6 @@ let pop_exn h =
     Array.unsafe_set tags !i tag
   end;
   root
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let time = h.times.(0) in
-    let payload = pop_exn h in
-    Some (time, payload)
-  end
-
-let peek_time h = if h.size = 0 then None else Some h.times.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Cohort draining.

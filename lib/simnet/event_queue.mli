@@ -10,8 +10,7 @@
     Each event also carries an [int] {e tag} — a caller-owned word of
     payload that rides in an unboxed side array. {!Simnet.Engine} packs
     the event kind and the endpoint pids into it so that its per-send
-    hot path allocates no wrapper records; callers that don't need it
-    use {!push} and get tag [0]. *)
+    hot path allocates no wrapper records. *)
 
 type 'a t
 
@@ -21,12 +20,10 @@ exception Empty
 
 val create : unit -> 'a t
 
-val push : 'a t -> time:float -> 'a -> unit
-(** [push q ~time payload] enqueues with tag [0].
-    @raise Invalid_argument on a NaN timestamp. *)
-
 val push_tagged : 'a t -> time:float -> tag:int -> 'a -> unit
-(** As {!push}, also storing [tag] alongside the payload. *)
+(** [push_tagged q ~time ~tag payload] enqueues [payload], storing [tag]
+    alongside it.
+    @raise Invalid_argument on a NaN timestamp. *)
 
 (** {1 Zero-boxing paths}
 
@@ -58,6 +55,8 @@ val unsafe_tags : 'a t -> int array
 (** {1 Allocation-free access to the earliest event} *)
 
 val next_time : 'a t -> float
+[@@lint.allow "X1: state probe — the queue's model tests read the earliest \
+               time through it; the engine reads unsafe_times"]
 (** Timestamp of the earliest event. @raise Empty when empty. *)
 
 val next_tag : 'a t -> int
@@ -76,12 +75,6 @@ val pop_exn : 'a t -> 'a
     {!Simnet.Engine.run} uses this to dispatch each timestamp's cohort
     without re-entering the heap per event. *)
 
-val min_tied : 'a t -> bool
-(** Whether the minimum timestamp is shared with at least one other
-    pending event — i.e. whether {!drain_cohort} would return more than
-    one. O(1); lets a dispatcher keep the plain {!pop_exn} path for
-    untied minima and pay the cohort bookkeeping only on real ties. *)
-
 val drain_cohort : 'a t -> int
 (** [drain_cohort q] removes {e every} event whose timestamp equals
     [next_time q] and returns the cohort size (>= 1). Read the drained
@@ -98,18 +91,5 @@ val cohort_tag : 'a t -> int -> int
 val cohort_payload : 'a t -> int -> 'a
 (** [cohort_payload q i] is the payload of the [i]-th drained event. *)
 
-(** {1 Option-returning conveniences} *)
-
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest event, or [None] when empty.
-    Allocates the returned tuple; the engine's hot path uses
-    {!pop_exn} instead. *)
-
-val peek_time : 'a t -> float option
-
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-(** Drop all pending events; the queue and its capacity remain usable.
-    Sequence numbering continues from where it was. *)

@@ -31,8 +31,6 @@ let[@inline] next t =
   mix s
 
 let bits t = next t
-let int64 t = Int64.of_int (next t)
-
 let split t = { state = next t }
 
 let int t bound =
@@ -40,10 +38,6 @@ let int t bound =
   (* Masking the sign bit keeps the value non-negative; modulo bias is
      negligible for the bounds used in simulations (<< 2^62). *)
   (next t land max_int) mod bound
-
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: empty range";
-  lo + int t (hi - lo + 1)
 
 let[@inline] float t bound =
   (* 53 random bits scaled into [0, 1). *)
@@ -65,6 +59,3 @@ let shuffle_in_place t a =
     a.(j) <- tmp
   done
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

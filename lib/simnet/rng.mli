@@ -22,16 +22,9 @@ val bits : t -> int
     scaling arithmetic (the simulator's send path does, to keep floats
     unboxed); everyone else should use the typed draws below. *)
 
-val int64 : t -> int64
-(** Next raw output, widened to [int64] (63 significant bits). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)
-
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [lo, hi] inclusive.
-    @raise Invalid_argument if [hi < lo]. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
@@ -44,6 +37,3 @@ val exponential : t -> mean:float -> float
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle driven by this generator. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniformly random element.
-    @raise Invalid_argument on an empty array. *)

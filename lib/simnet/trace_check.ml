@@ -107,15 +107,3 @@ let check ?(lossy = false) events =
       events;
     Ok ()
   with Bad v -> Error v
-
-let delivered_ratio events =
-  let sent = ref 0 and delivered = ref 0 in
-  List.iter
-    (function
-      | Engine.Sent _ -> incr sent
-      | Engine.Delivered _ -> incr delivered
-      | Engine.Dropped _ | Engine.Lost _ | Engine.Crashed _
-      | Engine.Restored _ | Engine.PartitionStart _ | Engine.PartitionHeal _ ->
-        ())
-    events;
-  if !sent = 0 then 1.0 else float_of_int !delivered /. float_of_int !sent

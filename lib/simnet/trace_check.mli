@@ -31,7 +31,3 @@ val check : ?lossy:bool -> Engine.event list -> (unit, violation) result
     - partitions strictly alternate start/heal per canonical link-set,
       and a heal never underflows a link's active-partition count. *)
 
-val delivered_ratio : Engine.event list -> float
-(** Fraction of sends that were eventually delivered (1.0 in crash-free
-    executions once quiescent; lower under crashes or an armed fault
-    plane). *)

@@ -27,13 +27,13 @@ let heal_stats_create () = { heartbeats_sent = 0; scrub_sweeps = 0 }
 (* Pluggable message plane: a keyspace re-routes an instance's sends
    through the shared plane (key envelopes, cross-key batching) by
    installing a wire after [derive]. [wire_send] replaces every
-   protocol-level [Engine.send]; [wire_gossip], when present, may claim
-   a deferred READ-DISPERSE entry for cross-key coalescing (returning
-   false falls back to the instance's own per-destination outbox). *)
+   protocol-level [Engine.send]; [wire_gossip] takes every deferred
+   READ-DISPERSE entry for cross-key coalescing, in place of the
+   instance's own per-destination outbox. *)
 type wire = {
   wire_send : Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit;
   wire_gossip :
-    (Messages.t Simnet.Engine.context -> Messages.gossip_entry -> bool) option
+    Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
 }
 
 type t = {
@@ -73,9 +73,6 @@ let send t ctx ~dst msg =
   match t.wire with
   | None -> Simnet.Engine.send ctx ~dst msg
   | Some w -> w.wire_send ctx ~dst msg
-
-let gossip_hook t =
-  match t.wire with None -> None | Some w -> w.wire_gossip
 
 let set_wire t wire =
   match t.wire with

@@ -94,11 +94,10 @@ type wire = {
   wire_send : Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit;
       (** Replacement for every protocol-level send of the instance. *)
   wire_gossip :
-    (Messages.t Simnet.Engine.context -> Messages.gossip_entry -> bool) option
-      (** Offered each deferred READ-DISPERSE entry under the coalesced
-          plane. Returning [true] claims it for cross-key batching;
-          [false] (or [None]) keeps the instance's own per-destination
-          outbox. *)
+    Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
+      (** Takes each deferred READ-DISPERSE entry under the coalesced
+          plane for cross-key batching, in place of the instance's own
+          per-destination outbox. *)
 }
 
 type t = {
@@ -165,17 +164,13 @@ type t = {
           Not for direct use. *)
   mutable wire : wire option
       (** Message-plane override; [None] sends straight to the engine.
-          Install with {!set_wire}; read through {!send} /
-          {!gossip_hook}. *)
+          Install with {!set_wire}; read through {!send} and, for
+          gossip, by {!Server}. *)
 }
 
 val send : t -> Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit
 (** The one send primitive of every automaton: [Engine.send] when no
     wire is installed, the wire's [wire_send] otherwise. *)
-
-val gossip_hook :
-  t -> (Messages.t Simnet.Engine.context -> Messages.gossip_entry -> bool) option
-(** The installed wire's [wire_gossip], if any. *)
 
 val set_wire : t -> wire -> unit
 (** Install the message-plane override (once, after {!derive}).

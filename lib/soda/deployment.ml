@@ -228,19 +228,9 @@ let history t = t.config.Config.history
 let cost t = t.config.Config.cost
 let probe t = t.config.Config.probe
 let config t = t.config
-let params t = t.config.Config.params
-
 let server_pid t ~coordinate =
   check_coordinate t coordinate ~where:"server_pid";
   t.config.Config.servers.(coordinate)
-
-let writer_pid t ~writer =
-  check_writer t writer ~where:"writer_pid";
-  t.writer_pids.(writer)
-
-let reader_pid t ~reader =
-  check_reader t reader ~where:"reader_pid";
-  t.reader_pids.(reader)
 
 let server t ~coordinate =
   check_coordinate t coordinate ~where:"server";

@@ -156,11 +156,8 @@ val history : t -> History.t
 val cost : t -> Cost.t
 val probe : t -> Probe.t
 val config : t -> Config.t
-val params : t -> Params.t
 
 val server_pid : t -> coordinate:int -> int
-val writer_pid : t -> writer:int -> int
-val reader_pid : t -> reader:int -> int
 
 val server : t -> coordinate:int -> Server.t
 (** Direct access to a server automaton's state, for tests. *)

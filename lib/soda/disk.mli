@@ -48,4 +48,6 @@ val rot : t -> seed:int -> unit
     {e without} updating the checksum (see {!Fragment.corrupt}). *)
 
 val checksum : Fragment.t -> int
+[@@lint.allow "X1: test oracle — tests recompute a fragment's checksum to \
+               check what the disk stored"]
 (** The FNV-1a payload checksum, exposed for tests. *)

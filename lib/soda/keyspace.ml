@@ -198,30 +198,28 @@ let wire t inst =
     | Some _ | None -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
   in
   let wire_gossip ctx (entry : Messages.gossip_entry) =
+    (* only a server instance gossips, and it runs on a plane pid *)
     let src = Engine.self ctx in
-    match plane_at t src with
-    | None -> false  (* not a shared-plane process: keep the per-key outbox *)
-    | Some plane ->
-      (* one (enqueue time, entry) pair, shared by every peer's outbox *)
-      let item =
-        (Engine.now_ctx ctx, { Messages.ke_key = key; ke_entry = entry })
-      in
-      let servers = inst.iconfig.Config.servers in
-      for i = 0 to Array.length servers - 1 do
-        let dst = servers.(i) in
-        if dst <> src then begin
-          let box = plane.p_outbox.(dst) in
-          box.entries <- item :: box.entries;
-          if not box.armed then begin
-            box.armed <- true;
-            Engine.schedule_local ctx ~delay:staleness (fun () ->
-                flush_outbox t ~staleness plane ctx ~dst)
-          end
+    let plane = Option.get (plane_at t src) in
+    (* one (enqueue time, entry) pair, shared by every peer's outbox *)
+    let item =
+      (Engine.now_ctx ctx, { Messages.ke_key = key; ke_entry = entry })
+    in
+    let servers = inst.iconfig.Config.servers in
+    for i = 0 to Array.length servers - 1 do
+      let dst = servers.(i) in
+      if dst <> src then begin
+        let box = plane.p_outbox.(dst) in
+        box.entries <- item :: box.entries;
+        if not box.armed then begin
+          box.armed <- true;
+          Engine.schedule_local ctx ~delay:staleness (fun () ->
+              flush_outbox t ~staleness plane ctx ~dst)
         end
-      done;
-      true
+      end
+    done
   in
-  { Config.wire_send; wire_gossip = Some wire_gossip }
+  { Config.wire_send; wire_gossip }
 
 (* ------------------------------------------------------------------ *)
 (* Instances *)
@@ -410,14 +408,21 @@ let lane t client key ~make =
     lane
   end
 
+(* Checked before the lane or the key's instance is touched, so a bad
+   client index leaves the engine untouched. *)
+let client_of clients i ~where =
+  if i < 0 || i >= Array.length clients then
+    invalid_arg (Printf.sprintf "Keyspace.%s out of range" where);
+  clients.(i)
+
 let write t ~key ~writer ~at ?on_done value =
-  let client = t.writer_clients.(writer) in
+  let client = client_of t.writer_clients writer ~where:"write: writer" in
   let lane = lane t client key ~make:Writer.create in
   Engine.inject t.engine ~at client.c_pid (fun ctx ->
       ignore (Writer.invoke lane ctx ~value ?on_done () : int))
 
 let read t ~key ~reader ~at ?on_done () =
-  let client = t.reader_clients.(reader) in
+  let client = client_of t.reader_clients reader ~where:"read: reader" in
   let lane = lane t client key ~make:Reader.create in
   Engine.inject t.engine ~at client.c_pid (fun ctx ->
       ignore (Reader.invoke lane ctx ?on_done () : int))
@@ -426,16 +431,7 @@ let read t ~key ~reader ~at ?on_done () =
 (* Observation *)
 
 let keys t = List.sort Int.compare t.keys_rev
-let engine t = t.engine
-let placement t = t.placement
 let topology t = Placement.topology t.placement
-let params t = t.template.Config.params
-let initial_value t = t.template.Config.initial_value
-let num_writers t = Array.length t.writer_clients
-let num_readers t = Array.length t.reader_clients
-let server_pid t ~server = t.server_pids.(server)
-let writer_pid t ~writer = t.writer_clients.(writer).c_pid
-let reader_pid t ~reader = t.reader_clients.(reader).c_pid
 let config t ~key = (find_instance t key).iconfig
 let history t ~key = (find_instance t key).iconfig.Config.history
 let cost t ~key = (find_instance t key).iconfig.Config.cost
@@ -476,18 +472,10 @@ let repairing t =
     (fun acc inst -> acc || Array.exists Server.repairing inst.iservers)
     false
 
-let scrub_clean t =
-  fold_instances t
-    (fun acc inst -> acc && Array.for_all Server.disk_ok inst.iservers)
-    true
-
 let total_storage t =
   fold_instances t
     (fun acc inst -> acc +. Cost.max_total_storage inst.iconfig.Config.cost)
     0.
-
-let all_live t =
-  Array.for_all (fun pid -> not (Engine.is_crashed t.engine pid)) t.server_pids
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection — machine-level: faults hit a physical server and
@@ -596,9 +584,6 @@ let domain_servers t ~domain = Topology.domain_members (topology t) domain
 
 let crash_domain t ~domain ~at =
   List.iter (fun s -> crash_server t ~server:s ~at) (domain_servers t ~domain)
-
-let repair_domain t ~domain ~at =
-  List.iter (fun s -> repair_server t ~server:s ~at) (domain_servers t ~domain)
 
 let partition_domain t ~domain ~at =
   partition_servers t ~servers:(domain_servers t ~domain) ~at

@@ -72,10 +72,13 @@ val write :
   t -> key:int -> writer:int -> at:float -> ?on_done:(unit -> unit) -> bytes -> unit
 (** Schedule writer [writer]'s lane for [key] to invoke a write at
     simulated time [at], materializing the key's instance if needed.
-    The operation lands in {!history}[ ~key]. *)
+    The operation lands in {!history}[ ~key].
+    @raise Invalid_argument if [writer] is out of range, before
+    anything is scheduled. *)
 
 val read :
   t -> key:int -> reader:int -> at:float -> ?on_done:(bytes -> unit) -> unit -> unit
+(** As {!write}, for reader [reader]'s lane. *)
 
 val materialize : t -> key:int -> unit
 (** Force the key's instance into existence now (operations do this
@@ -105,39 +108,25 @@ val repair_server : t -> server:int -> at:float -> unit
     relay buffers are volatile and lost with the crash. *)
 
 val corrupt_server : t -> server:int -> at:float -> unit
+[@@lint.allow "X1: fault hook — the sharded rot test garbles one server's \
+               hosted keys through it"]
 (** Silently garble the stored coded element of every hosted key
     instance (deterministically seeded per key and schedule), emitting
     a [Rot_injected] probe per instance. *)
 
-val partition_servers : t -> servers:int list -> at:float -> unit
-(** Blackhole every link between the listed physical servers and the
-    rest of the keyspace (other servers and all clients), both
-    directions. Heal with {!heal_servers} and the same list. *)
-
-val heal_servers : t -> servers:int list -> at:float -> unit
-
 val crash_domain : t -> domain:int -> at:float -> unit
 (** {!crash_server} for every member of the failure domain. *)
 
-val repair_domain : t -> domain:int -> at:float -> unit
 val partition_domain : t -> domain:int -> at:float -> unit
+[@@lint.allow "X1: fault hook — the domain-part chaos cell cuts off a whole \
+               failure domain through it"]
 val heal_domain : t -> domain:int -> at:float -> unit
+[@@lint.allow "X1: fault hook — ends the domain-part chaos cell's partition"]
 
 (** {1 Observation} *)
 
 val keys : t -> int list
 (** Keys with materialized instances, ascending. *)
-
-val engine : t -> Messages.t Simnet.Engine.t
-val placement : t -> Placement.t
-val topology : t -> Topology.t
-val params : t -> Params.t
-val initial_value : t -> bytes
-val num_writers : t -> int
-val num_readers : t -> int
-val server_pid : t -> server:int -> int
-val writer_pid : t -> writer:int -> int
-val reader_pid : t -> reader:int -> int
 
 val config : t -> key:int -> Config.t
 (** The key's derived instance configuration.
@@ -146,6 +135,7 @@ val config : t -> key:int -> Config.t
 val history : t -> key:int -> History.t
 val cost : t -> key:int -> Cost.t
 val probe : t -> key:int -> Probe.t
+[@@lint.allow "X1: state probe — tests read a key's probe stream"]
 
 val placement_of : t -> key:int -> int array
 (** The physical server index of each coordinate of the key's
@@ -164,13 +154,7 @@ val check_atomicity : t -> (unit, int * Atomicity.violation) result
 val repairing : t -> bool
 (** Some instance somewhere is mid-repair. *)
 
-val scrub_clean : t -> bool
-(** No instance holds a corrupted element. *)
-
 val total_storage : t -> float
 (** Sum over keys of the instance's maximum concurrent total storage,
     in value units — the multi-object analogue of the paper's
     [n/(n-f)] bound per register. *)
-
-val all_live : t -> bool
-(** No physical server process is currently crashed. *)

@@ -10,9 +10,6 @@
 
 type ctx = Messages.t Simnet.Engine.context
 
-val fresh_mid : ctx -> seq:int ref -> Messages.mid
-(** A unique message-dispersal id for the calling process. *)
-
 val value_send :
   ctx -> Config.t -> seq:int ref -> op:int -> tag:Protocol.Tag.t ->
   value:bytes -> unit

@@ -22,6 +22,10 @@
       value or any coded element — observable here through
       {!server_retained_payloads}. *)
 
+[@@@lint.allow "X1: test model — the literal MD-VALUE automata that \
+                test_md_ioa checks Theorems 3.1 and 3.2 on; no production \
+                path runs it"]
+
 module Tag = Protocol.Tag
 module Fragment = Erasure.Fragment
 

@@ -90,7 +90,6 @@ let create ~topology ~params ?(policy = Mod_stripe) () =
 
 let params t = t.params
 let topology t = t.topology
-let policy t = t.policy
 
 (* Striping: domain of coordinate i rotates with (key + i), the
    within-domain slot advances every full rotation — n distinct
@@ -207,12 +206,3 @@ let domain_safe t =
   let n = Params.n t.params in
   let dused = min (Topology.num_domains t.topology) n in
   (n + dused - 1) / dused <= Params.f t.params
-
-let pp ppf t =
-  Format.fprintf ppf "%d+%d over %a (%s)"
-    (Params.k_soda t.params)
-    (Params.n t.params - Params.k_soda t.params)
-    Topology.pp t.topology
-    (match t.policy with
-    | Mod_stripe -> "mod-stripe"
-    | Consistent_hash -> "consistent-hash")

@@ -53,18 +53,18 @@ val servers_of : t -> key:int -> int array
 
 val params : t -> Params.t
 val topology : t -> Topology.t
-val policy : t -> policy
 
 val domains_spanned : t -> key:int -> int
+[@@lint.allow "X1: state probe — placement tests check a key's domain spread"]
 (** Distinct failure domains among [servers_of ~key] — always
     [min(domains, n)]. *)
 
 val max_per_domain : t -> key:int -> int
+[@@lint.allow "X1: test oracle — domain_safe is checked against the \
+               per-domain share"]
 (** Largest fragment count any one domain holds for [key] — at most
     [ceil(n / min(domains, n))]. *)
 
 val domain_safe : t -> bool
 (** [true] iff the per-domain share is at most [f], i.e. losing any
     whole domain keeps every key inside its crash budget. *)
-
-val pp : Format.formatter -> t -> unit

@@ -30,8 +30,6 @@ type t = {
 }
 
 let create config = { config; phase = Idle; seq = ref 0; on_done = None }
-let busy t = match t.phase with Idle -> false | Get _ | Collect _ -> true
-
 (* Re-issue the pending phase of a stalled read (armed only when
    [Config.client_retry] is set, i.e. over the reliable transport). The
    get phase re-polls the servers; the collect phase re-broadcasts

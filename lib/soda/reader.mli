@@ -20,5 +20,3 @@ val invoke :
     @raise Invalid_argument if an operation is already in flight. *)
 
 val handler : t -> Messages.t Simnet.Engine.context -> src:int -> Messages.t -> unit
-
-val busy : t -> bool

@@ -148,7 +148,6 @@ let create config ~coordinate =
 let stored_tag t = Disk.tag t.disk
 let stored_fragment t = Disk.fragment_unchecked t.disk
 let repairing t = Option.is_some t.repair
-let quarantined t = Disk.quarantined t.disk
 let disk_ok t = (not (Disk.quarantined t.disk)) && Disk.verify t.disk
 let corrupt_disk t ~seed = Disk.rot t.disk ~seed
 let set_error_window t w = t.err_window <- w
@@ -341,11 +340,11 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
       (Messages.Read_disperse { tag; server_index = t.coordinate; rid })
   | `Coalesced -> (
     let entry = { Messages.tag; server_index = t.coordinate; rid } in
-    (* a keyspace wire may claim the entry for cross-key coalescing;
-       otherwise it queues in this instance's own outbox *)
-    match Config.gossip_hook t.config with
-    | Some hook when hook ctx entry -> ()
-    | Some _ | None -> gossip_enqueue t ctx entry)
+    (* a keyspace wire takes the entry for cross-key coalescing; a bare
+       deployment queues it in this instance's own outbox *)
+    match t.config.Config.wire with
+    | Some w -> w.wire_gossip ctx entry
+    | None -> gossip_enqueue t ctx entry)
   | `Off -> ()
 
 (* Fresh detection of bit-rot: the checksum just failed for the first

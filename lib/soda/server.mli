@@ -40,6 +40,7 @@ val gossip_live : t -> Messages.gossip_entry -> bool
 val stored_tag : t -> Protocol.Tag.t
 
 val stored_fragment : t -> Erasure.Fragment.t
+[@@lint.allow "X1: state probe — healing tests compare the stored element"]
 (** The raw stored coded element, bypassing checksum verification —
     for tests (e.g. byte-identical restoration after a scrub repair). *)
 
@@ -47,6 +48,7 @@ val registered_reads : t -> int list
 (** Currently registered read-operation ids. *)
 
 val history_entries : t -> int
+[@@lint.allow "X1: state probe — MD tests bound the server's per-tag history"]
 (** Total number of tuples in [H]. *)
 
 (** {1 Self-healing plane (see {!Config.healing})} *)
@@ -60,10 +62,6 @@ val corrupt_disk : t -> seed:int -> unit
 (** Fault injection: deterministically garble the stored coded element
     without touching its checksum (see {!Disk.rot}). The corruption is
     silent until the next verified read or scrub sweep. *)
-
-val quarantined : t -> bool
-(** [true] while the stored element failed its checksum and has not yet
-    been restored (by a scrub repair, a crash-repair or a newer write). *)
 
 val disk_ok : t -> bool
 (** [true] iff the store is not quarantined and its checksum verifies —

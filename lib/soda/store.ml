@@ -34,8 +34,6 @@ let create ~engine ~params ~objects ?value_len ?error_prone ~num_writers
   Array.iteri (fun key _ -> Keyspace.materialize ks ~key) names;
   { ks; names }
 
-let objects t = Array.to_list t.names
-
 let write t ~obj ~writer ~at ?on_done value =
   Keyspace.write t.ks ~key:(key_of t obj) ~writer ~at ?on_done value
 
@@ -48,12 +46,7 @@ let crash_server t ~coordinate ~at =
 let repair_server t ~coordinate ~at =
   Keyspace.repair_server t.ks ~server:coordinate ~at
 
-let corrupt_server t ~coordinate ~at =
-  Keyspace.corrupt_server t.ks ~server:coordinate ~at
-
 let repairing t = Keyspace.repairing t.ks
-let scrub_clean t = Keyspace.scrub_clean t.ks
-let history t ~obj = Keyspace.history t.ks ~key:(key_of t obj)
 let total_storage t = Keyspace.total_storage t.ks
 
 let check_atomicity t =

@@ -47,8 +47,6 @@ val create :
     object's fragment stores are checksummed ({!Disk}).
     @raise Invalid_argument on an empty or duplicated object list. *)
 
-val objects : t -> string list
-
 val write :
   t -> obj:string -> writer:int -> at:float -> ?on_done:(unit -> unit) ->
   bytes -> unit
@@ -63,22 +61,15 @@ val read :
 val crash_server : t -> coordinate:int -> at:float -> unit
 val repair_server : t -> coordinate:int -> at:float -> unit
 
-val corrupt_server : t -> coordinate:int -> at:float -> unit
-(** Bit-rot the coordinate's stored element for every object (a machine
-    fault hits all registers on the machine); see
-    {!Keyspace.corrupt_server}. *)
-
 (** {1 Observation} *)
 
 val repairing : t -> bool
+[@@lint.allow "X1: state probe — the store chaos test gates crashes on it"]
 (** [true] while any server of any object is mid-repair. *)
 
-val scrub_clean : t -> bool
-(** [true] iff every register's every fragment store passes its checksum. *)
-
-val history : t -> obj:string -> History.t
-
 val total_storage : t -> float
+[@@lint.allow "X1: state probe — the store cost test reads the summed \
+               storage"]
 (** Sum over objects of each register's worst-case total storage, in
     value units: [#objects * n/(n-f-2e)] when values share a size. *)
 
@@ -87,3 +78,4 @@ val check_atomicity : t -> (unit, string * Protocol.Atomicity.violation) result
     the first offending object. *)
 
 val all_complete : t -> bool
+[@@lint.allow "X1: state probe — store tests check liveness through it"]

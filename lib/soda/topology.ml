@@ -18,25 +18,6 @@ let make ~servers ~domains () =
     num_domains = domains
   }
 
-let custom assignment =
-  let m = Array.length assignment in
-  if m = 0 then invalid_arg "Topology.custom: need at least one server";
-  let top = Array.fold_left max (-1) assignment in
-  Array.iter
-    (fun d ->
-      if d < 0 || d > top then
-        invalid_arg "Topology.custom: negative domain id")
-    assignment;
-  let seen = Array.make (top + 1) false in
-  Array.iter (fun d -> seen.(d) <- true) assignment;
-  Array.iteri
-    (fun d present ->
-      if not present then
-        invalid_arg
-          (Printf.sprintf "Topology.custom: domain ids not dense (%d unused)" d))
-    seen;
-  { assignment = Array.copy assignment; num_domains = top + 1 }
-
 let servers t = Array.length t.assignment
 let num_domains t = t.num_domains
 
@@ -59,7 +40,3 @@ let min_domain_size t =
   let counts = Array.make t.num_domains 0 in
   Array.iter (fun d -> counts.(d) <- counts.(d) + 1) t.assignment;
   Array.fold_left min max_int counts
-
-let pp ppf t =
-  Format.fprintf ppf "%d servers / %d domains" (Array.length t.assignment)
-    t.num_domains

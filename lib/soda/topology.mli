@@ -17,12 +17,6 @@ val make : servers:int -> domains:int -> unit -> t
     sizes differ by at most one.
     @raise Invalid_argument unless [1 <= domains <= servers]. *)
 
-val custom : int array -> t
-(** Explicit assignment: entry [i] is server [i]'s domain id. Ids must
-    be dense in [0, max). The array is copied.
-    @raise Invalid_argument on an empty array, a negative id or a gap
-    in the id range. *)
-
 val servers : t -> int
 val num_domains : t -> int
 
@@ -36,5 +30,3 @@ val domain_members : t -> int -> int list
 val min_domain_size : t -> int
 (** Size of the smallest domain — the binding constraint on how many
     fragments per domain a placement may need (see [Placement.create]). *)
-
-val pp : Format.formatter -> t -> unit

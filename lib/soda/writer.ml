@@ -23,8 +23,6 @@ type t = {
 }
 
 let create config = { config; phase = Idle; seq = ref 0; on_done = None }
-let busy t = match t.phase with Idle -> false | _ -> true
-
 (* Re-poll the servers while the write is stuck in its get phase (armed
    only when [Config.client_retry] is set, i.e. over the reliable
    transport). The put phase needs no retry: the MD dispersal is

@@ -417,21 +417,25 @@ let backoff_tests =
         Alcotest.(check (float 1e-9)) "starts at rto"
           Channel.default.Channel.rto (List.hd s));
     Alcotest.test_case "validate rejects bad configs" `Quick (fun () ->
-        let bad f = try f (); false with Invalid_argument _ -> true in
+        let bad f =
+          match (f () : Channel.t) with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
         Alcotest.(check bool) "rto" true
-          (bad (fun () -> Channel.validate { Channel.default with rto = 0.0 }));
+          (bad (fun () -> Channel.create { Channel.default with rto = 0.0 }));
         Alcotest.(check bool) "backoff" true
           (bad (fun () ->
-               Channel.validate { Channel.default with backoff = 0.9 }));
+               Channel.create { Channel.default with backoff = 0.9 }));
         Alcotest.(check bool) "max_rto" true
           (bad (fun () ->
-               Channel.validate { Channel.default with max_rto = 1.0 }));
+               Channel.create { Channel.default with max_rto = 1.0 }));
         Alcotest.(check bool) "jitter" true
           (bad (fun () ->
-               Channel.validate { Channel.default with jitter = -0.1 }));
+               Channel.create { Channel.default with jitter = -0.1 }));
         Alcotest.(check bool) "max_retries" true
           (bad (fun () ->
-               Channel.validate { Channel.default with max_retries = -1 })))
+               Channel.create { Channel.default with max_retries = -1 })))
   ]
 
 (* ------------------------------------------------------------------ *)

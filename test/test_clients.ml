@@ -231,7 +231,11 @@ let reader_tests =
                | _ -> false)
           <> []);
         (* the returned tag is recorded in the history *)
-        let record = History.find rig.config.Soda.Config.history ~op:0 in
+        let record =
+          List.find
+            (fun r -> r.History.op = 0)
+            (History.records rig.config.Soda.Config.history)
+        in
         Alcotest.(check bool) "history tag" true
           (record.History.tag = Some t1))
   ]

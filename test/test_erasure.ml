@@ -405,24 +405,27 @@ let mds_tests =
         int_range 1 20 >>= fun n ->
         pair bytes_gen (int_range 0 (n - 1)) >|= fun (v, i) -> (n, v, i))
       (fun (n, v, i) ->
-        let code = Mds.replication ~n in
+        (* the [n, 1] code: every fragment alone carries the value *)
+        let code = Mds.rs_bch ~n ~k:1 in
         let frags = Mds.encode code v in
         Bytes.equal v (Mds.decode code [ frags.(i) ]));
     qtest "replication encode is one copy, not n"
       QCheck2.Gen.(pair (int_range 1 20) bytes_gen)
       (fun (n, v) ->
-        let frags = Mds.encode (Mds.replication ~n) v in
-        (* all fragments share the one framed buffer... *)
+        let frags = Mds.encode (Mds.rs_bch ~n ~k:1) v in
+        (* each fragment is one framed copy... *)
         Array.for_all
-          (fun f -> Fragment.data f == Fragment.data frags.(0))
+          (fun f ->
+            Fragment.size f = Mds.fragment_size (Mds.rs_bch ~n ~k:1)
+                                ~value_len:(Bytes.length v))
           frags
-        (* ...and corruption still copies rather than garbling siblings *)
+        (* ...and corruption copies rather than garbling the original *)
         && (Array.length frags < 2
            ||
+           let before = Bytes.copy (Fragment.data frags.(1)) in
            let g = Fragment.corrupt frags.(1) ~seed:5 in
-           (not (Fragment.data g == Fragment.data frags.(0)))
-           && Fragment.equal frags.(0)
-                (Fragment.make ~index:0 ~data:(Fragment.data frags.(1)))));
+           (not (Fragment.data g == Fragment.data frags.(1)))
+           && Bytes.equal before (Fragment.data frags.(1))));
     qtest "Mds round-trip across all codecs"
       QCheck2.Gen.(
         int_range 2 16 >>= fun n ->
@@ -434,7 +437,7 @@ let mds_tests =
           match which with
           | 0 -> Mds.rs_bch ~n ~k
           | 1 -> Mds.rs_bch16 ~n ~k
-          | _ -> Mds.replication ~n
+          | _ -> Mds.rs_bch ~n ~k:1
         in
         let frags = Mds.encode code v in
         let subset =
@@ -443,19 +446,25 @@ let mds_tests =
         in
         Bytes.equal v (Mds.decode code subset));
     Alcotest.test_case "storage overhead" `Quick (fun () ->
+        (* all n fragments of a framed value that fills its stripes
+           store n/k times the framed size *)
+        let overhead code =
+          let value_len = (7 * 100) - 4 in
+          let frags = Mds.encode code (Bytes.make value_len 'v') in
+          float (Array.fold_left (fun acc f -> acc + Fragment.size f) 0 frags)
+          /. float (value_len + 4)
+        in
         Alcotest.(check (float 1e-9))
           "rs" (10. /. 7.)
-          (Mds.storage_overhead (Mds.rs_bch ~n:10 ~k:7));
+          (overhead (Mds.rs_bch ~n:10 ~k:7));
         Alcotest.(check (float 1e-9))
           "replication" 5.
-          (Mds.storage_overhead (Mds.replication ~n:5)));
+          (overhead (Mds.rs_bch ~n:5 ~k:1)));
     Alcotest.test_case "names" `Quick (fun () ->
         Alcotest.(check string) "bch" "rs-bch[9,3]"
           (Mds.name (Mds.rs_bch ~n:9 ~k:3));
         Alcotest.(check string) "bch16" "rs-bch16[9,5]"
-          (Mds.name (Mds.rs_bch16 ~n:9 ~k:5));
-        Alcotest.(check string) "repl" "replication[4]"
-          (Mds.name (Mds.replication ~n:4)));
+          (Mds.name (Mds.rs_bch16 ~n:9 ~k:5)));
     Alcotest.test_case "Mds.decode converts exceptions" `Quick (fun () ->
         let code = Mds.rs_bch ~n:6 ~k:4 in
         let v = Bytes.of_string "abc" in
@@ -470,7 +479,7 @@ let mds_tests =
         pair bytes_gen bool >|= fun (v, rs) -> (n, k, v, rs))
       (fun (n, k, v, rs) ->
         (* rs_bch16 is checked in the rs16 group *)
-        let code = if rs then Mds.rs_bch ~n ~k else Mds.replication ~n in
+        let code = Mds.rs_bch ~n ~k:(if rs then k else 1) in
         let frags = Mds.encode code v in
         Array.for_all
           (fun f ->
@@ -502,11 +511,9 @@ let mds_tests =
            so equal inputs must garble identically — and a different
            seed must not produce the same garbage *)
         let f = Fragment.make ~index:3 ~data in
-        Fragment.equal (Fragment.corrupt f ~seed) (Fragment.corrupt f ~seed)
-        && not
-             (Fragment.equal
-                (Fragment.corrupt f ~seed)
-                (Fragment.corrupt f ~seed:(seed + 1))))
+        let data seed = Fragment.data (Fragment.corrupt f ~seed) in
+        Bytes.equal (data seed) (data seed)
+        && not (Bytes.equal (data seed) (data (seed + 1))))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -660,7 +667,6 @@ type bch_case = {
       (** corrupt one stripe of each corrupted fragment, or each whole,
           or the first whole and the others one stripe each *)
   dups : int list;  (** positions (in the received list) to duplicate *)
-  pad : int;  (** payload offset of every fragment view *)
   seed : int;
 }
 
@@ -679,10 +685,9 @@ let bch_case_gen =
     subset_gen ~n n >>= fun order ->
     int_range 0 2 >>= fun ndups ->
     list_repeat ndups (int_range 0 (present - 1)) >>= fun dups ->
-    int_range 0 3 >>= fun pad ->
     int_range 0 1_000_000 >>= fun seed ->
     bytes_gen >|= fun value ->
-    { wide; n; k; value; order; erasures; errors; mode; dups; pad; seed })
+    { wide; n; k; value; order; erasures; errors; mode; dups; seed })
 
 (* Corrupt exactly one symbol: XOR the nonzero [mask] into byte [pos]. *)
 let corrupt_byte f ~pos ~mask =
@@ -692,13 +697,6 @@ let corrupt_byte f ~pos ~mask =
 
 let corrupt_one_stripe f ~seed =
   corrupt_byte f ~pos:(seed mod Fragment.size f) ~mask:(1 + (seed mod 255))
-
-(* Re-home a fragment's payload at offset [pad] of a larger buffer. *)
-let at_offset ~pad f =
-  let size = Fragment.size f in
-  let buf = Bytes.make (pad + size + 2) '\xa5' in
-  Bytes.blit (Fragment.buf f) (Fragment.off f) buf pad size;
-  Fragment.view ~index:(Fragment.index f) ~buf ~off:pad ~len:size
 
 let received_word c frags =
   let base =
@@ -714,15 +712,12 @@ let received_word c frags =
   in
   (* duplicates: an extra copy of a received fragment, sometimes
      garbled, sometimes put ahead of the original (first seen wins) *)
-  let with_dups =
-    List.fold_left
-      (fun acc p ->
-        let f = List.nth base p in
-        let dup = if p land 1 = 0 then f else Fragment.corrupt f ~seed:c.seed in
-        if c.seed land 1 = 0 then dup :: acc else acc @ [ dup ])
-      base c.dups
-  in
-  List.map (at_offset ~pad:c.pad) with_dups
+  List.fold_left
+    (fun acc p ->
+      let f = List.nth base p in
+      let dup = if p land 1 = 0 then f else Fragment.corrupt f ~seed:c.seed in
+      if c.seed land 1 = 0 then dup :: acc else acc @ [ dup ])
+    base c.dups
 
 (* The outcomes of [decode] and [decode_reference] on one received
    word: the bytes, or the exception with its message. *)

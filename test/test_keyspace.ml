@@ -117,10 +117,6 @@ let placement_tests =
         Alcotest.(check bool) "domains > servers rejected" true
           (match Topology.make ~servers:3 ~domains:4 () with
           | exception Invalid_argument _ -> true
-          | _ -> false);
-        Alcotest.(check bool) "sparse custom ids rejected" true
-          (match Topology.custom [| 0; 2; 2 |] with
-          | exception Invalid_argument _ -> true
           | _ -> false))
   ]
 
@@ -396,6 +392,33 @@ let sharded_tests =
                 ignore (Keyspace.placement_of ks ~key)))
           [ -1; -2; min_int ];
         Alcotest.(check (list int)) "keys" [ 0 ] (Keyspace.keys ks));
+    Alcotest.test_case "client indices out of range are rejected" `Quick
+      (fun () ->
+        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
+        let ks =
+          Keyspace.create ~engine
+            ~placement:(p4_2_placement ~servers:9 ~domains:3 ())
+            ~num_writers:2 ~num_readers:1 ()
+        in
+        Keyspace.materialize ks ~key:0;
+        let pending = Engine.pending_events engine in
+        List.iter
+          (fun i ->
+            Alcotest.check_raises
+              (Printf.sprintf "writer %d" i)
+              (Invalid_argument "Keyspace.write: writer out of range")
+              (fun () ->
+                Keyspace.write ks ~key:1 ~writer:i ~at:0.0
+                  (Bytes.of_string "v"));
+            Alcotest.check_raises
+              (Printf.sprintf "reader %d" i)
+              (Invalid_argument "Keyspace.read: reader out of range")
+              (fun () -> Keyspace.read ks ~key:1 ~reader:(i - 1) ~at:0.0 ()))
+          [ -1; 2; 5 ];
+        Alcotest.(check int) "nothing scheduled" pending
+          (Engine.pending_events engine);
+        Alcotest.(check (list int)) "no instance materialized" [ 0 ]
+          (Keyspace.keys ks));
     Alcotest.test_case "corrupt_server touches exactly its hosted keys" `Quick
       (fun () ->
         let placement =

@@ -1,6 +1,9 @@
 (* soda-lint end-to-end: run the linter over the fixture library and
    assert the exact diagnostic set — one finding per rule, at the line
-   the fixture plants it, and nothing from the [@lint.allow] file.
+   the fixture plants it, and nothing from the [@lint.allow] file. The
+   X1 fixtures (x1_lib, x1_arg, x1_use) report only the dead export and
+   the bare allow: a use through a module alias, a functor argument and
+   a reasoned allow all keep an export alive.
 
    The test runs unsandboxed (see test/dune) so the relative paths below
    resolve inside _build/default. *)
@@ -74,7 +77,9 @@ let expected =
     { file = "bad_t3.ml"; line = 3; rule = "D3" };
     { file = "bad_t3.ml"; line = 5; rule = "T3" };
     { file = "bad_u1.ml"; line = 2; rule = "U1" };
-    { file = "bad_u1.ml"; line = 4; rule = "U1" }
+    { file = "bad_u1.ml"; line = 4; rule = "U1" };
+    { file = "x1_lib.mli"; line = 3; rule = "X1" };
+    { file = "x1_lib.mli"; line = 10; rule = "S1" }
   ]
 
 let test_diagnostic_set () =

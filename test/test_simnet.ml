@@ -16,8 +16,8 @@ let qtest ?(count = 200) name gen prop =
 let rng_tests =
   [ qtest "same seed, same stream" QCheck2.Gen.int (fun seed ->
         let a = Rng.create seed and b = Rng.create seed in
-        List.init 50 (fun _ -> Rng.int64 a)
-        = List.init 50 (fun _ -> Rng.int64 b));
+        List.init 50 (fun _ -> Rng.bits a)
+        = List.init 50 (fun _ -> Rng.bits b));
     qtest "int respects bound" QCheck2.Gen.(pair int (int_range 1 1000))
       (fun (seed, bound) ->
         let rng = Rng.create seed in
@@ -28,7 +28,7 @@ let rng_tests =
       (fun (seed, lo, span) ->
         let hi = lo + span in
         let rng = Rng.create seed in
-        List.init 100 (fun _ -> Rng.int_in rng lo hi)
+        List.init 100 (fun _ -> lo + Rng.int rng (hi - lo + 1))
         |> List.for_all (fun x -> x >= lo && x <= hi));
     qtest "float respects bound" QCheck2.Gen.int (fun seed ->
         let rng = Rng.create seed in
@@ -42,8 +42,8 @@ let rng_tests =
       (fun seed ->
         let parent = Rng.create seed in
         let child = Rng.split parent in
-        let a = List.init 20 (fun _ -> Rng.int64 parent) in
-        let b = List.init 20 (fun _ -> Rng.int64 child) in
+        let a = List.init 20 (fun _ -> Rng.bits parent) in
+        let b = List.init 20 (fun _ -> Rng.bits child) in
         a <> b);
     qtest "shuffle permutes" QCheck2.Gen.int (fun seed ->
         let rng = Rng.create seed in
@@ -55,12 +55,9 @@ let rng_tests =
         Alcotest.check_raises "zero bound"
           (Invalid_argument "Rng.int: non-positive bound") (fun () ->
             ignore (Rng.int rng 0));
-        Alcotest.check_raises "empty range"
-          (Invalid_argument "Rng.int_in: empty range") (fun () ->
-            ignore (Rng.int_in rng 3 2));
-        Alcotest.check_raises "empty pick"
-          (Invalid_argument "Rng.pick: empty array") (fun () ->
-            ignore (Rng.pick rng [||])));
+        Alcotest.check_raises "negative bound"
+          (Invalid_argument "Rng.int: non-positive bound") (fun () ->
+            ignore (Rng.int rng (-3))));
     (* a crude uniformity check: mean of many draws near bound/2 *)
     Alcotest.test_case "rough uniformity" `Quick (fun () ->
         let rng = Rng.create 99 in
@@ -79,14 +76,29 @@ let rng_tests =
 (* ------------------------------------------------------------------ *)
 (* Event queue *)
 
+(* the engine pushes tagged events and pops with pop_exn; these are
+   the plain forms the tests read better with *)
+let push q ~time payload = Event_queue.push_tagged q ~time ~tag:0 payload
+
+let pop q =
+  if Event_queue.is_empty q then None
+  else
+    let time = Event_queue.next_time q in
+    Some (time, Event_queue.pop_exn q)
+
+let drain q =
+  while not (Event_queue.is_empty q) do
+    ignore (Event_queue.pop_exn q)
+  done
+
 let queue_tests =
   [ qtest "pops in time order"
       QCheck2.Gen.(list_size (int_range 0 200) (float_bound_inclusive 1000.))
       (fun times ->
         let q = Event_queue.create () in
-        List.iteri (fun i time -> Event_queue.push q ~time i) times;
+        List.iteri (fun i time -> push q ~time i) times;
         let rec drain acc =
-          match Event_queue.pop q with
+          match pop q with
           | None -> List.rev acc
           | Some (time, _) -> drain (time :: acc)
         in
@@ -97,10 +109,10 @@ let queue_tests =
       (fun count ->
         let q = Event_queue.create () in
         for i = 0 to count - 1 do
-          Event_queue.push q ~time:1.0 i
+          push q ~time:1.0 i
         done;
         let rec drain acc =
-          match Event_queue.pop q with
+          match pop q with
           | None -> List.rev acc
           | Some (_, payload) -> drain (payload :: acc)
         in
@@ -108,18 +120,17 @@ let queue_tests =
     Alcotest.test_case "size / peek / clear" `Quick (fun () ->
         let q = Event_queue.create () in
         Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
-        Event_queue.push q ~time:5.0 "b";
-        Event_queue.push q ~time:2.0 "a";
+        push q ~time:5.0 "b";
+        push q ~time:2.0 "a";
         Alcotest.(check int) "size" 2 (Event_queue.size q);
-        Alcotest.(check (option (float 0.))) "peek" (Some 2.0)
-          (Event_queue.peek_time q);
-        Event_queue.clear q;
+        Alcotest.(check (float 0.)) "peek" 2.0 (Event_queue.next_time q);
+        drain q;
         Alcotest.(check bool) "cleared" true (Event_queue.is_empty q));
     Alcotest.test_case "NaN rejected" `Quick (fun () ->
         let q = Event_queue.create () in
         Alcotest.check_raises "nan"
           (Invalid_argument "Event_queue.push: NaN time") (fun () ->
-            Event_queue.push q ~time:Float.nan ()));
+            push q ~time:Float.nan ()));
     (* Model-based test: random interleavings of every queue operation
        (both push paths, pops, clears) against a sorted-list reference.
        The model keeps (time, seq, tag, payload) sorted stably by
@@ -176,7 +187,7 @@ let queue_tests =
                match !model with
                | [] ->
                  check (Event_queue.is_empty q);
-                 check (Event_queue.pop q = None)
+                 check (pop q = None)
                | (t, _, tag, p) :: tl ->
                  check (Event_queue.next_time q = t);
                  check (Event_queue.next_tag q = tag);
@@ -184,7 +195,7 @@ let queue_tests =
                  check (Event_queue.pop_exn q = p);
                  model := tl)
              | `Clear ->
-               Event_queue.clear q;
+               drain q;
                model := []);
              check (Event_queue.size q = List.length !model);
              check (Event_queue.is_empty q = (!model = [])))
@@ -239,7 +250,7 @@ let queue_tests =
                incr seq
              | `Pop -> (
                match !model with
-               | [] -> check (Event_queue.pop q = None)
+               | [] -> check (pop q = None)
                | (_, _, _, p) :: tl ->
                  check (Event_queue.pop_exn q = p);
                  model := tl)
@@ -278,7 +289,7 @@ let queue_tests =
               ~tag:i i
           done;
           Alcotest.(check int) "filled" 100 (Event_queue.size q);
-          if round < 3 then Event_queue.clear q
+          if round < 3 then drain q
         done;
         let last = ref neg_infinity in
         while not (Event_queue.is_empty q) do
@@ -537,8 +548,10 @@ let trace_tests =
         let events = Engine.trace_events engine in
         Alcotest.(check bool) "valid" true
           (Simnet.Trace_check.check events = Ok ());
-        Alcotest.(check (float 1e-9)) "all delivered" 1.0
-          (Simnet.Trace_check.delivered_ratio events));
+        let count p = List.length (List.filter p events) in
+        Alcotest.(check int) "all delivered"
+          (count (function Engine.Sent _ -> true | _ -> false))
+          (count (function Engine.Delivered _ -> true | _ -> false)));
     Alcotest.test_case "forged traces are rejected" `Quick (fun () ->
         let bad what events =
           Alcotest.(check bool) what true

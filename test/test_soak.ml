@@ -82,9 +82,10 @@ let soak_tests =
         in
         List.iter
           (fun algo ->
-            let s = Metrics.summarize (Runner.run algo w) in
+            let r = Runner.run algo w in
+            let s = Metrics.summarize r in
             Alcotest.(check bool)
-              (Runner.algorithm_name algo ^ " accepted")
+              (r.Runner.algorithm ^ " accepted")
               true
               (s.Metrics.liveness && s.Metrics.atomic))
           [ Runner.Soda; Runner.Abd; Runner.Cas { gc_depth = None };

@@ -576,10 +576,6 @@ let hygiene_tests =
             Soda.Deployment.crash_writer d ~writer ~at:10.0);
         reader "crash_reader" (fun reader ->
             Soda.Deployment.crash_reader d ~reader ~at:10.0);
-        writer "writer_pid" (fun writer ->
-            ignore (Soda.Deployment.writer_pid d ~writer : int));
-        reader "reader_pid" (fun reader ->
-            ignore (Soda.Deployment.reader_pid d ~reader : int));
         Alcotest.(check int) "nothing scheduled" pending
           (Engine.pending_events engine))
   ]

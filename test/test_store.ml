@@ -90,15 +90,16 @@ let store_tests =
         let params = Params.make ~n:6 ~f:2 () in
         let engine = Engine.create ~seed:4 ~delay:(Delay.constant 1.0) () in
         let value_len = 512 in
+        let objects = [ "a"; "b"; "c"; "d" ] in
         let store =
-          Soda.Store.create ~engine ~params ~objects:[ "a"; "b"; "c"; "d" ]
-            ~value_len ~num_writers:1 ~num_readers:1 ()
+          Soda.Store.create ~engine ~params ~objects ~value_len ~num_writers:1
+            ~num_readers:1 ()
         in
         List.iter
           (fun obj ->
             Soda.Store.write store ~obj ~writer:0 ~at:0.0
               (Bytes.make value_len 'z'))
-          (Soda.Store.objects store);
+          objects;
         Engine.run engine;
         let per_register =
           float_of_int

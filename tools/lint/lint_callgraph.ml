@@ -78,8 +78,18 @@ let taints : (string, (kind * string list) list) Hashtbl.t = Hashtbl.create 256
 (* ------------------------------------------------------------------ *)
 (* Pass 1 harvest *)
 
+(* X1's substrate: canonical names of the values that some unit other
+   than their own references, counted only from the directories whose
+   uses keep an export alive (test/ does not). A reference through a
+   module alias counts once the kb canonicalizes it; a functor argument
+   or a packed module uses every value its module type asks for. *)
+let use_dirs = [ "lib"; "bin"; "bench"; "perf"; "examples"; "tools" ]
+let used : (string, unit) Hashtbl.t = Hashtbl.create 4096
+
 type hctx = {
   allows : Lint_kb.Allows.t;
+  modname : string;
+  user : bool; (* this unit's references keep exports alive *)
   mutable stack : string list;
   mutable current : def option;
   mutable depth : int
@@ -93,7 +103,53 @@ let exempt_kinds allows =
       || Hashtbl.mem allows "all")
     [ Clock; Rand; Order ]
 
+let record_use ctx name =
+  if ctx.user then
+    List.iter
+      (fun c ->
+        match String.index_opt c '.' with
+        | Some i when String.sub c 0 i <> ctx.modname ->
+          Hashtbl.replace used c ()
+        | _ -> ())
+      (Lint_kb.qualified_candidates ~stack:ctx.stack name)
+
+let lookup_modtype ~stack name =
+  List.find_map
+    (Hashtbl.find_opt Lint_kb.modtypes)
+    (Lint_kb.qualified_candidates ~stack name)
+
+(* [prefix] must provide every value of [mty], nested modules included *)
+let rec require ctx ~fuel prefix (mty : Types.module_type) =
+  if fuel > 0 then
+    match mty with
+    | Mty_signature sg ->
+      List.iter
+        (function
+          | Types.Sig_value (id, _, _) ->
+            record_use ctx (prefix ^ "." ^ Ident.name id)
+          | Types.Sig_module (id, _, md, _, _) ->
+            require ctx ~fuel:(fuel - 1)
+              (prefix ^ "." ^ Ident.name id)
+              md.md_type
+          | _ -> ())
+        sg
+    | Mty_ident p -> (
+      match lookup_modtype ~stack:ctx.stack (Path.name p) with
+      | Some mty -> require ctx ~fuel:(fuel - 1) prefix mty
+      | None -> ())
+    | _ -> ()
+
+let rec module_path (me : Typedtree.module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some (Path.name p)
+  | Tmod_constraint (me, _, _, _) -> module_path me
+  | _ -> None
+
+let require_module ctx (me : Typedtree.module_expr) mty =
+  Option.iter (fun p -> require ctx ~fuel:8 p mty) (module_path me)
+
 let record_ident ctx ~scope name =
+  record_use ctx name;
   match ctx.current with
   | None -> ()
   | Some def -> (
@@ -138,6 +194,8 @@ let harvest ~all ~source ~modname (str : Typedtree.structure) =
   let scope = Lint_kb.scope_of_source ~all source in
   let ctx =
     { allows = Lint_kb.Allows.create ();
+      modname;
+      user = List.mem (List.hd (String.split_on_char '/' source)) use_dirs;
       stack = [ modname ];
       current = None;
       depth = 0
@@ -158,6 +216,10 @@ let harvest ~all ~source ~modname (str : Typedtree.structure) =
     Lint_kb.Allows.push ctx.allows ids;
     (match e.exp_desc with
     | Texp_ident (path, _, _) -> record_ident ctx ~scope (Path.name path)
+    | Texp_pack me -> (
+      match Types.get_desc e.exp_type with
+      | Tpackage (p, _) -> require_module ctx me (Mty_ident p)
+      | _ -> ())
     | _ -> ());
     super.expr sub e;
     Lint_kb.Allows.pop ctx.allows ids
@@ -196,7 +258,16 @@ let harvest ~all ~source ~modname (str : Typedtree.structure) =
     ctx.current <- saved_current;
     ctx.depth <- saved_depth
   in
-  let iter = { super with expr; value_binding; module_binding } in
+  let module_expr sub (me : Typedtree.module_expr) =
+    (match me.mod_desc with
+    | Tmod_apply (f, arg, _) -> (
+      match f.mod_type with
+      | Mty_functor (Named (_, param), _) -> require_module ctx arg param
+      | _ -> ())
+    | _ -> ());
+    super.module_expr sub me
+  in
+  let iter = { super with expr; value_binding; module_binding; module_expr } in
   iter.structure iter str;
   Lint_kb.Allows.pop ctx.allows file_allows
 

@@ -30,9 +30,10 @@ type rule =
   | T1 (* transitively reaches a wall-clock read *)
   | T2 (* transitively reaches ambient random / domain state *)
   | T3 (* transitively reaches unordered Hashtbl iteration *)
+  | X1 (* exported value no other unit references *)
 
 let all_rules =
-  [ D1; D2; D3; P1; P2; R1; E1; U1; S1; M1; M2; M3; M4; A1; T1; T2; T3 ]
+  [ D1; D2; D3; P1; P2; R1; E1; U1; S1; M1; M2; M3; M4; A1; T1; T2; T3; X1 ]
 
 let rule_id = function
   | D1 -> "D1"
@@ -52,6 +53,7 @@ let rule_id = function
   | T1 -> "T1"
   | T2 -> "T2"
   | T3 -> "T3"
+  | X1 -> "X1"
 
 (* ------------------------------------------------------------------ *)
 (* Scoping: which rules apply to a source file, by directory.
@@ -67,7 +69,9 @@ let d3_libs = [ "soda"; "simnet"; "baselines"; "harness" ]
 let protocol_rules = [ M1; M2; M3; M4 ]
 
 let lib_rules l =
-  let base = [ D1; D2; P1; P2; R1; E1; U1; S1; T1; T2; A1 ] @ protocol_rules in
+  let base =
+    [ D1; D2; P1; P2; R1; E1; U1; S1; T1; T2; A1; X1 ] @ protocol_rules
+  in
   if List.mem l d3_libs then D3 :: T3 :: base else base
 
 let scope_of_source ~all source =
@@ -219,6 +223,19 @@ let report ~(active : rule list) ~(allows : Allows.t) rule (loc : Location.t)
         else add_diag rule loc msg)
     fmt
 
+(* S1: every suppression must say why. Callers check BEFORE pushing the
+   entries, so a bare [@lint.allow "all"] cannot mask its own S1. *)
+let check_reasons ~active ~allows (entries : Allows.entry list) =
+  List.iter
+    (fun (e : Allows.entry) ->
+      if e.reason = None then
+        let ids = String.concat " " e.ids in
+        report ~active ~allows S1 e.loc
+          "suppression [@%s \"%s\"] without a reason — write [@%s \"%s: \
+           why\"]"
+          e.attr_name ids e.attr_name ids)
+    entries
+
 (* ------------------------------------------------------------------ *)
 (* Knowledge base of type declarations and module aliases.
 
@@ -240,6 +257,10 @@ type decl =
 
 let decls : (string, decl) Hashtbl.t = Hashtbl.create 512
 let mod_aliases : (string, string) Hashtbl.t = Hashtbl.create 128
+
+(* named module types, for what a functor argument or a packed module
+   must provide *)
+let modtypes : (string, Types.module_type) Hashtbl.t = Hashtbl.create 32
 
 let has_attr names attrs =
   List.exists
@@ -281,6 +302,9 @@ and harvest_item ~stack (item : Typedtree.structure_item) =
         let name = String.concat "." (List.rev (td.typ_name.txt :: stack)) in
         Hashtbl.replace decls name (classify_type_decl td))
       tds
+  | Tstr_modtype { mtd_type = Some mty; mtd_name; _ } ->
+    let name = String.concat "." (List.rev (mtd_name.txt :: stack)) in
+    Hashtbl.replace modtypes name mty.mty_type
   | Tstr_module mb -> harvest_module ~stack mb
   | Tstr_recmodule mbs -> List.iter (harvest_module ~stack) mbs
   | _ -> ()

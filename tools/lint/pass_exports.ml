@@ -1,0 +1,66 @@
+(* X1: dead exports. Every [val] of a scoped interface (lib/*/*.mli)
+   must be referenced by some other unit in lib/, bin/, bench/, perf/,
+   examples/ or tools/ — the references Lint_callgraph harvested, so an
+   alias, a functor argument or a packed module counts. A value only
+   the tests use is either deleted or carries [@@lint.allow "X1: why"]
+   naming it a test oracle or state probe; a floating
+   [@@@lint.allow "X1: why"] covers a whole test-model unit. *)
+
+open Lint_kb
+
+(* "Soda__Server.Set.mem" -> "Server.Set.mem" *)
+let display name =
+  match String.split_on_char '.' name with
+  | unit :: rest ->
+    let n = String.length unit in
+    let rec last_sep i =
+      if i < 1 then unit
+      else if unit.[i] = '_' && unit.[i - 1] = '_' then
+        String.sub unit (i + 1) (n - i - 1)
+      else last_sep (i - 1)
+    in
+    String.concat "." (last_sep (n - 1) :: rest)
+  | [] -> name
+
+let check ~all ~source ~modname (sg : Typedtree.signature) =
+  let active = scope_of_source ~all source in
+  if List.mem X1 active then begin
+    let allows = Allows.create () in
+    let with_allows entries f =
+      check_reasons ~active ~allows entries;
+      Allows.push allows entries;
+      f ();
+      Allows.pop allows entries
+    in
+    let rec items prefix (sg : Typedtree.signature) =
+      List.iter
+        (fun (item : Typedtree.signature_item) ->
+          match item.sig_desc with
+          | Tsig_value vd ->
+            let name = prefix ^ "." ^ vd.val_name.txt in
+            with_allows (Allows.of_attributes vd.val_attributes) (fun () ->
+                if not (Hashtbl.mem Lint_callgraph.used name) then
+                  report ~active ~allows X1 vd.val_loc
+                    "`%s` is exported but no other unit in %s references \
+                     it — delete it or drop its [val]; a test oracle, state \
+                     probe or fault hook carries [@@@@lint.allow \"X1: \
+                     why\"]"
+                    (display name)
+                    (String.concat "/, " Lint_callgraph.use_dirs ^ "/"))
+          | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
+            match md_type.mty_desc with
+            | Tmty_signature sg -> items (prefix ^ "." ^ m) sg
+            | _ -> ())
+          | _ -> ())
+        sg.sig_items
+    in
+    let file_allows =
+      List.concat_map
+        (fun (item : Typedtree.signature_item) ->
+          match item.sig_desc with
+          | Tsig_attribute a -> Allows.of_attributes [ a ]
+          | _ -> [])
+        sg.sig_items
+    in
+    with_allows file_allows (fun () -> items modname sg)
+  end

@@ -122,23 +122,8 @@ type ctx = {
                                          self-referential taint *)
 }
 
-(* S1: every suppression must say why. Checked BEFORE the entries are
-   pushed, so a bare [@lint.allow "all"] cannot mask its own S1. *)
-let s1_check ctx (entries : Allows.entry list) =
-  List.iter
-    (fun (e : Allows.entry) ->
-      if e.reason = None then
-        report ~active:ctx.active ~allows:ctx.allows S1 e.loc
-          "suppression [@%s \"%s\"] without a reason — write [@%s \"%s: \
-           why\"]"
-          e.attr_name
-          (String.concat " " e.ids)
-          e.attr_name
-          (String.concat " " e.ids))
-    entries
-
 let push ctx entries =
-  s1_check ctx entries;
+  check_reasons ~active:ctx.active ~allows:ctx.allows entries;
   Allows.push ctx.allows entries
 
 let pop ctx entries = Allows.pop ctx.allows entries

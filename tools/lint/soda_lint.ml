@@ -5,7 +5,8 @@
    deterministic, the checker hot paths being domain-safe, and every
    role handling the full SODA message alphabet. This driver walks the
    .cmt files produced by dune's -bin-annot (compiler-libs Cmt_format +
-   Tast_iterator) and enforces those invariants statically.
+   Tast_iterator) and enforces those invariants statically; the .cmti
+   interfaces feed the dead-export pass.
 
    v2 is multi-pass with whole-program analyses (see DESIGN.md, "Static
    analysis v2"):
@@ -18,6 +19,7 @@
              publish/mutate summaries for the alias pass
      pass 2  walk the scoped units reporting diagnostics (Pass_local),
              then the whole-program checks (Pass_protocol / Pass_alias)
+             and every scoped interface's exports (Pass_exports)
 
    Rule families (suppress locally with [@lint.allow "ID: why"] — the
    reason is mandatory, a bare allow still suppresses but is itself an
@@ -37,6 +39,10 @@
      A1     mutation of a backing buffer after a zero-copy view over it
             was published into Engine.send/Disk
      T1–T3  transitive (call-graph) reach of D1/D2+Domain/D3 effects
+     X1     a lib/*/*.mli value no other unit in lib/, bin/, bench/,
+            perf/, examples/ or tools/ references — aliases, functor
+            arguments and packed modules count; test oracles, state
+            probes and fault hooks carry [@@lint.allow "X1: why"]
 
    Output: plain "<file>:<line>:<col>: [ID] msg" lines by default,
    --json for a machine-readable report, --github (auto-on when
@@ -54,7 +60,10 @@ let rec collect_cmts acc path =
     Array.fold_left
       (fun acc entry -> collect_cmts acc (Filename.concat path entry))
       acc entries
-  | Unix.S_REG when Filename.check_suffix path ".cmt" -> path :: acc
+  | Unix.S_REG
+    when Filename.check_suffix path ".cmt"
+         || Filename.check_suffix path ".cmti" ->
+    path :: acc
   | _ -> acc
   | exception Unix.Unix_error _ -> acc
 
@@ -145,16 +154,14 @@ let () =
     prerr_endline "soda-lint: no .cmt files found (build @check first)";
     exit 2
   end;
+  let annots = List.filter_map read_cmt cmts in
   let units =
     List.filter_map
-      (fun path ->
-        match read_cmt path with
-        | Some infos -> (
-          match infos.Cmt_format.cmt_annots with
-          | Cmt_format.Implementation str -> Some (infos, str)
-          | _ -> None)
-        | None -> None)
-      cmts
+      (fun (infos : Cmt_format.cmt_infos) ->
+        match infos.cmt_annots with
+        | Cmt_format.Implementation str -> Some (infos, str)
+        | _ -> None)
+      annots
   in
   let source_of (infos : Cmt_format.cmt_infos) =
     Option.value ~default:"" infos.cmt_sourcefile
@@ -200,6 +207,14 @@ let () =
     units;
   Pass_protocol.check ~all:!all ();
   Pass_alias.check ~all:!all ();
+  List.iter
+    (fun (infos : Cmt_format.cmt_infos) ->
+      match infos.cmt_annots with
+      | Cmt_format.Interface sg ->
+        Pass_exports.check ~all:!all ~source:(source_of infos)
+          ~modname:infos.cmt_modname sg
+      | _ -> ())
+    annots;
   let ds = Lint_kb.sorted_diags () in
   if !github then print_github ds;
   if !json then print_json ds ~suppressed:!Lint_kb.suppressed
