@@ -1,26 +1,16 @@
-(* A fragment is a view: [len] payload bytes starting at [off] in
-   [buf]. Codecs encode all n fragments into one backing buffer and
-   hand out views, so an encode allocates one payload buffer instead of
-   n, and nothing between the encoder and the decoder copies payload
-   bytes (messages and server stores hold the fragment itself). The
-   price is that [data] on a proper sub-view must copy — the kernel
-   paths avoid it by reading [buf]/[off]/[len] directly. *)
+(* A fragment owns its payload buffer: encode allocates one buffer per
+   fragment, and messages and server stores carry the fragment itself,
+   so no payload bytes are copied between encode and decode. *)
 
-type t = { index : int; buf : bytes; off : int; len : int }
+type t = { index : int; data : bytes }
 
 let make ~index ~data =
   if index < 0 then invalid_arg "Fragment.make: negative index";
-  { index; buf = data; off = 0; len = Bytes.length data }
+  { index; data }
 
 let index f = f.index
-let buf f = f.buf
-let off f = f.off
-let size f = f.len
-
-(* Whole-buffer views return the backing buffer itself. *)
-let data f =
-  if f.off = 0 && f.len = Bytes.length f.buf then f.buf
-  else Bytes.sub f.buf f.off f.len
+let size f = Bytes.length f.data
+let data f = f.data
 
 let corrupt f ~seed =
   (* splitmix64-style mixing; mask forced non-zero so that every byte is
@@ -32,7 +22,7 @@ let corrupt f ~seed =
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
     (state, Int64.logxor z (Int64.shift_right_logical z 31))
   in
-  let data = Bytes.sub f.buf f.off f.len in
+  let data = Bytes.copy f.data in
   let state = ref (Int64.of_int ((seed * 0x1000193) lxor f.index)) in
   for i = 0 to Bytes.length data - 1 do
     let state', z = mix !state in
@@ -41,6 +31,6 @@ let corrupt f ~seed =
     let mask = if mask = 0 then 0x5a else mask in
     Bytes.set data i (Char.chr (Char.code (Bytes.get data i) lxor mask))
   done;
-  { index = f.index; buf = data; off = 0; len = Bytes.length data }
+  { index = f.index; data }
 
-let pp ppf f = Format.fprintf ppf "fragment[%d](%d bytes)" f.index f.len
+let pp ppf f = Format.fprintf ppf "fragment[%d](%d bytes)" f.index (size f)

@@ -4,14 +4,10 @@
     [index] identifies which of the [n] code coordinates it carries, and
     its payload holds one code symbol per stripe.
 
-    Since the zero-copy rework (DESIGN.md, "Word-sliced kernels &
-    zero-copy framing") a fragment is a {e view} — [size] payload bytes
-    at offset [off] within a backing buffer [buf]. Codecs encode a whole
-    codeword into one backing buffer and return [n] views into it, and
-    the simulated network and server stores carry the views themselves,
-    so no payload bytes are copied between encode and decode. Consumers
-    on the hot path read [buf]/[off]/[size] directly; {!data} remains
-    for convenience and copies only when the view is a proper slice. *)
+    Encode allocates one payload buffer per fragment, and the simulated
+    network and server stores carry the fragment itself, so no payload
+    bytes are copied between encode and decode (DESIGN.md, "Word-sliced
+    kernels & zero-copy framing"). *)
 
 type t
 
@@ -22,20 +18,12 @@ val make : index:int -> data:bytes -> t
 
 val index : t -> int
 
-val buf : t -> bytes
-(** The backing buffer. Payload bytes are [off t, off t + size t);
-    callers must not mutate them. *)
-
-val off : t -> int
-(** Payload offset within {!buf}. *)
-
 val size : t -> int
 (** Length of the payload in bytes. *)
 
 val data : t -> bytes
-(** The payload as a standalone buffer. Returns the backing buffer
-    itself when the view covers all of it; otherwise allocates a copy —
-    avoid on hot paths, read through {!buf}/{!off} instead. *)
+(** The payload buffer itself, not a copy; callers must not mutate
+    it. *)
 
 val corrupt : t -> seed:int -> t
 (** [corrupt f ~seed] returns a fragment at the same index whose payload

@@ -99,7 +99,8 @@ module Make (Sym : Symbol.S) = struct
     let v_cur = ref Poly.one in
     while 2 * Poly.degree !r_cur >= two_t + num_erasures do
       let q, rem = Poly.div_mod !r_prev !r_cur in
-      let v_next = Poly.sub !v_prev (Poly.mul q !v_cur) in
+      (* v_prev - q v_cur; subtraction is addition in characteristic 2 *)
+      let v_next = Poly.add !v_prev (Poly.mul q !v_cur) in
       r_prev := !r_cur;
       r_cur := rem;
       v_prev := !v_cur;
@@ -145,18 +146,16 @@ module Make (Sym : Symbol.S) = struct
     end
 
   (* The received word: which coordinates are present, and each present
-     fragment's payload view (the first fragment seen per index wins). *)
+     fragment's payload (the first fragment seen per index wins). *)
   type received = {
     present : bool array;
     bufs : bytes array;
-    offs : int array;
     size : int;
   }
 
   let collect t frags =
     let present = Array.make t.n false in
     let bufs = Array.make t.n Bytes.empty in
-    let offs = Array.make t.n 0 in
     let count = ref 0 in
     let size = ref (-1) in
     List.iter
@@ -166,8 +165,7 @@ module Make (Sym : Symbol.S) = struct
           invalid_arg (Printf.sprintf "Rs_bch.decode: index %d out of range" i);
         if not present.(i) then begin
           present.(i) <- true;
-          bufs.(i) <- Fragment.buf f;
-          offs.(i) <- Fragment.off f;
+          bufs.(i) <- Fragment.data f;
           incr count;
           if !size < 0 then size := Fragment.size f
           else if Fragment.size f <> !size then
@@ -178,7 +176,7 @@ module Make (Sym : Symbol.S) = struct
       raise (Insufficient_fragments { needed = t.k; got = !count });
     if !size mod bps <> 0 then
       invalid_arg "Rs_bch.decode: fragment size not a whole symbol count";
-    { present; bufs; offs; size = !size }
+    { present; bufs; size = !size }
 
   (* Erasure locator prod_{i absent} (1 - alpha^i x) and its degree. At
      least k fragments are present, so there are never more erasures
@@ -199,7 +197,7 @@ module Make (Sym : Symbol.S) = struct
   let read_stripe t r s received =
     for i = 0 to t.n - 1 do
       received.(i) <-
-        (if r.present.(i) then Sym.get r.bufs.(i) (r.offs.(i) + (bps * s))
+        (if r.present.(i) then Sym.get r.bufs.(i) (bps * s)
          else F.zero)
     done
 
@@ -317,7 +315,7 @@ module Make (Sym : Symbol.S) = struct
     let solve = solve_rows t ~basis ~missing in
     let solve_tables = row_tables solve in
     let basis_bufs = Array.map (fun i -> r.bufs.(i)) basis in
-    let basis_offs = Array.map (fun i -> r.offs.(i)) basis in
+    let basis_offs = Array.make t.k 0 in
     let check_rows = Array.map (generator_row t) checks in
     let check_tables = row_tables check_rows in
     let res = Bytes.create (if Array.length checks = 0 then 0 else size) in
@@ -338,7 +336,7 @@ module Make (Sym : Symbol.S) = struct
           (fun c i ->
             Sym.apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
               ~srcs:col_bufs ~soffs:col_offs ~dst:res ~doff:0 ~off ~len:bytes;
-            Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:(r.offs.(i) + off)
+            Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:off
               ~dst:res ~doff:off ~len:bytes;
             mark_dirty ~res ~dirty ~lo ~len)
           checks);
@@ -370,7 +368,7 @@ module Make (Sym : Symbol.S) = struct
     (* Step-1 columns: present message coordinates read in place from
        the fragments, missing ones solved into one fresh buffer. *)
     let col_bufs = Array.init t.k (fun j -> r.bufs.(parity_len + j)) in
-    let col_offs = Array.init t.k (fun j -> r.offs.(parity_len + j)) in
+    let col_offs = Array.make t.k 0 in
     let missing = missing_cols t r.present in
     let solved = Bytes.create (Array.length missing * size) in
     Array.iteri

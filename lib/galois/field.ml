@@ -19,6 +19,4 @@ module type S = sig
   val alpha_pow : int -> t
   (** Powers of a fixed primitive element; defined for any integer
       exponent. *)
-
-  val pp : Format.formatter -> t -> unit
 end

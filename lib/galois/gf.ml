@@ -60,8 +60,6 @@ let alpha_pow e =
   (* ((e mod 255) + 255) mod 255 keeps the exponent non-negative. *)
   exp_table.(((e mod 255) + 255) mod 255)
 
-let pp ppf a = Format.fprintf ppf "0x%02x" a
-
 (* ------------------------------------------------------------------ *)
 (* Buffer-level kernels.
 

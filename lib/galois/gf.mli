@@ -45,9 +45,6 @@ val alpha_pow : int -> t
 val is_zero : t -> bool
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** Prints as [0xNN]. *)
-
 val mul_slow : t -> t -> t
 [@@lint.allow "X1: test oracle — the table-driven mul is checked against it"]
 (** Reference carry-less ("Russian peasant") multiplication, used by the

@@ -57,8 +57,6 @@ let div a b =
 
 let alpha_pow e = exp_table.(((e mod group_order) + group_order) mod group_order)
 
-let pp ppf a = Format.fprintf ppf "0x%04x" a
-
 (* ------------------------------------------------------------------ *)
 (* Buffer-level kernels.
 

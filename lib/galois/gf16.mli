@@ -35,7 +35,6 @@ val alpha_pow : int -> t
 
 val is_zero : t -> bool
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val mul_slow : t -> t -> t
 [@@lint.allow "X1: test oracle — the table-driven mul is checked against it"]

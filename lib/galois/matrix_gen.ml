@@ -33,16 +33,11 @@ module Make (F : Field.S) = struct
     create ~rows:n ~cols:n (fun i j -> if i = j then F.one else F.zero)
 
   let rows m = m.rows
-  let cols m = m.cols
 
   let get m i j =
     if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
       invalid_arg "Matrix.get: out of bounds";
     m.data.((i * m.cols) + j)
-
-  let row m i =
-    if i < 0 || i >= m.rows then invalid_arg "Matrix.row: out of bounds";
-    Array.sub m.data (i * m.cols) m.cols
 
   let equal a b =
     a.rows = b.rows && a.cols = b.cols
@@ -177,17 +172,4 @@ module Make (F : Field.S) = struct
        done
      with Exit -> ());
     !rank
-
-  let pp ppf m =
-    Format.fprintf ppf "@[<v>";
-    for i = 0 to m.rows - 1 do
-      Format.fprintf ppf "@[<h>";
-      for j = 0 to m.cols - 1 do
-        if j > 0 then Format.pp_print_space ppf ();
-        F.pp ppf (get m i j)
-      done;
-      Format.fprintf ppf "@]";
-      if i < m.rows - 1 then Format.pp_print_cut ppf ()
-    done;
-    Format.fprintf ppf "@]"
 end

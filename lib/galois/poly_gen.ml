@@ -24,10 +24,8 @@ module Make (F : Field.S) = struct
   let[@lint.allow "R1: physically immutable constant — never written"] one :
       t =
     [| F.one |]
-  let constant (c : F.t) = c
   let of_coeffs a = normalize a
   let of_list l = normalize (Array.of_list l)
-  let to_coeffs (p : t) = Array.copy p
   let degree (p : t) = Array.length p - 1
   let is_zero (p : t) = Array.length p = 0
 
@@ -50,8 +48,6 @@ module Make (F : Field.S) = struct
   let add (p : t) (q : t) : t =
     let n = max (Array.length p) (Array.length q) in
     normalize (Array.init n (fun i -> F.add (coeff p i) (coeff q i)))
-
-  let sub = add
 
   let scale c (p : t) : t =
     if F.is_zero c then zero else normalize (Array.map (F.mul c) p)
@@ -150,23 +146,4 @@ module Make (F : Field.S) = struct
         acc := add !acc (scale (F.div yi !den) !num))
       points;
     !acc
-
-  let pp ppf (p : t) =
-    if is_zero p then Format.pp_print_string ppf "0"
-    else begin
-      let first = ref true in
-      for i = Array.length p - 1 downto 0 do
-        if not (F.is_zero p.(i)) then begin
-          if not !first then Format.pp_print_string ppf " + ";
-          first := false;
-          match i with
-          | 0 -> F.pp ppf p.(i)
-          | 1 -> Format.fprintf ppf "%a·x" F.pp p.(i)
-          | _ -> Format.fprintf ppf "%a·x^%d" F.pp p.(i) i
-        end
-      done
-    end
-
-  let to_string p = Format.asprintf "%a" pp p
-
 end

@@ -615,93 +615,41 @@ let dispatch t tag payload =
       schedule_rexmit t ch ~src ~dst ~seq ~rto
   end
 
+(* The one pop-and-dispatch path: the earliest event leaves the queue,
+   the clock moves to its time and the event runs. The caller checks
+   the queue is non-empty. Pushes are clamped to the clock, so no
+   queued time lies behind it; the [>] test keeps the clock monotone
+   regardless. *)
+let pop_dispatch t =
+  let queue = t.queue in
+  let time = (Event_queue.unsafe_times queue).(0) in
+  let tag = (Event_queue.unsafe_tags queue).(0) in
+  let payload = Event_queue.pop_exn queue in
+  if time > t.clock.(0) then t.clock.(0) <- time;
+  dispatch t tag payload
+
 let step t =
   if Event_queue.is_empty t.queue then false
   else begin
-    let time = (Event_queue.unsafe_times t.queue).(0) in
-    let tag = Event_queue.next_tag t.queue in
-    let payload = Event_queue.pop_exn t.queue in
-    (* The clock never runs backwards even if events were pushed with
-       stale timestamps. *)
-    if time > t.clock.(0) then t.clock.(0) <- time;
-    dispatch t tag payload;
+    pop_dispatch t;
     true
   end
 
 let run ?until ?(max_events = 10_000_000) t =
-  let executed = ref 0 in
-  let continue = ref true in
   let queue = t.queue in
-  let clock = t.clock in
   (* hoist the horizon out of the option so the per-event check is one
      float comparison instead of a pattern match *)
   let horizon = match until with Some h -> h | None -> Float.infinity in
-  while !continue do
-    (* [size]/[unsafe_times]/[unsafe_tags] are single-field reads; the
-       arrays must be re-fetched every iteration because a push from a
-       handler may have grown (replaced) them. *)
-    let n = Event_queue.size queue in
-    if n = 0 then continue := false
-    else begin
-      let times = Event_queue.unsafe_times queue in
-      (* indices 0..2 are guarded by [n]; unsafe to keep the per-event
-         path at one branch per load *)
-      let time = (Array.unsafe_get
- [@lint.allow "U1: indices 0..2 are guarded by the n checks around them"]) times 0 in
-      if time > horizon then continue := false
-      else begin
-        if
-          n < 2
-          || ((Array.unsafe_get
- [@lint.allow "U1: indices 0..2 are guarded by the n checks around them"]) times 1 <> time
-             && (n < 3 || (Array.unsafe_get
- [@lint.allow "U1: indices 0..2 are guarded by the n checks around them"]) times 2 <> time))
-        then begin
-          (* Untied minimum (the common case under continuous random
-             delays — in a heap the only candidates for a second copy
-             of the minimum are the root's children): the plain pop
-             path. The cohort machinery below would buffer and re-read
-             a cohort of one — measurably slower without cross-module
-             inlining. *)
-          incr executed;
-          if !executed > max_events then raise (Event_limit_exceeded max_events);
-          let tag = (Event_queue.unsafe_tags queue).(0) in
-          let payload = Event_queue.pop_exn queue in
-          if time > clock.(0) then clock.(0) <- time;
-          dispatch t tag payload
-        end
-        else begin
-        (* Drain the whole cohort of events stamped [time] in one heap
-           operation, then dispatch them in FIFO order. The clock moves
-           once per cohort. Event order is identical to popping one at
-           a time: events pushed during the cohort carry later sequence
-           numbers than every drained member, and the guard below
-           replays the one case where per-pop order would differ — a
-           handler pushing an event timestamped {e earlier} than the
-           cohort being dispatched. *)
-        let cohort = Event_queue.drain_cohort t.queue in
-        if time > t.clock.(0) then t.clock.(0) <- time;
-        for i = 0 to cohort - 1 do
-          while
-            (not (Event_queue.is_empty t.queue))
-            && (Event_queue.unsafe_times t.queue).(0) < time
-          do
-            incr executed;
-            if !executed > max_events then
-              raise (Event_limit_exceeded max_events);
-            let tag = Event_queue.next_tag t.queue in
-            let payload = Event_queue.pop_exn t.queue in
-            dispatch t tag payload
-          done;
-          incr executed;
-          if !executed > max_events then raise (Event_limit_exceeded max_events);
-          dispatch t
-            (Event_queue.cohort_tag t.queue i)
-            (Event_queue.cohort_payload t.queue i)
-        done
-        end
-      end
-    end
+  let executed = ref 0 in
+  (* [unsafe_times] is re-read every iteration: a push from a handler
+     may have grown (replaced) the array *)
+  while
+    (not (Event_queue.is_empty queue))
+    && (Event_queue.unsafe_times queue).(0) <= horizon
+  do
+    incr executed;
+    if !executed > max_events then raise (Event_limit_exceeded max_events);
+    pop_dispatch t
   done;
   (* Simulated time covers the whole requested interval even when the
      queue ran dry (or the next event lies beyond the horizon) before

@@ -175,8 +175,10 @@ val heal_at : 'msg t -> links:(pid * pid) list -> at:float -> unit
 exception Event_limit_exceeded of int
 
 val run : ?until:float -> ?max_events:int -> 'msg t -> unit
-(** Process events in timestamp order until the queue drains, or until
-    simulated time would exceed [until] (remaining events stay queued).
+(** Process events one at a time in timestamp order, ties in the order
+    they were scheduled — exactly a loop of {!step} — until the queue
+    drains, or until simulated time would exceed [until] (events at
+    [until] run; later ones stay queued).
     When [until] is given, the clock advances to the horizon on return
     even if the queue ran dry (or the next event lies beyond it)
     earlier: [run ?until] simulates the {e whole} interval, so latency

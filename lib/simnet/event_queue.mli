@@ -15,8 +15,7 @@
 type 'a t
 
 exception Empty
-(** Raised by {!next_time}, {!next_tag} and {!pop_exn} on an empty
-    queue. *)
+(** Raised by {!next_time} and {!pop_exn} on an empty queue. *)
 
 val create : unit -> 'a t
 
@@ -52,44 +51,17 @@ val unsafe_tags : 'a t -> int array
     earliest event's tag while the queue is non-empty. Same caveats as
     {!unsafe_times}: re-fetch after any push. *)
 
-(** {1 Allocation-free access to the earliest event} *)
+(** {1 The earliest event} *)
 
 val next_time : 'a t -> float
 [@@lint.allow "X1: state probe — the queue's model tests read the earliest \
                time through it; the engine reads unsafe_times"]
 (** Timestamp of the earliest event. @raise Empty when empty. *)
 
-val next_tag : 'a t -> int
-(** Tag of the earliest event. @raise Empty when empty. *)
-
 val pop_exn : 'a t -> 'a
-(** Remove the earliest event and return its payload. Read
-    {!next_time} / {!next_tag} {e before} popping.
+(** Remove the earliest event and return its payload. Read its time
+    and tag ({!next_time}, {!unsafe_tags}) {e before} popping.
     @raise Empty when empty. *)
-
-(** {1 Cohort draining}
-
-    All events sharing the minimal timestamp form a subtree of the heap
-    containing the root, so they can be removed together: one DFS plus
-    one sift-down per vacated slot, instead of one full pop per event.
-    {!Simnet.Engine.run} uses this to dispatch each timestamp's cohort
-    without re-entering the heap per event. *)
-
-val drain_cohort : 'a t -> int
-(** [drain_cohort q] removes {e every} event whose timestamp equals
-    [next_time q] and returns the cohort size (>= 1). Read the drained
-    events — in insertion (FIFO) order — with {!cohort_tag} and
-    {!cohort_payload}; the cohort buffer stays valid until the next
-    [drain_cohort] call on [q]. Events pushed after the drain are not
-    part of the cohort even if they carry the same timestamp.
-    @raise Empty when empty. *)
-
-val cohort_tag : 'a t -> int -> int
-(** [cohort_tag q i] is the tag of the [i]-th drained event, [0 <= i <
-    drain_cohort q]. *)
-
-val cohort_payload : 'a t -> int -> 'a
-(** [cohort_payload q i] is the payload of the [i]-th drained event. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

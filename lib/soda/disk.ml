@@ -1,7 +1,7 @@
 module Fragment = Erasure.Fragment
 module Tag = Protocol.Tag
 
-(* FNV-1a (32-bit) over the payload view, mixed with the fragment index
+(* FNV-1a (32-bit) over the payload, mixed with the fragment index
    so a fragment swapped for another coordinate's bytes also fails
    verification. Pure integer arithmetic: checksumming draws no
    randomness and sends nothing, so enabling it never perturbs a
@@ -11,12 +11,10 @@ let fnv_basis = 0x811c9dc5
 let mask = 0xFFFFFFFF
 
 let checksum fragment =
-  let buf = Fragment.buf fragment
-  and off = Fragment.off fragment
-  and len = Fragment.size fragment in
+  let data = Fragment.data fragment in
   let h = ref ((fnv_basis lxor Fragment.index fragment) land mask) in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get buf i)) * fnv_prime land mask
+  for i = 0 to Bytes.length data - 1 do
+    h := (!h lxor Char.code (Bytes.get data i)) * fnv_prime land mask
   done;
   !h
 

@@ -305,8 +305,8 @@ let client_handler lanes_handler client ctx ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~engine ~placement ?initial_value ?value_len ?error_prone
-    ?disperse_step ?md_mode ?plane:plane_tuning ~num_writers ~num_readers () =
+let create ~engine ~placement ?value_len ?error_prone ?plane:plane_tuning
+    ~num_writers ~num_readers () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Keyspace.create: negative client count";
   let topology = Placement.topology placement in
@@ -333,8 +333,7 @@ let create ~engine ~placement ?initial_value ?value_len ?error_prone
   let template =
     Config.make ~params
       ~servers:(Array.sub server_pids 0 (Params.n params))
-      ?initial_value ?value_len ?error_prone ?disperse_step ?md_mode
-      ?plane:plane_tuning ?client_retry ()
+      ?value_len ?error_prone ?plane:plane_tuning ?client_retry ()
   in
   (* encode the shared initial value once; every derived instance
      inherits the cache entry *)

@@ -42,11 +42,8 @@ type t
 val create :
   engine:Messages.t Simnet.Engine.t ->
   placement:Placement.t ->
-  ?initial_value:bytes ->
   ?value_len:int ->
   ?error_prone:int list ->
-  ?disperse_step:float ->
-  ?md_mode:[ `Chained | `Direct ] ->
   ?plane:Config.plane ->
   num_writers:int ->
   num_readers:int ->
@@ -55,7 +52,8 @@ val create :
 (** Register the fleet: one process per topology server (reserved
     first, in index order), then the writer and reader client
     processes. The optional arguments parameterize the shared
-    configuration template exactly as in {!Config.make}; every key's
+    configuration template exactly as in {!Config.make}, whose defaults
+    set the rest (an empty initial value, chained dispersal); every key's
     instance derives from it ({!Config.derive}). All traffic is
     wrapped in key envelopes and coalesces across keys; the
     topology is the one the placement was built over.

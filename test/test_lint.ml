@@ -3,7 +3,9 @@
    the fixture plants it, and nothing from the [@lint.allow] file. The
    X1 fixtures (x1_lib, x1_arg, x1_use) report only the dead export and
    the bare allow: a use through a module alias, a functor argument and
-   a reasoned allow all keep an export alive.
+   a reasoned allow all keep an export alive. X1_fun's functor result
+   signature is checked too: its instance in x1_use keeps [used] alive,
+   and [dead] is reported.
 
    The test runs unsandboxed (see test/dune) so the relative paths below
    resolve inside _build/default. *)
@@ -78,6 +80,7 @@ let expected =
     { file = "bad_t3.ml"; line = 5; rule = "T3" };
     { file = "bad_u1.ml"; line = 2; rule = "U1" };
     { file = "bad_u1.ml"; line = 4; rule = "U1" };
+    { file = "x1_fun.mli"; line = 8; rule = "X1" };
     { file = "x1_lib.mli"; line = 3; rule = "X1" };
     { file = "x1_lib.mli"; line = 10; rule = "S1" }
   ]

@@ -135,25 +135,31 @@ let queue_tests =
        (both push paths, pops, clears) against a sorted-list reference.
        The model keeps (time, seq, tag, payload) sorted stably by
        (time, seq) — exactly the documented delivery order — and every
-       observation the queue offers (size, next_time, next_tag,
-       unsafe_times.(0), popped payload) is checked at each step. *)
-    (let op_gen =
+       observation the queue offers (size, next_time, unsafe_times.(0),
+       unsafe_tags.(0), popped payload) is checked at each step. Half
+       the cases draw times from 0..8 only, so long equal-time runs
+       check FIFO order within a tie. *)
+    (let op_gen time =
        QCheck2.Gen.(
          frequency
-           [ ( 3,
-               map2
-                 (fun t tag -> `Push (t, tag))
-                 (float_bound_inclusive 100.) (int_range 0 1000) );
+           [ (3, map2 (fun t tag -> `Push (t, tag)) time (int_range 0 1000));
              ( 2,
-               map2
-                 (fun t tag -> `Push_inbox (t, tag))
-                 (float_bound_inclusive 100.) (int_range 0 1000) );
+               map2 (fun t tag -> `Push_inbox (t, tag)) time (int_range 0 1000)
+             );
              (4, pure `Pop);
              (1, pure `Clear)
            ])
      in
+     let ops_gen =
+       QCheck2.Gen.(
+         oneof
+           [ pure (float_bound_inclusive 100.);
+             pure (map float_of_int (int_range 0 8))
+           ]
+         >>= fun time -> list_size (int_range 0 200) (op_gen time))
+     in
      qtest ~count:300 "model: random op interleavings match a sorted list"
-       QCheck2.Gen.(list_size (int_range 0 200) op_gen)
+       ops_gen
        (fun ops ->
          let q = Event_queue.create () in
          (* reference: (time, seq, tag, payload), sorted by (time, seq) *)
@@ -171,6 +177,12 @@ let queue_tests =
          in
          let ok = ref true in
          let check b = if not b then ok := false in
+         let check_head (t, _, tag, p) =
+           check (Event_queue.next_time q = t);
+           check ((Event_queue.unsafe_times q).(0) = t);
+           check ((Event_queue.unsafe_tags q).(0) = tag);
+           check (Event_queue.pop_exn q = p)
+         in
          List.iter
            (fun op ->
              (match op with
@@ -188,11 +200,8 @@ let queue_tests =
                | [] ->
                  check (Event_queue.is_empty q);
                  check (pop q = None)
-               | (t, _, tag, p) :: tl ->
-                 check (Event_queue.next_time q = t);
-                 check (Event_queue.next_tag q = tag);
-                 check ((Event_queue.unsafe_times q).(0) = t);
-                 check (Event_queue.pop_exn q = p);
+               | hd :: tl ->
+                 check_head hd;
                  model := tl)
              | `Clear ->
                drain q;
@@ -201,82 +210,7 @@ let queue_tests =
              check (Event_queue.is_empty q = (!model = [])))
            ops;
          (* drain what's left: full delivery order must match *)
-         List.iter
-           (fun (t, _, tag, p) ->
-             check (Event_queue.next_time q = t);
-             check (Event_queue.next_tag q = tag);
-             check (Event_queue.pop_exn q = p))
-           !model;
-         check (Event_queue.is_empty q);
-         !ok));
-    (* drain_cohort model: times drawn from a small discrete set force
-       large equal-time cohorts; a drain must remove exactly the
-       min-time prefix of the sorted reference, FIFO within the tie,
-       and leave the heap delivering the rest in order. *)
-    (let op_gen =
-       QCheck2.Gen.(
-         frequency
-           [ ( 5,
-               map2
-                 (fun t tag -> `Push (t, tag))
-                 (int_range 0 8) (int_range 0 1000) );
-             (2, pure `Drain);
-             (1, pure `Pop)
-           ])
-     in
-     qtest ~count:300 "model: drain_cohort = min-time cohort in FIFO order"
-       QCheck2.Gen.(list_size (int_range 0 150) op_gen)
-       (fun ops ->
-         let q = Event_queue.create () in
-         let model = ref [] in
-         let seq = ref 0 in
-         let insert (t, s, tag, p) =
-           let rec ins = function
-             | [] -> [ (t, s, tag, p) ]
-             | ((t', _, _, _) as hd) :: tl ->
-               if t' <= t then hd :: ins tl else (t, s, tag, p) :: hd :: tl
-           in
-           model := ins !model
-         in
-         let ok = ref true in
-         let check b = if not b then ok := false in
-         List.iter
-           (fun op ->
-             (match op with
-             | `Push (ti, tag) ->
-               let t = float_of_int ti in
-               Event_queue.push_tagged q ~time:t ~tag !seq;
-               insert (t, !seq, tag, !seq);
-               incr seq
-             | `Pop -> (
-               match !model with
-               | [] -> check (pop q = None)
-               | (_, _, _, p) :: tl ->
-                 check (Event_queue.pop_exn q = p);
-                 model := tl)
-             | `Drain -> (
-               match !model with
-               | [] -> check (Event_queue.is_empty q)
-               | (t0, _, _, _) :: _ ->
-                 let rec split acc = function
-                   | (t, _, tag, p) :: tl when t = t0 ->
-                     split ((tag, p) :: acc) tl
-                   | rest -> (List.rev acc, rest)
-                 in
-                 let cohort, rest = split [] !model in
-                 model := rest;
-                 let c = Event_queue.drain_cohort q in
-                 check (c = List.length cohort);
-                 List.iteri
-                   (fun i (tag, p) ->
-                     check (Event_queue.cohort_tag q i = tag);
-                     check (Event_queue.cohort_payload q i = p))
-                   cohort));
-             check (Event_queue.size q = List.length !model))
-           ops;
-         List.iter
-           (fun (_, _, _, p) -> check (Event_queue.pop_exn q = p))
-           !model;
+         List.iter check_head !model;
          check (Event_queue.is_empty q);
          !ok));
     Alcotest.test_case "queue survives clear and reuse at capacity" `Quick
@@ -348,6 +282,46 @@ let delay_tests =
 (* a tiny ping-pong protocol: processes bounce a counter until it
    reaches a limit *)
 type ping = Ping of int
+
+(* A tie-heavy run: a constant-delay mesh where many injections share
+   one timestamp, so nearly every event shares its time with others,
+   and a crash and a restore land on delivery times. Each handler picks
+   its destinations with the engine's RNG, so a dispatch order that
+   differed anywhere would change the trace from then on. *)
+let tie_mesh () =
+  let engine = Engine.create ~seed:3 ~trace:true ~delay:(Delay.constant 1.0) () in
+  let n = 5 in
+  let pids =
+    Array.init n (fun i -> Engine.reserve engine ~name:(string_of_int i))
+  in
+  Array.iter
+    (fun pid ->
+      Engine.set_handler engine pid (fun ctx ~src:_ (Ping i) ->
+          if i < 5 then
+            for _ = 1 to 2 do
+              let dst = pids.(Rng.int (Engine.rng_ctx ctx) n) in
+              Engine.send ctx ~dst (Ping (i + 1))
+            done))
+    pids;
+  for j = 0 to 19 do
+    Engine.inject engine ~at:1.0 pids.(j mod n) (fun ctx ->
+        Engine.send ctx ~dst:pids.((j + 1) mod n) (Ping 0))
+  done;
+  Engine.crash_at engine pids.(2) 3.0;
+  Engine.restore_at engine pids.(2) 5.0;
+  engine
+
+let event_time = function
+  | Engine.Sent { time; _ } | Delivered { time; _ } | Dropped { time; _ }
+  | Lost { time; _ } | Crashed { time; _ } | Restored { time; _ }
+  | PartitionStart { time; _ } | PartitionHeal { time; _ } -> time
+
+let observe engine =
+  ( Engine.trace_events engine,
+    [ Engine.events_executed engine; Engine.messages_sent engine;
+      Engine.messages_delivered engine; Engine.messages_dropped engine;
+      Engine.pending_events engine ],
+    Engine.now engine )
 
 let engine_tests =
   [ Alcotest.test_case "messages are delivered, replies flow" `Quick (fun () ->
@@ -486,6 +460,40 @@ let engine_tests =
         Engine.run ~until:2.0 engine;
         Alcotest.(check (float 1e-9)) "never backwards" 7.5
           (Engine.now engine));
+    Alcotest.test_case "run and step agree under ties" `Quick (fun () ->
+        let by_run = tie_mesh () in
+        Engine.run by_run;
+        let by_step = tie_mesh () in
+        while Engine.step by_step do
+          ()
+        done;
+        let trace, counters, now = observe by_run in
+        let trace', counters', now' = observe by_step in
+        Alcotest.(check bool) "same trace" true (trace = trace');
+        Alcotest.(check (list int)) "same counters" counters counters';
+        Alcotest.(check (float 0.)) "same clock" now now';
+        let at t = List.filter (fun e -> event_time e = t) trace in
+        Alcotest.(check bool) "deliveries tie at t=3" true
+          (List.length
+             (List.filter
+                (function Engine.Delivered _ -> true | _ -> false)
+                (at 3.0))
+          > 1);
+        Alcotest.(check bool) "the crash ties with them" true
+          (List.exists
+             (function Engine.Crashed _ -> true | _ -> false)
+             (at 3.0));
+        (* a horizon on the tie runs the whole tie and nothing later *)
+        let split = tie_mesh () in
+        Engine.run ~until:3.0 split;
+        let head, _, now_head = observe split in
+        Alcotest.(check bool) "prefix through the tie" true
+          (head = List.filter (fun e -> event_time e <= 3.0) trace);
+        Alcotest.(check (float 0.)) "clock at the tie" 3.0 now_head;
+        Engine.run split;
+        let trace'', counters'', _ = observe split in
+        Alcotest.(check bool) "resumed trace" true (trace = trace'');
+        Alcotest.(check (list int)) "resumed counters" counters counters'');
     Alcotest.test_case "event limit guard" `Quick (fun () ->
         let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
         let a = Engine.reserve engine ~name:"a" in

@@ -17,3 +17,10 @@ let via = L.via_alias 1
 module T = Twice (X1_arg)
 
 let twice = T.run 2
+
+(* X1_fun.Make.used, only through an instance *)
+module F = X1_fun.Make (struct
+  let base = 1
+end)
+
+let shifted = F.used 2

@@ -26,7 +26,7 @@ type rule =
   | M2 (* sent-but-never-handled dead message *)
   | M3 (* handled-but-never-sent dead handler *)
   | M4 (* nested envelope payload *)
-  | A1 (* buffer mutated after a view over it was published *)
+  | A1 (* buffer mutated after it was published *)
   | T1 (* transitively reaches a wall-clock read *)
   | T2 (* transitively reaches ambient random / domain state *)
   | T3 (* transitively reaches unordered Hashtbl iteration *)
@@ -327,7 +327,12 @@ and harvest_module_expr ~stack ~name (me : Typedtree.module_expr) =
     (* functor bodies are harvested under the functor's own name; good
        enough for types referenced from within the same body *)
     harvest_module_expr ~stack ~name me
-  | Tmod_apply _ | Tmod_apply_unit _ | Tmod_unpack _ -> ()
+  | Tmod_apply (f, _, _) | Tmod_apply_unit f ->
+    (* an instance aliases its functor, so a use of [P.v] after
+       [module P = M.Make (A)] canonicalizes to [M.Make.v] — the name
+       the functor body's own definitions carry *)
+    harvest_module_expr ~stack ~name f
+  | Tmod_unpack _ -> ()
 
 (* Longest-prefix canonicalization through the alias table: resolves
    "Tag.t" (via a local [module Tag = Protocol.Tag]) and "Protocol.Tag.t"
@@ -459,8 +464,8 @@ let type_to_string ty =
   try Format.asprintf "%a" Printtyp.type_expr ty with _ -> "<type>"
 
 (* ------------------------------------------------------------------ *)
-(* Path-suffix matching, dune-wrapper aware: "Fragment.view" matches
-   "Erasure__Fragment.view", "Fragment.view" and "Stdlib.Bytes.set"
+(* Path-suffix matching, dune-wrapper aware: "Fragment.data" matches
+   "Erasure__Fragment.data", "Fragment.data" and "Stdlib.Bytes.set"
    matches suffix "Bytes.set". *)
 
 let component_matches ~want got =

@@ -1,10 +1,10 @@
 (* A-rules: mutation-after-publish on the zero-copy fragment path.
 
-   Since PR 5 a [Fragment.t] is a view — [len] bytes at [off] inside a
-   shared backing buffer. The whole performance story depends on those
-   views escaping into the network ([Engine.send]) and the server stores
+   A [Fragment.t] holds its payload buffer without copying it, and the
+   whole performance story depends on fragments escaping into the
+   network ([Engine.send]) and the server stores
    ([Disk.create]/[Disk.store]) WITHOUT a copy, which makes any later
-   write through a reachable backing buffer a silent corruption of
+   write through a reachable payload buffer a silent corruption of
    already-published state.
 
    Per module-level definition, pass 1 records an ordered event list:
@@ -12,10 +12,9 @@
      Bind    — a let-binding whose right-hand side ALIASES existing
                locals (plain ident, field access, tuple/record/
                constructor wrapping, or a known alias-producing call
-               like [Fragment.view ~buf] / [Fragment.buf f]); any other
-               right-hand side (e.g. [Bytes.sub], [Fragment.data] on a
-               proper slice) makes a fresh class, so copies never
-               false-positive
+               like [Fragment.make ~data] / [Fragment.data f]); any
+               other right-hand side (e.g. [Bytes.sub], [Bytes.copy])
+               makes a fresh class, so copies never false-positive
      Publish — a call into a publish sink; every local reachable from
                the sunk arguments is published (a fragment buried in a
                message record still escapes)
@@ -26,7 +25,7 @@
 
    The analysis replays each definition's events over a union-find of
    its locals; a Mutate on a published class is A1. Summaries are
-   closed by a fixpoint so a helper that flushes views through
+   closed by a fixpoint so a helper that flushes buffers through
    [Engine.send] publishes at its call sites, and one that scrubs a
    buffer mutates at its call sites. *)
 
@@ -39,8 +38,7 @@ let publish_sinks =
 
 (* known alias-producing calls: result aliases this argument *)
 let alias_builtins =
-  [ ("Fragment.view", Lab "buf"); ("Fragment.make", Lab "data");
-    ("Fragment.buf", Pos 0) ]
+  [ ("Fragment.make", Lab "data"); ("Fragment.data", Pos 0) ]
 
 let mutators =
   [ ("Bytes.set", Pos 0); ("Bytes.unsafe_set", Pos 0); ("Bytes.fill", Pos 0);
@@ -394,7 +392,7 @@ let replay (d : adef) ~(report : finding list ref option) :
               f_msg =
                 Printf.sprintf
                   "%s writes through a buffer published earlier in `%s` — \
-                   mutation after a zero-copy view escaped"
+                   mutation after a zero-copy buffer escaped"
                   mname
                   (Lint_kb.short_name d.a_name);
               f_source = d.a_source;
@@ -427,7 +425,7 @@ let replay (d : adef) ~(report : finding list ref option) :
                           Printf.sprintf
                             "call to `%s` writes through a buffer published \
                              earlier in `%s` — mutation after a zero-copy \
-                             view escaped"
+                             buffer escaped"
                             (Lint_kb.short_name callee.a_name)
                             (Lint_kb.short_name d.a_name);
                         f_source = d.a_source;

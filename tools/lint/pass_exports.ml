@@ -22,6 +22,15 @@ let display name =
     String.concat "." (last_sep (n - 1) :: rest)
   | [] -> name
 
+(* The values a module declaration exports: its signature's, or — for a
+   functor — its result signature's, which every instance shares (an
+   instance [module P = M.Make (A)] is an alias of [M.Make] to the kb). *)
+let rec body (mty : Typedtree.module_type) =
+  match mty.mty_desc with
+  | Tmty_signature sg -> Some sg
+  | Tmty_functor (_, res) -> body res
+  | _ -> None
+
 let check ~all ~source ~modname (sg : Typedtree.signature) =
   let active = scope_of_source ~all source in
   if List.mem X1 active then begin
@@ -47,10 +56,8 @@ let check ~all ~source ~modname (sg : Typedtree.signature) =
                      why\"]"
                     (display name)
                     (String.concat "/, " Lint_callgraph.use_dirs ^ "/"))
-          | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } -> (
-            match md_type.mty_desc with
-            | Tmty_signature sg -> items (prefix ^ "." ^ m) sg
-            | _ -> ())
+          | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
+            Option.iter (items (prefix ^ "." ^ m)) (body md_type)
           | _ -> ())
         sg.sig_items
     in

@@ -36,8 +36,8 @@
             [@@lint.protocol] message types: undeclared/drifting
             constructors, sent-but-never-handled, handled-but-never-
             sent, nested envelopes
-     A1     mutation of a backing buffer after a zero-copy view over it
-            was published into Engine.send/Disk
+     A1     mutation of a payload buffer after it was published,
+            uncopied, into Engine.send/Disk
      T1–T3  transitive (call-graph) reach of D1/D2+Domain/D3 effects
      X1     a lib/*/*.mli value no other unit in lib/, bin/, bench/,
             perf/, examples/ or tools/ references — aliases, functor
