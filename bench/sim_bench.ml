@@ -20,6 +20,9 @@
      as an experiment actually sees them.
    - "checker": Atomicity.check_tagged on a synthetic m-operation
      history — records per second through the full Lemma 2.1 check.
+   - "retained": the words one SODA deployment keeps per completed
+     operation once it is quiescent (gated lower-is-better: a count, so
+     state that grows with the history fails however fast the host).
 
    Every simulated probe also reports the engine's message accounting
    (sent / dropped / lost / retransmissions) so lossy runs can be told
@@ -189,6 +192,65 @@ let checker_point (opts : Bench.opts) =
   probe_rows ~probe:"checker" ~size:m ~seconds ()
 
 (* ------------------------------------------------------------------ *)
+(* retained: state kept per completed operation *)
+
+(* Words reachable from one deployment after a full major GC, once
+   [ops_per_client] back-to-back operations per client have completed:
+   n=10, f=2, 4 writers and 4 readers with think time 1, 64 B values,
+   the reliable channel under 20% loss on every link. *)
+let retained_words ~ops_per_client =
+  let clients = 4 and len = 64 and seed = 1 in
+  let engine =
+    Engine.create ~seed
+      ~transport:(`Reliable Simnet.Channel.default)
+      ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+  in
+  Engine.set_loss engine 0.2;
+  let d =
+    Soda.Deployment.deploy ~engine
+      ~params:(Protocol.Params.make ~n:10 ~f:2 ())
+      ~initial_value:(Harness.Workload.value ~len ~seed ~index:999_983)
+      ~value_len:len ~num_writers:clients ~num_readers:clients ()
+  in
+  let rec writer w i () =
+    if i < ops_per_client then
+      Soda.Deployment.write d ~writer:w ~at:(Engine.now engine +. 1.0)
+        ~on_done:(writer w (i + 1))
+        (Harness.Workload.value ~len ~seed ~index:((w * ops_per_client) + i))
+  in
+  let rec reader r i () =
+    if i < ops_per_client then
+      Soda.Deployment.read d ~reader:r ~at:(Engine.now engine +. 1.0)
+        ~on_done:(fun _ -> reader r (i + 1) ())
+        ()
+  in
+  for c = 0 to clients - 1 do
+    writer c 0 ();
+    reader c 0 ()
+  done;
+  Engine.run engine;
+  let ops = 2 * clients * ops_per_client in
+  let completed =
+    List.length
+      (List.filter
+         (fun r -> Option.is_some r.Protocol.History.responded_at)
+         (Protocol.History.records (Soda.Deployment.history d)))
+  in
+  if completed <> ops then failwith "sim bench: retained run left operations open";
+  Gc.full_major ();
+  (ops, Obj.reachable_words (Obj.repr d))
+
+(* The slope between two run lengths: what each further operation adds
+   to the state, with the fixed cost of the deployment cancelled. *)
+let retained_point (opts : Bench.opts) =
+  let short, long = if opts.smoke then (8, 32) else (32, 128) in
+  let ops1, words1 = retained_words ~ops_per_client:short in
+  let ops2, words2 = retained_words ~ops_per_client:long in
+  [ Bench.row ~better:Lower "retained" "retained_words_per_op" "words/op"
+      (float_of_int (words2 - words1) /. float_of_int (ops2 - ops1))
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let run opts =
   Bench.emit opts ~bench:"sim"
@@ -197,4 +259,5 @@ let run opts =
         ~transport:(`Reliable Simnet.Channel.default)
         ~probe:"mesh-reliable" ()
     @ soak_point opts
-    @ checker_point opts)
+    @ checker_point opts
+    @ retained_point opts)

@@ -45,20 +45,38 @@ let timeout_table c =
 let max_seq = 0x7FFFF
 
 (* All channel state for one directed link src -> dst, keyed by the data
-   direction on both sides: the sender's window of unacked sends and the
+   direction on both sides: the sender's store of unacked sends and the
    receiver's dedup for the data it gets.
 
-   Sender: every seq below [base] is acked or given up; the unacked ones
-   lie in [base, next_seq), held in a power-of-two ring indexed by
-   [seq land (capacity - 1)] that doubles when the window fills. A slot
-   is vacant when its [tries] is -1 — the state of every slot outside
-   the window. A pending slot also holds its current timer's deadline
-   and whether the engine has armed (pushed) that timer yet.
+   Sender: every seq below [next_seq] is allocated; the pending ones
+   (registered, not yet acked or given up) live in one of two stores.
+   Recent sends sit in a power-of-two ring over [base, next_seq),
+   indexed by [seq land (capacity - 1)]; [live] counts its pending
+   slots. A slot is vacant when its [tries] is -1 — the state of every
+   slot outside [base, next_seq) — and reserved (-2) from [alloc_seq]
+   to [register]; [base] never passes a reserved slot. A pending slot
+   also holds its current timer's deadline and whether the engine has
+   armed (pushed) that timer yet. Pending sends below [base] are
+   strays: one send stuck behind a partition must not hold the ring
+   open over every later, long-acked slot. When the ring is full and at
+   most a quarter of it is pending, the pending sends of its older half
+   move to [strays] and the ring slides past them; otherwise it
+   doubles. The engine registers each seq right after allocating it,
+   so no slot is reserved when the ring fills, and the ring has fewer
+   than eight slots per pending send at its last doubling. The strays
+   are a subset of the pending sends, so both stores are bounded by the
+   sends in flight, not by the length of the run.
 
    Receiver: every seq <= [cum] has arrived; arrivals above it sit in a
    bitmap ring over (cum, cum + 8 * Bytes.length arrived], grown on
-   demand. In-order traffic never allocates one. Both structures are
-   bounded by the in-flight window, not by the length of the run. *)
+   demand. In-order traffic never allocates one. *)
+type stray = {
+  s_payload : Obj.t;
+  mutable s_tries : int;
+  mutable s_deadline : float;
+  mutable s_armed : bool
+}
+
 type link = {
   mutable next_seq : int;
   mutable base : int;
@@ -66,6 +84,8 @@ type link = {
   mutable tries : int array;
   mutable deadlines : float array;
   mutable armed : Bytes.t;  (* '\001' once the current timer is pushed *)
+  mutable live : int;  (* pending slots in the ring *)
+  strays : (int, stray) Hashtbl.t;  (* pending sends below [base] *)
   mutable cum : int;  (* -1 until seq 0 arrives *)
   mutable arrived : Bytes.t
 }
@@ -120,6 +140,8 @@ let link t ~src ~dst =
         tries = [||];
         deadlines = [||];
         armed = Bytes.empty;
+        live = 0;
+        strays = Hashtbl.create 1;
         cum = -1;
         arrived = Bytes.empty
       }
@@ -128,16 +150,21 @@ let link t ~src ~dst =
     l
 
 (* ------------------------------------------------------------------ *)
-(* Sender window *)
+(* Sender store *)
 
 let vacant_payload = Obj.repr 0
+
+(* [tries] of a slot holding no send, and of one allocated but not yet
+   registered *)
+let vacant = -1
+let reserved = -2
 
 let slot l seq = seq land (Array.length l.tries - 1)
 
 let grow_window l =
   let cap = max 8 (2 * Array.length l.tries) in
   let payloads = Array.make cap vacant_payload
-  and tries = Array.make cap (-1)
+  and tries = Array.make cap vacant
   and deadlines = Array.make cap 0.0
   and armed = Bytes.make cap '\000' in
   for seq = l.base to l.next_seq - 1 do
@@ -152,20 +179,62 @@ let grow_window l =
   l.deadlines <- deadlines;
   l.armed <- armed
 
-let pending l seq =
-  seq >= l.base && seq < l.next_seq && l.tries.(slot l seq) >= 0
+(* [seq] >= [base] lies in the ring; it is pending there iff its slot is
+   not vacant. *)
+let ring_pending l seq = seq < l.next_seq && l.tries.(slot l seq) >= 0
+
+(* The stray for [seq] < [base]; the table is empty on every path but a
+   straggler's, so the common miss never hashes. *)
+let stray l seq =
+  if Hashtbl.length l.strays = 0 then None else Hashtbl.find_opt l.strays seq
+
+let advance_base l =
+  while l.base < l.next_seq && l.tries.(slot l l.base) = vacant do
+    l.base <- l.base + 1
+  done
 
 (* Discharge the pending send [seq] (acked or given up). *)
 let vacate t l seq =
-  let i = slot l seq in
-  l.payloads.(i) <- vacant_payload;
-  l.tries.(i) <- -1;
+  if seq >= l.base then begin
+    let i = slot l seq in
+    l.payloads.(i) <- vacant_payload;
+    l.tries.(i) <- vacant;
+    l.live <- l.live - 1;
+    advance_base l
+  end
+  else Hashtbl.remove l.strays seq;
   t.in_flight <- t.in_flight - 1
 
-let advance_base l =
-  while l.base < l.next_seq && l.tries.(slot l l.base) < 0 do
-    l.base <- l.base + 1
-  done
+(* The ring is full: slide it past its older half when at most a quarter
+   of its slots are pending, moving that half's pending sends to the
+   strays; otherwise double it. The slide stops at a reserved slot, so
+   [register] always finds its seq in the ring. *)
+let make_room l =
+  let cap = Array.length l.tries in
+  let upto = ref l.base in
+  if cap >= 8 && 4 * l.live <= cap then begin
+    let limit = l.base + (cap / 2) in
+    while !upto < limit && l.tries.(slot l !upto) <> reserved do
+      let i = slot l !upto in
+      if l.tries.(i) >= 0 then begin
+        Hashtbl.replace l.strays !upto
+          { s_payload = l.payloads.(i);
+            s_tries = l.tries.(i);
+            s_deadline = l.deadlines.(i);
+            s_armed = Bytes.get l.armed i <> '\000'
+          };
+        l.payloads.(i) <- vacant_payload;
+        l.tries.(i) <- vacant;
+        l.live <- l.live - 1
+      end;
+      incr upto
+    done
+  end;
+  if !upto = l.base then grow_window l
+  else begin
+    l.base <- !upto;
+    advance_base l
+  end
 
 let alloc_seq t ~src ~dst =
   let l = link t ~src ~dst in
@@ -174,92 +243,143 @@ let alloc_seq t ~src ~dst =
     invalid_arg
       (Printf.sprintf "Channel.alloc_seq: link %d->%d exhausted %d sequence numbers"
          src dst (max_seq + 1));
-  if seq - l.base >= Array.length l.tries then grow_window l;
+  if seq - l.base >= Array.length l.tries then make_room l;
+  l.tries.(slot l seq) <- reserved;
   l.next_seq <- seq + 1;
   seq
 
 let register t ~src ~dst ~seq payload =
   let l = link t ~src ~dst in
-  if seq < l.base || seq >= l.next_seq || l.tries.(slot l seq) >= 0 then
+  if seq < l.base || seq >= l.next_seq || l.tries.(slot l seq) <> reserved then
     invalid_arg "Channel.register: seq not freshly allocated on this link";
   let i = slot l seq in
   l.payloads.(i) <- payload;
   l.tries.(i) <- 0;
   l.deadlines.(i) <- Float.infinity;
   Bytes.set l.armed i '\000';
+  l.live <- l.live + 1;
   t.in_flight <- t.in_flight + 1;
   t.timeouts.(0)
 
+(* Every operation below takes the ring's path for [seq] >= [base] and
+   the stray's otherwise, with the same logic on each. *)
+
 let set_deadline t ~src ~dst ~seq ~armed deadline =
   let l = link t ~src ~dst in
-  if not (pending l seq) then
-    invalid_arg "Channel.set_deadline: seq not pending";
-  let i = slot l seq in
-  l.deadlines.(i) <- deadline;
-  Bytes.set l.armed i (if armed then '\001' else '\000')
+  let not_pending () = invalid_arg "Channel.set_deadline: seq not pending" in
+  if seq >= l.base then begin
+    if not (ring_pending l seq) then not_pending ();
+    let i = slot l seq in
+    l.deadlines.(i) <- deadline;
+    Bytes.set l.armed i (if armed then '\001' else '\000')
+  end
+  else
+    match stray l seq with
+    | Some s ->
+      s.s_deadline <- deadline;
+      s.s_armed <- armed
+    | None -> not_pending ()
 
 let arm t ~src ~dst ~seq ~at =
   let l = link t ~src ~dst in
-  if not (pending l seq) then false
-  else begin
+  if seq >= l.base then
+    ring_pending l seq
+    &&
     let i = slot l seq in
-    if Bytes.get l.armed i <> '\000' || at < l.deadlines.(i) then false
-    else begin
-      Bytes.set l.armed i '\001';
+    Bytes.get l.armed i = '\000'
+    && at >= l.deadlines.(i)
+    &&
+    (Bytes.set l.armed i '\001';
+     true)
+  else
+    match stray l seq with
+    | Some s when (not s.s_armed) && at >= s.s_deadline ->
+      s.s_armed <- true;
       true
-    end
-  end
+    | _ -> false
 
 let deadline t ~src ~dst ~seq =
   let l = link t ~src ~dst in
-  if pending l seq then l.deadlines.(slot l seq) else Float.infinity
+  if seq >= l.base then
+    if ring_pending l seq then l.deadlines.(slot l seq) else Float.infinity
+  else match stray l seq with Some s -> s.s_deadline | None -> Float.infinity
 
 (* An ack landing at [at] beats the timer when it lands strictly before
    the deadline, or at it while the timer is unqueued: a timer pushed
    from then on would pop after the ack. A queued timer pops first at a
-   tie. *)
+   tie. (Written out at each use: a float passed to a function is boxed
+   on this compiler.) *)
+
+(* Discharge [seq] if it is pending. *)
+let discharge t l seq =
+  if seq >= l.base then (if ring_pending l seq then vacate t l seq)
+  else if Option.is_some (stray l seq) then vacate t l seq
+
+let ack t ~src ~dst ~seq = discharge t (link t ~src ~dst) seq
+
 let settle t ~src ~dst ~seq ~at =
   let l = link t ~src ~dst in
-  if not (pending l seq) then true
-  else begin
+  if seq >= l.base then
+    (not (ring_pending l seq))
+    ||
     let i = slot l seq in
     let deadline = l.deadlines.(i) in
     let early =
       if Bytes.get l.armed i = '\000' then at <= deadline else at < deadline
     in
-    if early then begin
-      vacate t l seq;
-      advance_base l
-    end;
+    if early then vacate t l seq;
     early
-  end
+  else
+    match stray l seq with
+    | None -> true
+    | Some s ->
+      let early =
+        if s.s_armed then at < s.s_deadline else at <= s.s_deadline
+      in
+      if early then vacate t l seq;
+      early
 
-let ack t ~src ~dst ~seq =
-  let l = link t ~src ~dst in
-  if pending l seq then begin
-    vacate t l seq;
-    advance_base l
-  end
+let give_up t l seq =
+  vacate t l seq;
+  t.abandoned <- t.abandoned + 1;
+  `Give_up
+
+(* The retransmission after [tries] timeouts: its payload and the next
+   timeout. *)
+let retransmit t ~tries payload =
+  t.retransmissions <- t.retransmissions + 1;
+  let last = Array.length t.timeouts - 1 in
+  `Retransmit (payload, t.timeouts.(min tries last))
 
 let on_timer t ~src ~dst ~seq =
   let l = link t ~src ~dst in
-  if not (pending l seq) then `Done
-  else begin
-    let i = slot l seq in
-    if l.tries.(i) >= t.config.max_retries then begin
-      vacate t l seq;
-      advance_base l;
-      t.abandoned <- t.abandoned + 1;
-      `Give_up
-    end
+  if seq >= l.base then
+    if not (ring_pending l seq) then `Done
     else begin
-      let tries = l.tries.(i) + 1 in
-      l.tries.(i) <- tries;
-      t.retransmissions <- t.retransmissions + 1;
-      let last = Array.length t.timeouts - 1 in
-      `Retransmit (l.payloads.(i), t.timeouts.(min tries last))
+      let i = slot l seq in
+      if l.tries.(i) >= t.config.max_retries then give_up t l seq
+      else begin
+        l.tries.(i) <- l.tries.(i) + 1;
+        retransmit t ~tries:l.tries.(i) l.payloads.(i)
+      end
     end
-  end
+  else
+    match stray l seq with
+    | None -> `Done
+    | Some s when s.s_tries >= t.config.max_retries -> give_up t l seq
+    | Some s ->
+      s.s_tries <- s.s_tries + 1;
+      retransmit t ~tries:s.s_tries s.s_payload
+
+let window_slots t =
+  Array.fold_left
+    (fun acc row ->
+      Array.fold_left
+        (fun acc -> function
+          | None -> acc
+          | Some l -> acc + Array.length l.tries + Hashtbl.length l.strays)
+        acc row)
+    0 t.rows
 
 (* ------------------------------------------------------------------ *)
 (* Receiver dedup *)

@@ -49,12 +49,18 @@
     event.
 
     State lives in one record per directed link, found by pid (no
-    hashing). The sender keeps a power-of-two ring of unacked sends over
-    [\[base, next_seq)], doubling when full; acks and give-ups vacate
-    slots and advance [base]. The receiver keeps the highest contiguous
-    sequence number plus a bitmap ring of the arrivals above it. Memory
-    is therefore bounded by the in-flight window, not by the number of
-    messages in the run, and every operation is O(1) amortised.
+    hashing). The sender keeps its unacked sends in a pending store of
+    two parts: a power-of-two ring over the recent sequence numbers
+    [\[base, next_seq)], and a side table of {e strays}, pending sends
+    below [base]. Acks and give-ups vacate slots and advance [base].
+    When the ring fills while at most a quarter of it is pending, its
+    older half's pending sends move to the side table and the ring
+    slides past them; otherwise it doubles. So one send stuck behind a
+    partition no longer holds every later, long-acked slot. The
+    receiver keeps the highest contiguous sequence number plus a bitmap
+    ring of the arrivals above it. The sender's memory is therefore
+    bounded by the sends in flight, not by the number of messages in
+    the run, and every operation is O(1) amortised.
     Payloads are stored as [Obj.t] because they live inside the engine's
     uniformly-typed queue; the engine is the only caller and casts them
     back under the same discipline it uses for queued events. *)
@@ -168,6 +174,11 @@ val on_timer : t -> src:int -> dst:int -> seq:int ->
 
 val in_flight : t -> int
 (** Registered sends not yet acked or given up (a counter, O(1)). *)
+
+val window_slots : t -> int
+[@@lint.allow "X1: state probe — tests bound the sender store by the \
+               sends in flight"]
+(** Sender-side slots held over every link: ring capacity plus strays. *)
 
 val retransmissions : t -> int
 val duplicates_suppressed : t -> int

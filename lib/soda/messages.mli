@@ -24,6 +24,8 @@ type mid = private int
     the servers' deduplication tables key on a plain [int]. *)
 
 val mid : origin:int -> seq:int -> mid
+val mid_origin : mid -> int
+val mid_seq : mid -> int
 
 (** Payloads delivered by the MD-META primitive. [rid] is the unique id
     of the read operation (the paper's reader id extended with a

@@ -76,7 +76,9 @@ type t = {
          this tag?) is a table length instead of a fold over the set.
          Rows live only while the read may still register here: a
          completed read's row is dropped and never rebuilt. *)
-  md_delivered : Int_tbl.Set.t;
+  md_delivered : Mid_set.t;
+      (* dispersals delivered here, as per-origin marks plus holes:
+         bounded by the dispersals in flight, not by the history *)
   completed : Int_tbl.Set.t;
       (* rids whose READ-COMPLETE was delivered locally: the read's
          tombstone. One bit per finished read stops a late READ-VALUE
@@ -133,7 +135,7 @@ let create config ~coordinate =
     disk = Disk.create ~tag:Tag.initial ~fragment;
     registered = Int_tbl.Map.create ~dummy:no_registration 0;
     h = Int_tbl.Map.create ~dummy:no_tags 0;
-    md_delivered = Int_tbl.Set.create 0;
+    md_delivered = Mid_set.create ();
     completed = Int_tbl.Set.create 0;
     seq = ref 0;
     outbox = [||];
@@ -766,7 +768,7 @@ let begin_repair t ctx ~op =
     ~bytes:(Fragment.size fragment);
   Int_tbl.Map.reset t.registered;
   Int_tbl.Map.reset t.h;
-  Int_tbl.Set.reset t.md_delivered;
+  Mid_set.reset t.md_delivered;
   Int_tbl.Set.reset t.completed;
   Array.fill t.outbox 0 (Array.length t.outbox) [];
   Array.fill t.outbox_armed 0 (Array.length t.outbox_armed) false;
@@ -918,7 +920,7 @@ let deliver_meta t ctx = function
    own element; the ordering (relays before local delivery) is what makes
    the primitive uniform under crashes. *)
 let on_md_full t ctx ~msg ~(mid : Messages.mid) ~op ~tag ~value =
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if Mid_set.add t.md_delivered mid then begin
     let config = t.config in
     let d = Config.d_size config in
     let fragments = Config.encode config value in
@@ -939,7 +941,7 @@ let on_md_full t ctx ~msg ~(mid : Messages.mid) ~op ~tag ~value =
   end
 
 let on_md_coded t ctx ~(mid : Messages.mid) ~op ~tag ~fragment =
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if Mid_set.add t.md_delivered mid then begin
     md_value_deliver t ctx ~op ~tag ~fragment
   end
 
@@ -955,7 +957,7 @@ let on_md_coded t ctx ~(mid : Messages.mid) ~op ~tag ~fragment =
    O(f*n) to O(n) whenever the lowest live member of D gets its copy. *)
 let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
   let config = t.config in
-  if Int_tbl.Set.add t.md_delivered (mid :> int) then begin
+  if Mid_set.add t.md_delivered mid then begin
     let d = Config.d_size config in
     if t.coordinate < d then begin
       let forward () =

@@ -722,6 +722,109 @@ let model_tests =
       (fun (max_retries, ops) -> run_ops ~max_retries ops)
   ]
 
+(* One send stuck behind a partition while thousands of later sends on
+   its link are acked: the sender store stays sized by the sends in
+   flight, and the stuck send's timer answers exactly as the table
+   model's (the unbounded-window semantics) until it is acked after the
+   heal or abandoned at [max_retries]. *)
+let stuck_send ~max_retries ~healed =
+  let config = { Channel.default with max_retries } in
+  let t = Channel.create config and m = Model.create config in
+  let link = (1, 2) in
+  let send () =
+    let seq = Channel.alloc_seq t ~src:1 ~dst:2 in
+    let payload = Obj.repr (ref seq) in
+    ignore (Channel.register t ~src:1 ~dst:2 ~seq payload : float);
+    ignore (Model.register m link (Model.alloc_seq m link) payload : float);
+    seq
+  in
+  let ack seq =
+    Channel.ack t ~src:1 ~dst:2 ~seq;
+    Model.ack m link seq
+  in
+  let timer () =
+    let got = Channel.on_timer t ~src:1 ~dst:2 ~seq:0 in
+    Alcotest.(check bool) "timer as in the model" true
+      (same_timer got (Model.on_timer m link 0));
+    got
+  in
+  let stuck = send () in
+  let worst = ref 0 and timers = ref [] in
+  for i = 1 to 5_000 do
+    (* four later sends in flight at any time *)
+    ignore (send () : int);
+    if i > 4 then ack (i - 4);
+    worst := max !worst (Channel.window_slots t);
+    if i mod 250 = 0 && List.length !timers < max_retries then
+      timers := timer () :: !timers
+  done;
+  (* the stray keeps its deadline and arming like a ring slot *)
+  Channel.set_deadline t ~src:1 ~dst:2 ~seq:stuck ~armed:false 42.0;
+  Alcotest.(check (float 0.0)) "stray deadline" 42.0
+    (Channel.deadline t ~src:1 ~dst:2 ~seq:stuck);
+  Alcotest.(check bool) "too early to arm" false
+    (Channel.arm t ~src:1 ~dst:2 ~seq:stuck ~at:41.0);
+  Alcotest.(check bool) "armed once" true
+    (Channel.arm t ~src:1 ~dst:2 ~seq:stuck ~at:42.0);
+  Alcotest.(check bool) "not twice" false
+    (Channel.arm t ~src:1 ~dst:2 ~seq:stuck ~at:50.0);
+  for i = 4_997 to 5_000 do
+    ack i
+  done;
+  Alcotest.(check int) "only the stuck send in flight" 1 (Channel.in_flight t);
+  Alcotest.(check bool) "store bounded by sends in flight" true (!worst <= 64);
+  if healed then begin
+    Alcotest.(check bool) "an ack at the armed deadline is late" false
+      (Channel.settle t ~src:1 ~dst:2 ~seq:stuck ~at:42.0);
+    ack stuck;
+    Alcotest.(check bool) "acked after the heal" true (timer () = `Done);
+    Alcotest.(check int) "nothing in flight" 0 (Channel.in_flight t)
+  end
+  else begin
+    while timer () <> `Give_up do
+      ()
+    done;
+    Alcotest.(check int) "abandoned once" 1 (Channel.abandoned t);
+    Alcotest.(check int) "abandoned as in the model" m.Model.abandoned
+      (Channel.abandoned t);
+    Alcotest.(check int) "nothing in flight" 0 (Channel.in_flight t)
+  end;
+  Alcotest.(check int) "retransmissions as in the model"
+    m.Model.retransmissions (Channel.retransmissions t);
+  Alcotest.(check bool) "it retransmitted behind the later sends" true
+    (List.exists (function `Retransmit _ -> true | _ -> false) !timers)
+
+let stray_tests =
+  [ Alcotest.test_case "a stuck send is acked after the heal" `Quick (fun () ->
+        stuck_send ~max_retries:50 ~healed:true);
+    Alcotest.test_case "a stuck send is abandoned at max_retries" `Quick
+      (fun () -> stuck_send ~max_retries:12 ~healed:false);
+    Alcotest.test_case "seqs allocated ahead register behind a stray" `Quick
+      (fun () ->
+        (* [register] accepts any allocated seq while no ack intervenes,
+           so the ring must not slide past one still unregistered *)
+        let t = Channel.create Channel.default in
+        let alloc () = Channel.alloc_seq t ~src:1 ~dst:2 in
+        let register seq =
+          ignore (Channel.register t ~src:1 ~dst:2 ~seq (Obj.repr seq) : float)
+        in
+        let stuck = alloc () in
+        register stuck;
+        for _ = 1 to 100 do
+          let batch = List.init 40 (fun _ -> alloc ()) in
+          List.iter register (List.rev batch);
+          List.iter (fun seq -> Channel.ack t ~src:1 ~dst:2 ~seq) batch
+        done;
+        Alcotest.(check int) "the stuck send alone in flight" 1
+          (Channel.in_flight t);
+        Alcotest.(check bool) "store bounded by a batch" true
+          (Channel.window_slots t <= 128);
+        Alcotest.(check bool) "the stray is still pending" true
+          (Float.equal (Channel.deadline t ~src:1 ~dst:2 ~seq:stuck)
+             Float.infinity
+          && Channel.on_timer t ~src:1 ~dst:2 ~seq:stuck <> `Done))
+  ]
+
 let () =
   Alcotest.run "channel"
     [ ("delivery", delivery_tests);
@@ -729,5 +832,6 @@ let () =
       ("settle", settle_tests);
       ("backoff", backoff_tests);
       ("state-machine", sm_tests);
-      ("model", model_tests)
+      ("model", model_tests);
+      ("stray", stray_tests)
     ]

@@ -477,9 +477,138 @@ let tombstone_tests =
         check_no_history rig "after late announcements")
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The delivered-mid set: per-origin marks plus holes, against a plain
+   set of mids *)
+
+module Mid_set = Soda.Mid_set
+module Int_tbl = Protocol.Int_tbl
+
+let mid_of ~origin ~seq = Soda.Messages.mid ~origin ~seq
+
+type dedup_op = Add of int * int | Reset
+
+let show_dedup_op = function
+  | Add (o, s) -> Printf.sprintf "add %d.%d" o s
+  | Reset -> "reset"
+
+(* A few origins, one at the top of the 20-bit origin field; seqs
+   mostly in a window that reorders and repeats, sometimes far ahead,
+   so gaps open holes below and above the marks. *)
+let dedup_op_gen =
+  let open QCheck2.Gen in
+  let origin = frequency [ (6, int_range 0 3); (1, pure 0xFFFFF) ] in
+  let seq = frequency [ (8, int_range 0 40); (1, int_range 0 400) ] in
+  frequency [ (30, map2 (fun o s -> Add (o, s)) origin seq); (1, pure Reset) ]
+
+let dedup_agrees ops =
+  let t = Mid_set.create () and reference = Int_tbl.Set.create 0 in
+  let step = function
+    | Add (origin, seq) ->
+      let mid = mid_of ~origin ~seq in
+      Mid_set.add t mid = Int_tbl.Set.add reference (mid :> int)
+    | Reset ->
+      Mid_set.reset t;
+      Int_tbl.Set.reset reference;
+      true
+  in
+  let members_agree () =
+    List.for_all
+      (fun origin ->
+        List.for_all
+          (fun seq ->
+            let mid = mid_of ~origin ~seq in
+            Mid_set.mem t mid = Int_tbl.Set.mem reference (mid :> int))
+          (List.init 420 Fun.id))
+      [ 0; 1; 2; 3; 4; 0xFFFFF ]
+  in
+  List.for_all
+    (fun op ->
+      step op && Mid_set.cardinal t = Int_tbl.Set.length reference)
+    ops
+  && members_agree ()
+
+let dedup_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~name:"model: marks and holes = a set of mids"
+         ~print:(fun ops -> String.concat "; " (List.map show_dedup_op ops))
+         QCheck2.Gen.(list_size (int_range 1 300) dedup_op_gen)
+         dedup_agrees);
+    Alcotest.test_case "reordered copies leave no hole behind" `Quick
+      (fun () ->
+        (* two origins, each dispersal overtaking up to 15 earlier ones:
+           the holes never outnumber the copies in flight *)
+        let t = Mid_set.create () in
+        let worst = ref 0 in
+        for block = 0 to 63 do
+          for i = 15 downto 0 do
+            List.iter
+              (fun origin ->
+                ignore
+                  (Mid_set.add t (mid_of ~origin ~seq:((16 * block) + i))
+                    : bool))
+              [ 3; 9 ];
+            worst := max !worst (Mid_set.holes t)
+          done
+        done;
+        Alcotest.(check int) "every mid" 2048 (Mid_set.cardinal t);
+        Alcotest.(check int) "no hole left" 0 (Mid_set.holes t);
+        Alcotest.(check bool) "holes bounded by the reordering window" true
+          (!worst <= 30));
+    Alcotest.test_case "a crashed origin's lost dispersal is a permanent hole"
+      `Quick (fun () ->
+        (* origin 7 had dispersals 2 and 3 in flight when it crashed; 2
+           reached no server, so no copy of it ever comes, while 3 is
+           delivered everywhere *)
+        let t = Mid_set.create () in
+        List.iter
+          (fun seq -> ignore (Mid_set.add t (mid_of ~origin:7 ~seq) : bool))
+          [ 0; 1; 3 ];
+        for seq = 0 to 99 do
+          ignore (Mid_set.add t (mid_of ~origin:2 ~seq) : bool)
+        done;
+        Alcotest.(check int) "one hole" 1 (Mid_set.holes t);
+        Alcotest.(check bool) "the hole is not a member" false
+          (Mid_set.mem t (mid_of ~origin:7 ~seq:2));
+        Alcotest.(check bool) "duplicates of 3 stay duplicates" false
+          (Mid_set.add t (mid_of ~origin:7 ~seq:3));
+        Alcotest.(check int) "103 members" 103 (Mid_set.cardinal t));
+    Alcotest.test_case "a repaired server delivers a late pre-repair copy again"
+      `Quick (fun () ->
+        (* [begin_repair] wipes the set: a copy of a dispersal delivered
+           before the crash is new to the restored server, exactly as with
+           a plain set of mids, and still a duplicate everywhere else *)
+        let rig = make_rig () in
+        let tag = Tag.make ~z:1 ~w:rig.driver in
+        let value = Bytes.make 30 'V' in
+        let fragments = Mds.encode (code rig) value in
+        let coded c =
+          Soda.Messages.Md_coded
+            { mid = mid rig 0; op = 900; tag; fragment = fragments.(c) }
+        in
+        send_at rig ~at:0.0 ~dst:(server_pid rig 0)
+          (md_full rig ~seq:0 ~tag ~value);
+        Soda.Deployment.crash_server rig.deployment ~coordinate:4 ~at:10.0;
+        ignore
+          (Soda.Deployment.repair_server rig.deployment ~coordinate:4 ~at:20.0
+            : int);
+        send_at rig ~at:100.0 ~dst:(server_pid rig 4) (coded 4);
+        send_at rig ~at:100.0 ~dst:(server_pid rig 3) (coded 3);
+        Engine.run rig.engine;
+        let acks_from c =
+          List.length
+            (received rig (fun (src, m) ->
+                 src = server_pid rig c
+                 && match m with Soda.Messages.Write_ack _ -> true | _ -> false))
+        in
+        Alcotest.(check int) "the repaired server acks twice" 2 (acks_from 4);
+        Alcotest.(check int) "a live server acks once" 1 (acks_from 3))
+  ]
+
 let () =
   Alcotest.run "md-and-server"
     [ ("md-value", md_value_tests);
       ("server-fig5", server_tests);
-      ("tombstone", tombstone_tests)
+      ("tombstone", tombstone_tests);
+      ("dedup", dedup_tests)
     ]
