@@ -67,9 +67,14 @@ let max_seq = 0x7FFFF
    are a subset of the pending sends, so both stores are bounded by the
    sends in flight, not by the length of the run.
 
-   Receiver: every seq <= [cum] has arrived; arrivals above it sit in a
-   bitmap ring over (cum, cum + 8 * Bytes.length arrived], grown on
-   demand. In-order traffic never allocates one. *)
+   Receiver: every seq <= [cum] has arrived except the [holes];
+   arrivals above it sit in a bitmap ring over (cum, cum + 8 *
+   Bytes.length arrived], grown on demand up to [gap_window] bits. In-order
+   traffic never allocates one. A seq that never arrives (its send was
+   given up) would otherwise pin [cum] and grow the ring by one bit per
+   later arrival: once the newest arrival is more than [gap_window]
+   above [cum], [cum] slides up and every missing seq it passes becomes
+   a hole, answered [`Fresh] once if a late copy still comes. *)
 type stray = {
   s_payload : Obj.t;
   mutable s_tries : int;
@@ -87,7 +92,9 @@ type link = {
   mutable live : int;  (* pending slots in the ring *)
   strays : (int, stray) Hashtbl.t;  (* pending sends below [base] *)
   mutable cum : int;  (* -1 until seq 0 arrives *)
-  mutable arrived : Bytes.t
+  mutable arrived : Bytes.t;
+  mutable holes : (int, unit) Hashtbl.t option
+      (* seqs <= [cum] still missing; created by the first slide *)
 }
 
 type t = {
@@ -143,7 +150,8 @@ let link t ~src ~dst =
         live = 0;
         strays = Hashtbl.create 1;
         cum = -1;
-        arrived = Bytes.empty
+        arrived = Bytes.empty;
+        holes = None
       }
     in
     row.(dst) <- Some l;
@@ -400,6 +408,9 @@ let has_arrived l seq =
 
 let flip l seq = flip_bit l.arrived (seq land (nbits l.arrived - 1))
 
+(* The widest the bitmap grows, in bits (a power of two). *)
+let gap_window = 4096
+
 (* Widen the bitmap to cover (cum, seq], re-placing the recorded
    arrivals. *)
 let grow_arrived l seq =
@@ -413,20 +424,50 @@ let grow_arrived l seq =
     if test_bit old (s land (nbits old - 1)) then flip l s
   done
 
+(* Advance [cum] over the arrivals recorded just above it. *)
+let absorb l =
+  while has_arrived l (l.cum + 1) do
+    flip l (l.cum + 1);
+    l.cum <- l.cum + 1
+  done
+
+(* Slide [cum] up to [upto], recording each missing seq it passes as a
+   hole. *)
+let slide l upto =
+  let holes =
+    match l.holes with
+    | Some holes -> holes
+    | None ->
+      let holes = Hashtbl.create 8 in
+      l.holes <- Some holes;
+      holes
+  in
+  while l.cum < upto do
+    let s = l.cum + 1 in
+    if has_arrived l s then flip l s else Hashtbl.replace holes s ();
+    l.cum <- s
+  done;
+  absorb l
+
+let duplicate t =
+  t.duplicates_suppressed <- t.duplicates_suppressed + 1;
+  `Duplicate
+
 (* [`Fresh] exactly once per seq. *)
 let receive t ~src ~dst ~seq =
   let l = link t ~src ~dst in
-  if seq <= l.cum || has_arrived l seq then begin
-    t.duplicates_suppressed <- t.duplicates_suppressed + 1;
-    `Duplicate
-  end
+  if seq <= l.cum then (
+    match l.holes with
+    | Some holes when Hashtbl.mem holes seq ->
+      Hashtbl.remove holes seq;
+      `Fresh
+    | Some _ | None -> duplicate t)
+  else if has_arrived l seq then duplicate t
   else begin
+    if seq - l.cum > gap_window then slide l (seq - gap_window);
     if seq = l.cum + 1 then begin
       l.cum <- seq;
-      while has_arrived l (l.cum + 1) do
-        flip l (l.cum + 1);
-        l.cum <- l.cum + 1
-      done
+      absorb l
     end
     else begin
       if seq - l.cum > nbits l.arrived then grow_arrived l seq;

@@ -58,9 +58,13 @@
     slides past them; otherwise it doubles. So one send stuck behind a
     partition no longer holds every later, long-acked slot. The
     receiver keeps the highest contiguous sequence number plus a bitmap
-    ring of the arrivals above it. The sender's memory is therefore
-    bounded by the sends in flight, not by the number of messages in
-    the run, and every operation is O(1) amortised.
+    ring of the arrivals above it, at most 4,096 wide. A sequence number
+    that falls further behind the newest arrival (its send was given up,
+    or is still retrying) becomes a hole in a side table, and the
+    contiguous mark slides past it; a late copy of a hole is still
+    fresh once. Both sides' memory is therefore bounded by the sends in
+    flight and the holes, not by the number of messages in the run, and
+    every operation is O(1) amortised.
     Payloads are stored as [Obj.t] because they live inside the engine's
     uniformly-typed queue; the engine is the only caller and casts them
     back under the same discipline it uses for queued events. *)

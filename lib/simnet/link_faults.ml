@@ -46,5 +46,15 @@ let heal_links t links =
       | None -> ())
     links
 
+let isolation ~isolated ~among =
+  let inside = List.sort_uniq Int.compare isolated in
+  let outside =
+    List.filter (fun pid -> not (List.mem pid inside)) (Array.to_list among)
+  in
+  List.concat_map
+    (fun inner ->
+      List.concat_map (fun outer -> [ (inner, outer); (outer, inner) ]) outside)
+    inside
+
 let partitioned t ~src ~dst =
   Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (key ~src ~dst)

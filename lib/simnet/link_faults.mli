@@ -40,4 +40,11 @@ val heal_links : t -> (int * int) list -> unit
 (** Undo one {!cut_links} layer per link. Healing a link that is not cut
     is ignored (a harness may heal a partition that was never armed). *)
 
+val isolation : isolated:int list -> among:int array -> (int * int) list
+(** The link-set that cuts the pids [isolated] off from every other pid
+    of [among], both directions: for each isolated pid in ascending
+    order, and each other pid in [among]'s order, [(inner, outer)] then
+    [(outer, inner)]. Deterministic, so a partition and its heal name the
+    same links. *)
+
 val partitioned : t -> src:int -> dst:int -> bool

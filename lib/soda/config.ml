@@ -24,12 +24,11 @@ type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
 
 let heal_stats_create () = { heartbeats_sent = 0; scrub_sweeps = 0 }
 
-(* Pluggable message plane: a keyspace re-routes an instance's sends
-   through the shared plane (key envelopes, cross-key batching) by
-   installing a wire after [derive]. [wire_send] replaces every
-   protocol-level [Engine.send]; [wire_gossip] takes every deferred
-   READ-DISPERSE entry for cross-key coalescing, in place of the
-   instance's own per-destination outbox. *)
+(* Pluggable message plane: a batched-plane deployment, and every
+   keyspace instance, re-routes its sends through a [Plane] by
+   installing a wire. [wire_send] replaces every protocol-level
+   [Engine.send]; [wire_gossip] takes every deferred READ-DISPERSE
+   entry for coalescing. *)
 type wire = {
   wire_send : Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit;
   wire_gossip :
@@ -64,8 +63,8 @@ type t = {
      never mutated after a write invokes, and fragments are themselves
      treated as immutable (corruption copies — see Fragment.corrupt). *)
   mutable encode_cache : (bytes * Erasure.Fragment.t array) option;
-  (* [None] (bare deployment): sends go straight to the engine,
-     bit-identical to pre-keyspace builds. *)
+  (* [None] (the paper's plane on a bare deployment): sends go
+     straight to the engine. *)
   mutable wire : wire option
 }
 
@@ -73,6 +72,11 @@ let send t ctx ~dst msg =
   match t.wire with
   | None -> Simnet.Engine.send ctx ~dst msg
   | Some w -> w.wire_send ctx ~dst msg
+
+let gossip t ctx entry =
+  match t.wire with
+  | Some w -> w.wire_gossip ctx entry
+  | None -> invalid_arg "Config.gossip: coalesced gossip needs a wire"
 
 let set_wire t wire =
   match t.wire with
@@ -85,15 +89,8 @@ let gossip_mode t =
   | Batched -> `Coalesced
   | Gossip_off -> `Off
 
-(* An instance with a wire installed is a keyspace instance: the shared
-   plane batches its client-bound frames across keys under the
-   template's window, so the instance itself must not also hold them
-   back (double-buffering would compound the delay, stretch
-   registration windows and generate extra traffic, not less). *)
 let relay_window t =
-  match (t.plane, t.wire) with
-  | Batched, None -> Some 0.25
-  | Batched, Some _ | (Paper | Gossip_off), _ -> None
+  match t.plane with Batched -> Some 0.25 | Paper | Gossip_off -> None
 
 let meta_stagger t =
   match t.plane with Batched -> Some 4.0 | Paper | Gossip_off -> None
@@ -185,7 +182,11 @@ let derive t ~servers =
     wire = None
   }
 
-let default_client_retry_interval = 80.0
+(* Client retries are armed exactly when sends are retransmitted: over
+   the raw transport they could not mask losses anyway, and leaving them
+   off keeps raw runs identical to the paper's retry-free clients. *)
+let client_retry_for engine =
+  if Simnet.Engine.reliable_transport engine then Some 80.0 else None
 
 (* A top-level scan, stopping at the first match: this runs on every
    staggered MD-META duplicate and every repair or scrub reply, so it

@@ -25,9 +25,10 @@ val default_plane : plane
 val batched_plane : plane
 (** Coalesced gossip: READ-DISPERSE entries accumulate in a
     per-destination outbox and ride on the next server-to-server
-    message (or a {!gossip_staleness} flush). Relays to each reader are
-    buffered for 0.25 time units and shipped as one
-    {!Messages.Relay_batch}. MD-META forwards are staggered by 4.0 per
+    message (or a {!gossip_staleness} flush). Relays to each reader
+    process are buffered for 0.25 time units and shipped as one
+    {!Messages.Relay_batch} (in a {!Keyspace}, a
+    {!Messages.Keyed_batch}); both run on a {!Plane} (see {!wire}). MD-META forwards are staggered by 4.0 per
     coordinate (the worst-case forward-arrival lag under the
     uniform(0.2, 2.0) delay model is 3.8): coordinate [i > 0] delays
     its forwards by [4.0 * i] and cancels them when a copy of the same
@@ -43,11 +44,11 @@ val gossip_off_plane : plane
     unregisters a read and a crashed reader is relayed to forever. *)
 
 val gossip_staleness : float
-(** 25.0 time units. Under {!batched_plane}, the longest a queued gossip
-    entry waits for a piggyback before a standalone {!Messages.Gossip}
-    (in a {!Keyspace}, a [Keyed_gossip]) flush is forced, so
-    unregistration of crashed readers cannot stall behind a quiet
-    link. *)
+(** 25.0 time units. Under {!batched_plane}, the longest the oldest live
+    gossip entry of an outbox waits for a piggyback before a standalone
+    {!Messages.Gossip} (in a {!Keyspace}, a [Keyed_gossip]) flush is
+    forced, so unregistration of crashed readers cannot stall behind a
+    quiet link. *)
 
 (** Self-healing plane cadences, all in sim time (see "Self-healing
     plane" in DESIGN.md). Opt-in: with [healing = None] (the default)
@@ -82,22 +83,22 @@ val default_healing : healing
     ({!Protocol.Probe}), counted from the probe stream. *)
 type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
 
-(** Pluggable message plane. A {!Keyspace} re-routes a key instance's
-    traffic through the shared plane — wrapping messages in key
-    envelopes, draining cross-key gossip outboxes, batching relays per
-    destination — by installing a wire on the instance's configuration
-    (see {!set_wire}). Automata never call [Simnet.Engine.send]
-    directly; they go through {!send}, which falls through to the
-    engine when no wire is installed, keeping bare deployments
-    bit-identical to pre-keyspace builds. *)
+(** Pluggable message plane. A {!Deployment} on {!batched_plane}, and
+    every key instance of a {!Keyspace}, re-routes its traffic through
+    a {!Plane} — piggybacking gossip on server-to-server sends,
+    batching relays per reader process and, in a keyspace, wrapping
+    messages in key envelopes — by installing a wire on its
+    configuration (see {!set_wire}). Automata never call
+    [Simnet.Engine.send] directly; they go through {!send}, which falls
+    through to the engine when no wire is installed (the paper's plane
+    on a bare deployment). *)
 type wire = {
   wire_send : Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit;
       (** Replacement for every protocol-level send of the instance. *)
   wire_gossip :
     Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
       (** Takes each deferred READ-DISPERSE entry under the coalesced
-          plane for cross-key batching, in place of the instance's own
-          per-destination outbox. *)
+          plane (see {!gossip}). *)
 }
 
 type t = {
@@ -164,16 +165,22 @@ type t = {
           Not for direct use. *)
   mutable wire : wire option
       (** Message-plane override; [None] sends straight to the engine.
-          Install with {!set_wire}; read through {!send} and, for
-          gossip, by {!Server}. *)
+          Install with {!set_wire}; read through {!send} and
+          {!gossip}. *)
 }
 
 val send : t -> Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> unit
 (** The one send primitive of every automaton: [Engine.send] when no
     wire is installed, the wire's [wire_send] otherwise. *)
 
+val gossip : t -> Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
+(** Hand one deferred READ-DISPERSE entry to the wire's [wire_gossip]
+    (the coalesced gossip of {!batched_plane}).
+    @raise Invalid_argument when no wire is installed. *)
+
 val set_wire : t -> wire -> unit
-(** Install the message-plane override (once, after {!derive}).
+(** Install the message-plane override (once, after {!make} or
+    {!derive}).
     @raise Invalid_argument if a wire is already installed. *)
 
 val gossip_mode : t -> [ `Broadcast | `Coalesced | `Off ]
@@ -182,10 +189,9 @@ val gossip_mode : t -> [ `Broadcast | `Coalesced | `Off ]
     all ({!gossip_off_plane}). *)
 
 val relay_window : t -> float option
-(** [Some w]: buffer relays to each registered reader for up to [w]
-    time units ({!batched_plane}). [None] on the other planes, and on an
-    instance with a wire installed: a {!Keyspace} batches relays on its
-    shared plane instead, under its template's window. *)
+(** [Some w]: buffer relays to each reader process for up to [w] time
+    units ({!batched_plane}). [None] on the other planes. The window is
+    applied by the {!Plane} the configuration's wire runs on. *)
 
 val meta_stagger : t -> float option
 (** [Some sigma] under {!batched_plane}: see there. *)
@@ -230,10 +236,12 @@ val derive : t -> servers:int array -> t
     pids, no healing and no wire.
     @raise Invalid_argument if [servers] does not have [n] entries. *)
 
-val default_client_retry_interval : float
-(** Client retry cadence (80.0) armed by [Deployment.deploy] and
-    [Keyspace.create] exactly when the engine's transport is reliable;
-    see {!field-client_retry}. *)
+val client_retry_for : 'msg Simnet.Engine.t -> float option
+(** The client retry policy of a register on this engine: [Some 80.0]
+    when the engine's transport is reliable, [None] over the raw
+    transport, where a retry cannot mask a loss. Used by
+    [Deployment.deploy] and [Keyspace.create]; see
+    {!field-client_retry}. *)
 
 val coordinate_of : t -> pid:int -> int
 (** Inverse of [servers].

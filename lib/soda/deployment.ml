@@ -12,6 +12,9 @@ type t = {
   writer_pids : int array;
   readers : Reader.t array;
   reader_pids : int array;
+  (* the batched plane's outboxes and relay boxes; [None] on the other
+     planes, whose sends go straight to the engine *)
+  plane : (Messages.gossip_entry, Messages.t) Plane.t option;
   (* repair traffic is charged to synthetic op ids scoped to this
      deployment (one deployment = one register = one ledger), so id
      streams are reproducible regardless of what other deployments the
@@ -44,8 +47,34 @@ let repair_server t ~coordinate ~at =
   (* the injection is pushed after the restore event at the same
      timestamp, so it runs on the freshly restored process *)
   Engine.inject t.engine ~at pid (fun ctx ->
+      (* the crash lost the server's pending gossip and relays with
+         their flush timers *)
+      Option.iter (fun plane -> Plane.reset plane ~server:coordinate) t.plane;
       Server.begin_repair t.servers.(coordinate) ctx ~op);
   op
+
+(* The batched plane of a bare register: un-keyed frames, and each
+   server's own completion state decides which queued entries live. *)
+let install_plane config ~automata ~clients =
+  let servers = config.Config.servers in
+  let plane =
+    Plane.create ~servers ~clients ~window:(Config.relay_window config)
+      ~frames:
+        { Plane.live =
+            (fun ~server entry -> Server.gossip_live automata.(server) entry);
+          direct = Fun.id;
+          envelope = (fun entries msg -> Messages.Envelope { entries; msg });
+          gossip = (fun entries -> Messages.Gossip { entries });
+          batch = (fun relays -> Messages.Relay_batch { relays })
+        }
+  in
+  Config.set_wire config
+    { Config.wire_send =
+        (fun ctx ~dst msg ->
+          Plane.send plane ctx ~dst ~relay:(Plane.is_relay msg) msg);
+      wire_gossip = (fun ctx entry -> Plane.gossip plane ctx ~peers:servers entry)
+    };
+  plane
 
 let deploy ~engine ~params ?initial_value ?value_len ?error_prone
     ?disperse_step ?md_mode ?plane ?healing ~num_writers ~num_readers () =
@@ -56,19 +85,10 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
     Array.init n (fun i ->
         Engine.reserve engine ~name:(Printf.sprintf "server%d" i))
   in
-  (* client retries are armed exactly when sends are retransmitted: over
-     the raw transport they could not mask losses anyway, and leaving
-     them off keeps raw runs identical to the paper's retry-free
-     clients *)
-  let client_retry =
-    if Engine.reliable_transport engine then
-      Some Config.default_client_retry_interval
-    else None
-  in
   let config =
     Config.make ~params ~servers:server_pids ?initial_value ?value_len
-      ?error_prone ?disperse_step ?md_mode ?plane ?client_retry ?healing
-      ()
+      ?error_prone ?disperse_step ?md_mode ?plane
+      ?client_retry:(Config.client_retry_for engine) ?healing ()
   in
   let servers =
     Array.init n (fun coordinate -> Server.create config ~coordinate)
@@ -92,9 +112,17 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
   Array.iteri
     (fun i pid -> Engine.set_handler engine pid (Reader.handler readers.(i)))
     reader_pids;
+  let plane =
+    match Config.gossip_mode config with
+    | `Coalesced ->
+      Some
+        (install_plane config ~automata:servers
+           ~clients:(Array.append writer_pids reader_pids))
+    | `Broadcast | `Off -> None
+  in
   let t =
     { engine; config; servers; writers; writer_pids; readers; reader_pids;
-      repair_seq = ref 0 }
+      plane; repair_seq = ref 0 }
   in
   (match config.Config.healing with
   | None -> ()
@@ -177,29 +205,18 @@ let all_live t =
     t.config.Config.servers
 
 (* All links between the isolated servers and every other process of
-   the deployment, both directions, in a deterministic order (so
-   partition and heal name the same link-set and traces satisfy the
-   alternation axiom). *)
+   the deployment (so partition and heal name the same link-set and
+   traces satisfy the alternation axiom). *)
 let isolation_links t ~coordinates ~where =
-  let isolated = Array.make (Array.length t.config.Config.servers) false in
-  List.iter
-    (fun c ->
-      check_coordinate t c ~where;
-      isolated.(c) <- true)
-    coordinates;
-  let inside =
-    List.map (fun c -> t.config.Config.servers.(c)) (List.sort_uniq compare coordinates)
-  in
-  let outside = ref [] in
-  Array.iteri
-    (fun c pid -> if not isolated.(c) then outside := pid :: !outside)
-    t.config.Config.servers;
-  Array.iter (fun pid -> outside := pid :: !outside) t.writer_pids;
-  Array.iter (fun pid -> outside := pid :: !outside) t.reader_pids;
-  let outside = List.rev !outside in
-  List.concat_map
-    (fun inner -> List.concat_map (fun outer -> [ (inner, outer); (outer, inner) ]) outside)
-    inside
+  let servers = t.config.Config.servers in
+  Simnet.Link_faults.isolation
+    ~isolated:
+      (List.map
+         (fun c ->
+           check_coordinate t c ~where;
+           servers.(c))
+         coordinates)
+    ~among:(Array.concat [ servers; t.writer_pids; t.reader_pids ])
 
 let partition_servers t ~coordinates ~at =
   Engine.partition_at t.engine

@@ -37,7 +37,9 @@ val deploy :
   unit ->
   t
 (** Register all processes: [n] servers, then the writers, then the
-    readers. See {!Config.make} for the optional arguments.
+    readers. See {!Config.make} for the optional arguments. On
+    {!Config.batched_plane} a {!Plane} over these processes, with bare
+    frames, becomes the configuration's {!Config.wire}.
 
     [healing] arms the self-healing plane: every server runs
     {!Server.start_healing} (heartbeat failure detector + anti-entropy

@@ -19,32 +19,6 @@ type instance = {
   repair_seq : int ref
 }
 
-(* Pending cross-key gossip for one destination pid of one physical
-   server: (enqueue time, entry), newest first, plus the
-   staleness-timer armed flag. Enqueue times let the flush distinguish
-   entries that have genuinely aged out from young riders — see
-   [flush_outbox]. *)
-type outbox = {
-  mutable entries : (float * Messages.keyed_entry) list;
-  mutable armed : bool
-}
-
-(* Buffered client-bound relays for one destination pid. *)
-type relay_box = { mutable items : (int * Messages.t) list; mutable rarmed : bool }
-
-(* The shared-plane state of one physical server process. Its boxes are
-   indexed by destination pid and cover every pid the keyspace reserved
-   (slot [d] of [p_outbox] is used when [d] is a server, of [p_relay]
-   when [d] is a reader). A plane keeps no key index of its own: its
-   automaton for a key is [inst.iservers.(c)], where [c] is [p_server]'s
-   position in [inst.iphys]. *)
-type plane = {
-  p_pid : int;
-  p_server : int;  (* physical server index *)
-  p_outbox : outbox array;  (* dst pid -> pending cross-key gossip *)
-  p_relay : relay_box array  (* dst client pid -> buffered relays *)
-}
-
 (* A client process: one pid, one protocol lane per key it has touched.
    Lanes are independent SODA clients, so one process can have
    operations in flight on many keys at once — well-formedness is per
@@ -61,10 +35,11 @@ type t = {
   placement : Placement.t;
   template : Config.t;
   server_pids : int array;
-  planes : plane array;
-  (* pid -> its plane; [None] for client pids and pids reserved before
-     [create]; pids reserved after [create] fall past the end *)
-  plane_of_pid : plane option array;
+  (* the shared plane of every server process. Its slot for a server is
+     the physical server index: a process keeps no key index of its own,
+     and its automaton for a key is [inst.iservers.(c)], where [c] is
+     the server's position in [inst.iphys]. *)
+  plane : (Messages.keyed_entry, int * Messages.t) Plane.t;
   writer_clients : Writer.t client array;
   reader_clients : Reader.t client array;
   (* the one key index: key -> instance *)
@@ -76,9 +51,6 @@ type t = {
 }
 
 let repair_op_base = 1_000_000
-
-let plane_at t pid =
-  if pid < Array.length t.plane_of_pid then t.plane_of_pid.(pid) else None
 
 let lookup t key = Int_tbl.Map.find t.instances key ~default:t.no_instance
 let materialized inst = inst.key >= 0
@@ -93,133 +65,19 @@ let rec coordinate_from iphys server c =
 let coordinate_on inst ~server = coordinate_from inst.iphys server 0
 
 (* ------------------------------------------------------------------ *)
-(* Shared-plane outboxes *)
-
-(* An entry whose read already completed at the enqueuing instance's
-   local server is dead. *)
-let entry_live t plane (ke : Messages.keyed_entry) =
-  let inst = lookup t ke.Messages.ke_key in
-  let c = coordinate_on inst ~server:plane.p_server in
-  c < 0 || Server.gossip_live inst.iservers.(c) ke.Messages.ke_entry
-
-(* Unwrap the live entries of a newest-first outbox, oldest first. *)
-let rec live_in_order t plane acc = function
-  | [] -> acc
-  | (_, ke) :: older ->
-    live_in_order t plane (if entry_live t plane ke then ke :: acc else acc) older
-
-(* Drain [dst]'s cross-key outbox, dropping dead entries, in enqueue
-   order. *)
-let take_outbox t plane ~dst =
-  let box = plane.p_outbox.(dst) in
-  match box.entries with
-  | [] -> []
-  | pending ->
-    box.entries <- [];
-    live_in_order t plane [] pending
-
-(* Bounded-staleness flush of one destination's cross-key outbox. The
-   pooled box holds entries of many ages, so the timer only forces a
-   frame once the {e oldest} live entry has waited the full staleness
-   bound — younger entries coalesce into that frame (or into envelope
-   piggybacks) for free, but never cause frames of their own earlier
-   than a per-key outbox would have. Most entries die (their read
-   completes) before aging out, exactly as in a single-register plane. *)
-let rec flush_outbox t ~staleness plane ctx ~dst =
-  let box = plane.p_outbox.(dst) in
-  box.armed <- false;
-  let live = List.filter (fun (_, ke) -> entry_live t plane ke) box.entries in
-  box.entries <- live;
-  match List.rev live with
-  | [] -> ()
-  | (oldest, _) :: _ as in_order ->
-    let now = Engine.now_ctx ctx in
-    if now -. oldest +. 1e-9 >= staleness then begin
-      box.entries <- [];
-      Engine.send ctx ~dst
-        (Messages.Keyed_gossip { kentries = List.map snd in_order })
-    end
-    else begin
-      box.armed <- true;
-      Engine.schedule_local ctx
-        ~delay:(oldest +. staleness -. now)
-        (fun () -> flush_outbox t ~staleness plane ctx ~dst)
-    end
-
-let flush_relays plane ctx ~dst =
-  let box = plane.p_relay.(dst) in
-  box.rarmed <- false;
-  match List.rev box.items with
-  | [] -> ()
-  | [ (key, msg) ] ->
-    box.items <- [];
-    Engine.send ctx ~dst (Messages.Keyed { key; msg })
-  | kitems ->
-    box.items <- [];
-    Engine.send ctx ~dst (Messages.Keyed_batch { kitems })
-
-let is_client_relay = function
-  | Messages.Relay _ | Messages.Relay_batch _ -> true
-  | _ -> false
-
-(* ------------------------------------------------------------------ *)
 (* The wire: an instance's sends re-routed over the shared plane *)
 
 let wire t inst =
   let key = inst.key in
-  let staleness = Config.gossip_staleness in
-  let relay_window = Config.relay_window t.template in
-  let wire_send ctx ~dst msg =
-    match plane_at t (Engine.self ctx) with
-    | Some plane when Option.is_some (plane_at t dst) -> (
-      (* server -> server: piggyback whatever cross-key gossip is
-         pending for the destination *)
-      match take_outbox t plane ~dst with
-      | [] -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
-      | kentries ->
-        Engine.send ctx ~dst (Messages.Keyed_envelope { kentries; key; msg }))
-    | Some plane
-      when is_client_relay msg
-           && Option.is_some relay_window
-           && dst < Array.length plane.p_relay ->
-      (* server -> reader data: hold for the cross-key relay window (a
-         pid reserved after [create] is no reader of this keyspace and
-         gets its relay at once) *)
-      let box = plane.p_relay.(dst) in
-      box.items <- (key, msg) :: box.items;
-      if not box.rarmed then begin
-        box.rarmed <- true;
-        match relay_window with
-        | Some w ->
-          Engine.schedule_local ctx ~delay:w (fun () ->
-              flush_relays plane ctx ~dst)
-        | None -> ()
-      end
-    | Some _ | None -> Engine.send ctx ~dst (Messages.Keyed { key; msg })
-  in
-  let wire_gossip ctx (entry : Messages.gossip_entry) =
-    (* only a server instance gossips, and it runs on a plane pid *)
-    let src = Engine.self ctx in
-    let plane = Option.get (plane_at t src) in
-    (* one (enqueue time, entry) pair, shared by every peer's outbox *)
-    let item =
-      (Engine.now_ctx ctx, { Messages.ke_key = key; ke_entry = entry })
-    in
-    let servers = inst.iconfig.Config.servers in
-    for i = 0 to Array.length servers - 1 do
-      let dst = servers.(i) in
-      if dst <> src then begin
-        let box = plane.p_outbox.(dst) in
-        box.entries <- item :: box.entries;
-        if not box.armed then begin
-          box.armed <- true;
-          Engine.schedule_local ctx ~delay:staleness (fun () ->
-              flush_outbox t ~staleness plane ctx ~dst)
-        end
-      end
-    done
-  in
-  { Config.wire_send; wire_gossip }
+  let peers = inst.iconfig.Config.servers in
+  { Config.wire_send =
+      (fun ctx ~dst msg ->
+        Plane.send t.plane ctx ~dst ~relay:(Plane.is_relay msg) (key, msg));
+    wire_gossip =
+      (fun ctx entry ->
+        Plane.gossip t.plane ctx ~peers
+          { Messages.ke_key = key; ke_entry = entry })
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Instances *)
@@ -256,32 +114,32 @@ let find_instance t key =
 
 (* Gossip for a key this keyspace has not materialized finds no
    automaton here and is dropped. *)
-let rec apply_kentries t plane ctx = function
+let rec apply_kentries t server ctx = function
   | [] -> ()
   | (ke : Messages.keyed_entry) :: rest ->
     let inst = lookup t ke.Messages.ke_key in
-    let c = coordinate_on inst ~server:plane.p_server in
+    let c = coordinate_on inst ~server in
     if c >= 0 then
       Server.apply_gossip_entry inst.iservers.(c) ctx ke.Messages.ke_entry;
-    apply_kentries t plane ctx rest
+    apply_kentries t server ctx rest
 
-let deliver_to_server t plane ctx ~src ~key msg =
+let deliver_to_server t server ctx ~src ~key msg =
   let inst = lookup t key in
   (* the first frame for a key this keyspace has not materialized yet
      (a client computed the placement independently) materializes it *)
   let inst = if materialized inst then inst else instance t key in
-  let c = coordinate_on inst ~server:plane.p_server in
+  let c = coordinate_on inst ~server in
   if c < 0 then
     invalid_arg "Keyspace: frame for a key this server does not host";
   Server.handler inst.iservers.(c) ctx ~src msg
 
-let plane_handler t plane ctx ~src msg =
+let plane_handler t server ctx ~src msg =
   match msg with
-  | Messages.Keyed { key; msg } -> deliver_to_server t plane ctx ~src ~key msg
+  | Messages.Keyed { key; msg } -> deliver_to_server t server ctx ~src ~key msg
   | Messages.Keyed_envelope { kentries; key; msg } ->
-    apply_kentries t plane ctx kentries;
-    deliver_to_server t plane ctx ~src ~key msg
-  | Messages.Keyed_gossip { kentries } -> apply_kentries t plane ctx kentries
+    apply_kentries t server ctx kentries;
+    deliver_to_server t server ctx ~src ~key msg
+  | Messages.Keyed_gossip { kentries } -> apply_kentries t server ctx kentries
   | _ -> ()  (* un-keyed traffic never reaches a shared-plane server *)
 
 let route lanes_handler client ctx ~src key m =
@@ -323,38 +181,16 @@ let create ~engine ~placement ?value_len ?error_prone ?plane:plane_tuning
     Array.init num_readers (fun i ->
         Engine.reserve engine ~name:(Printf.sprintf "reader%d" i))
   in
-  (* client retries are armed exactly when sends are retransmitted,
-     same rule as [Deployment.deploy] *)
-  let client_retry =
-    if Engine.reliable_transport engine then
-      Some Config.default_client_retry_interval
-    else None
-  in
   let template =
     Config.make ~params
       ~servers:(Array.sub server_pids 0 (Params.n params))
-      ?value_len ?error_prone ?plane:plane_tuning ?client_retry ()
+      ?value_len ?error_prone ?plane:plane_tuning
+      ?client_retry:(Config.client_retry_for engine) ()
   in
   (* encode the shared initial value once; every derived instance
      inherits the cache entry *)
   ignore (Config.encode template template.Config.initial_value
           : Erasure.Fragment.t array);
-  (* every pid-indexed array spans the largest pid reserved above *)
-  let span =
-    1
-    + List.fold_left (Array.fold_left max) 0
-        [ server_pids; writer_pids; reader_pids ]
-  in
-  let planes =
-    Array.init m (fun i ->
-        { p_pid = server_pids.(i);
-          p_server = i;
-          p_outbox = Array.init span (fun _ -> { entries = []; armed = false });
-          p_relay = Array.init span (fun _ -> { items = []; rarmed = false })
-        })
-  in
-  let plane_of_pid = Array.make span None in
-  Array.iter (fun p -> plane_of_pid.(p.p_pid) <- Some p) planes;
   let client make pid =
     let none = make template in
     { c_pid = pid; c_lanes = Int_tbl.Map.create ~dummy:none 0; c_none = none }
@@ -367,23 +203,44 @@ let create ~engine ~placement ?value_len ?error_prone ?plane:plane_tuning
       repair_seq = ref 0
     }
   in
+  let instances = Int_tbl.Map.create ~dummy:no_instance 64 in
+  (* an entry whose read already completed at the queuing instance's
+     automaton on this server is dead *)
+  let live ~server (ke : Messages.keyed_entry) =
+    let inst = Int_tbl.Map.find instances ke.Messages.ke_key ~default:no_instance in
+    let c = coordinate_on inst ~server in
+    c < 0 || Server.gossip_live inst.iservers.(c) ke.Messages.ke_entry
+  in
+  let plane =
+    Plane.create ~servers:server_pids
+      ~clients:(Array.append writer_pids reader_pids)
+      ~window:(Config.relay_window template)
+      ~frames:
+        { Plane.live;
+          direct = (fun (key, msg) -> Messages.Keyed { key; msg });
+          envelope =
+            (fun kentries (key, msg) ->
+              Messages.Keyed_envelope { kentries; key; msg });
+          gossip = (fun kentries -> Messages.Keyed_gossip { kentries });
+          batch = (fun kitems -> Messages.Keyed_batch { kitems })
+        }
+  in
   let t =
     { engine;
       placement;
       template;
       server_pids;
-      planes;
-      plane_of_pid;
+      plane;
       writer_clients = Array.map (client Writer.create) writer_pids;
       reader_clients = Array.map (client Reader.create) reader_pids;
-      instances = Int_tbl.Map.create ~dummy:no_instance 64;
+      instances;
       no_instance;
       keys_rev = []
     }
   in
-  Array.iter
-    (fun plane -> Engine.set_handler engine plane.p_pid (plane_handler t plane))
-    planes;
+  Array.iteri
+    (fun server pid -> Engine.set_handler engine pid (plane_handler t server))
+    server_pids;
   Array.iter
     (fun client ->
       Engine.set_handler engine client.c_pid (client_handler Writer.handler client))
@@ -509,17 +366,7 @@ let repair_server t ~server ~at =
   Engine.inject t.engine ~at pid (fun ctx ->
       (* the crash lost every armed flush timer with its closures;
          pending outbox/relay state is volatile and starts empty *)
-      let plane = t.planes.(server) in
-      Array.iter
-        (fun box ->
-          box.entries <- [];
-          box.armed <- false)
-        plane.p_outbox;
-      Array.iter
-        (fun box ->
-          box.items <- [];
-          box.rarmed <- false)
-        plane.p_relay;
+      Plane.reset t.plane ~server;
       List.iter
         (fun key ->
           let inst = lookup t key in
@@ -548,30 +395,19 @@ let corrupt_server t ~server ~at =
         (hosted_keys t ~server))
 
 (* All links between a server group and every other process of the
-   keyspace, both directions, in a deterministic order (so partition
-   and heal name the same link-set). *)
+   keyspace (so partition and heal name the same link-set). *)
 let isolation_links t ~servers =
-  let m = Array.length t.server_pids in
-  let isolated = Array.make m false in
-  List.iter
-    (fun s ->
-      check_server t s ~where:"partition";
-      isolated.(s) <- true)
-    servers;
-  let inside =
-    List.map (fun s -> t.server_pids.(s)) (List.sort_uniq Int.compare servers)
-  in
-  let outside = ref [] in
-  Array.iteri
-    (fun s pid -> if not isolated.(s) then outside := pid :: !outside)
-    t.server_pids;
-  Array.iter (fun c -> outside := c.c_pid :: !outside) t.writer_clients;
-  Array.iter (fun c -> outside := c.c_pid :: !outside) t.reader_clients;
-  let outside = List.rev !outside in
-  List.concat_map
-    (fun inner ->
-      List.concat_map (fun outer -> [ (inner, outer); (outer, inner) ]) outside)
-    inside
+  let pids clients = Array.map (fun c -> c.c_pid) clients in
+  Simnet.Link_faults.isolation
+    ~isolated:
+      (List.map
+         (fun s ->
+           check_server t s ~where:"partition";
+           t.server_pids.(s))
+         servers)
+    ~among:
+      (Array.concat
+         [ t.server_pids; pids t.writer_clients; pids t.reader_clients ])
 
 let partition_servers t ~servers ~at =
   Engine.partition_at t.engine ~links:(isolation_links t ~servers) ~at

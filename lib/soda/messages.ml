@@ -23,7 +23,7 @@ type meta =
       [@lint.msg "server -> server"]
 [@@lint.protocol]
 
-(* One deferred READ-DISPERSE announcement, accumulated in a server's
+(* One deferred READ-DISPERSE announcement, accumulated in a plane's
    per-destination outbox instead of being broadcast standalone. *)
 type gossip_entry = { tag : Tag.t; server_index : int; rid : int }
 
@@ -59,11 +59,11 @@ type t =
   | Repair_get of { op : int } [@lint.msg "server -> server"]
   | Repair_reply of { op : int; tag : Tag.t; fragment : Fragment.t }
       [@lint.msg "server -> server"]
-  | Gossip of { entries : gossip_entry list } [@lint.msg "server -> server"]
+  | Gossip of { entries : gossip_entry list }
+      [@lint.msg "deployment -> server"]
   | Envelope of { entries : gossip_entry list; msg : t }
-      [@lint.msg "server -> server"] [@lint.envelope]
-  | Relay_batch of { rid : int; items : (Tag.t * Fragment.t) list }
-      [@lint.msg "server -> reader"]
+      [@lint.msg "deployment -> server"] [@lint.envelope]
+  | Relay_batch of { relays : t list } [@lint.msg "deployment -> reader"]
   | Heartbeat of { coordinate : int } [@lint.msg "server -> server"]
   | Suspect_vote of { target : int; voter : int }
       [@lint.msg "server -> server"]
@@ -87,8 +87,8 @@ let rec data_bytes = function
     Fragment.size fragment
   | Md_full { value; _ } -> Bytes.length value
   | Envelope { msg; _ } -> data_bytes msg
-  | Relay_batch { items; _ } ->
-    List.fold_left (fun acc (_, fr) -> acc + Fragment.size fr) 0 items
+  | Relay_batch { relays } ->
+    List.fold_left (fun acc m -> acc + data_bytes m) 0 relays
   | Keyed { msg; _ } | Keyed_envelope { msg; _ } -> data_bytes msg
   | Keyed_gossip _ -> 0
   | Keyed_batch { kitems } ->
@@ -105,7 +105,8 @@ let rec logical_units = function
     1
   | Gossip { entries } -> List.length entries
   | Envelope { entries; msg } -> List.length entries + logical_units msg
-  | Relay_batch { items; _ } -> List.length items
+  | Relay_batch { relays } ->
+    List.fold_left (fun acc m -> acc + logical_units m) 0 relays
   | Keyed { msg; _ } -> logical_units msg
   | Keyed_gossip { kentries } -> List.length kentries
   | Keyed_envelope { kentries; msg; _ } ->
@@ -184,9 +185,9 @@ let rec pp ppf = function
   | Gossip { entries } -> Format.fprintf ppf "GOSSIP(%a)" pp_entries entries
   | Envelope { entries; msg } ->
     Format.fprintf ppf "ENVELOPE(%a | %a)" pp_entries entries pp msg
-  | Relay_batch { rid; items } ->
-    Format.fprintf ppf "RELAY-BATCH(rid=%d #%d %dB)" rid (List.length items)
-      (List.fold_left (fun acc (_, fr) -> acc + Fragment.size fr) 0 items)
+  | Relay_batch { relays } ->
+    Format.fprintf ppf "RELAY-BATCH(#%d %dB)" (List.length relays)
+      (List.fold_left (fun acc m -> acc + data_bytes m) 0 relays)
   | Heartbeat { coordinate } -> Format.fprintf ppf "HEARTBEAT(c=%d)" coordinate
   | Suspect_vote { target; voter } ->
     Format.fprintf ppf "SUSPECT-VOTE(target=%d by=%d)" target voter

@@ -37,18 +37,18 @@ type meta =
 
 type gossip_entry = { tag : Tag.t; server_index : int; rid : int }
 (** One deferred READ-DISPERSE announcement. Under the coalesced plane
-    ({!Config.batched_plane}) servers accumulate these in a per-destination
-    outbox instead of broadcasting each as a standalone MD-META round,
-    and ship them either piggybacked on the next server-to-server
-    message ([Envelope]) or in a standalone [Gossip] once the
-    bounded-staleness timer fires. Applying an entry is the same
+    ({!Config.batched_plane}) a {!Plane} accumulates these in a
+    per-destination outbox instead of broadcasting each as a standalone
+    MD-META round, and ships them either piggybacked on the next
+    server-to-server message ([Envelope]) or in a standalone [Gossip]
+    once the oldest live entry reaches the staleness bound. Applying an entry is the same
     monotone [h]-set insertion as a standalone READ-DISPERSE, so
     duplicates (retransmissions included) are harmless. *)
 
 type keyed_entry = { ke_key : int; ke_entry : gossip_entry }
 (** A gossip entry qualified by the logical key it belongs to. The
-    shared server plane of a {!Keyspace} accumulates these across every
-    key instance a physical server hosts, so one [Keyed_gossip] (or one
+    {!Plane} of a {!Keyspace} accumulates these across every key
+    instance a physical server hosts, so one [Keyed_gossip] (or one
     [Keyed_envelope] piggyback) flushes the deferred READ-DISPERSE
     traffic of many keys to a peer at once. *)
 
@@ -65,14 +65,16 @@ type t =
   | Repair_get of { op : int }
   | Repair_reply of { op : int; tag : Tag.t; fragment : Fragment.t }
   | Gossip of { entries : gossip_entry list }
-      (** Standalone flush of a gossip outbox (bounded-staleness timer). *)
+      (** Standalone flush of a bare deployment's gossip outbox
+          (bounded-staleness timer). *)
   | Envelope of { entries : gossip_entry list; msg : t }
       (** [msg] with the destination's pending gossip piggybacked on it.
           Never nested: [msg] is itself neither [Envelope] nor [Gossip]. *)
-  | Relay_batch of { rid : int; items : (Tag.t * Fragment.t) list }
-      (** Relays to one registered reader across consecutive writes,
-          framed as a single message (one header, many zero-copy
-          fragment views). *)
+  | Relay_batch of { relays : t list }
+      (** Two or more [Relay]s to one reader process within the relay
+          window, oldest first, framed as a single message (one header,
+          many zero-copy fragment views). They may belong to different
+          reads of that process. *)
   | Heartbeat of { coordinate : int }
       (** Failure-detector liveness beacon, broadcast server-to-server
           every [healing.heartbeat_period] (see {!Config.healing}).
@@ -95,10 +97,10 @@ type t =
           cross-key gossip piggybacked on it. [msg] is the inner
           (un-keyed) protocol message; never nested. *)
   | Keyed_batch of { kitems : (int * t) list }
-      (** Relays to one client process across {e different} keys, framed
-          as a single message — the cross-key analogue of
-          [Relay_batch], produced by the shared plane's per-destination
-          relay window. *)
+      (** Relays to one client process, possibly of different keys,
+          framed as a single message — the keyed form of
+          [Relay_batch], produced by the same per-destination relay
+          window. *)
 
 val data_bytes : t -> int
 (** Bytes of {e data} (value or coded element) the message carries; zero

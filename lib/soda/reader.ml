@@ -127,7 +127,7 @@ let add_relay t ctx ~rid ~tag ~fragment =
     try_decode t ctx ~rid ~tr:c.tr ~tag fragments
   | Idle | Get _ | Collect _ -> ()
 
-let handler t ctx ~src msg =
+let rec handler t ctx ~src msg =
   match (msg, t.phase) with
   | Messages.Read_get_reply { rid; tag }, Get g when g.rid = rid ->
     ignore (Int_tbl.Set.add g.replies src : bool);
@@ -141,9 +141,11 @@ let handler t ctx ~src msg =
     end
   | Messages.Relay { rid; tag; fragment }, Collect c when c.rid = rid ->
     add_relay t ctx ~rid ~tag ~fragment
-  | Messages.Relay_batch { rid; items }, Collect c when c.rid = rid ->
-    List.iter (fun (tag, fragment) -> add_relay t ctx ~rid ~tag ~fragment) items
-  | ( ( Messages.Read_get_reply _ | Messages.Relay _ | Messages.Relay_batch _
+  | Messages.Relay_batch { relays }, _ ->
+    (* the window may have caught relays of an earlier read of this
+       process too: each is handled, or dropped as stale, on its own *)
+    List.iter (handler t ctx ~src) relays
+  | ( ( Messages.Read_get_reply _ | Messages.Relay _
       | Messages.Write_get _ | Messages.Write_get_reply _ | Messages.Write_ack _
       | Messages.Read_get _ | Messages.Md_full _ | Messages.Md_coded _
       | Messages.Md_meta _ | Messages.Repair_get _ | Messages.Repair_reply _

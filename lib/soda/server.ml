@@ -26,13 +26,6 @@ type repair_state = {
          lose them forever — they are answered in [finish_repair]. *)
 }
 
-(* Relays to one reader buffered during a [Config.relay_window], shipped
-   as a single Relay_batch frame when the window closes. *)
-type relay_buffer = {
-  reader : int;
-  mutable items : (Tag.t * Fragment.t) list (* newest first *)
-}
-
 (* In-flight targeted fragment repair of a quarantined store: the
    scrubber (or a read-path detection) broadcast Repair_get under a
    dedicated op id and collects peer (tag, fragment) pairs until some
@@ -85,15 +78,6 @@ type t = {
          retry from re-registering it, lets READ-DISPERSE skip its H row
          and prunes its queued gossip. *)
   seq : int ref;
-  mutable outbox : Messages.gossip_entry list array;
-      (* Coalesced plane: pending READ-DISPERSE entries per destination
-         coordinate, newest first; own slot unused. [[||]] until the
-         first [gossip_enqueue]: under a keyspace the wire claims every
-         entry, so the per-instance outbox is never allocated. *)
-  mutable outbox_armed : bool array;
-      (* a staleness flush is scheduled for slot i; allocated with
-         [outbox] *)
-  relay_buf : relay_buffer Int_tbl.Map.t; (* rid -> open batch window *)
   pending_meta : Int_tbl.Set.t;
       (* mids whose MD-META forward is sitting out a stagger delay *)
   mutable repair : repair_state option;
@@ -120,11 +104,6 @@ let[@lint.allow
 
 let no_registration = { reader = -1; tr = Tag.initial }
 
-let[@lint.allow
-     "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
-    no_relays =
-  { reader = -1; items = [] }
-
 let create config ~coordinate =
   let fragments = Config.encode config config.Config.initial_value in
   let fragment = fragments.(coordinate) in
@@ -138,9 +117,6 @@ let create config ~coordinate =
     md_delivered = Mid_set.create ();
     completed = Int_tbl.Set.create 0;
     seq = ref 0;
-    outbox = [||];
-    outbox_armed = [||];
-    relay_buf = Int_tbl.Map.create ~dummy:no_relays 0;
     pending_meta = Int_tbl.Set.create 0;
     repair = None;
     heal = None;
@@ -219,118 +195,21 @@ let unregister t ctx rid =
     (Probe.Unregistered
        { rid; server = t.coordinate; time = Engine.now_ctx ctx })
 
-(* ------------------------------------------------------------------ *)
-(* Batched message plane (see "Batched message plane" in DESIGN.md) *)
-
-(* A read whose READ-COMPLETE already reached this server needs no more
-   gossip from it: every peer unregisters through its own READ-COMPLETE
-   delivery, so the queued entry would only burn a message. *)
-let entry_live t (e : Messages.gossip_entry) =
-  not (Int_tbl.Set.mem t.completed e.Messages.rid)
-
-(* Drain destination [j]'s outbox, dropping entries for completed reads,
-   in enqueue order. An outbox never fed is empty. *)
-let take_outbox t j =
-  if Array.length t.outbox = 0 then []
-  else
-    match t.outbox.(j) with
-    | [] -> []
-    | pending ->
-      t.outbox.(j) <- [];
-      List.rev (List.filter (entry_live t) pending)
-
-(* Bounded-staleness flush: whatever could not hitch a ride on regular
-   traffic within the staleness bound goes out as a standalone Gossip,
-   so unregistration of crashed readers cannot stall behind a quiet
-   link. *)
-let flush_gossip t ctx j =
-  t.outbox_armed.(j) <- false;
-  match take_outbox t j with
-  | [] -> ()
-  | entries ->
-    Config.send t.config ctx ~dst:t.config.Config.servers.(j)
-      (Messages.Gossip { entries })
-
-let gossip_enqueue t ctx (entry : Messages.gossip_entry) =
-  let n = Params.n t.config.Config.params in
-  if Array.length t.outbox = 0 then begin
-    t.outbox <- Array.make n [];
-    t.outbox_armed <- Array.make n false
-  end;
-  for j = 0 to n - 1 do
-    if j <> t.coordinate then begin
-      t.outbox.(j) <- entry :: t.outbox.(j);
-      if not t.outbox_armed.(j) then begin
-        t.outbox_armed.(j) <- true;
-        Engine.schedule_local ctx ~delay:Config.gossip_staleness (fun () ->
-            flush_gossip t ctx j)
-      end
-    end
-  done
-
-(* Every server->server send flushes the destination's pending gossip by
-   wrapping the message in an envelope — piggybacking costs nothing, the
-   envelope is still one message. In `Broadcast / `Off modes the outbox
-   is never fed, and this is exactly [Engine.send]. *)
+(* Every server->server send goes through the configuration's wire: on
+   the batched plane it carries the destination's pending gossip. *)
 let send_to_coordinate t ctx ~coordinate:j msg =
-  let msg =
-    match Config.gossip_mode t.config with
-    | `Broadcast | `Off -> msg
-    | `Coalesced -> (
-      match take_outbox t j with
-      | [] -> msg
-      | entries -> Messages.Envelope { entries; msg })
-  in
   Config.send t.config ctx ~dst:t.config.Config.servers.(j) msg
-
-(* Same, for destinations addressed by pid (repair replies): a pid that
-   is not a server coordinate gets a plain send. *)
-let send_to_pid t ctx ~dst msg =
-  match Config.gossip_mode t.config with
-  | `Broadcast | `Off -> Config.send t.config ctx ~dst msg
-  | `Coalesced -> (
-    match Config.coordinate_of t.config ~pid:dst with
-    | j -> send_to_coordinate t ctx ~coordinate:j msg
-    | exception Not_found -> Config.send t.config ctx ~dst msg)
-
-(* Close the [Config.relay_window] for [rid]: everything buffered since
-   it opened leaves as one framed message. Registration state is not
-   consulted — the buffered elements were already counted in H (and
-   gossiped), so they must reach the reader even if the read was
-   unregistered meanwhile. *)
-let flush_relays t ctx rid =
-  match Int_tbl.Map.find_opt t.relay_buf rid with
-  | None -> ()
-  | Some buf -> (
-    Int_tbl.Map.remove t.relay_buf rid;
-    match buf.items with
-    | [] -> ()
-    | [ (tag, fragment) ] ->
-      Config.send t.config ctx ~dst:buf.reader (Messages.Relay { rid; tag; fragment })
-    | items ->
-      Config.send t.config ctx ~dst:buf.reader
-        (Messages.Relay_batch { rid; items = List.rev items }))
 
 (* ------------------------------------------------------------------ *)
 
 (* Send one coded element to a registered reader and announce it to the
    other servers via READ-DISPERSE, so that everyone can count towards
-   the unregistration threshold. Under the batched plane the element is
-   buffered for the relay window and the announcement queued in the
-   outbox, but H, the cost ledger and the probe stream see the relay at
-   decision time either way. *)
+   the unregistration threshold. Under the batched plane the wire holds
+   the element for the relay window and queues the announcement, but H,
+   the cost ledger and the probe stream see the relay at decision time
+   either way. *)
 let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
-  (match Config.relay_window t.config with
-  | None ->
-    Config.send t.config ctx ~dst:reg.reader (Messages.Relay { rid; tag; fragment })
-  | Some window -> (
-    match Int_tbl.Map.find_opt t.relay_buf rid with
-    | Some buf -> buf.items <- (tag, fragment) :: buf.items
-    | None ->
-      Int_tbl.Map.replace t.relay_buf rid
-        { reader = reg.reader; items = [ (tag, fragment) ] };
-      Engine.schedule_local ctx ~delay:window (fun () ->
-          flush_relays t ctx rid)));
+  Config.send t.config ctx ~dst:reg.reader (Messages.Relay { rid; tag; fragment });
   Cost.comm t.config.Config.cost ~op:rid ~bytes:(Fragment.size fragment);
   Probe.emit t.config.Config.probe
     (Probe.Relayed
@@ -340,13 +219,8 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
   | `Broadcast ->
     Md.meta_send ctx t.config ~seq:t.seq
       (Messages.Read_disperse { tag; server_index = t.coordinate; rid })
-  | `Coalesced -> (
-    let entry = { Messages.tag; server_index = t.coordinate; rid } in
-    (* a keyspace wire takes the entry for cross-key coalescing; a bare
-       deployment queues it in this instance's own outbox *)
-    match t.config.Config.wire with
-    | Some w -> w.wire_gossip ctx entry
-    | None -> gossip_enqueue t ctx entry)
+  | `Coalesced ->
+    Config.gossip t.config ctx { Messages.tag; server_index = t.coordinate; rid }
   | `Off -> ()
 
 (* Fresh detection of bit-rot: the checksum just failed for the first
@@ -666,7 +540,7 @@ let answer_query t ctx ~src = function
       ensure_scrub_repair t ctx
     | Some fragment ->
       Cost.comm t.config.Config.cost ~op ~bytes:(Fragment.size fragment);
-      send_to_pid t ctx ~dst:src
+      Config.send t.config ctx ~dst:src
         (Messages.Repair_reply { op; tag = Disk.tag t.disk; fragment }))
   | _ -> ()
 
@@ -770,9 +644,6 @@ let begin_repair t ctx ~op =
   Int_tbl.Map.reset t.h;
   Mid_set.reset t.md_delivered;
   Int_tbl.Set.reset t.completed;
-  Array.fill t.outbox 0 (Array.length t.outbox) [];
-  Array.fill t.outbox_armed 0 (Array.length t.outbox_armed) false;
-  Int_tbl.Map.reset t.relay_buf;
   Int_tbl.Set.reset t.pending_meta;
   t.repair <-
     Some
@@ -1037,11 +908,14 @@ let rec handler t ctx ~src msg =
        per-key automaton sees them; a bare deployment never gets any *)
     ()
 
-(* Shared-plane entry points: the keyspace applies cross-key gossip
-   entries directly (same monotone H insertion as a standalone
-   READ-DISPERSE) and filters queued entries by this instance's
-   completion state when draining a cross-key outbox. *)
+(* Plane entry points: the keyspace applies cross-key gossip entries
+   directly (same monotone H insertion as a standalone READ-DISPERSE),
+   and every plane filters queued entries by the queuing instance's
+   completion state: a read whose READ-COMPLETE already reached this
+   server needs no more gossip from it, since every peer unregisters
+   through its own READ-COMPLETE delivery. *)
 let apply_gossip_entry t ctx ({ Messages.tag; server_index; rid } : Messages.gossip_entry) =
   on_read_disperse t ctx ~tag ~server_index ~rid
 
-let gossip_live = entry_live
+let gossip_live t (e : Messages.gossip_entry) =
+  not (Int_tbl.Set.mem t.completed e.Messages.rid)

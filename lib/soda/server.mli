@@ -22,7 +22,7 @@ val create : Config.t -> coordinate:int -> t
 val handler : t -> Messages.t Simnet.Engine.context -> src:int -> Messages.t -> unit
 (** Message handler to install with {!Simnet.Engine.set_handler}. *)
 
-(** {1 Shared-plane hooks (see {!Keyspace})} *)
+(** {1 Plane hooks (see {!Plane})} *)
 
 val apply_gossip_entry :
   t -> Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
@@ -32,8 +32,7 @@ val apply_gossip_entry :
 
 val gossip_live : t -> Messages.gossip_entry -> bool
 (** [false] once the entry's read has completed at this server, letting
-    a cross-key outbox drop it instead of burning wire on it — the
-    cross-key analogue of the per-instance outbox filter. *)
+    a plane's outbox drop it instead of burning wire on it. *)
 
 (** {1 Inspection (tests and reports)} *)
 

@@ -649,8 +649,12 @@ let op_gen =
   let open QCheck2.Gen in
   let link = int_range 0 3 and sender = int_range 0 2 in
   let r = int_range 0 1000 in
-  (* mostly near the front, sometimes far past a 16-seq window *)
-  let arrival = frequency [ (4, int_range 0 40); (1, int_range 0 300) ] in
+  (* mostly near the front, sometimes far past a 16-seq window, and now
+     and then past the receiver's 4,096-seq gap window *)
+  let arrival =
+    frequency
+      [ (4, int_range 0 40); (1, int_range 0 300); (1, int_range 0 12_000) ]
+  in
   frequency
     [ (4, map (fun l -> Send l) sender);
       (5, map2 (fun l s -> Receive (l, s)) link arrival);
@@ -825,6 +829,41 @@ let stray_tests =
           && Channel.on_timer t ~src:1 ~dst:2 ~seq:stuck <> `Done))
   ]
 
+(* A send given up at max_retries leaves its seq missing for good; the
+   receiver must not pay one bit per later arrival for it. *)
+let receiver_gap_tests =
+  [ Alcotest.test_case "a seq that never arrives leaves a hole, not a gap"
+      `Quick (fun () ->
+        let t = Channel.create Channel.default in
+        let receive seq = Channel.receive t ~src:1 ~dst:2 ~seq in
+        let arrive ~from ~upto =
+          for seq = from to upto do
+            if receive seq <> `Fresh then Alcotest.failf "seq %d not fresh" seq
+          done
+        in
+        (* seq 1 is the given-up send: nothing of it arrives until the
+           very end *)
+        arrive ~from:0 ~upto:0;
+        arrive ~from:2 ~upto:10_001;
+        let words_10k = Obj.reachable_words (Obj.repr t) in
+        arrive ~from:10_002 ~upto:400_001;
+        Alcotest.(check int) "link state flat from 10k to 400k arrivals"
+          words_10k
+          (Obj.reachable_words (Obj.repr t));
+        List.iter
+          (fun seq ->
+            Alcotest.(check bool)
+              (Printf.sprintf "seq %d again is a duplicate" seq)
+              true
+              (receive seq = `Duplicate))
+          [ 0; 2; 300_000; 400_001 ];
+        Alcotest.(check bool) "the hole's late copy is fresh once" true
+          (receive 1 = `Fresh);
+        Alcotest.(check bool) "then a duplicate" true (receive 1 = `Duplicate);
+        Alcotest.(check int) "duplicates counted" 5
+          (Channel.duplicates_suppressed t))
+  ]
+
 let () =
   Alcotest.run "channel"
     [ ("delivery", delivery_tests);
@@ -833,5 +872,6 @@ let () =
       ("backoff", backoff_tests);
       ("state-machine", sm_tests);
       ("model", model_tests);
-      ("stray", stray_tests)
+      ("stray", stray_tests);
+      ("receiver-gap", receiver_gap_tests)
     ]

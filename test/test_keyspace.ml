@@ -201,6 +201,122 @@ let single_register_tests =
         && atomic (Keyspace.history ks ~key:0))
   ]
 
+(* A register is the 1-key keyspace over an identity placement, frame
+   for frame: same seed, same pids, same closed-loop clients, so the
+   same delays are drawn for the same sends. Only the key wrapping of
+   each frame differs. *)
+
+type observed = {
+  records :
+    (int * int * History.kind * float * float option * Protocol.Tag.t option
+    * string option)
+    list;
+  sent : int;
+  units : int
+}
+
+let observe engine history =
+  { records =
+      List.map
+        (fun (r : History.record) ->
+          ( r.History.op,
+            r.History.client,
+            r.History.kind,
+            r.History.invoked_at,
+            r.History.responded_at,
+            r.History.tag,
+            Option.map Bytes.to_string r.History.value ))
+        (History.records history);
+    sent = Engine.messages_sent engine;
+    units = Engine.payload_units engine
+  }
+
+(* 2 writers and 2 readers, each re-arming itself on completion. *)
+let closed_loop engine ~write ~read =
+  let rec writer w left () =
+    if left > 0 then
+      write ~writer:w ~at:(Engine.now engine +. 0.5)
+        ~on_done:(writer w (left - 1))
+        (Harness.Workload.value ~len:48 ~seed:w ~index:left)
+  in
+  let rec reader r left () =
+    if left > 0 then
+      read ~reader:r ~at:(Engine.now engine +. 0.5) ~on_done:(fun _ ->
+          reader r (left - 1) ())
+  in
+  for c = 0 to 1 do
+    writer c 6 ();
+    reader c 6 ()
+  done
+
+let register_vs_keyspace ~plane ~lossy (seed, n, f) =
+  let params = Params.make ~n ~f () in
+  let engine () =
+    let e =
+      Engine.create ~seed ~weigh:Soda.Messages.logical_units
+        ?transport:(if lossy then Some (`Reliable Simnet.Channel.default) else None)
+        ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
+    in
+    if lossy then Engine.set_loss e 0.2;
+    e
+  in
+  let e1 = engine () in
+  let d =
+    Soda.Deployment.deploy ~engine:e1 ~params ?plane ~num_writers:2
+      ~num_readers:2 ()
+  in
+  closed_loop e1
+    ~write:(fun ~writer ~at ~on_done v ->
+      Soda.Deployment.write d ~writer ~at ~on_done v)
+    ~read:(fun ~reader ~at ~on_done -> Soda.Deployment.read d ~reader ~at ~on_done ());
+  Engine.run e1;
+  let e2 = engine () in
+  let ks =
+    Keyspace.create ~engine:e2
+      ~placement:
+        (Placement.create ~topology:(Topology.make ~servers:n ~domains:1 ())
+           ~params ())
+      ?plane ~num_writers:2 ~num_readers:2 ()
+  in
+  closed_loop e2
+    ~write:(fun ~writer ~at ~on_done v ->
+      Keyspace.write ks ~key:0 ~writer ~at ~on_done v)
+    ~read:(fun ~reader ~at ~on_done ->
+      Keyspace.read ks ~key:0 ~reader ~at ~on_done ());
+  Engine.run e2;
+  let a = observe e1 (Soda.Deployment.history d)
+  and b = observe e2 (Keyspace.history ks ~key:0) in
+  List.length a.records = 24
+  && History.all_complete (Soda.Deployment.history d)
+  && a = b
+
+let identity_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* n = int_range 3 8 in
+    let* f = int_range 1 ((n - 1) / 2) in
+    return (seed, n, f))
+
+let identity_tests =
+  List.concat_map
+    (fun (name, plane) ->
+      [ qtest ~count:15
+          (Printf.sprintf
+             "%s plane: a register and its 1-key keyspace give the same \
+              history, messages and payload units"
+             name)
+          identity_gen
+          (register_vs_keyspace ~plane ~lossy:false);
+        qtest ~count:5
+          (Printf.sprintf
+             "%s plane, 20%% loss: a register and its 1-key keyspace give \
+              the same history, messages and payload units"
+             name)
+          identity_gen
+          (register_vs_keyspace ~plane ~lossy:true)
+      ])
+    [ ("paper", None); ("batched", Some Soda.Config.batched_plane) ]
+
 (* ------------------------------------------------------------------ *)
 (* Multi-key runs *)
 
@@ -511,6 +627,6 @@ let sharded_tests =
 let () =
   Alcotest.run "keyspace"
     [ ("placement", placement_tests);
-      ("register", single_register_tests);
+      ("register", single_register_tests @ identity_tests);
       ("sharded", sharded_tests)
     ]
