@@ -22,8 +22,6 @@ type t = {
   repair_seq : int ref
 }
 
-let repair_op_base = 1_000_000
-
 (* Checked before anything is scheduled or emitted, so a bad coordinate
    leaves the engine and the probe stream untouched. *)
 let check_coordinate t coordinate ~where =
@@ -41,7 +39,7 @@ let check_reader t reader ~where =
 let repair_server t ~coordinate ~at =
   check_coordinate t coordinate ~where:"repair_server";
   let pid = t.config.Config.servers.(coordinate) in
-  let op = repair_op_base + !(t.repair_seq) in
+  let op = Server.repair_op ~seq:!(t.repair_seq) in
   incr t.repair_seq;
   Engine.restore_at t.engine pid at;
   (* the injection is pushed after the restore event at the same

@@ -14,8 +14,8 @@ type instance = {
   iconfig : Config.t;
   iservers : Server.t array;  (* coordinate -> automaton *)
   iphys : int array;  (* coordinate -> physical server index *)
-  (* key-scoped repair labels: repair_op_base + sequence, independent
-     of every other key and of deployment creation order *)
+  (* key-scoped repair labels ([Server.repair_op] of this sequence),
+     independent of every other key and of deployment creation order *)
   repair_seq : int ref
 }
 
@@ -49,8 +49,6 @@ type t = {
   no_instance : instance;
   mutable keys_rev : int list  (* creation order, newest first *)
 }
-
-let repair_op_base = 1_000_000
 
 let lookup t key = Int_tbl.Map.find t.instances key ~default:t.no_instance
 let materialized inst = inst.key >= 0
@@ -371,7 +369,7 @@ let repair_server t ~server ~at =
         (fun key ->
           let inst = lookup t key in
           let c = coordinate_on inst ~server in
-          let op = repair_op_base + !(inst.repair_seq) in
+          let op = Server.repair_op ~seq:!(inst.repair_seq) in
           incr inst.repair_seq;
           Server.begin_repair inst.iservers.(c) ctx ~op)
         (hosted_keys t ~server))

@@ -8,34 +8,28 @@ module Int_tbl = Protocol.Int_tbl
 
 type registration = { reader : int; tr : Tag.t }
 
-(* In-flight repair of a restored server (the paper's future work (ii)).
-   The server refuses quorum duties until it holds an element whose tag
-   is at least the maximum it has seen in replies from n-1-f distinct
-   peers — which covers every write that completed before the repair
-   started (see the safety note on [Deployment.repair_server]). *)
-type repair_state = {
+(* One in-flight recovery round (the paper's future work (ii)): the
+   server rebuilds its coded element from peers over the REPAIR-GET /
+   REPAIR-REPLY exchange. A crash round runs after a restore
+   ([begin_repair]): the server refuses quorum duties until it holds an
+   element whose tag is at least the highest replied by n-1-f distinct
+   peers, which covers every write that completed before the repair
+   started (see the safety note on [Deployment.repair_server]). A scrub
+   round runs on a quarantined store: the server keeps its volatile
+   state and keeps answering tag queries, only the payload is untrusted,
+   and its floor is the stored tag. *)
+type recovery = {
   op : int;
+  crash : bool;
   mutable max_seen : Tag.t;
   repliers : (int, unit) Hashtbl.t; (* coordinates heard from *)
   collected : (Tag.t * int, Fragment.t) Hashtbl.t;
-  mutable attempts : int;
   mutable deferred : (int * Messages.t) list
-      (* quorum queries (Write_get / Read_get / Repair_get) that arrived
-         mid-repair, newest first. Over the reliable transport the
-         channel has already acked them, so silently ignoring them would
-         lose them forever — they are answered in [finish_repair]. *)
-}
-
-(* In-flight targeted fragment repair of a quarantined store: the
-   scrubber (or a read-path detection) broadcast Repair_get under a
-   dedicated op id and collects peer (tag, fragment) pairs until some
-   tag at least as fresh as the stored one has decode_threshold distinct
-   coordinates. Unlike a crash-repair the server keeps all its volatile
-   state and keeps answering tag queries — only the payload is
-   untrusted. *)
-type scrub_repair = {
-  sop : int;
-  s_collected : (Tag.t * int, Fragment.t) Hashtbl.t
+      (* crash rounds: quorum queries (Write_get / Read_get / Repair_get)
+         that arrived mid-repair, newest first. Over the reliable
+         transport the channel has already acked them, so silently
+         ignoring them would lose them forever — they are answered when
+         the round finishes. *)
 }
 
 (* Failure-detector and scrubber state, allocated iff [Config.healing]
@@ -49,8 +43,7 @@ type heal_state = {
   votes : (int, unit) Hashtbl.t array; (* per target: voters heard *)
   fired : bool array; (* auto-repair hook already pulled for target *)
   mutable hgen : int;
-  mutable scrub : scrub_repair option;
-  mutable scrub_count : int (* scrub-repair rounds started, for op ids *)
+  mutable scrub_count : int (* scrub rounds started, for op ids *)
 }
 
 type t = {
@@ -80,7 +73,9 @@ type t = {
   seq : int ref;
   pending_meta : Int_tbl.Set.t;
       (* mids whose MD-META forward is sitting out a stagger delay *)
-  mutable repair : repair_state option;
+  mutable recovery : recovery option;
+      (* at most one round: a crash round replaces whatever was in
+         flight, and a scrub round starts only when none is *)
   mutable heal : heal_state option;
   mutable err_window : (float * float) option
       (* SODAerr: when set, the error-prone fault is active only inside
@@ -118,14 +113,15 @@ let create config ~coordinate =
     completed = Int_tbl.Set.create 0;
     seq = ref 0;
     pending_meta = Int_tbl.Set.create 0;
-    repair = None;
+    recovery = None;
     heal = None;
     err_window = None
   }
 
 let stored_tag t = Disk.tag t.disk
 let stored_fragment t = Disk.fragment_unchecked t.disk
-let repairing t = Option.is_some t.repair
+let repairing t =
+  match t.recovery with Some r -> r.crash | None -> false
 let disk_ok t = (not (Disk.quarantined t.disk)) && Disk.verify t.disk
 let corrupt_disk t ~seed = Disk.rot t.disk ~seed
 let set_error_window t w = t.err_window <- w
@@ -207,21 +203,29 @@ let send_to_coordinate t ctx ~coordinate:j msg =
    the unregistration threshold. Under the batched plane the wire holds
    the element for the relay window and queues the announcement, but H,
    the cost ledger and the probe stream see the relay at decision time
-   either way. *)
+   either way. A read already sent this tag by this server, as H
+   records while the read's row lives, is not sent it again: a
+   READ-VALUE retry, a pre-crash MD copy that the repair wipe made new,
+   or a round's catch-up relay right after a write's delivery would
+   otherwise resend it. *)
 let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
-  Config.send t.config ctx ~dst:reg.reader (Messages.Relay { rid; tag; fragment });
-  Cost.comm t.config.Config.cost ~op:rid ~bytes:(Fragment.size fragment);
-  Probe.emit t.config.Config.probe
-    (Probe.Relayed
-       { rid; server = t.coordinate; tag; time = Engine.now_ctx ctx });
-  h_add t rid ~tag ~coordinate:t.coordinate;
-  match Config.gossip_mode t.config with
-  | `Broadcast ->
-    Md.meta_send ctx t.config ~seq:t.seq
-      (Messages.Read_disperse { tag; server_index = t.coordinate; rid })
-  | `Coalesced ->
-    Config.gossip t.config ctx { Messages.tag; server_index = t.coordinate; rid }
-  | `Off -> ()
+  if not (h_mem t rid ~tag ~coordinate:t.coordinate) then begin
+    Config.send t.config ctx ~dst:reg.reader
+      (Messages.Relay { rid; tag; fragment });
+    Cost.comm t.config.Config.cost ~op:rid ~bytes:(Fragment.size fragment);
+    Probe.emit t.config.Config.probe
+      (Probe.Relayed
+         { rid; server = t.coordinate; tag; time = Engine.now_ctx ctx });
+    h_add t rid ~tag ~coordinate:t.coordinate;
+    match Config.gossip_mode t.config with
+    | `Broadcast ->
+      Md.meta_send ctx t.config ~seq:t.seq
+        (Messages.Read_disperse { tag; server_index = t.coordinate; rid })
+    | `Coalesced ->
+      Config.gossip t.config ctx
+        { Messages.tag; server_index = t.coordinate; rid }
+    | `Off -> ()
+  end
 
 (* Fresh detection of bit-rot: the checksum just failed for the first
    time this episode (Disk.read has flipped the store to quarantined).
@@ -266,14 +270,22 @@ let local_disk_read t ctx ~rid =
     else Some fragment
 
 (* ------------------------------------------------------------------ *)
-(* Repair extension (paper's future work (ii)) *)
+(* Recovery rounds (the paper's future work (ii)) *)
 
 let repair_retry_interval = 40.0
 
-(* Generous: repair rounds are cheap and a server that exhausts its
-   budget is mute forever (its [repair] state never clears), so the cap
-   exists only to let the simulation quiesce in degenerate schedules. *)
+(* Generous: rounds are cheap and a round that exhausts its budget never
+   clears (a crash round leaves the server mute forever, a scrub round
+   its element quarantined), so the cap exists only to let the
+   simulation quiesce in degenerate schedules. *)
 let repair_max_attempts = 50
+
+(* Recovery traffic is charged to synthetic op ids above every client
+   op: crash rounds at 1_000_000 + a sequence the caller keeps per
+   register (or per key), scrub rounds in a range of their own keyed by
+   coordinate, so concurrent scrubs on different servers never collide. *)
+let repair_op ~seq = 1_000_000 + seq
+let scrub_op t ~seq = 2_000_000 + (t.coordinate * 10_000) + seq
 
 let broadcast_repair_get t ctx ~op =
   Array.iteri
@@ -282,120 +294,41 @@ let broadcast_repair_get t ctx ~op =
         send_to_coordinate t ctx ~coordinate:c (Messages.Repair_get { op }))
     t.config.Config.servers
 
-(* ------------------------------------------------------------------ *)
-(* Anti-entropy scrub: targeted fragment repair of a quarantined store.
-   Reuses the crash-repair wire protocol (Repair_get / Repair_reply)
-   under a dedicated op-id range, but unlike a crash-repair the server
-   keeps its volatile state and keeps answering tag queries — only the
-   payload is untrusted until enough peer fragments decode. *)
+(* The retry timer belongs to its round (op ids are never reused): one
+   left over from a replaced round finds another op in [t.recovery] and
+   stops, instead of doubling the retries of the next one. *)
+let start_round t ctx ~op ~crash =
+  let r =
+    { op;
+      crash;
+      max_seen = Tag.initial;
+      repliers = Hashtbl.create 8;
+      collected = Hashtbl.create 16;
+      deferred = []
+    }
+  in
+  t.recovery <- Some r;
+  broadcast_repair_get t ctx ~op;
+  let rec retry attempts =
+    Engine.schedule_local ctx ~delay:repair_retry_interval (fun () ->
+        match t.recovery with
+        | Some current when current.op = op && attempts < repair_max_attempts ->
+          broadcast_repair_get t ctx ~op;
+          retry (attempts + 1)
+        | Some _ | None -> ())
+  in
+  retry 0
 
-(* Crash-repair ops live at 1_000_000+ (see Deployment); scrub ops get
-   their own range, keyed by coordinate so concurrent scrubs on
-   different servers never collide. *)
-let scrub_op_base = 2_000_000
-
-let start_scrub_repair t ctx hs =
-  hs.scrub_count <- hs.scrub_count + 1;
-  let sop = scrub_op_base + (t.coordinate * 10_000) + hs.scrub_count in
-  hs.scrub <- Some { sop; s_collected = Hashtbl.create 16 };
-  broadcast_repair_get t ctx ~op:sop
-
-(* Read-path detections kick the recovery immediately instead of waiting
-   out the scrub cadence. No-op while a crash-repair is in flight (it
-   will rebuild the whole store anyway) or when healing is off (plain
-   degradation: the quarantined element is simply never shipped). *)
-let ensure_scrub_repair t ctx =
-  match t.heal with
-  | None -> ()
-  | Some hs ->
-    if Option.is_none t.repair && Option.is_none hs.scrub then
-      start_scrub_repair t ctx hs
-
-let cancel_scrub t =
-  match t.heal with
-  | None -> ()
-  | Some hs -> hs.scrub <- None
-
-let maybe_finish_scrub t ctx =
-  match t.heal with
-  | None -> ()
-  | Some hs -> (
-    match hs.scrub with
-    | None -> ()
-    | Some sr ->
-      let threshold = t.config.Config.decode_threshold in
-      let[@lint.allow
-           "D3: materialized and sorted (tag descending, coordinate \
-            ascending) before any decision, so the decode input is \
-            schedule-independent"] pairs =
-        Hashtbl.fold
-          (fun (tag, coordinate) fragment acc ->
-            ((tag, coordinate), fragment) :: acc)
-          sr.s_collected []
-        |> List.sort (fun ((t1, c1), _) ((t2, c2), _) ->
-               match Tag.compare t2 t1 with
-               | 0 -> Int.compare c1 c2
-               | cmp -> cmp)
-      in
-      (* Never regress the stored tag: it is metadata, intact under rot,
-         and this server may have acked queries with it. Only a peer tag
-         at least as fresh, held by decode_threshold distinct
-         coordinates, may replace the payload. *)
-      let own = Disk.tag t.disk in
-      let rec scan = function
-        | [] -> ()
-        | ((tag, _), _) :: _ when Tag.( > ) own tag ->
-          () (* sorted descending: nothing fresh enough remains *)
-        | ((tag, _), _) :: _ as l -> (
-          let same, rest =
-            List.partition (fun ((t', _), _) -> Tag.equal t' tag) l
-          in
-          if List.length same < threshold then scan rest
-          else
-            match Erasure.Mds.decode t.config.Config.code (List.map snd same) with
-            | value ->
-              let fragments = Config.encode t.config value in
-              let fragment = fragments.(t.coordinate) in
-              hs.scrub <- None;
-              Disk.store t.disk ~tag ~fragment;
-              Cost.storage_set t.config.Config.cost ~server:t.coordinate
-                ~bytes:(Fragment.size fragment);
-              Probe.emit t.config.Config.probe
-                (Probe.Scrub_repaired
-                   { server = t.coordinate; tag; time = Engine.now_ctx ctx });
-              (* registered readers whose local relay was withheld while
-                 the store was quarantined get it now; H filters the ones
-                 already served before the rot *)
-              List.iter
-                (fun (rid, reg) ->
-                  if
-                    Tag.( >= ) tag reg.tr
-                    && not (h_mem t rid ~tag ~coordinate:t.coordinate)
-                  then
-                    match local_disk_read t ctx ~rid with
-                    | Some fragment ->
-                      relay_to_reader t ctx ~rid ~reg ~tag ~fragment
-                    | None -> ())
-                (registered_sorted t)
-            | exception Erasure.Mds.Decode_failure _ ->
-              (* SODAerr: too many error-prone replies at this tag for
-                 now — retries on the scrub cadence will refresh them *)
-              scan rest)
-      in
-      scan pairs)
-
-let on_scrub_reply t ctx ~src ~op ~tag ~fragment =
-  match t.heal with
-  | None -> ()
-  | Some hs -> (
-    match hs.scrub with
-    | Some sr when sr.sop = op -> (
-      match Config.coordinate_of t.config ~pid:src with
-      | coordinate ->
-        Hashtbl.replace sr.s_collected (tag, coordinate) fragment;
-        maybe_finish_scrub t ctx
-      | exception Not_found -> ())
-    | Some _ | None -> ())
+(* A detection (scrub sweep or read path) makes sure a scrub round is in
+   flight. No-op while any round is (a crash round rebuilds the whole
+   store anyway) or when healing is off (plain degradation: the
+   quarantined element is simply never shipped). *)
+let ensure_scrub t ctx =
+  match (t.heal, t.recovery) with
+  | Some hs, None ->
+    hs.scrub_count <- hs.scrub_count + 1;
+    start_round t ctx ~op:(scrub_op t ~seq:hs.scrub_count) ~crash:false
+  | Some _, Some _ | None, _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat failure detector *)
@@ -486,15 +419,10 @@ let rec scrub_tick t ctx gen =
     if gen = hs.hgen then begin
       let stats = t.config.Config.heal_stats in
       stats.Config.scrub_sweeps <- stats.Config.scrub_sweeps + 1;
-      (if Option.is_none t.repair then
+      (if not (repairing t) then
          match disk_read t ctx with
          | Some _ -> () (* checksum clean *)
-         | None -> (
-           (* quarantined: make sure a fragment repair is in flight; the
-              sweep cadence doubles as its retry timer *)
-           match hs.scrub with
-           | Some sr -> broadcast_repair_get t ctx ~op:sr.sop
-           | None -> start_scrub_repair t ctx hs));
+         | None -> ensure_scrub t ctx (* quarantined *));
       Engine.schedule_local ctx ~delay:hs.hcfg.Config.scrub_period (fun () ->
           scrub_tick t ctx gen)
     end
@@ -514,7 +442,6 @@ let start_healing t ctx =
         votes = Array.init n (fun _ -> Hashtbl.create 4);
         fired = Array.make n false;
         hgen = 0;
-        scrub = None;
         scrub_count = 0
       }
     in
@@ -537,98 +464,108 @@ let answer_query t ctx ~src = function
       (* quarantined: shipping a garbage element into a peer's decode
          would be worse than silence — the requester's retry cadence
          re-asks once this store heals *)
-      ensure_scrub_repair t ctx
+      ensure_scrub t ctx
     | Some fragment ->
       Cost.comm t.config.Config.cost ~op ~bytes:(Fragment.size fragment);
       Config.send t.config ctx ~dst:src
         (Messages.Repair_reply { op; tag = Disk.tag t.disk; fragment }))
   | _ -> ()
 
-let finish_repair t ctx =
-  match t.repair with
-  | None -> ()
-  | Some r ->
-    t.repair <- None;
+(* The freshest tag at or above [floor] that decode_threshold distinct
+   coordinates hold and whose fragments, taken in coordinate order,
+   decode. *)
+let decode_target t r ~floor =
+  let[@lint.allow
+       "D3: materialized and sorted (tag descending, coordinate \
+        ascending) before any decision, so the decode input is \
+        schedule-independent"] pairs =
+    Hashtbl.fold
+      (fun (tag, coordinate) fragment acc ->
+        ((tag, coordinate), fragment) :: acc)
+      r.collected []
+    |> List.sort (fun ((t1, c1), _) ((t2, c2), _) ->
+           match Tag.compare t2 t1 with
+           | 0 -> Int.compare c1 c2
+           | cmp -> cmp)
+  in
+  let rec scan = function
+    | [] -> None
+    | ((tag, _), _) :: _ when Tag.( > ) floor tag ->
+      None (* sorted descending: nothing fresh enough remains *)
+    | ((tag, _), _) :: _ as l -> (
+      let same, rest =
+        List.partition (fun ((t', _), _) -> Tag.equal t' tag) l
+      in
+      if List.length same < t.config.Config.decode_threshold then scan rest
+      else
+        match Erasure.Mds.decode t.config.Config.code (List.map snd same) with
+        | value -> Some (tag, value)
+        | exception Erasure.Mds.Decode_failure _ ->
+          (* SODAerr: too many error-prone replies at this tag for now —
+             more replies or a retry will refresh them *)
+          scan rest)
+  in
+  scan pairs
+
+let finish_round t ctx r =
+  t.recovery <- None;
+  let tag = Disk.tag t.disk in
+  if r.crash then
     Probe.emit t.config.Config.probe
       (Probe.Repaired
-         { server = t.coordinate;
-           tag = Disk.tag t.disk;
-           time = Engine.now_ctx ctx
-         });
-    (* Reads that registered while the repair was in flight had their
-       local relay withheld (the stored element was untrusted, see
-       [on_read_value]); send it now, or a reader counting on this
-       server for its kth element would wait forever. *)
-    let tag = Disk.tag t.disk in
-    List.iter
-      (fun (rid, reg) ->
-        if Tag.( >= ) tag reg.tr then
-          match local_disk_read t ctx ~rid with
-          | Some fragment -> relay_to_reader t ctx ~rid ~reg ~tag ~fragment
-          | None -> ())
-      (registered_sorted t);
-    (* Answer the quorum queries that were deferred mid-repair, in
-       arrival order, with the freshly recovered tag. *)
-    List.iter (fun (src, msg) -> answer_query t ctx ~src msg)
-      (List.rev r.deferred)
+         { server = t.coordinate; tag; time = Engine.now_ctx ctx });
+  (* The catch-up relay: reads that registered while the element was
+     untrusted had their local relay withheld (see [on_read_value]);
+     send it now, or a reader counting on this server for its kth
+     element would wait forever. *)
+  List.iter
+    (fun (rid, reg) ->
+      if Tag.( >= ) tag reg.tr then
+        match local_disk_read t ctx ~rid with
+        | Some fragment -> relay_to_reader t ctx ~rid ~reg ~tag ~fragment
+        | None -> ())
+    (registered_sorted t);
+  (* Answer the quorum queries deferred mid-repair, in arrival order,
+     with the recovered tag. *)
+  List.iter (fun (src, msg) -> answer_query t ctx ~src msg)
+    (List.rev r.deferred)
 
-(* Repair completes once n-1-f peers have answered and the server holds
-   (or can decode) an element for the highest tag among the replies. *)
-let maybe_finish_repair t ctx =
-  match t.repair with
+(* The round's floor: for a crash round the highest tag replied, once
+   n-1-f peers have answered; for a scrub round the stored tag, which it
+   never regresses (tags are metadata, intact under rot, and this server
+   may have acked queries with it). A round whose own element is trusted
+   and at the floor finishes without decoding — a write's delivery can
+   end a round by itself. *)
+let advance t ctx =
+  match t.recovery with
   | None -> ()
-  | Some r ->
-    let needed_repliers =
-      Params.n t.config.Config.params - 1 - Params.f t.config.Config.params
+  | Some r -> (
+    let params = t.config.Config.params in
+    let floor =
+      if not r.crash then Some (Disk.tag t.disk)
+      else if Hashtbl.length r.repliers >= Params.n params - 1 - Params.f params
+      then Some r.max_seen
+      else None
     in
-    if Hashtbl.length r.repliers >= needed_repliers then begin
-      if Tag.( >= ) (Disk.tag t.disk) r.max_seen then finish_repair t ctx
-      else begin
-        let[@lint.allow
-             "D3: materialized as (coordinate, fragment) pairs and sorted, \
-              so the decoder sees replies in a schedule-independent order"]
-            frags =
-          Hashtbl.fold
-            (fun (tag, coordinate) fragment acc ->
-              if Tag.equal tag r.max_seen then (coordinate, fragment) :: acc
-              else acc)
-            r.collected []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.map snd
-        in
-        if List.length frags >= t.config.Config.decode_threshold then begin
-          match Erasure.Mds.decode t.config.Config.code frags with
-          | value ->
-            let fragments = Config.encode t.config value in
-            let fragment = fragments.(t.coordinate) in
-            Disk.store t.disk ~tag:r.max_seen ~fragment;
-            Cost.storage_set t.config.Config.cost ~server:t.coordinate
-              ~bytes:(Fragment.size fragment);
-            Probe.emit t.config.Config.probe
-              (Probe.Stored
-                 { server = t.coordinate;
-                   tag = r.max_seen;
-                   time = Engine.now_ctx ctx
-                 });
-            finish_repair t ctx
-          | exception Erasure.Mds.Decode_failure _ ->
-            (* too many corrupted replies for this tag yet; more replies
-               or a retry round will help *)
-            ()
-        end
-      end
-    end
-
-let rec schedule_repair_retry t ctx =
-  Engine.schedule_local ctx ~delay:repair_retry_interval (fun () ->
-      match t.repair with
+    match floor with
+    | None -> ()
+    | Some floor
+      when (not (Disk.quarantined t.disk))
+           && Tag.( >= ) (Disk.tag t.disk) floor ->
+      finish_round t ctx r
+    | Some floor -> (
+      match decode_target t r ~floor with
       | None -> ()
-      | Some r ->
-        if r.attempts < repair_max_attempts then begin
-          r.attempts <- r.attempts + 1;
-          broadcast_repair_get t ctx ~op:r.op;
-          schedule_repair_retry t ctx
-        end)
+      | Some (tag, value) ->
+        let fragment = (Config.encode t.config value).(t.coordinate) in
+        Disk.store t.disk ~tag ~fragment;
+        Cost.storage_set t.config.Config.cost ~server:t.coordinate
+          ~bytes:(Fragment.size fragment);
+        let time = Engine.now_ctx ctx in
+        Probe.emit t.config.Config.probe
+          (if r.crash then Probe.Stored { server = t.coordinate; tag; time }
+           else Probe.Scrub_repaired { server = t.coordinate; tag; time });
+        finish_round t ctx r))
 
 (* Called right after [Engine.restore_at] fires: volatile state is gone
    (the crash lost it), the element reverts to the initial state, and
@@ -645,15 +582,6 @@ let begin_repair t ctx ~op =
   Mid_set.reset t.md_delivered;
   Int_tbl.Set.reset t.completed;
   Int_tbl.Set.reset t.pending_meta;
-  t.repair <-
-    Some
-      { op;
-        max_seen = Tag.initial;
-        repliers = Hashtbl.create 8;
-        collected = Hashtbl.create 16;
-        attempts = 0;
-        deferred = []
-      };
   (* the crash lost the detector's and scrubber's timers too: reset
      their state (a freshly restored server has heard everyone "now" —
      it must re-earn its suspicions) and restart the tick chains under a
@@ -667,30 +595,24 @@ let begin_repair t ctx ~op =
     Array.fill hs.suspected 0 (Array.length hs.suspected) false;
     Array.iter Hashtbl.reset hs.votes;
     Array.fill hs.fired 0 (Array.length hs.fired) false;
-    hs.scrub <- None;
     hs.hgen <- hs.hgen + 1;
     heartbeat_tick t ctx hs.hgen;
     scrub_tick t ctx hs.hgen);
   Probe.emit t.config.Config.probe
     (Probe.Repair_started { server = t.coordinate; time = Engine.now_ctx ctx });
-  broadcast_repair_get t ctx ~op;
-  schedule_repair_retry t ctx
+  start_round t ctx ~op ~crash:true
 
 let on_repair_reply t ctx ~src ~op ~tag ~fragment =
-  match t.repair with
-  | Some r when r.op = op -> begin
+  match t.recovery with
+  | Some r when r.op = op -> (
     match Config.coordinate_of t.config ~pid:src with
     | coordinate ->
       Hashtbl.replace r.repliers coordinate ();
       if Tag.( > ) tag r.max_seen then r.max_seen <- tag;
       Hashtbl.replace r.collected (tag, coordinate) fragment;
-      maybe_finish_repair t ctx
-    | exception Not_found -> ()
-  end
-  | Some _ | None ->
-    (* not a crash-repair reply — maybe a scrub's (same wire protocol,
-       disjoint op ranges) *)
-    on_scrub_reply t ctx ~src ~op ~tag ~fragment
+      advance t ctx
+    | exception Not_found -> ())
+  | Some _ | None -> ()
 
 (* Fig. 5, "On md-value-deliver(tw, c's)": relay to registered readers,
    adopt the element if its tag is newer, acknowledge the writer. *)
@@ -702,17 +624,15 @@ let md_value_deliver t ctx ~op ~tag:tw ~fragment =
     (registered_sorted t);
   if Tag.( > ) tw (Disk.tag t.disk) then begin
     (* adopting a fresh element also heals a quarantined store by
-       overwrite (the checksum is recomputed), making an in-flight
-       scrub repair moot *)
+       overwrite (the checksum is recomputed) *)
     Disk.store t.disk ~tag:tw ~fragment;
-    cancel_scrub t;
     Cost.storage_set t.config.Config.cost ~server:t.coordinate
       ~bytes:(Fragment.size fragment);
     Probe.emit t.config.Config.probe
       (Probe.Stored
          { server = t.coordinate; tag = tw; time = Engine.now_ctx ctx });
-    (* a delivery can complete an in-flight repair by itself *)
-    maybe_finish_repair t ctx
+    (* a delivery can end an in-flight round by itself *)
+    advance t ctx
   end;
   (* The writer's id is part of the tag, so the acknowledgement needs no
      extra routing state. *)
@@ -746,10 +666,10 @@ let on_read_value t ctx ~rid ~reader ~tr =
        at exactly k fragments would silently corrupt the read) — the
        detection kicks a targeted repair, whose completion relays. *)
     let tag = Disk.tag t.disk in
-    if Option.is_none t.repair && Tag.( >= ) tag tr then
+    if (not (repairing t)) && Tag.( >= ) tag tr then
       match local_disk_read t ctx ~rid with
       | Some fragment -> relay_to_reader t ctx ~rid ~reg ~tag ~fragment
-      | None -> ensure_scrub_repair t ctx
+      | None -> ensure_scrub t ctx
   end
 
 (* Fig. 5, "On md-meta-deliver(READ-COMPLETE, (r, tr))". *)
@@ -761,8 +681,8 @@ let on_read_complete t ctx ~rid =
      arriving after this point must not (re-)register the read. The bit
      in [completed] is the whole tombstone; the read's H row goes, and
      [on_read_disperse] never rebuilds it. Nothing would read it: H is
-     consulted only for registered reads (the unregistration count, the
-     relay filters of repair and scrub) and by [on_read_value], which
+     consulted only for registered reads (the unregistration count and
+     the relay filter of [relay_to_reader]) and by [on_read_value], which
      tests [completed] first. A completed rid can never register again,
      and [begin_repair] wipes [h] and [completed] together. *)
   ignore (Int_tbl.Set.add t.completed rid : bool)
@@ -870,9 +790,9 @@ let rec handler t ctx ~src msg =
        the reliable transport the channel has already acked the query,
        so the sender will never retransmit — the query is deferred and
        answered when the repair completes. *)
-    match t.repair with
-    | None -> answer_query t ctx ~src msg
-    | Some r -> r.deferred <- (src, msg) :: r.deferred)
+    match t.recovery with
+    | Some r when r.crash -> r.deferred <- (src, msg) :: r.deferred
+    | Some _ | None -> answer_query t ctx ~src msg)
   | Messages.Repair_reply { op; tag; fragment } ->
     on_repair_reply t ctx ~src ~op ~tag ~fragment
   | Messages.Md_full { mid; op; tag; value } ->

@@ -77,9 +77,19 @@ val begin_repair : t -> Messages.t Simnet.Engine.context -> op:int -> unit
 (** To be invoked (via {!Simnet.Engine.inject}) right after the server's
     process is restored with {!Simnet.Engine.restore_at}: volatile state
     is discarded, the stored element reverts to the initial state, and
-    the server broadcasts [REPAIR-GET], refusing quorum duties until it
-    again holds an element for the highest tag reported by [n - 1 - f]
-    peers. [op] is the accounting id the repair traffic is charged to.
-    Safety requires [n >= 2f + 2e + 1]; see [Deployment.repair_server]. *)
+    the server starts a crash round of its one recovery collector — the
+    same [REPAIR-GET]/[REPAIR-REPLY] round a scrub runs on a quarantined
+    store, with a different floor. It refuses quorum duties (deferring
+    them) until it again holds an element for the highest tag reported
+    by [n - 1 - f] peers, then relays to the reads registered meanwhile
+    and answers the deferred queries. The round replaces any round in
+    flight, and its retry timer dies with it. [op] is the accounting id
+    the repair traffic is charged to (see {!repair_op}). Safety requires
+    [n >= 2f + 2e + 1]; see [Deployment.repair_server]. *)
+
+val repair_op : seq:int -> int
+(** The accounting id of a register's (or a key's) [seq]-th crash round,
+    numbered from 0. Crash rounds and scrub rounds (numbered by the
+    server itself) have disjoint ranges above every client op. *)
 
 val repairing : t -> bool

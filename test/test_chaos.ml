@@ -274,6 +274,56 @@ let matrix_tests =
           Chaos.ok o || QCheck2.Test.fail_report (outcome_fail_msg o)))
     Chaos.matrix
 
+(* A server sends a read each (tag, element) pair once while the read's
+   H row lives there: no two [Relayed] probes with the same (rid, server,
+   tag) unless an [Unregistered] of that read at that server, or a
+   [Repair_started] of that server (the wipe of its H), comes between
+   them. Returns the number of repeats in one run's probe stream. *)
+let relay_repeats probe =
+  let sent = Hashtbl.create 64 in
+  List.fold_left
+    (fun repeats event ->
+      match event with
+      | Protocol.Probe.Relayed { rid; server; tag; _ } ->
+        let tags =
+          Option.value ~default:[] (Hashtbl.find_opt sent (rid, server))
+        in
+        if List.exists (Protocol.Tag.equal tag) tags then repeats + 1
+        else begin
+          Hashtbl.replace sent (rid, server) (tag :: tags);
+          repeats
+        end
+      | Protocol.Probe.Unregistered { rid; server; _ } ->
+        Hashtbl.remove sent (rid, server);
+        repeats
+      | Protocol.Probe.Repair_started { server; _ } ->
+        Hashtbl.filter_map_inplace
+          (fun (_, s) tags -> if s = server then None else Some tags)
+          sent;
+        repeats
+      | _ -> repeats)
+    0
+    (Protocol.Probe.events probe)
+
+let relay_once_tests =
+  [ Alcotest.test_case "a server relays a (read, tag) pair once" `Quick
+      (fun () ->
+        let repeats =
+          List.concat_map
+            (fun scenario ->
+              List.filter_map
+                (fun seed ->
+                  let o = Chaos.run scenario ~seed in
+                  match relay_repeats o.Chaos.probe with
+                  | 0 -> None
+                  | r ->
+                    Some (Printf.sprintf "%s seed %d: %d" scenario.Chaos.name seed r))
+                [ 1; 2; 3 ])
+            Chaos.matrix
+        in
+        Alcotest.(check (list string)) "repeated relays" [] repeats)
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* failure-domain cells: a sharded keyspace over 12 servers in 3
    domains (4+2 preset, consistent hashing, domain-safe) while the
@@ -413,6 +463,7 @@ let () =
       ("chaos-runs", chaos_tests);
       ("store-chaos", store_chaos_tests);
       ("chaos-matrix", matrix_tests);
+      ("relay-once", relay_once_tests);
       ("domain-matrix", domain_tests);
       ("determinism", determinism_tests)
     ]

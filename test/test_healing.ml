@@ -171,6 +171,64 @@ let plane_tests =
             (Printf.sprintf "mttr %.1f bounded" mttr)
             true (mttr <= 100.0)
         | _ -> Alcotest.fail "expected exactly one healed episode");
+    Alcotest.test_case "a crash round and a scrub round run at once" `Quick
+      (fun () ->
+        let params = Params.make ~n:5 ~f:2 () in
+        let initial_value = Bytes.make 64 'i' in
+        let engine = Engine.create ~seed:26 ~delay:(Delay.constant 1.0) () in
+        let d =
+          Soda.Deployment.deploy ~engine ~params ~initial_value
+            ~healing:Soda.Config.default_healing ~num_writers:1 ~num_readers:1
+            ()
+        in
+        Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.of_string "first");
+        Soda.Deployment.crash_server d ~coordinate:1 ~at:30.0;
+        (* a write server 1 misses: its crash round must decode it *)
+        Soda.Deployment.write d ~writer:0 ~at:35.0 (Bytes.of_string "second");
+        Soda.Deployment.read d ~reader:0 ~at:58.0 ();
+        (* server 2 rots just before server 1's repair: the crash round's
+           REPAIR-GET finds the quarantine and starts server 2's scrub
+           round while the crash round is still collecting *)
+        Soda.Deployment.corrupt_server d ~coordinate:2 ~at:59.5;
+        ignore (Soda.Deployment.repair_server d ~coordinate:1 ~at:60.0 : int);
+        Engine.run engine ~until:400.0;
+        let probe = Soda.Deployment.probe d in
+        let time_of p =
+          List.find_map p (Probe.events probe)
+          |> Option.value ~default:Float.infinity
+        in
+        let detected =
+          time_of (function
+            | Probe.Rot_detected { server = 2; time } -> Some time
+            | _ -> None)
+        and repaired =
+          time_of (function
+            | Probe.Repaired { server = 1; time; _ } -> Some time
+            | _ -> None)
+        and scrubbed =
+          time_of (function
+            | Probe.Scrub_repaired { server = 2; time; _ } -> Some time
+            | _ -> None)
+        in
+        Alcotest.(check bool) "crash round ended" true (repaired < 400.0);
+        Alcotest.(check bool) "scrub round ended" true (scrubbed < 400.0);
+        Alcotest.(check bool)
+          (Printf.sprintf "rounds overlap (rot seen %.1f, repaired %.1f)"
+             detected repaired)
+          true (detected < repaired);
+        Alcotest.(check bool) "all disks clean" true
+          (Soda.Deployment.scrub_clean d);
+        Alcotest.(check bool) "all live" true (Soda.Deployment.all_live d);
+        let history = Soda.Deployment.history d in
+        Alcotest.(check bool) "every op completed" true
+          (Protocol.History.all_complete history);
+        Alcotest.(check (result unit string)) "atomic" (Ok ())
+          (Result.map_error
+             (Format.asprintf "%a" Protocol.Atomicity.pp_violation)
+             (Protocol.Atomicity.check_tagged ~initial_value
+                (Protocol.History.records history)));
+        Alcotest.(check (result unit string)) "causal" (Ok ())
+          (Probe.heal_causality probe));
     Alcotest.test_case "a merely partitioned server is never wiped" `Quick
       (fun () ->
         let engine, d = deploy_healed ~seed:23 in
