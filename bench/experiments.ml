@@ -518,7 +518,7 @@ let latency_dist () =
    baseline gated by tools/bench_diff).
 
    The self-healing plane must not shift these numbers: every run here
-   deploys with [healing = None] (the Runner default), under which no
+   deploys with [healing = false] (the Runner default), under which no
    heartbeat or scrub event is ever scheduled, so the committed
    BENCH_msgs.json baseline doubles as the no-silent-regression gate
    for the plane's default-off posture. When healing IS armed, its

@@ -1,4 +1,4 @@
-(* Buffer-level Reed-Solomon kernel; see kernel.mli. *)
+(* Stripe transposition for the Reed-Solomon codec; see kernel.mli. *)
 
 (* U1 audit: the unchecked byte accesses in the transpose/merge loops
    run over index ranges validated once per call at the function head
@@ -9,11 +9,6 @@
 [@@@lint.allow
   "U1: every loop bound derives from k * col_len = stripes * row_bytes \
    after the explicit length checks; soda-debug compiles in the asserts"]
-
-module Gf = Galois.Gf
-module Gf16 = Galois.Gf16
-
-type table = Bytes.t
 
 (* ------------------------------------------------------------------ *)
 (* Stripe-major <-> row-major transposition.
@@ -131,75 +126,3 @@ let merge_cols_sub ~k ~bps ~bufs ~offs ~col_len ~lo ~len ~dst ~doff =
       done
     done
   done
-
-(* ------------------------------------------------------------------ *)
-(* Row application over views:
-   dst[doff+off, +len) = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off, +len).
-
-   One table sweep per non-zero coefficient. Unit coefficients degrade
-   to a blit (first term) or an 8-byte-wide xor. Bounds are validated
-   by the field sweeps themselves. *)
-
-(* GF(2^8): 256-entry byte tables, 8 bytes per load. *)
-let apply_row8_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length tables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row8_v: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if !first then
-        if c = Gf.one then begin
-          if
-            soff < 0 || len < 0
-            || soff + len > Bytes.length src
-            || doff + len > Bytes.length dst
-          then invalid_arg "Kernel.apply_row8_v: range outside buffers";
-          Bytes.blit src soff dst doff len
-        end
-        else Gf.mul_buf tables.(j) ~src ~soff ~dst ~doff ~len
-      else if c = Gf.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-      else Gf.muladd_buf tables.(j) ~src ~soff ~dst ~doff ~len;
-      first := false
-    end
-  done;
-  (* An all-zero row still must define the output range: dst buffers come
-     from Bytes.create, whose contents are unspecified. *)
-  if !first then Bytes.fill dst (doff + off) len '\000'
-
-(* GF(2^16): split tables, byte offsets and lengths (even). *)
-let apply_row16_v ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
-  let terms = Array.length coeffs in
-  if
-    Array.length srcs <> terms
-    || Array.length tables <> terms
-    || Array.length soffs <> terms
-  then invalid_arg "Kernel.apply_row16_v: coefficient/source count mismatch";
-  let first = ref true in
-  for j = 0 to terms - 1 do
-    let c = coeffs.(j) in
-    if c <> Gf16.zero then begin
-      let src = srcs.(j) and soff = soffs.(j) + off in
-      let doff = doff + off in
-      if !first then
-        if c = Gf16.one then begin
-          if
-            soff < 0 || len < 0
-            || soff + len > Bytes.length src
-            || doff + len > Bytes.length dst
-          then invalid_arg "Kernel.apply_row16_v: range outside buffers";
-          Bytes.blit src soff dst doff len
-        end
-        else Gf16.mul_buf_v tables.(j) ~src ~soff ~dst ~doff ~len
-      else if c = Gf16.one then Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
-      else Gf16.muladd_buf_v tables.(j) ~src ~soff ~dst ~doff ~len;
-      first := false
-    end
-  done;
-  if !first then Bytes.fill dst (doff + off) len '\000'

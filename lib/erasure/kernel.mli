@@ -1,21 +1,13 @@
-(** Buffer-level Reed-Solomon kernel.
+(** Stripe transposition for the Reed-Solomon codec.
 
-    The Reed-Solomon codec is, on its hot path, one computation: a
-    small matrix of field coefficients applied to long byte buffers.
-    This module packages the two ingredients of that table-driven,
-    row-major formulation:
-
-    - {b row application} ({!apply_row8_v}, {!apply_row16_v}) over the
-      product-table sweeps of {!Galois.Gf} and {!Galois.Gf16}: one
-      table per coefficient turns a field multiply into a table load;
-    - {b stripe transposition} ({!split_cols}/{!merge_cols}/
-      {!merge_cols_sub}) between the stripe-major framed value and the
-      column-contiguous buffers the sweeps want.
+    The codec's hot path is a small matrix of field coefficients applied
+    to long byte buffers, one row at a time ({!Rs_bch_gen}'s
+    [apply_row] over the width's buffer sweeps, see {!Symbol.S}). The
+    framed value is stripe-major and the sweeps want each code column
+    contiguous: {!split_cols}, {!merge_cols} and {!merge_cols_sub}
+    convert between the two layouts.
 
     See DESIGN.md, section "Codec kernel". *)
-
-type table = Bytes.t
-(** A 256-entry GF(2{^8}) product table; see {!Galois.Gf.mul_table}. *)
 
 val split_cols : k:int -> bps:int -> Bytes.t -> Bytes.t array
 (** [split_cols ~k ~bps framed] transposes a stripe-major framed buffer
@@ -49,34 +41,3 @@ val merge_cols_sub :
     uses it to extract the value (skipping header and padding) without
     materializing the framed buffer.
     @raise Invalid_argument on ragged views or out-of-range spans. *)
-
-val apply_row8_v :
-  coeffs:Galois.Gf.t array ->
-  tables:table array ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dst:Bytes.t ->
-  doff:int ->
-  off:int ->
-  len:int ->
-  unit
-(** View-aware GF(2{^8}) row application on byte tables ([tables] the
-    coefficients' {!Galois.Gf.mul_table}s):
-    [dst.[doff+off+i] <- sum_j coeffs.(j) * srcs.(j).[soffs.(j)+off+i]]
-    for [i] in [0, len). Zero coefficients are skipped, a leading unit
-    is a blit, a later unit an 8-byte-wide xor, and an all-zero row
-    zero-fills. *)
-
-val apply_row16_v :
-  coeffs:Galois.Gf16.t array ->
-  tables:Galois.Gf16.mul_tables array ->
-  srcs:Bytes.t array ->
-  soffs:int array ->
-  dst:Bytes.t ->
-  doff:int ->
-  off:int ->
-  len:int ->
-  unit
-(** View-aware GF(2{^16}) row application on split tables, with the
-    semantics of {!apply_row8_v}; all offsets and [len] are in bytes
-    ([len] even). *)

@@ -1,53 +1,45 @@
-type impl =
-  | Bch of Rs_bch.t
-  | Bch16 of Rs_bch16.t
+(* An instance carries its codec's operations, so no entry point
+   dispatches on the symbol width; both widths raise the exceptions
+   defined once in Rs_bch_gen. *)
 
-type t = { impl : impl; n : int; k : int; name : string }
+type t = {
+  n : int;
+  k : int;
+  name : string;
+  bps : int;
+  encode : bytes -> Fragment.t array;
+  decode : Fragment.t list -> bytes;
+}
 
-exception Insufficient_fragments of { needed : int; got : int }
-exception Decode_failure of string
+exception Insufficient_fragments = Rs_bch_gen.Insufficient_fragments
+exception Decode_failure = Rs_bch_gen.Decode_failure
 
-let rs_bch ~n ~k =
-  { impl = Bch (Rs_bch.make ~n ~k);
-    n;
+module type CODEC = sig
+  type t
+
+  val make : n:int -> k:int -> t
+  val encode : t -> bytes -> Fragment.t array
+  val decode : t -> Fragment.t list -> bytes
+end
+
+let instance (module C : CODEC) ~family ~bps ~n ~k =
+  let c = C.make ~n ~k in
+  { n;
     k;
-    name = Printf.sprintf "rs-bch[%d,%d]" n k
+    name = Printf.sprintf "%s[%d,%d]" family n k;
+    bps;
+    encode = C.encode c;
+    decode = C.decode c
   }
 
-let rs_bch16 ~n ~k =
-  { impl = Bch16 (Rs_bch16.make ~n ~k);
-    n;
-    k;
-    name = Printf.sprintf "rs-bch16[%d,%d]" n k
-  }
-
+let rs_bch = instance (module Rs_bch) ~family:"rs-bch" ~bps:1
+let rs_bch16 = instance (module Rs_bch16) ~family:"rs-bch16" ~bps:2
 let n t = t.n
 let k t = t.k
 let name t = t.name
+let encode t value = t.encode value
+let decode t frags = t.decode frags
 
-let encode t value =
-  match t.impl with
-  | Bch c -> Rs_bch.encode c value
-  | Bch16 c -> Rs_bch16.encode c value
-
-let decode t frags =
-  match t.impl with
-  | Bch c -> begin
-    try Rs_bch.decode c frags with
-    | Rs_bch.Insufficient_fragments { needed; got } ->
-      raise (Insufficient_fragments { needed; got })
-    | Rs_bch.Decode_failure msg -> raise (Decode_failure msg)
-  end
-  | Bch16 c -> begin
-    try Rs_bch16.decode c frags with
-    | Rs_bch16.Insufficient_fragments { needed; got } ->
-      raise (Insufficient_fragments { needed; got })
-    | Rs_bch16.Decode_failure msg -> raise (Decode_failure msg)
-  end
-
+(* [bps]-byte symbols: stripes = framed / (bps k), bps bytes per stripe *)
 let fragment_size t ~value_len =
-  match t.impl with
-  | Bch16 _ ->
-    (* 2-byte symbols: stripes = framed/(2k), fragment = 2 bytes/stripe *)
-    2 * Splitter.fragment_size ~k:(2 * t.k) ~value_len
-  | Bch _ -> Splitter.fragment_size ~k:t.k ~value_len
+  t.bps * Splitter.fragment_size ~k:(t.bps * t.k) ~value_len

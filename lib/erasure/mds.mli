@@ -11,7 +11,13 @@
     GF(2{^16}) form beyond 255 fragments. It is an MDS code, so given
     exactly [k] fragments it is a plain erasure decoder (what SODA and
     CAS need); given more, it also corrects silent fragment corruption
-    (what SODA{_err} needs). *)
+    (what SODA{_err} needs).
+
+    A [t] carries its instance's encode and decode, so no entry point
+    dispatches on the symbol width, and both widths raise the two
+    exceptions below themselves ({!Rs_bch.Insufficient_fragments} and
+    {!Rs_bch16.Insufficient_fragments} are the same exception, and so
+    are the [Decode_failure]s). *)
 
 type t
 

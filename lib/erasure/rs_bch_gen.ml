@@ -1,7 +1,11 @@
 (* Field-generic systematic Reed-Solomon with errors-and-erasures
    decoding; documented in rs_bch.mli. [Rs_bch] instantiates this at
    GF(2^8) (one-byte symbols), [Rs_bch16] at GF(2^16) (two-byte
-   symbols, for code lengths beyond 255). *)
+   symbols, for code lengths beyond 255). Every instance raises the
+   two exceptions below, so [Mds] passes them through unchanged. *)
+
+exception Insufficient_fragments of { needed : int; got : int }
+exception Decode_failure of string
 
 module Make (Sym : Symbol.S) = struct
   module F = Sym.F
@@ -10,8 +14,8 @@ module Make (Sym : Symbol.S) = struct
 
   type t = { n : int; k : int; parity_rows : F.t array array }
 
-  exception Insufficient_fragments of { needed : int; got : int }
-  exception Decode_failure of string
+  exception Insufficient_fragments = Insufficient_fragments
+  exception Decode_failure = Decode_failure
 
   (* g(x) = prod_{j=1}^{n-k} (x - alpha^j); narrow-sense BCH roots. *)
   let generator_poly ~n ~k =
@@ -59,6 +63,32 @@ module Make (Sym : Symbol.S) = struct
 
   let row_tables rows = Array.map (Array.map Sym.mul_table) rows
 
+  (* Row application over views:
+     dst[doff+off, +len) = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off, +len),
+     with [tables] the coefficients' tables and every offset and [len] in
+     bytes. One sweep per non-zero coefficient; unit coefficients degrade
+     to a blit (first term) or an 8-byte-wide xor. The sweeps and the
+     blit validate their own ranges. *)
+  let apply_row ~coeffs ~tables ~srcs ~soffs ~dst ~doff ~off ~len =
+    let first = ref true in
+    for j = 0 to Array.length coeffs - 1 do
+      let c = coeffs.(j) in
+      if not (F.is_zero c) then begin
+        let src = srcs.(j) and soff = soffs.(j) + off in
+        let doff = doff + off in
+        if !first then
+          if F.equal c F.one then Bytes.blit src soff dst doff len
+          else Sym.mul_buf tables.(j) ~src ~soff ~dst ~doff ~len
+        else if F.equal c F.one then
+          Galois.Wops.xor_into ~src ~soff ~dst ~doff ~len
+        else Sym.muladd_buf tables.(j) ~src ~soff ~dst ~doff ~len;
+        first := false
+      end
+    done;
+    (* An all-zero row still must define the output range: dst buffers
+       come from Bytes.create, whose contents are unspecified. *)
+    if !first then Bytes.fill dst (doff + off) len '\000'
+
   let encode t value =
     let framed = Splitter.frame ~k:(bps * t.k) value in
     let stripes = Bytes.length framed / (bps * t.k) in
@@ -73,7 +103,7 @@ module Make (Sym : Symbol.S) = struct
     let tables = row_tables t.parity_rows in
     let soffs = Array.make t.k 0 in
     for i = 0 to parity_len - 1 do
-      Sym.apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
+      apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
         ~soffs ~dst:outputs.(i) ~doff:0 ~off:0 ~len:(bps * stripes)
     done;
     Array.init t.n (fun i -> Fragment.make ~index:i ~data:outputs.(i))
@@ -328,13 +358,13 @@ module Make (Sym : Symbol.S) = struct
         Array.iteri
           (fun m coeffs ->
             let j = missing.(m) in
-            Sym.apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
+            apply_row ~coeffs ~tables:solve_tables.(m) ~srcs:basis_bufs
               ~soffs:basis_offs ~dst:col_bufs.(j) ~doff:col_offs.(j) ~off
               ~len:bytes)
           solve;
         Array.iteri
           (fun c i ->
-            Sym.apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
+            apply_row ~coeffs:check_rows.(c) ~tables:check_tables.(c)
               ~srcs:col_bufs ~soffs:col_offs ~dst:res ~doff:0 ~off ~len:bytes;
             Galois.Wops.xor_into ~src:r.bufs.(i) ~soff:off
               ~dst:res ~doff:off ~len:bytes;

@@ -3,9 +3,9 @@
     A symbol module fixes the field the code works over and how one code
     symbol is laid out in a byte buffer; the generic codecs
     ({!Rs_bch_gen}) are functors over this. Besides single-symbol get/set
-    it exposes the codec kernel's view row application (see {!Kernel}
-    and DESIGN.md "Codec kernel"), so the functors can run row-major
-    over whole fragments. *)
+    it exposes the width's two buffer sweeps, from which the codec's one
+    row application runs row-major over whole fragments (DESIGN.md
+    "Codec kernel"). *)
 
 module type S = sig
   module F : Galois.Field.S
@@ -29,22 +29,14 @@ module type S = sig
       call from any domain: the GF(2{^8}) tables are built at load and
       the GF(2{^16}) cache is mutex-guarded. *)
 
-  val apply_row :
-    coeffs:F.t array ->
-    tables:mul_table array ->
-    srcs:bytes array ->
-    soffs:int array ->
-    dst:bytes ->
-    doff:int ->
-    off:int ->
-    len:int ->
-    unit
-  (** Row application over views:
-      [dst[doff+off, +len) = sum_j coeffs.(j) * srcs.(j)[soffs.(j)+off, +len)],
-      with [tables] the coefficients' {!mul_table}s and every offset and
-      [len] in bytes ([len] a whole number of symbols). Zero
-      coefficients are skipped and an all-zero row zero-fills; see
-      {!Kernel.apply_row8_v} / {!Kernel.apply_row16_v}. *)
+  val mul_buf :
+    mul_table -> src:bytes -> soff:int -> dst:bytes -> doff:int -> len:int -> unit
+  (** [dst <- c * src] over byte views ([len] a whole number of
+      symbols), [c] the table's coefficient. *)
+
+  val muladd_buf :
+    mul_table -> src:bytes -> soff:int -> dst:bytes -> doff:int -> len:int -> unit
+  (** [dst += c * src] over byte views, as {!mul_buf}. *)
 end
 
 (** One byte per symbol, GF(2{^8}): codes up to length 255. *)
@@ -59,7 +51,8 @@ module Byte : S with module F = Galois.Gf = struct
   type mul_table = Bytes.t
 
   let mul_table = F.mul_table
-  let apply_row = Kernel.apply_row8_v
+  let mul_buf = F.mul_buf
+  let muladd_buf = F.muladd_buf
 end
 
 (** Two bytes (big-endian) per symbol, GF(2{^16}): codes up to 65535. *)
@@ -74,5 +67,6 @@ module Wide : S with module F = Galois.Gf16 = struct
   type mul_table = F.mul_tables
 
   let mul_table = F.mul_tables
-  let apply_row = Kernel.apply_row16_v
+  let mul_buf = F.mul_buf_v
+  let muladd_buf = F.muladd_buf_v
 end

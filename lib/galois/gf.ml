@@ -1,64 +1,7 @@
-type t = int
-
-let order = 256
-let field_mask = 0xff
-let primitive_poly = 0x11d
-let zero = 0
-let one = 1
-let alpha = 0x02
-
-(* Reference multiplication by shift-and-add modulo the primitive
-   polynomial; also used to build the tables below. *)
-let mul_slow a b =
-  let rec loop a b acc =
-    if b = 0 then acc
-    else
-      let acc = if b land 1 = 1 then acc lxor a else acc in
-      let a = a lsl 1 in
-      let a = if a land 0x100 <> 0 then a lxor primitive_poly else a in
-      loop a (b lsr 1) acc
-  in
-  loop a b 0
-
-(* exp_table.(i) = alpha^i for i in [0, 509]; doubled so that
-   mul can index [log a + log b] without a modulo. *)
-let[@lint.allow
-     "R1: filled once at module initialization, read-only afterwards — \
-      safe to read from any domain"] (exp_table, log_table) =
-  let exp_table = Array.make 510 0 in
-  let log_table = Array.make 256 (-1) in
-  let x = ref 1 in
-  for i = 0 to 254 do
-    exp_table.(i) <- !x;
-    log_table.(!x) <- i;
-    x := mul_slow !x alpha
-  done;
-  assert (!x = 1);
-  for i = 255 to 509 do
-    exp_table.(i) <- exp_table.(i - 255)
-  done;
-  (exp_table, log_table)
-
-let add a b = a lxor b
-let sub = add
-let is_zero a = a = 0
-let equal (a : t) (b : t) = a = b
-
-let mul a b =
-  if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
-
-let inv a =
-  if a = 0 then raise Division_by_zero
-  else exp_table.(255 - log_table.(a))
-
-let div a b =
-  if b = 0 then raise Division_by_zero
-  else if a = 0 then 0
-  else exp_table.(log_table.(a) + 255 - log_table.(b))
-
-let alpha_pow e =
-  (* ((e mod 255) + 255) mod 255 keeps the exponent non-negative. *)
-  exp_table.(((e mod 255) + 255) mod 255)
+include Field.Make (struct
+  let bits = 8
+  let primitive_poly = 0x11d
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-level kernels.

@@ -4,46 +4,15 @@
     i.e. the primitive polynomial [0x11d] used by most Reed-Solomon
     deployments (QR codes, many storage systems). Elements are represented
     as [int] values in the range [0, 255]. The generator [alpha = 0x02] is
-    primitive, so every non-zero element is a power of [alpha]; we exploit
-    this with log/antilog tables for O(1) multiplication, division and
-    inversion.
+    primitive, so every non-zero element is a power of [alpha]. The
+    scalar arithmetic — log/antilog tables for O(1) multiplication,
+    division and inversion — is {!Field.Make} at 8 bits; this module
+    adds the byte-table buffer sweeps the codec runs on. *)
 
-    All operations are total on valid elements; functions raise
-    [Invalid_argument] when given an [int] outside [0, 255] or on division
-    by zero. *)
-
-type t = int
-(** A field element, in the range [0, 255]. *)
-
-val zero : t
-(** Additive identity. *)
-
-val one : t
-(** Multiplicative identity. *)
-
-val add : t -> t -> t
-(** Field addition (XOR). Addition and subtraction coincide in GF(2{^8}). *)
-
-val sub : t -> t -> t
-(** Field subtraction; identical to {!add}. *)
-
-val mul : t -> t -> t
-(** Field multiplication via log/antilog tables. *)
-
-val div : t -> t -> t
-(** [div a b] is [a * b{^-1}].
-    @raise Division_by_zero if [b = 0]. *)
-
-val inv : t -> t
-(** Multiplicative inverse.
-    @raise Division_by_zero on [inv 0]. *)
-
-val alpha_pow : int -> t
-(** [alpha_pow e] is [alpha{^e}] for any integer [e] (negative allowed),
-    [alpha = 0x02] being the fixed primitive element. *)
-
-val is_zero : t -> bool
-val equal : t -> t -> bool
+include Field.S
+(** Elements are [int]s in [0, 255]; [alpha_pow e] is [alpha{^e}] for
+    any integer [e] (negative allowed), [alpha = 0x02]. [div] and [inv]
+    raise [Division_by_zero] on a zero divisor. *)
 
 val mul_slow : t -> t -> t
 [@@lint.allow "X1: test oracle — the table-driven mul is checked against it"]

@@ -1,61 +1,7 @@
-type t = int
-
-let order = 65536
-let field_mask = 0xffff
-let group_order = 65535
-let primitive_poly = 0x1100b
-let zero = 0
-let one = 1
-let alpha = 0x02
-
-let mul_slow a b =
-  let rec loop a b acc =
-    if b = 0 then acc
-    else
-      let acc = if b land 1 = 1 then acc lxor a else acc in
-      let a = a lsl 1 in
-      let a = if a land 0x10000 <> 0 then a lxor primitive_poly else a in
-      loop a (b lsr 1) acc
-  in
-  loop a b 0
-
-(* exp_table.(i) = alpha^i for i in [0, 2*65535 - 1]; doubled so mul can
-   index [log a + log b] without a modulo. *)
-let[@lint.allow
-     "R1: filled once at module initialization, read-only afterwards — \
-      safe to read from any domain"] (exp_table, log_table) =
-  let exp_table = Array.make (2 * group_order) 0 in
-  let log_table = Array.make order (-1) in
-  let x = ref 1 in
-  for i = 0 to group_order - 1 do
-    exp_table.(i) <- !x;
-    log_table.(!x) <- i;
-    x := mul_slow !x alpha
-  done;
-  assert (!x = 1);
-  for i = group_order to (2 * group_order) - 1 do
-    exp_table.(i) <- exp_table.(i - group_order)
-  done;
-  (exp_table, log_table)
-
-let add a b = a lxor b
-let sub = add
-let is_zero a = a = 0
-let equal (a : t) (b : t) = a = b
-
-let mul a b =
-  if a = 0 || b = 0 then 0 else exp_table.(log_table.(a) + log_table.(b))
-
-let inv a =
-  if a = 0 then raise Division_by_zero
-  else exp_table.(group_order - log_table.(a))
-
-let div a b =
-  if b = 0 then raise Division_by_zero
-  else if a = 0 then 0
-  else exp_table.(log_table.(a) + group_order - log_table.(b))
-
-let alpha_pow e = exp_table.(((e mod group_order) + group_order) mod group_order)
+include Field.Make (struct
+  let bits = 16
+  let primitive_poly = 0x1100b
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer-level kernels.

@@ -2,39 +2,19 @@
 
     Same design as {!Gf} one size up: the field is
     GF(2)[x]/(x{^16} + x{^12} + x{^3} + x + 1) (the primitive polynomial
-    [0x1100B]), elements are [int]s in [0, 65535], and multiplication
-    uses log/antilog tables over the primitive element [alpha = 0x02]
-    (128 KiB of tables, built once at load).
+    [0x1100B]), elements are [int]s in [0, 65535], and the scalar
+    arithmetic is {!Field.Make} at 16 bits: log/antilog tables over the
+    primitive element [alpha = 0x02] (128 KiB of tables, built once at
+    load). This module adds the split-table buffer sweeps.
 
     GF(2{^16}) symbols let Reed-Solomon codes reach lengths up to 65535,
     removing GF(2{^8})'s n <= 255 cap — needed for systems with several
-    hundred servers, which the paper's introduction motivates. Satisfies
-    {!Field.S}, so the generic matrix code works over it unchanged. *)
+    hundred servers, which the paper's introduction motivates. *)
 
-type t = int
-(** A field element, in the range [0, 65535]. *)
-
-val zero : t
-val one : t
-
-val add : t -> t -> t
-(** XOR; addition and subtraction coincide. *)
-
-val sub : t -> t -> t
-val mul : t -> t -> t
-
-val div : t -> t -> t
-(** @raise Division_by_zero if the divisor is 0. *)
-
-val inv : t -> t
-(** @raise Division_by_zero on [inv 0]. *)
-
-val alpha_pow : int -> t
-(** [alpha{^e}] for any integer [e], [alpha = 0x02] being the fixed
-    primitive element. *)
-
-val is_zero : t -> bool
-val equal : t -> t -> bool
+include Field.S
+(** Elements are [int]s in [0, 65535]; [alpha_pow e] is [alpha{^e}]
+    for any integer [e], [alpha = 0x02]. [div] and [inv] raise
+    [Division_by_zero] on a zero divisor. *)
 
 val mul_slow : t -> t -> t
 [@@lint.allow "X1: test oracle — the table-driven mul is checked against it"]

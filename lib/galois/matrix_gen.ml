@@ -1,6 +1,6 @@
 (* Dense row-major matrices over an arbitrary field of the {!Field.S}
    shape, instantiated by the Reed-Solomon codec ({!Erasure.Rs_bch_gen})
-   at its symbol field. [invert] and [solve] are Gauss-Jordan and raise
+   at its symbol field. [invert] is Gauss-Jordan and raises
    [Singular]; out-of-range dimensions raise [Invalid_argument]. *)
 
 module Make (F : Field.S) = struct
@@ -54,18 +54,6 @@ module Make (F : Field.S) = struct
         done;
         !acc)
 
-  let mul_vec m v =
-    if Array.length v <> m.cols then
-      invalid_arg "Matrix.mul_vec: dimension mismatch";
-    Array.init m.rows (fun i ->
-        let acc = ref F.zero in
-        for j = 0 to m.cols - 1 do
-          acc := F.add !acc (F.mul m.data.((i * m.cols) + j) v.(j))
-        done;
-        !acc)
-
-  let transpose m = create ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
-
   let select_rows m idx =
     create ~rows:(Array.length idx) ~cols:m.cols (fun i j -> get m idx.(i) j)
 
@@ -116,21 +104,6 @@ module Make (F : Field.S) = struct
     done;
     eliminate a n width;
     create ~rows:n ~cols:n (fun i j -> a.((i * width) + n + j))
-
-  let solve m b =
-    if m.rows <> m.cols then invalid_arg "Matrix.solve: not square";
-    if Array.length b <> m.rows then invalid_arg "Matrix.solve: bad vector";
-    let n = m.rows in
-    let width = n + 1 in
-    let a = Array.make (n * width) F.zero in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        a.((i * width) + j) <- get m i j
-      done;
-      a.((i * width) + n) <- b.(i)
-    done;
-    eliminate a n width;
-    Array.init n (fun i -> a.((i * width) + n))
 
   let rank m =
     let a = Array.copy m.data in

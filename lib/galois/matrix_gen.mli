@@ -33,25 +33,12 @@ module Make (F : Field.S) : sig
   [@@lint.allow "X1: test oracle — the inversion tests multiply a matrix \
                  by its inverse"]
 
-  val mul_vec : t -> F.t array -> F.t array
-  [@@lint.allow "X1: test oracle — the solve test substitutes the \
-                 solution back through it"]
-
-  val transpose : t -> t
-  [@@lint.allow "X1: test subject — kept for the transpose-involution \
-                 property test; no codec path transposes"]
-
   val select_rows : t -> int array -> t
   [@@lint.allow "X1: test oracle — the MDS tests take k rows of a \
                  Vandermonde matrix through it"]
 
   val invert : t -> t
   (** Gauss-Jordan. @raise Singular when there is no inverse. *)
-
-  val solve : t -> F.t array -> F.t array
-  [@@lint.allow "X1: test subject — kept for the solve property test; the \
-                 codec inverts instead"]
-  (** [solve m b] is [x] with [mul_vec m x = b]. @raise Singular. *)
 
   val rank : t -> int
   [@@lint.allow "X1: test oracle — the tests tell a singular matrix and an \

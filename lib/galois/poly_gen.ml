@@ -66,15 +66,6 @@ module Make (F : Field.S) = struct
       normalize r
     end
 
-  let shift d (p : t) : t =
-    if d < 0 then invalid_arg "Poly.shift: negative degree";
-    if is_zero p then zero
-    else begin
-      let r = Array.make (Array.length p + d) F.zero in
-      Array.blit p 0 r d (Array.length p);
-      r
-    end
-
   let div_mod (num : t) (den : t) : t * t =
     if is_zero den then raise Division_by_zero;
     let dd = degree den in

@@ -38,11 +38,6 @@ module Make (F : Field.S) : sig
 
   val mul : t -> t -> t
 
-  val shift : int -> t -> t
-  [@@lint.allow "X1: test subject — kept for the shift-then-coeff \
-                 property test; no codec path multiplies by x^d"]
-  (** [shift d p] is [x^d p]. @raise Invalid_argument when [d < 0]. *)
-
   val div_mod : t -> t -> t * t
   (** Quotient and remainder. @raise Division_by_zero on the zero
       divisor. *)

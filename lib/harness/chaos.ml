@@ -150,12 +150,9 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
       }
   end;
   let initial_value = Workload.value ~len:value_len ~seed ~index:999 in
-  let healing =
-    if scenario.healing then Some Soda.Config.default_healing else None
-  in
   let d =
-    Soda.Deployment.deploy ~engine ~params ~initial_value ?plane ?healing
-      ~num_writers:2 ~num_readers:2 ()
+    Soda.Deployment.deploy ~engine ~params ~initial_value ?plane
+      ~healing:scenario.healing ~num_writers:2 ~num_readers:2 ()
   in
   let schedule =
     if scenario.crash_noheal then

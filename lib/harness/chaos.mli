@@ -25,7 +25,7 @@ type scenario = {
       (** run SODA on {!Soda.Config.batched_plane} instead of the
           broadcast plane, over the same per-message-ack channel *)
   healing : bool;
-      (** deploy with {!Soda.Config.default_healing}: heartbeat failure
+      (** deploy with {!Soda.Config.healing} on: heartbeat failure
           detector, checksum scrubber and autonomous crash-repair *)
   bitrot : bool;
       (** merge a {!Nemesis.generate_bitrot} corruption stream over the

@@ -11,15 +11,6 @@ let default_plane = Paper
 let batched_plane = Batched
 let gossip_off_plane = Gossip_off
 
-type healing = {
-  heartbeat_period : float;
-  suspicion_timeout : float;
-  scrub_period : float
-}
-
-let default_healing =
-  { heartbeat_period = 10.0; suspicion_timeout = 35.0; scrub_period = 50.0 }
-
 type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
 
 let heal_stats_create () = { heartbeats_sent = 0; scrub_sweeps = 0 }
@@ -46,7 +37,7 @@ type t = {
   md_mode : [ `Chained | `Direct ];
   plane : plane;
   client_retry : float option;
-  healing : healing option;
+  healing : bool;
   heal_stats : heal_stats;
   (* Slot the deployment fills in after construction: servers call it
      (coordinate of the suspect) when the failure detector reaches a
@@ -113,7 +104,7 @@ let encode t value =
 
 let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
     ?(error_prone = []) ?(disperse_step = 0.001) ?(md_mode = `Chained)
-    ?(plane = default_plane) ?client_retry ?healing () =
+    ?(plane = default_plane) ?client_retry ?(healing = false) () =
   let n = Params.n params in
   if Array.length servers <> n then
     invalid_arg "Config.make: need exactly n server pids";
@@ -173,7 +164,7 @@ let derive t ~servers =
     invalid_arg "Config.derive: need exactly n server pids";
   { t with
     servers;
-    healing = None;
+    healing = false;
     heal_stats = heal_stats_create ();
     auto_repair = None;
     cost = Cost.create ~value_len:(Cost.value_len t.cost);

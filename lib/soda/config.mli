@@ -2,7 +2,9 @@
     one key's instance inside a {!Keyspace} (see {!derive}).
 
     Shared read-only by every automaton of the register; also carries
-    the (mutable) instrumentation sinks. *)
+    the (mutable) instrumentation sinks. The self-healing plane is one
+    on/off value ({!field-healing}); its cadences are constants of
+    {!Server}. *)
 
 module Params = Protocol.Params
 module Cost = Protocol.Cost
@@ -50,35 +52,9 @@ val gossip_staleness : float
     forced, so unregistration of crashed readers cannot stall behind a
     quiet link. *)
 
-(** Self-healing plane cadences, all in sim time (see "Self-healing
-    plane" in DESIGN.md). Opt-in: with [healing = None] (the default)
-    no heartbeats, suspicions or scrubs ever happen and traces are
-    bit-identical to a pre-healing deployment. *)
-type healing = {
-  heartbeat_period : float;
-      (** Every server broadcasts a {!Messages.Heartbeat} to its peers
-          on this cadence, and checks its peers' last-heard times. *)
-  suspicion_timeout : float;
-      (** A peer silent for longer than this is suspected: the detector
-          emits a [Suspect_vote] to the other survivors. When [f + 1]
-          distinct voters agree on a coordinate, the deployment's
-          {!field-auto_repair} hook fires. Must comfortably exceed
-          [heartbeat_period] plus the worst-case delivery delay or live
-          servers get suspected under loss. *)
-  scrub_period : float
-      (** Anti-entropy sweep cadence: every [scrub_period] a server
-          verifies its local fragment checksum; a mismatch quarantines
-          the fragment and launches a targeted fragment-repair round. *)
-}
-
-val default_healing : healing
-(** heartbeat 10.0, suspicion timeout 35.0, scrub 50.0 — tuned so that
-    under the uniform(0.2, 2.0) delay model with retransmission, three
-    consecutive lost heartbeats are needed for a false suspicion. *)
-
 (** Mutable counters for the healing plane's periodic work, aggregated
     per deployment (all servers bump the same record). Always allocated;
-    all-zero when [healing = None]. Suspicions, rot detections,
+    all-zero when [healing = false]. Suspicions, rot detections,
     auto-repairs and scrub repairs are probe events
     ({!Protocol.Probe}), counted from the probe stream. *)
 type heal_stats = { mutable heartbeats_sent : int; mutable scrub_sweeps : int }
@@ -144,9 +120,10 @@ type t = {
           lossy network they would be pointless); [Deployment.deploy]
           arms them exactly when the engine's transport is reliable.
           [None] (the default) leaves the paper's retry-free clients. *)
-  healing : healing option;
-      (** [Some h] arms the self-healing plane (failure detector +
-          scrubber) on every server; [None] (default) disables it
+  healing : bool;
+      (** [true] arms the self-healing plane (failure detector +
+          scrubber, at the fixed cadences of "Self-healing plane" in
+          DESIGN.md) on every server; [false] (default) disables it
           entirely — not a single extra event is scheduled, keeping
           traces bit-identical to pre-healing builds. *)
   heal_stats : heal_stats;
@@ -213,7 +190,7 @@ val make :
   ?md_mode:[ `Chained | `Direct ] ->
   ?plane:plane ->
   ?client_retry:float ->
-  ?healing:healing ->
+  ?healing:bool ->
   unit ->
   t
 (** Builds the configuration. The codec is the systematic BCH-form

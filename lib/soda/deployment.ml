@@ -122,9 +122,7 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
     { engine; config; servers; writers; writer_pids; readers; reader_pids;
       plane; repair_seq = ref 0 }
   in
-  (match config.Config.healing with
-  | None -> ()
-  | Some _ ->
+  if config.Config.healing then begin
     (* Autonomous crash-repair hook, pulled by any server whose detector
        collects an f+1 suspicion quorum. Guards: the suspect must really
        be crashed (a partitioned server must not have its state wiped),
@@ -153,7 +151,8 @@ let deploy ~engine ~params ?initial_value ?value_len ?error_prone
       (fun i pid ->
         Engine.inject engine ~at:0.0 pid (fun ctx ->
             Server.start_healing servers.(i) ctx))
-      server_pids);
+      server_pids
+  end;
   t
 
 let write t ~writer ~at ?on_done value =
@@ -172,11 +171,9 @@ let crash_server t ~coordinate ~at =
      injected action) and only when healing is armed, so unhealed
      deployments keep both their event schedule and their probe stream
      unchanged *)
-  (match t.config.Config.healing with
-  | Some _ ->
+  if t.config.Config.healing then
     Probe.emit t.config.Config.probe
-      (Probe.Crash_injected { server = coordinate; time = at })
-  | None -> ());
+      (Probe.Crash_injected { server = coordinate; time = at });
   Engine.crash_at t.engine t.config.Config.servers.(coordinate) at
 
 let corrupt_server t ~coordinate ~at =

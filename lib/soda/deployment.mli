@@ -31,7 +31,7 @@ val deploy :
   ?disperse_step:float ->
   ?md_mode:[ `Chained | `Direct ] ->
   ?plane:Config.plane ->
-  ?healing:Config.healing ->
+  ?healing:bool ->
   num_writers:int ->
   num_readers:int ->
   unit ->

@@ -77,7 +77,7 @@ type t =
           reads of that process. *)
   | Heartbeat of { coordinate : int }
       (** Failure-detector liveness beacon, broadcast server-to-server
-          every [healing.heartbeat_period] (see {!Config.healing}).
+          every 10.0 time units (see {!Config.healing}).
           Pure metadata. *)
   | Suspect_vote of { target : int; voter : int }
       (** [voter]'s declaration that coordinate [target] has been silent

@@ -33,11 +33,10 @@ type recovery = {
 }
 
 (* Failure-detector and scrubber state, allocated iff [Config.healing]
-   is armed. All cadences run on sim-time local actions; [hgen] guards
+   is set. All cadences run on sim-time local actions; [hgen] guards
    the tick chains — a pre-crash tick firing after a restore would
    otherwise duplicate the chain restarted by [begin_repair]. *)
 type heal_state = {
-  hcfg : Config.healing;
   last_heard : float array; (* per coordinate; own slot unused *)
   suspected : bool array; (* suspicion voiced this silence episode *)
   votes : (int, unit) Hashtbl.t array; (* per target: voters heard *)
@@ -274,6 +273,20 @@ let local_disk_read t ctx ~rid =
 
 let repair_retry_interval = 40.0
 
+(* The healing plane's cadences, in sim time, tuned so that under the
+   uniform(0.2, 2.0) delay model with retransmission three consecutive
+   lost heartbeats are needed for a false suspicion. Every server
+   broadcasts a HEARTBEAT to its peers every [heartbeat_period] and
+   checks their last-heard times. A peer silent for longer than
+   [suspicion_timeout] is suspected, so it must comfortably exceed the
+   period plus the worst-case delivery delay, or live servers get
+   suspected under loss. Every [scrub_period] a server verifies its
+   element's checksum; a mismatch quarantines it and starts a scrub
+   round. *)
+let heartbeat_period = 10.0
+let suspicion_timeout = 35.0
+let scrub_period = 50.0
+
 (* Generous: rounds are cheap and a round that exhausts its budget never
    clears (a crash round leaves the server mute forever, a scrub round
    its element quarantined), so the cap exists only to let the
@@ -405,10 +418,10 @@ let rec heartbeat_tick t ctx gen =
         if
           c <> t.coordinate
           && (not hs.suspected.(c))
-          && now -. hs.last_heard.(c) > hs.hcfg.Config.suspicion_timeout
+          && now -. hs.last_heard.(c) > suspicion_timeout
         then suspect t ctx hs ~target:c
       done;
-      Engine.schedule_local ctx ~delay:hs.hcfg.Config.heartbeat_period
+      Engine.schedule_local ctx ~delay:heartbeat_period
         (fun () -> heartbeat_tick t ctx gen)
     end
 
@@ -423,21 +436,18 @@ let rec scrub_tick t ctx gen =
          match disk_read t ctx with
          | Some _ -> () (* checksum clean *)
          | None -> ensure_scrub t ctx (* quarantined *));
-      Engine.schedule_local ctx ~delay:hs.hcfg.Config.scrub_period (fun () ->
+      Engine.schedule_local ctx ~delay:scrub_period (fun () ->
           scrub_tick t ctx gen)
     end
 
 (* Arm the healing plane on this server; injected by the deployment at
-   deploy time (and a no-op when [Config.healing] is [None], so unhealed
+   deploy time (and a no-op when [Config.healing] is off, so unhealed
    deployments schedule not a single extra event). *)
 let start_healing t ctx =
-  match t.config.Config.healing with
-  | None -> ()
-  | Some hcfg ->
+  if t.config.Config.healing then begin
     let n = Params.n t.config.Config.params in
     let hs =
-      { hcfg;
-        last_heard = Array.make n (Engine.now_ctx ctx);
+      { last_heard = Array.make n (Engine.now_ctx ctx);
         suspected = Array.make n false;
         votes = Array.init n (fun _ -> Hashtbl.create 4);
         fired = Array.make n false;
@@ -448,6 +458,7 @@ let start_healing t ctx =
     t.heal <- Some hs;
     heartbeat_tick t ctx 0;
     scrub_tick t ctx 0
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -645,11 +656,13 @@ let on_read_value t ctx ~rid ~reader ~tr =
      (its tombstone in [completed] is kept, not consumed: clients over
      the reliable transport re-broadcast READ-VALUE until the read
      returns, and a spent tombstone would let a late retry re-register a
-     finished read as a ghost), and when this server already relayed the
-     initial value to it while registered — a retry then must not
-     replace the registration and relay again. *)
+     finished read as a ghost), when the read is still registered here
+     (a retry leaves that registration alone: anything it could relay is
+     already relayed or waits on a repair or a write), and when this
+     server already relayed the initial value to it while registered. *)
   let already_served =
     Int_tbl.Set.mem t.completed rid
+    || Int_tbl.Map.mem t.registered rid
     || h_mem t rid ~tag:Tag.initial ~coordinate:t.coordinate
   in
   if not already_served then begin

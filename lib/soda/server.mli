@@ -55,7 +55,7 @@ val history_entries : t -> int
 val start_healing : t -> Messages.t Simnet.Engine.context -> unit
 (** Arm the failure detector and scrubber tick chains on this server.
     Injected once per server by [Deployment.deploy]; a no-op when the
-    configuration has [healing = None]. *)
+    configuration has [healing = false]. *)
 
 val corrupt_disk : t -> seed:int -> unit
 (** Fault injection: deterministically garble the stored coded element

@@ -1,7 +1,7 @@
 (** An executable rendering of the MD-VALUE IO Automata (Figs. 1 and 2
     of the paper), at the IOA's own step granularity.
 
-    The production SODA path ({!Server}) folds the primitive's relay
+    The production SODA path ({!Soda.Server}) folds the primitive's relay
     logic into atomic message handlers — sound, because the IOA performs
     all of a dispersal's relays before its local delivery, and a crash
     between the relays only truncates a suffix. This module instead

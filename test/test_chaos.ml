@@ -305,23 +305,61 @@ let relay_repeats probe =
     0
     (Protocol.Probe.events probe)
 
+(* A READ-VALUE retry for a read still registered at a server leaves
+   the registration alone: no two [Registered] probes with the same
+   (rid, server) unless an [Unregistered] of that read at that server,
+   or a [Repair_started] of that server (the wipe of its registrations),
+   comes between them. Returns the number of repeats in one run's probe
+   stream. *)
+let registration_repeats probe =
+  let live = Hashtbl.create 64 in
+  List.fold_left
+    (fun repeats event ->
+      match event with
+      | Protocol.Probe.Registered { rid; server; _ } ->
+        if Hashtbl.mem live (rid, server) then repeats + 1
+        else begin
+          Hashtbl.replace live (rid, server) ();
+          repeats
+        end
+      | Protocol.Probe.Unregistered { rid; server; _ } ->
+        Hashtbl.remove live (rid, server);
+        repeats
+      | Protocol.Probe.Repair_started { server; _ } ->
+        Hashtbl.filter_map_inplace
+          (fun (_, s) () -> if s = server then None else Some ())
+          live;
+        repeats
+      | _ -> repeats)
+    0
+    (Protocol.Probe.events probe)
+
+(* Every matrix cell at seeds 1-3 whose probe stream [count]s a
+   repeat, as "cell seed N: repeats". *)
+let matrix_repeats count =
+  List.concat_map
+    (fun scenario ->
+      List.filter_map
+        (fun seed ->
+          let o = Chaos.run scenario ~seed in
+          match count o.Chaos.probe with
+          | 0 -> None
+          | r -> Some (Printf.sprintf "%s seed %d: %d" scenario.Chaos.name seed r))
+        [ 1; 2; 3 ])
+    Chaos.matrix
+
 let relay_once_tests =
   [ Alcotest.test_case "a server relays a (read, tag) pair once" `Quick
       (fun () ->
-        let repeats =
-          List.concat_map
-            (fun scenario ->
-              List.filter_map
-                (fun seed ->
-                  let o = Chaos.run scenario ~seed in
-                  match relay_repeats o.Chaos.probe with
-                  | 0 -> None
-                  | r ->
-                    Some (Printf.sprintf "%s seed %d: %d" scenario.Chaos.name seed r))
-                [ 1; 2; 3 ])
-            Chaos.matrix
-        in
-        Alcotest.(check (list string)) "repeated relays" [] repeats)
+        Alcotest.(check (list string))
+          "repeated relays" [] (matrix_repeats relay_repeats))
+  ]
+
+let register_once_tests =
+  [ Alcotest.test_case "a server registers a live read once" `Quick
+      (fun () ->
+        Alcotest.(check (list string))
+          "repeated registrations" [] (matrix_repeats registration_repeats))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -464,6 +502,7 @@ let () =
       ("store-chaos", store_chaos_tests);
       ("chaos-matrix", matrix_tests);
       ("relay-once", relay_once_tests);
+      ("register-once", register_once_tests);
       ("domain-matrix", domain_tests);
       ("determinism", determinism_tests)
     ]

@@ -134,15 +134,15 @@ let duplication_tests =
       (fun seed ->
         let params = Params.make ~n:7 ~f:3 () in
         let engine = engine_with_dup seed in
-        let d = Soda.Md_ioa.deploy ~engine ~params () in
-        Soda.Md_ioa.send d ~at:0.0 ~tag:(Tag.make ~z:1 ~w:3)
+        let d = Md_ioa.deploy ~engine ~params () in
+        Md_ioa.send d ~at:0.0 ~tag:(Tag.make ~z:1 ~w:3)
           ~value:(Bytes.make 40 'd');
         Engine.run engine;
-        let deliveries = Soda.Md_ioa.deliveries d in
+        let deliveries = Md_ioa.deliveries d in
         List.length deliveries = 7
         && List.length
              (List.sort_uniq compare
-                (List.map (fun dv -> dv.Soda.Md_ioa.server) deliveries))
+                (List.map (fun dv -> dv.Md_ioa.server) deliveries))
            = 7)
   ]
 

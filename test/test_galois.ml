@@ -116,12 +116,6 @@ let poly_tests =
         = Poly.eval (Poly.add p q) x
         && Gf.mul (Poly.eval p x) (Poly.eval q x)
            = Poly.eval (Poly.mul p q) x);
-    qtest "shift then coeff" QCheck2.Gen.(pair poly_gen (int_range 0 6))
-      (fun (p, d) ->
-        let shifted = Poly.shift d p in
-        Poly.is_zero p
-        || Poly.coeff shifted d = Poly.coeff p 0
-           && Poly.degree shifted = Poly.degree p + d);
     qtest "derivative of p^2 vanishes" poly_gen (fun p ->
         (* In characteristic 2, (p^2)' = 2 p p' = 0. *)
         Poly.is_zero (Poly.derivative (Poly.mul p p)));
@@ -218,14 +212,6 @@ let matrix_tests =
           && Matrix.equal (Matrix.mul inv m)
                (Matrix.identity (Matrix.rows m))
         | exception Matrix.Singular -> Matrix.rank m < Matrix.rows m);
-    qtest ~count:200 "solve satisfies the system"
-      QCheck2.Gen.(
-        int_range 1 6 >>= fun d ->
-        pair (square_matrix_gen d) (array_size (return d) gf_gen))
-      (fun (m, b) ->
-        match Matrix.solve m b with
-        | x -> Matrix.mul_vec m x = b
-        | exception Matrix.Singular -> Matrix.rank m < Matrix.rows m);
     qtest ~count:100 "any k rows of a Vandermonde matrix are independent"
       QCheck2.Gen.(
         int_range 1 8 >>= fun k ->
@@ -236,9 +222,6 @@ let matrix_tests =
       (fun (n, k, rows) ->
         let v = Matrix.create ~rows:n ~cols:k (fun i j -> Gf.alpha_pow (i * j)) in
         Matrix.rank (Matrix.select_rows v rows) = k);
-    qtest ~count:200 "transpose involutive"
-      QCheck2.Gen.(int_range 1 6 >>= square_matrix_gen)
-      (fun m -> Matrix.equal m (Matrix.transpose (Matrix.transpose m)));
     Alcotest.test_case "identity properties" `Quick (fun () ->
         let i3 = Matrix.identity 3 in
         let m =
@@ -254,16 +237,7 @@ let matrix_tests =
     Alcotest.test_case "ragged input rejected" `Quick (fun () ->
         Alcotest.check_raises "ragged"
           (Invalid_argument "Matrix.of_rows: ragged") (fun () ->
-            ignore (Matrix.of_rows [| [| 1 |]; [| 1; 2 |] |])));
-    Alcotest.test_case "mul_vec agrees with mul" `Quick (fun () ->
-        let m = Matrix.of_rows [| [| 1; 2 |]; [| 3; 4 |] |] in
-        let v = [| 5; 6 |] in
-        let as_col = Matrix.create ~rows:2 ~cols:1 (fun i _ -> v.(i)) in
-        let prod = Matrix.mul m as_col in
-        Alcotest.(check (array int))
-          "agree"
-          (Matrix.mul_vec m v)
-          [| Matrix.get prod 0 0; Matrix.get prod 1 0 |])
+            ignore (Matrix.of_rows [| [| 1 |]; [| 1; 2 |] |])))
   ]
 
 (* ------------------------------------------------------------------ *)

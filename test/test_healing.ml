@@ -90,7 +90,7 @@ let deploy_healed ~seed =
   let d =
     Soda.Deployment.deploy ~engine ~params
       ~initial_value:(Bytes.make 64 'i')
-      ~healing:Soda.Config.default_healing ~num_writers:1 ~num_readers:1 ()
+      ~healing:true ~num_writers:1 ~num_readers:1 ()
   in
   (engine, d)
 
@@ -178,8 +178,7 @@ let plane_tests =
         let engine = Engine.create ~seed:26 ~delay:(Delay.constant 1.0) () in
         let d =
           Soda.Deployment.deploy ~engine ~params ~initial_value
-            ~healing:Soda.Config.default_healing ~num_writers:1 ~num_readers:1
-            ()
+            ~healing:true ~num_writers:1 ~num_readers:1 ()
         in
         Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.of_string "first");
         Soda.Deployment.crash_server d ~coordinate:1 ~at:30.0;
@@ -301,7 +300,7 @@ let overhead_tests =
               ~delay:(Delay.constant 1.0) ()
           in
           let d =
-            Soda.Deployment.deploy ~engine ~params ?healing ~num_writers:1
+            Soda.Deployment.deploy ~engine ~params ~healing ~num_writers:1
               ~num_readers:1 ()
           in
           Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.make 64 'x');
@@ -309,10 +308,8 @@ let overhead_tests =
           Engine.run engine ~until:200.0;
           (Engine.messages_data engine, Engine.messages_meta engine, d)
         in
-        let data_off, meta_off, d_off = run ~healing:None in
-        let data_on, meta_on, d_on =
-          run ~healing:(Some Soda.Config.default_healing)
-        in
+        let data_off, meta_off, d_off = run ~healing:false in
+        let data_on, meta_on, d_on = run ~healing:true in
         (* the plane adds meta traffic but not one data message *)
         Alcotest.(check int) "messages_data unchanged" data_off data_on;
         Alcotest.(check bool) "meta strictly grows" true (meta_on > meta_off);

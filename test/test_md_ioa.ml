@@ -12,7 +12,6 @@ module Fragment = Erasure.Fragment
 let same_fragment a b =
   Fragment.index a = Fragment.index b
   && Bytes.equal (Fragment.data a) (Fragment.data b)
-module Md_ioa = Soda.Md_ioa
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
