@@ -641,12 +641,9 @@ let run ?until ?(max_events = 10_000_000) t =
      float comparison instead of a pattern match *)
   let horizon = match until with Some h -> h | None -> Float.infinity in
   let executed = ref 0 in
-  (* [unsafe_times] is re-read every iteration: a push from a handler
-     may have grown (replaced) the array *)
-  while
-    (not (Event_queue.is_empty queue))
-    && (Event_queue.unsafe_times queue).(0) <= horizon
-  do
+  (* the head cell is stable; pushes and pops keep its contents current *)
+  let head = Event_queue.unsafe_times queue in
+  while (not (Event_queue.is_empty queue)) && head.(0) <= horizon do
     incr executed;
     if !executed > max_events then raise (Event_limit_exceeded max_events);
     pop_dispatch t

@@ -1,10 +1,14 @@
 (** A priority queue of timestamped events.
 
-    Struct-of-arrays binary min-heap: times live in a flat unboxed
-    [float array], so pushes and pops allocate nothing once the backing
-    arrays have grown to the queue's high-water mark. Events with equal
-    timestamps are delivered in insertion order (a monotonically
-    increasing sequence number breaks ties), which makes simulations
+    Two tiers in struct-of-arrays form. A ring of sorted buckets, each
+    1/512 of a time unit wide, holds the near future from the last
+    popped time on; a binary min-heap holds the rest (far-future
+    events, and any push behind the ring's window). Pushes and pops near
+    the clock are O(1); times live in flat unboxed [float array]s, so
+    pushes and pops allocate nothing once the backing arrays have grown
+    to the queue's high-water mark. Events are delivered in (time,
+    insertion order) whichever tier holds them: a monotonically
+    increasing sequence number breaks ties, which makes simulations
     fully deterministic.
 
     Each event also carries an [int] {e tag} — a caller-owned word of
@@ -41,15 +45,14 @@ val push_inbox : 'a t -> tag:int -> 'a -> unit
     @raise Invalid_argument on a NaN timestamp. *)
 
 val unsafe_times : 'a t -> float array
-(** The backing timestamp array; index 0 is the earliest event's time
-    while the queue is non-empty (check {!is_empty} first — the
-    contents of unused slots are meaningless). The array is replaced
-    when the queue grows: re-fetch after any push. *)
+(** A one-slot cell owned by the queue: index 0 is the earliest event's
+    time while the queue is non-empty (check {!is_empty} first — it is
+    meaningless when empty). The array is stable across the queue's
+    lifetime; every push and pop keeps its contents current. *)
 
 val unsafe_tags : 'a t -> int array
-(** The backing tag array, parallel to {!unsafe_times}; index 0 is the
-    earliest event's tag while the queue is non-empty. Same caveats as
-    {!unsafe_times}: re-fetch after any push. *)
+(** The earliest event's tag, in a one-slot cell like
+    {!unsafe_times}. *)
 
 (** {1 The earliest event} *)
 

@@ -5,7 +5,8 @@
    the bare allow: a use through a module alias, a functor argument and
    a reasoned allow all keep an export alive. X1_fun's functor result
    signature is checked too: its instance in x1_use keeps [used] alive,
-   and [dead] is reported.
+   and [dead] is reported. So are the [val]s X1_inc exports only
+   through [include X1_sig.S]: [dead] is reported at the include.
 
    The test runs unsandboxed (see test/dune) so the relative paths below
    resolve inside _build/default. *)
@@ -81,6 +82,7 @@ let expected =
     { file = "bad_u1.ml"; line = 2; rule = "U1" };
     { file = "bad_u1.ml"; line = 4; rule = "U1" };
     { file = "x1_fun.mli"; line = 8; rule = "X1" };
+    { file = "x1_inc.mli"; line = 4; rule = "X1" };
     { file = "x1_lib.mli"; line = 3; rule = "X1" };
     { file = "x1_lib.mli"; line = 10; rule = "S1" }
   ]

@@ -136,29 +136,72 @@ let queue_tests =
        The model keeps (time, seq, tag, payload) sorted stably by
        (time, seq) — exactly the documented delivery order — and every
        observation the queue offers (size, next_time, unsafe_times.(0),
-       unsafe_tags.(0), popped payload) is checked at each step. Half
-       the cases draw times from 0..8 only, so long equal-time runs
-       check FIFO order within a tie. *)
-    (let op_gen time =
+       unsafe_tags.(0), popped payload) is checked at each step. Each
+       case draws its times from one distribution, some of them
+       relative to the last popped time, as the engine's pushes are
+       relative to its clock:
+       - uniform over [0, 100];
+       - the integers 0..8, so long equal-time runs check FIFO order
+         within a tie;
+       - one time only: a tie far longer than a bucket holds;
+       - the last popped time plus a multiple of 1/8, or that plus or
+         minus a hair or a bucket. The ring's window starts at the last
+         popped time's bucket and spans a multiple of 64 buckets of
+         width 1/512, so these times straddle its edges, and a value
+         pushed past the window (to the heap) recurs once the window
+         reaches it (to the ring): a cross-tier tie;
+       - the last popped time plus [-1, 2] with many pops, so pushes
+         also land behind it;
+       - mostly [0, 10] with 1e300, infinity and neg_infinity mixed in;
+       - bulk far-future pushes in [1024, 2048) first, then near-future
+         operations, as a keyspace run queues its operations up front. *)
+    (let op_gen ?(pop = 4) time =
        QCheck2.Gen.(
          frequency
            [ (3, map2 (fun t tag -> `Push (t, tag)) time (int_range 0 1000));
              ( 2,
                map2 (fun t tag -> `Push_inbox (t, tag)) time (int_range 0 1000)
              );
-             (4, pure `Pop);
+             (pop, pure `Pop);
              (1, pure `Clear)
            ])
+     in
+     (* a time: absolute, or an offset from the last popped time *)
+     let fixed g = QCheck2.Gen.map (fun t -> (false, t)) g in
+     let after_pop g = QCheck2.Gen.map (fun t -> (true, t)) g in
+     let ops ?pop time =
+       QCheck2.Gen.(list_size (int_range 0 200) (op_gen ?pop time))
      in
      let ops_gen =
        QCheck2.Gen.(
          oneof
-           [ pure (float_bound_inclusive 100.);
-             pure (map float_of_int (int_range 0 8))
-           ]
-         >>= fun time -> list_size (int_range 0 200) (op_gen time))
+           [ ops (fixed (float_bound_inclusive 100.));
+             ops (fixed (map float_of_int (int_range 0 8)));
+             ops (fixed (pure 1.0));
+             ops
+               (after_pop
+                  (map2
+                     (fun k d -> (Float.of_int k /. 8.) +. d)
+                     (int_range 0 6)
+                     (oneofl [ 0.; -1e-12; 1e-12; -1. /. 512.; 1. /. 512. ])));
+             ops ~pop:8 (after_pop (float_range (-1.) 2.));
+             ops
+               (fixed
+                  (frequency
+                     [ (8, float_bound_inclusive 10.);
+                       (1, pure 1e300);
+                       (1, pure Float.infinity);
+                       (1, pure Float.neg_infinity)
+                     ]));
+             map2 ( @ )
+               (list_size (int_range 0 100)
+                  (map
+                     (fun t -> `Push ((false, t), 0))
+                     (float_range 1024. 2047.)))
+               (ops (after_pop (float_range 0. 2.)))
+           ])
      in
-     qtest ~count:300 "model: random op interleavings match a sorted list"
+     qtest ~count:700 "model: random op interleavings match a sorted list"
        ops_gen
        (fun ops ->
          let q = Event_queue.create () in
@@ -177,20 +220,25 @@ let queue_tests =
          in
          let ok = ref true in
          let check b = if not b then ok := false in
+         let last = ref 0.0 in
+         let time (rel, t) = if rel then !last +. t else t in
          let check_head (t, _, tag, p) =
            check (Event_queue.next_time q = t);
            check ((Event_queue.unsafe_times q).(0) = t);
            check ((Event_queue.unsafe_tags q).(0) = tag);
-           check (Event_queue.pop_exn q = p)
+           check (Event_queue.pop_exn q = p);
+           last := t
          in
          List.iter
            (fun op ->
              (match op with
              | `Push (t, tag) ->
+               let t = time t in
                Event_queue.push_tagged q ~time:t ~tag !seq;
                insert (t, !seq, tag, !seq);
                incr seq
              | `Push_inbox (t, tag) ->
+               let t = time t in
                (Event_queue.inbox q).(0) <- t;
                Event_queue.push_inbox q ~tag !seq;
                insert (t, !seq, tag, !seq);
@@ -204,7 +252,7 @@ let queue_tests =
                  check_head hd;
                  model := tl)
              | `Clear ->
-               drain q;
+               List.iter check_head !model;
                model := []);
              check (Event_queue.size q = List.length !model);
              check (Event_queue.is_empty q = (!model = [])))
@@ -494,6 +542,106 @@ let engine_tests =
         let trace'', counters'', _ = observe split in
         Alcotest.(check bool) "resumed trace" true (trace = trace'');
         Alcotest.(check (list int)) "resumed counters" counters counters'');
+    Alcotest.test_case "an inject between the clock and a later head" `Quick
+      (fun () ->
+        (* run ~until stops with the head (two deliveries at 4.0) past
+           the clock; injects then land between the two, and one ties
+           with the head. Deliveries follow (time, scheduling order). *)
+        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 4.0) () in
+        let a = Engine.reserve engine ~name:"a" in
+        let b = Engine.reserve engine ~name:"b" in
+        let log = ref [] in
+        Engine.set_handler engine a (fun _ ~src:_ (Ping _) -> ());
+        Engine.set_handler engine b (fun ctx ~src:_ (Ping i) ->
+            log := (Engine.now_ctx ctx, i) :: !log);
+        let send_at at i =
+          Engine.inject engine ~at a (fun ctx ->
+              Engine.send ctx ~dst:b (Ping i))
+        in
+        send_at 0.0 0;
+        send_at 0.0 1;
+        Engine.run ~until:1.0 engine;
+        Alcotest.(check (float 0.)) "clock at the horizon" 1.0
+          (Engine.now engine);
+        send_at 2.0 2;
+        send_at 1.5 3;
+        (* ties with the deliveries at 4.0, scheduled after them *)
+        Engine.inject engine ~at:4.0 b (fun ctx ->
+            log := (Engine.now_ctx ctx, 4) :: !log);
+        send_at 1.5 5;
+        Engine.run engine;
+        Alcotest.(check (list (pair (float 0.) int)))
+          "(time, scheduling order)"
+          [ (4.0, 0); (4.0, 1); (4.0, 4); (5.5, 3); (5.5, 5); (6.0, 2) ]
+          (List.rev !log));
+    Alcotest.test_case "run and step agree across the ring window" `Quick
+      (fun () ->
+        (* Four relay chains at 1/16 steps keep the near-future ring
+           busy; injections queued up front at 2.0 + k/16 sit in the
+           far tier and tie with chain deliveries once the window
+           reaches them. An inject between the clock and the head after
+           run ~until must give the trace of one queued up front (no
+           other event shares its time), by run or by step. *)
+        let mesh ~late =
+          let engine =
+            Engine.create ~seed:4 ~trace:true ~delay:(Delay.constant 0.0625) ()
+          in
+          let n = 4 in
+          let pids =
+            Array.init n (fun i ->
+                Engine.reserve engine ~name:(string_of_int i))
+          in
+          Array.iter
+            (fun pid ->
+              Engine.set_handler engine pid (fun ctx ~src:_ (Ping i) ->
+                  if i < 48 then
+                    let dst = pids.(Rng.int (Engine.rng_ctx ctx) n) in
+                    Engine.send ctx ~dst (Ping (i + 1))))
+            pids;
+          Array.iteri
+            (fun j pid ->
+              Engine.inject engine ~at:0.0 pid (fun ctx ->
+                  Engine.send ctx ~dst:pids.((j + 1) mod n) (Ping 0));
+              Engine.inject engine
+                ~at:(2.0 +. (Float.of_int j /. 16.))
+                pid
+                (fun ctx -> Engine.send ctx ~dst:pids.(j) (Ping 40)))
+            pids;
+          let inject () =
+            Engine.inject engine ~at:1.03 pids.(0) (fun ctx ->
+                Engine.send ctx ~dst:pids.(1) (Ping 30))
+          in
+          if late then begin
+            Engine.run ~until:1.02 engine;
+            inject ()
+          end
+          else inject ();
+          (engine, pids.(0))
+        in
+        let upfront, p0 = mesh ~late:false in
+        Engine.run upfront;
+        let by_run, _ = mesh ~late:true in
+        Engine.run by_run;
+        let by_step, _ = mesh ~late:true in
+        while Engine.step by_step do
+          ()
+        done;
+        let trace, counters, now = observe upfront in
+        List.iter
+          (fun engine ->
+            let trace', counters', now' = observe engine in
+            Alcotest.(check bool) "same trace" true (trace = trace');
+            Alcotest.(check (list int)) "same counters" counters counters';
+            Alcotest.(check (float 0.)) "same clock" now now')
+          [ by_run; by_step ];
+        (* at 2.0 the injection queued up front (far tier) runs before
+           the chain deliveries pushed at 1.9375 (ring) *)
+        Alcotest.(check bool) "the earlier-scheduled event leads its tie"
+          true
+          (match List.filter (fun e -> event_time e = 2.0) trace with
+          | Engine.Sent { src; dst; _ } :: Engine.Delivered _ :: _ ->
+            src = p0 && dst = p0
+          | _ -> false));
     Alcotest.test_case "event limit guard" `Quick (fun () ->
         let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
         let a = Engine.reserve engine ~name:"a" in

@@ -24,3 +24,6 @@ module F = X1_fun.Make (struct
 end)
 
 let shifted = F.used 2
+
+(* X1_inc.used, declared through an included signature *)
+let included = X1_inc.used 3

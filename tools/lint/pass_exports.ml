@@ -4,7 +4,9 @@
    alias, a functor argument or a packed module counts. A value only
    the tests use is either deleted or carries [@@lint.allow "X1: why"]
    naming it a test oracle or state probe; a floating
-   [@@@lint.allow "X1: why"] covers a whole test-model unit. *)
+   [@@@lint.allow "X1: why"] covers a whole test-model unit. The [val]s
+   of an [include]d signature count as the unit's own; they are
+   reported at the include, which carries their allow. *)
 
 open Lint_kb
 
@@ -41,25 +43,42 @@ let check ~all ~source ~modname (sg : Typedtree.signature) =
       f ();
       Allows.pop allows entries
     in
+    let dead_unless_used prefix loc v =
+      let name = prefix ^ "." ^ v in
+      if not (Hashtbl.mem Lint_callgraph.used name) then
+        report ~active ~allows X1 loc
+          "`%s` is exported but no other unit in %s references it — delete \
+           it or drop its [val]; a test oracle, state probe or fault hook \
+           carries [@@@@lint.allow \"X1: why\"]"
+          (display name)
+          (String.concat "/, " Lint_callgraph.use_dirs ^ "/")
+    in
     let rec items prefix (sg : Typedtree.signature) =
       List.iter
         (fun (item : Typedtree.signature_item) ->
           match item.sig_desc with
           | Tsig_value vd ->
-            let name = prefix ^ "." ^ vd.val_name.txt in
             with_allows (Allows.of_attributes vd.val_attributes) (fun () ->
-                if not (Hashtbl.mem Lint_callgraph.used name) then
-                  report ~active ~allows X1 vd.val_loc
-                    "`%s` is exported but no other unit in %s references \
-                     it — delete it or drop its [val]; a test oracle, state \
-                     probe or fault hook carries [@@@@lint.allow \"X1: \
-                     why\"]"
-                    (display name)
-                    (String.concat "/, " Lint_callgraph.use_dirs ^ "/"))
+                dead_unless_used prefix vd.val_loc vd.val_name.txt)
           | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
             Option.iter (items (prefix ^ "." ^ m)) (body md_type)
+          | Tsig_include incl ->
+            (* an included signature's [val]s are this unit's exports
+               too; they have no declaration here, so the include
+               carries their allow and their report *)
+            with_allows (Allows.of_attributes incl.incl_attributes)
+              (fun () -> included prefix incl.incl_loc incl.incl_type)
           | _ -> ())
         sg.sig_items
+    and included prefix loc (sg : Types.signature) =
+      List.iter
+        (function
+          | Types.Sig_value (id, _, _) ->
+            dead_unless_used prefix loc (Ident.name id)
+          | Types.Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, _) ->
+            included (prefix ^ "." ^ Ident.name id) loc sg
+          | _ -> ())
+        sg
     in
     let file_allows =
       List.concat_map
