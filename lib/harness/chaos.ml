@@ -4,78 +4,49 @@ module Params = Protocol.Params
 module History = Protocol.History
 module Atomicity = Protocol.Atomicity
 
+type faults =
+  | No_faults
+  | Crashes
+  | Partitions
+  | Crashes_and_partitions
+  | Unrepaired_crashes
+  | Bitrot
+  | Partitions_and_bitrot
+
 type scenario = {
   name : string;
   loss : float;
-  partitions : bool;
-  crashes : bool;
+  faults : faults;
   batched : bool;
-  healing : bool;
-  bitrot : bool;
-  crash_noheal : bool
+  healing : bool
 }
+
+let cell ?(batched = false) ?(healing = false) name loss faults =
+  { name; loss; faults; batched; healing }
 
 let matrix =
   List.concat_map
     (fun loss ->
-      List.concat_map
-        (fun partitions ->
-          List.map
-            (fun crashes ->
-              let name =
-                Printf.sprintf "loss%02d%s%s"
-                  (int_of_float ((loss *. 100.) +. 0.5))
-                  (if partitions then "+part" else "")
-                  (if crashes then "+crash" else "")
-              in
-              { name; loss; partitions; crashes; batched = false;
-                healing = false; bitrot = false; crash_noheal = false })
-            [ false; true ])
-        [ false; true ])
+      let name =
+        Printf.sprintf "loss%02d" (int_of_float ((loss *. 100.) +. 0.5))
+      in
+      [ cell name loss No_faults;
+        cell (name ^ "+crash") loss Crashes;
+        cell (name ^ "+part") loss Partitions;
+        cell (name ^ "+part+crash") loss Crashes_and_partitions
+      ])
     [ 0.05; 0.2; 0.4 ]
   @ [ (* the batched message plane (coalesced gossip, relay batching,
          staggered metadata) must survive the same adversary as the
          broadcast plane *)
-      { name = "batched20+part";
-        loss = 0.2;
-        partitions = true;
-        crashes = false;
-        batched = true;
-        healing = false;
-        bitrot = false;
-        crash_noheal = false
-      };
+      cell ~batched:true "batched20+part" 0.2 Partitions;
       (* self-healing plane cells: the scrubber must find and repair
          silent bit-rot; the failure detector must bring back crashes
          that no nemesis Repair ever restores; and both must hold up
          when loss and partitions delay every heartbeat and fragment *)
-      { name = "bitrot+scrub";
-        loss = 0.05;
-        partitions = false;
-        crashes = false;
-        batched = false;
-        healing = true;
-        bitrot = true;
-        crash_noheal = false
-      };
-      { name = "crash-noheal";
-        loss = 0.05;
-        partitions = false;
-        crashes = false;
-        batched = false;
-        healing = true;
-        bitrot = false;
-        crash_noheal = true
-      };
-      { name = "bitrot+loss20+part";
-        loss = 0.2;
-        partitions = true;
-        crashes = false;
-        batched = false;
-        healing = true;
-        bitrot = true;
-        crash_noheal = false
-      }
+      cell ~healing:true "bitrot+scrub" 0.05 Bitrot;
+      cell ~healing:true "crash-noheal" 0.05 Unrepaired_crashes;
+      cell ~healing:true "bitrot+loss20+part" 0.2 Partitions_and_bitrot
     ]
 
 let find name = List.find_opt (fun s -> s.name = name) matrix
@@ -118,12 +89,12 @@ let ok o =
   && Result.is_ok o.heal_ok && o.abandoned = 0 && o.scrub_clean
   && ((not o.scenario.healing) || o.all_live)
 
-let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
-    ?(channel = Simnet.Channel.default) scenario ~seed =
-  let params = Params.make ~n ~f () in
+let run ?(trace = false) scenario ~seed =
+  let params = Params.make ~n:5 ~f:1 () in
+  let horizon = 600.0 and value_len = 64 in
   let plane = if scenario.batched then Some Soda.Config.batched_plane else None in
   let engine =
-    Engine.create ~seed ~trace ~transport:(`Reliable channel)
+    Engine.create ~seed ~trace ~transport:(`Reliable Simnet.Channel.default)
       ~classify:(fun m -> Soda.Messages.data_bytes m > 0)
       ~delay:(Delay.uniform ~lo:0.2 ~hi:2.0) ()
   in
@@ -154,39 +125,38 @@ let run ?(trace = false) ?(n = 5) ?(f = 1) ?(horizon = 600.0) ?(value_len = 64)
     Soda.Deployment.deploy ~engine ~params ~initial_value ?plane
       ~healing:scenario.healing ~num_writers:2 ~num_readers:2 ()
   in
-  let schedule =
-    if scenario.crash_noheal then
-      (* crashes with no Repair events: only the failure detector's
-         autonomous crash-repair can bring the victims back *)
-      Nemesis.generate_crash_only ~params ~seed ~horizon ()
-    else
-      match (scenario.crashes, scenario.partitions) with
-      | false, false -> []
-      | true, false -> Nemesis.generate ~params ~seed ~horizon ()
-      | false, true when scenario.bitrot ->
-        (* shorter partition windows when rot rides along: a partition
-           concurrent with an unhealed rot leaves only k - 1 reachable
-           intact elements, so bound how long that overlap can last *)
-        Nemesis.generate_mixed ~params ~seed ~horizon ~partition_fraction:1.0
-          ~mean_downtime:40.0 ()
-      | false, true ->
-        Nemesis.generate_mixed ~params ~seed ~horizon ~partition_fraction:1.0 ()
-      | true, true -> Nemesis.generate_mixed ~params ~seed ~horizon ()
+  (* an independent corruption stream merged over the base schedule;
+     its own <= f budget caps concurrent unhealed rot, so combined with
+     a partition at most two elements are unavailable at an instant —
+     reads stall at worst until a write or scrub heals the rot, which
+     the quiescence tail absorbs *)
+  let with_rot schedule =
+    let rot =
+      Nemesis.generate_bitrot ~params ~seed:(seed lxor 0x2FA7) ~horizon
+    in
+    List.sort
+      (fun a b -> Float.compare (Nemesis.time_of a) (Nemesis.time_of b))
+      (schedule @ rot)
   in
   let schedule =
-    if not scenario.bitrot then schedule
-    else
-      (* an independent corruption stream merged over the base schedule;
-         its own <= f budget caps concurrent unhealed rot, so combined
-         with a partition at most two elements are unavailable at an
-         instant — reads stall at worst until a write or scrub heals the
-         rot, which the quiescence tail absorbs *)
-      let rot =
-        Nemesis.generate_bitrot ~params ~seed:(seed lxor 0x2FA7) ~horizon ()
-      in
-      List.sort
-        (fun a b -> Float.compare (Nemesis.time_of a) (Nemesis.time_of b))
-        (schedule @ rot)
+    match scenario.faults with
+    | No_faults -> []
+    | Crashes -> Nemesis.generate ~params ~seed ~horizon
+    | Partitions ->
+      Nemesis.generate_mixed ~params ~seed ~horizon ~partition_fraction:1.0 ()
+    | Crashes_and_partitions -> Nemesis.generate_mixed ~params ~seed ~horizon ()
+    | Unrepaired_crashes ->
+      (* crashes with no Repair events: only the failure detector's
+         autonomous crash-repair can bring the victims back *)
+      Nemesis.generate_crash_only ~params ~seed ~horizon
+    | Bitrot -> with_rot []
+    | Partitions_and_bitrot ->
+      (* shorter partition windows when rot rides along: a partition
+         concurrent with an unhealed rot leaves only k - 1 reachable
+         intact elements, so bound how long that overlap can last *)
+      with_rot
+        (Nemesis.generate_mixed ~params ~seed ~horizon ~partition_fraction:1.0
+           ~mean_downtime:40.0 ())
   in
   (* gated: a crash waits until no server is still rebuilding, keeping
      the effective fault count within the budget (see Nemesis.apply_gated) *)

@@ -16,29 +16,39 @@
     the single-seed replay tool ([soda_replay]) for debugging a failing
     seed with a full event trace. *)
 
+(** The nemesis schedule of a cell: which {!Nemesis} generators run. *)
+type faults =
+  | No_faults
+  | Crashes  (** {!Nemesis.generate}: crash/repair pairs *)
+  | Partitions
+      (** {!Nemesis.generate_mixed} with every fault window a partition *)
+  | Crashes_and_partitions
+      (** {!Nemesis.generate_mixed}'s even split of crashes and
+          partitions *)
+  | Unrepaired_crashes
+      (** {!Nemesis.generate_crash_only}: crashes with no nemesis
+          [Repair] — only the failure detector can bring the victims
+          back *)
+  | Bitrot  (** a {!Nemesis.generate_bitrot} corruption stream alone *)
+  | Partitions_and_bitrot
+      (** [Partitions] with shorter windows (mean downtime 40), then a
+          {!Nemesis.generate_bitrot} stream merged over them *)
+
 type scenario = {
   name : string;  (** e.g. ["loss20+part+crash"] — unique within {!matrix} *)
   loss : float;  (** per-transmission drop probability on every link *)
-  partitions : bool;
-  crashes : bool;
+  faults : faults;
   batched : bool;
       (** run SODA on {!Soda.Config.batched_plane} instead of the
           broadcast plane, over the same per-message-ack channel *)
-  healing : bool;
+  healing : bool
       (** deploy with {!Soda.Config.healing} on: heartbeat failure
           detector, checksum scrubber and autonomous crash-repair *)
-  bitrot : bool;
-      (** merge a {!Nemesis.generate_bitrot} corruption stream over the
-          base schedule *)
-  crash_noheal : bool
-      (** replace the base schedule with {!Nemesis.generate_crash_only}:
-          crashes with no nemesis [Repair] — only the failure detector
-          can bring the victims back *)
 }
 
 val matrix : scenario list
-(** Loss p ∈ {0.05, 0.2, 0.4} × partitions on/off × crashes on/off
-    (12 cells), plus ["batched20+part"] (the batched message plane under
+(** Loss p ∈ {0.05, 0.2, 0.4} × [No_faults], [Crashes], [Partitions]
+    and [Crashes_and_partitions] (12 cells), plus ["batched20+part"] (the batched message plane under
     20% loss and partitions) and three self-healing cells:
     ["bitrot+scrub"] (silent corruption under 5% loss, healed by the
     scrubber), ["crash-noheal"] (crashes only the failure detector
@@ -115,12 +125,10 @@ val ok : outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
 (** One-line verdict + counters (no event log). *)
 
-val run :
-  ?trace:bool -> ?n:int -> ?f:int -> ?horizon:float -> ?value_len:int ->
-  ?channel:Simnet.Channel.config -> scenario -> seed:int -> outcome
-(** Execute one cell at one seed. Defaults: [n = 5], [f = 1],
-    [horizon = 600], [value_len = 64], [channel = Channel.default];
-    2 writers and 2 readers in closed loop. A [batched] scenario
+val run : ?trace:bool -> scenario -> seed:int -> outcome
+(** Execute one cell at one seed: [n = 5], [f = 1], a horizon of 600,
+    64-byte values and {!Simnet.Channel.default}; 2 writers and 2
+    readers in closed loop. A [batched] scenario
     deploys SODA on {!Soda.Config.batched_plane}. A [healing] scenario runs the
     engine to a fixed quiescence horizon ([horizon + 600]) instead of
     draining the queue — the heartbeat and scrub tick chains never

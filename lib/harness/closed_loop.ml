@@ -17,10 +17,11 @@ let ops_per_time r =
   else float_of_int (History.size r.history) /. r.sim_duration
 
 let run_soda ~params ?(value_len = 1024) ?(seed = 1) ?(think_time = 1.0)
-    ?(delay = Simnet.Delay.uniform ~lo:0.2 ~hi:2.0) ~num_writers ~num_readers
-    ~ops_per_client () =
+    ~num_writers ~num_readers ~ops_per_client () =
   let initial_value = Workload.value ~len:value_len ~seed ~index:999_983 in
-  let engine = Engine.create ~seed ~delay () in
+  let engine =
+    Engine.create ~seed ~delay:(Simnet.Delay.uniform ~lo:0.2 ~hi:2.0) ()
+  in
   let d =
     Soda.Deployment.deploy ~engine ~params ~initial_value ~value_len
       ~num_writers ~num_readers ()

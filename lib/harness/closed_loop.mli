@@ -27,12 +27,14 @@ val run_soda :
   ?value_len:int ->
   ?seed:int ->
   ?think_time:float ->
-  ?delay:Simnet.Delay.t ->
   num_writers:int ->
   num_readers:int ->
   ops_per_client:int ->
   unit ->
   result
+[@@lint.allow "O1: ?think_time — test_harness's \"throughput responds to \
+               think time\" turns it"]
 (** Every client performs [ops_per_client] back-to-back operations
     (writers write fresh values, readers read), with [think_time]
-    (default 1.0) of idleness between its own operations. *)
+    (default 1.0) of idleness between its own operations, over delays
+    uniform in [0.2, 2.0]. *)

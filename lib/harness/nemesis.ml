@@ -20,16 +20,11 @@ let time_of = function
    while fewer than f accepted intervals overlap its start, enforcing
    the <= f budget at every instant. [kind_of] then decides what fault
    an accepted interval materialises as. *)
-let generate_intervals ~params ~seed ~horizon ?mean_uptime ?mean_downtime
-    ?(min_downtime = 1.0) ~kind_of () =
+let generate_intervals ~params ~seed ~horizon ~mean_downtime ~min_downtime
+    ~kind_of =
   if horizon <= 0. then invalid_arg "Nemesis.generate: non-positive horizon";
   let n = Params.n params and f = Params.f params in
-  let mean_uptime =
-    match mean_uptime with Some u -> u | None -> horizon /. 3.0
-  in
-  let mean_downtime =
-    match mean_downtime with Some d -> d | None -> horizon /. 10.0
-  in
+  let mean_uptime = horizon /. 3.0 in
   let rng = Rng.create seed in
   let candidates = ref [] in
   for coordinate = 0 to n - 1 do
@@ -60,27 +55,25 @@ let generate_intervals ~params ~seed ~horizon ?mean_uptime ?mean_downtime
   in
   List.sort (fun a b -> Float.compare (time_of a) (time_of b)) events
 
-let generate ~params ~seed ~horizon ?mean_uptime ?mean_downtime () =
-  generate_intervals ~params ~seed ~horizon ?mean_uptime ?mean_downtime
-    ~kind_of:(fun ~coordinate ~start ~stop ->
+let generate ~params ~seed ~horizon =
+  generate_intervals ~params ~seed ~horizon ~mean_downtime:(horizon /. 10.0)
+    ~min_downtime:1.0 ~kind_of:(fun ~coordinate ~start ~stop ->
       [ Crash { coordinate; at = start }; Repair { coordinate; at = stop } ])
-    ()
 
-let generate_mixed ~params ~seed ~horizon ?mean_uptime ?mean_downtime
+let generate_mixed ~params ~seed ~horizon ?(mean_downtime = horizon /. 10.0)
     ?(partition_fraction = 0.5) () =
   if partition_fraction < 0.0 || partition_fraction > 1.0 then
     invalid_arg "Nemesis.generate_mixed: partition_fraction outside [0, 1]";
   (* a dedicated stream for the crash-vs-partition coin so the interval
      layout matches [generate] at the same seed *)
   let coin = Rng.create (seed lxor 0x5DEECE66D) in
-  generate_intervals ~params ~seed ~horizon ?mean_uptime ?mean_downtime
+  generate_intervals ~params ~seed ~horizon ~mean_downtime ~min_downtime:1.0
     ~kind_of:(fun ~coordinate ~start ~stop ->
       if Rng.float coin 1.0 < partition_fraction then
         [ Partition { coordinates = [ coordinate ]; at = start };
           Heal { coordinates = [ coordinate ]; at = stop }
         ]
       else [ Crash { coordinate; at = start }; Repair { coordinate; at = stop } ])
-    ()
 
 (* Crashes with no matching Repair: the detector/auto-repair plane is
    expected to bring the victim back on its own. The interval still
@@ -88,26 +81,20 @@ let generate_mixed ~params ~seed ~horizon ?mean_uptime ?mean_downtime
    cover suspicion (35) + a heartbeat period (10) + repair under load —
    hence the high minimum downtime; a second crash of the same server
    inside one window would race its own autonomous repair. *)
-let generate_crash_only ~params ~seed ~horizon ?mean_uptime
-    ?(mean_downtime = 60.0) ?(min_downtime = 90.0) () =
-  generate_intervals ~params ~seed ~horizon ?mean_uptime ~mean_downtime
-    ~min_downtime
-    ~kind_of:(fun ~coordinate ~start ~stop:_ ->
+let generate_crash_only ~params ~seed ~horizon =
+  generate_intervals ~params ~seed ~horizon ~mean_downtime:60.0
+    ~min_downtime:90.0 ~kind_of:(fun ~coordinate ~start ~stop:_ ->
       [ Crash { coordinate; at = start } ])
-    ()
 
 (* Silent corruption events. A rotted element is unavailable exactly
    like a crashed one until the scrubber heals it (the server withholds
    the quarantined fragment rather than relay garbage), so rot windows
    draw on the same <= f budget: the interval models the assumed
    detect-and-heal window (scrub period 50 + targeted repair slack). *)
-let generate_bitrot ~params ~seed ~horizon ?mean_uptime
-    ?(mean_downtime = 40.0) ?(min_downtime = 120.0) () =
-  generate_intervals ~params ~seed ~horizon ?mean_uptime ~mean_downtime
-    ~min_downtime
-    ~kind_of:(fun ~coordinate ~start ~stop:_ ->
+let generate_bitrot ~params ~seed ~horizon =
+  generate_intervals ~params ~seed ~horizon ~mean_downtime:40.0
+    ~min_downtime:120.0 ~kind_of:(fun ~coordinate ~start ~stop:_ ->
       [ BitRot { coordinate; at = start } ])
-    ()
 
 (* Applying a schedule at its literal timestamps can silently exceed the
    fault budget: the schedule's Repair event only restores the process,
@@ -119,12 +106,13 @@ let generate_bitrot ~params ~seed ~horizon ?mean_uptime
    what any algorithm could recover (it is not a protocol bug, it is
    budget-exceeding data loss). So the gated driver walks the schedule
    as an event chain, shifting everything by the accumulated delay, and
-   holds each Crash back (re-checking every [poll] time units) until the
+   holds each Crash back (re-checking every 7 time units) until the
    system reports no repair in flight — the discipline a real operator,
    or a Jepsen-style nemesis, follows before taking the next machine
    down. Fully deterministic: the gate reads simulation state only. *)
-let drive_gated ?(poll = 7.0) ~engine ~repairing ~apply t =
+let drive_gated ~engine ~repairing ~apply t =
   let module Engine = Simnet.Engine in
+  let poll = 7.0 in
   let pid = Engine.reserve engine ~name:"nemesis" in
   let rec schedule ~shift = function
     | [] -> ()
@@ -147,8 +135,8 @@ let drive_gated ?(poll = 7.0) ~engine ~repairing ~apply t =
   in
   schedule ~shift:0.0 t
 
-let apply_gated ?poll t deployment =
-  drive_gated ?poll
+let apply_gated t deployment =
+  drive_gated
     ~engine:(Soda.Deployment.engine deployment)
     ~repairing:(fun () -> Soda.Deployment.repairing deployment)
     ~apply:(fun ~at -> function

@@ -29,21 +29,19 @@ type t = event list
 
 val time_of : event -> float
 
-val generate :
-  params:Protocol.Params.t -> seed:int -> horizon:float ->
-  ?mean_uptime:float -> ?mean_downtime:float -> unit -> t
+val generate : params:Protocol.Params.t -> seed:int -> horizon:float -> t
 (** Crash/repair schedules only (the historical generator).
     Exponentially distributed uptimes and downtimes per server (means
-    default to [horizon/3] and [horizon/10]), clipped so that at most
+    [horizon/3] and [horizon/10]), clipped so that at most
     [f] servers are ever down at once: a crash that would exceed the
     budget is skipped. Repairs are spaced at least a small recovery gap
     after their crash. *)
 
 val generate_mixed :
   params:Protocol.Params.t -> seed:int -> horizon:float ->
-  ?mean_uptime:float -> ?mean_downtime:float ->
-  ?partition_fraction:float -> unit -> t
-(** As {!generate}, but each accepted fault window becomes a network
+  ?mean_downtime:float -> ?partition_fraction:float -> unit -> t
+(** As {!generate} (the mean downtime defaults to [horizon/10] there
+    too), but each accepted fault window becomes a network
     partition (isolating that server) with probability
     [partition_fraction] (default 0.5) and a crash/repair pair
     otherwise. Crashed and isolated servers share the single [f]
@@ -53,35 +51,32 @@ val generate_mixed :
     @raise Invalid_argument on a fraction outside [0, 1]. *)
 
 val generate_crash_only :
-  params:Protocol.Params.t -> seed:int -> horizon:float ->
-  ?mean_uptime:float -> ?mean_downtime:float -> ?min_downtime:float ->
-  unit -> t
+  params:Protocol.Params.t -> seed:int -> horizon:float -> t
 (** Crashes with {e no} matching [Repair] events — for exercising the
     self-healing plane, whose failure detector must notice each crash
     and launch the repair autonomously. Every accepted fault window
-    still reserves the [<= f] budget for its whole assumed-down span;
-    [min_downtime] (default 90.0, far above the default suspicion
-    timeout plus repair slack) keeps a server's next crash from racing
-    its own autonomous repair. Only meaningful against a deployment
+    still reserves the [<= f] budget for its whole assumed-down span:
+    a minimum downtime of 90 (far above the default suspicion timeout
+    plus repair slack) plus an exponential one of mean 60 keeps a
+    server's next crash from racing its own autonomous repair. Only meaningful against a deployment
     with {!Soda.Config.healing} armed: without it the victims stay down
     forever. *)
 
 val generate_bitrot :
-  params:Protocol.Params.t -> seed:int -> horizon:float ->
-  ?mean_uptime:float -> ?mean_downtime:float -> ?min_downtime:float ->
-  unit -> t
+  params:Protocol.Params.t -> seed:int -> horizon:float -> t
 (** Silent-corruption schedules: each accepted fault window becomes one
     [BitRot] at its start. A rotted element is withheld from reads
     (quarantine) exactly like an erased one until the scrubber heals
-    it, so rot windows draw on the same [<= f] budget; [min_downtime]
-    (default 120.0) sizes the assumed detect-and-heal window (a scrub
-    period plus targeted-repair slack at the default cadence). *)
+    it, so rot windows draw on the same [<= f] budget; a minimum window
+    of 120 (plus an exponential one of mean 40) sizes the assumed
+    detect-and-heal window (a scrub period plus targeted-repair slack at
+    the default cadence). *)
 
-val apply_gated : ?poll:float -> t -> Soda.Deployment.t -> unit
+val apply_gated : t -> Soda.Deployment.t -> unit
 (** Drive the schedule with the repair gate: every event fires at its
     scheduled time shifted by the accumulated gating delay, and a
-    [Crash] is additionally held back (re-checked every [poll] time
-    units, default 7.0) until {!Soda.Deployment.repairing} is false.
+    [Crash] is additionally held back (re-checked every 7 time units)
+    until {!Soda.Deployment.repairing} is false.
 
     Why the gate is necessary and not a kindness: the schedule's
     [Repair] only restores the {e process}; the protocol-level repair —
@@ -95,7 +90,6 @@ val apply_gated : ?poll:float -> t -> Soda.Deployment.t -> unit
     simulation state only. *)
 
 val drive_gated :
-  ?poll:float ->
   engine:'msg Simnet.Engine.t ->
   repairing:(unit -> bool) ->
   apply:(at:float -> event -> unit) ->

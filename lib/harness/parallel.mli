@@ -8,6 +8,9 @@
     replacement for [List.map]. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
+[@@lint.allow "O1: ?domains — test_harness's parallel group and \
+               test_erasure's \"rs-bch[12,6]: 96 KiB over 3 domains\" \
+               fix the pool size"]
 (** [map f inputs] applies [f] to every input, using up to [domains]
     (default [Domain.recommended_domain_count], clamped to [1, 8])
     additional domains. Results are in

@@ -3,6 +3,8 @@
 val table :
   ?out:Format.formatter -> title:string -> header:string list ->
   string list list -> unit
+[@@lint.allow "O1: ?out — test_harness's \"table renders aligned and \
+               padded\" renders into a buffer"]
 (** Renders an aligned ASCII table. Ragged rows are padded with empty
     cells. If a CSV directory is set ({!set_csv_dir}), the table is also
     written there as [<slug-of-title>.csv]. *)

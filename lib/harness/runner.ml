@@ -37,7 +37,7 @@ type result = {
    the algorithm's adapter in [run], gets the workload's crashes and
    operations and runs to quiescence. *)
 let execute (type d) (module R : Baselines.Register.S with type t = d)
-    ?probe ?(read_restarts = fun _ -> 0) ~name ~max_events engine
+    ?probe ?(read_restarts = fun _ -> 0) ~name engine
     (w : Workload.t) (d : d) =
   List.iter
     (fun (coordinate, at) -> R.crash_server d ~coordinate ~at)
@@ -47,7 +47,7 @@ let execute (type d) (module R : Baselines.Register.S with type t = d)
       | Workload.Write { writer; at; value } -> R.write d ~writer ~at value
       | Workload.Read { reader; at } -> R.read d ~reader ~at ())
     w.Workload.ops;
-  Engine.run ~max_events engine;
+  Engine.run ~max_events:20_000_000 engine;
   { algorithm = name;
     workload = w;
     history = R.history d;
@@ -69,12 +69,11 @@ let execute (type d) (module R : Baselines.Register.S with type t = d)
     read_restarts = read_restarts d
   }
 
-let run ?(max_events = 20_000_000) ?(transport = `Raw) ?plane algorithm
-    (w : Workload.t) =
+let run ?plane algorithm (w : Workload.t) =
   let { Workload.params; value_len; num_writers; num_readers; seed; _ } = w in
   let initial_value = Workload.value ~len:value_len ~seed ~index:999_983 in
   let engine data_bytes =
-    Engine.create ~seed ~transport ~delay:w.Workload.delay
+    Engine.create ~seed ~delay:w.Workload.delay
       ~classify:(fun m -> data_bytes m > 0)
       ()
   in
@@ -90,12 +89,12 @@ let run ?(max_events = 20_000_000) ?(transport = `Raw) ?plane algorithm
       (module Soda.Deployment)
       ~probe:(Soda.Deployment.probe d)
       ~name:(if Protocol.Params.e params > 0 then "soda-err" else name)
-      ~max_events engine w d
+      engine w d
   | Abd ->
     let engine = engine Baselines.Abd.Messages.data_bytes in
     Baselines.Abd.deploy ~engine ~params ~initial_value ~value_len ~num_writers
       ~num_readers ()
-    |> execute (module Baselines.Abd) ~name ~max_events engine w
+    |> execute (module Baselines.Abd) ~name engine w
   | Cas { gc_depth } ->
     let engine = engine Baselines.Cas.Messages.data_bytes in
     let d =
@@ -105,17 +104,14 @@ let run ?(max_events = 20_000_000) ?(transport = `Raw) ?plane algorithm
     execute
       (module Baselines.Cas)
       ~probe:(Baselines.Cas.probe d) ~read_restarts:Baselines.Cas.read_restarts
-      ~name ~max_events engine w d
+      ~name engine w d
   | Ldr ->
     let engine = engine Baselines.Ldr.Messages.data_bytes in
     Baselines.Ldr.deploy ~engine ~params ~initial_value ~value_len ~num_writers
       ~num_readers ()
-    |> execute (module Baselines.Ldr) ~name ~max_events engine w
+    |> execute (module Baselines.Ldr) ~name engine w
 
-let run_sweep ?max_events ?transport ?plane ?domains algorithm workloads =
-  Parallel.map ?domains
-    (fun w -> run ?max_events ?transport ?plane algorithm w)
-    workloads
+let run_sweep algorithm workloads = Parallel.map (run algorithm) workloads
 
 (* ------------------------------------------------------------------ *)
 (* Sharded runs: one multi-key workload against either a shared-plane
@@ -137,17 +133,18 @@ type sharded_result = {
   s_final_time : float
 }
 
-let sharded_engine ~transport (s : Workload.sharded) =
-  Engine.create ~seed:s.Workload.sh_seed ~transport ~delay:s.Workload.sh_delay
+let sharded_max_events = 200_000_000
+
+let sharded_engine (s : Workload.sharded) =
+  Engine.create ~seed:s.Workload.sh_seed ~delay:s.Workload.sh_delay
     ~classify:(fun m -> Soda.Messages.data_bytes m > 0)
     ~weigh:Soda.Messages.logical_units ()
 
 let sharded_value (s : Workload.sharded) ~index =
   Workload.value ~len:s.Workload.sh_value_len ~seed:s.Workload.sh_seed ~index
 
-let run_sharded ?(max_events = 200_000_000) ?(transport = `Raw) ?plane
-    ~placement (s : Workload.sharded) =
-  let engine = sharded_engine ~transport s in
+let run_sharded ?plane ~placement (s : Workload.sharded) =
+  let engine = sharded_engine s in
   let ks =
     Soda.Keyspace.create ~engine ~placement ?plane
       ~value_len:s.Workload.sh_value_len
@@ -161,7 +158,7 @@ let run_sharded ?(max_events = 200_000_000) ?(transport = `Raw) ?plane
       | Workload.KRead { key; reader; at } ->
         Soda.Keyspace.read ks ~key ~reader ~at ())
     s.Workload.sh_kops;
-  Engine.run ~max_events engine;
+  Engine.run ~max_events:sharded_max_events engine;
   { s_algorithm = "keyspace";
     s_keys = List.length (Soda.Keyspace.keys ks);
     s_ops = Workload.sharded_ops s;
@@ -175,9 +172,8 @@ let run_sharded ?(max_events = 200_000_000) ?(transport = `Raw) ?plane
     s_final_time = Engine.now engine
   }
 
-let run_sharded_independent ?(max_events = 200_000_000) ?(transport = `Raw)
-    ?plane ~params (s : Workload.sharded) =
-  let engine = sharded_engine ~transport s in
+let run_sharded_independent ?plane ~params (s : Workload.sharded) =
+  let engine = sharded_engine s in
   (* the pre-keyspace composition: every key is a full deployment with
      its own n servers and its own single-lane clients *)
   let deployments =
@@ -194,7 +190,7 @@ let run_sharded_independent ?(max_events = 200_000_000) ?(transport = `Raw)
       | Workload.KRead { key; at; _ } ->
         Soda.Deployment.read deployments.(key) ~reader:0 ~at ())
     s.Workload.sh_kops;
-  Engine.run ~max_events engine;
+  Engine.run ~max_events:sharded_max_events engine;
   let all_complete =
     Array.for_all
       (fun d -> History.all_complete (Soda.Deployment.history d))

@@ -58,20 +58,13 @@ type result = {
           assert it stays within the δ bound. *)
 }
 
-val run :
-  ?max_events:int ->
-  ?transport:[ `Raw | `Reliable of Simnet.Channel.config ] ->
-  ?plane:Soda.Config.plane ->
-  algorithm -> Workload.t -> result
-(** [transport] (default [`Raw]) selects the engine's channel substrate
-    — [`Reliable config] mounts the ack/retransmit layer so the same
-    workloads (for any of the algorithms, which all assume reliable
-    channels) can be driven over a lossy fault plane. [plane] (SODA only,
-    ignored by the baselines) selects the message-plane configuration —
-    pass {!Soda.Config.batched_plane} for coalesced gossip, relay
-    batching and staggered metadata forwarding.
+val run : ?plane:Soda.Config.plane -> algorithm -> Workload.t -> result
+(** Runs on the raw transport. [plane] (SODA only, ignored by the
+    baselines) selects the message-plane configuration — pass
+    {!Soda.Config.batched_plane} for coalesced gossip, relay batching
+    and staggered metadata forwarding.
     @raise Simnet.Engine.Event_limit_exceeded if the protocol fails to
-    quiesce within [max_events] (default 20 million). *)
+    quiesce within 20 million events. *)
 
 (** {1 Sharded (multi-key) runs} *)
 
@@ -94,35 +87,28 @@ type sharded_result = {
 }
 
 val run_sharded :
-  ?max_events:int ->
-  ?transport:[ `Raw | `Reliable of Simnet.Channel.config ] ->
-  ?plane:Soda.Config.plane ->
-  placement:Soda.Placement.t ->
+  ?plane:Soda.Config.plane -> placement:Soda.Placement.t ->
   Workload.sharded -> sharded_result
 (** Execute a sharded workload on one shared-plane {!Soda.Keyspace}
-    over the placement's topology. The engine counts data/meta logical
-    sends and payload units, so keyspace and independent runs of the
-    same workload are directly comparable. *)
+    over the placement's topology, on the raw transport, within 200
+    million events. The engine counts data/meta logical sends and
+    payload units, so keyspace and independent runs of the same
+    workload are directly comparable. *)
 
 val run_sharded_independent :
-  ?max_events:int ->
-  ?transport:[ `Raw | `Reliable of Simnet.Channel.config ] ->
-  ?plane:Soda.Config.plane ->
-  params:Protocol.Params.t ->
+  ?plane:Soda.Config.plane -> params:Protocol.Params.t ->
   Workload.sharded -> sharded_result
+[@@lint.allow "O1: ?plane — test_keyspace's \"shared plane beats \
+               independent deployments\" also compares batched planes"]
 (** The pre-keyspace composition baseline: every key is its own
     {!Soda.Deployment.deploy} (own [n] server processes, own clients)
     on one engine. Same workload, same instrumentation — the msgs/op
     denominator the sharded bench gates against. *)
 
-val run_sweep :
-  ?max_events:int ->
-  ?transport:[ `Raw | `Reliable of Simnet.Channel.config ] ->
-  ?plane:Soda.Config.plane ->
-  ?domains:int -> algorithm -> Workload.t list -> result list
+val run_sweep : algorithm -> Workload.t list -> result list
 (** [run_sweep algorithm workloads] runs each workload independently,
-    fanned out across OCaml 5 domains with {!Parallel.map} ([domains]
-    defaults as there). Each run owns a fresh
+    fanned out across OCaml 5 domains with {!Parallel.map} (its default
+    domain count). Each run owns a fresh
     engine and is a pure function of its workload, so the result list is
     in input order and identical to [List.map (run algorithm) workloads]
     — only wall-clock time changes.

@@ -50,8 +50,7 @@ let sequential ~params ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
   }
 
 let concurrent ~params ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
-    ?(num_writers = 2) ?(num_readers = 2) ~ops_per_client ?(spacing = 1.0) ()
-    =
+    ?(num_writers = 2) ?(num_readers = 2) ~ops_per_client () =
   if num_writers < 1 || num_readers < 1 then
     invalid_arg "Workload.concurrent: need at least one client of each kind";
   let rng = Rng.create seed in
@@ -61,7 +60,7 @@ let concurrent ~params ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
      Clients are single-lane, so successive ops of one client must be
      spaced beyond the worst-case operation latency; concurrency comes
      from different clients overlapping. *)
-  let client_gap = 400.0 in
+  let client_gap = 400.0 and spacing = 1.0 in
   for o = 0 to ops_per_client - 1 do
     let base = float_of_int o *. client_gap in
     for w = 0 to num_writers - 1 do
@@ -161,9 +160,8 @@ type sharded = {
   sh_seed : int
 }
 
-let sharded_mixed ~keys ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
-    ?(num_writers = 4) ?(num_readers = 4) ?(read_lag = 15.0)
-    ?(round_gap = 30.0) () =
+let sharded_mixed ~keys ?(value_len = 256) ?(seed = 1) ?(num_writers = 4)
+    ?(num_readers = 4) ?(round_gap = 30.0) () =
   if keys < 1 then invalid_arg "Workload.sharded_mixed: need at least one key";
   if num_writers < 1 || num_readers < 1 then
     invalid_arg "Workload.sharded_mixed: need at least one client of each kind";
@@ -181,7 +179,7 @@ let sharded_mixed ~keys ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
     let wat = (float_of_int round *. round_gap) +. (float_of_int w *. 1.3) in
     ops :=
       KWrite { key = k; writer = w; at = wat; index = k }
-      :: KRead { key = k; reader = r; at = wat +. read_lag }
+      :: KRead { key = k; reader = r; at = wat +. 15.0 }
       :: !ops
   done;
   let by_time a b =
@@ -193,7 +191,7 @@ let sharded_mixed ~keys ?(value_len = 256) ?(seed = 1) ?(delay = default_delay)
     sh_num_writers = num_writers;
     sh_num_readers = num_readers;
     sh_kops = List.stable_sort by_time !ops;
-    sh_delay = delay;
+    sh_delay = default_delay;
     sh_seed = seed
   }
 

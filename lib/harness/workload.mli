@@ -38,10 +38,9 @@ val sequential :
 
 val concurrent :
   params:Params.t -> ?value_len:int -> ?seed:int -> ?delay:Simnet.Delay.t ->
-  ?num_writers:int -> ?num_readers:int -> ops_per_client:int ->
-  ?spacing:float -> unit -> t
+  ?num_writers:int -> ?num_readers:int -> ops_per_client:int -> unit -> t
 (** Every client issues [ops_per_client] operations with starts staggered
-    by [spacing] (default 1.0), giving heavy read/write overlap. *)
+    by one time unit, giving heavy read/write overlap. *)
 
 val read_with_write_storm :
   params:Params.t -> ?value_len:int -> ?seed:int -> writers:int ->
@@ -74,15 +73,15 @@ type sharded = {
 }
 
 val sharded_mixed :
-  keys:int -> ?value_len:int -> ?seed:int -> ?delay:Simnet.Delay.t ->
-  ?num_writers:int -> ?num_readers:int -> ?read_lag:float ->
-  ?round_gap:float -> unit -> sharded
+  keys:int -> ?value_len:int -> ?seed:int -> ?num_writers:int ->
+  ?num_readers:int -> ?round_gap:float -> unit -> sharded
 (** One write then one read per key: key [k] is written by writer
-    [k mod num_writers] (default 4 writers) and read [read_lag]
-    (default 15.0) later by reader [k mod num_readers]. Writers sweep
-    their keys in rounds [round_gap] (default 30.0) apart with a small
-    per-writer stagger, so many keys are in flight at once — the
-    mixed workload of the sharded-throughput bench. *)
+    [k mod num_writers] (default 4 writers) and read 15 time units
+    later by reader [k mod num_readers], with delays uniform in
+    [0.2, 2.0]. Writers sweep their keys in rounds [round_gap] (default
+    30.0) apart with a small per-writer stagger, so many keys are in
+    flight at once — the mixed workload of the sharded-throughput
+    bench. *)
 
 val sharded_ops : sharded -> int
 

@@ -194,8 +194,7 @@ let check_with ~p1 ?(initial_value = Bytes.empty) records =
 let check_tagged ?initial_value records =
   check_with ~p1:p1_sweep ?initial_value records
 
-let check_tagged_quadratic ?initial_value records =
-  check_with ~p1:p1_quadratic ?initial_value records
+let check_tagged_quadratic records = check_with ~p1:p1_quadratic records
 
 (* ------------------------------------------------------------------ *)
 (* Wing-Gong exhaustive search on values *)

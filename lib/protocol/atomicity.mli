@@ -38,12 +38,11 @@ val check_tagged :
     [initial_value] (default empty) is the register's initial value,
     associated with {!Tag.initial}. *)
 
-val check_tagged_quadratic :
-  ?initial_value:bytes -> History.record list -> (unit, violation) result
+val check_tagged_quadratic : History.record list -> (unit, violation) result
 [@@lint.allow "X1: test oracle — check_tagged's P1 sweep is differentially \
                tested against this pairwise scan"]
-(** As {!check_tagged}, but deciding P1 with the original O(m{^2})
-    pairwise scan. The two must agree on the verdict for every history
+(** As {!check_tagged} with the empty initial value, but deciding P1
+    with the original O(m{^2}) pairwise scan. The two must agree on the verdict for every history
     (the reported culprit pair may differ); the differential tests
     enforce this. Prefer {!check_tagged}. *)
 

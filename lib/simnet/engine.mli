@@ -47,6 +47,8 @@ val create :
   ?classify:('msg -> bool) ->
   ?weigh:('msg -> int) ->
   delay:Delay.t -> unit -> 'msg t
+[@@lint.allow "O1: ?duplication — test_duplication's at-least-once suite \
+               and test_channel's duplication cases turn it"]
 (** [create ~delay ()] builds an empty simulation. [seed] defaults to 0;
     [trace] (default false) records an event log retrievable with
     {!trace_events}; [duplication] (default 0, must be < 1) is the

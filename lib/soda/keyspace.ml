@@ -121,11 +121,11 @@ let rec apply_kentries t server ctx = function
       Server.apply_gossip_entry inst.iservers.(c) ctx ke.Messages.ke_entry;
     apply_kentries t server ctx rest
 
+(* Clients materialize a key before they send on it, and servers frame
+   only for their own instances, so a frame for a key not materialized
+   here finds no coordinate and is refused. *)
 let deliver_to_server t server ctx ~src ~key msg =
   let inst = lookup t key in
-  (* the first frame for a key this keyspace has not materialized yet
-     (a client computed the placement independently) materializes it *)
-  let inst = if materialized inst then inst else instance t key in
   let c = coordinate_on inst ~server in
   if c < 0 then
     invalid_arg "Keyspace: frame for a key this server does not host";
@@ -161,7 +161,7 @@ let client_handler lanes_handler client ctx ~src msg =
 (* ------------------------------------------------------------------ *)
 (* Construction *)
 
-let create ~engine ~placement ?value_len ?error_prone ?plane:plane_tuning
+let create ~engine ~placement ?value_len ?plane:plane_tuning
     ~num_writers ~num_readers () =
   if num_writers < 0 || num_readers < 0 then
     invalid_arg "Keyspace.create: negative client count";
@@ -182,7 +182,7 @@ let create ~engine ~placement ?value_len ?error_prone ?plane:plane_tuning
   let template =
     Config.make ~params
       ~servers:(Array.sub server_pids 0 (Params.n params))
-      ?value_len ?error_prone ?plane:plane_tuning
+      ?value_len ?plane:plane_tuning
       ?client_retry:(Config.client_retry_for engine) ()
   in
   (* encode the shared initial value once; every derived instance

@@ -22,7 +22,9 @@
     Atomicity remains per key: instances share wires but no protocol
     state.
 
-    Instances materialize lazily on first use. Placement is a pure
+    Instances materialize lazily on first use by a client ({!write},
+    {!read}) or by {!materialize}; a server refuses a frame for a key
+    not materialized here ([Invalid_argument]). Placement is a pure
     function of the key, so a keyspace built on the same engine with
     the same arguments reproduces the same traffic — all the
     determinism guarantees of {!Simnet.Engine} carry over.
@@ -43,7 +45,6 @@ val create :
   engine:Messages.t Simnet.Engine.t ->
   placement:Placement.t ->
   ?value_len:int ->
-  ?error_prone:int list ->
   ?plane:Config.plane ->
   num_writers:int ->
   num_readers:int ->
@@ -53,10 +54,10 @@ val create :
     first, in index order), then the writer and reader client
     processes. The optional arguments parameterize the shared
     configuration template exactly as in {!Config.make}, whose defaults
-    set the rest (an empty initial value, chained dispersal); every key's
-    instance derives from it ({!Config.derive}). All traffic is
-    wrapped in key envelopes and coalesces across keys; the
-    topology is the one the placement was built over.
+    set the rest (an empty initial value, no error-prone server, chained
+    dispersal); every key's instance derives from it ({!Config.derive}).
+    All traffic is wrapped in key envelopes and coalesces across keys;
+    the topology is the one the placement was built over.
 
     Clients are multi-lane: one protocol lane per (client, key) pair,
     so a client process may have operations in flight on many keys at

@@ -15,8 +15,7 @@ let key_of t obj =
   in
   go 0
 
-let create ~engine ~params ~objects ?value_len ?error_prone ~num_writers
-    ~num_readers () =
+let create ~engine ~params ~objects ?value_len ~num_writers ~num_readers () =
   if List.is_empty objects then invalid_arg "Store.create: no objects";
   let sorted = List.sort_uniq String.compare objects in
   if List.length sorted <> List.length objects then
@@ -24,8 +23,7 @@ let create ~engine ~params ~objects ?value_len ?error_prone ~num_writers
   let topology = Topology.make ~servers:(Params.n params) ~domains:1 () in
   let placement = Placement.create ~topology ~params () in
   let ks =
-    Keyspace.create ~engine ~placement ?value_len ?error_prone ~num_writers
-      ~num_readers ()
+    Keyspace.create ~engine ~placement ?value_len ~num_writers ~num_readers ()
   in
   let names = Array.of_list objects in
   (* eager instances, in creation order: machine faults and storage

@@ -37,11 +37,12 @@ val create :
   params:Params.t ->
   objects:string list ->
   ?value_len:int ->
-  ?error_prone:int list ->
   num_writers:int ->
   num_readers:int ->
   unit ->
   t
+[@@lint.allow "O1: ?value_len — test_store's \"total storage sums the \
+               registers\" sizes its values"]
 (** One register per (distinct) name in [objects], all with the given
     parameters. Each object starts holding the empty value. Every
     object's fragment stores are checksummed ({!Disk}).
@@ -50,6 +51,8 @@ val create :
 val write :
   t -> obj:string -> writer:int -> at:float -> ?on_done:(unit -> unit) ->
   bytes -> unit
+[@@lint.allow "O1: ?on_done — test_chaos's \"multi-object store survives \
+               machine-level chaos\" chains its closed-loop writes on it"]
 (** @raise Invalid_argument on an unknown object name. *)
 
 val read :

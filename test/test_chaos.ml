@@ -32,13 +32,13 @@ let nemesis_unit_tests =
         int_range 0 100_000 >|= fun seed -> (n, f, seed))
       (fun (n, f, seed) ->
         let params = Params.make ~n ~f () in
-        let schedule = Nemesis.generate ~params ~seed ~horizon:2000.0 () in
+        let schedule = Nemesis.generate ~params ~seed ~horizon:2000.0 in
         Nemesis.max_simultaneous_down schedule <= f);
     qtest ~count:100 "every crash is followed by its repair"
       QCheck2.Gen.(int_range 0 100_000)
       (fun seed ->
         let params = Params.make ~n:9 ~f:3 () in
-        let schedule = Nemesis.generate ~params ~seed ~horizon:2000.0 () in
+        let schedule = Nemesis.generate ~params ~seed ~horizon:2000.0 in
         (* scanning forward, a coordinate can only crash when up and
            repair when down *)
         let down = Hashtbl.create 8 in
@@ -63,7 +63,7 @@ let nemesis_unit_tests =
           schedule);
     Alcotest.test_case "schedules are non-trivial" `Quick (fun () ->
         let params = Params.make ~n:9 ~f:3 () in
-        let schedule = Nemesis.generate ~params ~seed:5 ~horizon:3000.0 () in
+        let schedule = Nemesis.generate ~params ~seed:5 ~horizon:3000.0 in
         Alcotest.(check bool)
           (Printf.sprintf "%d crashes" (Nemesis.crash_count schedule))
           true
@@ -147,7 +147,7 @@ let run_chaos ~seed =
       ~num_readers:2 ()
   in
   let horizon = 2400.0 in
-  let schedule = Nemesis.generate ~params ~seed ~horizon () in
+  let schedule = Nemesis.generate ~params ~seed ~horizon in
   (* gated: a crash waits for in-flight repairs, keeping the effective
      fault count (crashed + still-rebuilding) within the f budget *)
   Nemesis.apply_gated schedule d;
@@ -215,7 +215,7 @@ let store_chaos_tests =
            processes on that machine together, gated on the machine's
            repairs across all objects *)
         let schedule =
-          Nemesis.generate ~params ~seed:(seed + 1) ~horizon:1200.0 ()
+          Nemesis.generate ~params ~seed:(seed + 1) ~horizon:1200.0
         in
         Nemesis.drive_gated ~engine
           ~repairing:(fun () -> Soda.Store.repairing store)

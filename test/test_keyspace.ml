@@ -535,6 +535,32 @@ let sharded_tests =
           (Engine.pending_events engine);
         Alcotest.(check (list int)) "no instance materialized" [ 0 ]
           (Keyspace.keys ks));
+    Alcotest.test_case "a frame for an unmaterialized key is refused" `Quick
+      (fun () ->
+        (* clients materialize a key before they send on it and servers
+           frame only for their own instances, so a frame for a key the
+           keyspace never materialized comes from outside it: the
+           server refuses it instead of building the instance *)
+        let engine = Engine.create ~seed:1 ~delay:(Delay.constant 1.0) () in
+        let ks =
+          Keyspace.create ~engine
+            ~placement:(p4_2_placement ~servers:6 ~domains:3 ())
+            ~num_writers:1 ~num_readers:1 ()
+        in
+        let foreign = Engine.reserve engine ~name:"foreign" in
+        Engine.set_handler engine foreign (fun _ ~src:_ _ -> ());
+        Engine.inject engine ~at:0.0 foreign (fun ctx ->
+            (* pid 0 is server 0, which hosts every key of a 6-server
+               [6,4] placement *)
+            Engine.send ctx ~dst:0
+              (Soda.Messages.Keyed
+                 { key = 7; msg = Soda.Messages.Read_get { rid = 0 } }));
+        Alcotest.check_raises "refused"
+          (Invalid_argument
+             "Keyspace: frame for a key this server does not host")
+          (fun () -> Engine.run engine);
+        Alcotest.(check (list int)) "no instance materialized" []
+          (Keyspace.keys ks));
     Alcotest.test_case "corrupt_server touches exactly its hosted keys" `Quick
       (fun () ->
         let placement =

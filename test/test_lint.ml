@@ -7,6 +7,10 @@
    signature is checked too: its instance in x1_use keeps [used] alive,
    and [dead] is reported. So are the [val]s X1_inc exports only
    through [include X1_sig.S]: [dead] is reported at the include.
+   The O1 fixtures (o1_lib, o1_use) report only the option no
+   application supplies, once per option: an option supplied with
+   [~x] or only through [?x] forwarding, an aliased value's, a value
+   passed as an argument's and an allowed one are not reported.
 
    The test runs unsandboxed (see test/dune) so the relative paths below
    resolve inside _build/default. *)
@@ -81,6 +85,8 @@ let expected =
     { file = "bad_t3.ml"; line = 5; rule = "T3" };
     { file = "bad_u1.ml"; line = 2; rule = "U1" };
     { file = "bad_u1.ml"; line = 4; rule = "U1" };
+    { file = "o1_lib.mli"; line = 3; rule = "O1" };
+    { file = "o1_lib.mli"; line = 6; rule = "O1" };
     { file = "x1_fun.mli"; line = 8; rule = "X1" };
     { file = "x1_inc.mli"; line = 4; rule = "X1" };
     { file = "x1_lib.mli"; line = 3; rule = "X1" };

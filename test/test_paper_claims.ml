@@ -10,6 +10,108 @@ module Metrics = Harness.Metrics
 
 let summarize algo w = Metrics.summarize (Runner.run algo w)
 
+(* The MD-META count lemma (DESIGN.md, "MD-META count lemma"): on the
+   broadcast plane of a crash-free run, one dispersal (one [mid]) is
+   delivered d + sum_{i<d} (n-1-i) times, d = f+1, and exactly n of
+   those are first deliveries, one per server. *)
+let md_meta_lemma ~n ~f =
+  let d = f + 1 in
+  d + List.fold_left ( + ) 0 (List.init d (fun i -> n - 1 - i))
+
+type dispersal = {
+  kind : string;
+  mutable deliveries : int;
+  mutable servers : int list  (* distinct destinations *)
+}
+
+(* Run 2 writers and 2 readers in closed loop over a broadcast-plane
+   deployment and tap every MD-META delivery, grouped by [mid]. *)
+let md_meta_dispersals ?transport ?(loss = 0.0) ?partition ~n ~f ~seed () =
+  let module Engine = Simnet.Engine in
+  let module M = Soda.Messages in
+  let engine =
+    Engine.create ~seed ?transport
+      ~delay:(Simnet.Delay.uniform ~lo:0.2 ~hi:2.0)
+      ()
+  in
+  if loss > 0.0 then Engine.set_loss engine loss;
+  let groups = Hashtbl.create 1024 in
+  Engine.set_tap engine
+    { Engine.tap_deliver =
+        (fun ~time:_ ~src:_ ~dst msg ->
+          match msg with
+          | M.Md_meta { mid; meta } ->
+            let g =
+              match Hashtbl.find_opt groups (mid :> int) with
+              | Some g -> g
+              | None ->
+                let kind =
+                  match meta with
+                  | M.Read_value _ -> "READ-VALUE"
+                  | M.Read_complete _ -> "READ-COMPLETE"
+                  | M.Read_disperse _ -> "READ-DISPERSE"
+                in
+                let g = { kind; deliveries = 0; servers = [] } in
+                Hashtbl.replace groups (mid :> int) g;
+                g
+            in
+            g.deliveries <- g.deliveries + 1;
+            if not (List.mem dst g.servers) then g.servers <- dst :: g.servers
+          | _ -> ());
+      tap_ack = (fun ~time:_ ~src:_ ~dst:_ ~cumulative:_ ~seq:_ -> ())
+    };
+  let d =
+    Soda.Deployment.deploy ~engine ~params:(Params.make ~n ~f ())
+      ~value_len:64 ~num_writers:2 ~num_readers:2 ()
+  in
+  Option.iter
+    (fun (coordinates, at, heal) ->
+      Soda.Deployment.partition_servers d ~coordinates ~at;
+      Soda.Deployment.heal_servers d ~coordinates ~at:heal)
+    partition;
+  let rec write_loop w left () =
+    if left > 0 then
+      Soda.Deployment.write d ~writer:w
+        ~at:(Engine.now engine +. 1.0)
+        ~on_done:(write_loop w (left - 1))
+        (Workload.value ~len:64 ~seed ~index:((10 * w) + left))
+  in
+  let rec read_loop r left () =
+    if left > 0 then
+      Soda.Deployment.read d ~reader:r
+        ~at:(Engine.now engine +. 1.5)
+        ~on_done:(fun _ -> read_loop r (left - 1) ())
+        ()
+  in
+  List.iter (fun c -> write_loop c 6 (); read_loop c 6 ()) [ 0; 1 ];
+  Engine.run engine;
+  Alcotest.(check bool) "every operation completed" true
+    (History.all_complete (Soda.Deployment.history d));
+  Alcotest.(check int) "no send abandoned" 0 (Engine.sends_abandoned engine);
+  Hashtbl.fold (fun _ g acc -> g :: acc) groups []
+
+let check_md_meta_lemma ~n ~f groups =
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) (kind ^ " dispersed") true
+        (List.exists (fun g -> g.kind = kind) groups))
+    [ "READ-VALUE"; "READ-COMPLETE"; "READ-DISPERSE" ];
+  let off_lemma =
+    List.filter_map
+      (fun g ->
+        if g.deliveries = md_meta_lemma ~n ~f && List.length g.servers = n
+        then None
+        else
+          Some
+            (Printf.sprintf "%s: %d deliveries to %d servers" g.kind
+               g.deliveries (List.length g.servers)))
+      groups
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "each of %d dispersals: %d deliveries, %d first"
+       (List.length groups) (md_meta_lemma ~n ~f) n)
+    [] off_lemma
+
 let claims_tests =
   [ Alcotest.test_case
       "Table I orderings hold at f = fmax: SODA wins storage outright; \
@@ -116,6 +218,25 @@ let claims_tests =
         in
         Alcotest.(check string) "SODA codec at n=7, f=2" "rs-bch[7,5]"
           (Erasure.Mds.name (Soda.Deployment.config d).Soda.Config.code));
+    Alcotest.test_case
+      "MD-META count lemma: every dispersal is delivered exactly \
+       d + sum (n-1-i) times"
+      `Quick (fun () ->
+        Alcotest.(check int) "27 at n=10, f=2" 27 (md_meta_lemma ~n:10 ~f:2);
+        Alcotest.(check int) "40 at n=10, f=4" 40 (md_meta_lemma ~n:10 ~f:4);
+        (* raw transport *)
+        check_md_meta_lemma ~n:10 ~f:2
+          (md_meta_dispersals ~n:10 ~f:2 ~seed:3 ());
+        (* reliable transport under 20% loss and an f-server partition
+           healed later: the channel's dedup hands every logical copy to
+           the handler once (a READ-VALUE re-send, [client_retry], is a
+           dispersal with its own mid) *)
+        check_md_meta_lemma ~n:10 ~f:4
+          (md_meta_dispersals
+             ~transport:(`Reliable Simnet.Channel.default)
+             ~loss:0.2
+             ~partition:([ 6; 7; 8; 9 ], 20.0, 220.0)
+             ~n:10 ~f:4 ~seed:3 ()));
   ]
 
 let () = Alcotest.run "paper-claims" [ ("claims", claims_tests) ]

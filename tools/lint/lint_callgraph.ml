@@ -86,10 +86,20 @@ let taints : (string, (kind * string list) list) Hashtbl.t = Hashtbl.create 256
 let use_dirs = [ "lib"; "bin"; "bench"; "perf"; "examples"; "tools" ]
 let used : (string, unit) Hashtbl.t = Hashtbl.create 4096
 
+(* O1's substrate, from the same units, a value's own included: the
+   (value, label) pairs some application supplies as [~x], [~x:e], [?x]
+   or [?x:e], and the values used other than as an application's head
+   (aliased, passed, packed or required by a functor argument), whose
+   every option counts as supplied. *)
+let supplied : (string * string, unit) Hashtbl.t = Hashtbl.create 1024
+let escaped : (string, unit) Hashtbl.t = Hashtbl.create 1024
+
 type hctx = {
   allows : Lint_kb.Allows.t;
   modname : string;
   user : bool; (* this unit's references keep exports alive *)
+  mutable head : Typedtree.expression option;
+      (* the applied identifier the iterator is about to visit *)
   mutable stack : string list;
   mutable current : def option;
   mutable depth : int
@@ -113,6 +123,27 @@ let record_use ctx name =
         | _ -> ())
       (Lint_kb.qualified_candidates ~stack:ctx.stack name)
 
+let record_escape ctx name =
+  if ctx.user then
+    List.iter
+      (fun c -> Hashtbl.replace escaped c ())
+      (Lint_kb.qualified_candidates ~stack:ctx.stack name)
+
+(* An argument for an optional parameter carries [Optional l] however
+   the caller spelled it; one the caller omitted is filled with a [None]
+   at no location. *)
+let record_labels ctx name args =
+  if ctx.user then
+    List.iter
+      (fun ((label : Asttypes.arg_label), (arg : Typedtree.expression option)) ->
+        match (label, arg) with
+        | Optional l, Some e when not (Location.is_none e.exp_loc) ->
+          List.iter
+            (fun c -> Hashtbl.replace supplied (c, l) ())
+            (Lint_kb.qualified_candidates ~stack:ctx.stack name)
+        | _ -> ())
+      args
+
 let lookup_modtype ~stack name =
   List.find_map
     (Hashtbl.find_opt Lint_kb.modtypes)
@@ -126,7 +157,8 @@ let rec require ctx ~fuel prefix (mty : Types.module_type) =
       List.iter
         (function
           | Types.Sig_value (id, _, _) ->
-            record_use ctx (prefix ^ "." ^ Ident.name id)
+            record_use ctx (prefix ^ "." ^ Ident.name id);
+            record_escape ctx (prefix ^ "." ^ Ident.name id)
           | Types.Sig_module (id, _, md, _, _) ->
             require ctx ~fuel:(fuel - 1)
               (prefix ^ "." ^ Ident.name id)
@@ -196,6 +228,7 @@ let harvest ~all ~source ~modname (str : Typedtree.structure) =
     { allows = Lint_kb.Allows.create ();
       modname;
       user = List.mem (List.hd (String.split_on_char '/' source)) use_dirs;
+      head = None;
       stack = [ modname ];
       current = None;
       depth = 0
@@ -215,7 +248,14 @@ let harvest ~all ~source ~modname (str : Typedtree.structure) =
     let ids = Lint_kb.Allows.of_attributes e.exp_attributes in
     Lint_kb.Allows.push ctx.allows ids;
     (match e.exp_desc with
-    | Texp_ident (path, _, _) -> record_ident ctx ~scope (Path.name path)
+    | Texp_ident (path, _, _) ->
+      let name = Path.name path in
+      record_ident ctx ~scope name;
+      if not (Option.fold ~none:false ~some:(( == ) e) ctx.head) then
+        record_escape ctx name
+    | Texp_apply (({ exp_desc = Texp_ident (path, _, _); _ } as f), args) ->
+      record_labels ctx (Path.name path) args;
+      ctx.head <- Some f
     | Texp_pack me -> (
       match Types.get_desc e.exp_type with
       | Tpackage (p, _) -> require_module ctx me (Mty_ident p)

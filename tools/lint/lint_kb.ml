@@ -31,9 +31,11 @@ type rule =
   | T2 (* transitively reaches ambient random / domain state *)
   | T3 (* transitively reaches unordered Hashtbl iteration *)
   | X1 (* exported value no other unit references *)
+  | O1 (* optional parameter no application supplies *)
 
 let all_rules =
-  [ D1; D2; D3; P1; P2; R1; E1; U1; S1; M1; M2; M3; M4; A1; T1; T2; T3; X1 ]
+  [ D1; D2; D3; P1; P2; R1; E1; U1; S1; M1; M2; M3; M4; A1; T1; T2; T3; X1;
+    O1 ]
 
 let rule_id = function
   | D1 -> "D1"
@@ -54,6 +56,7 @@ let rule_id = function
   | T2 -> "T2"
   | T3 -> "T3"
   | X1 -> "X1"
+  | O1 -> "O1"
 
 (* ------------------------------------------------------------------ *)
 (* Scoping: which rules apply to a source file, by directory.
@@ -70,7 +73,7 @@ let protocol_rules = [ M1; M2; M3; M4 ]
 
 let lib_rules l =
   let base =
-    [ D1; D2; P1; P2; R1; E1; U1; S1; T1; T2; A1; X1 ] @ protocol_rules
+    [ D1; D2; P1; P2; R1; E1; U1; S1; T1; T2; A1; X1; O1 ] @ protocol_rules
   in
   if List.mem l d3_libs then D3 :: T3 :: base else base
 

@@ -6,7 +6,15 @@
    naming it a test oracle or state probe; a floating
    [@@@lint.allow "X1: why"] covers a whole test-model unit. The [val]s
    of an [include]d signature count as the unit's own; they are
-   reported at the include, which carries their allow. *)
+   reported at the include, which carries their allow.
+
+   O1: dead options, X1's twin. Every optional parameter of such a
+   [val] must be supplied by some application in those units, its own
+   unit included: [~x], [~x:e], [?x] or [?x:e]. A value used other than
+   as an application's head — aliased, passed as an argument, packed, or
+   required by a functor argument — has every option counted as
+   supplied, so the rule never guesses. An option only tests supply
+   carries [@@lint.allow "O1: why"] naming the test. *)
 
 open Lint_kb
 
@@ -33,9 +41,16 @@ let rec body (mty : Typedtree.module_type) =
   | Tmty_functor (_, res) -> body res
   | _ -> None
 
+(* the optional labels of a function type, in order *)
+let rec options (ty : Types.type_expr) =
+  match Types.get_desc ty with
+  | Tarrow (Optional l, _, ret, _) -> l :: options ret
+  | Tarrow (_, _, ret, _) -> options ret
+  | _ -> []
+
 let check ~all ~source ~modname (sg : Typedtree.signature) =
   let active = scope_of_source ~all source in
-  if List.mem X1 active then begin
+  if List.mem X1 active || List.mem O1 active then begin
     let allows = Allows.create () in
     let with_allows entries f =
       check_reasons ~active ~allows entries;
@@ -43,15 +58,25 @@ let check ~all ~source ~modname (sg : Typedtree.signature) =
       f ();
       Allows.pop allows entries
     in
-    let dead_unless_used prefix loc v =
+    let dirs = String.concat "/, " Lint_callgraph.use_dirs ^ "/" in
+    let check_value prefix loc v ty =
       let name = prefix ^ "." ^ v in
       if not (Hashtbl.mem Lint_callgraph.used name) then
         report ~active ~allows X1 loc
           "`%s` is exported but no other unit in %s references it — delete \
            it or drop its [val]; a test oracle, state probe or fault hook \
            carries [@@@@lint.allow \"X1: why\"]"
-          (display name)
-          (String.concat "/, " Lint_callgraph.use_dirs ^ "/")
+          (display name) dirs;
+      if not (Hashtbl.mem Lint_callgraph.escaped name) then
+        List.iter
+          (fun l ->
+            if not (Hashtbl.mem Lint_callgraph.supplied (name, l)) then
+              report ~active ~allows O1 loc
+                "no application in %s supplies `%s`'s option ?%s — make its \
+                 default a constant; an option only tests supply carries \
+                 [@@@@lint.allow \"O1: why\"]"
+                dirs (display name) l)
+          (options ty)
     in
     let rec items prefix (sg : Typedtree.signature) =
       List.iter
@@ -59,7 +84,8 @@ let check ~all ~source ~modname (sg : Typedtree.signature) =
           match item.sig_desc with
           | Tsig_value vd ->
             with_allows (Allows.of_attributes vd.val_attributes) (fun () ->
-                dead_unless_used prefix vd.val_loc vd.val_name.txt)
+                check_value prefix vd.val_loc vd.val_name.txt
+                  vd.val_desc.ctyp_type)
           | Tsig_module { md_name = { txt = Some m; _ }; md_type; _ } ->
             Option.iter (items (prefix ^ "." ^ m)) (body md_type)
           | Tsig_include incl ->
@@ -73,8 +99,8 @@ let check ~all ~source ~modname (sg : Typedtree.signature) =
     and included prefix loc (sg : Types.signature) =
       List.iter
         (function
-          | Types.Sig_value (id, _, _) ->
-            dead_unless_used prefix loc (Ident.name id)
+          | Types.Sig_value (id, vd, _) ->
+            check_value prefix loc (Ident.name id) vd.val_type
           | Types.Sig_module (id, _, { md_type = Mty_signature sg; _ }, _, _) ->
             included (prefix ^ "." ^ Ident.name id) loc sg
           | _ -> ())

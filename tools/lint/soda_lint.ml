@@ -43,6 +43,11 @@
             perf/, examples/ or tools/ references — aliases, functor
             arguments and packed modules count; test oracles, state
             probes and fault hooks carry [@@lint.allow "X1: why"]
+     O1     an optional parameter of such a value that no application
+            in those units supplies (~x, ~x:e, ?x, ?x:e); a value used
+            other than as an application's head counts as supplying
+            all; an option only tests turn carries
+            [@@lint.allow "O1: why"]
 
    Output: plain "<file>:<line>:<col>: [ID] msg" lines by default,
    --json for a machine-readable report, --github (auto-on when
