@@ -21,8 +21,8 @@ type scenario = {
   healing : bool
 }
 
-let cell ?(batched = false) ?(healing = false) name loss faults =
-  { name; loss; faults; batched; healing }
+let cell name loss faults =
+  { name; loss; faults; batched = false; healing = false }
 
 let matrix =
   List.concat_map
@@ -39,14 +39,16 @@ let matrix =
   @ [ (* the batched message plane (coalesced gossip, relay batching,
          staggered metadata) must survive the same adversary as the
          broadcast plane *)
-      cell ~batched:true "batched20+part" 0.2 Partitions;
+      { (cell "batched20+part" 0.2 Partitions) with batched = true };
       (* self-healing plane cells: the scrubber must find and repair
          silent bit-rot; the failure detector must bring back crashes
          that no nemesis Repair ever restores; and both must hold up
          when loss and partitions delay every heartbeat and fragment *)
-      cell ~healing:true "bitrot+scrub" 0.05 Bitrot;
-      cell ~healing:true "crash-noheal" 0.05 Unrepaired_crashes;
-      cell ~healing:true "bitrot+loss20+part" 0.2 Partitions_and_bitrot
+      { (cell "bitrot+scrub" 0.05 Bitrot) with healing = true };
+      { (cell "crash-noheal" 0.05 Unrepaired_crashes) with healing = true };
+      { (cell "bitrot+loss20+part" 0.2 Partitions_and_bitrot) with
+        healing = true
+      }
     ]
 
 let find name = List.find_opt (fun s -> s.name = name) matrix
