@@ -25,11 +25,13 @@
      state that grows with the history fails however fast the host).
 
    Every simulated probe also reports the engine's message accounting
-   (sent / dropped / lost / retransmissions) so lossy runs can be told
-   apart from crash-lossy ones at a glance, and the steps the engine
-   executed ("events", gated lower-is-better: a deterministic count,
-   so a change that adds steps per delivery fails however fast the
-   host). *)
+   (sent / dropped, and for the mesh probes lost / retransmissions) so
+   lossy runs can be told apart from crash-lossy ones at a glance, and
+   the steps the engine executed ("events", gated lower-is-better: a
+   deterministic count, so a change that adds steps per delivery fails
+   however fast the host). soda-soak runs through [Harness.Runner],
+   whose raw transport never loses or retransmits, so it reports
+   neither. *)
 
 module Engine = Simnet.Engine
 module Delay = Simnet.Delay
@@ -46,14 +48,11 @@ let probe_rows ~probe ~size ~seconds ?ops ?traffic () =
   let traffic =
     match traffic with
     | None -> []
-    | Some (events, sent, dropped, lost, retransmissions) ->
+    | Some (events, sent, dropped) ->
       [ Bench.row ~better:Lower probe "events" "events" (float_of_int events);
         Bench.count probe "sent" "msgs" sent;
         (* messages to crashed processes *)
-        Bench.count probe "dropped" "msgs" dropped;
-        (* messages eaten by the link fault plane *)
-        Bench.count probe "lost" "msgs" lost;
-        Bench.count probe "retransmissions" "msgs" retransmissions
+        Bench.count probe "dropped" "msgs" dropped
       ]
   in
   [ Bench.count probe "size" "events" size;
@@ -94,21 +93,24 @@ let mesh_events ?(transport = `Raw) ~procs ~messages ~hops () =
   ( Engine.messages_delivered engine,
     ( Engine.events_executed engine,
       Engine.messages_sent engine,
-      Engine.messages_dropped engine,
-      Engine.messages_lost engine,
-      Engine.retransmissions engine ) )
+      Engine.messages_dropped engine ),
+    (Engine.messages_lost engine, Engine.retransmissions engine) )
 
 let mesh_point (opts : Bench.opts) ?(transport = `Raw) ~probe () =
   let procs = 64 in
   let messages, hops = if opts.smoke then (100, 50) else (1_000, 500) in
   let min_elapsed = if opts.smoke then 0.05 else 1.0 in
-  let run = ref (0, (0, 0, 0, 0, 0)) in
+  let run = ref (0, (0, 0, 0), (0, 0)) in
   let seconds =
     measure ~min_elapsed (fun () ->
         run := mesh_events ~transport ~procs ~messages ~hops ())
   in
-  let size, traffic = !run in
+  let size, traffic, (lost, retransmissions) = !run in
   probe_rows ~probe ~size ~seconds ~traffic ()
+  @ [ (* messages eaten by the link fault plane *)
+      Bench.count probe "lost" "msgs" lost;
+      Bench.count probe "retransmissions" "msgs" retransmissions
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* soda-soak: the default soak workload end to end *)
@@ -129,14 +131,12 @@ let soak_run ~ops_per_client () =
     Harness.Workload.total_ops w,
     ( r.Harness.Runner.events_executed,
       r.Harness.Runner.messages_sent,
-      r.Harness.Runner.messages_dropped,
-      r.Harness.Runner.messages_lost,
-      0 ) )
+      r.Harness.Runner.messages_dropped ) )
 
 let soak_point (opts : Bench.opts) =
   let ops_per_client = if opts.smoke then 2 else 8 in
   let min_elapsed = if opts.smoke then 0.05 else 1.0 in
-  let run = ref (0, 0, (0, 0, 0, 0, 0)) in
+  let run = ref (0, 0, (0, 0, 0)) in
   let seconds =
     measure ~min_elapsed (fun () -> run := soak_run ~ops_per_client ())
   in

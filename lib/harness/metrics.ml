@@ -31,8 +31,6 @@ type summary = {
   messages_sent : int;
   messages_data : int;
   messages_meta : int;
-  acks_sent : int;
-  retransmissions : int;
   read_restarts : int
 }
 
@@ -64,8 +62,6 @@ let summarize (r : Runner.result) =
     messages_sent = r.Runner.messages_sent;
     messages_data = r.Runner.messages_data;
     messages_meta = r.Runner.messages_meta;
-    acks_sent = r.Runner.acks_sent;
-    retransmissions = r.Runner.retransmissions;
     read_restarts = r.Runner.read_restarts
   }
 
@@ -247,11 +243,10 @@ let pp_summary ppf s =
     "@[<v>%s: %d/%d ops complete, liveness=%b atomic=%b@,\
      write cost: %a@,read cost: %a@,storage max: %.3f@,\
      write latency: %a@,read latency: %a@,\
-     messages: %d (data %d, meta %d, acks %d, rexmit %d)@]"
+     messages: %d (data %d, meta %d)@]"
     s.algorithm s.ops_complete s.ops_total s.liveness s.atomic pp_stats
     s.write_cost pp_stats s.read_cost s.storage_max pp_stats s.write_latency
     pp_stats s.read_latency s.messages_sent s.messages_data s.messages_meta
-    s.acks_sent s.retransmissions
 
 (* ------------------------------------------------------------------ *)
 (* Sharded-run economics *)

@@ -27,10 +27,6 @@ type summary = {
       (** physical transmissions, incl. duplicates / retransmits / acks *)
   messages_data : int;  (** logical sends carrying coded data *)
   messages_meta : int;  (** logical sends carrying metadata only *)
-  acks_sent : int;
-      (** ack transmissions (reliable transport): one per data arrival at
-          a live destination *)
-  retransmissions : int;  (** reliable-transport retransmissions *)
   read_restarts : int
       (** CASGC reader restarts (see {!Runner.result.read_restarts}) *)
 }

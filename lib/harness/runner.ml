@@ -22,11 +22,8 @@ type result = {
   messages_sent : int;
   messages_delivered : int;
   messages_dropped : int;
-  messages_lost : int;
   messages_data : int;
   messages_meta : int;
-  acks_sent : int;
-  retransmissions : int;
   events_executed : int;
   final_time : float;
   crashed : int -> bool;
@@ -57,11 +54,8 @@ let execute (type d) (module R : Baselines.Register.S with type t = d)
     messages_sent = Engine.messages_sent engine;
     messages_delivered = Engine.messages_delivered engine;
     messages_dropped = Engine.messages_dropped engine;
-    messages_lost = Engine.messages_lost engine;
     messages_data = Engine.messages_data engine;
     messages_meta = Engine.messages_meta engine;
-    acks_sent = Engine.acks_sent engine;
-    retransmissions = Engine.retransmissions engine;
     events_executed = Engine.events_executed engine;
     final_time = Engine.now engine;
     crashed =

@@ -32,18 +32,10 @@ type result = {
   messages_dropped : int;
       (** Messages addressed to a crashed process (crash semantics, not
           link faults). *)
-  messages_lost : int;
-      (** Transmissions eaten by the engine's fault plane; 0 unless the
-          workload ran over lossy links. *)
   messages_data : int;
       (** Logical protocol sends carrying coded data (the algorithm's
           [Messages.data_bytes] > 0). *)
   messages_meta : int;  (** Logical protocol sends carrying metadata only. *)
-  acks_sent : int;
-      (** Ack transmissions, one per data arrival at a live
-          destination; 0 on the raw transport. *)
-  retransmissions : int;
-      (** Reliable-transport retransmissions; 0 on the raw transport. *)
   events_executed : int;
       (** Every event the engine dispatched: deliveries, drops, local
           actions (e.g. dispersal steps), injections, crash/restores. *)

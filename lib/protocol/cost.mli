@@ -26,7 +26,8 @@ val value_len : t -> int
 (** {1 Communication} *)
 
 val comm : t -> op:int -> bytes:int -> unit
-(** Charge [bytes] of data communication to operation [op]. *)
+(** Charge [bytes] of data communication to operation [op].
+    @raise Invalid_argument on a negative size or a negative [op]. *)
 
 val comm_of_op : t -> op:int -> float
 (** Total data sent on behalf of [op], in value units. *)
@@ -38,7 +39,8 @@ val total_comm : t -> float
 
 val storage_set : t -> server:int -> bytes:int -> unit
 (** Declare that [server] currently stores [bytes] bytes of data
-    (replacing its previous figure). *)
+    (replacing its previous figure).
+    @raise Invalid_argument on a negative size or a negative [server]. *)
 
 val current_total_storage : t -> float
 (** Sum over servers, in value units. *)

@@ -48,24 +48,22 @@ let max_seq = 0x7FFFF
    direction on both sides: the sender's store of unacked sends and the
    receiver's dedup for the data it gets.
 
-   Sender: every seq below [next_seq] is allocated; the pending ones
-   (registered, not yet acked or given up) live in one of two stores.
-   Recent sends sit in a power-of-two ring over [base, next_seq),
-   indexed by [seq land (capacity - 1)]; [live] counts its pending
-   slots. A slot is vacant when its [tries] is -1 — the state of every
-   slot outside [base, next_seq) — and reserved (-2) from [alloc_seq]
-   to [register]; [base] never passes a reserved slot. A pending slot
-   also holds its current timer's deadline and whether the engine has
-   armed (pushed) that timer yet. Pending sends below [base] are
-   strays: one send stuck behind a partition must not hold the ring
-   open over every later, long-acked slot. When the ring is full and at
-   most a quarter of it is pending, the pending sends of its older half
-   move to [strays] and the ring slides past them; otherwise it
-   doubles. The engine registers each seq right after allocating it,
-   so no slot is reserved when the ring fills, and the ring has fewer
-   than eight slots per pending send at its last doubling. The strays
-   are a subset of the pending sends, so both stores are bounded by the
-   sends in flight, not by the length of the run.
+   Sender: every seq below [next_seq] is allocated and was registered
+   in the same call; the pending ones (not yet acked or given up) live
+   in one of two stores. Recent sends sit in a power-of-two ring over
+   [base, next_seq), indexed by [seq land (capacity - 1)]; [live] counts
+   its pending slots. A slot is vacant when its [tries] is -1 — the
+   state of every slot outside [base, next_seq). A pending slot also
+   holds its current timer's deadline and whether the engine has armed
+   (pushed) that timer yet. Pending sends below [base] are strays: one
+   send stuck behind a partition must not hold the ring open over every
+   later, long-acked slot. When the ring is full and at most a quarter
+   of it is pending, the pending sends of its older half move to
+   [strays] and the ring slides past them; otherwise it doubles. So the
+   ring has fewer than eight slots per pending send at its last
+   doubling. The strays are a subset of the pending sends, so both
+   stores are bounded by the sends in flight, not by the length of the
+   run.
 
    Receiver: every seq <= [cum] has arrived except the [holes];
    arrivals above it sit in a bitmap ring over (cum, cum + 8 *
@@ -83,6 +81,8 @@ type stray = {
 }
 
 type link = {
+  src : int;
+  dst : int;
   mutable next_seq : int;
   mutable base : int;
   mutable payloads : Obj.t array;
@@ -100,6 +100,9 @@ type link = {
 type t = {
   config : config;
   timeouts : float array;  (* timeout_table config *)
+  (* the one-slot cell every time crosses the interface through: a
+     float argument or result of a call that does not inline is boxed *)
+  cell : float array;
   mutable rows : link option array array;  (* rows.(src).(dst) *)
   mutable in_flight : int;
   mutable retransmissions : int;
@@ -111,6 +114,7 @@ let create config =
   validate config;
   { config;
     timeouts = timeout_table config;
+    cell = [| 0.0 |];
     rows = [||];
     in_flight = 0;
     retransmissions = 0;
@@ -119,6 +123,7 @@ let create config =
   }
 
 let config t = t.config
+let cell t = t.cell
 
 (* [a] extended to cover index [i], at least doubling. *)
 let extend a i fill =
@@ -141,7 +146,9 @@ let link t ~src ~dst =
   | Some l -> l
   | None ->
     let l =
-      { next_seq = 0;
+      { src;
+        dst;
+        next_seq = 0;
         base = 0;
         payloads = [||];
         tries = [||];
@@ -162,10 +169,8 @@ let link t ~src ~dst =
 
 let vacant_payload = Obj.repr 0
 
-(* [tries] of a slot holding no send, and of one allocated but not yet
-   registered *)
+(* [tries] of a slot holding no send *)
 let vacant = -1
-let reserved = -2
 
 let slot l seq = seq land (Array.length l.tries - 1)
 
@@ -215,17 +220,14 @@ let vacate t l seq =
 
 (* The ring is full: slide it past its older half when at most a quarter
    of its slots are pending, moving that half's pending sends to the
-   strays; otherwise double it. The slide stops at a reserved slot, so
-   [register] always finds its seq in the ring. *)
+   strays; otherwise double it. *)
 let make_room l =
   let cap = Array.length l.tries in
-  let upto = ref l.base in
   if cap >= 8 && 4 * l.live <= cap then begin
-    let limit = l.base + (cap / 2) in
-    while !upto < limit && l.tries.(slot l !upto) <> reserved do
-      let i = slot l !upto in
+    for seq = l.base to l.base + (cap / 2) - 1 do
+      let i = slot l seq in
       if l.tries.(i) >= 0 then begin
-        Hashtbl.replace l.strays !upto
+        Hashtbl.replace l.strays seq
           { s_payload = l.payloads.(i);
             s_tries = l.tries.(i);
             s_deadline = l.deadlines.(i);
@@ -234,49 +236,42 @@ let make_room l =
         l.payloads.(i) <- vacant_payload;
         l.tries.(i) <- vacant;
         l.live <- l.live - 1
-      end;
-      incr upto
-    done
-  end;
-  if !upto = l.base then grow_window l
-  else begin
-    l.base <- !upto;
+      end
+    done;
+    l.base <- l.base + (cap / 2);
     advance_base l
   end
+  else grow_window l
 
-let alloc_seq t ~src ~dst =
-  let l = link t ~src ~dst in
+let register t l payload =
   let seq = l.next_seq in
   if seq > max_seq then
     invalid_arg
-      (Printf.sprintf "Channel.alloc_seq: link %d->%d exhausted %d sequence numbers"
-         src dst (max_seq + 1));
+      (Printf.sprintf "Channel.register: link %d->%d exhausted %d sequence numbers"
+         l.src l.dst (max_seq + 1));
   if seq - l.base >= Array.length l.tries then make_room l;
-  l.tries.(slot l seq) <- reserved;
-  l.next_seq <- seq + 1;
-  seq
-
-let register t ~src ~dst ~seq payload =
-  let l = link t ~src ~dst in
-  if seq < l.base || seq >= l.next_seq || l.tries.(slot l seq) <> reserved then
-    invalid_arg "Channel.register: seq not freshly allocated on this link";
   let i = slot l seq in
   l.payloads.(i) <- payload;
   l.tries.(i) <- 0;
   l.deadlines.(i) <- Float.infinity;
   Bytes.set l.armed i '\000';
+  l.next_seq <- seq + 1;
   l.live <- l.live + 1;
   t.in_flight <- t.in_flight + 1;
-  t.timeouts.(0)
+  t.cell.(0) <- t.timeouts.(0);
+  seq
 
 (* Every operation below takes the ring's path for [seq] >= [base] and
-   the stray's otherwise, with the same logic on each. *)
+   the stray's otherwise, with the same logic on each. Each reads the
+   time it is given from [t.cell] and leaves the time it returns
+   there. *)
 
-let set_deadline t ~src ~dst ~seq ~armed deadline =
-  let l = link t ~src ~dst in
-  let not_pending () = invalid_arg "Channel.set_deadline: seq not pending" in
+let not_pending where = invalid_arg ("Channel." ^ where ^ ": seq not pending")
+
+let set_deadline t l ~seq ~armed =
+  let deadline = t.cell.(0) in
   if seq >= l.base then begin
-    if not (ring_pending l seq) then not_pending ();
+    if not (ring_pending l seq) then not_pending "set_deadline";
     let i = slot l seq in
     l.deadlines.(i) <- deadline;
     Bytes.set l.armed i (if armed then '\001' else '\000')
@@ -286,10 +281,10 @@ let set_deadline t ~src ~dst ~seq ~armed deadline =
     | Some s ->
       s.s_deadline <- deadline;
       s.s_armed <- armed
-    | None -> not_pending ()
+    | None -> not_pending "set_deadline"
 
-let arm t ~src ~dst ~seq ~at =
-  let l = link t ~src ~dst in
+let arm t l ~seq =
+  let at = t.cell.(0) in
   if seq >= l.base then
     ring_pending l seq
     &&
@@ -298,35 +293,28 @@ let arm t ~src ~dst ~seq ~at =
     && at >= l.deadlines.(i)
     &&
     (Bytes.set l.armed i '\001';
+     t.cell.(0) <- l.deadlines.(i);
      true)
   else
     match stray l seq with
     | Some s when (not s.s_armed) && at >= s.s_deadline ->
       s.s_armed <- true;
+      t.cell.(0) <- s.s_deadline;
       true
     | _ -> false
-
-let deadline t ~src ~dst ~seq =
-  let l = link t ~src ~dst in
-  if seq >= l.base then
-    if ring_pending l seq then l.deadlines.(slot l seq) else Float.infinity
-  else match stray l seq with Some s -> s.s_deadline | None -> Float.infinity
 
 (* An ack landing at [at] beats the timer when it lands strictly before
    the deadline, or at it while the timer is unqueued: a timer pushed
    from then on would pop after the ack. A queued timer pops first at a
-   tie. (Written out at each use: a float passed to a function is boxed
-   on this compiler.) *)
+   tie. *)
 
 (* Discharge [seq] if it is pending. *)
-let discharge t l seq =
+let ack t l ~seq =
   if seq >= l.base then (if ring_pending l seq then vacate t l seq)
   else if Option.is_some (stray l seq) then vacate t l seq
 
-let ack t ~src ~dst ~seq = discharge t (link t ~src ~dst) seq
-
-let settle t ~src ~dst ~seq ~at =
-  let l = link t ~src ~dst in
+let settle t l ~seq =
+  let at = t.cell.(0) in
   if seq >= l.base then
     (not (ring_pending l seq))
     ||
@@ -352,15 +340,14 @@ let give_up t l seq =
   t.abandoned <- t.abandoned + 1;
   `Give_up
 
-(* The retransmission after [tries] timeouts: its payload and the next
-   timeout. *)
-let retransmit t ~tries payload =
+(* The retransmission after [tries] timeouts: the next timeout goes to
+   the cell. *)
+let retransmit t ~tries =
   t.retransmissions <- t.retransmissions + 1;
-  let last = Array.length t.timeouts - 1 in
-  `Retransmit (payload, t.timeouts.(min tries last))
+  t.cell.(0) <- t.timeouts.(min tries (Array.length t.timeouts - 1));
+  `Retransmit
 
-let on_timer t ~src ~dst ~seq =
-  let l = link t ~src ~dst in
+let on_timer t l ~seq =
   if seq >= l.base then
     if not (ring_pending l seq) then `Done
     else begin
@@ -368,7 +355,7 @@ let on_timer t ~src ~dst ~seq =
       if l.tries.(i) >= t.config.max_retries then give_up t l seq
       else begin
         l.tries.(i) <- l.tries.(i) + 1;
-        retransmit t ~tries:l.tries.(i) l.payloads.(i)
+        retransmit t ~tries:l.tries.(i)
       end
     end
   else
@@ -377,7 +364,17 @@ let on_timer t ~src ~dst ~seq =
     | Some s when s.s_tries >= t.config.max_retries -> give_up t l seq
     | Some s ->
       s.s_tries <- s.s_tries + 1;
-      retransmit t ~tries:s.s_tries s.s_payload
+      retransmit t ~tries:s.s_tries
+
+let payload l ~seq =
+  if seq >= l.base then begin
+    if not (ring_pending l seq) then not_pending "payload";
+    l.payloads.(slot l seq)
+  end
+  else
+    match stray l seq with
+    | Some s -> s.s_payload
+    | None -> not_pending "payload"
 
 let window_slots t =
   Array.fold_left
@@ -454,8 +451,7 @@ let duplicate t =
   `Duplicate
 
 (* [`Fresh] exactly once per seq. *)
-let receive t ~src ~dst ~seq =
-  let l = link t ~src ~dst in
+let receive t l ~seq =
   if seq <= l.cum then (
     match l.holes with
     | Some holes when Hashtbl.mem holes seq ->

@@ -48,8 +48,8 @@
     of an engine that queues every ack; a loss-free delivery is one
     event.
 
-    State lives in one record per directed link, found by pid (no
-    hashing). The sender keeps its unacked sends in a pending store of
+    State lives in one record per directed link ({!link}), found by pid
+    (no hashing). The sender keeps its unacked sends in a pending store of
     two parts: a power-of-two ring over the recent sequence numbers
     [\[base, next_seq)], and a side table of {e strays}, pending sends
     below [base]. Acks and give-ups vacate slots and advance [base].
@@ -107,72 +107,90 @@ val max_seq : int
 (** Sequence numbers are packed into the engine's event tag word; a link
     that exhausts them raises. *)
 
-val alloc_seq : t -> src:int -> dst:int -> int
-(** Next sequence number on the directed link, from 0.
+(** {1 Links}
+
+    Every operation below acts on one directed link, resolved once by
+    the caller per event ({!link}) and passed to each call.
+
+    Times cross the interface through a one-slot cell ({!cell}), the
+    way {!Event_queue.inbox} does: the caller stores a time it passes in
+    index 0 before the call, and reads a time a call returns from it
+    after. Without cross-module inlining a float argument or result is
+    boxed on every call; through the cell, once a link's ring and bitmap
+    have grown to their size, no operation allocates while its sends
+    stay in the ring. *)
+
+type link
+
+val link : t -> src:int -> dst:int -> link
+(** The state of the directed link [src -> dst], created on first use:
+    the sender side of the data it carries and the receiver side's
+    dedup. *)
+
+val cell : t -> float array
+(** The one-slot time cell, stable across the channel's lifetime. *)
+
+val register : t -> link -> Obj.t -> int
+(** Allocate the link's next sequence number, from 0, record an unacked
+    send of the payload under it, return it, and leave the initial
+    retransmission timeout in the cell. No timer exists yet: its
+    deadline is unset until {!set_deadline}.
     @raise Invalid_argument past {!max_seq}. *)
 
-val register : t -> src:int -> dst:int -> seq:int -> Obj.t -> float
-(** Record an unacked send and return the initial retransmission
-    timeout. [seq] must come from {!alloc_seq} on the same link, with no
-    ack for the link processed in between (the engine registers right
-    after allocating). No timer exists yet: its deadline is unset until
-    {!set_deadline}.
-    @raise Invalid_argument if [seq] is not such a sequence number. *)
-
-val set_deadline :
-  t -> src:int -> dst:int -> seq:int -> armed:bool -> float -> unit
-(** [set_deadline t ~src ~dst ~seq ~armed d]: the pending send's current
-    transmission times out at [d] (the timeout plus the engine's jitter,
-    from now). [armed]: the caller queues the timer at [d] right away,
+val set_deadline : t -> link -> seq:int -> armed:bool -> unit
+(** The pending send's current transmission times out at the deadline
+    in the cell (the timeout plus the engine's jitter, from now).
+    [armed]: the caller queues the timer at the deadline right away,
     because a copy of this transmission is already known to be lost or
-    to land at or after [d]; otherwise nothing is queued until {!arm}
+    to land at or after it; otherwise nothing is queued until {!arm}
     says so.
     @raise Invalid_argument if [seq] is not pending. *)
 
-val arm : t -> src:int -> dst:int -> seq:int -> at:float -> bool
-(** [arm t ~src ~dst ~seq ~at]: an event settles the send no earlier
-    than [at] ([infinity] when a copy or ack was lost or dropped). If
-    the send is pending, its timer unarmed and [at] is at or after its
-    {!deadline}, marks the timer armed and returns [true]: the caller
-    must then queue it at {!deadline}. Otherwise [false]: the send is
-    discharged, its timer already queued, or the ack can still beat
-    the deadline. *)
+val arm : t -> link -> seq:int -> bool
+(** An event settles the send no earlier than the time in the cell
+    ([infinity] when a copy or ack was lost or dropped). If the send is
+    pending, its timer unarmed and that time is at or after its
+    deadline, marks the timer armed, leaves the deadline in the cell and
+    returns [true]: the caller must then queue the timer at it.
+    Otherwise [false], the cell untouched: the send is discharged, its
+    timer already queued, or the ack can still beat the deadline. An
+    unset deadline is [infinity]. *)
 
-val deadline : t -> src:int -> dst:int -> seq:int -> float
-(** The pending send's current timer deadline; [infinity] when the send
-    is not pending. *)
-
-val receive : t -> src:int -> dst:int -> seq:int -> [ `Fresh | `Duplicate ]
+val receive : t -> link -> seq:int -> [ `Fresh | `Duplicate ]
 (** Receiver side: [`Fresh] exactly once per (link, seq) — the caller
     must deliver to the protocol handler on [`Fresh] and suppress on
     [`Duplicate] (acking in both cases: a duplicate means the sender
     missed the last ack). *)
 
-val settle : t -> src:int -> dst:int -> seq:int -> at:float -> bool
-(** [settle t ~src ~dst ~seq ~at]: an ack for [seq] was just transmitted
-    and lands at [at]. [true] when the send needs no ack event: it is
-    already discharged, or the ack lands strictly before its {!deadline}
-    or, with the timer unarmed, exactly at it — the send is then
-    discharged now. [false]: the ack is late; the caller queues it at
-    [at] (its landing calls {!ack}) and {!arm}s the timer. A timer
-    already armed for a settled send still pops, as a no-op ([`Done]
-    from {!on_timer}). *)
+val settle : t -> link -> seq:int -> bool
+(** An ack for [seq] was just transmitted and lands at the time in the
+    cell. [true] when the send needs no ack event: it is already
+    discharged, or the ack lands strictly before its deadline or, with
+    the timer unarmed, exactly at it — the send is then discharged now.
+    [false]: the ack is late; the caller queues it (its landing calls
+    {!ack}) and {!arm}s the timer. A timer already armed for a settled
+    send still pops, as a no-op ([`Done] from {!on_timer}). The cell is
+    left untouched. *)
 
-val ack : t -> src:int -> dst:int -> seq:int -> unit
+val ack : t -> link -> seq:int -> unit
 (** Sender side: a late ack landed; the pending entry is discharged.
     Idempotent (acks themselves ride the lossy network and may be
     duplicated). *)
 
-val on_timer : t -> src:int -> dst:int -> seq:int ->
-  [ `Done | `Give_up | `Retransmit of Obj.t * float ]
+val on_timer : t -> link -> seq:int -> [ `Done | `Give_up | `Retransmit ]
 (** An armed retransmission timer fired (only armed timers are ever
-    queued, at their {!deadline}). [`Done]: acked since it was armed.
-    [`Give_up]: the retry cap is exhausted; the entry is dropped and
-    counted. Otherwise the payload to retransmit and the {e next}
-    timeout: element [tries] of {!backoff_schedule}, read from a table
-    built once from the config (jitter-free — the engine adds its
-    seeded jitter, then calls {!set_deadline} for the new, unarmed
-    timer). *)
+    queued, at their deadline). The result is a constant constructor,
+    an immediate int. [`Done]: acked since it was armed. [`Give_up]:
+    the retry cap is exhausted; the entry is dropped and counted.
+    [`Retransmit]: the send stays pending, its {!payload} is to be sent
+    again, and the {e next} timeout is in the cell: element [tries] of
+    {!backoff_schedule}, read from a table built once from the config
+    (jitter-free — the engine adds its seeded jitter, then calls
+    {!set_deadline} for the new, unarmed timer). *)
+
+val payload : link -> seq:int -> Obj.t
+(** The pending send's payload.
+    @raise Invalid_argument if [seq] is not pending. *)
 
 (** {1 Counters} *)
 

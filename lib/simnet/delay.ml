@@ -20,28 +20,17 @@ let exponential ~mean ~cap =
 
 let per_link f = Per_link f
 
-type shape =
-  | Constant_delay of float
-  | Uniform_delay of { lo : float; hi : float }
-  | Exponential_delay of { mean : float; cap : float }
-  | Dynamic_delay
-
-let shape = function
-  | Constant d -> Constant_delay d
-  | Uniform (lo, hi) -> Uniform_delay { lo; hi }
-  | Exponential { mean; cap } -> Exponential_delay { mean; cap }
-  | Per_link _ -> Dynamic_delay
-
 (* Peel [Per_link] wrappers down to a concrete distribution. *)
 let rec resolve t ~src ~dst =
   match t with Per_link f -> resolve (f ~src ~dst) ~src ~dst | t -> t
 
 (* [draw] is deliberately non-recursive (the [Per_link] indirection is
    peeled by [resolve] first) and avoids [Float.min]/[Float.max] so the
-   whole sampling chain can inline into [Engine.send] even without
-   flambda — otherwise every hop boxes a handful of intermediate floats
-   on the simulator's hottest path. The comparisons are safe because no
-   distribution can produce a NaN. *)
+   whole sampling chain, [Rng.float] included, inlines into the engine's
+   send paths when modules are compiled without -opaque — otherwise every
+   hop boxes a handful of intermediate floats on the simulator's hottest
+   path. The comparisons are safe because no distribution can produce a
+   NaN. *)
 let[@inline] draw t rng ~src ~dst =
   let t = match t with Per_link _ -> resolve t ~src ~dst | t -> t in
   let d =

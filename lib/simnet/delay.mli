@@ -26,23 +26,8 @@ val per_link : (src:int -> dst:int -> t) -> t
     server. The inner models are consulted on every message. *)
 
 val draw : t -> Rng.t -> src:int -> dst:int -> float
-(** Sample a transit time; always strictly positive so a message is never
+(** Sample a transit time; always at least 1e-9, so a message is never
     delivered at the instant it is sent. *)
-
-val epsilon : float
-(** The positive floor applied to every draw. *)
-
-type shape =
-  | Constant_delay of float
-  | Uniform_delay of { lo : float; hi : float }
-  | Exponential_delay of { mean : float; cap : float }
-  | Dynamic_delay  (** [per_link]: parameters depend on the endpoints *)
-
-val shape : t -> shape
-(** The concrete distribution, for callers that specialise their
-    sampling loop (the engine inlines the arithmetic on its send path;
-    without flambda, going through {!draw} boxes every intermediate
-    float). [Dynamic_delay] callers must fall back to {!draw}. *)
 
 val upper_bound : t -> float option
 (** A bound Δ such that every draw is <= Δ, when the model has one

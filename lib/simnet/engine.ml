@@ -26,7 +26,7 @@ type pid = int
 
    The packing caps pids at 2^20 - 1 ([reserve] enforces it) and
    reliable-channel sequence numbers at 2^19 - 1 per directed link
-   ([Channel.alloc_seq] enforces it). Pushes and pops are consistent by
+   ([Channel.register] enforces it). Pushes and pops are consistent by
    construction ([dispatch] is the only reader), so the [Obj.obj] casts
    below never see a payload of the wrong type. *)
 
@@ -50,11 +50,6 @@ let tag_b tag = (tag lsr 24) land max_pid
 let tag_seq tag = (tag lsr 44) land Channel.max_seq
 
 let obj_unit = Obj.repr 0
-
-let dk_constant = 0
-let dk_uniform = 1
-let dk_exponential = 2
-let dk_dynamic = 3
 
 (* Observation-only tap for payload-aware trace tooling (bin/replay):
    called at protocol deliveries and ack transmissions. Installing one
@@ -82,13 +77,6 @@ and 'msg t = {
   root_rng : Rng.t;
   net_rng : Rng.t;
   delay : Delay.t;
-  (* the delay distribution, pre-classified so [send] can sample with
-     local float arithmetic instead of calling [Delay.draw] (which,
-     without flambda, boxes every intermediate float on the hottest
-     path of the simulator) *)
-  delay_kind : int;  (* dk_* below *)
-  delay_a : float;  (* constant value / lo / mean *)
-  delay_b : float;  (* hi / cap *)
   duplication : float;
   faults : Link_faults.t;
   (* the reliable-channel substrate, or [None] for the raw transport;
@@ -143,13 +131,6 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
   if duplication < 0.0 || duplication >= 1.0 then
     invalid_arg "Engine.create: duplication must be in [0, 1)";
   let root_rng = Rng.create seed in
-  let delay_kind, delay_a, delay_b =
-    match Delay.shape delay with
-    | Delay.Constant_delay d -> (dk_constant, Float.max Delay.epsilon d, 0.0)
-    | Delay.Uniform_delay { lo; hi } -> (dk_uniform, lo, hi)
-    | Delay.Exponential_delay { mean; cap } -> (dk_exponential, mean, cap)
-    | Delay.Dynamic_delay -> (dk_dynamic, 0.0, 0.0)
-  in
   let channel =
     match transport with
     | `Raw -> None
@@ -161,9 +142,6 @@ let create ?(seed = 0) ?(trace = false) ?(duplication = 0.0)
     net_rng = Rng.split root_rng;
     root_rng;
     delay;
-    delay_kind;
-    delay_a;
-    delay_b;
     duplication;
     faults = Link_faults.create ();
     channel;
@@ -304,22 +282,30 @@ let send_raw_faulty t ~src ~dst msg =
    fire: a copy lost, landing at or after the deadline, or dropped at a
    dead destination, or its ack lost or landing at or after the
    deadline. Until then the ack is due strictly before the deadline,
-   and a pushed timer would pop as a no-op after it. *)
-let push_rexmit t ~src ~dst ~seq deadline =
-  (Event_queue.inbox t.queue).(0) <- deadline;
+   and a pushed timer would pop as a no-op after it.
+
+   Each event on the reliable path resolves its link once and passes it
+   to every channel call; times go to and from the channel through its
+   one-slot cell ([Channel.cell]), so no float crosses a call. *)
+
+(* Queue the timer of pending send [seq], due at the time in the
+   queue's inbox. *)
+let push_rexmit t ~src ~dst ~seq =
   Event_queue.push_inbox t.queue
     ~tag:(pack_seq ~kind:k_rexmit ~a:src ~b:dst ~seq)
     obj_unit
 
-(* An event at [at] ([infinity]: never) is the earliest the ack can
-   discharge pending send [seq]; push its timer if that is too late. *)
-let arm_rexmit t ch ~src ~dst ~seq ~at =
-  if Channel.arm ch ~src ~dst ~seq ~at then begin
-    let deadline = Channel.deadline ch ~src ~dst ~seq in
+(* An event at the time in the channel's cell ([infinity]: never) is
+   the earliest the ack can discharge pending send [seq]; push its
+   timer if that is too late. *)
+let arm_rexmit t ch l ~src ~dst ~seq =
+  if Channel.arm ch l ~seq then begin
+    let deadline = (Channel.cell ch).(0) in
     (* a pending, unarmed send is acked before its deadline, so no
        event at or after the deadline can find it unarmed *)
     assert (deadline > t.clock.(0));
-    push_rexmit t ~src ~dst ~seq deadline
+    (Event_queue.inbox t.queue).(0) <- deadline;
+    push_rexmit t ~src ~dst ~seq
   end
 
 (* One physical transmission of a reliable-channel data packet (first
@@ -350,7 +336,7 @@ let transmit_data t ~src ~dst ~seq payload =
    ack beats the timer; only a late ack is queued, with the data
    direction in its tag so its landing finds the pending entry without
    unpacking a payload. *)
-let transmit_ack t ch ~src ~dst ~seq =
+let transmit_ack t ch l ~src ~dst ~seq =
   t.sent <- t.sent + 1;
   t.acks_sent <- t.acks_sent + 1;
   (match t.tap with
@@ -359,11 +345,13 @@ let transmit_ack t ch ~src ~dst ~seq =
   | None -> ());
   if t.trace_enabled then
     record t (Sent { time = t.clock.(0); src = dst; dst = src });
+  let cell = Channel.cell ch in
   if Link_faults.armed t.faults && faults_lose t ~src:dst ~dst:src then begin
     t.lost <- t.lost + 1;
     if t.trace_enabled then
       record t (Lost { time = t.clock.(0); src = dst; dst = src });
-    arm_rexmit t ch ~src ~dst ~seq ~at:Float.infinity
+    cell.(0) <- Float.infinity;
+    arm_rexmit t ch l ~src ~dst ~seq
   end
   else begin
     (* the send is discharged even if its sender is crashed: the channel
@@ -377,20 +365,24 @@ let transmit_ack t ch ~src ~dst ~seq =
     else if t.trace_enabled then
       record t (Delivered { time = t.clock.(0); src = dst; dst = src });
     let transit = Delay.draw t.delay t.net_rng ~src:dst ~dst:src in
-    let at = t.clock.(0) +. transit in
-    if not (Channel.settle ch ~src ~dst ~seq ~at) then begin
-      (Event_queue.inbox t.queue).(0) <- at;
+    cell.(0) <- t.clock.(0) +. transit;
+    if not (Channel.settle ch l ~seq) then begin
+      (* [settle] leaves the landing time in the cell for [arm_rexmit] *)
+      (Event_queue.inbox t.queue).(0) <- cell.(0);
       Event_queue.push_inbox t.queue
         ~tag:(pack_seq ~kind:k_ack ~a:src ~b:dst ~seq)
         obj_unit;
-      arm_rexmit t ch ~src ~dst ~seq ~at
+      arm_rexmit t ch l ~src ~dst ~seq
     end
   end
 
 (* Set the timer of the transmission just made, whose copies' latest
-   landing time is in [copy_at]. The jitter is drawn where timers used
-   to be pushed unconditionally, so the rng stream is unchanged. *)
-let schedule_rexmit t ch ~src ~dst ~seq ~rto =
+   landing time is in [copy_at] and whose timeout the channel left in
+   its cell. The jitter is drawn where timers used to be pushed
+   unconditionally, so the rng stream is unchanged. *)
+let schedule_rexmit t ch l ~src ~dst ~seq =
+  let cell = Channel.cell ch in
+  let rto = cell.(0) in
   let cfg = Channel.config ch in
   let jitter =
     if cfg.Channel.jitter > 0.0 then
@@ -399,13 +391,17 @@ let schedule_rexmit t ch ~src ~dst ~seq ~rto =
   in
   let deadline = t.clock.(0) +. rto +. jitter in
   let armed = t.copy_at.(0) >= deadline in
-  Channel.set_deadline ch ~src ~dst ~seq ~armed deadline;
-  if armed then push_rexmit t ~src ~dst ~seq deadline
+  cell.(0) <- deadline;
+  Channel.set_deadline ch l ~seq ~armed;
+  if armed then begin
+    (Event_queue.inbox t.queue).(0) <- deadline;
+    push_rexmit t ~src ~dst ~seq
+  end
 
 let send_reliable t ch ~src ~dst msg =
-  let seq = Channel.alloc_seq ch ~src ~dst in
+  let l = Channel.link ch ~src ~dst in
   let payload = Obj.repr msg in
-  let rto = Channel.register ch ~src ~dst ~seq payload in
+  let seq = Channel.register ch l payload in
   transmit_data t ~src ~dst ~seq payload;
   (* at-least-once physical channels: the first copy may be duplicated;
      the receiver-side dedup absorbs it like any retransmission *)
@@ -414,7 +410,7 @@ let send_reliable t ch ~src ~dst msg =
     transmit_data t ~src ~dst ~seq payload;
     if first > t.copy_at.(0) then t.copy_at.(0) <- first
   end;
-  schedule_rexmit t ch ~src ~dst ~seq ~rto
+  schedule_rexmit t ch l ~src ~dst ~seq
 
 let classify_send t msg =
   (match t.classify with
@@ -436,35 +432,7 @@ let send ctx ~dst msg =
   | None ->
     if Link_faults.armed t.faults then send_raw_faulty t ~src ~dst msg
     else begin
-      (* The transit sampling below is [Delay.draw] with bit-identical
-         arithmetic, specialised on the pre-classified distribution so
-         every intermediate float stays in a register (a [Delay.draw]
-         call boxes each one: [Rng.float], the exponential's [u], its
-         result, the draw). [dk_dynamic] keeps the general path. *)
-      let transit =
-        let k = t.delay_kind in
-        if k = dk_constant then t.delay_a
-        else if k = dk_exponential then begin
-          let u =
-            float_of_int (Rng.bits t.net_rng land 0x1FFFFFFFFFFFFF)
-            /. 9007199254740992.0 *. 1.0
-          in
-          let u = if u <= 0. then 1e-300 else u in
-          let d = -.t.delay_a *. log u in
-          let d = if d > t.delay_b then t.delay_b else d in
-          if d < Delay.epsilon then Delay.epsilon else d
-        end
-        else if k = dk_uniform then begin
-          let d =
-            t.delay_a
-            +. float_of_int (Rng.bits t.net_rng land 0x1FFFFFFFFFFFFF)
-               /. 9007199254740992.0
-               *. (t.delay_b -. t.delay_a)
-          in
-          if d < Delay.epsilon then Delay.epsilon else d
-        end
-        else Delay.draw t.delay t.net_rng ~src ~dst
-      in
+      let transit = Delay.draw t.delay t.net_rng ~src ~dst in
       t.sent <- t.sent + 1;
       if t.trace_enabled then record t (Sent { time = t.clock.(0); src; dst });
       let tag = pack ~kind:k_deliver ~a:src ~b:dst in
@@ -578,10 +546,11 @@ let dispatch t tag payload =
       if t.trace_enabled then
         record t (Delivered { time = t.clock.(0); src; dst });
       let ch = channel_exn t in
+      let l = Channel.link ch ~src ~dst in
       (* ack before running the handler so the ack's delay draw is not
          interleaved with the handler's own sends *)
-      transmit_ack t ch ~src ~dst ~seq;
-      (match Channel.receive ch ~src ~dst ~seq with
+      transmit_ack t ch l ~src ~dst ~seq;
+      (match Channel.receive ch l ~seq with
       | `Duplicate -> ()
       | `Fresh ->
         t.delivered <- t.delivered + 1;
@@ -597,22 +566,27 @@ let dispatch t tag payload =
       t.dropped <- t.dropped + 1;
       if t.trace_enabled then
         record t (Dropped { time = t.clock.(0); src; dst });
-      arm_rexmit t (channel_exn t) ~src ~dst ~seq ~at:Float.infinity
+      let ch = channel_exn t in
+      (Channel.cell ch).(0) <- Float.infinity;
+      arm_rexmit t ch (Channel.link ch ~src ~dst) ~src ~dst ~seq
   end
-  else if kind = k_ack then
+  else if kind = k_ack then begin
     (* a late ack landed (accounted at its transmission); the tag holds
        the data direction *)
-    Channel.ack (channel_exn t) ~src:(tag_a tag) ~dst:(tag_b tag)
+    let ch = channel_exn t in
+    Channel.ack ch (Channel.link ch ~src:(tag_a tag) ~dst:(tag_b tag))
       ~seq:(tag_seq tag)
+  end
   else begin
     (* k_rexmit: an armed retransmission timer *)
     let src = tag_a tag and dst = tag_b tag and seq = tag_seq tag in
     let ch = channel_exn t in
-    match Channel.on_timer ch ~src ~dst ~seq with
+    let l = Channel.link ch ~src ~dst in
+    match Channel.on_timer ch l ~seq with
     | `Done | `Give_up -> ()
-    | `Retransmit (payload, rto) ->
-      transmit_data t ~src ~dst ~seq payload;
-      schedule_rexmit t ch ~src ~dst ~seq ~rto
+    | `Retransmit ->
+      transmit_data t ~src ~dst ~seq (Channel.payload l ~seq);
+      schedule_rexmit t ch l ~src ~dst ~seq
   end
 
 (* The one pop-and-dispatch path: the earliest event leaves the queue,

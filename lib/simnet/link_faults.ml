@@ -1,19 +1,17 @@
-(* Directed links are keyed by a packed int: (src lsl 20) lor dst. The
-   engine caps pids at 2^20 - 1 (they share the event queue's tag word),
-   so the packing is collision-free. [cut] is lookup-only on the send
-   path and fills only during a partition; an empty table answers
-   without hashing. Iteration order never influences an execution,
-   keeping runs a pure function of the seed. *)
+(* Blackholed links are counted in a flat table indexed by pid:
+   [cut.(src).(dst)] is the number of active partitions that cut the
+   directed link, grown on demand by [cut_links]. The send path reads
+   it with two bounds checks and no hashing; before the first cut the
+   table is empty. Nothing here is iterated, so no table order can
+   reach an execution, which stays a pure function of the seed. *)
 
 type t = {
   mutable armed : bool;
   mutable default_drop : float;
-  cut : (int, int) Hashtbl.t  (* link -> active blackhole count *)
+  mutable cut : int array array  (* cut.(src).(dst): active blackholes *)
 }
 
-let key ~src ~dst = (src lsl 20) lor dst
-
-let create () = { armed = false; default_drop = 0.0; cut = Hashtbl.create 16 }
+let create () = { armed = false; default_drop = 0.0; cut = [||] }
 
 let armed t = t.armed
 
@@ -27,23 +25,32 @@ let set_default_drop t p =
 
 let drop_p t = t.default_drop
 
+(* [a] extended to cover index [i], at least doubling. *)
+let extend a i fill =
+  let b = Array.make (max (i + 1) (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let count t ~src ~dst =
+  if src < Array.length t.cut && dst < Array.length t.cut.(src) then
+    t.cut.(src).(dst)
+  else 0
+
 let cut_links t links =
   t.armed <- true;
   List.iter
     (fun (src, dst) ->
-      let k = key ~src ~dst in
-      let n = match Hashtbl.find_opt t.cut k with Some n -> n | None -> 0 in
-      Hashtbl.replace t.cut k (n + 1))
+      if src >= Array.length t.cut then t.cut <- extend t.cut src [||];
+      if dst >= Array.length t.cut.(src) then
+        t.cut.(src) <- extend t.cut.(src) dst 0;
+      t.cut.(src).(dst) <- t.cut.(src).(dst) + 1)
     links
 
 let heal_links t links =
   List.iter
     (fun (src, dst) ->
-      let k = key ~src ~dst in
-      match Hashtbl.find_opt t.cut k with
-      | Some n when n > 1 -> Hashtbl.replace t.cut k (n - 1)
-      | Some _ -> Hashtbl.remove t.cut k
-      | None -> ())
+      let n = count t ~src ~dst in
+      if n > 0 then t.cut.(src).(dst) <- n - 1)
     links
 
 let isolation ~isolated ~among =
@@ -56,5 +63,4 @@ let isolation ~isolated ~among =
       List.concat_map (fun outer -> [ (inner, outer); (outer, inner) ]) outside)
     inside
 
-let partitioned t ~src ~dst =
-  Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (key ~src ~dst)
+let partitioned t ~src ~dst = count t ~src ~dst > 0

@@ -30,7 +30,6 @@ let[@inline] next t =
   t.state <- s;
   mix s
 
-let bits t = next t
 let split t = { state = next t }
 
 let int t bound =

@@ -16,12 +16,6 @@ val split : t -> t
 (** A new generator statistically independent of the parent; both the
     parent and the child advance deterministically afterwards. *)
 
-val bits : t -> int
-(** Next raw 63-bit output word; the sign bit carries random bits, so
-    the result may be negative. For callers that inline their own
-    scaling arithmetic (the simulator's send path does, to keep floats
-    unboxed); everyone else should use the typed draws below. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound).
     @raise Invalid_argument if [bound <= 0]. *)

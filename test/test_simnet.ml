@@ -16,8 +16,8 @@ let qtest ?(count = 200) name gen prop =
 let rng_tests =
   [ qtest "same seed, same stream" QCheck2.Gen.int (fun seed ->
         let a = Rng.create seed and b = Rng.create seed in
-        List.init 50 (fun _ -> Rng.bits a)
-        = List.init 50 (fun _ -> Rng.bits b));
+        List.init 50 (fun _ -> Rng.int a max_int)
+        = List.init 50 (fun _ -> Rng.int b max_int));
     qtest "int respects bound" QCheck2.Gen.(pair int (int_range 1 1000))
       (fun (seed, bound) ->
         let rng = Rng.create seed in
@@ -42,8 +42,8 @@ let rng_tests =
       (fun seed ->
         let parent = Rng.create seed in
         let child = Rng.split parent in
-        let a = List.init 20 (fun _ -> Rng.bits parent) in
-        let b = List.init 20 (fun _ -> Rng.bits child) in
+        let a = List.init 20 (fun _ -> Rng.int parent max_int) in
+        let b = List.init 20 (fun _ -> Rng.int child max_int) in
         a <> b);
     qtest "shuffle permutes" QCheck2.Gen.int (fun seed ->
         let rng = Rng.create seed in
