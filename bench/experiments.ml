@@ -411,6 +411,7 @@ let repair () =
             ~initial_value:(Workload.value ~len:value_len ~seed:31 ~index:0)
             ~value_len ~num_writers:1 ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.write d ~writer:0 ~at:0.0
           (Workload.value ~len:value_len ~seed:31 ~index:1);
         Soda.Deployment.crash_server d ~coordinate:1 ~at:20.0;
@@ -705,6 +706,7 @@ let ablation_gossip () =
         ~value_len ~plane
         ~num_writers:1 ~num_readers:1 ()
     in
+    Probe.record (Soda.Deployment.probe d);
     (* read-get replies take 50, so registration happens around t=52;
        the first relay would reach the reader around t=103 *)
     Soda.Deployment.read d ~reader:0 ~at:0.0 ();

@@ -23,6 +23,8 @@ let () =
     Soda.Deployment.deploy ~engine ~params ~initial_value:(Bytes.make 2048 '0')
       ~num_writers:3 ~num_readers:3 ()
   in
+  (* the read anatomy below comes from the probe stream *)
+  Probe.record (Soda.Deployment.probe d);
 
   (* three writers fire continuously; three readers read in the thick of
      it *)

@@ -22,6 +22,8 @@ let () =
     Soda.Deployment.deploy ~engine ~params ~initial_value:(Bytes.make 2048 '0')
       ~num_writers:1 ~num_readers:1 ()
   in
+  (* the repair timeline below is read from the probe stream *)
+  Probe.record (Soda.Deployment.probe d);
 
   (* life before the failure *)
   Soda.Deployment.write d ~writer:0 ~at:0.0 (Bytes.make 2048 'A');

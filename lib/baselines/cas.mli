@@ -59,6 +59,7 @@ val deploy :
 include Register.S with type t := t
 
 val probe : t -> Probe.t
+(** Not recording until a caller {!Probe.record}s it. *)
 
 val read_restarts : t -> int
 (** Number of times a reader had to restart because garbage collection

@@ -127,6 +127,8 @@ let run ?(trace = false) scenario ~seed =
     Soda.Deployment.deploy ~engine ~params ~initial_value ?plane
       ~healing:scenario.healing ~num_writers:2 ~num_readers:2 ()
   in
+  (* heal causality, the heal counts and replay.exe read the probe *)
+  Protocol.Probe.record (Soda.Deployment.probe d);
   (* an independent corruption stream merged over the base schedule;
      its own <= f budget caps concurrent unhealed rot, so combined with
      a partition at most two elements are unavailable at an instant —

@@ -93,8 +93,9 @@ type outcome = {
   heal_stats : Soda.Config.heal_stats;
       (** heartbeat and scrub-sweep counters (zero without healing) *)
   probe : Protocol.Probe.t;
-      (** the deployment's probe stream: suspicions, rot detections,
-          auto-repairs and heals ({!Metrics.heal_counts}) *)
+      (** the deployment's probe stream, recorded from deployment on:
+          suspicions, rot detections, auto-repairs and heals
+          ({!Metrics.heal_counts}) *)
   heal_mttd : float list;
       (** per detected fault episode: injection-to-detection time *)
   heal_mttr : float list;

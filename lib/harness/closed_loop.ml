@@ -26,6 +26,7 @@ let run_soda ~params ?(value_len = 1024) ?(seed = 1) ?(think_time = 1.0)
     Soda.Deployment.deploy ~engine ~params ~initial_value ~value_len
       ~num_writers ~num_readers ()
   in
+  Protocol.Probe.record (Soda.Deployment.probe d);
   let value_counter = ref 0 in
   (* each client re-arms itself from its completion callback *)
   let rec writer_loop w remaining () =

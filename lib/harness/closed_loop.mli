@@ -12,7 +12,7 @@ module History = Protocol.History
 type result = {
   history : History.t;
   cost : Protocol.Cost.t;
-  probe : Protocol.Probe.t;
+  probe : Protocol.Probe.t;  (** recording from deployment on *)
   initial_value : bytes;
   sim_duration : float;  (** simulated time to complete all operations *)
   wall_seconds : float;  (** host time the simulation took *)

@@ -36,6 +36,8 @@ type result = {
 let execute (type d) (module R : Baselines.Register.S with type t = d)
     ?probe ?(read_restarts = fun _ -> 0) ~name engine
     (w : Workload.t) (d : d) =
+  (* [Metrics] reads the windows and relay counts from the probe *)
+  Option.iter Probe.record probe;
   List.iter
     (fun (coordinate, at) -> R.crash_server d ~coordinate ~at)
     w.Workload.server_crashes;

@@ -25,7 +25,9 @@ type result = {
   workload : Workload.t;
   history : History.t;
   cost : Cost.t;
-  probe : Probe.t option;  (** SODA and CAS deployments emit probes. *)
+  probe : Probe.t option;
+      (** SODA and CAS deployments emit probes; the run records them
+          from before its first scheduled event. *)
   initial_value : bytes;
   messages_sent : int;
   messages_delivered : int;

@@ -13,11 +13,27 @@ type event =
   | Rot_detected of { server : int; time : float }
   | Scrub_repaired of { server : int; tag : Tag.t; time : float }
 
-type t = { mutable rev_events : event list }
+(* [log] is [None] until a consumer calls [record], so a probe nobody
+   reads is two words that never grow, and [emit] drops the event *)
+type t = { mutable log : log option }
+and log = { mutable rev_events : event list }
 
-let create () = { rev_events = [] }
-let emit t e = t.rev_events <- e :: t.rev_events
-let events t = List.rev t.rev_events
+let create () = { log = None }
+
+let record t =
+  match t.log with
+  | None -> t.log <- Some { rev_events = [] }
+  | Some _ -> ()
+
+let emit t e =
+  match t.log with
+  | None -> ()
+  | Some l -> l.rev_events <- e :: l.rev_events
+
+let events t =
+  match t.log with
+  | Some l -> List.rev l.rev_events
+  | None -> invalid_arg "Probe: the probe is not recording (see Probe.record)"
 
 let registration_window ?(is_crashed = fun _ -> false) t ~rid =
   let t1 = ref infinity and t2 = ref neg_infinity in

@@ -4,8 +4,16 @@
     paper's analysis but are not part of any message: when a reader was
     first registered by some server and when the last non-faulty server
     unregistered it (the window [T1, T2] that defines δ{_w}, Section V),
-    and how many relays each read triggered. Probes are append-only and
-    cheap; analysis folds over them after the run. *)
+    and how many relays each read triggered.
+
+    Probes are observation only: no protocol decision reads one. A
+    probe keeps nothing until a consumer calls {!record}; from then on
+    it appends every event, and analysis folds over the log after the
+    run. A deployment that nobody records (the sharded keyspace's keys,
+    the benchmark) emits into a probe that stays two words. Every
+    reader of the log raises [Invalid_argument] on a probe that is not
+    recording, so a consumer that forgot to opt in fails instead of
+    reading an empty stream. *)
 
 type event =
   | Registered of { rid : int; server : int; time : float }
@@ -50,9 +58,18 @@ type event =
 type t
 
 val create : unit -> t
+(** A probe that does not record. *)
+
+val record : t -> unit
+(** Keep every event emitted from now on. Calling it again does
+    nothing more. *)
+
 val emit : t -> event -> unit
+(** Append the event if the probe is recording; drop it otherwise. *)
+
 val events : t -> event list
-(** In emission order. *)
+(** In emission order, since {!record}. Raises [Invalid_argument] if the
+    probe is not recording, as do all the readers below. *)
 
 val chronological : t -> event list
 (** In time order: {!events} stably sorted by their [time]. The two

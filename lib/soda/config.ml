@@ -181,8 +181,10 @@ let client_retry_for engine =
 
 (* A top-level scan, stopping at the first match: this runs on every
    staggered MD-META duplicate and every repair or scrub reply, so it
-   allocates no closure. *)
-let rec index_of servers pid i =
+   allocates no closure. The annotation keeps the comparison an integer
+   one (a generic scan compares with [caml_equal] and checks every read
+   for a float array). *)
+let rec index_of (servers : int array) (pid : int) i =
   if i >= Array.length servers then raise Not_found
   else if servers.(i) = pid then i
   else index_of servers pid (i + 1)

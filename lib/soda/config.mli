@@ -135,7 +135,7 @@ type t = {
           pending before spawning [Server.begin_repair]. Not for direct
           use. *)
   cost : Cost.t;
-  probe : Probe.t;
+  probe : Probe.t;  (** created not recording (see {!Probe.record}) *)
   history : History.t;
   mutable encode_cache : (bytes * Erasure.Fragment.t array) option;
       (** One-entry cache for {!encode}, keyed by physical equality.

@@ -157,6 +157,9 @@ val all_live : t -> bool
 val history : t -> History.t
 val cost : t -> Cost.t
 val probe : t -> Probe.t
+(** Not recording: a consumer that reads it calls {!Probe.record} right
+    after {!deploy}. *)
+
 val config : t -> Config.t
 
 val server_pid : t -> coordinate:int -> int

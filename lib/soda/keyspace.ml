@@ -53,7 +53,9 @@ type t = {
 let lookup t key = Int_tbl.Map.find t.instances key ~default:t.no_instance
 let materialized inst = inst.key >= 0
 
-let rec coordinate_from iphys server c =
+(* Annotated so the scan compares integers inline: it runs on every
+   keyed delivery, gossip entry and gossip liveness test. *)
+let rec coordinate_from (iphys : int array) (server : int) c =
   if c >= Array.length iphys then -1
   else if iphys.(c) = server then c
   else coordinate_from iphys server (c + 1)

@@ -135,6 +135,8 @@ val history : t -> key:int -> History.t
 val cost : t -> key:int -> Cost.t
 val probe : t -> key:int -> Probe.t
 [@@lint.allow "X1: state probe — tests read a key's probe stream"]
+(** Not recording: a key's instance keeps no probe events unless a
+    caller {!Probe.record}s this probe. *)
 
 val placement_of : t -> key:int -> int array
 (** The physical server index of each coordinate of the key's

@@ -12,14 +12,17 @@ module TagMap = Map.Make (struct
   let compare = Tag.compare
 end)
 
+(* One candidate tag's relayed fragments, indexed by coordinate, and
+   how many slots are filled *)
+type fragments = { slots : Fragment.t option array; mutable count : int }
+
 type phase =
   | Idle
   | Get of { rid : int; replies : Int_tbl.Set.t; mutable best : Tag.t }
   | Collect of {
       rid : int;
       tr : Tag.t;
-      mutable acc : (int, Fragment.t) Hashtbl.t TagMap.t
-          (* per candidate tag: fragments indexed by coordinate *)
+      mutable acc : fragments TagMap.t  (* per candidate tag *)
     }
 
 type t = {
@@ -96,13 +99,13 @@ let complete t ctx ~rid ~tr ~tag ~value =
    them may be corrupt; [Mds.Decode_failure] leaves the read waiting for
    further relays (more elements can only help the decoder). *)
 let try_decode t ctx ~rid ~tr ~tag fragments =
-  if Hashtbl.length fragments >= t.config.Config.decode_threshold then begin
-    let[@lint.allow
-         "D3: materialized sorted by fragment index so the decoder input \
-          order is schedule-independent (bit-identical replay)"] frags =
-      Hashtbl.fold (fun c f acc -> (c, f) :: acc) fragments []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.map snd
+  if fragments.count >= t.config.Config.decode_threshold then begin
+    (* in coordinate order, so the decoder's input does not depend on
+       the order the relays arrived in *)
+    let frags =
+      Array.fold_right
+        (fun slot acc -> match slot with Some f -> f :: acc | None -> acc)
+        fragments.slots []
     in
     match Mds.decode t.config.Config.code frags with
     | value -> complete t ctx ~rid ~tr ~tag ~value
@@ -119,11 +122,18 @@ let add_relay t ctx ~rid ~tag ~fragment =
       match TagMap.find_opt tag c.acc with
       | Some fragments -> fragments
       | None ->
-        let fragments = Hashtbl.create 8 in
+        let fragments =
+          { slots = Array.make (Params.n t.config.Config.params) None;
+            count = 0
+          }
+        in
         c.acc <- TagMap.add tag fragments c.acc;
         fragments
     in
-    Hashtbl.replace fragments (Fragment.index fragment) fragment;
+    let i = Fragment.index fragment in
+    if Option.is_none fragments.slots.(i) then
+      fragments.count <- fragments.count + 1;
+    fragments.slots.(i) <- Some fragment;
     try_decode t ctx ~rid ~tr:c.tr ~tag fragments
   | Idle | Get _ | Collect _ -> ()
 

@@ -92,6 +92,7 @@ let deploy_healed ~seed =
       ~initial_value:(Bytes.make 64 'i')
       ~healing:true ~num_writers:1 ~num_readers:1 ()
   in
+  Probe.record (Soda.Deployment.probe d);
   (engine, d)
 
 let heal_stats d =
@@ -180,6 +181,7 @@ let plane_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value
             ~healing:true ~num_writers:1 ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.of_string "first");
         Soda.Deployment.crash_server d ~coordinate:1 ~at:30.0;
         (* a write server 1 misses: its crash round must decode it *)
@@ -303,6 +305,7 @@ let overhead_tests =
             Soda.Deployment.deploy ~engine ~params ~healing ~num_writers:1
               ~num_readers:1 ()
           in
+          Probe.record (Soda.Deployment.probe d);
           Soda.Deployment.write d ~writer:0 ~at:5.0 (Bytes.make 64 'x');
           Soda.Deployment.read d ~reader:0 ~at:40.0 ();
           Engine.run engine ~until:200.0;
@@ -329,18 +332,26 @@ let overhead_tests =
 (* ------------------------------------------------------------------ *)
 (* Metrics.heal_episodes on a hand-built probe stream *)
 
+let stream events =
+  let probe = Probe.create () in
+  Probe.record probe;
+  List.iter (Probe.emit probe) events;
+  probe
+
 let episode_tests =
   [ Alcotest.test_case "episodes reconstruct MTTD and MTTR" `Quick (fun () ->
-        let probe = Probe.create () in
-        List.iter (Probe.emit probe)
-          [ Probe.Crash_injected { server = 1; time = 10.0 };
-            Probe.Suspected { target = 1; by = 0; time = 45.0 };
-            Probe.Suspected { target = 1; by = 3; time = 46.0 };
-            Probe.Repaired { server = 1; tag = Tag.initial; time = 80.0 };
-            Probe.Rot_injected { server = 3; time = 100.0 };
-            Probe.Rot_detected { server = 3; time = 150.0 };
-            Probe.Scrub_repaired { server = 3; tag = Tag.initial; time = 170.0 }
-          ];
+        let probe =
+          stream
+            [ Probe.Crash_injected { server = 1; time = 10.0 };
+              Probe.Suspected { target = 1; by = 0; time = 45.0 };
+              Probe.Suspected { target = 1; by = 3; time = 46.0 };
+              Probe.Repaired { server = 1; tag = Tag.initial; time = 80.0 };
+              Probe.Rot_injected { server = 3; time = 100.0 };
+              Probe.Rot_detected { server = 3; time = 150.0 };
+              Probe.Scrub_repaired
+                { server = 3; tag = Tag.initial; time = 170.0 }
+            ]
+        in
         let eps = Metrics.heal_episodes probe in
         Alcotest.(check int) "two episodes" 2 (List.length eps);
         Alcotest.(check (list (float 1e-9))) "mttd" [ 35.0; 50.0 ]
@@ -348,12 +359,13 @@ let episode_tests =
         Alcotest.(check (list (float 1e-9))) "mttr" [ 70.0; 70.0 ]
           (Metrics.heal_mttr eps));
     Alcotest.test_case "rot healed by an overwriting write" `Quick (fun () ->
-        let probe = Probe.create () in
-        List.iter (Probe.emit probe)
-          [ Probe.Rot_injected { server = 2; time = 20.0 };
-            (* no scrub ever saw it: a newer write landed first *)
-            Probe.Stored { server = 2; tag = Tag.initial; time = 32.0 }
-          ];
+        let probe =
+          stream
+            [ Probe.Rot_injected { server = 2; time = 20.0 };
+              (* no scrub ever saw it: a newer write landed first *)
+              Probe.Stored { server = 2; tag = Tag.initial; time = 32.0 }
+            ]
+        in
         let eps = Metrics.heal_episodes probe in
         Alcotest.(check int) "one episode" 1 (List.length eps);
         Alcotest.(check (list (float 1e-9))) "no detection" []
@@ -364,15 +376,16 @@ let episode_tests =
       `Quick (fun () ->
         (* both crashes of server 1 were scheduled at t=0, so both
            Crash_injected probes precede the first detection *)
-        let probe = Probe.create () in
-        List.iter (Probe.emit probe)
-          [ Probe.Crash_injected { server = 1; time = 50.0 };
-            Probe.Crash_injected { server = 1; time = 300.0 };
-            Probe.Suspected { target = 1; by = 0; time = 80.0 };
-            Probe.Repaired { server = 1; tag = Tag.initial; time = 83.0 };
-            Probe.Suspected { target = 1; by = 2; time = 335.0 };
-            Probe.Repaired { server = 1; tag = Tag.initial; time = 340.0 }
-          ];
+        let probe =
+          stream
+            [ Probe.Crash_injected { server = 1; time = 50.0 };
+              Probe.Crash_injected { server = 1; time = 300.0 };
+              Probe.Suspected { target = 1; by = 0; time = 80.0 };
+              Probe.Repaired { server = 1; tag = Tag.initial; time = 83.0 };
+              Probe.Suspected { target = 1; by = 2; time = 335.0 };
+              Probe.Repaired { server = 1; tag = Tag.initial; time = 340.0 }
+            ]
+        in
         let eps = Metrics.heal_episodes probe in
         Alcotest.(check (list (float 1e-9))) "mttd" [ 30.0; 35.0 ]
           (Metrics.heal_mttd eps);
@@ -380,11 +393,12 @@ let episode_tests =
           (Metrics.heal_mttr eps));
     Alcotest.test_case "an unhealed fault stays an open episode" `Quick
       (fun () ->
-        let probe = Probe.create () in
-        List.iter (Probe.emit probe)
-          [ Probe.Crash_injected { server = 0; time = 5.0 };
-            Probe.Suspected { target = 0; by = 4; time = 44.0 }
-          ];
+        let probe =
+          stream
+            [ Probe.Crash_injected { server = 0; time = 5.0 };
+              Probe.Suspected { target = 0; by = 4; time = 44.0 }
+            ]
+        in
         let eps = Metrics.heal_episodes probe in
         Alcotest.(check int) "one episode" 1 (List.length eps);
         Alcotest.(check (list (float 1e-9))) "detected" [ 39.0 ]
@@ -402,11 +416,6 @@ let contains ~sub s =
     i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
   in
   at 0
-
-let stream events =
-  let probe = Probe.create () in
-  List.iter (Probe.emit probe) events;
-  probe
 
 let causality_tests =
   [ Alcotest.test_case "a well-formed healing stream is accepted" `Quick

@@ -420,6 +420,9 @@ let sharded_tests =
             ~num_writers:4 ~num_readers:4 ~round_gap:10.0 ()
         in
         let engine, ks = batched_keyspace ~placement wl in
+        List.iter
+          (fun key -> Protocol.Probe.record (Keyspace.probe ks ~key))
+          (Keyspace.keys ks);
         let envelopes = ref [] in
         Engine.set_tap engine
           { Engine.tap_deliver =
@@ -458,6 +461,30 @@ let sharded_tests =
           !envelopes;
         (* the check bites only on frames mixing relay times *)
         if !spread = 0 then Alcotest.fail "no envelope mixed relay times");
+    Alcotest.test_case "a run nobody records leaves every probe fresh" `Quick
+      (fun () ->
+        (* every read registers and relays at its key's servers, so a
+           probe that kept its events would outgrow a fresh one *)
+        let placement =
+          p4_2_placement ~policy:Placement.Consistent_hash ~servers:12
+            ~domains:3 ()
+        in
+        let wl =
+          Harness.Workload.sharded_mixed ~keys:60 ~value_len:64 ~seed:11
+            ~num_writers:4 ~num_readers:4 ~round_gap:10.0 ()
+        in
+        let engine, ks = batched_keyspace ~placement wl in
+        Engine.run engine;
+        Alcotest.(check bool) "complete" true (Keyspace.all_complete ks);
+        let words probe = Obj.reachable_words (Obj.repr probe) in
+        let fresh = words (Protocol.Probe.create ()) in
+        List.iter
+          (fun key ->
+            Alcotest.(check int)
+              (Printf.sprintf "key %d probe words" key)
+              fresh
+              (words (Keyspace.probe ks ~key)))
+          (Keyspace.keys ks));
     Alcotest.test_case "pids need not start at 0" `Quick (fun () ->
         (* the plane's pid-indexed boxes must cover pids reserved before
            the keyspace and tolerate pids reserved after it; the extra
@@ -573,7 +600,8 @@ let sharded_tests =
         in
         let keys = 50 and server = 5 in
         for key = 0 to keys - 1 do
-          Keyspace.materialize ks ~key
+          Keyspace.materialize ks ~key;
+          Protocol.Probe.record (Keyspace.probe ks ~key)
         done;
         Keyspace.corrupt_server ks ~server ~at:1.0;
         Engine.run engine;

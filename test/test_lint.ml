@@ -74,6 +74,7 @@ let expected =
     { file = "bad_m3.ml"; line = 4; rule = "M3" };
     { file = "bad_m4.ml"; line = 8; rule = "M4" };
     { file = "bad_p1.ml"; line = 4; rule = "P1" };
+    { file = "bad_p1_var.ml"; line = 4; rule = "P1" };
     { file = "bad_p2.ml"; line = 2; rule = "P2" };
     { file = "bad_r1.ml"; line = 2; rule = "R1" };
     { file = "bad_s1.ml"; line = 3; rule = "S1" };

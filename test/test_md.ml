@@ -26,6 +26,8 @@ let make_rig ?(n = 5) ?(f = 1) ?(delay = Delay.constant 1.0) ?(seed = 1) () =
     Soda.Deployment.deploy ~engine ~params ~initial_value:(Bytes.make 40 'i')
       ~num_writers:1 ~num_readers:1 ()
   in
+  (* the server-step tests read registrations and relays from the probe *)
+  Protocol.Probe.record (Soda.Deployment.probe deployment);
   let driver = Engine.reserve engine ~name:"driver" in
   let inbox = ref [] in
   Engine.set_handler engine driver (fun _ ~src msg ->

@@ -179,9 +179,14 @@ let cost_tests =
 (* ------------------------------------------------------------------ *)
 (* Probe *)
 
+let recording () =
+  let p = Probe.create () in
+  Probe.record p;
+  p
+
 let probe_tests =
   [ Alcotest.test_case "registration window" `Quick (fun () ->
-        let p = Probe.create () in
+        let p = recording () in
         Probe.emit p (Probe.Registered { rid = 0; server = 0; time = 1.0 });
         Probe.emit p (Probe.Registered { rid = 0; server = 1; time = 2.0 });
         Probe.emit p (Probe.Unregistered { rid = 0; server = 0; time = 5.0 });
@@ -194,7 +199,7 @@ let probe_tests =
           (Probe.registration_window p ~rid:9));
     Alcotest.test_case "open window is infinite unless server crashed" `Quick
       (fun () ->
-        let p = Probe.create () in
+        let p = recording () in
         Probe.emit p (Probe.Registered { rid = 0; server = 0; time = 1.0 });
         Probe.emit p (Probe.Registered { rid = 0; server = 1; time = 2.0 });
         Probe.emit p (Probe.Unregistered { rid = 0; server = 0; time = 3.0 });
@@ -209,7 +214,7 @@ let probe_tests =
           Alcotest.(check (float 0.)) "t2" 3.0 t2
         | None -> Alcotest.fail "expected window"));
     Alcotest.test_case "registrations_balanced" `Quick (fun () ->
-        let p = Probe.create () in
+        let p = recording () in
         Probe.emit p (Probe.Registered { rid = 0; server = 0; time = 1.0 });
         Probe.emit p (Probe.Registered { rid = 0; server = 1; time = 1.0 });
         Probe.emit p (Probe.Unregistered { rid = 0; server = 0; time = 2.0 });
@@ -218,13 +223,50 @@ let probe_tests =
         Alcotest.(check bool) "balanced if crashed" true
           (Probe.registrations_balanced p ~crashed:(fun s -> s = 1)));
     Alcotest.test_case "relays_of counts" `Quick (fun () ->
-        let p = Probe.create () in
+        let p = recording () in
         let tag = Tag.make ~z:1 ~w:0 in
         Probe.emit p (Probe.Relayed { rid = 3; server = 0; tag; time = 1.0 });
         Probe.emit p (Probe.Relayed { rid = 3; server = 1; tag; time = 1.5 });
         Probe.emit p (Probe.Relayed { rid = 4; server = 0; tag; time = 2.0 });
         Alcotest.(check int) "rid 3" 2 (Probe.relays_of p ~rid:3);
-        Alcotest.(check int) "rid 4" 1 (Probe.relays_of p ~rid:4))
+        Alcotest.(check int) "rid 4" 1 (Probe.relays_of p ~rid:4));
+    Alcotest.test_case "a probe nobody records keeps nothing" `Quick (fun () ->
+        let p = Probe.create () in
+        let words () = Obj.reachable_words (Obj.repr p) in
+        let fresh = words () in
+        let tag = Tag.make ~z:1 ~w:0 in
+        for i = 1 to 1_000 do
+          Probe.emit p
+            (Probe.Relayed { rid = i; server = i mod 7; tag; time = float i })
+        done;
+        Alcotest.(check int) "reachable words" fresh (words ()));
+    Alcotest.test_case "every reader raises before record" `Quick (fun () ->
+        let p = Probe.create () in
+        Probe.emit p (Probe.Registered { rid = 0; server = 0; time = 1.0 });
+        let raises name f =
+          match f () with
+          | exception Invalid_argument _ -> ()
+          | () -> Alcotest.failf "%s read a probe that is not recording" name
+        in
+        raises "events" (fun () -> ignore (Probe.events p));
+        raises "chronological" (fun () -> ignore (Probe.chronological p));
+        raises "registration_window" (fun () ->
+            ignore (Probe.registration_window p ~rid:0));
+        raises "relays_of" (fun () -> ignore (Probe.relays_of p ~rid:0));
+        raises "registrations_balanced" (fun () ->
+            ignore (Probe.registrations_balanced p ~crashed:(fun _ -> false)));
+        raises "heal_causality" (fun () -> ignore (Probe.heal_causality p)));
+    Alcotest.test_case "only emits after record are kept" `Quick (fun () ->
+        let p = Probe.create () in
+        let at rid = Probe.Registered { rid; server = 0; time = float rid } in
+        Probe.emit p (at 1);
+        Probe.record p;
+        Probe.emit p (at 2);
+        (* a second record neither restarts nor clears the log *)
+        Probe.record p;
+        Probe.emit p (at 3);
+        Alcotest.(check bool) "events 2 and 3, in order" true
+          (Probe.events p = [ at 2; at 3 ]))
   ]
 
 (* ------------------------------------------------------------------ *)

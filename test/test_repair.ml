@@ -40,6 +40,7 @@ let repair_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value ~num_writers:1
             ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         (* server 0 crashes; two writes land while it is down *)
         Soda.Deployment.crash_server d ~coordinate:0 ~at:5.0;
         let v2 = Bytes.make 200 'B' in
@@ -76,6 +77,7 @@ let repair_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value ~num_writers:1
             ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.crash_server d ~coordinate:2 ~at:1.0;
         ignore (Soda.Deployment.repair_server d ~coordinate:2 ~at:20.0);
         let result = ref None in
@@ -172,6 +174,7 @@ let repair_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value ~num_writers:2
             ~num_readers:2 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.crash_server d ~coordinate:victim ~at:crash_t;
         ignore
           (Soda.Deployment.repair_server d ~coordinate:victim
@@ -196,6 +199,7 @@ let repair_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value ~num_writers:3
             ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.crash_server d ~coordinate:2 ~at:5.0;
         (* repair kicks off exactly while three writers are dispersing *)
         ignore (Soda.Deployment.repair_server d ~coordinate:2 ~at:31.0);
@@ -221,6 +225,7 @@ let repair_tests =
           Soda.Deployment.deploy ~engine ~params ~initial_value
             ~error_prone:[ 3; 6 ] ~num_writers:1 ~num_readers:1 ()
         in
+        Probe.record (Soda.Deployment.probe d);
         let v = Bytes.make 300 'A' in
         Soda.Deployment.write d ~writer:0 ~at:0.0 v;
         Soda.Deployment.crash_server d ~coordinate:0 ~at:20.0;

@@ -459,6 +459,7 @@ let crash_tests =
             ~initial_value:(Bytes.make 64 'i') ~num_writers:1 ~num_readers:1
             ()
         in
+        Probe.record (Soda.Deployment.probe d);
         Soda.Deployment.write d ~writer:0 ~at:0.0 (Bytes.make 64 'A');
         (* the read starts at 100; the reader crashes during it *)
         Soda.Deployment.read d ~reader:0 ~at:100.0 ();

@@ -90,6 +90,17 @@ let compiler_specializes name (ty : Types.type_expr) =
   | Tconstr (p, _, _) -> List.exists (Path.same p) specializable_base
   | _ -> false
 
+(* A comparison whose subject is still a type variable once the
+   enclosing definition is typed: a generic scan such as
+   [let rec index_of a x i = ... a.(i) = x ...]. Even when every caller
+   passes ints, the body compiles to [caml_equal]/[caml_compare] (and,
+   for an array, a float-array check on every read). *)
+let is_type_variable (ty : Types.type_expr) =
+  match Types.get_desc ty with Tvar _ | Tunivar _ -> true | _ -> false
+
+(* [==] and [!=] compile to a pointer comparison at every type *)
+let physical name = name = "Stdlib.==" || name = "Stdlib.!="
+
 (* nth arrow argument of an (instantiated) function type *)
 let rec nth_arrow_arg ~fuel n ty =
   if fuel = 0 then None
@@ -184,6 +195,12 @@ let check_ident ctx (path : Path.t) (e : Typedtree.expression) =
   (match p1_subject_type name e.exp_type with
   | None -> ()
   | Some subject when compiler_specializes name subject -> ()
+  | Some subject when is_type_variable subject && not (physical name) ->
+    report P1
+      "polymorphic `%s` at type variable %s — the compiler cannot \
+       specialize it, so it calls the generic structural walker; annotate \
+       the compared values' type or use a dedicated comparator"
+      name (type_to_string subject)
   | Some subject -> (
     match imm_of ~stack:ctx.stack ~fuel:16 subject with
     | NonImm ->
