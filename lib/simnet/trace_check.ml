@@ -23,10 +23,7 @@ let check ?(lossy = false) events =
   let cut : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
   let active_sets : ((int * int) list, unit) Hashtbl.t = Hashtbl.create 16 in
   let canon links =
-    (List.sort_uniq
-    [@lint.allow
-      "P1: P1 judges sort_uniq by its element type; the comparator is \
-       Int.compare on both components"])
+    List.sort_uniq
       (fun (a, b) (c, d) ->
         match Int.compare a c with 0 -> Int.compare b d | n -> n)
       links

@@ -26,12 +26,21 @@ type wire = {
     Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
 }
 
+type memo_entry = {
+  writer : int;
+  mutable value : bytes;
+  mutable fragments : Erasure.Fragment.t array
+}
+
 type t = {
   params : Params.t;
   code : Mds.t;
   decode_threshold : int;
   servers : int array;
   initial_value : bytes;
+  (* [Mds.encode code initial_value], encoded once in [make] and shared
+     by every [derive]d instance. *)
+  initial_fragments : Erasure.Fragment.t array;
   error_prone : bool array;
   disperse_step : float;
   md_mode : [ `Chained | `Direct ];
@@ -47,13 +56,15 @@ type t = {
   cost : Cost.t;
   probe : Probe.t;
   history : History.t;
-  (* One-entry encode cache, keyed by physical equality of the value.
-     Under chained MD-VALUE dispersal every member of D encodes the same
-     value (the simulator shares the bytes across deliveries), so the
-     cache turns d encodes per write into one. Safe because values are
-     never mutated after a write invokes, and fragments are themselves
-     treated as immutable (corruption copies — see Fragment.corrupt). *)
-  mutable encode_cache : (bytes * Erasure.Fragment.t array) option;
+  (* Per-writer encode memo: the last value each writer dispersed here
+     and its fragments. Under chained MD-VALUE dispersal every member of
+     D encodes the same value object (the simulator shares the bytes
+     across deliveries), so the memo turns d encodes per write into one,
+     even while other writers' dispersals interleave. Safe because
+     values are never mutated after a write invokes, and fragments are
+     themselves treated as immutable (corruption copies — see
+     Fragment.corrupt). *)
+  mutable memo : memo_entry list;
   (* [None] (the paper's plane on a bare deployment): sends go
      straight to the engine. *)
   mutable wire : wire option
@@ -86,20 +97,32 @@ let relay_window t =
 let meta_stagger t =
   match t.plane with Batched -> Some 4.0 | Paper | Gossip_off -> None
 
-let encode t value =
-  match t.encode_cache with
-  (* P1: physical equality is the cache key by design (see the field
+(* A top-level scan, like [index_of] below: one entry per writer the
+   configuration serves, and neither a closure nor an option per
+   lookup. *)
+let rec memo_find writer = function
+  | [] -> raise Not_found
+  | e :: rest -> if e.writer = writer then e else memo_find writer rest
+
+let encode t ~writer value =
+  match memo_find writer t.memo with
+  (* P1: physical equality is the memo key by design (see the field
      comment above) — structural comparison of the payload bytes would
      defeat the point. *)
-  | Some (v, fragments)
-    when ((v == value)
+  | e
+    when ((e.value == value)
           [@lint.allow
-            "P1: physical equality is the cache key by design — structural \
+            "P1: physical equality is the memo key by design — structural \
              comparison of the payload bytes would defeat the point"]) ->
-    fragments
-  | Some _ | None ->
+    e.fragments
+  | e ->
     let fragments = Mds.encode t.code value in
-    t.encode_cache <- Some (value, fragments);
+    e.value <- value;
+    e.fragments <- fragments;
+    fragments
+  | exception Not_found ->
+    let fragments = Mds.encode t.code value in
+    t.memo <- { writer; value; fragments } :: t.memo;
     fragments
 
 let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
@@ -139,6 +162,7 @@ let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
     decode_threshold = k + (2 * e);
     servers;
     initial_value;
+    initial_fragments = Mds.encode code initial_value;
     error_prone = error_flags;
     disperse_step;
     md_mode;
@@ -150,15 +174,16 @@ let make ~params ~servers ?(initial_value = Bytes.empty) ?value_len
     cost = Cost.create ~value_len;
     probe = Probe.create ();
     history = History.create ();
-    encode_cache = None;
+    memo = [];
     wire = None
   }
 
 (* Per-key instance configuration of a keyspace: same protocol
-   parameters, codec and plane as the template (the encode cache rides
-   along, so the shared initial value is encoded once across all keys),
-   but fresh instrumentation ledgers and its own server pids. Healing
-   and auto-repair stay off — the keyspace owns fault handling. *)
+   parameters, codec, plane and initial fragments as the template (so
+   the shared initial value is encoded once across all keys), but an
+   empty encode memo, fresh instrumentation ledgers and its own server
+   pids. Healing and auto-repair stay off — the keyspace owns fault
+   handling. *)
 let derive t ~servers =
   if Array.length servers <> Params.n t.params then
     invalid_arg "Config.derive: need exactly n server pids";
@@ -170,6 +195,7 @@ let derive t ~servers =
     cost = Cost.create ~value_len:(Cost.value_len t.cost);
     probe = Probe.create ();
     history = History.create ();
+    memo = [];
     wire = None
   }
 

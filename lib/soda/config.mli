@@ -77,6 +77,9 @@ type wire = {
           plane (see {!gossip}). *)
 }
 
+(** One writer's entry in the {!encode} memo. *)
+type memo_entry
+
 type t = {
   params : Params.t;
   code : Mds.t;
@@ -88,6 +91,11 @@ type t = {
           threshold (Fig. 6). *)
   servers : int array;  (** pid of server coordinate [i] at index [i]. *)
   initial_value : bytes;
+  initial_fragments : Erasure.Fragment.t array;
+      (** [Mds.encode code initial_value], encoded once by {!make} and
+          shared by every {!derive}d instance. The initial element of
+          [Server.create] and [Server.begin_repair]; treat it as
+          immutable. *)
   error_prone : bool array;
       (** Coordinates whose local disk reads return corrupted elements
           (SODA{_err} fault model); all-false for plain SODA. *)
@@ -137,9 +145,9 @@ type t = {
   cost : Cost.t;
   probe : Probe.t;  (** created not recording (see {!Probe.record}) *)
   history : History.t;
-  mutable encode_cache : (bytes * Erasure.Fragment.t array) option;
-      (** One-entry cache for {!encode}, keyed by physical equality.
-          Not for direct use. *)
+  mutable memo : memo_entry list;
+      (** The memo of {!encode}: at most one entry per writer pid. Not
+          for direct use. *)
   mutable wire : wire option
       (** Message-plane override; [None] sends straight to the engine.
           Install with {!set_wire}; read through {!send} and
@@ -173,12 +181,17 @@ val relay_window : t -> float option
 val meta_stagger : t -> float option
 (** [Some sigma] under {!batched_plane}: see there. *)
 
-val encode : t -> bytes -> Erasure.Fragment.t array
-(** [Mds.encode t.code value] behind a one-entry physical-equality
-    cache. Under chained MD-VALUE dispersal every member of D encodes
-    the same value object, so the cache turns [d] encodes per write
-    into one. Callers must treat the returned fragments (shared across
-    servers) as immutable — which fragments are: corruption copies. *)
+val encode : t -> writer:int -> bytes -> Erasure.Fragment.t array
+(** [Mds.encode t.code value] behind a per-writer memo. The memo keeps
+    the last value [writer] (a pid) encoded here and its fragments; a
+    call hits only when [value] is physically that object, and a miss
+    replaces that writer's entry only. Under chained MD-VALUE dispersal
+    every member of D encodes the same value object, so the memo makes
+    one encode per write and writer, however many writers' dispersals
+    interleave. It holds at most one entry per writer the configuration
+    serves, and a well-formed writer has one write in flight at a time.
+    Callers must treat the returned fragments (shared across servers)
+    as immutable — which fragments are: corruption copies. *)
 
 val make :
   params:Params.t ->
@@ -197,7 +210,8 @@ val make :
     Reed-Solomon code ({!Mds.rs_bch}, or {!Mds.rs_bch16} beyond 255
     servers) with [k = Params.k_soda params] ([n-f] for SODA, [n-f-2e]
     for SODA{_err}). With [e = 0] a reader decodes from exactly [k]
-    fragments, where the codec is a plain erasure decoder.
+    fragments, where the codec is a plain erasure decoder. The initial
+    value is encoded here, once ({!field-initial_fragments}).
     [value_len] (default: length of [initial_value], or 1024 if that is
     empty) sets the cost normalization base.
     [plane] defaults to {!default_plane}.
@@ -208,9 +222,10 @@ val make :
 val derive : t -> servers:int array -> t
 (** Per-key instance configuration of a keyspace: shares the template's
     protocol parameters, codec, plane tuning, client-retry policy and
-    encode cache (so a shared initial value is encoded once across all
-    keys), with fresh cost/probe/history ledgers, the given server
-    pids, no healing and no wire.
+    {!field-initial_fragments} (so a shared initial value is encoded
+    once across all keys), with an empty {!encode} memo, fresh
+    cost/probe/history ledgers, the given server pids, no healing and
+    no wire.
     @raise Invalid_argument if [servers] does not have [n] entries. *)
 
 val client_retry_for : 'msg Simnet.Engine.t -> float option

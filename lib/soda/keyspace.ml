@@ -187,10 +187,6 @@ let create ~engine ~placement ?value_len ?plane:plane_tuning
       ?value_len ?plane:plane_tuning
       ?client_retry:(Config.client_retry_for engine) ()
   in
-  (* encode the shared initial value once; every derived instance
-     inherits the cache entry *)
-  ignore (Config.encode template template.Config.initial_value
-          : Erasure.Fragment.t array);
   let client make pid =
     let none = make template in
     { c_pid = pid; c_lanes = Int_tbl.Map.create ~dummy:none 0; c_none = none }

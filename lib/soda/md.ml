@@ -47,7 +47,7 @@ let stepped_send_to_d ctx (config : Config.t) msg =
    element directly. Costs n/k instead of O(f^2), but nobody else holds
    the full value, so a sender crash strands a partial dispersal. *)
 let direct_value_send ctx (config : Config.t) ~mid ~op ~tag ~value =
-  let fragments = Config.encode config value in
+  let fragments = Erasure.Mds.encode config.code value in
   let n = Array.length config.servers in
   let step = config.disperse_step in
   let rec go i =

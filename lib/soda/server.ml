@@ -8,6 +8,11 @@ module Int_tbl = Protocol.Int_tbl
 
 type registration = { reader : int; tr : Tag.t }
 
+(* The coordinates that dispersed one tag to one read: a bitmap of n
+   bits, allocated at the first insert and never resized, with the
+   number of bits set beside it. *)
+type coords = { bits : Bytes.t; mutable count : int }
+
 (* One in-flight recovery round (the paper's future work (ii)): the
    server rebuilds its coded element from peers over the REPAIR-GET /
    REPAIR-REPLY exchange. A crash round runs after a restore
@@ -54,11 +59,12 @@ type t = {
      DESIGN.md): a keyspace holds one automaton per key and coordinate,
      and most of them never see a read. *)
   registered : registration Int_tbl.Map.t; (* rid -> Rc entry *)
-  h : Int_tbl.Set.t Int_tbl.Map.t Int_tbl.Map.t;
+  h : coords Int_tbl.Map.t Int_tbl.Map.t;
       (* The paper's H — the set of (tag, coordinate) dispersals seen per
-         read — stored as rid -> Tag.pack tag -> coordinate set, so the
-         unregistration test (how many distinct coordinates dispersed
-         this tag?) is a table length instead of a fold over the set.
+         read — stored as rid -> Tag.pack tag -> coordinate bitmap, so
+         the unregistration test (how many distinct coordinates
+         dispersed this tag?) reads a count instead of folding over the
+         set.
          Rows live only while the read may still register here: a
          completed read's row is dropped and never rebuilt. *)
   md_delivered : Mid_set.t;
@@ -89,7 +95,7 @@ type t = {
 let[@lint.allow
      "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
     no_coords =
-  Int_tbl.Set.create 0
+  { bits = Bytes.empty; count = 0 }
 
 let[@lint.allow
      "R1: a table dummy — Int_tbl never hands it out, so nothing writes it"]
@@ -99,8 +105,7 @@ let[@lint.allow
 let no_registration = { reader = -1; tr = Tag.initial }
 
 let create config ~coordinate =
-  let fragments = Config.encode config config.Config.initial_value in
-  let fragment = fragments.(coordinate) in
+  let fragment = config.Config.initial_fragments.(coordinate) in
   Cost.storage_set config.Config.cost ~server:coordinate
     ~bytes:(Fragment.size fragment);
   { config;
@@ -133,7 +138,7 @@ let history_entries t =
   Int_tbl.Map.fold
     (fun _ tags acc ->
       Int_tbl.Map.fold
-        (fun _ coords acc -> acc + Int_tbl.Set.length coords)
+        (fun _ coords acc -> acc + coords.count)
         tags acc)
     t.h 0
 
@@ -154,18 +159,26 @@ let h_tags t rid =
     Int_tbl.Map.replace t.h rid tags;
     tags
 
-let h_add t rid ~tag ~coordinate =
+let coords_mem coords c =
+  Bytes.get_uint8 coords.bits (c lsr 3) land (1 lsl (c land 7)) <> 0
+
+let h_add t rid ~tag ~coordinate:c =
   let tags = h_tags t rid in
   let key = Tag.pack tag in
   let coords =
     match Int_tbl.Map.find_opt tags key with
     | Some coords -> coords
     | None ->
-      let coords = Int_tbl.Set.create 0 in
+      let n = Params.n t.config.Config.params in
+      let coords = { bits = Bytes.make ((n + 7) / 8) '\000'; count = 0 } in
       Int_tbl.Map.replace tags key coords;
       coords
   in
-  ignore (Int_tbl.Set.add coords coordinate : bool)
+  let byte = Bytes.get_uint8 coords.bits (c lsr 3) and bit = 1 lsl (c land 7) in
+  if byte land bit = 0 then begin
+    Bytes.set_uint8 coords.bits (c lsr 3) (byte lor bit);
+    coords.count <- coords.count + 1
+  end
 
 let h_mem t rid ~tag ~coordinate =
   match Int_tbl.Map.find_opt t.h rid with
@@ -173,7 +186,7 @@ let h_mem t rid ~tag ~coordinate =
   | Some tags -> (
     match Int_tbl.Map.find_opt tags (Tag.pack tag) with
     | None -> false
-    | Some coords -> Int_tbl.Set.mem coords coordinate)
+    | Some coords -> coords_mem coords coordinate)
 
 let h_count_tag t rid tag =
   match Int_tbl.Map.find_opt t.h rid with
@@ -181,7 +194,7 @@ let h_count_tag t rid tag =
   | Some tags -> (
     match Int_tbl.Map.find_opt tags (Tag.pack tag) with
     | None -> 0
-    | Some coords -> Int_tbl.Set.length coords)
+    | Some coords -> coords.count)
 
 let unregister t ctx rid =
   Int_tbl.Map.remove t.registered rid;
@@ -568,7 +581,9 @@ let advance t ctx =
       match decode_target t r ~floor with
       | None -> ()
       | Some (tag, value) ->
-        let fragment = (Config.encode t.config value).(t.coordinate) in
+        let fragment =
+          (Erasure.Mds.encode t.config.Config.code value).(t.coordinate)
+        in
         Disk.store t.disk ~tag ~fragment;
         Cost.storage_set t.config.Config.cost ~server:t.coordinate
           ~bytes:(Fragment.size fragment);
@@ -583,8 +598,7 @@ let advance t ctx =
    the server starts fetching the current one. Until repair finishes it
    answers no quorum queries. *)
 let begin_repair t ctx ~op =
-  let fragments = Config.encode t.config t.config.Config.initial_value in
-  let fragment = fragments.(t.coordinate) in
+  let fragment = t.config.Config.initial_fragments.(t.coordinate) in
   Disk.store t.disk ~tag:Tag.initial ~fragment;
   Cost.storage_set t.config.Config.cost ~server:t.coordinate
     ~bytes:(Fragment.size fragment);
@@ -727,7 +741,7 @@ let on_md_full t ctx ~msg ~(mid : Messages.mid) ~op ~tag ~value =
   if Mid_set.add t.md_delivered mid then begin
     let config = t.config in
     let d = Config.d_size config in
-    let fragments = Config.encode config value in
+    let fragments = Config.encode config ~writer:tag.Tag.w value in
     if t.coordinate < d then begin
       for j = t.coordinate + 1 to d - 1 do
         (* forward the incoming message as-is: contents are identical *)

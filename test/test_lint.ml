@@ -11,6 +11,9 @@
    application supplies, once per option: an option supplied with
    [~x] or only through [?x] forwarding, an aliased value's, a value
    passed as an argument's and an allowed one are not reported.
+   [List.sort_uniq] is judged by its comparator only: [compare] over
+   pairs is reported once, on [compare], and [Int.compare] or a
+   dedicated pair comparator is not reported.
 
    The test runs unsandboxed (see test/dune) so the relative paths below
    resolve inside _build/default. *)
@@ -74,6 +77,7 @@ let expected =
     { file = "bad_m3.ml"; line = 4; rule = "M3" };
     { file = "bad_m4.ml"; line = 8; rule = "M4" };
     { file = "bad_p1.ml"; line = 4; rule = "P1" };
+    { file = "bad_p1.ml"; line = 9; rule = "P1" };
     { file = "bad_p1_var.ml"; line = 4; rule = "P1" };
     { file = "bad_p2.ml"; line = 2; rule = "P2" };
     { file = "bad_r1.ml"; line = 2; rule = "R1" };

@@ -180,7 +180,97 @@ let md_value_tests =
               | _ -> false)
         in
         Alcotest.(check int) "old write still acked by all" 5
-          (List.length acks))
+          (List.length acks));
+    Alcotest.test_case
+      "interleaved writers: every server takes its element of one encode per \
+       write"
+      `Quick (fun () ->
+        let rig = make_rig () in
+        let config = Soda.Deployment.config rig.deployment in
+        (* a second writer process, so the two dispersals' tags name
+           different writers *)
+        let other = Engine.reserve rig.engine ~name:"other-writer" in
+        Engine.set_handler rig.engine other (fun _ ~src:_ _ -> ());
+        let tag_a = Tag.make ~z:1 ~w:rig.driver in
+        let tag_b = Tag.make ~z:2 ~w:other in
+        let value_a = Bytes.make 30 'A' and value_b = Bytes.make 30 'B' in
+        (* both dispersals reach both members of D, alternating *)
+        List.iter
+          (fun c ->
+            send_at rig ~at:0.0 ~dst:(server_pid rig c)
+              (md_full rig ~seq:0 ~tag:tag_a ~value:value_a);
+            send_at rig ~at:0.0 ~dst:(server_pid rig c)
+              (md_full rig ~seq:1 ~tag:tag_b ~value:value_b))
+          [ 0; 1 ];
+        Engine.run rig.engine;
+        let memo_b = Soda.Config.encode config ~writer:other value_b in
+        let expected_b = Mds.encode (code rig) value_b in
+        List.iter
+          (fun c ->
+            let stored = Soda.Server.stored_fragment (server rig c) in
+            Alcotest.(check bool)
+              (Printf.sprintf "server %d stored the newer tag" c)
+              true
+              (Tag.equal (Soda.Server.stored_tag (server rig c)) tag_b);
+            Alcotest.(check bool)
+              (Printf.sprintf "server %d holds element %d of the value" c c)
+              true
+              (Fragment.index stored = c
+              && Bytes.equal (Fragment.data stored)
+                   (Fragment.data expected_b.(c)));
+            Alcotest.(check bool)
+              (Printf.sprintf "server %d's element comes from the one encode" c)
+              true (stored == memo_b.(c)))
+          (List.init 5 Fun.id);
+        let memo_a = Soda.Config.encode config ~writer:rig.driver value_a in
+        Array.iteri
+          (fun c expected ->
+            Alcotest.(check bool)
+              (Printf.sprintf "first writer's element %d" c)
+              true
+              (Bytes.equal (Fragment.data memo_a.(c)) (Fragment.data expected)))
+          (Mds.encode (code rig) value_a))
+  ]
+
+(* The memo of [Config.encode], called directly. *)
+let memo_tests =
+  let config () =
+    Soda.Config.make ~params:(Params.make ~n:5 ~f:1 ())
+      ~servers:(Array.init 5 Fun.id) ~initial_value:(Bytes.make 20 'i') ()
+  in
+  [ Alcotest.test_case "a repeated call returns the same fragments" `Quick
+      (fun () ->
+        let c = config () in
+        let v = Bytes.make 30 'a' in
+        let first = Soda.Config.encode c ~writer:1 v in
+        Alcotest.(check bool) "physically the same array" true
+          (Soda.Config.encode c ~writer:1 v == first);
+        Alcotest.(check bool) "an equal copy of the value is encoded anew" true
+          (Soda.Config.encode c ~writer:1 (Bytes.copy v) != first));
+    Alcotest.test_case "a writer's new value replaces only its own entry"
+      `Quick (fun () ->
+        let c = config () in
+        let v1 = Bytes.make 30 'a' and v2 = Bytes.make 30 'b' in
+        let v3 = Bytes.make 30 'c' in
+        let f1 = Soda.Config.encode c ~writer:1 v1 in
+        let f2 = Soda.Config.encode c ~writer:2 v2 in
+        let f3 = Soda.Config.encode c ~writer:1 v3 in
+        Alcotest.(check bool) "the other writer's entry survives" true
+          (Soda.Config.encode c ~writer:2 v2 == f2);
+        Alcotest.(check bool) "the new value is the writer's entry" true
+          (Soda.Config.encode c ~writer:1 v3 == f3);
+        Alcotest.(check bool) "the old value is gone" true
+          (Soda.Config.encode c ~writer:1 v1 != f1));
+    Alcotest.test_case "a derived configuration starts with no entries" `Quick
+      (fun () ->
+        let c = config () in
+        let v = Bytes.make 30 'a' in
+        let f = Soda.Config.encode c ~writer:1 v in
+        let d = Soda.Config.derive c ~servers:(Array.init 5 (fun i -> i + 5)) in
+        Alcotest.(check bool) "no entry carried over" true
+          (Soda.Config.encode d ~writer:1 v != f);
+        Alcotest.(check bool) "the initial fragments are shared" true
+          (d.Soda.Config.initial_fragments == c.Soda.Config.initial_fragments))
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -323,6 +413,39 @@ let server_tests =
         send_at rig ~at:200.0 ~dst:(server_pid rig 2)
           (read_disperse ~origin:rig.driver ~seq:70 ~tag:future ~server_index:4
              ~rid:14);
+        Engine.run rig.engine;
+        Alcotest.(check (list int)) "unregistered" []
+          (Soda.Server.registered_reads (server rig 2));
+        Alcotest.(check int) "history cleared" 0
+          (Soda.Server.history_entries (server rig 2)));
+    Alcotest.test_case
+      "READ-DISPERSE across a coordinate-bitmap byte boundary: k distinct \
+       announcers unregister, duplicates do not count"
+      `Quick (fun () ->
+        (* k = n - f = 10, so announcers 7 and 8 sit in different bytes
+           of the bitmap *)
+        let rig = make_rig ~n:12 ~f:2 () in
+        let future = Tag.make ~z:9 ~w:999 in
+        send_at rig ~at:0.0 ~dst:(server_pid rig 0)
+          (read_value ~rid:18 ~reader:rig.driver ~tr:future);
+        Engine.run rig.engine;
+        Alcotest.(check (list int)) "registered" [ 18 ]
+          (Soda.Server.registered_reads (server rig 2));
+        (* 9 distinct announcers plus duplicates of 7 and 8 *)
+        List.iteri
+          (fun i server_index ->
+            send_at rig ~at:(100.0 +. float_of_int i) ~dst:(server_pid rig 2)
+              (read_disperse ~origin:rig.driver ~seq:(60 + i) ~tag:future
+                 ~server_index ~rid:18))
+          [ 7; 8; 0; 1; 5; 6; 9; 10; 11; 7; 8 ];
+        Engine.run rig.engine;
+        Alcotest.(check (list int)) "still registered one short of k" [ 18 ]
+          (Soda.Server.registered_reads (server rig 2));
+        Alcotest.(check int) "9 distinct coordinates in H" 9
+          (Soda.Server.history_entries (server rig 2));
+        send_at rig ~at:200.0 ~dst:(server_pid rig 2)
+          (read_disperse ~origin:rig.driver ~seq:80 ~tag:future ~server_index:3
+             ~rid:18);
         Engine.run rig.engine;
         Alcotest.(check (list int)) "unregistered" []
           (Soda.Server.registered_reads (server rig 2));
@@ -610,6 +733,7 @@ let dedup_tests =
 let () =
   Alcotest.run "md-and-server"
     [ ("md-value", md_value_tests);
+      ("encode-memo", memo_tests);
       ("server-fig5", server_tests);
       ("tombstone", tombstone_tests);
       ("dedup", dedup_tests)

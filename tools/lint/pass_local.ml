@@ -58,15 +58,16 @@ let p2_idents =
     "Stdlib.Format.print_int"; "Stdlib.Format.print_flush";
     "Stdlib.Format.std_formatter"; "Stdlib.stdout" ]
 
-(* polymorphic comparison family: name -> index of the argument whose
-   instantiated type decides the verdict *)
+(* polymorphic comparison family: the instantiated type of each one's
+   first argument decides the verdict. A higher-order function such as
+   [List.sort_uniq] is not in it: a polymorphic [compare] passed to it
+   is reported on its own identifier, and a dedicated comparator is
+   fine at any element type. *)
 let p1_idents =
-  [ ("Stdlib.=", 0); ("Stdlib.<>", 0); ("Stdlib.==", 0); ("Stdlib.!=", 0);
-    ("Stdlib.compare", 0); ("Stdlib.<", 0); ("Stdlib.>", 0);
-    ("Stdlib.<=", 0); ("Stdlib.>=", 0); ("Stdlib.min", 0); ("Stdlib.max", 0);
-    ("Stdlib.List.mem", 0); ("Stdlib.List.assoc", 0);
-    ("Stdlib.List.mem_assoc", 0); ("Stdlib.List.sort_uniq", 1);
-    ("Stdlib.Hashtbl.hash", 0) ]
+  [ "Stdlib.="; "Stdlib.<>"; "Stdlib.=="; "Stdlib.!="; "Stdlib.compare";
+    "Stdlib.<"; "Stdlib.>"; "Stdlib.<="; "Stdlib.>="; "Stdlib.min";
+    "Stdlib.max"; "Stdlib.List.mem"; "Stdlib.List.assoc";
+    "Stdlib.List.mem_assoc"; "Stdlib.Hashtbl.hash" ]
 
 (* The comparison *operators* (and [compare] itself) are specialized by
    the compiler to direct primitives when the argument type is statically
@@ -101,25 +102,18 @@ let is_type_variable (ty : Types.type_expr) =
 (* [==] and [!=] compile to a pointer comparison at every type *)
 let physical name = name = "Stdlib.==" || name = "Stdlib.!="
 
-(* nth arrow argument of an (instantiated) function type *)
-let rec nth_arrow_arg ~fuel n ty =
+(* first arrow argument of an (instantiated) function type *)
+let rec first_arrow_arg ~fuel ty =
   if fuel = 0 then None
   else
     match Types.get_desc ty with
-    | Tarrow (_, a, b, _) ->
-      if n = 0 then Some a else nth_arrow_arg ~fuel:(fuel - 1) (n - 1) b
+    | Tarrow (_, a, _, _) -> Some a
     | Tlink t | Tsubst (t, _) | Tpoly (t, _) ->
-      nth_arrow_arg ~fuel:(fuel - 1) n t
+      first_arrow_arg ~fuel:(fuel - 1) t
     | _ -> None
 
-(* For List.sort_uniq the decisive argument is the comparator's own
-   first argument. *)
 let p1_subject_type name fn_ty =
-  match List.assoc_opt name p1_idents with
-  | None -> None
-  | Some 1 ->
-    Option.bind (nth_arrow_arg ~fuel:8 0 fn_ty) (nth_arrow_arg ~fuel:8 0)
-  | Some n -> nth_arrow_arg ~fuel:8 n fn_ty
+  if List.mem name p1_idents then first_arrow_arg ~fuel:8 fn_ty else None
 
 (* ------------------------------------------------------------------ *)
 
