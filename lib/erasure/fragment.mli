@@ -2,7 +2,8 @@
 
     A fragment is one server's share of an encoded value: the fragment
     [index] identifies which of the [n] code coordinates it carries, and
-    its payload holds one code symbol per stripe.
+    its payload holds one code symbol per stripe. A message fragment's
+    payload is one contiguous slice of the framed value ({!Splitter}).
 
     Encode allocates one payload buffer per fragment, and the simulated
     network and server stores carry the fragment itself, so no payload

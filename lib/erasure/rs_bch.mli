@@ -30,8 +30,10 @@ val make : n:int -> k:int -> t
 (** @raise Invalid_argument unless [1 <= k <= n <= 255]. *)
 
 val encode : t -> bytes -> Fragment.t array
-(** Encode into [n] fragments at indices [0 .. n-1]; fragment [n-k+j]
-    carries the systematic message byte [j] of every stripe. *)
+(** Encode into [n] fragments at indices [0 .. n-1]. The framed value
+    is column-major ({!Splitter}): message fragment [n-k+j] is its
+    [j]-th contiguous slice verbatim, and so carries message symbol [j]
+    of every stripe. *)
 
 exception Insufficient_fragments of { needed : int; got : int }
 

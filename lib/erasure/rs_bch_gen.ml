@@ -90,21 +90,19 @@ module Make (Sym : Symbol.S) = struct
     if !first then Bytes.fill dst (doff + off) len '\000'
 
   let encode t value =
-    let framed = Splitter.frame ~k:(bps * t.k) value in
-    let stripes = Bytes.length framed / (bps * t.k) in
+    let cols = Splitter.columns ~k:t.k ~bps value in
+    let size = Bytes.length cols.(0) in
     let parity_len = t.n - t.k in
-    let cols = Kernel.split_cols ~k:t.k ~bps framed in
     (* fragment parity_len + j is exactly message column j *)
     let outputs =
       Array.init t.n (fun i ->
-          if i < parity_len then Bytes.create (bps * stripes)
-          else cols.(i - parity_len))
+          if i < parity_len then Bytes.create size else cols.(i - parity_len))
     in
     let tables = row_tables t.parity_rows in
     let soffs = Array.make t.k 0 in
     for i = 0 to parity_len - 1 do
       apply_row ~coeffs:t.parity_rows.(i) ~tables:tables.(i) ~srcs:cols
-        ~soffs ~dst:outputs.(i) ~doff:0 ~off:0 ~len:(bps * stripes)
+        ~soffs ~dst:outputs.(i) ~doff:0 ~off:0 ~len:size
     done;
     Array.init t.n (fun i -> Fragment.make ~index:i ~data:outputs.(i))
 
@@ -241,7 +239,7 @@ module Make (Sym : Symbol.S) = struct
       read_stripe t r s received;
       correct_stripe t ~gamma ~num_erasures received;
       for j = 0 to t.k - 1 do
-        Sym.set framed (bps * ((s * t.k) + j)) received.(t.n - t.k + j)
+        Sym.set framed (bps * ((j * stripes) + s)) received.(t.n - t.k + j)
       done
     done;
     Splitter.unframe framed

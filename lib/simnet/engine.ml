@@ -412,21 +412,20 @@ let send_reliable t ch ~src ~dst msg =
   end;
   schedule_rexmit t ch l ~src ~dst ~seq
 
-let classify_send t msg =
+(* Count [count] protocol-level sends of [msg]: the classifier and
+   the weigher run once for all of them. *)
+let classify_send t msg ~count =
   (match t.classify with
   | None -> ()
   | Some is_data ->
-    if is_data msg then t.data_sent <- t.data_sent + 1
-    else t.meta_sent <- t.meta_sent + 1);
+    if is_data msg then t.data_sent <- t.data_sent + count
+    else t.meta_sent <- t.meta_sent + count);
   match t.weigh with
   | None -> ()
-  | Some units -> t.payload_units <- t.payload_units + units msg
+  | Some units -> t.payload_units <- t.payload_units + (count * units msg)
 
-let send ctx ~dst msg =
-  let t = ctx.engine in
-  check_pid t dst ~where:"Engine.send";
-  classify_send t msg;
-  let src = ctx.ctx_self in
+(* One protocol-level send's transmission, after its accounting. *)
+let transmit t ~src ~dst msg =
   match t.channel with
   | Some ch -> send_reliable t ch ~src ~dst msg
   | None ->
@@ -450,6 +449,27 @@ let send ctx ~dst msg =
         Event_queue.push_inbox t.queue ~tag (Obj.repr msg)
       end
     end
+
+let send ctx ~dst msg =
+  let t = ctx.engine in
+  check_pid t dst ~where:"Engine.send";
+  classify_send t msg ~count:1;
+  transmit t ~src:ctx.ctx_self ~dst msg
+
+let send_many ctx ~dsts ~from ~upto msg =
+  let t = ctx.engine in
+  if from < 0 || upto > Array.length dsts then
+    invalid_arg "Engine.send_many: range outside dsts";
+  for i = from to upto - 1 do
+    check_pid t dsts.(i) ~where:"Engine.send_many"
+  done;
+  if from < upto then begin
+    classify_send t msg ~count:(upto - from);
+    let src = ctx.ctx_self in
+    for i = from to upto - 1 do
+      transmit t ~src ~dst:dsts.(i) msg
+    done
+  end
 
 let schedule_local ctx ~delay action =
   let t = ctx.engine in

@@ -118,6 +118,17 @@ val send : 'msg context -> dst:pid -> 'msg -> unit
     once. Sending to self is allowed and also goes through the
     channel. *)
 
+val send_many :
+  'msg context -> dsts:pid array -> from:int -> upto:int -> 'msg -> unit
+(** [send_many ctx ~dsts ~from ~upto msg] is {!send} of [msg] to
+    [dsts.(i)] for [i] from [from] to [upto - 1], in that order: every
+    destination draws the same delay, loss, duplication and jitter and
+    bumps the same counters as that loop of sends would. The message
+    is classified and weighed once for all of them. An empty range
+    sends nothing.
+    @raise Invalid_argument if the range leaves [dsts] or names an
+    unknown pid; nothing is sent then. *)
+
 val schedule_local : 'msg context -> delay:float -> (unit -> unit) -> unit
 (** Run a local action on this process after [delay] sim-time units,
     unless the process crashes first. *)

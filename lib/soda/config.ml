@@ -75,6 +75,15 @@ let send t ctx ~dst msg =
   | None -> Simnet.Engine.send ctx ~dst msg
   | Some w -> w.wire_send ctx ~dst msg
 
+let send_coordinates t ctx ~from msg =
+  let upto = Array.length t.servers in
+  match t.wire with
+  | None -> Simnet.Engine.send_many ctx ~dsts:t.servers ~from ~upto msg
+  | Some w ->
+    for i = from to upto - 1 do
+      w.wire_send ctx ~dst:t.servers.(i) msg
+    done
+
 let gossip t ctx entry =
   match t.wire with
   | Some w -> w.wire_gossip ctx entry

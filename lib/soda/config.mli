@@ -158,6 +158,13 @@ val send : t -> Messages.t Simnet.Engine.context -> dst:int -> Messages.t -> uni
 (** The one send primitive of every automaton: [Engine.send] when no
     wire is installed, the wire's [wire_send] otherwise. *)
 
+val send_coordinates :
+  t -> Messages.t Simnet.Engine.context -> from:int -> Messages.t -> unit
+(** [send_coordinates t ctx ~from msg] is {!send} of [msg] to server
+    coordinates [from .. n - 1] in order: one [Engine.send_many] when
+    no wire is installed, the wire's [wire_send] per coordinate
+    otherwise. *)
+
 val gossip : t -> Messages.t Simnet.Engine.context -> Messages.gossip_entry -> unit
 (** Hand one deferred READ-DISPERSE entry to the wire's [wire_gossip]
     (the coalesced gossip of {!batched_plane}).

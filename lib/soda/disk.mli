@@ -50,4 +50,4 @@ val rot : t -> seed:int -> unit
 val checksum : Fragment.t -> int
 [@@lint.allow "X1: test oracle — tests recompute a fragment's checksum to \
                check what the disk stored"]
-(** The FNV-1a payload checksum, exposed for tests. *)
+(** The two-lane FNV-1a payload checksum, exposed for tests. *)

@@ -49,10 +49,8 @@ let rec schedule_retry t ctx ~rid =
     Engine.schedule_local ctx ~delay:interval (fun () ->
         match t.phase with
         | Get g when g.rid = rid ->
-          Array.iter
-            (fun server ->
-              Config.send t.config ctx ~dst:server (Messages.Read_get { rid }))
-            t.config.Config.servers;
+          Config.send_coordinates t.config ctx ~from:0
+            (Messages.Read_get { rid });
           schedule_retry t ctx ~rid
         | Collect c when c.rid = rid ->
           Md.meta_send ctx t.config ~seq:t.seq
@@ -73,9 +71,7 @@ let invoke t ctx ?on_done () =
   in
   t.on_done <- on_done;
   t.phase <- Get { rid; replies = Int_tbl.Set.create 8; best = Tag.initial };
-  Array.iter
-    (fun server -> Config.send t.config ctx ~dst:server (Messages.Read_get { rid }))
-    t.config.Config.servers;
+  Config.send_coordinates t.config ctx ~from:0 (Messages.Read_get { rid });
   schedule_retry t ctx ~rid;
   rid
 

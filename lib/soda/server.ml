@@ -151,13 +151,22 @@ let registered_sorted t =
     (fun (a, _) (b, _) -> Int.compare a b)
     (Int_tbl.Map.fold (fun rid reg acc -> (rid, reg) :: acc) t.registered [])
 
+(* The read's H row, created on first use. [find ~default] hands back
+   the table's own dummy for an absent rid, which no key is ever bound
+   to, so a physical test tells absence without [find_opt]'s [Some]. *)
 let h_tags t rid =
-  match Int_tbl.Map.find_opt t.h rid with
-  | Some tags -> tags
-  | None ->
+  let tags = Int_tbl.Map.find t.h rid ~default:no_tags in
+  if
+    (tags != no_tags)
+    [@lint.allow
+      "P1: the table dummy is never bound to a key, so physical identity \
+       with it is exactly absence"]
+  then tags
+  else begin
     let tags = Int_tbl.Map.create ~dummy:no_coords 0 in
     Int_tbl.Map.replace t.h rid tags;
     tags
+  end
 
 let coords_mem coords c =
   Bytes.get_uint8 coords.bits (c lsr 3) land (1 lsl (c land 7)) <> 0
@@ -178,7 +187,8 @@ let h_add t rid ~tag ~coordinate:c =
   if byte land bit = 0 then begin
     Bytes.set_uint8 coords.bits (c lsr 3) (byte lor bit);
     coords.count <- coords.count + 1
-  end
+  end;
+  coords.count
 
 let h_mem t rid ~tag ~coordinate =
   match Int_tbl.Map.find_opt t.h rid with
@@ -187,14 +197,6 @@ let h_mem t rid ~tag ~coordinate =
     match Int_tbl.Map.find_opt tags (Tag.pack tag) with
     | None -> false
     | Some coords -> coords_mem coords coordinate)
-
-let h_count_tag t rid tag =
-  match Int_tbl.Map.find_opt t.h rid with
-  | None -> 0
-  | Some tags -> (
-    match Int_tbl.Map.find_opt tags (Tag.pack tag) with
-    | None -> 0
-    | Some coords -> coords.count)
 
 let unregister t ctx rid =
   Int_tbl.Map.remove t.registered rid;
@@ -228,7 +230,7 @@ let relay_to_reader t ctx ~rid ~(reg : registration) ~tag ~fragment =
     Probe.emit t.config.Config.probe
       (Probe.Relayed
          { rid; server = t.coordinate; tag; time = Engine.now_ctx ctx });
-    h_add t rid ~tag ~coordinate:t.coordinate;
+    ignore (h_add t rid ~tag ~coordinate:t.coordinate : int);
     match Config.gossip_mode t.config with
     | `Broadcast ->
       Md.meta_send ctx t.config ~seq:t.seq
@@ -720,10 +722,11 @@ let on_read_complete t ctx ~rid =
    [on_read_complete]). *)
 let on_read_disperse t ctx ~tag ~server_index ~rid =
   if not (Int_tbl.Set.mem t.completed rid) then begin
-    h_add t rid ~tag ~coordinate:server_index;
-    if Int_tbl.Map.mem t.registered rid then
-      if h_count_tag t rid tag >= t.config.Config.decode_threshold then
-        unregister t ctx rid
+    let count = h_add t rid ~tag ~coordinate:server_index in
+    if
+      count >= t.config.Config.decode_threshold
+      && Int_tbl.Map.mem t.registered rid
+    then unregister t ctx rid
   end
 
 let deliver_meta t ctx = function
@@ -779,9 +782,7 @@ let on_md_meta t ctx ~src ~msg ~(mid : Messages.mid) ~meta =
     let d = Config.d_size config in
     if t.coordinate < d then begin
       let forward () =
-        for j = t.coordinate + 1 to Params.n config.Config.params - 1 do
-          send_to_coordinate t ctx ~coordinate:j msg
-        done
+        Config.send_coordinates config ctx ~from:(t.coordinate + 1) msg
       in
       match Config.meta_stagger config with
       | None -> forward ()

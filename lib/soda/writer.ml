@@ -37,10 +37,8 @@ let rec schedule_retry t ctx ~op =
     Engine.schedule_local ctx ~delay:interval (fun () ->
         match t.phase with
         | Get g when g.op = op ->
-          Array.iter
-            (fun server ->
-              Config.send t.config ctx ~dst:server (Messages.Write_get { op }))
-            t.config.Config.servers;
+          Config.send_coordinates t.config ctx ~from:0
+            (Messages.Write_get { op });
           schedule_retry t ctx ~op
         | Idle | Get _ | Put _ -> ())
 
@@ -58,9 +56,7 @@ let invoke t ctx ~value ?on_done () =
   t.on_done <- on_done;
   t.phase <-
     Get { op; value; replies = Int_tbl.Set.create 8; best = Tag.initial };
-  Array.iter
-    (fun server -> Config.send t.config ctx ~dst:server (Messages.Write_get { op }))
-    t.config.Config.servers;
+  Config.send_coordinates t.config ctx ~from:0 (Messages.Write_get { op });
   schedule_retry t ctx ~op;
   op
 

@@ -76,7 +76,31 @@ let disk_tests =
         let f = Fragment.make ~index ~data in
         Disk.checksum f = Disk.checksum f
         && (Bytes.length data = 0
-           || Disk.checksum f <> Disk.checksum (Fragment.corrupt f ~seed:3)))
+           || Disk.checksum f <> Disk.checksum (Fragment.corrupt f ~seed:3)));
+    qtest ~count:300 "a change inside one 32-bit word or of the index is detected"
+      QCheck2.Gen.(
+        quad
+          (string_size (int_range 1 100) >|= Bytes.of_string)
+          (int_range 0 1_000) (int_range 1 0xFFFFFFFF) (int_range 0 100))
+      (fun (data, pos, flip, index) ->
+        let sum = Disk.checksum (Fragment.make ~index ~data) in
+        let len = Bytes.length data in
+        let p = pos mod len in
+        let changed = Bytes.copy data in
+        if p < len / 8 * 8 then begin
+          (* the 32-bit half of an 8-byte word that holds byte [p]: low
+             halves feed one lane, high halves the other *)
+          let base = p land lnot 3 in
+          Bytes.set_int32_le changed base
+            (Int32.logxor (Bytes.get_int32_le changed base) (Int32.of_int flip))
+        end
+        else
+          (* a tail byte *)
+          Bytes.set_uint8 changed p
+            (Bytes.get_uint8 changed p lxor (1 + (flip mod 255)));
+        Disk.checksum (Fragment.make ~index ~data:changed) <> sum
+        && Disk.checksum (Fragment.make ~index:(index + 1 + (pos mod 7)) ~data)
+           <> sum)
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -11,7 +11,6 @@ module Gf = Galois.Gf
 module Gf16 = Galois.Gf16
 module Splitter = Erasure.Splitter
 module Fragment = Erasure.Fragment
-module Kernel = Erasure.Kernel
 
 let qtest ?(count = 60) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -76,15 +75,16 @@ module Slow_bch (S : SLOW_SYMBOL) = struct
     end;
     cw
 
-  (* The message columns of [value]: column j holds symbol j of every
-     stripe. *)
+  (* The message columns of [value]: the framed value is column-major,
+     so column j holds framed symbols [j*stripes, (j+1)*stripes), one
+     per stripe. *)
   let message_columns ~k value =
     let framed = Splitter.frame ~k:(S.bps * k) value in
     let stripes = Bytes.length framed / (S.bps * k) in
     Array.init k (fun j ->
         let col = Bytes.create (S.bps * stripes) in
         for s = 0 to stripes - 1 do
-          S.set col s (S.get framed ((s * k) + j))
+          S.set col s (S.get framed ((j * stripes) + s))
         done;
         col)
 
@@ -94,7 +94,7 @@ module Slow_bch (S : SLOW_SYMBOL) = struct
     let framed = Bytes.create (stripes * k * S.bps) in
     for s = 0 to stripes - 1 do
       for j = 0 to k - 1 do
-        S.set framed ((s * k) + j) (S.get cols.(j) s)
+        S.set framed ((j * stripes) + s) (S.get cols.(j) s)
       done
     done;
     Splitter.unframe framed
@@ -458,15 +458,37 @@ let buf_tests =
           then ok := false
         done;
         !ok);
-    qtest ~count:100 "split_cols/merge_cols round-trip"
+    qtest ~count:300 "Splitter.columns/extract round-trip"
       QCheck2.Gen.(
-        triple (int_range 1 10) (int_range 1 3) (int_range 0 60))
-      (fun (k, bps, stripes) ->
-        let framed =
-          Bytes.init (k * bps * stripes) (fun i -> Char.chr ((i * 13) land 0xff))
+        quad (int_range 1 12) (int_range 1 2) (bytes_gen 200)
+          (array_size (return 12) (int_range 0 9)))
+      (fun (k, bps, v, pads) ->
+        (* the columns are the framed value's k equal slices, headers
+           that straddle columns included (short values, large k) *)
+        let cols = Splitter.columns ~k ~bps v in
+        let framed = Splitter.frame ~k:(bps * k) v in
+        let col_len = Bytes.length framed / k in
+        let slices_ok =
+          Array.length cols = k
+          && Array.for_all2 Bytes.equal cols
+               (Array.init k (fun j -> Bytes.sub framed (j * col_len) col_len))
         in
-        let cols = Kernel.split_cols ~k ~bps framed in
-        Bytes.equal (Kernel.merge_cols ~k ~bps cols) framed)
+        (* extract reads each column as a view at a non-zero offset of a
+           larger buffer, between garbage bytes *)
+        let offs = Array.init k (fun j -> 1 + pads.(j)) in
+        let bufs =
+          Array.mapi
+            (fun j col ->
+              let buf =
+                Bytes.init (offs.(j) + col_len + 3) (fun i ->
+                    Char.chr ((i * 29) land 0xff))
+              in
+              Bytes.blit col 0 buf offs.(j) col_len;
+              buf)
+            cols
+        in
+        slices_ok
+        && Bytes.equal v (Splitter.extract ~k ~bps ~bufs ~offs ~col_len))
   ]
 
 let () =

@@ -68,6 +68,7 @@ let json_output = lazy (run_lint "--all-rules --json")
 
 let expected =
   [ { file = "bad_a1.ml"; line = 10; rule = "A1" };
+    { file = "bad_a1.ml"; line = 28; rule = "A1" };
     { file = "bad_d1.ml"; line = 2; rule = "D1" };
     { file = "bad_d2.ml"; line = 2; rule = "D2" };
     { file = "bad_d3.ml"; line = 3; rule = "D3" };

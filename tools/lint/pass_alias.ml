@@ -33,6 +33,7 @@ type target = Pos of int | Lab of string
 
 let publish_sinks =
   [ ("Engine.send", [ Pos 1 ]); (* context, msg — dst is labeled *)
+    ("Engine.send_many", [ Pos 1 ]); (* context, msg — the range is labeled *)
     ("Disk.create", [ Lab "fragment" ]);
     ("Disk.store", [ Lab "fragment" ]) ]
 
@@ -44,7 +45,7 @@ let mutators =
   [ ("Bytes.set", Pos 0); ("Bytes.unsafe_set", Pos 0); ("Bytes.fill", Pos 0);
     ("Bytes.blit", Pos 2); ("Bytes.blit_string", Pos 2);
     ("BytesLabels.blit", Lab "dst");
-    ("Wops.xor_into", Lab "dst"); ("Kernel.merge_cols_sub", Lab "dst") ]
+    ("Wops.xor_into", Lab "dst") ]
 
 let find_builtin table name =
   List.find_map
